@@ -1,5 +1,5 @@
 //! Fleet-driver scaling benchmark: tenant-ticks per second for the
-//! work-stealing parallel driver at 1/2/4/8 worker threads over the
+//! pooled parallel driver at 1/2/4/8 worker threads over the
 //! same fleet. On a multi-core box the speedup at 4 threads should be
 //! near-linear (>= 2.5x); the determinism contract means the parallel
 //! runs it times produce byte-identical fleet state to the serial run.

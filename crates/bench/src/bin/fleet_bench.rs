@@ -138,6 +138,8 @@ fn main() {
         "sparse/dense, serial/parallel, or cache-on/off end states diverged"
     );
 
+    assert_eq!(dense_1.poisoned, 0, "a clean run poisons no tenant");
+
     let dense_passes = dense_1.control_ticks_executed();
     let sparse_passes = sparse_1.control_ticks_executed();
     let reduction = dense_passes as f64 / sparse_passes.max(1) as f64;

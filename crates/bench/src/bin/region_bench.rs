@@ -25,8 +25,8 @@
 
 use bench::{Args, SparseFleetSpec};
 use controlplane::{
-    FleetDriver, FleetDriverConfig, HydrationMode, PlanePolicy, RegionConfig, RegionCoordinator,
-    RegionReport, SchedulingMode, ShardConcurrency,
+    FleetDriver, FleetDriverConfig, PlanePolicy, RegionConfig, RegionCoordinator, RegionReport,
+    SchedulingMode, ShardConcurrency,
 };
 use sqlmini::clock::Duration;
 use std::time::Instant;
@@ -59,7 +59,6 @@ fn region_run(
         shards,
         threads_per_shard: 1,
         shard_concurrency: concurrency,
-        hydration: HydrationMode::Lazy,
         retain_outcomes,
         event_retention: 1000,
         ..RegionConfig::default()
@@ -115,6 +114,7 @@ fn main() {
                     for &cache in &[true, false] {
                         let (r, wall) = region_run(&spec, m_ticks, shards, conc, mode, cache, true);
                         matrix_runs += 1;
+                        assert_eq!(r.poisoned, 0, "a clean run poisons no tenant");
                         assert_eq!(
                             r.digest, want,
                             "digest diverged at shards={shards} {conc:?} {mode:?} cache={cache}"
@@ -191,6 +191,7 @@ fn main() {
         report.tenants, tenants,
         "every tenant must be driven exactly once"
     );
+    assert_eq!(report.poisoned, 0, "a clean run poisons no tenant");
 
     let result = BenchResult {
         tenants,

@@ -7,19 +7,32 @@
 //! into *shard-owned* tenant states (each tenant gets its own journaled
 //! [`StateStore`] with a disjoint [`RecoId`](crate::state::RecoId)
 //! block, its own [`Telemetry`] sink, and its own per-tenant-seeded
-//! [`FaultInjector`]), and a work-stealing pool of OS threads drives
+//! [`FaultInjector`]), and the crate's one ordered pool drives
 //! `workload → ControlPlane::tick` loops for many tenants concurrently.
 //! No global mutex is touched on the hot path; global aggregates are
 //! produced by merging the per-tenant sinks **in fleet order** at
 //! quiesce.
 //!
+//! # One kernel
+//!
+//! [`FleetDriver::run_tenant`] is the only loop that ever ticks a
+//! tenant: set up the worker, step it `ticks` times, roll up its
+//! outcome. It is *tenant-major* — a tenant runs all its ticks before
+//! the executor touches the next one — on every path: the serial run,
+//! the pooled run, and the sharded region's lazily hydrated waves all
+//! map this one function over their tenants. Tenant-major and
+//! tick-major orders are interchangeable because every decision a step
+//! takes reads only that tenant's own state (its clock, store, fault
+//! stream, wake tick and quarantine window); no tenant ever observes
+//! another, so the order tenants interleave in cannot reach any output.
+//!
 //! Determinism: every random decision is drawn from state seeded by the
 //! tenant's *fleet index* — never by the executing thread — so a run
 //! with `threads = N` produces byte-identical end-of-run fleet state
 //! ([`FleetReport::canonical_string`]) to a `threads = 1` serial run, no
-//! matter how tasks were stolen. That property is what makes fleet-scale
-//! failures replayable: re-run serially with the same seeds and step
-//! through the one tenant that misbehaved.
+//! matter which worker claimed which tenant. That property is what makes
+//! fleet-scale failures replayable: re-run serially with the same seeds
+//! and step through the one tenant that misbehaved.
 //!
 //! # Sparse scheduling
 //!
@@ -28,15 +41,12 @@
 //! backoff expiring, a validation window closing). Under
 //! [`SchedulingMode::Sparse`] each control pass returns a
 //! [`WakeSchedule`](crate::stages::WakeSchedule) naming the next instant
-//! any stage could act, the driver maps it onto the tick grid, and ticks
-//! before that wake run only the tenant's workload slice — the control
-//! pass is skipped entirely. The serial driver indexes wakes in a
-//! [`WakeupHeap`] keyed `(due_tick, tenant_index)` so a fleet step pops
-//! exactly the due tenants; the parallel driver, which owns one tenant
-//! per task, compares the tick against the tenant's recorded wake. A
-//! skipped pass is unobservable — a dense control pass with no due work
-//! changes no state, emits no telemetry, and draws no fault randomness —
-//! so sparse and dense runs produce byte-identical
+//! any stage could act, the step maps it onto the tick grid as the
+//! tenant's wake tick, and ticks before that wake run only the tenant's
+//! workload slice — the control pass is skipped entirely. A skipped pass
+//! is unobservable — a dense control pass with no due work changes no
+//! state, emits no telemetry, and draws no fault randomness — so sparse
+//! and dense runs produce byte-identical
 //! [`FleetReport::canonical_string`] output. Dense mode is kept as the
 //! replay oracle for exactly that property. Scripted
 //! [`FaultPoint::JournalTear`] faults are probed at the start of every
@@ -48,17 +58,15 @@
 use crate::faults::{FaultInjector, FaultKind, FaultPoint};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
+use crate::pool;
 use crate::region::DashboardSnapshot;
 use crate::state::{effective, DbSettings, ServerSettings};
 use crate::store::StateStore;
 use crate::telemetry::{EventKind, Telemetry};
 use crate::trace::Tracer;
-use crate::wakeup::{WakeupHeap, NEVER};
-use crossbeam::deque::{Injector, Stealer, Worker};
 use sqlmini::clock::{Duration, Timestamp};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 use workload::fleet::Tenant;
 use workload::model::WorkloadModel;
 use workload::runner::{RunSummary, WorkloadRunner};
@@ -369,59 +377,67 @@ pub struct FleetReport {
     pub elapsed: std::time::Duration,
 }
 
-/// What one tenant's worker hands back at quiesce: outcome, telemetry,
-/// canonical metrics, and the (non-canonical) scheduler counters.
-pub(crate) type TenantResult = (TenantOutcome, Telemetry, MetricsRegistry, MetricsRegistry);
+/// The order-free part of a fleet's end-of-run state: the three merged
+/// sinks and the summed per-tenant tallies. One tenant's worker hands
+/// back a `FleetTotals` of its own; shards, regions and the unsharded
+/// report all build theirs with [`FleetTotals::absorb`], the one fold.
+#[derive(Debug)]
+pub struct FleetTotals {
+    /// Telemetry merged in fold order (counters exact; raw events capped
+    /// by the fold's retention).
+    pub telemetry: Telemetry,
+    /// Canonical metrics merged (a commutative monoid).
+    pub metrics: MetricsRegistry,
+    /// Driver bookkeeping (scheduler/plan-cache/journal counters), kept
+    /// out of `metrics` so the canonical surface stays mode-independent.
+    pub scheduler_metrics: MetricsRegistry,
+    /// Recommendation count per state name.
+    pub by_state: BTreeMap<String, usize>,
+    pub statements: u64,
+    pub errors: u64,
+    /// Tenants whose workers panicked and were isolated.
+    pub poisoned: usize,
+    /// Circuit-breaker trips.
+    pub quarantines: u64,
+}
 
-impl FleetReport {
-    pub(crate) fn assemble(
-        results: Vec<TenantResult>,
-        scheduling: SchedulingMode,
-        ticks: u32,
-        sim_time: Duration,
-        threads: usize,
-        elapsed: std::time::Duration,
-    ) -> FleetReport {
-        // Quiesce: fold the shard-owned sinks in fleet order.
-        let telemetry = Telemetry::merged(results.iter().map(|(_, tel, _, _)| tel));
-        let metrics = MetricsRegistry::merged(results.iter().map(|(_, _, m, _)| m));
-        let scheduler_metrics = MetricsRegistry::merged(results.iter().map(|(_, _, _, s)| s));
-        let mut by_state: BTreeMap<String, usize> = BTreeMap::new();
-        let mut statements = 0u64;
-        let mut errors = 0u64;
-        let mut poisoned = 0usize;
-        let mut quarantines = 0u64;
-        let mut tenants = Vec::with_capacity(results.len());
-        for (outcome, _, _, _) in results {
-            for (state, n) in &outcome.by_state {
-                *by_state.entry(state.clone()).or_default() += n;
-            }
-            statements += outcome.statements;
-            errors += outcome.errors;
-            if outcome.status.is_poisoned() {
-                poisoned += 1;
-            }
-            quarantines += outcome.quarantines;
-            tenants.push(outcome);
-        }
-        FleetReport {
-            tenants,
-            telemetry,
-            metrics,
-            scheduler_metrics,
-            scheduling,
-            by_state,
-            statements,
-            errors,
-            poisoned,
-            quarantines,
-            ticks,
-            sim_time,
-            threads,
-            elapsed,
+impl FleetTotals {
+    pub(crate) fn new() -> FleetTotals {
+        FleetTotals {
+            telemetry: Telemetry::new(),
+            metrics: MetricsRegistry::new(),
+            scheduler_metrics: MetricsRegistry::new(),
+            by_state: BTreeMap::new(),
+            statements: 0,
+            errors: 0,
+            poisoned: 0,
+            quarantines: 0,
         }
     }
 
+    /// Fold `other` in. Counters and tallies stay exact; raw events and
+    /// incidents are cut to the most recent `event_retention`, so a fold
+    /// over a million tenants stays bounded (`usize::MAX` keeps all).
+    pub(crate) fn absorb(&mut self, other: FleetTotals, event_retention: usize) {
+        self.telemetry.merge(&other.telemetry);
+        self.telemetry.retain_recent(event_retention);
+        self.metrics.merge(&other.metrics);
+        self.scheduler_metrics.merge(&other.scheduler_metrics);
+        for (state, n) in other.by_state {
+            *self.by_state.entry(state).or_default() += n;
+        }
+        self.statements += other.statements;
+        self.errors += other.errors;
+        self.poisoned += other.poisoned;
+        self.quarantines += other.quarantines;
+    }
+}
+
+/// What one tenant's worker hands back at quiesce: its outcome and its
+/// one-tenant totals.
+pub(crate) type TenantResult = (TenantOutcome, FleetTotals);
+
+impl FleetReport {
     /// Roll the merged metrics into the §8.1 ops table.
     pub fn dashboard(&self) -> DashboardSnapshot {
         DashboardSnapshot::from_metrics(&self.metrics, self.sim_time)
@@ -600,15 +616,8 @@ fn panic_note(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A tenant waiting to be driven. `index` is its *global* fleet index —
-/// the value that seeds every per-tenant random stream — while `pos` is
-/// its position in the slice being driven (they coincide for unsharded
-/// runs; a shard's slice holds a scattered subset of global indices).
-struct TenantTask {
-    pos: usize,
-    index: usize,
-    tenant: Tenant,
-}
+/// Wake-tick sentinel: the tenant never needs another control pass.
+const NEVER: u64 = u64::MAX;
 
 /// One tenant's live control loop: everything [`FleetDriver::step_tenant`]
 /// needs to run one tick, owned by exactly one executor at a time. All
@@ -651,47 +660,52 @@ impl FleetDriver {
         FleetDriver { config }
     }
 
-    /// Drive every tenant for `ticks` control-plane passes using
-    /// `threads` worker threads (`0` and `1` both mean serial). Consumes
-    /// the fleet; the merged end-of-run state comes back in the report.
+    /// Drive every tenant for `ticks` control-plane passes on up to
+    /// `threads` pool workers (`0` and `1` both mean serial, on the
+    /// caller's thread). Consumes the fleet; the merged end-of-run state
+    /// comes back in the report, in fleet order.
     pub fn run(&self, fleet: Vec<Tenant>, ticks: u32, threads: usize) -> FleetReport {
-        let fleet = fleet.into_iter().enumerate().collect();
-        self.run_indexed(fleet, ticks, threads)
-    }
-
-    /// Drive a slice of a larger fleet: each tenant carries its *global*
-    /// fleet index, which seeds its random streams, its RecoId block,
-    /// and its auto/cohort assignments — so a shard driving
-    /// `[(3, t3), (11, t11)]` produces, tenant for tenant, exactly the
-    /// results an unsharded run over the whole fleet would. `run` is the
-    /// special case where positions and indices coincide. Report order
-    /// follows the slice order passed in.
-    pub fn run_indexed(
-        &self,
-        fleet: Vec<(usize, Tenant)>,
-        ticks: u32,
-        threads: usize,
-    ) -> FleetReport {
         let start = std::time::Instant::now();
-        let results = if threads > 1 && fleet.len() > 1 {
-            self.run_parallel(fleet, ticks, threads)
-        } else if self.config.scheduling == SchedulingMode::Sparse {
-            self.run_serial_sparse(fleet, ticks)
-        } else {
-            fleet
-                .into_iter()
-                .map(|(i, t)| self.run_tenant(i, t, ticks))
-                .collect()
-        };
-        let sim_time = Duration::from_millis(self.config.tick_interval.millis() * ticks as u64);
-        FleetReport::assemble(
-            results,
-            self.config.scheduling,
+        let results = pool::map_ordered(fleet, threads, |index, tenant| {
+            self.run_tenant(index, tenant, ticks)
+        });
+        let elapsed = start.elapsed();
+        // Quiesce: fold the shard-owned sinks in fleet order, keeping
+        // every tenant's events.
+        let mut totals = FleetTotals::new();
+        let tenants = results
+            .into_iter()
+            .map(|(outcome, tenant_totals)| {
+                totals.absorb(tenant_totals, usize::MAX);
+                outcome
+            })
+            .collect();
+        let FleetTotals {
+            telemetry,
+            metrics,
+            scheduler_metrics,
+            by_state,
+            statements,
+            errors,
+            poisoned,
+            quarantines,
+        } = totals;
+        FleetReport {
+            tenants,
+            telemetry,
+            metrics,
+            scheduler_metrics,
+            scheduling: self.config.scheduling,
+            by_state,
+            statements,
+            errors,
+            poisoned,
+            quarantines,
             ticks,
-            sim_time,
-            threads.max(1),
-            start.elapsed(),
-        )
+            sim_time: Duration::from_millis(self.config.tick_interval.millis() * ticks as u64),
+            threads: threads.max(1),
+            elapsed,
+        }
     }
 
     /// Set up one tenant's worker: journaled store with a disjoint id
@@ -789,12 +803,10 @@ impl FleetDriver {
         w.done = true;
     }
 
-    /// One tick of one tenant. `control_due` is the scheduler's verdict
-    /// (always true in dense mode); quarantine takes precedence either
-    /// way. The workload slice runs on every path — only the control
-    /// pass is ever skipped. Returns whether a control pass executed, so
-    /// the serial sparse driver can refresh its wake heap after a pass
-    /// it did not itself schedule (see the journal-tear probe below).
+    /// One tick of one tenant: the workload slice always runs; the
+    /// control pass runs when it is due — every tick in dense mode, from
+    /// the tenant's wake tick on in sparse mode — and never during a
+    /// quarantine cool-down.
     ///
     /// The tick is *supervised*: it runs under `catch_unwind`, so a
     /// panicking tenant is frozen and reported as
@@ -803,7 +815,7 @@ impl FleetDriver {
     /// the chaos `crash_every_writes` knob crash-recovers the journaled
     /// store at tick boundaries. All supervision decisions derive from
     /// per-tenant state only, so they replay deterministically.
-    fn step_tenant(&self, w: &mut TenantWorker, tick: u32, control_due: bool) -> bool {
+    fn step_tenant(&self, w: &mut TenantWorker, tick: u32) {
         let interval = self.config.tick_interval;
         if tick < w.quarantined_until {
             // Cool-down: the customer's workload keeps running, the
@@ -812,7 +824,7 @@ impl FleetDriver {
             w.plane.metrics.inc("fleet.quarantined_ticks");
             w.runner
                 .run_slice_into(&mut w.mdb.db, &w.model, interval, &mut w.run);
-            return false;
+            return;
         }
         // Arm tick-keyed scripts, then take the tick-boundary
         // process-death probe. JournalTear models the process dying
@@ -830,7 +842,8 @@ impl FleetDriver {
             w.plane.faults.script(s.point, s.count, s.kind);
         }
         let injected_before = w.plane.faults.injected;
-        let mut control_due = control_due;
+        let mut control_due =
+            self.config.scheduling == SchedulingMode::Dense || tick as u64 >= w.next_wake;
         // Chaos knob: a process restart at the start of every k-th tick.
         // Silent (no telemetry), like the crash_every_writes sweep: an
         // intact-journal recovery must replay byte-identically to an
@@ -854,54 +867,44 @@ impl FleetDriver {
             // tick — dense would have — instead of trusting it.
             control_due = true;
         }
-        if !control_due {
-            // Sparse skip: the schedule proves no stage has due work, so
-            // the control pass would be a no-op — run only the workload.
-            // The TenantPanic probe still fires (it is a per-tick fault
-            // point, not a control-plane one), and the skip resets the
-            // breaker exactly as a dense no-op pass would (a no-op pass
-            // injects nothing).
-            w.sched.inc("scheduler.ticks_skipped");
-            let unwound = catch_unwind(AssertUnwindSafe(|| {
-                w.runner
-                    .run_slice_into(&mut w.mdb.db, &w.model, interval, &mut w.run);
-                if w.plane.faults.check(FaultPoint::TenantPanic).is_some() {
-                    panic!("injected tenant panic");
-                }
-            }));
-            if let Err(payload) = unwound {
-                self.poison(w, tick, payload);
-                return false;
-            }
-            if self.config.trace {
-                let now = w.mdb.db.clock().now();
-                w.plane.tracer.start("tick.skipped", now);
-                w.plane.tracer.end(now);
-            }
-            w.consecutive_faulted = 0;
-            return false;
-        }
-        w.sched.inc("scheduler.ticks_executed");
+        w.sched.inc(if control_due {
+            "scheduler.ticks_executed"
+        } else {
+            "scheduler.ticks_skipped"
+        });
+        // The TenantPanic probe fires on skipped ticks too: it is a
+        // per-tick fault point, not a control-plane one.
         let unwound = catch_unwind(AssertUnwindSafe(|| {
             w.runner
                 .run_slice_into(&mut w.mdb.db, &w.model, interval, &mut w.run);
             if w.plane.faults.check(FaultPoint::TenantPanic).is_some() {
                 panic!("injected tenant panic");
             }
-            w.plane.tick(&mut w.mdb)
+            control_due.then(|| w.plane.tick(&mut w.mdb))
         }));
-        match unwound {
+        let schedule = match unwound {
             Err(payload) => {
                 self.poison(w, tick, payload);
-                return false;
+                return;
             }
-            Ok(schedule) => {
-                let now = w.mdb.db.clock().now();
-                w.next_wake = schedule
-                    .next_wake_tick(now, tick as u64, interval)
-                    .unwrap_or(NEVER);
+            Ok(schedule) => schedule,
+        };
+        let now = w.mdb.db.clock().now();
+        let Some(schedule) = schedule else {
+            // Sparse skip: the schedule proves no stage has due work, so
+            // the control pass would be a no-op, and the skip resets the
+            // breaker exactly as a dense no-op pass would (a no-op pass
+            // injects nothing).
+            if self.config.trace {
+                w.plane.tracer.start("tick.skipped", now);
+                w.plane.tracer.end(now);
             }
-        }
+            w.consecutive_faulted = 0;
+            return;
+        };
+        w.next_wake = schedule
+            .next_wake_tick(now, tick as u64, interval)
+            .unwrap_or(NEVER);
         // Chaos sweep: crash + recover at the tick boundary once
         // enough journal writes accumulated. Recovery stays out of
         // telemetry here so an intact-journal sweep replays
@@ -917,7 +920,6 @@ impl FleetDriver {
                 // (which invalidates the recorded schedule for this db);
                 // wake conservatively on the next tick then — over-waking
                 // is a no-op, under-waking would diverge from dense.
-                let now = w.mdb.db.clock().now();
                 w.next_wake = match w.plane.store.schedule(&w.mdb.db.name) {
                     Some(s) => s
                         .next_wake_tick(now, tick as u64, interval)
@@ -946,7 +948,6 @@ impl FleetDriver {
                 w.mdb.db.clock().now(),
             );
         }
-        true
     }
 
     /// End-of-run accounting for one worker: the §8.2-flavor
@@ -1023,125 +1024,35 @@ impl FleetDriver {
             }
         }
         let outcome = TenantOutcome::collect(name, &plane, &mdb, &run, supervision);
-        (outcome, plane.telemetry, plane.metrics, sched)
+        let totals = FleetTotals {
+            telemetry: plane.telemetry,
+            metrics: plane.metrics,
+            scheduler_metrics: sched,
+            by_state: outcome.by_state.clone(),
+            statements: outcome.statements,
+            errors: outcome.errors,
+            poisoned: outcome.status.is_poisoned() as usize,
+            quarantines: outcome.quarantines,
+        };
+        (outcome, totals)
     }
 
-    /// The per-tenant control loop used by the parallel pool (both
-    /// modes) and the dense serial path: workload slice, then — when due
-    /// — one control-plane pass, `ticks` times. All state is owned here;
-    /// nothing is shared with other tenants.
+    /// The driver kernel — the only loop that ticks a tenant: workload
+    /// slice, then — when due — one control-plane pass, `ticks` times.
+    /// `index` is the tenant's *global* fleet index, which seeds its
+    /// random streams, its RecoId block and its auto/cohort assignments,
+    /// so a shard driving tenants 3 and 11 gets, tenant for tenant, what
+    /// an unsharded run over the whole fleet would. All state is owned
+    /// here; nothing is shared with other tenants.
     pub(crate) fn run_tenant(&self, index: usize, tenant: Tenant, ticks: u32) -> TenantResult {
         let mut w = self.worker(index, tenant);
-        let sparse = self.config.scheduling == SchedulingMode::Sparse;
         for tick in 0..ticks {
             if w.done {
                 break;
             }
-            let control_due = !sparse || tick as u64 >= w.next_wake;
-            self.step_tenant(&mut w, tick, control_due);
+            self.step_tenant(&mut w, tick);
         }
         self.finish_tenant(w)
-    }
-
-    /// Sparse serial execution, tick-major: a [`WakeupHeap`] keyed
-    /// `(due_tick, slice position)` pops exactly the tenants whose
-    /// control pass is due this tick; everyone else gets only a workload
-    /// slice. Equivalent to the per-tenant `tick >= next_wake` comparison
-    /// the parallel pool uses (each tenant's decisions read only its own
-    /// state), but a fleet step here does O(due) scheduling work instead
-    /// of scanning every tenant's schedule. Heap keys are positions in
-    /// the slice (dense, bounded by the slice length); the worker's
-    /// global index seeds everything tenant-visible.
-    fn run_serial_sparse(&self, fleet: Vec<(usize, Tenant)>, ticks: u32) -> Vec<TenantResult> {
-        let mut workers: Vec<TenantWorker> =
-            fleet.into_iter().map(|(i, t)| self.worker(i, t)).collect();
-        let mut heap = WakeupHeap::new(workers.len());
-        let mut due = vec![false; workers.len()];
-        for tick in 0..ticks {
-            for i in heap.pop_due(tick as u64) {
-                due[i] = true;
-            }
-            for (pos, w) in workers.iter_mut().enumerate() {
-                if w.done {
-                    continue;
-                }
-                let claimed = due[pos];
-                let executed = self.step_tenant(w, tick, claimed);
-                // Re-arm on any executed pass, not just claimed ones: a
-                // journal tear forces a pass the heap never scheduled,
-                // and the recovered schedule supersedes the old entry
-                // (which goes stale in the heap).
-                if (claimed || executed) && !w.done {
-                    // The pop released the tenant; re-arm it. A pass
-                    // suppressed by quarantine resumes at the cool-down
-                    // boundary — unless the schedule says later, or the
-                    // tenant is parked for good.
-                    let resume = w.next_wake.max(w.quarantined_until as u64);
-                    if resume != NEVER {
-                        heap.schedule(pos, resume);
-                    }
-                }
-            }
-            due.iter_mut().for_each(|d| *d = false);
-        }
-        workers.into_iter().map(|w| self.finish_tenant(w)).collect()
-    }
-
-    /// Work-stealing execution: tenants start in a global injector,
-    /// each worker keeps a local deque, and idle workers steal — first
-    /// a batch from the injector, then singles from peers. A skewed
-    /// tenant therefore pins one worker while the rest drain everything
-    /// else; results land in a per-tenant slot so assembly order is
-    /// fleet order regardless of completion order.
-    fn run_parallel(
-        &self,
-        fleet: Vec<(usize, Tenant)>,
-        ticks: u32,
-        threads: usize,
-    ) -> Vec<TenantResult> {
-        let n = fleet.len();
-        let injector = Injector::new();
-        for (pos, (index, tenant)) in fleet.into_iter().enumerate() {
-            injector.push(TenantTask { pos, index, tenant });
-        }
-        let slots: Vec<Mutex<Option<TenantResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let workers: Vec<Worker<TenantTask>> = (0..threads).map(|_| Worker::new_fifo()).collect();
-        let stealers: Vec<Stealer<TenantTask>> = workers.iter().map(Worker::stealer).collect();
-
-        crossbeam::thread::scope(|scope| {
-            for (me, worker) in workers.into_iter().enumerate() {
-                let injector = &injector;
-                let stealers = &stealers;
-                let slots = &slots;
-                scope.spawn(move || loop {
-                    let task = worker
-                        .pop()
-                        .or_else(|| injector.steal_batch_and_pop(&worker).success())
-                        .or_else(|| {
-                            stealers
-                                .iter()
-                                .enumerate()
-                                .filter(|(other, _)| *other != me)
-                                .find_map(|(_, s)| s.steal().success())
-                        });
-                    let Some(TenantTask { pos, index, tenant }) = task else {
-                        // Injector and every deque drained: quiesce.
-                        break;
-                    };
-                    let result = self.run_tenant(index, tenant, ticks);
-                    *slots[pos].lock().unwrap() = Some(result);
-                });
-            }
-        });
-
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("no poisoned slot")
-                    .expect("every tenant was driven exactly once")
-            })
-            .collect()
     }
 }
 
@@ -1278,7 +1189,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_serial_heap_matches_sparse_parallel() {
+    fn serial_matches_parallel_under_quarantine() {
         let driver = FleetDriver::new(FleetDriverConfig {
             policy: small_policy(),
             scheduling: SchedulingMode::Sparse,
@@ -1295,7 +1206,7 @@ mod tests {
         assert_eq!(
             serial.control_ticks_executed(),
             parallel.control_ticks_executed(),
-            "the heap and the per-tenant comparison pick the same ticks"
+            "serial and pooled runs pick the same control ticks"
         );
     }
 }

@@ -30,12 +30,12 @@
 use crate::fleet_driver::{index_hash01, SchedulingMode};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
+use crate::pool;
 use crate::region::DashboardSnapshot;
 use crate::shard::ShardAssignment;
 use crate::state::{DbSettings, ServerSettings};
 use crate::store::StateStore;
 use crate::telemetry::{EventKind, Telemetry};
-use crossbeam::deque::Injector;
 use experiment::analysis::{compare_costs, workload_cost_fixed_counts, CostSample};
 use experiment::binstance::{create_b_instance, divergence_between};
 use experiment::workflow::{FnStep, Workflow, WorkflowRun};
@@ -43,8 +43,6 @@ use sqlmini::clock::{Duration, Timestamp};
 use sqlmini::engine::Database;
 use sqlmini::querystore::Metric;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use workload::fleet::FleetSpec;
 use workload::runner::{replay, ReplayFidelity, Trace};
 use workload::{Tenant, WorkloadModel, WorkloadRunner};
@@ -506,11 +504,7 @@ impl FlightDriver {
             .copied()
             .filter(|i| !record.verdicts.contains_key(i))
             .collect();
-        let computed: Vec<(usize, String, TenantVerdictRecord)> = self
-            .flight_tenants(fleet, &missing, threads)
-            .into_iter()
-            .map(|(i, v)| (i, fleet[i].name.clone(), v))
-            .collect();
+        let computed = self.flight_tenants(fleet, &missing, threads);
         let record = self.journal_and_decide(record, computed, store, &mut telemetry, t_now);
 
         FlightReport::from_record(
@@ -659,48 +653,22 @@ impl FlightDriver {
         record
     }
 
-    /// Run the per-tenant pipelines for `missing` (fleet indexes),
-    /// returning `(index, verdict)` in `missing` order. With `threads >
-    /// 1` the pipelines run on a work-stealing-free atomic queue into
-    /// per-item slots — order of completion never matters because each
-    /// verdict is a pure function of its own tenant.
+    /// Run the per-tenant pipelines for `missing` (fleet indexes) on the
+    /// pool, returning `(index, name, verdict)` in `missing` order — order of
+    /// completion never matters because each verdict is a pure function
+    /// of its own tenant. `Tenant` is Send but not Sync (interior clock
+    /// cells), so each pipeline owns a clone; the flight never touches
+    /// the real tenant.
     fn flight_tenants(
         &self,
         fleet: &[Tenant],
         missing: &[usize],
         threads: usize,
-    ) -> Vec<(usize, TenantVerdictRecord)> {
-        if threads <= 1 || missing.len() <= 1 {
-            return missing
-                .iter()
-                .map(|&i| (i, self.flight_tenant(i, &fleet[i])))
-                .collect();
-        }
-        // `Tenant` is Send but not Sync (interior clock cells), so each
-        // task owns a clone; the slot index pins deterministic order.
-        let injector: Injector<(usize, usize, Tenant)> = Injector::new();
-        for (k, &i) in missing.iter().enumerate() {
-            injector.push((k, i, fleet[i].clone()));
-        }
-        let slots: Vec<Mutex<Option<TenantVerdictRecord>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads.min(missing.len()) {
-                let injector = &injector;
-                let slots = &slots;
-                scope.spawn(move || {
-                    while let Some((k, index, tenant)) = injector.steal().success() {
-                        let verdict = self.flight_tenant(index, &tenant);
-                        *slots[k].lock().unwrap() = Some(verdict);
-                    }
-                });
-            }
-        });
-        missing
-            .iter()
-            .zip(slots)
-            .map(|(&i, slot)| (i, slot.into_inner().unwrap().expect("slot filled")))
-            .collect()
+    ) -> Vec<(usize, String, TenantVerdictRecord)> {
+        let cohort = missing.iter().map(|&i| (i, fleet[i].clone())).collect();
+        pool::map_ordered(cohort, threads, |_, (i, tenant)| {
+            self.flight_tenant(i, tenant)
+        })
     }
 
     /// Spec-hydrating variant of [`FlightDriver::flight_tenants`] for
@@ -715,42 +683,9 @@ impl FlightDriver {
         missing: &[usize],
         threads: usize,
     ) -> Vec<(usize, String, TenantVerdictRecord)> {
-        if threads <= 1 || missing.len() <= 1 {
-            return missing
-                .iter()
-                .map(|&i| {
-                    let tenant = spec.hydrate(i);
-                    let verdict = self.flight_tenant(i, &tenant);
-                    (i, tenant.name, verdict)
-                })
-                .collect();
-        }
-        let slots: Vec<Mutex<Option<(String, TenantVerdictRecord)>>> =
-            missing.iter().map(|_| Mutex::new(None)).collect();
-        let next = AtomicUsize::new(0);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..threads.min(missing.len()) {
-                let slots = &slots;
-                let next = &next;
-                scope.spawn(move || loop {
-                    let k = next.fetch_add(1, Ordering::SeqCst);
-                    if k >= missing.len() {
-                        break;
-                    }
-                    let tenant = spec.hydrate(missing[k]);
-                    let verdict = self.flight_tenant(missing[k], &tenant);
-                    *slots[k].lock().unwrap() = Some((tenant.name, verdict));
-                });
-            }
-        });
-        missing
-            .iter()
-            .zip(slots)
-            .map(|(&i, slot)| {
-                let (name, verdict) = slot.into_inner().unwrap().expect("slot filled");
-                (i, name, verdict)
-            })
-            .collect()
+        pool::map_ordered(missing.to_vec(), threads, |_, i| {
+            self.flight_tenant(i, spec.hydrate(i))
+        })
     }
 
     /// Deterministic per-(tenant, arm) fork noise seed.
@@ -765,18 +700,19 @@ impl FlightDriver {
     /// traffic, interleave replay with per-arm control passes, check the
     /// divergence guard, measure. A guard trip fails the workflow — the
     /// completed steps clean up in reverse and the tenant is discarded.
-    fn flight_tenant(&self, index: usize, tenant: &Tenant) -> TenantVerdictRecord {
+    /// Returns the journal row `(index, tenant name, verdict)`.
+    fn flight_tenant(&self, index: usize, tenant: Tenant) -> (usize, String, TenantVerdictRecord) {
         let cfg = &self.config;
-        // The traffic primary: a clone of the tenant on its own clock.
-        // The flight never touches the real tenant.
-        let mut primary = tenant.db.clone();
+        // The traffic primary: the caller's private copy of the tenant,
+        // on its own clock.
+        let mut primary = tenant.db;
         primary.detach_clock();
         primary.config.plan_cache = cfg.plan_cache;
         let t0 = primary.clock().now();
         let mut ctx = FlightCtx {
             primary,
-            model: tenant.model.clone(),
-            runner: tenant.runner.clone(),
+            model: tenant.model,
+            runner: tenant.runner,
             t0,
             slices: Vec::new(),
             control: None,
@@ -787,7 +723,7 @@ impl FlightDriver {
         };
 
         let run = self.tenant_workflow(index).execute(&mut ctx);
-        self.verdict_from_ctx(&ctx, &run)
+        (index, tenant.name, self.verdict_from_ctx(&ctx, &run))
     }
 
     /// Build the per-tenant workflow. Split out so tests can drive it

@@ -6,67 +6,9 @@
 //! the global dashboards on-call engineers use.
 
 use crate::metrics::MetricsRegistry;
-use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::telemetry::{EventKind, Telemetry};
 use sqlmini::clock::Duration;
 use std::collections::BTreeMap;
-
-/// One region: a control plane plus its managed databases.
-pub struct Region {
-    pub name: String,
-    pub plane: ControlPlane,
-    databases: BTreeMap<String, ManagedDb>,
-}
-
-impl Region {
-    pub fn new(name: impl Into<String>, policy: PlanePolicy) -> Region {
-        Region {
-            name: name.into(),
-            plane: ControlPlane::new(policy),
-            databases: BTreeMap::new(),
-        }
-    }
-
-    /// Register a database with this region.
-    pub fn adopt(&mut self, mdb: ManagedDb) {
-        self.databases.insert(mdb.db.name.clone(), mdb);
-    }
-
-    pub fn database_mut(&mut self, name: &str) -> Option<&mut ManagedDb> {
-        self.databases.get_mut(name)
-    }
-
-    pub fn databases(&self) -> impl Iterator<Item = &ManagedDb> {
-        self.databases.values()
-    }
-
-    pub fn n_databases(&self) -> usize {
-        self.databases.len()
-    }
-
-    /// One orchestration pass over every managed database.
-    pub fn tick_all(&mut self) {
-        // Drain-and-reinsert so the plane can borrow &mut self.plane and
-        // each database independently.
-        let names: Vec<String> = self.databases.keys().cloned().collect();
-        for name in names {
-            if let Some(mut mdb) = self.databases.remove(&name) {
-                self.plane.tick(&mut mdb);
-                self.databases.insert(name, mdb);
-            }
-        }
-    }
-
-    /// The region's exportable (anonymized) telemetry.
-    pub fn export_telemetry(&self) -> &Telemetry {
-        &self.plane.telemetry
-    }
-
-    /// The region's metrics registry (counters/gauges/histograms).
-    pub fn export_metrics(&self) -> &MetricsRegistry {
-        &self.plane.metrics
-    }
-}
 
 /// The §8.1 operational-statistics table, rolled up from a merged
 /// [`MetricsRegistry`]. One snapshot summarizes a fleet (or region) at a
@@ -532,22 +474,11 @@ impl GlobalDashboard {
         }
     }
 
-    /// Ingest one region's telemetry snapshot.
-    pub fn ingest(&mut self, region: &Region) {
-        self.merged.merge(region.export_telemetry());
-        self.metrics.merge(region.export_metrics());
-        self.per_region.insert(
-            region.name.clone(),
-            region.export_telemetry().counters().clone(),
-        );
-    }
-
-    /// Ingest one shard's aggregate row from a sharded region run: its
-    /// merged counters become a per-"region" dashboard row (so the
-    /// anomaly view works per shard), and its merged metrics — when the
-    /// caller hasn't already merged them at region level — fold into
-    /// the global registry. The sharded equivalent of
-    /// [`GlobalDashboard::ingest`].
+    /// Ingest one aggregate row — a region's exported counters, or one
+    /// shard's from a sharded region run: the counters become a
+    /// per-"region" dashboard row (so the anomaly view works per row),
+    /// and the row's merged metrics — when the caller hasn't already
+    /// merged them at region level — fold into the global registry.
     pub fn ingest_shard(
         &mut self,
         name: impl Into<String>,
@@ -639,6 +570,7 @@ impl GlobalDashboard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
     use crate::state::{DbSettings, ServerSettings, Setting};
     use sqlmini::clock::{Duration, SimClock};
     use sqlmini::engine::{Database, DbConfig};
@@ -682,91 +614,74 @@ mod tests {
 
     #[test]
     fn regions_are_isolated_but_dashboard_merges() {
-        let mut west = Region::new(
-            "west",
-            PlanePolicy {
-                analysis_interval: Duration::from_hours(4),
-                validation_min_wait: Duration::from_hours(2),
-                ..PlanePolicy::default()
-            },
-        );
-        let mut east = Region::new(
-            "east",
-            PlanePolicy {
-                analysis_interval: Duration::from_hours(4),
-                validation_min_wait: Duration::from_hours(2),
-                ..PlanePolicy::default()
-            },
-        );
+        let policy = PlanePolicy {
+            analysis_interval: Duration::from_hours(4),
+            validation_min_wait: Duration::from_hours(2),
+            ..PlanePolicy::default()
+        };
+        // One control plane per region, one database each.
         let (mdb_w, tpl_w) = mdb("w-db", 1);
         let (mdb_e, tpl_e) = mdb("e-db", 2);
-        west.adopt(mdb_w);
-        east.adopt(mdb_e);
+        let mut west = (ControlPlane::new(policy.clone()), mdb_w, tpl_w);
+        let mut east = (ControlPlane::new(policy), mdb_e, tpl_e);
 
         for h in 0..16u64 {
-            for (region, tpl) in [(&mut west, &tpl_w), (&mut east, &tpl_e)] {
-                let m = region
-                    .database_mut(if region.name == "west" {
-                        "w-db"
-                    } else {
-                        "e-db"
-                    })
-                    .unwrap();
+            for (plane, m, tpl) in [&mut west, &mut east] {
                 for i in 0..20 {
                     m.db.execute(tpl, &[Value::Int(((h * 20 + i) % 300) as i64)])
                         .unwrap();
                 }
                 m.db.clock().advance(Duration::from_hours(1));
-                region.tick_all();
+                plane.tick(m);
             }
         }
+        let (west, east) = (west.0, east.0);
 
         // Each region has its own state; nothing crossed.
-        assert!(west.plane.store.all().all(|r| r.database == "w-db"));
-        assert!(east.plane.store.all().all(|r| r.database == "e-db"));
+        assert!(!west.store.is_empty() && !east.store.is_empty());
+        assert!(west.store.all().all(|r| r.database == "w-db"));
+        assert!(east.store.all().all(|r| r.database == "e-db"));
 
         let mut dash = GlobalDashboard::new();
-        dash.ingest(&west);
-        dash.ingest(&east);
+        for (name, plane) in [("west", &west), ("east", &east)] {
+            dash.ingest_shard(name, plane.telemetry.counters(), Some(&plane.metrics));
+        }
+        let created = |p: &ControlPlane| p.telemetry.count(EventKind::RecommendationCreated);
         assert_eq!(
             dash.global_count(EventKind::RecommendationCreated),
-            west.export_telemetry()
-                .count(EventKind::RecommendationCreated)
-                + east
-                    .export_telemetry()
-                    .count(EventKind::RecommendationCreated)
+            created(&west) + created(&east)
+        );
+        assert_eq!(
+            dash.metrics(),
+            &MetricsRegistry::merged([&west.metrics, &east.metrics])
         );
         let summary = dash.render();
-        assert!(summary.contains("west"));
-        assert!(summary.contains("east"));
+        for (region, plane) in [("west", &west), ("east", &east)] {
+            let implemented = plane.telemetry.count(EventKind::ImplementSucceeded);
+            assert!(
+                summary.contains(&format!("  {region}: {implemented} implemented\n")),
+                "{summary}"
+            );
+        }
     }
 
     #[test]
     fn anomalous_region_detection() {
         let mut dash = GlobalDashboard::new();
-        let mut bad = Region::new("bad", PlanePolicy::default());
-        // Fake the counters via the public emit path.
-        for _ in 0..10 {
-            bad.plane.telemetry.emit(
-                EventKind::ImplementSucceeded,
-                "x",
-                "",
-                sqlmini::clock::Timestamp(0),
-            );
-        }
-        for _ in 0..4 {
-            bad.plane.telemetry.emit(
-                EventKind::RevertSucceeded,
-                "x",
-                "",
-                sqlmini::clock::Timestamp(0),
-            );
-        }
-        dash.ingest(&bad);
+        let counters = |implemented, reverted| {
+            BTreeMap::from([
+                (EventKind::ImplementSucceeded, implemented),
+                (EventKind::RevertSucceeded, reverted),
+            ])
+        };
+        dash.ingest_shard("bad", &counters(10, 4), None);
+        dash.ingest_shard("good", &counters(10, 1), None);
+        dash.ingest_shard("idle", &counters(0, 0), None);
         let anomalies = dash.anomalous_regions(0.2);
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].0, "bad");
         assert!((anomalies[0].1 - 0.4).abs() < 1e-9);
         assert!(dash.anomalous_regions(0.5).is_empty());
+        assert_eq!(dash.global_count(EventKind::ImplementSucceeded), 20);
     }
 }

@@ -14,37 +14,35 @@
 //!   count, resharding from `a` to `b = k·a` shards splits each shard
 //!   into exactly `k` successors (`shard_a(i) == shard_b(i) / k`) and
 //!   never shuffles a tenant between unrelated shards.
-//! * [`ShardDriver`] — a thin wrapper around the
-//!   [`FleetDriver`](crate::fleet_driver::FleetDriver) loop that drives
-//!   one shard's members. Each member carries its **global** fleet
-//!   index, so every per-tenant random stream (faults, auto-fraction,
-//!   flight cohorts, RecoId blocks) is identical to what an unsharded
-//!   run would draw — the byte-identical determinism contract.
+//! * [`ShardDriver`] — maps the fleet driver's one kernel
+//!   ([`FleetDriver`]'s `run_tenant`) over one shard's members. Each
+//!   member is driven under its **global** fleet index, so every
+//!   per-tenant random stream (faults, auto-fraction, flight cohorts,
+//!   RecoId blocks) is identical to what an unsharded run would draw —
+//!   the byte-identical determinism contract.
 //!
 //! # Lazy hydration
 //!
-//! A million-tenant fleet cannot be resident at once. Under
-//! [`HydrationMode::Lazy`] the shard never materializes its slice:
-//! members are hydrated from the [`FleetSpec`] one chunk at a time,
-//! each tenant is constructed, driven for *all* its ticks, folded into
-//! the shard accumulator, and dropped — so peak resident tenants is
-//! bounded by the worker thread count, independent of fleet size (the
-//! [`HydrationGauge`] proves it). The fold keeps only a per-tenant
-//! canonical-line digest (plus merged counters/metrics), which is
-//! exactly enough for the region to reconstruct
+//! A million-tenant fleet cannot be resident at once, so a shard never
+//! materializes its slice: members are hydrated from the [`FleetSpec`]
+//! one wave of [`HYDRATION_WAVE`] at a time, each tenant is constructed,
+//! driven for *all* its ticks, folded into the shard report, and
+//! dropped — so peak resident tenants is bounded by the worker thread
+//! count, independent of fleet size (the [`HydrationGauge`] proves it).
+//! The fold keeps only a per-tenant canonical-line digest (plus merged
+//! counters/metrics), which is exactly enough for the region to
+//! reconstruct
 //! [`FleetReport::canonical_digest`](crate::fleet_driver::FleetReport::canonical_digest)
 //! byte-for-byte.
 
 use crate::fleet_driver::{
-    canonical_line, fnv1a64_extend, index_hash_bits, FleetDriver, FleetReport, TenantOutcome,
+    canonical_line, fnv1a64_extend, index_hash_bits, FleetDriver, FleetTotals, TenantOutcome,
     TenantResult, FNV_OFFSET,
 };
-use crate::metrics::MetricsRegistry;
-use crate::telemetry::Telemetry;
-use std::collections::BTreeMap;
+use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use workload::fleet::{FleetSpec, Tenant};
+use std::sync::Arc;
+use workload::fleet::FleetSpec;
 
 /// Size of the consistent-assignment slot ring. Shards own contiguous
 /// slot ranges, so any shard count up to this many is supported and
@@ -134,22 +132,13 @@ impl HydrationGauge {
 
     /// One tenant is about to hydrate.
     pub fn enter(&self) {
-        self.enter_n(1);
-    }
-
-    /// `n` tenants are about to hydrate (eager shard materialization).
-    pub fn enter_n(&self, n: usize) {
-        let now = self.current.fetch_add(n, Ordering::SeqCst) + n;
+        let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
     }
 
     /// One tenant finished all its ticks and dropped.
     pub fn exit(&self) {
-        self.exit_n(1);
-    }
-
-    pub fn exit_n(&self, n: usize) {
-        self.current.fetch_sub(n, Ordering::SeqCst);
+        self.current.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Tenants resident right now.
@@ -163,14 +152,19 @@ impl HydrationGauge {
     }
 }
 
-/// Whether a shard materializes its whole slice up front or streams it.
+/// Members hydrated per dispatch wave. A wave is the unit the pool maps
+/// over and the fold consumes, so it bounds the un-folded results a
+/// shard holds; results fold in member order across waves whatever
+/// order the wave's tenants finished in.
+pub(crate) const HYDRATION_WAVE: usize = 64;
+
+/// How a shard hydrates its members. Streaming is the only way left —
+/// the enum, and [`RegionConfig::hydration`](crate::coordinator::RegionConfig::hydration)
+/// with it, survive only because the frozen benchmark adapter names
+/// `HydrationMode::Lazy`; remove both at the next `benchmark` issue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HydrationMode {
-    /// Hydrate every member before driving — the small-fleet path that
-    /// reuses the [`FleetDriver`] loop verbatim (including the serial
-    /// wakeup heap) and retains full per-tenant outcomes.
-    Eager,
-    /// Hydrate tenant-major in chunks: construct a tenant, run all its
+    /// Hydrate tenant-major in waves: construct a tenant, run all its
     /// ticks, fold, drop. Peak resident tenants ≤ worker threads,
     /// independent of fleet size.
     Lazy,
@@ -185,159 +179,53 @@ pub enum ShardCommand {
 
 /// What one shard hands back to the coordinator: per-tenant canonical
 /// digests keyed by global index (always), full outcomes when retained,
-/// and the shard's merged sinks. Merging shard reports in global-index
-/// order reconstructs the unsharded [`FleetReport`] surfaces exactly —
-/// the algebra the `sharded_region` proptests pin down.
+/// and the shard's folded totals. Merging shard reports in global-index
+/// order reconstructs the unsharded [`FleetReport`](crate::fleet_driver::FleetReport)
+/// surfaces exactly — the algebra the `sharded_region` proptests pin
+/// down. Doubles as its own streaming accumulator: one tenant's result
+/// folds in and the tenant drops.
 #[derive(Debug)]
 pub struct ShardReport {
     pub shard: usize,
-    /// Member count (the digests vector has exactly this many entries).
-    pub members: usize,
-    /// `(global index, FNV-1a of the tenant's canonical line)`, in
-    /// ascending index order.
+    /// `(global index, FNV-1a of the tenant's canonical line)`, one per
+    /// member, in ascending index order.
     pub digests: Vec<(usize, u64)>,
     /// Full outcomes, retained only when the coordinator asked (small
     /// fleets / oracle comparisons) — `None` keeps memory O(1) per
     /// tenant at the million scale.
     pub outcomes: Option<Vec<(usize, TenantOutcome)>>,
-    /// Members' telemetry merged in member order (events capped under
-    /// lazy streaming; counters always exact).
-    pub telemetry: Telemetry,
-    /// Members' canonical metrics merged (a commutative monoid).
-    pub metrics: MetricsRegistry,
-    /// Driver bookkeeping (scheduler/plan-cache/journal counters).
-    pub scheduler_metrics: MetricsRegistry,
-    pub by_state: BTreeMap<String, usize>,
-    pub statements: u64,
-    pub errors: u64,
-    pub poisoned: usize,
-    pub quarantines: u64,
+    /// Members' sinks and tallies folded in member order (raw events
+    /// capped; counters always exact).
+    pub totals: FleetTotals,
     pub elapsed: std::time::Duration,
 }
 
 impl ShardReport {
-    /// Fold an unsharded-style [`FleetReport`] over `members` (the
-    /// global indices the report's slice positions correspond to) into
-    /// a shard report — the eager path, and the reference algebra the
-    /// merge proptests compare the streaming fold against.
-    pub fn from_fleet_report(
-        shard: usize,
-        members: &[usize],
-        report: FleetReport,
-        retain_outcomes: bool,
-    ) -> ShardReport {
-        assert_eq!(
-            members.len(),
-            report.tenants.len(),
-            "one outcome per member"
-        );
-        let digests = members
-            .iter()
-            .zip(&report.tenants)
-            .map(|(&i, t)| (i, fnv1a64_extend(FNV_OFFSET, canonical_line(t).as_bytes())))
-            .collect();
-        let outcomes =
-            retain_outcomes.then(|| members.iter().copied().zip(report.tenants).collect());
+    fn new(shard: usize, retain_outcomes: bool) -> ShardReport {
         ShardReport {
-            shard,
-            members: members.len(),
-            digests,
-            outcomes,
-            telemetry: report.telemetry,
-            metrics: report.metrics,
-            scheduler_metrics: report.scheduler_metrics,
-            by_state: report.by_state,
-            statements: report.statements,
-            errors: report.errors,
-            poisoned: report.poisoned,
-            quarantines: report.quarantines,
-            elapsed: report.elapsed,
-        }
-    }
-}
-
-/// Streaming accumulator for the lazy path: one tenant's results fold in
-/// and the tenant drops. Produces the same [`ShardReport`] the eager
-/// [`ShardReport::from_fleet_report`] fold would (canonically — raw
-/// event retention differs by design).
-struct ShardAccumulator {
-    shard: usize,
-    digests: Vec<(usize, u64)>,
-    outcomes: Option<Vec<(usize, TenantOutcome)>>,
-    telemetry: Telemetry,
-    metrics: MetricsRegistry,
-    scheduler_metrics: MetricsRegistry,
-    by_state: BTreeMap<String, usize>,
-    statements: u64,
-    errors: u64,
-    poisoned: usize,
-    quarantines: u64,
-}
-
-impl ShardAccumulator {
-    fn new(shard: usize, retain_outcomes: bool) -> ShardAccumulator {
-        ShardAccumulator {
             shard,
             digests: Vec::new(),
             outcomes: retain_outcomes.then(Vec::new),
-            telemetry: Telemetry::new(),
-            metrics: MetricsRegistry::new(),
-            scheduler_metrics: MetricsRegistry::new(),
-            by_state: BTreeMap::new(),
-            statements: 0,
-            errors: 0,
-            poisoned: 0,
-            quarantines: 0,
+            totals: FleetTotals::new(),
+            elapsed: std::time::Duration::ZERO,
         }
     }
 
     fn push(&mut self, index: usize, result: TenantResult, event_retention: usize) {
-        let (outcome, telemetry, metrics, sched) = result;
+        let (outcome, totals) = result;
         let line = fnv1a64_extend(FNV_OFFSET, canonical_line(&outcome).as_bytes());
         self.digests.push((index, line));
-        self.telemetry.merge(&telemetry);
-        // Counters stay exact; raw events are bounded no matter how many
-        // million tenants stream through.
-        self.telemetry.retain_recent(event_retention);
-        self.metrics.merge(&metrics);
-        self.scheduler_metrics.merge(&sched);
-        for (state, n) in &outcome.by_state {
-            *self.by_state.entry(state.clone()).or_default() += n;
-        }
-        self.statements += outcome.statements;
-        self.errors += outcome.errors;
-        if outcome.status.is_poisoned() {
-            self.poisoned += 1;
-        }
-        self.quarantines += outcome.quarantines;
+        self.totals.absorb(totals, event_retention);
         if let Some(out) = &mut self.outcomes {
             out.push((index, outcome));
-        }
-    }
-
-    fn finish(self, elapsed: std::time::Duration) -> ShardReport {
-        ShardReport {
-            shard: self.shard,
-            members: self.digests.len(),
-            digests: self.digests,
-            outcomes: self.outcomes,
-            telemetry: self.telemetry,
-            metrics: self.metrics,
-            scheduler_metrics: self.scheduler_metrics,
-            by_state: self.by_state,
-            statements: self.statements,
-            errors: self.errors,
-            poisoned: self.poisoned,
-            quarantines: self.quarantines,
-            elapsed,
         }
     }
 }
 
 /// One shard's worker: a [`FleetDriver`] configured like the region's,
-/// driving the shard's member slice with every tenant keyed by its
-/// global index. Thin by design — all tuning semantics live in the
-/// fleet driver; the shard only decides hydration and accounting.
+/// driving the shard's members with every tenant keyed by its global
+/// index. Thin by design — all tuning semantics live in the fleet
+/// driver; the shard only decides hydration and accounting.
 pub struct ShardDriver {
     pub shard: usize,
     /// Global fleet indices this shard owns, ascending.
@@ -346,14 +234,9 @@ pub struct ShardDriver {
     pub driver: FleetDriver,
     /// Worker threads *within* the shard.
     pub threads: usize,
-    pub hydration: HydrationMode,
-    /// Lazy-mode chunk size: members hydrated per dispatch wave (the
-    /// deterministic-fold granularity; results always fold in member
-    /// order regardless of intra-chunk completion order).
-    pub chunk: usize,
     /// Retain full [`TenantOutcome`]s (small fleets only).
     pub retain_outcomes: bool,
-    /// Raw-event cap applied between lazy folds.
+    /// Raw-event cap applied between folds.
     pub event_retention: usize,
     /// Region-shared residency gauge.
     pub gauge: Arc<HydrationGauge>,
@@ -363,84 +246,30 @@ impl ShardDriver {
     /// Execute one coordinator command.
     pub fn execute(&self, spec: &dyn FleetSpec, command: ShardCommand) -> ShardReport {
         match command {
-            ShardCommand::Drive { ticks } => self.drive(spec, ticks),
+            ShardCommand::Drive { ticks } => self.drive(spec, ticks, HYDRATION_WAVE),
         }
     }
 
-    fn drive(&self, spec: &dyn FleetSpec, ticks: u32) -> ShardReport {
-        match self.hydration {
-            HydrationMode::Eager => {
-                self.gauge.enter_n(self.members.len());
-                let slice: Vec<(usize, Tenant)> =
-                    self.members.iter().map(|&i| (i, spec.hydrate(i))).collect();
-                let report = self.driver.run_indexed(slice, ticks, self.threads);
-                let out = ShardReport::from_fleet_report(
-                    self.shard,
-                    &self.members,
-                    report,
-                    self.retain_outcomes,
-                );
-                self.gauge.exit_n(self.members.len());
-                out
-            }
-            HydrationMode::Lazy => self.drive_lazy(spec, ticks),
-        }
-    }
-
-    /// Tenant-major streaming: hydrate → run *all* ticks → fold → drop.
-    /// Tenant-major (not tick-major) is what bounds residency: a tenant
-    /// finishes completely before the next hydrates, so at most
-    /// `threads` tenants are ever live. The per-tenant loop is the same
-    /// `run_tenant` the parallel pool uses, whose canonical output is
-    /// pinned byte-equal to the serial wakeup-heap path.
-    fn drive_lazy(&self, spec: &dyn FleetSpec, ticks: u32) -> ShardReport {
+    /// Tenant-major streaming, `wave` members at a time: hydrate → run
+    /// *all* ticks → fold → drop. Tenant-major (not tick-major) is what
+    /// bounds residency: a tenant finishes completely before the next
+    /// hydrates, so at most `threads` tenants are ever live.
+    pub(crate) fn drive(&self, spec: &dyn FleetSpec, ticks: u32, wave: usize) -> ShardReport {
         let start = std::time::Instant::now();
-        let mut acc = ShardAccumulator::new(self.shard, self.retain_outcomes);
-        let chunk = self.chunk.max(1);
-        for wave in self.members.chunks(chunk) {
-            let results: Vec<TenantResult> = if self.threads <= 1 || wave.len() <= 1 {
-                wave.iter()
-                    .map(|&i| self.one_tenant(spec, i, ticks))
-                    .collect()
-            } else {
-                // Parallel within the wave; slots keyed by wave position
-                // so the fold below is in member order regardless of
-                // which worker finished first.
-                let slots: Vec<Mutex<Option<TenantResult>>> =
-                    wave.iter().map(|_| Mutex::new(None)).collect();
-                let next = AtomicUsize::new(0);
-                crossbeam::thread::scope(|scope| {
-                    for _ in 0..self.threads.min(wave.len()) {
-                        let slots = &slots;
-                        let next = &next;
-                        scope.spawn(move || loop {
-                            let k = next.fetch_add(1, Ordering::SeqCst);
-                            if k >= wave.len() {
-                                break;
-                            }
-                            let result = self.one_tenant(spec, wave[k], ticks);
-                            *slots[k].lock().unwrap() = Some(result);
-                        });
-                    }
-                });
-                slots
-                    .into_iter()
-                    .map(|s| s.into_inner().unwrap().expect("wave slot filled"))
-                    .collect()
-            };
-            for (&i, result) in wave.iter().zip(results) {
-                acc.push(i, result, self.event_retention);
+        let mut report = ShardReport::new(self.shard, self.retain_outcomes);
+        for members in self.members.chunks(wave) {
+            let results = pool::map_ordered(members.to_vec(), self.threads, |_, index| {
+                self.gauge.enter();
+                let result = self.driver.run_tenant(index, spec.hydrate(index), ticks);
+                self.gauge.exit();
+                result
+            });
+            for (&index, result) in members.iter().zip(results) {
+                report.push(index, result, self.event_retention);
             }
         }
-        acc.finish(start.elapsed())
-    }
-
-    /// Hydrate one tenant, drive it to completion, release it.
-    fn one_tenant(&self, spec: &dyn FleetSpec, index: usize, ticks: u32) -> TenantResult {
-        self.gauge.enter();
-        let result = self.driver.run_tenant(index, spec.hydrate(index), ticks);
-        self.gauge.exit();
-        result
+        report.elapsed = start.elapsed();
+        report
     }
 }
 
@@ -506,11 +335,56 @@ mod tests {
         g.enter();
         assert_eq!(g.current(), 2);
         g.exit();
-        g.enter_n(3);
-        assert_eq!(g.current(), 4);
-        assert_eq!(g.peak(), 4);
-        g.exit_n(4);
+        assert_eq!(g.current(), 1);
+        g.enter();
+        g.enter();
+        assert_eq!(g.peak(), 3);
+        for _ in 0..3 {
+            g.exit();
+        }
         assert_eq!(g.current(), 0);
-        assert_eq!(g.peak(), 4, "peak is a high-water mark");
+        assert_eq!(g.peak(), 3, "peak is a high-water mark");
+    }
+
+    /// Five members in waves of two, on two threads: the shard report
+    /// lists them in member order across the wave boundaries and equals,
+    /// tenant for tenant, what the unsharded run computes.
+    #[test]
+    fn results_fold_in_member_order_across_waves() {
+        use crate::fleet_driver::FleetDriverConfig;
+        use workload::fleet::{MixedFleetSpec, TierMix};
+        let basic = TierMix {
+            basic: 1.0,
+            standard: 0.0,
+            premium: 0.0,
+        };
+        let spec = MixedFleetSpec::new(5, basic, 17);
+        let driver = FleetDriver::new(FleetDriverConfig::default());
+        let oracle = driver.run(spec.materialize(), 2, 1);
+        let shard = ShardDriver {
+            shard: 0,
+            members: (0..5).collect(),
+            driver,
+            threads: 2,
+            retain_outcomes: true,
+            event_retention: usize::MAX,
+            gauge: Arc::new(HydrationGauge::new()),
+        };
+        let report = shard.drive(&spec, 2, 2);
+        let indices: Vec<usize> = report.digests.iter().map(|&(i, _)| i).collect();
+        assert_eq!(indices, [0, 1, 2, 3, 4]);
+        let outcomes: Vec<TenantOutcome> = report
+            .outcomes
+            .expect("outcomes were retained")
+            .into_iter()
+            .map(|(_, o)| o)
+            .collect();
+        assert_eq!(outcomes, oracle.tenants);
+        assert_eq!(
+            report.totals.telemetry.counters(),
+            oracle.telemetry.counters()
+        );
+        assert_eq!(report.totals.metrics, oracle.metrics);
+        assert!(shard.gauge.peak() <= 2 && shard.gauge.current() == 0);
     }
 }

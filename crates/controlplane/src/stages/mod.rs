@@ -129,8 +129,8 @@ impl NextDue {
 
 /// Per-database wake schedule: each stage's next-due answer, computed at
 /// the end of a tick from final state. Journaled by the store (so crash
-/// recovery reconstructs it) and consumed by the fleet driver's wakeup
-/// heap.
+/// recovery reconstructs it) and mapped onto the tick grid by the fleet
+/// driver as the tenant's next wake tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct WakeSchedule {
     pub recommend: NextDue,

@@ -206,17 +206,6 @@ impl Telemetry {
     }
 
     /// Export counters as a JSON object (dashboard feed).
-    /// Merge many per-shard sinks into one — the fleet driver's quiesce
-    /// step. Event order follows iteration order, so callers pass
-    /// shards in fleet order to keep the result deterministic.
-    pub fn merged<'a>(shards: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
-        let mut out = Telemetry::new();
-        for shard in shards {
-            out.merge(shard);
-        }
-        out
-    }
-
     pub fn export_json(&self) -> String {
         let m: BTreeMap<String, u64> = self
             .counters

@@ -150,7 +150,7 @@ fn crash_sweep_after_every_write_matches_uncrashed_run() {
         "crash-recovery at every write must be invisible in the end state"
     );
     // Coarser cadences converge too, and the sweep replays identically
-    // under work-stealing parallelism.
+    // under pooled parallelism.
     let coarse = FleetDriver::new(FleetDriverConfig {
         crash_every_writes: Some(5),
         ..base.clone()
@@ -576,8 +576,8 @@ fn recorded_wake_schedules_recover_exactly() {
 /// The full sparse pipeline under crash sweep: an 8-tenant sparse run
 /// that crash-recovers every tenant's store after every journal write
 /// must end byte-identical to the uncrashed sparse run — i.e. the
-/// wakeup heap reconstructed from recovered `WakeSchedule`s replays the
-/// same skips — and both must match the dense oracle.
+/// wake ticks re-derived from recovered `WakeSchedule`s replay the same
+/// skips — and both must match the dense oracle.
 #[test]
 fn sparse_crash_sweep_recovers_wakeups_identically() {
     let seed = chaos_seed();

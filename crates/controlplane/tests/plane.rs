@@ -103,7 +103,7 @@ fn retry_policy_backoff_is_deterministic_capped_and_jittered_early() {
 
 #[test]
 fn retry_eligibility_fires_exactly_at_the_backoff_boundary() {
-    // `entered + delay == now` is the wakeup heap's scheduled instant:
+    // `entered + delay == now` is the instant the wake schedule names:
     // eligibility must flip exactly there, not one tick later.
     let p = RetryPolicy {
         jitter: 0.0,

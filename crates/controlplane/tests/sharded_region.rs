@@ -3,8 +3,8 @@
 //!
 //! Decomposing the monolithic fleet loop into a coordinator plus N
 //! shard workers is a pure execution-shape change. For **any** shard
-//! count, shard concurrency, hydration mode, and per-shard thread
-//! count, the merged region report must be byte-identical to the
+//! count, shard concurrency, and per-shard thread count, the merged
+//! region report must be byte-identical to the
 //! unsharded `FleetDriver` run over the same fleet: canonical string,
 //! canonical digest, merged metrics registry, and rendered dashboard.
 //! Flight cohorts and verdicts must likewise be invariant under
@@ -12,9 +12,8 @@
 //! never its shard.
 
 use controlplane::{
-    FleetDriver, FleetDriverConfig, FlightConfig, FlightDriver, HydrationMode, PlanePolicy,
-    RegionConfig, RegionCoordinator, RegionReport, SchedulingMode, ShardAssignment,
-    ShardConcurrency, StateStore,
+    FleetDriver, FleetDriverConfig, FlightConfig, FlightDriver, PlanePolicy, RegionConfig,
+    RegionCoordinator, RegionReport, SchedulingMode, ShardAssignment, ShardConcurrency, StateStore,
 };
 use proptest::prelude::*;
 use sqlmini::clock::Duration;
@@ -70,7 +69,6 @@ fn driver_config(scheduling: SchedulingMode, plan_cache: bool) -> FleetDriverCon
 struct Shape {
     shards: usize,
     concurrency: ShardConcurrency,
-    hydration: HydrationMode,
     threads_per_shard: usize,
     scheduling: SchedulingMode,
     plan_cache: bool,
@@ -82,8 +80,6 @@ fn region_run(spec: &dyn FleetSpec, ticks: u32, shape: Shape) -> RegionReport {
         shards: shape.shards,
         threads_per_shard: shape.threads_per_shard,
         shard_concurrency: shape.concurrency,
-        hydration: shape.hydration,
-        chunk: 3,
         ..RegionConfig::default()
     })
     .run(spec, ticks)
@@ -93,9 +89,9 @@ fn region_run(spec: &dyn FleetSpec, ticks: u32, shape: Shape) -> RegionReport {
 // Seeded acceptance: the full execution-shape matrix on one fleet.
 // ---------------------------------------------------------------------
 
-/// {1, 4, 16 shards} x {sequential, parallel} x {eager, lazy} x
-/// {dense, sparse} x {cache on, off}: every shape reproduces the
-/// unsharded oracle byte for byte.
+/// {1, 4, 16 shards} x {sequential, parallel} x {dense, sparse} x
+/// {cache on, off}: every shape reproduces the unsharded oracle byte
+/// for byte.
 #[test]
 fn region_matrix_matches_unsharded_oracle() {
     let spec = TestSpec { n: 12, seed: 42 };
@@ -111,38 +107,34 @@ fn region_matrix_matches_unsharded_oracle() {
 
     for shards in [1usize, 4, 16] {
         for concurrency in [ShardConcurrency::Sequential, ShardConcurrency::Parallel] {
-            for hydration in [HydrationMode::Eager, HydrationMode::Lazy] {
-                for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
-                    for plan_cache in [true, false] {
-                        let r = region_run(
-                            &spec,
-                            ticks,
-                            Shape {
-                                shards,
-                                concurrency,
-                                hydration,
-                                threads_per_shard: 2,
-                                scheduling,
-                                plan_cache,
-                            },
-                        );
-                        let shape = format!(
-                            "shards={shards} {concurrency:?} {hydration:?} \
-                             {scheduling:?} cache={plan_cache}"
-                        );
-                        assert_eq!(r.digest, digest, "digest diverged at {shape}");
-                        assert_eq!(
-                            r.canonical.as_deref(),
-                            Some(canon.as_str()),
-                            "canonical string diverged at {shape}"
-                        );
-                        assert_eq!(
-                            r.dashboard().render(),
-                            dash,
-                            "dashboard diverged at {shape}"
-                        );
-                        assert_eq!(r.metrics, oracle.metrics, "registry diverged at {shape}");
-                    }
+            for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
+                for plan_cache in [true, false] {
+                    let r = region_run(
+                        &spec,
+                        ticks,
+                        Shape {
+                            shards,
+                            concurrency,
+                            threads_per_shard: 2,
+                            scheduling,
+                            plan_cache,
+                        },
+                    );
+                    let shape = format!(
+                        "shards={shards} {concurrency:?} {scheduling:?} cache={plan_cache}"
+                    );
+                    assert_eq!(r.digest, digest, "digest diverged at {shape}");
+                    assert_eq!(
+                        r.canonical.as_deref(),
+                        Some(canon.as_str()),
+                        "canonical string diverged at {shape}"
+                    );
+                    assert_eq!(
+                        r.dashboard().render(),
+                        dash,
+                        "dashboard diverged at {shape}"
+                    );
+                    assert_eq!(r.metrics, oracle.metrics, "registry diverged at {shape}");
                 }
             }
         }
@@ -162,7 +154,6 @@ fn lazy_hydration_residency_is_bounded_by_workers() {
         Shape {
             shards: 16,
             concurrency: ShardConcurrency::Sequential,
-            hydration: HydrationMode::Lazy,
             threads_per_shard: 1,
             scheduling: SchedulingMode::Sparse,
             plan_cache: true,
@@ -176,7 +167,6 @@ fn lazy_hydration_residency_is_bounded_by_workers() {
         Shape {
             shards: 4,
             concurrency: ShardConcurrency::Parallel,
-            hydration: HydrationMode::Lazy,
             threads_per_shard: 2,
             scheduling: SchedulingMode::Sparse,
             plan_cache: true,
@@ -293,7 +283,6 @@ proptest! {
             Shape {
                 shards,
                 concurrency: ShardConcurrency::Parallel,
-                hydration: HydrationMode::Lazy,
                 threads_per_shard: threads,
                 scheduling: SchedulingMode::Sparse,
                 plan_cache: true,

@@ -144,8 +144,8 @@ proptest! {
             spec
         );
 
-        // Sparse itself replays identically across thread counts (heap
-        // order vs work-stealing must not matter).
+        // Sparse itself replays identically across thread counts (which
+        // pool worker claims which tenant must not matter).
         if spec.threads > 1 {
             let serial = FleetDriver::new(config(&spec, SchedulingMode::Sparse))
                 .run(fleet, ticks, 1);

@@ -3,7 +3,7 @@
 //! Default shape: 64 mixed-tier tenants for 4 ticks on 4 worker
 //! threads, then a serial replay of the same fleet, checking the
 //! end-of-run state is byte-identical — the determinism contract,
-//! exercised at a fleet size big enough to force real work stealing,
+//! exercised at a fleet size big enough to keep every pool worker busy,
 //! small enough to finish well inside CI's two-minute budget.
 //!
 //! Flags reshape the run for scheduler smokes (CI drives a
@@ -36,8 +36,7 @@
 
 use bench::{sparse_fleet, Args, SparseFleetSpec};
 use controlplane::{
-    FleetDriver, FleetDriverConfig, HydrationMode, PlanePolicy, RegionConfig, RegionCoordinator,
-    SchedulingMode,
+    FleetDriver, FleetDriverConfig, PlanePolicy, RegionConfig, RegionCoordinator, SchedulingMode,
 };
 use sqlmini::clock::Duration;
 use workload::fleet::{generate_fleet, FleetSpec, MixedFleetSpec, Tenant, TierMix};
@@ -109,7 +108,6 @@ fn main() {
             driver: driver_config.clone(),
             shards,
             threads_per_shard: threads,
-            hydration: HydrationMode::Lazy,
             ..RegionConfig::default()
         });
         let region = coordinator.run(spec.as_ref(), ticks);
@@ -148,6 +146,7 @@ fn main() {
                 "sharded canonical string must match the unsharded oracle"
             );
         }
+        assert_eq!(region.poisoned, 0, "a clean run poisons no tenant");
         println!("determinism check: {shards} shards == unsharded, byte for byte");
         return;
     }
@@ -195,5 +194,6 @@ fn main() {
         parallel.canonical_string(),
         "parallel fleet state must replay byte-identically in serial mode"
     );
+    assert_eq!(parallel.poisoned, 0, "a clean run poisons no tenant");
     println!("determinism check: parallel == serial, byte for byte");
 }

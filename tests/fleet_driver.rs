@@ -41,7 +41,7 @@ fn paranoid_validator() -> ValidatorConfig {
 
 /// One premium whale plus `n_small` basic minnows. The whale's workload
 /// rate is ~30x a minnow's, so under 4 workers it pins one thread for
-/// most of the run and the work-stealing pool must rebalance the rest.
+/// most of the run and the shared-cursor pool must rebalance the rest.
 fn skewed_fleet(n_small: usize, seed: u64) -> Vec<Tenant> {
     let mut fleet = vec![generate_tenant(&TenantConfig::new(
         "whale",
