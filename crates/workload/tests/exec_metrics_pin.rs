@@ -1,0 +1,76 @@
+//! A direct witness of the executor's accounting.
+//!
+//! The fleet digests prove that `ActualMetrics` are stable only through
+//! Query Store aggregates and control-plane decisions; `cpu_us` is an
+//! ordered `f64` sum, so a change in the *order* of the executor's
+//! `add_*` calls can move its low bits without moving any digest. This
+//! test folds every statement's metrics, bit for bit, into one constant.
+
+use sqlmini::clock::Duration;
+use sqlmini::engine::ServiceTier;
+use workload::fleet::{generate_tenant, Tenant, TenantConfig};
+use workload::model::TemplateKind;
+use workload::runner::Trace;
+
+/// A Standard tenant (seed chosen so that six hours run all twelve
+/// template kinds, the join and the report among them); small enough
+/// that the replay takes well under a second.
+fn pinned_tenant() -> Tenant {
+    let mut cfg = TenantConfig::new("pin", 19, ServiceTier::Standard);
+    cfg.schema.min_tables = 3;
+    cfg.schema.max_tables = 3;
+    cfg.schema.min_rows = 1_000;
+    cfg.schema.max_rows = 4_000;
+    cfg.workload.base_rate_per_hour = 400.0;
+    generate_tenant(&cfg)
+}
+
+/// Six hours of the tenant's own statement stream, recorded on a copy
+/// that is then dropped.
+fn recorded_trace() -> Trace {
+    let mut recorder = pinned_tenant();
+    let (summary, trace) =
+        recorder
+            .runner
+            .run_traced(&mut recorder.db, &recorder.model, Duration::from_hours(6));
+    assert_eq!(summary.errors, 0);
+    trace
+}
+
+fn fnv1a(hash: &mut u64, word: u64) {
+    for byte in word.to_le_bytes() {
+        *hash ^= u64::from(byte);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+#[test]
+fn replayed_statement_metrics_are_pinned_bit_for_bit() {
+    let trace = recorded_trace();
+    let mut replica = pinned_tenant();
+    let mut kinds = std::collections::BTreeSet::new();
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for event in &trace.events {
+        let spec = &replica.model.templates[event.template_index];
+        kinds.insert(spec.kind);
+        replica.db.clock().advance_to(event.at);
+        let m = replica
+            .db
+            .execute(&spec.template, &event.params)
+            .expect("clean replay")
+            .metrics;
+        for word in [
+            m.rows_returned,
+            m.rows_examined,
+            m.logical_reads,
+            m.logical_writes,
+            m.cpu_us.to_bits(),
+        ] {
+            fnv1a(&mut hash, word);
+        }
+    }
+    assert_eq!(kinds.len(), 12, "trace misses a template kind: {kinds:?}");
+    assert!(kinds.contains(&TemplateKind::JoinQuery) && kinds.contains(&TemplateKind::Report));
+    assert_eq!(trace.events.len(), 1369, "statement count");
+    assert_eq!(hash, 0xee7e_b3b6_3b61_b6c0, "metrics hash {hash:#018x}");
+}
