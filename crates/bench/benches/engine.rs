@@ -59,7 +59,7 @@ fn bench_execute_indexed(c: &mut Criterion) {
     c.bench_function("engine/execute_indexed_seek", |b| {
         b.iter(|| {
             i += 1;
-            black_box(db.execute(&q, &[Value::Int(i % 500)]).unwrap().rows.len())
+            black_box(db.query(&q, &[Value::Int(i % 500)]).unwrap().1.len())
         });
     });
 }
@@ -71,7 +71,7 @@ fn bench_execute_scan(c: &mut Criterion) {
     c.bench_function("engine/execute_seq_scan_10k", |b| {
         b.iter(|| {
             i += 1;
-            black_box(db.execute(&q, &[Value::Int(i % 500)]).unwrap().rows.len())
+            black_box(db.query(&q, &[Value::Int(i % 500)]).unwrap().1.len())
         });
     });
 }

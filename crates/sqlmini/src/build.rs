@@ -233,10 +233,10 @@ mod tests {
         let mut q = SelectQuery::new(t);
         q.predicates = vec![Predicate::cmp(ColumnId(1), CmpOp::Eq, 7i64)];
         q.projection = vec![ColumnId(0)];
-        let out = db
-            .execute(&QueryTemplate::new(Statement::Select(q), 0), &[])
+        let (out, rows) = db
+            .query(&QueryTemplate::new(Statement::Select(q), 0), &[])
             .unwrap();
-        assert_eq!(out.rows.len(), 100);
+        assert_eq!(rows.len(), 100);
         assert!(out.referenced_indexes.contains(&"rix".to_string()));
     }
 
@@ -307,10 +307,10 @@ mod tests {
         q.predicates = vec![Predicate::cmp(ColumnId(1), CmpOp::Eq, 7i64)];
         q.projection = vec![ColumnId(0)];
         q.index_hint = Some("rix".into());
-        let out = db
-            .execute(&QueryTemplate::new(Statement::Select(q), 0), &[])
+        let (_, rows) = db
+            .query(&QueryTemplate::new(Statement::Select(q), 0), &[])
             .unwrap();
-        assert_eq!(out.rows.len(), 101, "100 original + 1 concurrent");
+        assert_eq!(rows.len(), 101, "100 original + 1 concurrent");
         let _ = id;
     }
 

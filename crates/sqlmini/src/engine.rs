@@ -5,7 +5,7 @@
 //!
 //! * `execute` — optimize (with plan caching and parameter sniffing),
 //!   execute, apply the concurrency-noise model, and record Query Store /
-//!   DMV telemetry;
+//!   DMV telemetry; `query` is the same and also returns the rows;
 //! * the **what-if API** ([`WhatIfSession`]) — cost statements under
 //!   hypothetical index configurations without materializing anything
 //!   (the AutoAdmin interface of [11] that DTA is built on);
@@ -157,8 +157,6 @@ pub struct ExecOutcome {
     pub duration_us: f64,
     /// The optimizer's estimates for the executed plan.
     pub estimates: PlanEstimates,
-    /// Output rows (projected).
-    pub rows: Vec<Row>,
 }
 
 /// Report of a completed index build.
@@ -477,6 +475,18 @@ impl Database {
         self.stats.get(&t)
     }
 
+    /// The heap of table `t`, read-only. With
+    /// [`secondary_index`](Self::secondary_index) it lets a test rebuild
+    /// an index from the heap and compare it with the maintained one.
+    pub fn heap(&self, t: TableId) -> Option<&Heap> {
+        self.heaps.get(&t)
+    }
+
+    /// The materialized secondary index `ix`, read-only.
+    pub fn secondary_index(&self, ix: IndexId) -> Option<&SecondaryIndex> {
+        self.indexes.get(&ix)
+    }
+
     pub fn index_size_bytes(&self, ix: IndexId) -> u64 {
         self.indexes.get(&ix).map(|i| i.size_bytes()).unwrap_or(0)
     }
@@ -495,11 +505,35 @@ impl Database {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Execute a statement template with a parameter binding.
+    /// Execute a statement template with a parameter binding, for its
+    /// effects: the data it writes and the metrics it records (Query
+    /// Store, DMVs, the returned outcome). No result set is built — the
+    /// workload runner and the control plane never read one.
     pub fn execute(
         &mut self,
         template: &QueryTemplate,
         params: &[Value],
+    ) -> Result<ExecOutcome, EngineError> {
+        self.execute_into(template, params, None)
+    }
+
+    /// [`execute`](Self::execute), also returning a SELECT's projected
+    /// rows (empty for DML). Same statement kernel, same metrics.
+    pub fn query(
+        &mut self,
+        template: &QueryTemplate,
+        params: &[Value],
+    ) -> Result<(ExecOutcome, Vec<Row>), EngineError> {
+        let mut rows = Vec::new();
+        let outcome = self.execute_into(template, params, Some(&mut rows))?;
+        Ok((outcome, rows))
+    }
+
+    fn execute_into(
+        &mut self,
+        template: &QueryTemplate,
+        params: &[Value],
+        mut rows: Option<&mut Vec<Row>>,
     ) -> Result<ExecOutcome, EngineError> {
         let qid = template.query_id();
         let now = self.clock.now();
@@ -534,26 +568,27 @@ impl Database {
             self.mi_dmv.record(obs, now);
         }
 
-        let result = self.run_plan(&template.statement, &entry.plan, params);
-        let result = match result {
-            Ok(r) => r,
+        let result = self.run_plan(
+            &template.statement,
+            &entry.plan,
+            params,
+            rows.as_deref_mut(),
+        );
+        let metrics = match result {
+            Ok(m) => m,
             Err(ExecError::MissingIndex(_)) | Err(ExecError::HypotheticalPlan) => {
                 // Stale plan (index dropped since compile): recompile once.
+                // Both errors are raised before any row reaches `rows`.
                 let entry = self.compile_entry(qid, template, params);
                 if self.config.plan_cache {
                     self.plan_cache.insert(qid, std::sync::Arc::clone(&entry));
                 }
-                let retry = self.run_plan(&template.statement, &entry.plan, params);
-                match retry {
-                    Ok(res) => {
-                        return self.finish_execution(template, params, qid, &entry, res, now);
-                    }
-                    Err(e) => return Err(e.into()),
-                }
+                let retry = self.run_plan(&template.statement, &entry.plan, params, rows)?;
+                return Ok(self.finish_execution(template, params, qid, &entry, retry, now));
             }
             Err(e) => return Err(e.into()),
         };
-        self.finish_execution(template, params, qid, &entry, result, now)
+        Ok(self.finish_execution(template, params, qid, &entry, metrics, now))
     }
 
     /// Cache lookup with epoch validation, falling back to compilation.
@@ -673,7 +708,8 @@ impl Database {
         stmt: &Statement,
         plan: &Plan,
         params: &[Value],
-    ) -> Result<crate::exec::ExecResult, ExecError> {
+        rows: Option<&mut Vec<Row>>,
+    ) -> Result<ActualMetrics, ExecError> {
         let mut ctx = ExecContext {
             catalog: &self.catalog,
             heaps: &mut self.heaps,
@@ -681,7 +717,7 @@ impl Database {
             cost_model: &self.config.cost_model,
         };
         match (stmt, plan) {
-            (Statement::Select(q), Plan::Select(sp)) => execute_select(&mut ctx, q, sp, params),
+            (Statement::Select(q), Plan::Select(sp)) => execute_select(&ctx, q, sp, params, rows),
             _ => execute_dml(&mut ctx, stmt, plan, params),
         }
     }
@@ -692,18 +728,18 @@ impl Database {
         params: &[Value],
         qid: QueryId,
         entry: &CachedPlan,
-        mut result: crate::exec::ExecResult,
+        mut metrics: ActualMetrics,
         now: Timestamp,
-    ) -> Result<ExecOutcome, EngineError> {
+    ) -> ExecOutcome {
         // Concurrency noise: logical metrics get small noise, duration big.
         let cpu_mult = self.lognormal(self.config.cpu_noise_sigma);
-        result.metrics.cpu_us *= cpu_mult;
+        metrics.cpu_us *= cpu_mult;
         let dur_mult = self.lognormal(self.config.duration_noise_sigma);
-        let duration_us = result.metrics.cpu_us / self.config.tier.cores() * dur_mult;
+        let duration_us = metrics.cpu_us / self.config.tier.cores() * dur_mult;
 
         // Track table modifications for staleness + maintenance usage.
         if template.statement.is_write() {
-            let affected = result.metrics.rows_returned;
+            let affected = metrics.rows_returned;
             if let Some(st) = self.stats.get_mut(&template.statement.table()) {
                 st.note_modifications(affected.max(1));
             }
@@ -713,7 +749,7 @@ impl Database {
         }
 
         // Usage DMV from plan shape.
-        self.note_usage(&entry.plan, result.metrics.rows_returned, now);
+        self.note_usage(&entry.plan, metrics.rows_returned, now);
 
         // Query Store (references and plan identity are interned in the
         // cache entry — see `compile_entry`).
@@ -723,21 +759,20 @@ impl Database {
             params,
             entry.plan_id,
             &entry.refs,
-            &result.metrics,
+            &metrics,
             duration_us,
             now,
         );
-        self.total_cpu_us += result.metrics.cpu_us;
+        self.total_cpu_us += metrics.cpu_us;
 
-        Ok(ExecOutcome {
+        ExecOutcome {
             query_id: qid,
             plan_id: entry.plan_id,
             referenced_indexes: std::sync::Arc::clone(&entry.refs),
-            metrics: result.metrics,
+            metrics,
             duration_us,
             estimates: entry.estimates,
-            rows: result.rows,
-        })
+        }
     }
 
     fn note_usage(&mut self, plan: &Plan, affected_rows: u64, now: Timestamp) {
@@ -1150,8 +1185,8 @@ mod tests {
         let (mut db, t) = orders_db();
         let tpl = select_customer(t);
         for i in 0..10 {
-            let out = db.execute(&tpl, &[Value::Int(i)]).unwrap();
-            assert_eq!(out.rows.len(), 25);
+            let (_, rows) = db.query(&tpl, &[Value::Int(i)]).unwrap();
+            assert_eq!(rows.len(), 25);
         }
         let qs = db.query_store();
         let agg = qs.query_stats(tpl.query_id(), Timestamp::EPOCH, Timestamp(1));
@@ -1199,10 +1234,10 @@ mod tests {
         let (id, _) = db.create_index(def).unwrap();
         let with_ix = db.execute(&tpl, &[Value::Int(7)]).unwrap();
         db.drop_index(id).unwrap();
-        let without = db.execute(&tpl, &[Value::Int(7)]).unwrap();
+        let (without, rows) = db.query(&tpl, &[Value::Int(7)]).unwrap();
         assert_ne!(with_ix.plan_id, without.plan_id);
         assert!(without.referenced_indexes.is_empty());
-        assert_eq!(without.rows.len(), 25);
+        assert_eq!(rows.len(), 25);
     }
 
     #[test]
@@ -1391,9 +1426,9 @@ mod tests {
         b.create_index(def).unwrap();
         assert_eq!(db.catalog().n_indexes(), 0);
         assert_eq!(b.catalog().n_indexes(), 1);
-        let a_out = db.execute(&tpl, &[Value::Int(7)]).unwrap();
-        let b_out = b.execute(&tpl, &[Value::Int(7)]).unwrap();
-        assert_eq!(a_out.rows.len(), b_out.rows.len());
+        let (a_out, a_rows) = db.query(&tpl, &[Value::Int(7)]).unwrap();
+        let (b_out, b_rows) = b.query(&tpl, &[Value::Int(7)]).unwrap();
+        assert_eq!(a_rows.len(), b_rows.len());
         assert!(b_out.metrics.logical_reads < a_out.metrics.logical_reads);
     }
 

@@ -7,6 +7,29 @@
 //! on its estimates. Estimated and actual CPU time therefore differ only
 //! where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
+//!
+//! # Borrowed rows
+//!
+//! The control plane consumes these counts and never a result set, so the
+//! pipeline copies nothing it does not have to. An access path hands each
+//! qualifying row on as a [`RowView`]: a reference to the heap row, or the
+//! key / included slices of a covering index leaf. Residual filters, both
+//! join strategies, grouping and sorting all work on views (the hash
+//! table and the group index are keyed by `&Value`); storage is only
+//! borrowed shared for the whole statement, so a view stays valid until
+//! the sink. The sink applies `LIMIT` first and then either clones the
+//! projected values into the caller's `Vec<Row>` or — when the caller
+//! passed none — only counts. Owned rows are built nowhere else, except
+//! for aggregate result rows and the rows DML writes.
+//!
+//! # Accounting order
+//!
+//! `cpu_us` is an `f64` sum, so the *order* of the `ActualMetrics::add_*`
+//! calls is part of the observable result (Query Store, the validator and
+//! the fleet digests see its low bits). Operators may be restructured
+//! freely as long as every `add_*` call keeps its operand and its place
+//! in that sequence; `workload/tests/exec_metrics_pin.rs` holds the
+//! witness.
 
 use crate::catalog::Catalog;
 use crate::heap::{Heap, RowId};
@@ -14,7 +37,7 @@ use crate::index::{ColBound, SecondaryIndex};
 use crate::optimizer::CostModel;
 use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, SelectPlan};
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
-use crate::schema::{IndexDef, IndexId, TableId};
+use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
 use crate::types::{Row, Value};
 use std::collections::{BTreeMap, HashMap};
 
@@ -63,6 +86,9 @@ pub enum ExecError {
     /// Plan references a hypothetical index (what-if plans can't run).
     HypotheticalPlan,
     UnknownTable(TableId),
+    /// The plan does not have the shape its statement needs (a planner
+    /// contract violation, e.g. a join query whose plan has no join).
+    PlanShape(&'static str),
 }
 
 impl std::fmt::Display for ExecError {
@@ -71,6 +97,7 @@ impl std::fmt::Display for ExecError {
             ExecError::MissingIndex(n) => write!(f, "plan references missing index '{n}'"),
             ExecError::HypotheticalPlan => write!(f, "cannot execute a what-if plan"),
             ExecError::UnknownTable(t) => write!(f, "unknown table {t}"),
+            ExecError::PlanShape(what) => write!(f, "plan does not fit its statement: {what}"),
         }
     }
 }
@@ -85,12 +112,36 @@ pub struct ExecContext<'a> {
     pub cost_model: &'a CostModel,
 }
 
-/// Result of executing one statement.
-#[derive(Debug, Clone)]
-pub struct ExecResult {
-    /// Projected output rows (SELECT) or empty (DML).
-    pub rows: Vec<Row>,
-    pub metrics: ActualMetrics,
+/// One input row as the operators see it, borrowed from storage for the
+/// length of the statement (`'c`): a heap row, or a covering index leaf.
+#[derive(Clone, Copy)]
+enum RowView<'c> {
+    Heap(&'c Row),
+    Leaf {
+        def: &'c IndexDef,
+        key: &'c [Value],
+        incl: &'c [Value],
+    },
+}
+
+impl<'c> RowView<'c> {
+    fn col(self, c: ColumnId) -> &'c Value {
+        match self {
+            RowView::Heap(row) => &row[c.0 as usize],
+            RowView::Leaf { def, key, incl } => {
+                if let Some(i) = def.key_columns.iter().position(|&k| k == c) {
+                    &key[i]
+                } else if let Some(i) = def.included_columns.iter().position(|&k| k == c) {
+                    &incl[i]
+                } else {
+                    // The planner marks an access covering only when the
+                    // leaf carries every column the plan reads from it.
+                    debug_assert!(false, "covering read of {c} not in '{}'", def.name);
+                    &Value::Null
+                }
+            }
+        }
+    }
 }
 
 fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBound {
@@ -108,235 +159,195 @@ fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBo
     }
 }
 
-/// Materialize a sparse full-width row from a covering index leaf,
-/// cloning only the values the row actually carries.
-fn leaf_to_row(def: &IndexDef, width: usize, key_vals: &[Value], included: &[Value]) -> Row {
-    let mut row = vec![Value::Null; width];
-    for (&c, v) in def.key_columns.iter().zip(key_vals) {
-        row[c.0 as usize] = v.clone();
-    }
-    for (&c, v) in def.included_columns.iter().zip(included) {
-        row[c.0 as usize] = v.clone();
-    }
-    row
+fn holds(p: &Predicate, params: &[Value], v: RowView) -> bool {
+    p.op.eval(v.col(p.column), p.value.resolve(params))
 }
 
-fn residual_keep(preds: &[Predicate], residual: &[usize], params: &[Value], row: &Row) -> bool {
-    residual.iter().all(|&i| preds[i].matches(row, params))
+/// The residual predicates of one access path — `preds[i]` for each `i`
+/// in `which` — and the parameter binding they are evaluated under.
+#[derive(Clone, Copy)]
+struct Residual<'q> {
+    preds: &'q [Predicate],
+    which: &'q [usize],
+    params: &'q [Value],
 }
 
-/// Fetch the base rows selected by an access path and apply the plan's
-/// residual predicates. Returns full rows (via heap lookup) or sparse rows
-/// materialized from index leaves when the access is covering.
-///
-/// Filtering happens on *borrowed* rows so only survivors are cloned — the
-/// old fetch-everything-then-filter shape dominated hot-pass allocation.
-/// The metric accounting (order and counts of `add_*` calls) is identical
-/// to the old `run_access` + `apply_residual` sequence.
-fn run_access(
-    ctx: &mut ExecContext<'_>,
+impl Residual<'_> {
+    fn keeps(self, v: RowView) -> bool {
+        self.which
+            .iter()
+            .all(|&i| holds(&self.preds[i], self.params, v))
+    }
+
+    /// Charge the evaluation of every residual predicate on `rows` rows.
+    fn charge(self, m: &mut ActualMetrics, cm: &CostModel, rows: u64) {
+        if !self.which.is_empty() {
+            m.add_pred_evals(cm, rows * self.which.len() as u64);
+        }
+    }
+}
+
+/// Run an access path, apply the plan's residual predicates, and hand
+/// every surviving row to `emit` as a view: the heap row (sequential scan,
+/// or bookmark lookup behind a non-covering index) or the index leaf
+/// itself when the access is covering.
+fn run_access<'c>(
+    ctx: &'c ExecContext<'_>,
     table: TableId,
     access: &Access,
-    preds: &[Predicate],
-    residual: &[usize],
-    params: &[Value],
+    residual: Residual,
     m: &mut ActualMetrics,
-) -> Result<Vec<(RowId, Row)>, ExecError> {
-    let cm = ctx.cost_model;
-    let tdef = ctx
-        .catalog
-        .table(table)
-        .map_err(|_| ExecError::UnknownTable(table))?;
-    let width = tdef.columns.len();
-    match access {
-        Access::SeqScan => {
-            let heap = ctx
-                .heaps
-                .get(&table)
-                .ok_or(ExecError::UnknownTable(table))?;
-            m.add_pages_read(cm, heap.page_count());
-            m.add_rows_examined(cm, heap.len() as u64);
-            if !residual.is_empty() {
-                m.add_pred_evals(cm, heap.len() as u64 * residual.len() as u64);
-            }
-            Ok(heap
-                .scan_quiet()
-                .filter(|(_, r)| residual_keep(preds, residual, params, r))
-                .map(|(rid, r)| (rid, r.clone()))
-                .collect())
-        }
-        Access::IndexSeek {
-            index,
-            eq,
-            lo,
-            hi,
-            covering,
-        } => {
-            let id = index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-            let ix = ctx
-                .indexes
-                .get(&id)
-                .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
-            let eq_vals: Vec<Value> = eq.iter().map(|s| s.resolve(params).clone()).collect();
-            let lo_b = resolve_bound(lo, params, true);
-            let hi_b = resolve_bound(hi, params, false);
-            if *covering {
-                let def = &ix.def;
-                let mut rows: Vec<(RowId, Row)> = Vec::new();
-                let (n, pages) = ix.seek_visit(&eq_vals, lo_b, hi_b, |rid, kv, iv| {
-                    let row = leaf_to_row(def, width, kv, iv);
-                    if residual_keep(preds, residual, params, &row) {
-                        rows.push((rid, row));
-                    }
-                });
-                m.add_pages_read(cm, pages);
-                m.add_rows_examined(cm, n);
-                if !residual.is_empty() {
-                    m.add_pred_evals(cm, n * residual.len() as u64);
-                }
-                Ok(rows)
-            } else {
-                let mut rids: Vec<RowId> = Vec::new();
-                let (n, pages) = ix.seek_visit(&eq_vals, lo_b, hi_b, |rid, _, _| rids.push(rid));
-                m.add_pages_read(cm, pages);
-                m.add_rows_examined(cm, n);
-                fetch_and_filter(ctx, table, &rids, preds, residual, params, m)
-            }
-        }
-        Access::IndexScan { index, covering } => {
-            let id = index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-            let ix = ctx
-                .indexes
-                .get(&id)
-                .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
-            if *covering {
-                let def = &ix.def;
-                let mut rows: Vec<(RowId, Row)> = Vec::new();
-                let (n, _) = ix.scan_visit(|rid, kv, iv| {
-                    let row = leaf_to_row(def, width, kv, iv);
-                    if residual_keep(preds, residual, params, &row) {
-                        rows.push((rid, row));
-                    }
-                });
-                m.add_pages_read(cm, ix.leaf_pages() + ix.height() as u64);
-                m.add_rows_examined(cm, n);
-                if !residual.is_empty() {
-                    m.add_pred_evals(cm, n * residual.len() as u64);
-                }
-                Ok(rows)
-            } else {
-                let mut rids: Vec<RowId> = Vec::new();
-                let (n, _) = ix.scan_visit(|rid, _, _| rids.push(rid));
-                m.add_pages_read(cm, ix.leaf_pages() + ix.height() as u64);
-                m.add_rows_examined(cm, n);
-                fetch_and_filter(ctx, table, &rids, preds, residual, params, m)
-            }
-        }
-    }
-}
-
-/// Bookmark-lookup the given row ids and apply residual predicates,
-/// cloning only surviving rows.
-fn fetch_and_filter(
-    ctx: &ExecContext<'_>,
-    table: TableId,
-    rids: &[RowId],
-    preds: &[Predicate],
-    residual: &[usize],
-    params: &[Value],
-    m: &mut ActualMetrics,
-) -> Result<Vec<(RowId, Row)>, ExecError> {
+    mut emit: impl FnMut(RowId, RowView<'c>),
+) -> Result<(), ExecError> {
     let cm = ctx.cost_model;
     let heap = ctx
         .heaps
         .get(&table)
         .ok_or(ExecError::UnknownTable(table))?;
-    let mut fetched: Vec<(RowId, &Row)> = Vec::with_capacity(rids.len());
-    for &rid in rids {
-        // One bookmark lookup page per row.
-        m.add_pages_read(cm, 1);
-        if let Some(r) = heap.peek(rid) {
-            fetched.push((rid, r));
+    let (index, covering) = match access {
+        Access::SeqScan => {
+            m.add_pages_read(cm, heap.page_count());
+            m.add_rows_examined(cm, heap.len() as u64);
+            residual.charge(m, cm, heap.len() as u64);
+            for (rid, row) in heap.scan_quiet() {
+                if residual.keeps(RowView::Heap(row)) {
+                    emit(rid, RowView::Heap(row));
+                }
+            }
+            return Ok(());
         }
+        Access::IndexSeek {
+            index, covering, ..
+        }
+        | Access::IndexScan { index, covering } => (index, *covering),
+    };
+    let id = index.real_id().ok_or(ExecError::HypotheticalPlan)?;
+    let ix = ctx
+        .indexes
+        .get(&id)
+        .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
+    let mut rids: Vec<RowId> = Vec::new();
+    let mut visit = |rid, key, incl| {
+        let def = &ix.def;
+        if !covering {
+            rids.push(rid);
+        } else if residual.keeps(RowView::Leaf { def, key, incl }) {
+            emit(rid, RowView::Leaf { def, key, incl });
+        }
+    };
+    let (n, pages) = match access {
+        Access::IndexSeek { eq, lo, hi, .. } => {
+            let params = residual.params;
+            let eq_vals: Vec<Value> = eq.iter().map(|s| s.resolve(params).clone()).collect();
+            let lo_b = resolve_bound(lo, params, true);
+            let hi_b = resolve_bound(hi, params, false);
+            ix.seek_visit(&eq_vals, lo_b, hi_b, &mut visit)
+        }
+        _ => {
+            let (n, _) = ix.scan_visit(&mut visit);
+            (n, ix.leaf_pages() + ix.height() as u64)
+        }
+    };
+    m.add_pages_read(cm, pages);
+    m.add_rows_examined(cm, n);
+    if covering {
+        residual.charge(m, cm, n);
+    } else {
+        fetch_and_filter(heap, &rids, residual, cm, m, emit);
     }
-    if !residual.is_empty() {
-        m.add_pred_evals(cm, fetched.len() as u64 * residual.len() as u64);
-    }
-    Ok(fetched
-        .into_iter()
-        .filter(|(_, r)| residual_keep(preds, residual, params, r))
-        .map(|(rid, r)| (rid, r.clone()))
-        .collect())
+    Ok(())
 }
 
-fn apply_residual(
-    rows: Vec<(RowId, Row)>,
-    preds: &[Predicate],
-    residual: &[usize],
-    params: &[Value],
+/// Bookmark-lookup the given row ids (one page each) and emit the rows
+/// that pass the residual predicates.
+fn fetch_and_filter<'c>(
+    heap: &'c Heap,
+    rids: &[RowId],
+    residual: Residual,
     cm: &CostModel,
     m: &mut ActualMetrics,
-) -> Vec<(RowId, Row)> {
-    if residual.is_empty() {
-        return rows;
+    mut emit: impl FnMut(RowId, RowView<'c>),
+) {
+    let mut fetched = 0u64;
+    for &rid in rids {
+        m.add_pages_read(cm, 1);
+        if let Some(row) = heap.peek(rid) {
+            fetched += 1;
+            if residual.keeps(RowView::Heap(row)) {
+                emit(rid, RowView::Heap(row));
+            }
+        }
     }
-    let n = rows.len() as u64;
-    m.add_pred_evals(cm, n * residual.len() as u64);
-    rows.into_iter()
-        .filter(|(_, r)| residual.iter().all(|&i| preds[i].matches(r, params)))
-        .collect()
+    residual.charge(m, cm, fetched);
 }
 
-/// Execute a SELECT plan.
+/// ORDER BY comparison of two rows of any representation: `col` reads a
+/// key column's value from one, or `None` for a key the row does not
+/// carry (which is then skipped).
+fn order_cmp<'v, R: Copy>(
+    order: &[crate::query::OrderKey],
+    (a, b): (R, R),
+    col: impl Fn(R, ColumnId) -> Option<&'v Value>,
+) -> std::cmp::Ordering {
+    for o in order {
+        let (Some(x), Some(y)) = (col(a, o.column), col(b, o.column)) else {
+            continue;
+        };
+        let ord = if o.asc { x.cmp(y) } else { x.cmp(y).reverse() };
+        if ord != std::cmp::Ordering::Equal {
+            return ord;
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// Execute a SELECT plan. The projected rows are appended to `out` when
+/// the caller passes one; the metrics are the same either way.
 pub fn execute_select(
-    ctx: &mut ExecContext<'_>,
+    ctx: &ExecContext<'_>,
     q: &SelectQuery,
     plan: &SelectPlan,
     params: &[Value],
-) -> Result<ExecResult, ExecError> {
+    out: Option<&mut Vec<Row>>,
+) -> Result<ActualMetrics, ExecError> {
     let cm = ctx.cost_model;
     let mut m = ActualMetrics::default();
 
-    let rows = run_access(
-        ctx,
-        q.table,
-        &plan.access,
-        &q.predicates,
-        &plan.residual,
+    // Access and join: pairs of (outer view, inner view).
+    let mut joined: Vec<(RowView, Option<RowView>)> = Vec::new();
+    let residual = Residual {
+        preds: &q.predicates,
+        which: &plan.residual,
         params,
-        &mut m,
-    )?;
-
-    // Join.
-    let mut joined: Vec<(Row, Option<Row>)> = match (&q.join, &plan.join) {
-        (None, _) => rows.into_iter().map(|(_, r)| (r, None)).collect(),
+    };
+    match (&q.join, &plan.join) {
+        (None, _) => run_access(ctx, q.table, &plan.access, residual, &mut m, |_, v| {
+            joined.push((v, None))
+        })?,
+        (Some(_), None) => return Err(ExecError::PlanShape("join query without a join plan")),
         (Some(jspec), Some(jplan)) => {
-            let mut out = Vec::new();
+            let mut outers: Vec<RowView> = Vec::new();
+            run_access(ctx, q.table, &plan.access, residual, &mut m, |_, v| {
+                outers.push(v)
+            })?;
             match &jplan.strategy {
                 JoinStrategy::Hash { inner_access } => {
-                    let inner_rows = run_access(
-                        ctx,
-                        jspec.table,
-                        inner_access,
-                        &jspec.predicates,
-                        &jplan.residual,
+                    let mut ht: HashMap<&Value, Vec<RowView>> = HashMap::new();
+                    let mut inners = 0u64;
+                    let residual = Residual {
+                        preds: &jspec.predicates,
+                        which: &jplan.residual,
                         params,
-                        &mut m,
-                    )?;
-                    let mut ht: HashMap<Value, Vec<Row>> = HashMap::new();
-                    m.add_hash_ops(cm, inner_rows.len() as u64);
-                    for (_, r) in inner_rows {
-                        ht.entry(r[jspec.inner_col.0 as usize].clone())
-                            .or_default()
-                            .push(r);
-                    }
-                    m.add_hash_ops(cm, rows.len() as u64);
-                    for (_, outer) in rows {
-                        let key = &outer[jspec.outer_col.0 as usize];
-                        if let Some(matches) = ht.get(key) {
-                            for inner in matches {
-                                out.push((outer.clone(), Some(inner.clone())));
-                            }
+                    };
+                    run_access(ctx, jspec.table, inner_access, residual, &mut m, |_, v| {
+                        inners += 1;
+                        ht.entry(v.col(jspec.inner_col)).or_default().push(v);
+                    })?;
+                    m.add_hash_ops(cm, inners);
+                    m.add_hash_ops(cm, outers.len() as u64);
+                    for outer in outers {
+                        if let Some(matches) = ht.get(outer.col(jspec.outer_col)) {
+                            joined.extend(matches.iter().map(|&inner| (outer, Some(inner))));
                         }
                     }
                 }
@@ -345,230 +356,182 @@ pub fn execute_select(
                     covering,
                 } => {
                     let id = inner_index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-                    let inner_tdef = ctx
-                        .catalog
-                        .table(jspec.table)
-                        .map_err(|_| ExecError::UnknownTable(jspec.table))?;
-                    let inner_width = inner_tdef.columns.len();
                     let mut rids: Vec<RowId> = Vec::new();
-                    for (_, outer) in rows {
+                    let mut matched: Vec<RowView> = Vec::new();
+                    for outer in outers {
                         let ix = ctx
                             .indexes
                             .get(&id)
                             .ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
-                        let key = std::slice::from_ref(&outer[jspec.outer_col.0 as usize]);
-                        let mut inner_matched: Vec<Row> = Vec::new();
-                        if *covering {
-                            let def = &ix.def;
-                            let (n, pages) = ix.seek_visit(
-                                key,
-                                ColBound::Unbounded,
-                                ColBound::Unbounded,
-                                |_, kv, iv| {
-                                    inner_matched.push(leaf_to_row(def, inner_width, kv, iv));
-                                },
-                            );
-                            m.add_pages_read(cm, pages);
-                            m.add_rows_examined(cm, n);
-                        } else {
-                            rids.clear();
-                            let (n, pages) = ix.seek_visit(
-                                key,
-                                ColBound::Unbounded,
-                                ColBound::Unbounded,
-                                |rid, _, _| rids.push(rid),
-                            );
-                            m.add_pages_read(cm, pages);
-                            m.add_rows_examined(cm, n);
+                        let def = &ix.def;
+                        let key = std::slice::from_ref(outer.col(jspec.outer_col));
+                        let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
+                        rids.clear();
+                        matched.clear();
+                        let (n, pages) = ix.seek_visit(key, lo, hi, |rid, key, incl| {
+                            if *covering {
+                                matched.push(RowView::Leaf { def, key, incl });
+                            } else {
+                                rids.push(rid);
+                            }
+                        });
+                        m.add_pages_read(cm, pages);
+                        m.add_rows_examined(cm, n);
+                        if !*covering {
                             let heap = ctx
                                 .heaps
                                 .get(&jspec.table)
                                 .ok_or(ExecError::UnknownTable(jspec.table))?;
                             for &rid in &rids {
                                 m.add_pages_read(cm, 1);
-                                if let Some(r) = heap.peek(rid) {
-                                    inner_matched.push(r.clone());
-                                }
+                                matched.extend(heap.peek(rid).map(RowView::Heap));
                             }
                         }
-                        m.add_pred_evals(
-                            cm,
-                            inner_matched.len() as u64 * jspec.predicates.len() as u64,
+                        let evals = matched.len() as u64 * jspec.predicates.len() as u64;
+                        m.add_pred_evals(cm, evals);
+                        joined.extend(
+                            matched
+                                .iter()
+                                .filter(|v| jspec.predicates.iter().all(|p| holds(p, params, **v)))
+                                .map(|&inner| (outer, Some(inner))),
                         );
-                        for inner in inner_matched
-                            .into_iter()
-                            .filter(|r| jspec.predicates.iter().all(|p| p.matches(r, params)))
-                        {
-                            out.push((outer.clone(), Some(inner)));
-                        }
                     }
                 }
             }
-            out
         }
-        (Some(_), None) => {
-            // Planner contract violation; degrade to cross-product-free
-            // empty join rather than panic.
-            Vec::new()
-        }
-    };
+    }
 
-    // Aggregation.
-    let mut agg_rows: Vec<Row> = Vec::new();
     let has_agg = !q.aggregates.is_empty() || !q.group_by.is_empty();
+    let needs_sort = plan.needs_sort && !q.order_by.is_empty();
+    // Aggregate output rows are (group keys, aggregates), in key order.
+    let mut agg_rows: Vec<Row> = Vec::new();
     if has_agg {
+        // Stream vs hash only differ in cost; compute uniformly but
+        // charge per strategy.
         match plan.agg {
-            AggStrategy::Hash | AggStrategy::Stream | AggStrategy::None => {
-                // Stream vs hash only differ in cost; compute uniformly but
-                // charge per strategy.
-                match plan.agg {
-                    AggStrategy::Hash => m.add_hash_ops(cm, joined.len() as u64),
-                    _ => m.cpu_us += cm.cpu_per_output_row * joined.len() as f64,
-                }
-                let mut groups: BTreeMap<Vec<Value>, Vec<AggState>> = BTreeMap::new();
-                for (outer, _) in &joined {
-                    let key: Vec<Value> = q
-                        .group_by
-                        .iter()
-                        .map(|c| outer[c.0 as usize].clone())
-                        .collect();
-                    let states = groups.entry(key).or_insert_with(|| {
+            AggStrategy::Hash => m.add_hash_ops(cm, joined.len() as u64),
+            _ => m.cpu_us += cm.cpu_per_output_row * joined.len() as f64,
+        }
+        // One probe per input row through borrowed values; a key is
+        // allocated only when its group is new.
+        let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
+        let mut states: Vec<Vec<AggState>> = Vec::new();
+        let mut key: Vec<&Value> = Vec::with_capacity(q.group_by.len());
+        for (outer, _) in &joined {
+            key.clear();
+            key.extend(q.group_by.iter().map(|&c| outer.col(c)));
+            let g = match index.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    index.insert(key.clone(), states.len());
+                    states.push(
                         q.aggregates
                             .iter()
                             .map(|(f, _)| AggState::new(*f))
-                            .collect()
-                    });
-                    for (st, (_, col)) in states.iter_mut().zip(&q.aggregates) {
-                        st.update(&outer[col.0 as usize]);
-                    }
+                            .collect(),
+                    );
+                    states.len() - 1
                 }
-                for (key, states) in groups {
-                    let mut row = key;
-                    row.extend(states.into_iter().map(|s| s.finish()));
-                    agg_rows.push(row);
-                }
+            };
+            for (st, (_, col)) in states[g].iter_mut().zip(&q.aggregates) {
+                st.update(outer.col(*col));
             }
         }
-    }
-
-    // Sort — on the source rows, *before* projection, so ORDER BY
-    // columns need not be projected.
-    let order_cols = &q.order_by;
-    if plan.needs_sort && !order_cols.is_empty() && !has_agg {
-        m.cpu_us += cm.sort_cpu(joined.len() as f64);
-        joined.sort_by(|(a, _), (b, _)| {
-            for o in order_cols {
-                let i = o.column.0 as usize;
-                let ord = a[i].cmp(&b[i]);
-                let ord = if o.asc { ord } else { ord.reverse() };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-    }
-
-    let mut output: Vec<Row> = if has_agg {
-        if plan.needs_sort && !order_cols.is_empty() {
-            // Aggregate output rows are (group keys, aggregates); ORDER BY
-            // on a group column sorts by its position in the key.
+        // `Value`'s order over the keys, first-seen group first on a tie:
+        // the order a `BTreeMap` keyed by the group key iterates in.
+        let mut groups: Vec<(Vec<&Value>, usize)> = index.into_iter().collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+        for (key, g) in groups {
+            let mut row: Row = key.into_iter().cloned().collect();
+            row.extend(states[g].iter().map(AggState::finish));
+            agg_rows.push(row);
+        }
+        if needs_sort {
+            // ORDER BY on a group column sorts by its position in the key.
             m.cpu_us += cm.sort_cpu(agg_rows.len() as f64);
-            let positions: Vec<Option<usize>> = order_cols
-                .iter()
-                .map(|o| q.group_by.iter().position(|c| *c == o.column))
-                .collect();
             agg_rows.sort_by(|a, b| {
-                for (o, pos) in order_cols.iter().zip(&positions) {
-                    let Some(i) = pos else { continue };
-                    let ord = a[*i].cmp(&b[*i]);
-                    let ord = if o.asc { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
+                order_cmp(&q.order_by, (a, b), |row: &Row, c| {
+                    q.group_by.iter().position(|g| *g == c).map(|i| &row[i])
+                })
             });
         }
-        agg_rows
+    } else if needs_sort {
+        // Sort the source rows, *before* projection, so ORDER BY columns
+        // need not be projected.
+        m.cpu_us += cm.sort_cpu(joined.len() as f64);
+        joined.sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), |v, c| Some(v.col(c))));
+    }
+
+    // Sink: LIMIT first, then project what is left — or only count it.
+    let produced = if has_agg {
+        agg_rows.len()
     } else {
-        // Projection: primary columns then join columns.
-        joined
-            .drain(..)
-            .map(|(outer, inner)| {
-                let mut row: Vec<Value> = q
-                    .projection
-                    .iter()
-                    .map(|c| outer[c.0 as usize].clone())
-                    .collect();
+        joined.len()
+    };
+    let returned = q.limit.map_or(produced, |lim| lim.min(produced));
+    m.rows_returned = returned as u64;
+    m.cpu_us += cm.cpu_per_output_row * returned as f64;
+    if let Some(out) = out {
+        if has_agg {
+            out.extend(agg_rows.into_iter().take(returned));
+        } else {
+            // Projection: primary columns then join columns.
+            out.extend(joined[..returned].iter().map(|(outer, inner)| {
+                let mut row: Row = q.projection.iter().map(|&c| outer.col(c).clone()).collect();
                 if let (Some(jspec), Some(inner)) = (&q.join, inner) {
-                    row.extend(jspec.projection.iter().map(|c| inner[c.0 as usize].clone()));
+                    row.extend(jspec.projection.iter().map(|&c| inner.col(c).clone()));
                 }
                 row
-            })
-            .collect()
-    };
-
-    if let Some(lim) = q.limit {
-        output.truncate(lim);
+            }));
+        }
     }
-    m.rows_returned = output.len() as u64;
-    m.cpu_us += cm.cpu_per_output_row * output.len() as f64;
-
-    Ok(ExecResult {
-        rows: output,
-        metrics: m,
-    })
+    Ok(m)
 }
 
-/// Running state of one aggregate.
+/// Running state of one aggregate: only what its function reads.
 #[derive(Debug, Clone)]
-struct AggState {
+struct AggState<'c> {
     func: AggFunc,
     count: u64,
     sum: f64,
-    min: Option<Value>,
-    max: Option<Value>,
+    /// Running minimum or maximum, for `Min` / `Max`.
+    extreme: Option<&'c Value>,
 }
 
-impl AggState {
-    fn new(func: AggFunc) -> AggState {
+impl<'c> AggState<'c> {
+    fn new(func: AggFunc) -> AggState<'c> {
         AggState {
             func,
             count: 0,
             sum: 0.0,
-            min: None,
-            max: None,
+            extreme: None,
         }
     }
 
-    fn update(&mut self, v: &Value) {
+    fn update(&mut self, v: &'c Value) {
         if v.is_null() {
             return;
         }
-        self.count += 1;
-        self.sum += v.as_f64();
-        if self.min.as_ref().is_none_or(|m| v < m) {
-            self.min = Some(v.clone());
-        }
-        if self.max.as_ref().is_none_or(|m| v > m) {
-            self.max = Some(v.clone());
+        match self.func {
+            AggFunc::Count => self.count += 1,
+            AggFunc::Sum => self.sum += v.as_f64(),
+            AggFunc::Avg => {
+                self.count += 1;
+                self.sum += v.as_f64();
+            }
+            AggFunc::Min if self.extreme.is_none_or(|m| v < m) => self.extreme = Some(v),
+            AggFunc::Max if self.extreme.is_none_or(|m| v > m) => self.extreme = Some(v),
+            AggFunc::Min | AggFunc::Max => {}
         }
     }
 
-    fn finish(self) -> Value {
+    fn finish(&self) -> Value {
         match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min => self.min.unwrap_or(Value::Null),
-            AggFunc::Max => self.max.unwrap_or(Value::Null),
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
+            AggFunc::Min | AggFunc::Max => self.extreme.cloned().unwrap_or(Value::Null),
+            AggFunc::Avg if self.count == 0 => Value::Null,
+            AggFunc::Avg => Value::Float(self.sum / self.count as f64),
         }
     }
 }
@@ -579,16 +542,12 @@ pub fn execute_dml(
     stmt: &Statement,
     plan: &Plan,
     params: &[Value],
-) -> Result<ExecResult, ExecError> {
+) -> Result<ActualMetrics, ExecError> {
     let cm = ctx.cost_model;
     let mut m = ActualMetrics::default();
     match (stmt, plan) {
         (Statement::Insert { table, values }, Plan::Insert { .. }) => {
             insert_one(ctx, *table, values, params, &mut m)?;
-            Ok(ExecResult {
-                rows: vec![],
-                metrics: m,
-            })
         }
         (
             Statement::BulkInsert {
@@ -601,10 +560,6 @@ pub fn execute_dml(
             for _ in 0..*rows {
                 insert_one(ctx, *table, values, params, &mut m)?;
             }
-            Ok(ExecResult {
-                rows: vec![],
-                metrics: m,
-            })
         }
         (
             Statement::Update {
@@ -615,56 +570,50 @@ pub fn execute_dml(
             Plan::Update(dp),
         ) => {
             let targets = find_targets(ctx, *table, predicates, dp, params, &mut m)?;
-            let ix_ids: Vec<IndexId> = ctx.catalog.indexes_on(*table).map(|(id, _)| id).collect();
-            for (rid, old) in targets {
+            let heap = ctx
+                .heaps
+                .get_mut(table)
+                .ok_or(ExecError::UnknownTable(*table))?;
+            for rid in targets {
+                let Some(old) = heap.peek(rid) else { continue };
                 let mut new = old.clone();
                 for (c, s) in set {
                     new[c.0 as usize] = s.resolve(params).clone();
                 }
-                let heap = ctx
-                    .heaps
-                    .get_mut(table)
-                    .ok_or(ExecError::UnknownTable(*table))?;
-                heap.update(rid, new.clone());
                 m.add_pages_written(cm, 1);
-                for id in &ix_ids {
-                    if let Some(ix) = ctx.indexes.get_mut(id) {
-                        let pages = ix.update_row(rid, &old, &new);
+                for (id, _) in ctx.catalog.indexes_on(*table) {
+                    if let Some(ix) = ctx.indexes.get_mut(&id) {
+                        let pages = ix.update_row(rid, old, &new);
                         m.add_pages_written(cm, pages);
                     }
                 }
+                heap.update(rid, new);
                 m.rows_returned += 1;
             }
-            Ok(ExecResult {
-                rows: vec![],
-                metrics: m,
-            })
         }
         (Statement::Delete { table, predicates }, Plan::Delete(dp)) => {
             let targets = find_targets(ctx, *table, predicates, dp, params, &mut m)?;
-            let ix_ids: Vec<IndexId> = ctx.catalog.indexes_on(*table).map(|(id, _)| id).collect();
-            for (rid, old) in targets {
-                let heap = ctx
-                    .heaps
-                    .get_mut(table)
-                    .ok_or(ExecError::UnknownTable(*table))?;
-                heap.delete(rid);
+            let heap = ctx
+                .heaps
+                .get_mut(table)
+                .ok_or(ExecError::UnknownTable(*table))?;
+            for rid in targets {
+                let Some(old) = heap.delete(rid) else {
+                    continue;
+                };
                 m.add_pages_written(cm, 1);
-                for id in &ix_ids {
-                    if let Some(ix) = ctx.indexes.get_mut(id) {
+                for (id, _) in ctx.catalog.indexes_on(*table) {
+                    if let Some(ix) = ctx.indexes.get_mut(&id) {
                         let pages = ix.delete_row(rid, &old);
                         m.add_pages_written(cm, pages);
                     }
                 }
                 m.rows_returned += 1;
             }
-            Ok(ExecResult {
-                rows: vec![],
-                metrics: m,
-            })
         }
-        _ => Err(ExecError::HypotheticalPlan),
+        _ => return Err(ExecError::HypotheticalPlan),
     }
+    Ok(m)
 }
 
 fn insert_one(
@@ -675,17 +624,16 @@ fn insert_one(
     m: &mut ActualMetrics,
 ) -> Result<(), ExecError> {
     let cm = ctx.cost_model;
-    let row: Row = values.iter().map(|s| s.resolve(params).clone()).collect();
     let heap = ctx
         .heaps
         .get_mut(&table)
         .ok_or(ExecError::UnknownTable(table))?;
-    let rid = heap.insert(row.clone());
+    let rid = heap.insert(values.iter().map(|s| s.resolve(params).clone()).collect());
     m.add_pages_written(cm, 1);
-    let ix_ids: Vec<IndexId> = ctx.catalog.indexes_on(table).map(|(id, _)| id).collect();
-    for id in ix_ids {
+    let row = heap.peek(rid).expect("row was just inserted");
+    for (id, _) in ctx.catalog.indexes_on(table) {
         if let Some(ix) = ctx.indexes.get_mut(&id) {
-            let pages = ix.insert_row(rid, &row);
+            let pages = ix.insert_row(rid, row);
             m.add_pages_written(cm, pages);
         }
     }
@@ -693,46 +641,50 @@ fn insert_one(
     Ok(())
 }
 
+/// Row ids an UPDATE / DELETE applies to, collected before anything is
+/// written (the access path may be an index the statement then modifies).
 fn find_targets(
-    ctx: &mut ExecContext<'_>,
+    ctx: &ExecContext<'_>,
     table: TableId,
     predicates: &[Predicate],
     dp: &DmlPlan,
     params: &[Value],
     m: &mut ActualMetrics,
-) -> Result<Vec<(RowId, Row)>, ExecError> {
-    let cm = ctx.cost_model;
-    // Residual is applied after the (possible) covering re-fetch below, so
-    // pass no residual into the access itself.
-    let rows = run_access(ctx, table, &dp.access, &[], &[], params, m)?;
-    // DML always needs full rows: covering sparse rows are insufficient, so
-    // re-fetch via heap when the access was covering.
-    let needs_fetch = matches!(
+) -> Result<Vec<RowId>, ExecError> {
+    let mut targets: Vec<RowId> = Vec::new();
+    let residual = Residual {
+        preds: predicates,
+        which: &dp.residual,
+        params,
+    };
+    let covering = matches!(
         dp.access,
         Access::IndexSeek { covering: true, .. } | Access::IndexScan { covering: true, .. }
     );
-    let rows = if needs_fetch {
+    if covering {
+        // DML needs full rows: re-fetch every leaf entry from the heap and
+        // apply the residual to the fetched row, not to the leaf.
         let heap = ctx
             .heaps
             .get(&table)
             .ok_or(ExecError::UnknownTable(table))?;
-        rows.into_iter()
-            .filter_map(|(rid, _)| {
-                m.add_pages_read(cm, 1);
-                heap.peek(rid).map(|r| (rid, r.clone()))
-            })
-            .collect()
+        let unfiltered = Residual {
+            which: &[],
+            ..residual
+        };
+        let mut rids: Vec<RowId> = Vec::new();
+        run_access(ctx, table, &dp.access, unfiltered, m, |rid, _| {
+            rids.push(rid)
+        })?;
+        fetch_and_filter(heap, &rids, residual, ctx.cost_model, m, |rid, _| {
+            targets.push(rid)
+        });
     } else {
-        rows
-    };
-    Ok(apply_residual(
-        rows,
-        predicates,
-        &dp.residual,
-        params,
-        cm,
-        m,
-    ))
+        run_access(ctx, table, &dp.access, residual, m, |rid, _| {
+            targets.push(rid)
+        })?;
+    }
+    Ok(targets)
 }
 
 #[cfg(test)]
@@ -817,13 +769,21 @@ mod tests {
                 indexes: &mut self.indexes,
                 cost_model: &self.cm,
             };
-            match (&plan, stmt) {
+            let mut rows = Vec::new();
+            let metrics = match (&plan, stmt) {
                 (Plan::Select(sp), Statement::Select(q)) => {
-                    execute_select(&mut ctx, q, sp, params).unwrap()
+                    execute_select(&ctx, q, sp, params, Some(&mut rows)).unwrap()
                 }
                 _ => execute_dml(&mut ctx, stmt, &plan, params).unwrap(),
-            }
+            };
+            ExecResult { rows, metrics }
         }
+    }
+
+    /// What one statement produced: its rows (SELECT) and its metrics.
+    struct ExecResult {
+        rows: Vec<Row>,
+        metrics: ActualMetrics,
     }
 
     struct EnvView<'a>(&'a World);
@@ -1135,7 +1095,7 @@ mod tests {
         // Drop the index after planning.
         w.catalog.remove_index(id).unwrap();
         w.indexes.remove(&id);
-        let mut ctx = ExecContext {
+        let ctx = ExecContext {
             catalog: &w.catalog,
             heaps: &mut w.heaps,
             indexes: &mut w.indexes,
@@ -1145,8 +1105,37 @@ mod tests {
             (Statement::Select(q), Plan::Select(sp)) => (q, sp),
             _ => panic!(),
         };
-        let err = execute_select(&mut ctx, q, sp, &[]).unwrap_err();
+        let err = execute_select(&ctx, q, sp, &[], None).unwrap_err();
         assert!(matches!(err, ExecError::MissingIndex(_)));
+    }
+
+    #[test]
+    fn join_query_under_a_joinless_plan_is_an_error_not_an_empty_result() {
+        let mut w = World::new();
+        let stmt = select_customer(7);
+        let r = optimize(&EnvView(&w), &stmt, &[]);
+        let (Statement::Select(q), Plan::Select(sp)) = (&stmt, &r.plan) else {
+            panic!("select plans as select");
+        };
+        assert!(sp.join.is_none());
+        let mut joined = q.clone();
+        joined.join = Some(crate::query::JoinSpec {
+            table: TableId(0),
+            outer_col: ColumnId(1),
+            inner_col: ColumnId(0),
+            predicates: vec![],
+            projection: vec![ColumnId(0)],
+        });
+        let ctx = ExecContext {
+            catalog: &w.catalog,
+            heaps: &mut w.heaps,
+            indexes: &mut w.indexes,
+            cost_model: &w.cm,
+        };
+        let mut rows = Vec::new();
+        let err = execute_select(&ctx, &joined, sp, &[], Some(&mut rows)).unwrap_err();
+        assert!(matches!(err, ExecError::PlanShape(_)), "{err}");
+        assert!(rows.is_empty());
     }
 
     #[test]

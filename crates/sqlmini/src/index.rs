@@ -200,14 +200,16 @@ impl SecondaryIndex {
 
     /// Seek without materializing owned [`IndexEntry`]s: `f` is called
     /// once per qualifying entry, in key order, with the entry's row id
-    /// and *borrowed* key / included values. Returns `(entries_visited,
-    /// pages_visited)`.
+    /// and *borrowed* key / included values. The slices borrow from the
+    /// index, not from the visit, so a caller may keep them after the
+    /// seek returns (the executor's covering row views do). Returns
+    /// `(entries_visited, pages_visited)`.
     ///
     /// This is the executor's hot path — the per-entry `Vec` clones of
     /// [`seek`] dominated control-pass allocation, and most callers only
     /// need a subset of the values (or just the row ids).
-    pub fn seek_visit<F: FnMut(RowId, &[Value], &[Value])>(
-        &self,
+    pub fn seek_visit<'a, F: FnMut(RowId, &'a [Value], &'a [Value])>(
+        &'a self,
         eq_prefix: &[Value],
         lo: ColBound,
         hi: ColBound,
@@ -281,7 +283,7 @@ impl SecondaryIndex {
     }
 
     /// Visitor form of [`scan_all`], mirroring [`seek_visit`].
-    pub fn scan_visit<F: FnMut(RowId, &[Value], &[Value])>(&self, f: F) -> (u64, u64) {
+    pub fn scan_visit<'a, F: FnMut(RowId, &'a [Value], &'a [Value])>(&'a self, f: F) -> (u64, u64) {
         self.seek_visit(&[], ColBound::Unbounded, ColBound::Unbounded, f)
     }
 

@@ -63,15 +63,15 @@ fn best_index_chosen_among_several() {
         Predicate::cmp(ColumnId(2), CmpOp::Eq, 2i64),
     ];
     q.projection = vec![ColumnId(0), ColumnId(3)];
-    let out = db
-        .execute(&QueryTemplate::new(Statement::Select(q), 0), &[])
+    let (out, rows) = db
+        .query(&QueryTemplate::new(Statement::Select(q), 0), &[])
         .unwrap();
     assert_eq!(*out.referenced_indexes, vec!["ix_cust_status".to_string()]);
     // Semantics: rows where i%250==9 and i%7==2.
     let expected = (0..20_000i64)
         .filter(|i| i % 250 == 9 && i % 7 == 2)
         .count();
-    assert_eq!(out.rows.len(), expected);
+    assert_eq!(rows.len(), expected);
 }
 
 #[test]

@@ -95,7 +95,7 @@ fn index_drop_bumps_fingerprint_and_forces_replan() {
         ))
         .unwrap();
     let tpl = cust_template(t);
-    let seeked = db.execute(&tpl, &[Value::Int(3)]).unwrap();
+    let (seeked, seeked_rows) = db.query(&tpl, &[Value::Int(3)]).unwrap();
     assert!(seeked.referenced_indexes.contains(&"ix_cust".to_string()));
     let fp = db.config_fingerprint(&[t]);
 
@@ -106,7 +106,7 @@ fn index_drop_bumps_fingerprint_and_forces_replan() {
         "DROP INDEX must bump the catalog fingerprint"
     );
     let invalidations = db.plan_cache_stats.invalidations;
-    let scanned = db.execute(&tpl, &[Value::Int(3)]).unwrap();
+    let (scanned, scanned_rows) = db.query(&tpl, &[Value::Int(3)]).unwrap();
     assert!(
         db.plan_cache_stats.invalidations > invalidations,
         "dropping the plan's index must invalidate the cached entry"
@@ -114,8 +114,8 @@ fn index_drop_bumps_fingerprint_and_forces_replan() {
     assert_ne!(seeked.plan_id, scanned.plan_id);
     assert!(scanned.referenced_indexes.is_empty());
     assert_eq!(
-        seeked.rows.len(),
-        scanned.rows.len(),
+        seeked_rows.len(),
+        scanned_rows.len(),
         "plan change must not change semantics"
     );
 }

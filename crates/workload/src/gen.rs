@@ -52,24 +52,26 @@ impl ColumnDist {
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    s: f64,
     /// Normalization constant H_{n,s}.
     h: f64,
+    /// `head_cdf[k]` = Σ_{j ≤ k+1} j^-s over the first `min(n, 1000)`
+    /// ranks: the partial sums of `h`, in `h`'s summation order.
+    head_cdf: Vec<f64>,
 }
 
 impl Zipf {
     pub fn new(n: u64, s: f64) -> Zipf {
         let n = n.max(1);
         let mut h = 0.0;
+        let mut head_cdf = Vec::with_capacity(n.min(1000) as usize);
         // Exact for small n; integral approximation beyond.
-        if n <= 10_000 {
-            for k in 1..=n {
-                h += 1.0 / (k as f64).powf(s);
+        for k in 1..=n.min(10_000) {
+            h += 1.0 / (k as f64).powf(s);
+            if k <= 1000 {
+                head_cdf.push(h);
             }
-        } else {
-            for k in 1..=10_000u64 {
-                h += 1.0 / (k as f64).powf(s);
-            }
+        }
+        if n > 10_000 {
             // ∫_{10000}^{n} x^-s dx
             if (s - 1.0).abs() < 1e-9 {
                 h += (n as f64 / 10_000.0).ln();
@@ -77,23 +79,34 @@ impl Zipf {
                 h += ((n as f64).powf(1.0 - s) - 10_000f64.powf(1.0 - s)) / (1.0 - s);
             }
         }
-        Zipf { n, s, h }
+        Zipf { n, h, head_cdf }
     }
 
     /// Sample a rank in `0..n` (0 = most frequent).
     pub fn sample(&self, rng: &mut StdRng) -> u64 {
         let target = rng.random::<f64>() * self.h;
-        // Walk the head exactly; tail via approximation.
-        let mut acc = 0.0;
-        let head = self.n.min(1000);
-        for k in 1..=head {
-            acc += 1.0 / (k as f64).powf(self.s);
-            if acc >= target {
-                return k - 1;
-            }
+        // The head exactly: the first rank whose cumulative weight
+        // reaches the target. Tail via approximation.
+        let head = self.head_cdf.len() as u64;
+        let rank = self.head_cdf.partition_point(|&acc| acc < target) as u64;
+        if rank < head {
+            return rank;
         }
         // Uniform over the tail (the tail is flat enough for workload use).
         head + rng.random_range(0..(self.n - head).max(1)) - 1
+    }
+}
+
+/// [`Zipf`] samplers by `(n, s)`, each built on first use: building one
+/// sums up to 10,000 powers, far more than a draw costs.
+#[derive(Debug, Clone, Default)]
+pub struct ZipfCache(std::collections::BTreeMap<(u64, u64), Zipf>);
+
+impl ZipfCache {
+    pub fn get(&mut self, n: u64, s: f64) -> &Zipf {
+        self.0
+            .entry((n, s.to_bits()))
+            .or_insert_with(|| Zipf::new(n, s))
     }
 }
 
@@ -375,6 +388,46 @@ mod tests {
             counts[99]
         );
         assert!(counts[0] > 1000);
+    }
+
+    /// The sampler as it was before the CDF table: the normalizer summed
+    /// at every draw, the head walked term by term.
+    fn uncached_sample(n: u64, s: f64, rng: &mut StdRng) -> u64 {
+        let n = n.max(1);
+        let mut h = 0.0;
+        for k in 1..=n.min(10_000) {
+            h += 1.0 / (k as f64).powf(s);
+        }
+        if n > 10_000 {
+            if (s - 1.0).abs() < 1e-9 {
+                h += (n as f64 / 10_000.0).ln();
+            } else {
+                h += ((n as f64).powf(1.0 - s) - 10_000f64.powf(1.0 - s)) / (1.0 - s);
+            }
+        }
+        let target = rng.random::<f64>() * h;
+        let mut acc = 0.0;
+        let head = n.min(1000);
+        for k in 1..=head {
+            acc += 1.0 / (k as f64).powf(s);
+            if acc >= target {
+                return k - 1;
+            }
+        }
+        head + rng.random_range(0..(n - head).max(1)) - 1
+    }
+
+    #[test]
+    fn zipf_table_draws_what_the_uncached_sampler_drew() {
+        let mut cache = ZipfCache::default();
+        for (n, s) in [(40u64, 0.8), (3_000, 1.0), (250_000, 1.3)] {
+            let mut a = StdRng::seed_from_u64(n);
+            let mut b = StdRng::seed_from_u64(n);
+            for i in 0..10_000 {
+                let got = cache.get(n, s).sample(&mut a);
+                assert_eq!(got, uncached_sample(n, s, &mut b), "draw {i} of ({n}, {s})");
+            }
+        }
     }
 
     #[test]

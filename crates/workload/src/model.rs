@@ -1,7 +1,7 @@
 //! Workload models: parameterized query templates with weights, parameter
 //! distributions, drift, and diurnal modulation.
 
-use crate::gen::{ColumnDist, ColumnSpec, TableSpec, Zipf};
+use crate::gen::{ColumnDist, ColumnSpec, TableSpec, ZipfCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlmini::clock::{Duration, Timestamp};
@@ -50,21 +50,20 @@ pub enum ParamGen {
 
 impl ParamGen {
     /// Draw a value. `prev` holds already-drawn parameters of the same
-    /// statement (for `OffsetFrom`); `fresh_pk` supplies pk counters.
+    /// statement (for `OffsetFrom`); `fresh_pk` supplies pk counters;
+    /// `zipf` keeps the caller's Zipf samplers between draws, so that
+    /// `ParamGen` itself stays plain serializable data.
     pub fn draw(
         &self,
         rng: &mut StdRng,
         prev: &[Value],
         fresh_pk: &mut dyn FnMut(TableId) -> i64,
+        zipf: &mut ZipfCache,
     ) -> Value {
         match self {
             ParamGen::UniformInt { lo, hi } => Value::Int(rng.random_range(*lo..=(*hi).max(*lo))),
             ParamGen::Zipf { cardinality, s } => {
-                // Re-creating the sampler per draw would be wasteful; the
-                // head-walk sampler is cheap enough for workload use and
-                // keeps ParamGen serializable.
-                let z = Zipf::new(*cardinality, *s);
-                Value::Int(z.sample(rng) as i64)
+                Value::Int(zipf.get(*cardinality, *s).sample(rng) as i64)
             }
             ParamGen::UniformFloat { lo, hi } => {
                 Value::Float(lo + rng.random::<f64>() * (hi - lo).max(0.0))
@@ -779,18 +778,19 @@ mod tests {
     fn param_draws_match_types() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut fresh = |_t: TableId| 42i64;
-        let v = ParamGen::UniformInt { lo: 5, hi: 10 }.draw(&mut rng, &[], &mut fresh);
+        let mut zipf = ZipfCache::default();
+        let v = ParamGen::UniformInt { lo: 5, hi: 10 }.draw(&mut rng, &[], &mut fresh, &mut zipf);
         assert!(matches!(v, Value::Int(i) if (5..=10).contains(&i)));
-        let v = ParamGen::Category { n: 3 }.draw(&mut rng, &[], &mut fresh);
+        let v = ParamGen::Category { n: 3 }.draw(&mut rng, &[], &mut fresh, &mut zipf);
         assert!(matches!(v, Value::Str(_)));
-        let v = ParamGen::FreshPk { table: TableId(0) }.draw(&mut rng, &[], &mut fresh);
+        let v = ParamGen::FreshPk { table: TableId(0) }.draw(&mut rng, &[], &mut fresh, &mut zipf);
         assert_eq!(v, Value::Int(42));
         let prev = vec![Value::Float(10.0)];
         let v = ParamGen::OffsetFrom {
             param: 0,
             delta: 5.0,
         }
-        .draw(&mut rng, &prev, &mut fresh);
+        .draw(&mut rng, &prev, &mut fresh, &mut zipf);
         assert_eq!(v, Value::Float(15.0));
     }
 

@@ -2,6 +2,7 @@
 //! advancing the simulated clock, and optionally records a trace that can
 //! be replayed against a B-instance (the TDS-fork analogue, §7.1).
 
+use crate::gen::ZipfCache;
 use crate::model::{TemplateKind, WorkloadModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -52,6 +53,7 @@ pub struct Trace {
 pub struct WorkloadRunner {
     rng: StdRng,
     next_pk: BTreeMap<TableId, i64>,
+    zipf: ZipfCache,
 }
 
 impl WorkloadRunner {
@@ -59,6 +61,7 @@ impl WorkloadRunner {
         WorkloadRunner {
             rng: StdRng::seed_from_u64(seed ^ 0x52554e),
             next_pk: BTreeMap::new(),
+            zipf: ZipfCache::default(),
         }
     }
 
@@ -82,7 +85,7 @@ impl WorkloadRunner {
                 *c += 1;
                 v
             };
-            let v = g.draw(&mut self.rng, &params, &mut fresh);
+            let v = g.draw(&mut self.rng, &params, &mut fresh, &mut self.zipf);
             params.push(v);
         }
         params

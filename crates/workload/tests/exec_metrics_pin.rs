@@ -74,3 +74,53 @@ fn replayed_statement_metrics_are_pinned_bit_for_bit() {
     assert_eq!(trace.events.len(), 1369, "statement count");
     assert_eq!(hash, 0xee7e_b3b6_3b61_b6c0, "metrics hash {hash:#018x}");
 }
+
+/// `Database::execute` (count only) and `Database::query` (rows too) are
+/// one kernel: over the same trace, two clones of one database end up
+/// indistinguishable in everything the control plane can observe.
+#[test]
+fn execute_and_query_leave_identical_databases() {
+    use sqlmini::querystore::Metric;
+
+    let trace = recorded_trace();
+    let tenant = pinned_tenant();
+    let (mut counted, mut queried) = (tenant.db.clone(), tenant.db.clone());
+    counted.detach_clock();
+    queried.detach_clock();
+    let start = counted.clock().now();
+    let mut rows_built = 0u64;
+    for event in &trace.events {
+        let spec = &tenant.model.templates[event.template_index];
+        counted.clock().advance_to(event.at);
+        queried.clock().advance_to(event.at);
+        let a = counted.execute(&spec.template, &event.params).unwrap();
+        let (b, rows) = queried.query(&spec.template, &event.params).unwrap();
+        assert_eq!(a.metrics.cpu_us.to_bits(), b.metrics.cpu_us.to_bits());
+        assert_eq!(a.metrics, b.metrics);
+        assert_eq!(a.duration_us.to_bits(), b.duration_us.to_bits());
+        assert_eq!((a.query_id, a.plan_id), (b.query_id, b.plan_id));
+        if !spec.kind.is_write() {
+            assert_eq!(rows.len() as u64, b.metrics.rows_returned);
+        }
+        rows_built += rows.len() as u64;
+    }
+    assert!(rows_built > 0, "query never returned a row");
+
+    let end = counted.clock().now();
+    for metric in [Metric::CpuTime, Metric::LogicalReads, Metric::Duration] {
+        let a = counted.query_store().total_resources(metric, start, end);
+        let b = queried.query_store().total_resources(metric, start, end);
+        assert_eq!(a.to_bits(), b.to_bits(), "{metric:?}");
+    }
+    assert_eq!(
+        counted.total_cpu_us.to_bits(),
+        queried.total_cpu_us.to_bits()
+    );
+    assert_eq!(counted.storage_bytes(), queried.storage_bytes());
+    assert_eq!(counted.mi_dmv().snapshot(), queried.mi_dmv().snapshot());
+    let usage = |db: &sqlmini::engine::Database| -> Vec<_> {
+        db.usage_dmv().all().map(|(id, u)| (id, *u)).collect()
+    };
+    assert_eq!(usage(&counted), usage(&queried));
+    assert!(!usage(&counted).is_empty());
+}

@@ -144,8 +144,8 @@ proptest! {
         q.predicates = vec![Predicate::cmp(ColumnId(p1_col), p1_op, p1_val)];
         q.projection = vec![ColumnId(0)];
         let tpl = QueryTemplate::new(Statement::Select(q), 0);
-        let out = db.execute(&tpl, &[]).unwrap();
-        let mut got: Vec<i64> = out.rows.iter().map(|r| r[0].as_f64() as i64).collect();
+        let (_, out) = db.query(&tpl, &[]).unwrap();
+        let mut got: Vec<i64> = out.iter().map(|r| r[0].as_f64() as i64).collect();
         got.sort_unstable();
         let mut want: Vec<i64> = rows
             .iter()

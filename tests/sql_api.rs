@@ -64,11 +64,11 @@ fn select_dml_roundtrip_through_sql() {
         "SELECT id, total FROM orders WHERE customer_id = 7 AND status = 'open'",
     )
     .unwrap();
-    let out = db.execute(&q, &[]).unwrap();
+    let (_, rows) = db.query(&q, &[]).unwrap();
     let expected = (0..10_000i64)
         .filter(|i| i % 200 == 7 && i % 3 == 0)
         .count();
-    assert_eq!(out.rows.len(), expected);
+    assert_eq!(rows.len(), expected);
 
     // UPDATE then verify through SQL again.
     let upd = parse_template(
@@ -78,8 +78,8 @@ fn select_dml_roundtrip_through_sql() {
     .unwrap();
     let res = db.execute(&upd, &[]).unwrap();
     assert_eq!(res.metrics.rows_returned, 50);
-    let after = db.execute(&q, &[]).unwrap();
-    assert!(after.rows.is_empty());
+    let (_, after) = db.query(&q, &[]).unwrap();
+    assert!(after.is_empty());
 
     // DELETE everything for one customer.
     let del = parse_template(db.catalog(), "DELETE FROM orders WHERE customer_id = 7").unwrap();
@@ -97,9 +97,9 @@ fn join_group_order_through_sql() {
          WHERE customers.region = 'region_1' ORDER BY id ASC LIMIT 20",
     )
     .unwrap();
-    let out = db.execute(&q, &[]).unwrap();
-    assert_eq!(out.rows.len(), 20);
-    for row in &out.rows {
+    let (_, rows) = db.query(&q, &[]).unwrap();
+    assert_eq!(rows.len(), 20);
+    for row in &rows {
         assert_eq!(row[1], Value::Str("region_1".into()));
     }
     let agg = parse_template(
@@ -107,8 +107,8 @@ fn join_group_order_through_sql() {
         "SELECT status, COUNT(id), SUM(total) FROM orders GROUP BY status",
     )
     .unwrap();
-    let out = db.execute(&agg, &[]).unwrap();
-    assert_eq!(out.rows.len(), 2); // open, done
+    let (_, groups) = db.query(&agg, &[]).unwrap();
+    assert_eq!(groups.len(), 2); // open, done
 }
 
 #[test]
