@@ -1,4 +1,6 @@
-//! Shared helpers for the benchmark / figure-regeneration harnesses.
+//! Shared helpers for the figure/table harnesses, the examples and the
+//! cross-crate tests. Nothing here times anything: measurements live in
+//! `benchmark/`.
 
 use sqlmini::engine::ServiceTier;
 use std::collections::BTreeMap;
@@ -101,8 +103,8 @@ pub fn harness_tenant(name: String, seed: u64, tier: ServiceTier) -> TenantConfi
     cfg
 }
 
-/// A mostly-idle fleet for scheduler benchmarks and million-tenant
-/// region runs, as a lazily-hydratable [`FleetSpec`]: `active_pct` of
+/// A mostly-idle fleet for scheduler tests and million-tenant region
+/// runs, as a lazily-hydratable [`FleetSpec`]: `active_pct` of
 /// the tenants run the Basic-tier harness workload; the rest are
 /// *provably* idle — no statements, no user indexes (so the drop
 /// analyzer finds nothing and no validation window ever opens), a
@@ -182,8 +184,8 @@ impl FleetSpec for SparseFleetSpec {
     }
 }
 
-/// Eagerly materialize a [`SparseFleetSpec`] — the historical interface,
-/// kept for the scheduler benches that want the whole fleet resident.
+/// Eagerly materialize a [`SparseFleetSpec`], for unsharded
+/// `FleetDriver::run` callers that want the whole fleet resident.
 pub fn sparse_fleet(n: usize, active_pct: f64, seed: u64) -> Vec<Tenant> {
     SparseFleetSpec::new(n, active_pct, seed).materialize()
 }
@@ -193,19 +195,6 @@ pub fn render_share(label: &str, pct: f64, width: usize) -> String {
     let filled = ((pct / 100.0) * width as f64).round() as usize;
     let bar: String = "#".repeat(filled.min(width));
     format!("{label:>12} {pct:5.1}%  {bar}")
-}
-
-/// Format bytes human-readably.
-pub fn fmt_bytes(b: u64) -> String {
-    if b >= 1 << 30 {
-        format!("{:.1} GiB", b as f64 / (1u64 << 30) as f64)
-    } else if b >= 1 << 20 {
-        format!("{:.1} MiB", b as f64 / (1u64 << 20) as f64)
-    } else if b >= 1 << 10 {
-        format!("{:.1} KiB", b as f64 / (1u64 << 10) as f64)
-    } else {
-        format!("{b} B")
-    }
 }
 
 #[cfg(test)]
@@ -230,12 +219,5 @@ mod tests {
         let s = render_share("DTA", 50.0, 20);
         assert!(s.contains("50.0%"));
         assert!(s.contains("##########"));
-    }
-
-    #[test]
-    fn bytes_formatting() {
-        assert_eq!(fmt_bytes(512), "512 B");
-        assert_eq!(fmt_bytes(2048), "2.0 KiB");
-        assert_eq!(fmt_bytes(3 << 20), "3.0 MiB");
     }
 }

@@ -5,12 +5,7 @@
 //! inspect a recommendation's details, apply one manually, and read the
 //! full history of automated actions with before/after execution costs.
 
-use crate::coordinator::RegionReport;
-use crate::fleet_driver::scheduler_annotated;
-use crate::flight::FlightReport;
-use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb};
-use crate::region::{DashboardSnapshot, GlobalDashboard};
 use crate::state::{DbSettings, RecoId, RecoState, Setting};
 use autoindex::RecoAction;
 use sqlmini::clock::Timestamp;
@@ -274,110 +269,6 @@ impl ManagementApi {
 
 /// Convenience re-export of the source enum for API consumers.
 pub use autoindex::RecoSource as RecommendationSource;
-
-/// The management front over a *sharded* region: aggregates per-shard
-/// rows from [`RegionReport`]s and flight verdicts into the existing
-/// [`GlobalDashboard`], and renders the §8.1 ops table — bit-identical
-/// to what the unsharded oracle's
-/// [`dashboard_with_scheduler`](crate::fleet_driver::FleetReport::dashboard_with_scheduler)
-/// (plus [`FlightReport::annotate`]) would produce, because both paths
-/// roll up the same merged registries through the same builders.
-#[derive(Debug, Default)]
-pub struct RegionFront {
-    global: GlobalDashboard,
-    /// Driver bookkeeping (scheduler/plan-cache/journal), merged across
-    /// ingested regions — kept out of the canonical registry, as in the
-    /// fleet driver.
-    scheduler: MetricsRegistry,
-    /// Longest simulated horizon ingested.
-    sim_millis: u64,
-    /// Last ingested flight block, if any.
-    flight: Option<FlightBlock>,
-}
-
-#[derive(Debug, Clone)]
-struct FlightBlock {
-    cohort: u64,
-    improved: u64,
-    regressed: u64,
-    washed: u64,
-    discarded: u64,
-    verdict: &'static str,
-}
-
-impl RegionFront {
-    pub fn new() -> RegionFront {
-        RegionFront::default()
-    }
-
-    /// Ingest one sharded region run: each shard's counters become a
-    /// dashboard row named `{region}/shard{NN}`, the region's merged
-    /// canonical metrics fold in once, and the scheduler registry
-    /// accumulates separately.
-    pub fn ingest_region(&mut self, region_name: &str, report: &RegionReport) {
-        for shard in &report.per_shard {
-            self.global.ingest_shard(
-                format!("{region_name}/shard{:02}", shard.shard),
-                &shard.counters,
-                None,
-            );
-        }
-        self.global.merge_metrics(&report.metrics);
-        self.scheduler.merge(&report.scheduler_metrics);
-        self.sim_millis = self.sim_millis.max(report.sim_time.millis());
-    }
-
-    /// Ingest a flight's verdict block (the most recent one renders).
-    pub fn ingest_flight(&mut self, report: &FlightReport) {
-        self.flight = Some(FlightBlock {
-            cohort: report.record.cohort.len() as u64,
-            improved: report.improved,
-            regressed: report.regressed,
-            washed: report.washed,
-            discarded: report.discarded,
-            verdict: report.verdict_label(),
-        });
-    }
-
-    /// Cross-shard merged event count.
-    pub fn global_count(&self, kind: crate::telemetry::EventKind) -> u64 {
-        self.global.global_count(kind)
-    }
-
-    /// Shards whose revert rate exceeds `threshold`.
-    pub fn anomalous_shards(&self, threshold: f64) -> Vec<(String, f64)> {
-        self.global.anomalous_regions(threshold)
-    }
-
-    /// The §8.1 ops table over everything ingested: merged canonical
-    /// metrics, scheduler/plan-cache/journal annotation, and the flight
-    /// block when one was ingested.
-    pub fn dashboard(&self) -> DashboardSnapshot {
-        let dash = scheduler_annotated(
-            self.global
-                .snapshot(sqlmini::clock::Duration::from_millis(self.sim_millis)),
-            &self.scheduler,
-        );
-        match &self.flight {
-            None => dash,
-            Some(f) => dash.with_flight(
-                f.cohort,
-                f.improved,
-                f.regressed,
-                f.washed,
-                f.discarded,
-                f.verdict,
-            ),
-        }
-    }
-
-    /// Render the global summary plus the ops table.
-    pub fn render(&self) -> String {
-        let mut out = self.global.render();
-        out.push_str(&self.dashboard().render());
-        out
-    }
-}
 
 #[cfg(test)]
 mod tests {

@@ -83,8 +83,8 @@ impl Default for RegionConfig {
     }
 }
 
-/// Per-shard aggregate row for the management surface (the
-/// [`crate::api::RegionFront`] ingests these as dashboard rows).
+/// Per-shard aggregate row for the management surface (its counters
+/// are what [`crate::region::GlobalDashboard::ingest_shard`] takes).
 #[derive(Debug, Clone)]
 pub struct ShardSummary {
     pub shard: usize,

@@ -96,12 +96,6 @@ impl FaultInjector {
         f
     }
 
-    /// Set probabilities for one point.
-    pub fn set_probability(&mut self, point: FaultPoint, transient: f64, fatal: f64) {
-        self.transient_prob.insert(point, transient);
-        self.fatal_prob.insert(point, fatal);
-    }
-
     /// Script the next `n` calls at `point` to fail with `kind`.
     /// Chainable: a second script on the same point queues up *after*
     /// any batches already pending rather than overwriting them, so a

@@ -550,7 +550,7 @@ impl FleetReport {
         fnv1a64_extend(h, counters_line(&self.telemetry).as_bytes())
     }
 
-    /// Tenant-ticks per wall-clock second — the bench's throughput metric.
+    /// Tenant-ticks per wall-clock second.
     pub fn throughput(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs <= 0.0 {
@@ -1126,7 +1126,7 @@ mod tests {
         // Clones share SimClocks; the driver must detach them so a
         // fleet can be cloned, driven, and the original driven again
         // with byte-identical results (what every serial-vs-parallel
-        // bench does).
+        // comparison does).
         let driver = FleetDriver::new(FleetDriverConfig {
             policy: small_policy(),
             ..FleetDriverConfig::default()

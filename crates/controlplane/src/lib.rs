@@ -25,7 +25,7 @@ pub mod store;
 pub mod telemetry;
 pub mod trace;
 
-pub use api::{ManagementApi, RegionFront};
+pub use api::ManagementApi;
 pub use coordinator::{
     RegionConfig, RegionCoordinator, RegionReport, ShardConcurrency, ShardSummary,
 };

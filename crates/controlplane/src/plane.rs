@@ -177,28 +177,6 @@ impl Default for PlanePolicy {
     }
 }
 
-impl PlanePolicy {
-    /// Builder-style override of the recommender source — the typical
-    /// knob a policy flight varies (e.g. MI-only control vs DTA-only
-    /// candidate).
-    pub fn with_recommender(mut self, recommender: RecommenderPolicy) -> PlanePolicy {
-        self.recommender = recommender;
-        self
-    }
-
-    /// Builder-style override of the analysis cadence.
-    pub fn with_analysis_interval(mut self, interval: Duration) -> PlanePolicy {
-        self.analysis_interval = interval;
-        self
-    }
-
-    /// Builder-style override of the validation minimum wait.
-    pub fn with_validation_min_wait(mut self, wait: Duration) -> PlanePolicy {
-        self.validation_min_wait = wait;
-        self
-    }
-}
-
 /// Short metric-name segment for a recommendation action.
 pub(crate) fn action_kind(action: &RecoAction) -> &'static str {
     match action {

@@ -467,11 +467,7 @@ pub struct GlobalDashboard {
 
 impl GlobalDashboard {
     pub fn new() -> GlobalDashboard {
-        GlobalDashboard {
-            merged: Telemetry::new(),
-            metrics: MetricsRegistry::new(),
-            per_region: BTreeMap::new(),
-        }
+        GlobalDashboard::default()
     }
 
     /// Ingest one aggregate row — a region's exported counters, or one
@@ -492,22 +488,9 @@ impl GlobalDashboard {
         self.per_region.insert(name.into(), counters.clone());
     }
 
-    /// Merge a registry into the global metrics without adding a
-    /// dashboard row (region-level metrics for sharded runs, where the
-    /// per-shard rows arrive via [`GlobalDashboard::ingest_shard`] with
-    /// counters only).
-    pub fn merge_metrics(&mut self, metrics: &MetricsRegistry) {
-        self.metrics.merge(metrics);
-    }
-
     /// Cross-region merged metrics.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Roll the merged metrics into the §8.1 ops table.
-    pub fn snapshot(&self, sim_time: Duration) -> DashboardSnapshot {
-        DashboardSnapshot::from_metrics(&self.metrics, sim_time)
     }
 
     pub fn global_count(&self, kind: EventKind) -> u64 {

@@ -95,7 +95,7 @@ pub struct Incident {
 }
 
 /// The telemetry sink.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Telemetry {
     counters: BTreeMap<EventKind, u64>,
     events: Vec<Event>,
@@ -104,12 +104,22 @@ pub struct Telemetry {
     retain_events: usize,
 }
 
+/// Hand-written: a derived default would cap retention at zero, and
+/// `emit` would drop every event it had just pushed.
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry {
+            counters: BTreeMap::new(),
+            events: Vec::new(),
+            incidents: Vec::new(),
+            retain_events: 100_000,
+        }
+    }
+}
+
 impl Telemetry {
     pub fn new() -> Telemetry {
-        Telemetry {
-            retain_events: 100_000,
-            ..Telemetry::default()
-        }
+        Telemetry::default()
     }
 
     pub fn emit(&mut self, kind: EventKind, db: &str, detail: impl Into<String>, at: Timestamp) {
@@ -229,6 +239,20 @@ mod tests {
         assert_eq!(t.count(EventKind::ImplementSucceeded), 2);
         assert_eq!(t.events().len(), 3);
         assert!((t.revert_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn default_retains_events_like_new() {
+        let (mut d, mut n) = (Telemetry::default(), Telemetry::new());
+        for t in [&mut d, &mut n] {
+            t.emit(EventKind::AnalysisStarted, "db", "", Timestamp(1));
+            t.incident("db", "oops", Timestamp(2));
+        }
+        assert_eq!(d.events().len(), 2, "default() must not forget events");
+        assert_eq!(d.events(), n.events());
+        assert_eq!(d.incidents(), n.incidents());
+        assert_eq!(d.counters(), n.counters());
+        assert_eq!(d.retain_events, n.retain_events);
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl Tracer {
         &self.roots
     }
 
-    /// Drain the completed roots (export-and-reset).
-    pub fn take_roots(&mut self) -> Vec<Span> {
-        std::mem::take(&mut self.roots)
-    }
-
     /// JSON export of the completed span trees.
     pub fn export_json(&self) -> String {
         serde_json::to_string_pretty(&self.roots).expect("spans serialize")

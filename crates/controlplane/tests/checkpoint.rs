@@ -12,9 +12,14 @@
 //! fleet driver; these properties attack the store layer directly with
 //! far weirder interleavings than a fleet run produces.
 
-use controlplane::{NextDue, RecoId, RecoState, StateStore, WakeSchedule};
+use controlplane::{
+    CompactionPolicy, ControlPlane, DbSettings, ManagedDb, NextDue, PlanePolicy, RecoId, RecoState,
+    ServerSettings, StateStore, WakeSchedule,
+};
 use proptest::prelude::*;
-use sqlmini::clock::Timestamp;
+use sqlmini::clock::{Duration, Timestamp};
+use sqlmini::engine::ServiceTier;
+use workload::fleet::{generate_tenant, TenantConfig};
 
 const DBS: [&str; 3] = ["prop_a", "prop_b", "prop_c"];
 
@@ -238,5 +243,100 @@ proptest! {
         prop_assert_eq!(second.corrupt_mid, 0);
         prop_assert!(!second.torn_tail);
         prop_assert_eq!(fingerprint(&compacted), fingerprint(&plain));
+    }
+}
+
+/// A fixed frame trigger (no garbage-ratio scaling), so a compacted
+/// journal's frame count has a static bound independent of run length.
+const MIN_FRAMES: usize = 32;
+
+/// One seeded Basic tenant under real statement traffic and real
+/// control-plane ticks, journaling under `journal`.
+fn drive_tenant(ticks: u32, journal: CompactionPolicy) -> (ControlPlane, String) {
+    let mut cfg = TenantConfig::new("ckpt00", 42, ServiceTier::Basic);
+    cfg.schema.min_tables = 1;
+    cfg.schema.max_tables = 2;
+    cfg.schema.min_rows = 1_000;
+    cfg.schema.max_rows = 3_000;
+    cfg.workload.base_rate_per_hour = 120.0;
+    let t = generate_tenant(&cfg);
+    let (model, mut runner) = (t.model, t.runner);
+    let mut mdb = ManagedDb::new(t.db, DbSettings::all_on(), ServerSettings::default());
+    let mut plane = ControlPlane::new(PlanePolicy {
+        analysis_interval: Duration::from_hours(2),
+        validation_min_wait: Duration::from_hours(1),
+        journal,
+        ..PlanePolicy::default()
+    });
+    for _ in 0..ticks {
+        runner.run_slice_into(
+            &mut mdb.db,
+            &model,
+            Duration::from_hours(1),
+            &mut Default::default(),
+        );
+        plane.tick(&mut mdb);
+    }
+    (plane, mdb.db.name.clone())
+}
+
+/// The store-level properties above churn synthetic schedules; this is
+/// the same contract on the journal a live control plane writes: however
+/// long the tenant has lived, a compacted journal holds — and recovery
+/// reads — at most two checkpoints plus one compaction interval.
+#[test]
+fn live_plane_journal_and_recovery_are_bounded_under_compaction() {
+    let policy = |enabled| CompactionPolicy {
+        enabled,
+        min_frames: MIN_FRAMES,
+        garbage_ratio: 0.0,
+    };
+    let frame_cap = 2 * MIN_FRAMES + 4;
+    let (plain, _) = drive_tenant(320, policy(false));
+    let (compacted, db) = drive_tenant(320, policy(true));
+
+    // Checkpointing changes what the journal looks like, never what the
+    // control plane does.
+    assert_eq!(
+        compacted.store.journal_writes(),
+        plain.store.journal_writes()
+    );
+    assert!(
+        plain.store.journal_len() > 2 * frame_cap,
+        "the run must be long enough to tell bounded from unbounded: {} frames",
+        plain.store.journal_len()
+    );
+    let written = compacted.store.checkpoint_stats().checkpoints_written;
+    assert!(written >= 3, "only {written} checkpoints written");
+    assert!(
+        compacted.store.journal_len() <= frame_cap,
+        "{} frames retained, cap {frame_cap}",
+        compacted.store.journal_len()
+    );
+
+    for (plane, checkpointed) in [(&plain, false), (&compacted, true)] {
+        let live = &plane.store;
+        let (recovered, report) = StateStore::recovered_from(live.journal_lines().to_vec());
+        assert!(
+            !report.torn_tail && report.corrupt_mid == 0,
+            "clean journal"
+        );
+        assert!(
+            report.reparked.is_empty(),
+            "a tick boundary has nothing mid-flight"
+        );
+        assert_eq!(report.checkpoint_used, checkpointed);
+        if checkpointed {
+            assert!(
+                report.frame_reads <= frame_cap,
+                "recovery read {} frames, cap {frame_cap}",
+                report.frame_reads
+            );
+        } else {
+            assert_eq!(report.frame_reads, live.journal_len());
+        }
+        assert_eq!(recovered.count_by_state(), live.count_by_state());
+        assert_eq!(recovered.schedule(&db), live.schedule(&db));
+        assert_eq!(recovered.journal_writes(), live.journal_writes());
     }
 }

@@ -14,8 +14,8 @@
 //! fingerprint is [`WhatIfSession::config_fingerprint`] restricted to the
 //! statement's [`tables_touched`]. Because the key captures everything
 //! the estimate depends on, a cached session's results are byte-identical
-//! to an uncached one — the invariant `dta_bench` and the equivalence
-//! proptest pin.
+//! to an uncached one — the invariant the equivalence proptest
+//! (`tests/dta_cache.rs`) pins.
 //!
 //! [`WhatIfSession::config_fingerprint`]: sqlmini::engine::WhatIfSession::config_fingerprint
 //! [`tables_touched`]: sqlmini::query::Statement::tables_touched

@@ -10,7 +10,6 @@
 use autoindex::stats::student_t_cdf;
 use sqlmini::clock::Timestamp;
 use sqlmini::engine::Database;
-use sqlmini::query::QueryId;
 use sqlmini::querystore::Metric;
 
 /// A workload-cost estimate over one phase: the fixed-count weighted
@@ -100,26 +99,6 @@ pub fn pool_samples(samples: &[CostSample]) -> CostSample {
         df,
         queries,
     }
-}
-
-/// Per-query CPU means over a window (used for the ">2× improved queries"
-/// operational statistic).
-pub fn per_query_cpu_means(
-    db: &Database,
-    window: (Timestamp, Timestamp),
-) -> Vec<(QueryId, f64, u64)> {
-    let qs = db.query_store();
-    qs.known_queries()
-        .filter_map(|(qid, _)| {
-            let agg = qs.query_stats(qid, window.0, window.1);
-            let m = agg.metric(Metric::CpuTime);
-            if m.count > 0 {
-                Some((qid, m.mean(), m.count))
-            } else {
-                None
-            }
-        })
-        .collect()
 }
 
 /// Welch-style comparison of two workload-cost samples.

@@ -58,14 +58,6 @@ impl ResumableBuild {
         self.phase
     }
 
-    pub fn progress_fraction(&self, total_rows: u64) -> f64 {
-        if total_rows == 0 {
-            1.0
-        } else {
-            (self.rows_done as f64 / total_rows as f64).min(1.0)
-        }
-    }
-
     /// Pause the build (resource pressure / failure). Progress is kept.
     pub fn pause(&mut self) {
         if self.phase == BuildPhase::InProgress {

@@ -89,19 +89,6 @@ impl Catalog {
         self.indexes.get(&id).ok_or(CatalogError::UnknownIndex(id))
     }
 
-    pub fn index_mut(&mut self, id: IndexId) -> Result<&mut IndexDef, CatalogError> {
-        self.indexes
-            .get_mut(&id)
-            .ok_or(CatalogError::UnknownIndex(id))
-    }
-
-    pub fn index_by_name(&self, name: &str) -> Option<(IndexId, &IndexDef)> {
-        self.indexes
-            .iter()
-            .find(|(_, i)| i.name == name)
-            .map(|(id, i)| (*id, i))
-    }
-
     pub fn remove_index(&mut self, id: IndexId) -> Result<IndexDef, CatalogError> {
         self.indexes
             .remove(&id)

@@ -818,17 +818,6 @@ impl Database {
         let _ = affected_rows;
     }
 
-    /// Record index maintenance in the usage DMV (invoked internally; also
-    /// public for tests).
-    pub fn note_maintenance(&mut self, table: TableId, affected_rows: u64) {
-        let ids: Vec<IndexId> = self.catalog.indexes_on(table).map(|(id, _)| id).collect();
-        for id in ids {
-            for _ in 0..affected_rows {
-                self.usage_dmv.note_update(id);
-            }
-        }
-    }
-
     fn lognormal(&mut self, sigma: f64) -> f64 {
         if sigma <= 0.0 {
             return 1.0;

@@ -8,7 +8,6 @@
 
 use crate::catalog::Catalog;
 use crate::plan::{Access, AggStrategy, JoinStrategy, Plan, SelectPlan};
-use crate::schema::TableId;
 use std::fmt::Write;
 
 /// Render a plan as an indented operator tree.
@@ -141,20 +140,12 @@ fn pad(depth: usize) -> String {
     "  ".repeat(depth) + "-> "
 }
 
-/// Name of a table for display (falls back to the id).
-pub fn table_name(catalog: &Catalog, t: TableId) -> String {
-    catalog
-        .table(t)
-        .map(|d| d.name.clone())
-        .unwrap_or_else(|_| t.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::optimizer::{optimize, CostModel, IndexGeom, PlannerEnv};
     use crate::query::{CmpOp, Predicate, SelectQuery, Statement};
-    use crate::schema::{ColumnDef, ColumnId, IndexDef, TableDef};
+    use crate::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
     use crate::stats::TableStats;
     use crate::types::{Row, Value, ValueType};
 

@@ -63,10 +63,6 @@ impl MetricAgg {
         let n = self.count as f64;
         ((self.sum_sq - self.sum * self.sum / n) / (n - 1.0)).max(0.0)
     }
-
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
 }
 
 /// Aggregated execution statistics for one (query, plan) in one interval.

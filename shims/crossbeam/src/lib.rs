@@ -1,236 +1,9 @@
-//! Offline shim for `crossbeam` (see `shims/README.md`).
-//!
-//! Provides the work-stealing deque API (`deque::{Worker, Stealer,
-//! Injector, Steal}`) and scoped threads (`thread::scope`, re-exported
-//! from std, which stabilized scoped threads in 1.63). The deques here
-//! are mutex-backed rather than lock-free: semantics match crossbeam
-//! (owner pops LIFO-or-FIFO from its end, thieves steal from the
-//! opposite end), and at whole-tenant task granularity the mutex is
-//! nowhere near the critical path.
-
-pub mod deque {
-    use std::collections::VecDeque;
-    use std::sync::{Arc, Mutex};
-
-    /// Result of a steal attempt.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum Steal<T> {
-        Empty,
-        Success(T),
-        Retry,
-    }
-
-    impl<T> Steal<T> {
-        pub fn success(self) -> Option<T> {
-            match self {
-                Steal::Success(t) => Some(t),
-                _ => None,
-            }
-        }
-
-        pub fn is_empty(&self) -> bool {
-            matches!(self, Steal::Empty)
-        }
-    }
-
-    /// A deque owned by one worker thread; other threads steal through
-    /// [`Stealer`] handles.
-    pub struct Worker<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-        fifo: bool,
-    }
-
-    impl<T> Worker<T> {
-        pub fn new_fifo() -> Worker<T> {
-            Worker {
-                inner: Arc::new(Mutex::new(VecDeque::new())),
-                fifo: true,
-            }
-        }
-
-        pub fn new_lifo() -> Worker<T> {
-            Worker {
-                inner: Arc::new(Mutex::new(VecDeque::new())),
-                fifo: false,
-            }
-        }
-
-        pub fn push(&self, task: T) {
-            self.inner.lock().unwrap().push_back(task);
-        }
-
-        /// Pop from the owner's end: front for FIFO, back for LIFO.
-        pub fn pop(&self) -> Option<T> {
-            let mut q = self.inner.lock().unwrap();
-            if self.fifo {
-                q.pop_front()
-            } else {
-                q.pop_back()
-            }
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.inner.lock().unwrap().is_empty()
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap().len()
-        }
-
-        pub fn stealer(&self) -> Stealer<T> {
-            Stealer {
-                inner: Arc::clone(&self.inner),
-                owner_fifo: self.fifo,
-            }
-        }
-    }
-
-    /// Shareable handle that steals from the end opposite the owner.
-    pub struct Stealer<T> {
-        inner: Arc<Mutex<VecDeque<T>>>,
-        owner_fifo: bool,
-    }
-
-    impl<T> Clone for Stealer<T> {
-        fn clone(&self) -> Stealer<T> {
-            Stealer {
-                inner: Arc::clone(&self.inner),
-                owner_fifo: self.owner_fifo,
-            }
-        }
-    }
-
-    impl<T> Stealer<T> {
-        pub fn steal(&self) -> Steal<T> {
-            let mut q = self.inner.lock().unwrap();
-            let stolen = if self.owner_fifo {
-                q.pop_back()
-            } else {
-                q.pop_front()
-            };
-            match stolen {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.inner.lock().unwrap().is_empty()
-        }
-    }
-
-    /// A global FIFO queue all workers can push to and steal from.
-    pub struct Injector<T> {
-        inner: Mutex<VecDeque<T>>,
-    }
-
-    impl<T> Default for Injector<T> {
-        fn default() -> Injector<T> {
-            Injector::new()
-        }
-    }
-
-    impl<T> Injector<T> {
-        pub fn new() -> Injector<T> {
-            Injector {
-                inner: Mutex::new(VecDeque::new()),
-            }
-        }
-
-        pub fn push(&self, task: T) {
-            self.inner.lock().unwrap().push_back(task);
-        }
-
-        pub fn steal(&self) -> Steal<T> {
-            match self.inner.lock().unwrap().pop_front() {
-                Some(t) => Steal::Success(t),
-                None => Steal::Empty,
-            }
-        }
-
-        /// Move up to half the queue into `dest`, returning one task.
-        pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-            let mut q = self.inner.lock().unwrap();
-            let first = match q.pop_front() {
-                Some(t) => t,
-                None => return Steal::Empty,
-            };
-            let batch = q.len() / 2;
-            for _ in 0..batch {
-                if let Some(t) = q.pop_front() {
-                    dest.push(t);
-                }
-            }
-            Steal::Success(first)
-        }
-
-        pub fn is_empty(&self) -> bool {
-            self.inner.lock().unwrap().is_empty()
-        }
-
-        pub fn len(&self) -> usize {
-            self.inner.lock().unwrap().len()
-        }
-    }
-}
+//! Offline shim for `crossbeam` (see `shims/README.md`): scoped threads
+//! only, which is all `controlplane::pool` imports.
 
 pub mod thread {
     //! Scoped threads. std's stabilized scope API (Rust 1.63+) covers
     //! everything this workspace needs; deviation from crossbeam: the
     //! closure result is returned directly, not wrapped in a Result.
     pub use std::thread::{scope, Scope, ScopedJoinHandle};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::deque::{Injector, Steal, Worker};
-
-    #[test]
-    fn owner_pops_fifo_thief_steals_back() {
-        let w = Worker::new_fifo();
-        let s = w.stealer();
-        w.push(1);
-        w.push(2);
-        w.push(3);
-        assert_eq!(w.pop(), Some(1));
-        assert_eq!(s.steal(), Steal::Success(3));
-        assert_eq!(w.pop(), Some(2));
-        assert_eq!(s.steal(), Steal::Empty);
-    }
-
-    #[test]
-    fn injector_batch_steal() {
-        let inj = Injector::new();
-        for i in 0..10 {
-            inj.push(i);
-        }
-        let w = Worker::new_fifo();
-        assert_eq!(inj.steal_batch_and_pop(&w), Steal::Success(0));
-        // Half of the remaining 9 moved over.
-        assert_eq!(w.len(), 4);
-        assert_eq!(inj.len(), 5);
-    }
-
-    #[test]
-    fn concurrent_drain_loses_nothing() {
-        let inj = Injector::new();
-        for i in 0..1000u64 {
-            inj.push(i);
-        }
-        let total: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut sum = 0;
-                        while let Steal::Success(x) = inj.steal() {
-                            sum += x;
-                        }
-                        sum
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        });
-        assert_eq!(total, (0..1000).sum());
-    }
 }

@@ -9,7 +9,11 @@
 //! state byte-identical to serial).
 
 use autoindex::validator::ValidatorConfig;
-use controlplane::{EventKind, FleetDriver, FleetDriverConfig, PlanePolicy};
+use bench::{sparse_fleet, SparseFleetSpec};
+use controlplane::{
+    EventKind, FleetDriver, FleetDriverConfig, PlanePolicy, RegionConfig, RegionCoordinator,
+    SchedulingMode, ShardConcurrency,
+};
 use sqlmini::clock::Duration;
 use sqlmini::engine::ServiceTier;
 use workload::fleet::{generate_tenant, Tenant, TenantConfig, TierMix};
@@ -18,6 +22,17 @@ fn fast_policy() -> PlanePolicy {
     PlanePolicy {
         analysis_interval: Duration::from_hours(2),
         validation_min_wait: Duration::from_hours(1),
+        ..PlanePolicy::default()
+    }
+}
+
+/// A daily analysis pass over hourly ticks: the cadence §4 describes,
+/// and the regime where a dense sweep spends 95%+ of its control passes
+/// on provably idle tenants.
+fn daily_policy() -> PlanePolicy {
+    PlanePolicy {
+        analysis_interval: Duration::from_hours(24),
+        validation_min_wait: Duration::from_hours(2),
         ..PlanePolicy::default()
     }
 }
@@ -173,4 +188,74 @@ fn every_thread_count_replays_the_same_fleet_state() {
             "threads={threads} diverged from serial"
         );
     }
+}
+
+#[test]
+fn sparse_scheduling_cuts_control_passes_fivefold_on_a_mostly_idle_fleet() {
+    let (tenants, ticks) = (256usize, 48u32);
+    let run = |scheduling| {
+        FleetDriver::new(FleetDriverConfig {
+            policy: daily_policy(),
+            scheduling,
+            ..FleetDriverConfig::default()
+        })
+        .run(sparse_fleet(tenants, 0.05, 42), ticks, 1)
+    };
+    let dense = run(SchedulingMode::Dense);
+    let sparse = run(SchedulingMode::Sparse);
+    assert_eq!(sparse.canonical_string(), dense.canonical_string());
+
+    let tenant_ticks = tenants as u64 * ticks as u64;
+    assert_eq!(dense.control_ticks_skipped(), 0, "dense skips nothing");
+    assert_eq!(dense.control_ticks_executed(), tenant_ticks);
+    assert_eq!(
+        sparse.control_ticks_executed() + sparse.control_ticks_skipped(),
+        tenant_ticks,
+        "scheduler accounting must cover every tenant-tick"
+    );
+    assert!(
+        dense.control_ticks_executed() >= 5 * sparse.control_ticks_executed(),
+        "sparse ran {} control passes, dense {}",
+        sparse.control_ticks_executed(),
+        dense.control_ticks_executed()
+    );
+}
+
+/// The million-tenant bounded-memory run (several minutes in release):
+/// `cargo test -p bench --release --test fleet_driver -- --ignored --nocapture`.
+#[test]
+#[ignore]
+fn million_tenant_region_runs_at_peak_residency_one() {
+    let spec = SparseFleetSpec::new(1_000_000, 0.05, 42);
+    let report = RegionCoordinator::new(RegionConfig {
+        driver: FleetDriverConfig {
+            policy: daily_policy(),
+            ..FleetDriverConfig::default()
+        },
+        shards: 16,
+        threads_per_shard: 1,
+        shard_concurrency: ShardConcurrency::Sequential,
+        retain_outcomes: false,
+        event_retention: 1000,
+        ..RegionConfig::default()
+    })
+    .run(&spec, 1);
+    println!(
+        "{} tenants x {} tick in {:.1}s: {:.0} tenant-ticks/s, {} statements, digest {}",
+        report.tenants,
+        report.ticks,
+        report.elapsed.as_secs_f64(),
+        report.throughput(),
+        report.statements,
+        report.digest
+    );
+    assert_eq!(
+        report.tenants, 1_000_000,
+        "every tenant driven exactly once"
+    );
+    assert_eq!(report.peak_hydrated, 1, "tenant-major hydration holds one");
+    assert_eq!(report.poisoned, 0, "a clean run poisons no tenant");
+    assert_eq!(report.errors, 0);
+    assert_eq!(report.statements, 1_200_648);
+    assert_eq!(report.digest, 6702885311560702367);
 }
