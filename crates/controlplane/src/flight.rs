@@ -27,7 +27,7 @@
 //! depends on is a pure function of `(config, tenant index, tenant)` —
 //! thread interleaving, scheduling mode, and cache setting never enter.
 
-use crate::fleet_driver::{index_hash01, SchedulingMode};
+use crate::fleet_driver::{fnv1a64_extend, index_hash01, SchedulingMode, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
@@ -116,21 +116,11 @@ impl Default for FlightConfig {
     }
 }
 
-/// FNV-1a over bytes — folds the flight id into the cohort salt.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 impl FlightConfig {
     /// The salt for this flight's cohort stream: id + seed, independent
     /// of the auto-fraction stream's fixed salt.
     fn cohort_salt(&self) -> u64 {
-        fnv1a64(self.id.as_bytes()) ^ self.seed.rotate_left(17)
+        fnv1a64_extend(FNV_OFFSET, self.id.as_bytes()) ^ self.seed.rotate_left(17)
     }
 
     /// Is fleet index `index` in this flight's cohort? A pure hash — no
@@ -178,8 +168,8 @@ pub enum TenantVerdict {
 }
 
 /// The journaled record of one tenant's verdict, plus the measurements
-/// behind it. Values are clamped finite so the JSON journal framing
-/// round-trips exactly.
+/// behind it. Values are clamped finite so the record's JSON views
+/// round-trip exactly.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TenantVerdictRecord {
     pub verdict: TenantVerdict,
@@ -852,8 +842,8 @@ impl FlightDriver {
                         let d = divergence_between(&ctx.primary, &arm.mdb.db);
                         worst = worst.max(d.max_relative());
                     }
-                    // Clamp finite so the JSON journal framing
-                    // round-trips (infinity has no JSON encoding).
+                    // Clamp finite: the JSON views of a flight record
+                    // have no encoding for infinity.
                     ctx.divergence = worst.min(f64::MAX);
                     if worst > tolerance {
                         Err(format!(

@@ -47,7 +47,9 @@ pub use shard::{
 };
 pub use stages::{NextDue, Stage, WakeSchedule};
 pub use state::{DbSettings, RecoId, RecoState, ServerSettings, Setting, TrackedReco};
-pub use store::{CheckpointStats, CompactionPolicy, RecoveryReport, StateStore};
+pub use store::{
+    CheckpointStats, CompactionPolicy, FrameError, FrameFault, RecoveryReport, StateStore,
+};
 pub use telemetry::{EventKind, Telemetry};
 pub use trace::{Span, Tracer};
 

@@ -155,7 +155,7 @@ pub struct Transition {
 }
 
 /// A tracked recommendation: the payload plus its state machine.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TrackedReco {
     pub id: RecoId,
     pub database: String,

@@ -2,11 +2,12 @@
 //!
 //! The production control plane persists its state machine in a
 //! highly-available database (§4). Here durability is modeled with an
-//! append-only journal of checksummed, length-prefixed JSON records:
-//! every mutation is journaled, and recovery replays the journal into a
-//! fresh in-memory map. Crash consistency is the point — a torn or
-//! corrupt tail is truncated (never a panic), recovery reports what was
-//! dropped, and any recommendation caught mid-`Implementing` or
+//! append-only journal of checksummed, length-prefixed, versioned
+//! frames (the format is `store/codec.rs`'s): every mutation is
+//! journaled, and recovery replays the journal into a fresh in-memory
+//! map. Crash consistency is the point — a torn or corrupt tail is
+//! truncated (never a panic), recovery reports every frame it dropped
+//! and why, and any recommendation caught mid-`Implementing` or
 //! mid-`Reverting` is re-parked in the paper's Retry state rather than
 //! silently resumed, because the crash may or may not have completed
 //! the underlying engine action.
@@ -15,8 +16,8 @@
 //!
 //! Append-only forever means replay cost and journal size grow with
 //! history, making long-lived tenants the *least* recoverable ones. A
-//! [`JournalEntry::Checkpoint`] frame snapshots the whole canonical
-//! store state under the same framing as every other record; when the
+//! checkpoint frame snapshots the whole canonical store state under
+//! the same framing as every other record; when the
 //! [`CompactionPolicy`] trigger fires, [`StateStore::compact`] appends
 //! a fresh checkpoint and truncates everything *before the previous
 //! checkpoint*. Keeping the previous checkpoint makes a damaged latest
@@ -26,57 +27,18 @@
 //! nothing. Checkpoint frames are pure redundancy, never the only copy
 //! of any state.
 
+mod codec;
+
 use crate::flight::FlightRecord;
 use crate::stages::WakeSchedule;
 use crate::state::{RecoId, TrackedReco};
 use autoindex::Recommendation;
+use codec::{CheckpointState, JournalEntry};
 use sqlmini::clock::Timestamp;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-/// One journal record.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-enum JournalEntry {
-    Upsert(Box<TrackedReco>),
-    /// Store metadata: the id-allocation base. Journaled once at store
-    /// creation so a recovered shard keeps its fleet-wide disjoint id
-    /// block even when the journal holds no (or few) recommendations.
-    Meta {
-        id_base: u64,
-    },
-    /// The wake schedule computed at the end of a tick. Journaled only
-    /// when it changes, so a recovered store hands the fleet driver the
-    /// exact due-time index the crashed process was operating under.
-    Schedule {
-        database: String,
-        schedule: WakeSchedule,
-    },
-    /// A full snapshot of canonical store state, written by compaction.
-    /// Recovery restores from the newest intact checkpoint and replays
-    /// only the tail after it.
-    Checkpoint(Box<CheckpointState>),
-    /// A policy-flight state transition (§7): started, per-tenant
-    /// verdicts as they land, and the terminal ship/abort decision.
-    /// Journaled on every change so a crash mid-flight recovers the
-    /// completed verdicts and resumes to the same region decision.
-    Flight(Box<FlightRecord>),
-}
-
-/// Everything a checkpoint must carry to make the prefix before it
-/// disposable: the tracked recommendations, the wake schedules, the
-/// id-allocation state, and the cumulative recovery counters (which
-/// must survive full process restarts, not just in-memory crashes).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-struct CheckpointState {
-    recos: Vec<TrackedReco>,
-    schedules: BTreeMap<String, WakeSchedule>,
-    flights: BTreeMap<String, FlightRecord>,
-    id_base: u64,
-    next_id: u64,
-    writes_total: u64,
-    recoveries: u64,
-    truncated_total: u64,
-    reparked_total: u64,
-}
+pub use codec::{FrameError, FrameFault};
 
 /// When the journal gets compacted. Lives on
 /// [`PlanePolicy`](crate::plane::PlanePolicy) as `journal`; the store
@@ -130,53 +92,6 @@ pub struct CheckpointStats {
     pub corrupt_frames: u64,
 }
 
-/// FNV-1a over the payload bytes — the journal frame checksum.
-fn fnv1a32(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
-    }
-    h
-}
-
-/// Frame a journal payload: `<len-hex>|<fnv1a-hex>|<payload>`. The
-/// length prefix catches torn (short) writes, the checksum catches
-/// bit-rot and mid-record corruption.
-fn frame(payload: &str) -> String {
-    format!(
-        "{:08x}|{:08x}|{}",
-        payload.len(),
-        fnv1a32(payload.as_bytes()),
-        payload
-    )
-}
-
-/// Validate a frame and return its payload, or `None` if the record is
-/// torn (short/garbled prefix) or corrupt (checksum mismatch).
-fn parse_frame(line: &str) -> Option<&str> {
-    let (len_hex, rest) = line.split_once('|')?;
-    let (crc_hex, payload) = rest.split_once('|')?;
-    let len = usize::from_str_radix(len_hex, 16).ok()?;
-    let crc = u32::from_str_radix(crc_hex, 16).ok()?;
-    if payload.len() != len || fnv1a32(payload.as_bytes()) != crc {
-        return None;
-    }
-    Some(payload)
-}
-
-/// Cheap structural test (no checksum work): does this frame's payload
-/// start like a checkpoint record? Used by the backward recovery scan to
-/// touch only checkpoint candidates, and to classify damaged frames
-/// that *were* checkpoints (a frame torn shorter than the marker simply
-/// counts as ordinary corruption — recovery is still correct, only the
-/// fallback attribution is lost).
-fn looks_like_checkpoint(line: &str) -> bool {
-    line.splitn(3, '|')
-        .nth(2)
-        .is_some_and(|payload| payload.starts_with("{\"Checkpoint\""))
-}
-
 /// What one [`StateStore::crash_and_recover`] pass did.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryReport {
@@ -209,6 +124,9 @@ pub struct RecoveryReport {
     /// replay). Lossless by the keep-previous-checkpoint invariant, but
     /// reported — it means a checkpoint write died mid-flight.
     pub checkpoint_fallback: bool,
+    /// Every frame recovery read and did not replay, in journal order,
+    /// with the reason: the frames `truncated` and `corrupt_mid` count.
+    pub rejected: Vec<FrameError>,
     /// Frames read (validated) during recovery — the bounded-replay cost
     /// metric: with compaction this stays ≈ checkpoint + tail while the
     /// uncompacted baseline reads the entire history.
@@ -228,6 +146,10 @@ pub struct StateStore {
     next_id: u64,
     id_base: u64,
     journal: Vec<String>,
+    /// Sequence number of the newest frame written or replayed. Every
+    /// frame (checkpoints too) takes the next one, so along a journal
+    /// the numbers only rise; recovery rejects a frame that breaks that.
+    last_seq: u64,
     /// Last recorded wake schedule per database (journaled on change).
     schedules: BTreeMap<String, WakeSchedule>,
     /// Latest journaled state per flight id (journaled on change).
@@ -277,17 +199,20 @@ impl StateStore {
         s
     }
 
-    /// Append one logical record under framing, counting it toward the
-    /// monotonic write total and the compaction trigger.
-    fn append(&mut self, entry: &JournalEntry) {
-        let line = serde_json::to_string(entry).expect("journal entry serializes");
-        self.journal.push(frame(&line));
-        self.writes_total += 1;
-        self.appends_since_checkpoint += 1;
+    /// Append one logical record under framing.
+    fn append(&mut self, entry: &JournalEntry<'_>) {
+        let line = codec::encode_frame(self.last_seq + 1, entry);
+        self.push_logical(line);
     }
 
-    fn journal_upsert(&mut self, r: &TrackedReco) {
-        self.append(&JournalEntry::Upsert(Box::new(r.clone())));
+    /// Take in the frame encoded for sequence number `last_seq + 1`,
+    /// counting it toward the monotonic write total and the compaction
+    /// trigger.
+    fn push_logical(&mut self, line: String) {
+        self.last_seq += 1;
+        self.journal.push(line);
+        self.writes_total += 1;
+        self.appends_since_checkpoint += 1;
     }
 
     /// Track a new recommendation (state: Active).
@@ -300,7 +225,7 @@ impl StateStore {
         let id = RecoId(self.next_id);
         self.next_id += 1;
         let tracked = TrackedReco::new(id, database, recommendation, now);
-        self.journal_upsert(&tracked);
+        self.append(&JournalEntry::Upsert(Cow::Borrowed(&tracked)));
         self.recos.insert(id, tracked);
         id
     }
@@ -312,17 +237,12 @@ impl StateStore {
     /// Mutate a recommendation through `f`; the updated record is
     /// journaled. Returns `f`'s result.
     pub fn update<T>(&mut self, id: RecoId, f: impl FnOnce(&mut TrackedReco) -> T) -> Option<T> {
-        // Split borrow: mutate, then journal a clone.
-        let out;
-        let snapshot;
-        match self.recos.get_mut(&id) {
-            Some(r) => {
-                out = f(r);
-                snapshot = r.clone();
-            }
-            None => return None,
-        }
-        self.journal_upsert(&snapshot);
+        let r = self.recos.get_mut(&id)?;
+        let out = f(r);
+        // Encoded from the borrowed record (it and `last_seq` are
+        // disjoint fields), so an update clones nothing.
+        let line = codec::encode_frame(self.last_seq + 1, &JournalEntry::Upsert(Cow::Borrowed(r)));
+        self.push_logical(line);
         Some(out)
     }
 
@@ -335,7 +255,7 @@ impl StateStore {
             return;
         }
         self.append(&JournalEntry::Schedule {
-            database: database.to_string(),
+            database: Cow::Borrowed(database),
             schedule: *schedule,
         });
         self.schedules.insert(database.to_string(), *schedule);
@@ -355,7 +275,7 @@ impl StateStore {
         if self.flights.get(&rec.id) == Some(rec) {
             return;
         }
-        self.append(&JournalEntry::Flight(Box::new(rec.clone())));
+        self.append(&JournalEntry::Flight(Cow::Borrowed(rec)));
         self.flights.insert(rec.id.clone(), rec.clone());
     }
 
@@ -435,7 +355,7 @@ impl StateStore {
     pub fn tear_journal_tail(&mut self, n: usize) {
         let keep = self.journal.len().saturating_sub(n);
         self.journal.truncate(keep);
-        self.last_checkpoint = self.journal.iter().rposition(|l| looks_like_checkpoint(l));
+        self.last_checkpoint = self.journal.iter().rposition(|l| codec::is_checkpoint(l));
     }
 
     /// Mangle journal record `i` — models bit-rot or a record torn
@@ -499,13 +419,12 @@ impl StateStore {
             truncated_total: self.truncated_total,
             reparked_total: self.reparked_total,
         };
-        let line = serde_json::to_string(&JournalEntry::Checkpoint(Box::new(state)))
-            .expect("checkpoint serializes");
-        let cut = self.last_checkpoint.unwrap_or(0);
-        let bytes: u64 = self.journal[..cut].iter().map(|l| l.len() as u64).sum();
-        self.journal.drain(..cut);
-        self.journal.push(frame(&line));
-        self.last_checkpoint = Some(self.journal.len() - 1);
+        self.last_seq += 1;
+        let line = codec::encode_frame(self.last_seq, &JournalEntry::Checkpoint(Box::new(state)));
+        let cut = self.last_checkpoint.unwrap_or(0).min(self.journal.len());
+        let bytes: u64 = self.journal.drain(..cut).map(|l| l.len() as u64).sum();
+        self.last_checkpoint = Some(self.journal.len());
+        self.journal.push(line);
         self.appends_since_checkpoint = 0;
         self.checkpoints_written += 1;
         self.frames_compacted += cut as u64;
@@ -569,32 +488,46 @@ impl StateStore {
     /// truncated (the durable prefix wins); an invalid frame with an
     /// intact frame after it is mid-journal corruption, which is
     /// skipped and reported distinctly instead of costing the whole
-    /// suffix. A torn/corrupt checkpoint makes recovery fall back to
-    /// the previous checkpoint or full replay — lossless, because
-    /// compaction always keeps the previous checkpoint's interval.
-    /// Never panics. Mid-flight recommendations (`Implementing`,
+    /// suffix. Invalid means torn, failing its checksum, of a format
+    /// version this build does not know, or carrying a sequence number
+    /// that does not follow the frames before it (a duplicated or
+    /// reordered write); each such frame is named with its reason in
+    /// [`RecoveryReport::rejected`]. A torn/corrupt checkpoint makes
+    /// recovery fall back to the previous checkpoint or full replay —
+    /// lossless, because compaction always keeps the previous
+    /// checkpoint's interval. No journal text makes it panic. Mid-flight recommendations (`Implementing`,
     /// `Reverting`) are re-parked into Retry, with the re-park
     /// journaled so a second crash recovers to the same place.
-    pub fn recovered_from(journal: Vec<String>) -> (StateStore, RecoveryReport) {
+    pub fn recovered_from(mut journal: Vec<String>) -> (StateStore, RecoveryReport) {
         let mut s = StateStore::default();
         let mut report = RecoveryReport::default();
-        let mut frame_reads = 0usize;
 
-        // Phase 1: backward scan for the newest intact checkpoint.
-        let mut base: Option<usize> = None;
-        for i in (0..journal.len()).rev() {
-            if !looks_like_checkpoint(&journal[i]) {
+        // Phase 1: backward scan for the newest intact checkpoint. A
+        // candidate whose sequence number does not exceed that of the
+        // frame before it (a header peek: no checksum work, not a frame
+        // read) was duplicated or moved, and frames it should cover may
+        // sit after it unreplayed; it is passed over like a damaged one.
+        // Phase 2 meets every candidate passed over here again, in the
+        // tail, and records why it was rejected.
+        let mut start = 0;
+        for (i, line) in journal.iter().enumerate().rev() {
+            if !codec::is_checkpoint(line) {
                 continue;
             }
-            frame_reads += 1;
-            let entry = parse_frame(&journal[i])
-                .and_then(|payload| serde_json::from_str::<JournalEntry>(payload).ok());
-            match entry {
-                Some(JournalEntry::Checkpoint(state)) => {
+            report.frame_reads += 1;
+            let follows = |seq: u64| {
+                let before = i.checked_sub(1).and_then(|p| journal.get(p));
+                before
+                    .and_then(|l| codec::peek_seq(l))
+                    .is_none_or(|before| before < seq)
+            };
+            match codec::decode_frame(line) {
+                Ok((seq, JournalEntry::Checkpoint(state))) if follows(seq) => {
                     s.restore_checkpoint(*state);
+                    s.last_seq = seq;
                     report.replayed += 1;
                     report.checkpoint_used = true;
-                    base = Some(i);
+                    start = i + 1;
                     break;
                 }
                 // Damaged would-be checkpoint: step down the ladder and
@@ -602,66 +535,97 @@ impl StateStore {
                 _ => report.checkpoint_fallback = true,
             }
         }
-        let start = base.map_or(0, |i| i + 1);
 
         // Phase 2: validate the tail once, classifying invalid frames.
-        let tail: Vec<Option<JournalEntry>> = journal[start..]
+        let mut last_seq = s.last_seq;
+        let tail: Vec<Result<JournalEntry, FrameError>> = journal
             .iter()
-            .map(|line| {
-                frame_reads += 1;
-                parse_frame(line)
-                    .and_then(|payload| serde_json::from_str::<JournalEntry>(payload).ok())
+            .enumerate()
+            .skip(start)
+            .map(|(frame, line)| {
+                let fault = match codec::decode_frame(line) {
+                    Ok((seq, entry)) if seq > last_seq => {
+                        last_seq = seq;
+                        return Ok(entry);
+                    }
+                    Ok((seq, _)) => FrameFault::OutOfOrder {
+                        seq,
+                        after: last_seq,
+                    },
+                    Err(fault) => fault,
+                };
+                Err(FrameError { frame, fault })
             })
             .collect();
-        let keep = tail.iter().rposition(Option::is_some).map_or(0, |i| i + 1);
+        report.frame_reads += tail.len();
+        s.last_seq = last_seq;
+        let keep = tail.iter().rposition(Result::is_ok).map_or(0, |i| i + 1);
         report.truncated = tail.len() - keep;
         report.torn_tail = report.truncated > 0;
 
-        // Phase 3: replay the kept tail, rebuilding the journal from the
-        // verbatim prefix (≤ previous checkpoint .. base) + intact tail.
-        let mut rebuilt: Vec<String> = journal[..start].to_vec();
-        for (j, entry) in tail.into_iter().take(keep).enumerate() {
-            let Some(entry) = entry else {
-                report.corrupt_mid += 1;
-                if looks_like_checkpoint(&journal[start + j]) {
-                    report.checkpoint_fallback = true;
+        // Phase 3: replay the kept tail. The journal becomes the verbatim
+        // prefix (≤ previous checkpoint .. base) + the intact tail.
+        for (j, entry) in tail.into_iter().enumerate() {
+            let entry = match entry {
+                Ok(entry) => entry,
+                Err(rejected) => {
+                    if j < keep {
+                        report.corrupt_mid += 1;
+                        if journal
+                            .get(start + j)
+                            .is_some_and(|l| codec::is_checkpoint(l))
+                        {
+                            report.checkpoint_fallback = true;
+                        }
+                    }
+                    report.rejected.push(rejected);
+                    continue;
                 }
-                continue;
             };
             match entry {
                 JournalEntry::Upsert(r) => {
-                    s.next_id = s.next_id.max(r.id.0 + 1);
-                    s.recos.insert(r.id, *r);
+                    let r = r.into_owned();
+                    s.next_id = s.next_id.max(r.id.0.saturating_add(1));
+                    s.recos.insert(r.id, r);
                 }
                 JournalEntry::Meta { id_base } => {
                     s.id_base = s.id_base.max(id_base);
                 }
                 JournalEntry::Schedule { database, schedule } => {
-                    s.schedules.insert(database, schedule);
+                    s.schedules.insert(database.into_owned(), schedule);
                 }
                 JournalEntry::Flight(rec) => {
-                    s.flights.insert(rec.id.clone(), *rec);
+                    let rec = rec.into_owned();
+                    s.flights.insert(rec.id.clone(), rec);
                 }
-                // Unreachable (the backward scan would have picked it as
-                // the base), but harmless: treat it as a newer snapshot.
+                // Only when phase 1 passed over an intact checkpoint on
+                // the evidence of a damaged neighbour's header: treat it
+                // as the newer snapshot it is.
                 JournalEntry::Checkpoint(state) => {
                     s.restore_checkpoint(*state);
-                    rebuilt.push(journal[start + j].clone());
                     report.replayed += 1;
                     continue;
                 }
             }
             s.writes_total += 1;
             report.replayed += 1;
-            rebuilt.push(journal[start + j].clone());
         }
-        s.journal = rebuilt;
-        s.last_checkpoint = s.journal.iter().rposition(|l| looks_like_checkpoint(l));
+        // The lines were passed by value: kept ones stay where they are,
+        // the torn suffix and any mid-journal reject are dropped.
+        journal.truncate(start + keep);
+        if report.corrupt_mid > 0 {
+            let mut next = 0;
+            journal.retain(|_| {
+                next += 1;
+                report.rejected.iter().all(|e| e.frame != next - 1)
+            });
+        }
+        s.journal = journal;
+        s.last_checkpoint = s.journal.iter().rposition(|l| codec::is_checkpoint(l));
         s.appends_since_checkpoint = s
             .last_checkpoint
             .map_or(s.journal.len(), |i| s.journal.len() - i - 1);
         s.next_id = s.next_id.max(s.id_base);
-        report.frame_reads = frame_reads;
 
         // Re-park anything the crash caught mid-operation: the engine
         // action may or may not have completed, so the only safe state
@@ -719,6 +683,7 @@ impl StateStore {
         self.next_id = recovered.next_id;
         self.id_base = recovered.id_base;
         self.journal = recovered.journal;
+        self.last_seq = recovered.last_seq;
         self.schedules = recovered.schedules;
         self.flights = recovered.flights;
         self.last_checkpoint = recovered.last_checkpoint;
@@ -883,17 +848,20 @@ mod tests {
         let mut s = StateStore::new();
         s.insert("db1", reco(1), Timestamp(0));
         let line = &s.journal_lines()[0];
-        let payload = parse_frame(line).expect("fresh line validates");
-        assert!(payload.starts_with('{'), "payload is the JSON record");
+        assert!(
+            line.starts_with("1|U|1|"),
+            "version, kind, sequence: {line}"
+        );
+        assert!(codec::decode_frame(line).is_ok(), "fresh line validates");
         // Any single-byte corruption is caught by the checksum.
         let mut bad = line.clone();
         let idx = bad.len() - 1;
         bad.replace_range(idx.., "X");
-        assert!(parse_frame(&bad).is_none());
+        assert_eq!(codec::decode_frame(&bad).err(), Some(FrameFault::Checksum));
         // A short (torn) line is caught by the length prefix.
         let mut torn = line.clone();
         torn.truncate(torn.len() / 2);
-        assert!(parse_frame(&torn).is_none());
+        assert_eq!(codec::decode_frame(&torn).err(), Some(FrameFault::Torn));
     }
 
     #[test]
@@ -1090,7 +1058,7 @@ mod tests {
             .journal_lines()
             .iter()
             .enumerate()
-            .filter(|(_, l)| super::looks_like_checkpoint(l))
+            .filter(|(_, l)| codec::is_checkpoint(l))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(

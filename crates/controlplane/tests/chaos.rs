@@ -933,3 +933,338 @@ fn aborted_flight_leaves_zero_debris() {
         "aborted flight left debris in the fleet"
     );
 }
+
+// ---------------------------------------------------------------------
+// The journal codec on real traffic: recovery == the live store at every
+// tick, and a corruption fuzzer over the journals those runs recorded.
+// ---------------------------------------------------------------------
+
+use controlplane::{FrameFault, RecoveryReport};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// A recorded journal and the databases whose schedules it carries.
+struct Recorded {
+    lines: Vec<String>,
+    databases: Vec<String>,
+}
+
+/// Everything recovery must reproduce, as one comparable string.
+fn store_canon(s: &StateStore, report: &RecoveryReport, databases: &[String]) -> String {
+    let schedules: Vec<_> = databases.iter().map(|db| s.schedule(db)).collect();
+    format!(
+        "{:?}|{:?}|{:?}|{}|{}|{}",
+        s.all().collect::<Vec<_>>(),
+        schedules,
+        s.flights(),
+        s.journal_writes(),
+        report.id_base,
+        report.next_id,
+    )
+}
+
+fn no_damage(report: &RecoveryReport) -> bool {
+    report.rejected.is_empty() && report.truncated == 0 && report.corrupt_mid == 0
+}
+
+/// Drive one tenant for `ticks` the way `crash_recovery` does: after
+/// every tick the store is recovered from its own journal, compared
+/// with the live store field by field, and then *replaces* it, as a
+/// process restart would. Returns the final store and the journal as it
+/// stood at a few ticks along the way.
+fn drive_crashing_every_tick(
+    seed: u64,
+    journal: CompactionPolicy,
+    crash: bool,
+) -> (StateStore, Vec<Recorded>) {
+    let (mut mdb, model, mut runner) = one_managed(seed);
+    let mut plane = ControlPlane::new(PlanePolicy {
+        journal,
+        ..fast_policy()
+    });
+    plane
+        .faults
+        .script(FaultPoint::IndexBuild, 2, FaultKind::Transient);
+    let name = mdb.db.name.clone();
+    let mut recorded = Vec::new();
+    for tick in 0..32 {
+        runner.run_slice_into(
+            &mut mdb.db,
+            &model,
+            Duration::from_hours(1),
+            &mut Default::default(),
+        );
+        plane.tick(&mut mdb);
+        if !crash {
+            continue;
+        }
+        let lines = plane.store.journal_lines().to_vec();
+        if tick % 4 == 3 && recorded.last().is_none_or(|r: &Recorded| r.lines != lines) {
+            recorded.push(Recorded {
+                lines: lines.clone(),
+                databases: vec![name.clone()],
+            });
+        }
+        let (recovered, report) = StateStore::recovered_from(lines);
+        assert!(no_damage(&report), "tick {tick}: {:?}", report.rejected);
+        assert!(report.reparked.is_empty(), "tick {tick}: quiescent point");
+        let live = &plane.store;
+        assert!(
+            live.all().eq(recovered.all()),
+            "tick {tick}: a TrackedReco field did not survive the journal"
+        );
+        assert_eq!(live.count_by_state(), recovered.count_by_state());
+        assert_eq!(live.schedule(&name), recovered.schedule(&name));
+        assert_eq!(live.flights(), recovered.flights());
+        assert_eq!(live.journal_writes(), recovered.journal_writes());
+        assert_eq!(live.journal_lines(), recovered.journal_lines());
+        plane.store = recovered;
+    }
+    (plane.store, recorded)
+}
+
+/// Compaction rare enough that a journal holds a long tail behind its
+/// newest checkpoint: most of a damaged copy is then frames recovery
+/// reads.
+fn mild_compaction() -> CompactionPolicy {
+    CompactionPolicy {
+        enabled: true,
+        min_frames: 12,
+        garbage_ratio: 1.0,
+    }
+}
+
+/// The journals the fuzzer mutates: tenant stores caught every few
+/// ticks under the suite's compaction mode (`CHECKPOINT=on|off`) and
+/// under a mild one, and a region store that journaled a whole flight.
+fn recorded_journals(seed: u64) -> Vec<Recorded> {
+    let mut out = Vec::new();
+    for t in 0..2 {
+        for journal in [checkpoint_mode(), mild_compaction()] {
+            out.extend(drive_crashing_every_tick(seed.wrapping_add(t), journal, true).1);
+        }
+    }
+    let fleet = small_fleet(4, seed ^ 0xF11);
+    let mut store = StateStore::new();
+    FlightDriver::new(flight_cfg(seed ^ 0xF11)).run_with_store(&fleet, &mut store, 1);
+    out.push(Recorded {
+        lines: store.journal_lines().to_vec(),
+        databases: Vec::new(),
+    });
+    out
+}
+
+/// Recovery at every tick of a live run is invisible: the recovered
+/// store equals the live one in every field (asserted inside the
+/// drive), the run ends where the un-crashed run ends, and the fleet
+/// driver's own crash-every-tick mode agrees with its un-crashed run.
+#[test]
+fn recovery_at_every_tick_equals_the_live_store_and_the_uncrashed_run() {
+    let seed = chaos_seed();
+    for t in 0..3 {
+        let seed = seed.wrapping_add(t);
+        let (crashed, recorded) = drive_crashing_every_tick(seed, checkpoint_mode(), true);
+        let (uncrashed, _) = drive_crashing_every_tick(seed, checkpoint_mode(), false);
+        assert!(!recorded.is_empty());
+        assert!(
+            crashed.all().eq(uncrashed.all()),
+            "tenant {t}: crashing at every tick changed the outcome"
+        );
+        assert_eq!(crashed.journal_writes(), uncrashed.journal_writes());
+    }
+
+    let base = FleetDriverConfig {
+        policy: fast_policy(),
+        fault_seed: Some(seed),
+        fault_transient_prob: 0.15,
+        scheduling: sched_mode(),
+        ..FleetDriverConfig::default()
+    };
+    let fleet = small_fleet(6, seed);
+    let uncrashed = FleetDriver::new(base.clone()).run(fleet.clone(), 24, 1);
+    let crashed = FleetDriver::new(FleetDriverConfig {
+        crash_every_ticks: Some(1),
+        ..base
+    })
+    .run(fleet, 24, 2);
+    assert_eq!(uncrashed.canonical_string(), crashed.canonical_string());
+}
+
+/// A frame stamped with a version this build does not know is named in
+/// the report wherever it sits; it is never read as a torn write.
+#[test]
+fn frame_from_a_newer_version_is_rejected_by_name() {
+    let lines = seeded_store().journal_lines().to_vec();
+    let stamp = |i: usize| {
+        let mut out = lines.clone();
+        assert!(out[i].starts_with("1|"));
+        out[i].replace_range(..1, "2");
+        out
+    };
+    let last = lines.len() - 1;
+    let (_, tail) = StateStore::recovered_from(stamp(last));
+    assert_eq!((tail.truncated, tail.corrupt_mid), (1, 0));
+    assert_eq!(tail.rejected.len(), 1);
+    assert_eq!(tail.rejected[0].frame, last);
+    assert_eq!(tail.rejected[0].fault, FrameFault::UnknownVersion(2));
+
+    let (_, mid) = StateStore::recovered_from(stamp(1));
+    assert_eq!((mid.truncated, mid.corrupt_mid), (0, 1));
+    assert_eq!(mid.rejected[0].frame, 1);
+    assert_eq!(mid.rejected[0].fault, FrameFault::UnknownVersion(2));
+    assert_eq!(mid.replayed, lines.len() - 1);
+}
+
+fn newest_checkpoint(lines: &[String]) -> Option<usize> {
+    lines.iter().rposition(|l| l.starts_with("1|C|"))
+}
+
+/// One damaged copy of `lines`; `None` when the draw does not apply
+/// (a swap at the last frame, a flip that lands inside a multi-byte
+/// character). Three draws in four land where recovery reads — from the
+/// frame before the newest checkpoint on — and one in eight first tears
+/// that checkpoint, so the damage meets the fallback ladder.
+fn mutate(lines: &[String], rng: &mut StdRng) -> Option<(String, Vec<String>)> {
+    let mut out = lines.to_vec();
+    let checkpoint = newest_checkpoint(lines);
+    let read_from = checkpoint.map_or(0, |c| c.saturating_sub(1));
+    let from = if rng.random_bool(0.75) { read_from } else { 0 };
+    let i = rng.random_range(from..out.len());
+    let torn = checkpoint.filter(|_| rng.random_bool(0.125));
+    if let Some(c) = torn {
+        out[c].truncate(lines[c].len() / 2);
+    }
+    let kind = match rng.random_range(0..5) {
+        0 => {
+            // One bit of one ASCII byte, kept within ASCII so the line
+            // stays a `String`.
+            let at = rng.random_range(0..out[i].len());
+            let mut bytes = std::mem::take(&mut out[i]).into_bytes();
+            if bytes[at] >= 0x80 {
+                return None;
+            }
+            bytes[at] ^= 1u8 << rng.random_range(0..7u32);
+            out[i] = String::from_utf8(bytes).expect("ASCII stays ASCII");
+            "bit flip"
+        }
+        1 => {
+            let mut cut = rng.random_range(0..out[i].len());
+            while !out[i].is_char_boundary(cut) {
+                cut -= 1;
+            }
+            out[i].truncate(cut);
+            "truncation"
+        }
+        2 => {
+            out.insert(i + 1, out[i].clone());
+            "duplication"
+        }
+        3 => {
+            if i + 1 == out.len() {
+                return None;
+            }
+            out.swap(i, i + 1);
+            "reordering"
+        }
+        _ => {
+            out[i].replace_range(..1, "2");
+            "version + 1"
+        }
+    };
+    let ladder = if torn.is_some() {
+        " behind a torn checkpoint"
+    } else {
+        ""
+    };
+    Some((format!("{kind} at frame {i}{ladder}"), out))
+}
+
+/// The fuzzer's contract for one damaged journal: recovery returns (a
+/// panic fails the test — nothing here catches one), and either it
+/// reports the damage or the state it rebuilt is the state of some
+/// prefix of the undamaged journal. What it rebuilt is itself a clean
+/// journal that recovers to the same state.
+fn check_damaged(
+    what: &str,
+    damaged: Vec<String>,
+    prefix_states: &std::collections::HashSet<String>,
+    databases: &[String],
+) {
+    let (store, report) = StateStore::recovered_from(damaged);
+    assert_eq!(
+        report.rejected.len(),
+        report.truncated + report.corrupt_mid,
+        "{what}: every frame dropped is named"
+    );
+    let state = store_canon(&store, &report, databases);
+    if no_damage(&report) {
+        assert!(
+            prefix_states.contains(&state),
+            "{what}: silent divergence — a clean report over a state no prefix produces"
+        );
+    }
+    let (again, second) = StateStore::recovered_from(store.journal_lines().to_vec());
+    assert!(
+        no_damage(&second),
+        "{what}: rebuilt journal still damaged: {:?}",
+        second.rejected
+    );
+    assert!(second.reparked.is_empty(), "{what}: re-park repeated");
+    assert_eq!(state, store_canon(&again, &second, databases), "{what}");
+}
+
+/// Corruption fuzzer over journals recorded from real traffic: single
+/// bit flips, truncation, duplication, adjacent reordering and a frame
+/// from the next format version, anywhere in the journal, plus every
+/// possible truncation of each journal's newest checkpoint and final
+/// frame. 10,000 random cases per seed when `CHAOS_SEED` is set (CI's
+/// chaos job), a bounded 1,500 otherwise (tier-1).
+#[test]
+fn damaged_journals_never_panic_and_never_diverge_silently() {
+    let seed = chaos_seed();
+    let cases = if std::env::var("CHAOS_SEED").is_ok() {
+        10_000
+    } else {
+        1_500
+    };
+    let journals = recorded_journals(seed);
+    let prefix_states: Vec<std::collections::HashSet<String>> = journals
+        .iter()
+        .map(|j| {
+            (0..=j.lines.len())
+                .map(|k| {
+                    let (s, r) = StateStore::recovered_from(j.lines[..k].to_vec());
+                    assert!(no_damage(&r), "prefix {k}: {:?}", r.rejected);
+                    store_canon(&s, &r, &j.databases)
+                })
+                .collect()
+        })
+        .collect();
+
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xF022);
+    let mut done = 0;
+    while done < cases {
+        let which = rng.random_range(0..journals.len());
+        let j = &journals[which];
+        let Some((kind, damaged)) = mutate(&j.lines, &mut rng) else {
+            continue;
+        };
+        let what = format!("seed {seed} case {done} journal {which}: {kind}");
+        check_damaged(&what, damaged, &prefix_states[which], &j.databases);
+        done += 1;
+    }
+
+    for (which, j) in journals.iter().enumerate() {
+        for i in [newest_checkpoint(&j.lines), Some(j.lines.len() - 1)]
+            .into_iter()
+            .flatten()
+        {
+            for cut in (0..j.lines[i].len()).filter(|&c| j.lines[i].is_char_boundary(c)) {
+                let mut damaged = j.lines.clone();
+                damaged[i].truncate(cut);
+                let what = format!("seed {seed} journal {which}: frame {i} cut at {cut}");
+                check_damaged(&what, damaged, &prefix_states[which], &j.databases);
+            }
+        }
+    }
+}

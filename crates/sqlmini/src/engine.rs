@@ -322,13 +322,16 @@ impl Database {
     /// Bulk-load rows without statement accounting (initial population).
     pub fn load_rows(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) {
         let heap = self.heaps.get_mut(&table).expect("table exists");
-        let ids: Vec<_> = rows.into_iter().map(|r| heap.insert(r)).collect();
         let ix_ids: Vec<IndexId> = self.catalog.indexes_on(table).map(|(id, _)| id).collect();
-        for rid in ids {
-            let row = self.heaps[&table].peek(rid).expect("just inserted").clone();
+        for row in rows {
+            let rid = heap.insert(row);
+            if ix_ids.is_empty() {
+                continue;
+            }
+            let row = heap.peek(rid).expect("just inserted");
             for ix in &ix_ids {
                 if let Some(sx) = self.indexes.get_mut(ix) {
-                    sx.insert_row(rid, &row);
+                    sx.insert_row(rid, row);
                 }
             }
         }
