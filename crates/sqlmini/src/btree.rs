@@ -22,7 +22,11 @@ const NO_NODE: NodeId = usize::MAX;
 #[derive(Debug, Clone)]
 enum Node<K, V> {
     Internal {
-        /// `keys[i]` is the smallest key reachable via `children[i + 1]`.
+        /// `keys[i]` divides `children[i]` from `children[i + 1]`: greater
+        /// than every key under the former, no greater than any under the
+        /// latter. A bulk build or a split sets it to the smallest key of
+        /// the right subtree; a later `remove` of that key leaves it stale
+        /// but still dividing.
         keys: Vec<K>,
         children: Vec<NodeId>,
     },
@@ -81,6 +85,88 @@ impl<K: Ord + Clone + Debug, V: Clone> BTree<K, V> {
             prev: NO_NODE,
         });
         t
+    }
+
+    /// Build a tree bottom-up from `entries`, which must already be in
+    /// strictly rising key order: leaves are written left to right and
+    /// linked both ways, then each internal level from the smallest keys
+    /// of the level below, every node `fill × fanout` full (rounded up, and
+    /// evened out so that no node is left under half full). No entry is
+    /// compared against another and nothing descends from a root, which
+    /// is what makes this the way to materialise an index over rows that
+    /// already exist; `write_visits` stays 0.
+    ///
+    /// The result is a tree `insert` could have produced: every non-root
+    /// leaf holds `fanout / 2 ..= fanout - 1` entries and every non-root
+    /// internal node `fanout / 2 ..= fanout` children. A level too short
+    /// for nodes at `fill` is therefore cut into fewer, fuller ones, and
+    /// entries too few for two half-full leaves make one root leaf
+    /// whatever `fill` says.
+    pub fn from_sorted(fanout: usize, fill: f64, entries: Vec<(K, V)>) -> BTree<K, V> {
+        let mut t = BTree::new(fanout);
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "from_sorted: keys must be strictly rising"
+        );
+        if entries.is_empty() {
+            return t;
+        }
+        let min = fanout / 2;
+        let per_node = ((fanout as f64 * fill).ceil() as usize).clamp(min, fanout - 1);
+        // `n` items spread evenly over as many nodes as `per_node` asks
+        // for, but never so many that a node falls under `min`.
+        let spread = |n: usize| {
+            let nodes = n.div_ceil(per_node).min(n / min).max(1);
+            (0..nodes).map(move |i| n / nodes + usize::from(i < n % nodes))
+        };
+
+        t.arena.clear();
+        t.len = entries.len();
+        // One level at a time: (smallest key under the node, the node).
+        let mut level: Vec<(K, NodeId)> = Vec::new();
+        let mut rest = entries.into_iter();
+        for size in spread(t.len) {
+            // A leaf is allocated as the page it models, room for `fanout`
+            // entries: the maintenance inserts the fill leaves room for
+            // then never move it.
+            let mut leaf: Vec<(K, V)> = Vec::with_capacity(fanout);
+            leaf.extend(rest.by_ref().take(size));
+            let id = t.arena.len();
+            level.push((leaf[0].0.clone(), id));
+            t.arena.push(Node::Leaf {
+                entries: leaf,
+                next: id + 1,
+                prev: if id == 0 { NO_NODE } else { id - 1 },
+            });
+        }
+        if let Some(Node::Leaf { next, .. }) = t.arena.last_mut() {
+            *next = NO_NODE;
+        }
+        while level.len() > 1 {
+            let mut above = Vec::new();
+            let mut rest = level.into_iter();
+            for size in spread(rest.len()) {
+                let (first_key, first_child) = rest.next().expect("a node has children");
+                let mut keys = Vec::with_capacity(size - 1);
+                let mut children = Vec::with_capacity(size);
+                children.push(first_child);
+                for (key, child) in rest.by_ref().take(size - 1) {
+                    keys.push(key);
+                    children.push(child);
+                }
+                above.push((first_key, t.arena.len()));
+                t.arena.push(Node::Internal { keys, children });
+            }
+            level = above;
+            t.height += 1;
+        }
+        t.root = level[0].1;
+        t
+    }
+
+    /// Maximum children of an internal node; a leaf holds one entry fewer.
+    pub fn fanout(&self) -> usize {
+        self.fanout
     }
 
     /// Number of entries.
@@ -211,7 +297,10 @@ impl<K: Ord + Clone + Debug, V: Clone> BTree<K, V> {
             Node::Leaf { entries, .. } => {
                 match entries.binary_search_by(|(k, _)| k.cmp(&key)) {
                     Ok(i) => {
-                        let old = std::mem::replace(&mut entries[i].1, value);
+                        // The new key goes in with the new value: keys
+                        // that compare equal may still differ in what
+                        // they carry (an index entry's included values).
+                        let (_, old) = std::mem::replace(&mut entries[i], (key, value));
                         return InsertResult::Replaced(old);
                     }
                     Err(i) => entries.insert(i, (key, value)),
@@ -569,38 +658,56 @@ impl<K: Ord + Clone + Debug, V: Clone> BTree<K, V> {
         }
     }
 
-    /// Validate structural invariants (sortedness, occupancy, leaf links).
-    /// Used by tests; O(n).
+    /// Validate every structural invariant; O(n). What is checked:
+    /// occupancy (a non-root leaf holds `fanout / 2 ..= fanout - 1`
+    /// entries, a non-root internal node `fanout / 2 ..= fanout`
+    /// children, an internal root at least two); order (keys strictly
+    /// rising across the whole tree, every separator greater than all
+    /// keys under its left child and no greater than any under its
+    /// right); shape (every leaf at depth `height`); leaf links (`next`
+    /// from the leftmost leaf visits exactly the leaves reachable from
+    /// the root, in order, and `prev` mirrors it); bookkeeping (`len`
+    /// entries, `node_count` nodes reachable, every other arena slot on
+    /// the free list).
     pub fn check_invariants(&self) -> Result<(), String> {
-        // Sortedness via full iteration.
-        let mut last: Option<&K> = None;
+        let mut leaves = Vec::new();
+        let mut internals = 0usize;
+        self.check_subtree(self.root, 1, None, None, &mut leaves, &mut internals)?;
+
         let mut count = 0usize;
-        let mut leaf = self.leftmost_leaf();
-        let mut prev_leaf = NO_NODE;
+        let mut last: Option<&K> = None;
+        let mut chain = Vec::with_capacity(leaves.len());
+        let (mut leaf, mut prev_leaf) = (leaves[0], NO_NODE);
         while leaf != NO_NODE {
-            match &self.arena[leaf] {
-                Node::Leaf {
-                    entries,
-                    next,
-                    prev,
-                } => {
-                    if *prev != prev_leaf {
-                        return Err(format!("leaf {leaf} prev link broken"));
-                    }
-                    for (k, _) in entries {
-                        if let Some(l) = last {
-                            if l >= k {
-                                return Err(format!("keys out of order at {k:?}"));
-                            }
-                        }
-                        last = Some(k);
-                        count += 1;
-                    }
-                    prev_leaf = leaf;
-                    leaf = *next;
-                }
-                _ => return Err("leaf chain hit non-leaf".into()),
+            let Some(Node::Leaf {
+                entries,
+                next,
+                prev,
+            }) = self.arena.get(leaf)
+            else {
+                return Err(format!("leaf chain hit non-leaf {leaf}"));
+            };
+            if *prev != prev_leaf {
+                return Err(format!("leaf {leaf} prev link broken"));
             }
+            if chain.len() == leaves.len() {
+                return Err(format!("leaf chain runs past the last leaf to {leaf}"));
+            }
+            for (k, _) in entries {
+                if last.is_some_and(|l| l >= k) {
+                    return Err(format!("keys out of order at {k:?}"));
+                }
+                last = Some(k);
+                count += 1;
+            }
+            chain.push(leaf);
+            prev_leaf = leaf;
+            leaf = *next;
+        }
+        if chain != leaves {
+            return Err(format!(
+                "leaf chain {chain:?} is not the leaves under the root {leaves:?}"
+            ));
         }
         if count != self.len {
             return Err(format!(
@@ -608,7 +715,105 @@ impl<K: Ord + Clone + Debug, V: Clone> BTree<K, V> {
                 self.len
             ));
         }
+        let reachable = leaves.len() + internals;
+        if reachable != self.node_count() {
+            return Err(format!(
+                "{reachable} nodes reachable, {} live in the arena",
+                self.node_count()
+            ));
+        }
+        let mut free = 0usize;
+        let mut slot = self.free_head;
+        while slot != NO_NODE {
+            let Some(Node::Free { next_free }) = self.arena.get(slot) else {
+                return Err(format!("free list hit live node {slot}"));
+            };
+            free += 1;
+            if free > self.arena.len() {
+                return Err("free list loops".into());
+            }
+            slot = *next_free;
+        }
+        if reachable + free != self.arena.len() {
+            return Err(format!(
+                "{reachable} reachable + {free} free != {} arena slots",
+                self.arena.len()
+            ));
+        }
         Ok(())
+    }
+
+    /// `check_invariants` below one node: every key in `lo ..< hi` (the
+    /// separators on the way down), occupancy, depth. Appends the leaves
+    /// in key order.
+    fn check_subtree(
+        &self,
+        node: NodeId,
+        depth: usize,
+        lo: Option<&K>,
+        hi: Option<&K>,
+        leaves: &mut Vec<NodeId>,
+        internals: &mut usize,
+    ) -> Result<(), String> {
+        let is_root = node == self.root;
+        let min = self.fanout / 2;
+        match self.arena.get(node) {
+            Some(Node::Leaf { entries, .. }) => {
+                if depth != self.height {
+                    return Err(format!(
+                        "leaf {node} at depth {depth}, height {}",
+                        self.height
+                    ));
+                }
+                let n = entries.len();
+                if n >= self.fanout || (!is_root && n < min) {
+                    return Err(format!(
+                        "leaf {node} holds {n} entries, fanout {}",
+                        self.fanout
+                    ));
+                }
+                if let (Some(lo), Some((first, _))) = (lo, entries.first()) {
+                    if first < lo {
+                        return Err(format!("leaf {node}: {first:?} under separator {lo:?}"));
+                    }
+                }
+                if let (Some(hi), Some((last, _))) = (hi, entries.last()) {
+                    if last >= hi {
+                        return Err(format!("leaf {node}: {last:?} not under separator {hi:?}"));
+                    }
+                }
+                leaves.push(node);
+                Ok(())
+            }
+            Some(Node::Internal { keys, children }) => {
+                *internals += 1;
+                let n = children.len();
+                if n != keys.len() + 1 {
+                    return Err(format!("node {node}: {} keys, {n} children", keys.len()));
+                }
+                if n > self.fanout || n < if is_root { 2 } else { min } {
+                    return Err(format!(
+                        "node {node} holds {n} children, fanout {}",
+                        self.fanout
+                    ));
+                }
+                if depth >= self.height {
+                    return Err(format!("internal node {node} at leaf depth {depth}"));
+                }
+                for (i, &child) in children.iter().enumerate() {
+                    let lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
+                    let hi = keys.get(i).or(hi);
+                    if let (Some(lo), Some(hi)) = (lo, hi) {
+                        if lo >= hi {
+                            return Err(format!("node {node}: separators out of order at {hi:?}"));
+                        }
+                    }
+                    self.check_subtree(child, depth + 1, lo, hi, leaves, internals)?;
+                }
+                Ok(())
+            }
+            _ => Err(format!("node {node} is free or out of the arena")),
+        }
     }
 }
 
@@ -664,6 +869,8 @@ impl<'a, K: Ord + Clone + Debug, V: Clone> Iterator for RangeIter<'a, K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::index::BUILD_FILL;
+    use proptest::prelude::*;
 
     fn build(n: u64, fanout: usize) -> BTree<u64, u64> {
         let mut t = BTree::new(fanout);
@@ -691,6 +898,43 @@ mod tests {
         assert_eq!(t.insert(1, "b"), Some("a"));
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(&1), Some(&"b"));
+    }
+
+    /// A key whose order ignores part of it, as an index entry's ignores
+    /// its included values.
+    #[derive(Debug, Clone)]
+    struct Tagged(u32, &'static str);
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Tagged) -> bool {
+            self.0 == other.0
+        }
+    }
+    impl Eq for Tagged {}
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Tagged) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Tagged) -> std::cmp::Ordering {
+            self.0.cmp(&other.0)
+        }
+    }
+
+    #[test]
+    fn insert_replaces_the_stored_key_too() {
+        let mut t = BTree::new(4);
+        for k in 0..20 {
+            t.insert(Tagged(k, "old"), k);
+        }
+        assert_eq!(t.insert(Tagged(7, "new"), 70), Some(7));
+        assert_eq!(t.len(), 20);
+        let tags: Vec<_> = t.iter().map(|(k, v)| (k.0, k.1, *v)).collect();
+        for (k, tag, v) in tags {
+            assert_eq!((tag, v), if k == 7 { ("new", 70) } else { ("old", k) });
+        }
+        t.check_invariants().unwrap();
     }
 
     #[test]
@@ -825,5 +1069,213 @@ mod tests {
         let got: Vec<_> = t.iter().map(|(k, v)| (*k, *v)).collect();
         let want: Vec<_> = model.iter().map(|(k, v)| (*k, *v)).collect();
         assert_eq!(got, want);
+    }
+
+    // -----------------------------------------------------------------
+    // The bulk path
+    // -----------------------------------------------------------------
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Every separator is exactly the smallest key under its right
+    /// child. `check_invariants` cannot ask for this (a `remove` may
+    /// leave a separator stale), but a tree that was only ever built or
+    /// inserted into has it.
+    fn separators_are_first_keys<K: Ord + Clone + Debug, V: Clone>(t: &BTree<K, V>) -> bool {
+        fn first_key<K, V>(t: &BTree<K, V>, mut node: NodeId) -> &K {
+            loop {
+                match &t.arena[node] {
+                    Node::Leaf { entries, .. } => return &entries[0].0,
+                    Node::Internal { children, .. } => node = children[0],
+                    Node::Free { .. } => unreachable!(),
+                }
+            }
+        }
+        t.arena.iter().all(|n| match n {
+            Node::Internal { keys, children } => keys
+                .iter()
+                .zip(&children[1..])
+                .all(|(k, &c)| k == first_key(t, c)),
+            _ => true,
+        })
+    }
+
+    /// `n` entries in rising order whose first component repeats heavily
+    /// (a duplicate index key) and whose second tells them apart (the
+    /// row id).
+    fn rising(n: usize, distinct: u32, x: &mut u64) -> Vec<((u32, u32), u64)> {
+        let mut keys: Vec<(u32, u32)> = (0..n as u32)
+            .map(|i| ((xorshift(x) % u64::from(distinct)) as u32, i))
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|k| (k, u64::from(k.0) << 32 | u64::from(k.1)))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_build_keeps_occupancy_at_every_small_count() {
+        for fanout in [4usize, 5, 6, 7, 8, 9, 16, 33, 64] {
+            for fill in [0.5, BUILD_FILL, 1.0] {
+                for n in 0..=4 * fanout + 2 {
+                    let entries: Vec<(usize, usize)> = (0..n).map(|i| (i, i * 3)).collect();
+                    let t = BTree::from_sorted(fanout, fill, entries.clone());
+                    t.check_invariants()
+                        .unwrap_or_else(|e| panic!("fanout {fanout} fill {fill} n {n}: {e}"));
+                    assert!(separators_are_first_keys(&t));
+                    assert_eq!(t.len(), n);
+                    // One leaf until there is enough for two half-full
+                    // ones; never one leaf of `fanout` entries.
+                    assert!(t.height() == 1 || n >= 2 * (fanout / 2));
+                    assert!(t.height() > 1 || n < fanout);
+                    let got: Vec<(usize, usize)> = t.iter().map(|(k, v)| (*k, *v)).collect();
+                    assert_eq!(got, entries);
+                    assert_eq!(t.write_visits(), 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bulk_build_fills_to_the_asked_fraction() {
+        // 100,000 entries at fanout 100: 69 a leaf, and one level of
+        // internal nodes at 69 children under the root.
+        let t = BTree::from_sorted(100, BUILD_FILL, (0..100_000u64).map(|i| (i, ())).collect());
+        t.check_invariants().unwrap();
+        let leaves = 100_000usize.div_ceil(69);
+        let internals = leaves.div_ceil(69);
+        assert_eq!(t.node_count(), leaves + internals + 1);
+        assert_eq!(t.height(), 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly rising")]
+    fn bulk_build_rejects_a_repeated_key() {
+        BTree::from_sorted(8, BUILD_FILL, vec![(1, ()), (2, ()), (2, ()), (3, ())]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "strictly rising")]
+    fn bulk_build_rejects_falling_keys() {
+        BTree::from_sorted(8, BUILD_FILL, vec![(1, ()), (3, ()), (2, ())]);
+    }
+
+    /// Bulk == incremental: over random fanouts, fills and entry counts
+    /// (the awkward ones around a half, one and two nodes' worth first),
+    /// `from_sorted` gives a well-formed tree that iterates to its input
+    /// and answers `get` and `range` as a tree built by `insert` in
+    /// shuffled order does. Salted with `CHAOS_SEED`, so CI's chaos
+    /// matrix draws different cases per seed.
+    #[test]
+    fn bulk_built_tree_equals_insert_built_tree() {
+        let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
+        proptest::run_prop_test(
+            &format!("bulk_built_tree_equals_insert_built_tree/{seed}"),
+            &ProptestConfig::with_cases(96),
+            (
+                4usize..=512,
+                0usize..4,
+                0usize..22,
+                0usize..=20_000,
+                1u32..60,
+                any::<u64>(),
+            ),
+            |(fanout, fill, which, random_n, distinct, salt)| {
+                let fill = [0.5, BUILD_FILL, BUILD_FILL, 1.0][fill];
+                let two_nodes = (2.0 * fill * fanout as f64) as usize;
+                let edges = [
+                    0,
+                    1,
+                    fanout / 2 - 1,
+                    fanout / 2,
+                    fanout / 2 + 1,
+                    fanout - 1,
+                    fanout,
+                    fanout + 1,
+                    two_nodes - 1,
+                    two_nodes,
+                    two_nodes + 1,
+                ];
+                let n = edges.get(which).copied().unwrap_or(random_n);
+                let mut x = salt | 1;
+                let entries = rising(n, distinct, &mut x);
+
+                let bulk = BTree::from_sorted(fanout, fill, entries.clone());
+                bulk.check_invariants().map_err(TestCaseError::fail)?;
+                prop_assert!(separators_are_first_keys(&bulk));
+                prop_assert_eq!(bulk.len(), n);
+                prop_assert_eq!(bulk.write_visits(), 0);
+                let listed: Vec<_> = bulk.iter().map(|(k, v)| (*k, *v)).collect();
+                prop_assert!(listed == entries, "iteration differs from the input");
+
+                let mut shuffled = entries.clone();
+                for i in (1..shuffled.len()).rev() {
+                    shuffled.swap(i, (xorshift(&mut x) % (i as u64 + 1)) as usize);
+                }
+                let mut inserted = BTree::new(fanout);
+                for (k, v) in shuffled {
+                    inserted.insert(k, v);
+                }
+                inserted.check_invariants().map_err(TestCaseError::fail)?;
+
+                // Probes: present keys, and absent ones on either side.
+                let probe = |x: &mut u64| {
+                    let r = xorshift(x);
+                    (
+                        (r % u64::from(distinct + 1)) as u32,
+                        (r >> 32) as u32 % (n as u32 + 2),
+                    )
+                };
+                for _ in 0..64 {
+                    let k = probe(&mut x);
+                    prop_assert_eq!(bulk.get(&k), inserted.get(&k));
+                    let (a, b) = (probe(&mut x), probe(&mut x));
+                    let (lo, hi) = (a.min(b), a.max(b));
+                    for (lo, hi) in [
+                        (Bound::Included(&lo), Bound::Excluded(&hi)),
+                        (Bound::Excluded(&lo), Bound::Included(&hi)),
+                        (Bound::Included(&lo), Bound::Unbounded),
+                        (Bound::Unbounded, Bound::Excluded(&hi)),
+                    ] {
+                        prop_assert!(
+                            bulk.range(lo, hi).eq(inserted.range(lo, hi)),
+                            "range {lo:?}..{hi:?}"
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// A bulk-built tree then lives an ordinary life: random inserts,
+    /// replacements and removes against a model, invariants after each.
+    #[test]
+    fn bulk_built_tree_survives_inserts_and_removes() {
+        let mut x: u64 = 0x2545_f491_4f6c_dd1d;
+        for fanout in [4usize, 5, 8, 32] {
+            let entries: Vec<(u64, u64)> = (0..600).map(|i| (i * 2, i)).collect();
+            let mut t = BTree::from_sorted(fanout, BUILD_FILL, entries.clone());
+            let mut model: std::collections::BTreeMap<u64, u64> = entries.into_iter().collect();
+            for step in 0..4_000 {
+                let r = xorshift(&mut x);
+                let k = (r >> 8) % 1_400;
+                if r % 5 < 2 {
+                    assert_eq!(t.insert(k, r), model.insert(k, r));
+                } else {
+                    assert_eq!(t.remove(&k), model.remove(&k));
+                }
+                t.check_invariants()
+                    .unwrap_or_else(|e| panic!("fanout {fanout} step {step}: {e}"));
+            }
+            assert!(t.iter().map(|(k, v)| (*k, *v)).eq(model.into_iter()));
+        }
     }
 }

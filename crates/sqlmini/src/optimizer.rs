@@ -24,6 +24,7 @@
 //! maintenance costs — those limitations are what the DTA-style recommender
 //! compensates for.
 
+use crate::index::BUILD_FILL;
 use crate::plan::{
     Access, AggStrategy, DmlPlan, IndexRef, JoinPlan, JoinStrategy, Plan, PlanEstimates,
     RangeBound, SelectPlan,
@@ -105,7 +106,7 @@ impl IndexGeom {
             .sum::<f64>()
             + 8.0;
         let per_page = (crate::heap::PAGE_SIZE as f64 / entry_width).clamp(8.0, 512.0);
-        let leaf_pages = (rows / (per_page * 0.69)).ceil().max(1.0);
+        let leaf_pages = (rows / (per_page * BUILD_FILL)).ceil().max(1.0);
         let height = (leaf_pages.log(per_page.max(2.0)).ceil() + 1.0).max(1.0);
         IndexGeom {
             rref: IndexRef::Hypothetical {

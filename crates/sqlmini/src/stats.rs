@@ -55,6 +55,14 @@ impl ColumnStats {
     /// Build stats from the numeric projections of the column's values.
     /// `scale` inflates sampled counts back to table cardinality.
     fn build(mut positions: Vec<f64>, nulls: usize, scale: f64) -> ColumnStats {
+        // Floats that compare equal are interchangeable below (all but the
+        // sign of a zero, which nothing reads), so stability buys nothing.
+        positions.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        ColumnStats::from_sorted(&positions, nulls, scale)
+    }
+
+    /// [`build`](Self::build) over positions already in rising order.
+    pub fn from_sorted(positions: &[f64], nulls: usize, scale: f64) -> ColumnStats {
         let n = positions.len();
         if n == 0 {
             return ColumnStats {
@@ -65,7 +73,6 @@ impl ColumnStats {
                 buckets: Vec::new(),
             };
         }
-        positions.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
         let min = positions[0];
         let max = positions[n - 1];
 
@@ -224,7 +231,11 @@ impl TableStats {
         seed: u64,
     ) -> TableStats {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5747_5f53_5441_5453);
-        let mut positions: Vec<Vec<f64>> = vec![Vec::new(); n_columns];
+        // One position per sampled row per column, bar the NULLs.
+        let expected = rows.size_hint().1.unwrap_or(0) as f64 * sample_frac.unwrap_or(1.0);
+        let mut positions: Vec<Vec<f64>> = (0..n_columns)
+            .map(|_| Vec::with_capacity(expected as usize))
+            .collect();
         let mut nulls: Vec<usize> = vec![0; n_columns];
         let mut row_count = 0u64;
         let mut sampled = 0u64;
@@ -302,6 +313,56 @@ mod tests {
         (0..n)
             .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
             .collect()
+    }
+
+    /// What `ColumnStats::build` was before its sort went unstable.
+    fn stable_build(mut positions: Vec<f64>, nulls: usize, scale: f64) -> ColumnStats {
+        positions.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        ColumnStats::from_sorted(&positions, nulls, scale)
+    }
+
+    /// The only floats that compare equal and are not the same float are
+    /// the two zeros. An unstable sort may order them differently from the
+    /// stable one, so the sign of a zero `min`, `max` or bucket `hi` is
+    /// not pinned (at 64 positions below, one `hi` comes out `0.0` where
+    /// the stable sort left `-0.0`); every field still compares equal, and
+    /// every selectivity read off them is the same float bit for bit.
+    #[test]
+    fn unstable_sort_builds_equal_stats_over_mixed_zeros() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for (n, sign) in [2usize, 3, 31, 32, 33, 64, 500, 4_000]
+            .into_iter()
+            .flat_map(|n| [(n, 1.0), (n, -1.0)])
+        {
+            let positions: Vec<f64> = (2..n)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    match x % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => sign * ((x >> 8) % 4) as f64,
+                        _ => ((x >> 8) % 4) as f64,
+                    }
+                })
+                .chain([0.0, -0.0])
+                .collect();
+            let want = stable_build(positions.clone(), 3, 1.5);
+            let got = ColumnStats::build(positions, 3, 1.5);
+            assert_eq!(got, want, "{n} positions");
+            for v in [-1.0, -0.0, 0.0, 0.5, 2.0] {
+                let read = |s: &ColumnStats| {
+                    [
+                        s.eq_selectivity(&Value::Float(v)),
+                        s.range_selectivity(Some(v), None),
+                        s.range_selectivity(None, Some(v)),
+                    ]
+                    .map(f64::to_bits)
+                };
+                assert_eq!(read(&got), read(&want), "selectivities at {v} over {n}");
+            }
+        }
     }
 
     #[test]

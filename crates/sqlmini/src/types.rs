@@ -56,9 +56,13 @@ impl fmt::Display for ValueType {
 /// value) so composite index keys can be compared without panicking even
 /// when schemas are heterogeneous.
 ///
-/// Strings are reference-counted (`Arc<str>`): rows are cloned on every
-/// scan, index leaf materialization, and join probe, and sharing the
-/// backing buffer turns those clones into refcount bumps.
+/// Strings are reference-counted (`Arc<str>`). The executor no longer
+/// clones rows to read them (scans, covering leaves and join probes hand
+/// out borrowed views), but a value is still copied wherever a second
+/// owner is made: into every index entry that carries its column (build
+/// and maintenance), into a result row at `Database::query`'s sink, into
+/// a new group key, and across `Database::clone`/`fork`. Sharing the
+/// backing buffer keeps each of those a refcount bump.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,

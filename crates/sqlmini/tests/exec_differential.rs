@@ -448,7 +448,10 @@ impl World {
         let name = format!("ix{}", self.n_indexes);
         let def = self.tables[side].index_def(rng, name, lead.map(|(_, c)| c));
         self.n_indexes += 1;
+        let table = def.table;
         self.db.create_index(def).expect("index builds");
+        storage_matches(&self.db, &self.reference, table)
+            .unwrap_or_else(|e| panic!("after CREATE INDEX ix{}: {e:?}", self.n_indexes - 1));
     }
 
     /// One random statement of the given workload shape (the twelve
@@ -715,8 +718,11 @@ impl World {
     }
 }
 
-/// After a write to `table`: the heap holds the reference's rows, and
-/// every index on it is what a rebuild from the heap gives.
+/// After a write to `table` or index DDL on it: the heap holds the
+/// reference's rows, and every index on it is a well-formed tree holding
+/// what a rebuild from the heap gives. The live index got there by
+/// `insert_row`/`delete_row`/`update_row` and the rebuild by the bulk
+/// build, so this is also a differential between those two paths.
 fn storage_matches(db: &Database, reference: &Tables, table: TableId) -> Result<(), TestCaseError> {
     let heap = db.heap(table).expect("table has a heap");
     let rows: Vec<Row> = heap.scan_quiet().map(|(_, r)| r.clone()).collect();
@@ -727,6 +733,11 @@ fn storage_matches(db: &Database, reference: &Tables, table: TableId) -> Result<
         let live = db.secondary_index(id).expect("index is materialized");
         let mut rebuilt = SecondaryIndex::new(def.clone(), tdef);
         rebuilt.build(heap);
+        for (ix, how) in [(live, "live"), (&rebuilt, "rebuilt")] {
+            if let Err(e) = ix.check_invariants() {
+                return Err(TestCaseError::fail(format!("{how} {}: {e}", def.name)));
+            }
+        }
         let entries = |ix: &SecondaryIndex| -> Vec<_> {
             let all = ix.scan_all().entries.into_iter();
             all.map(|e| (e.rid, e.key_vals, e.included_vals)).collect()
@@ -817,6 +828,7 @@ fn dml_through_the_index_it_modifies() {
         db.create_index(IndexDef::new("by_bucket", t, vec![ColumnId(1)], included))
             .unwrap();
         let mut reference = Tables::from([(t, rows)]);
+        storage_matches(&db, &reference, t).unwrap_or_else(|e| panic!("after CREATE INDEX: {e:?}"));
 
         let by_bucket = vec![Predicate::param(ColumnId(1), CmpOp::Eq, 0)];
         let in_range = vec![

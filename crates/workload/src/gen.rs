@@ -47,6 +47,14 @@ impl ColumnDist {
     }
 }
 
+/// Per-column state of one [`TableSpec::generate_rows`] call.
+enum ColumnSampler {
+    None,
+    Zipf(Zipf),
+    /// `cat_0..cat_{n-1}`.
+    Categories(Vec<Value>),
+}
+
 /// Zipf sampler over `0..n` with exponent `s`, using the rejection-free
 /// inverse-CDF approximation (adequate for workload generation).
 #[derive(Debug, Clone)]
@@ -147,12 +155,20 @@ impl TableSpec {
 
     /// Generate all rows for this table.
     pub fn generate_rows(&self, rng: &mut StdRng) -> Vec<Row> {
-        let samplers: Vec<Option<Zipf>> = self
+        // What a column's distribution needs built once, not once per row.
+        let samplers: Vec<ColumnSampler> = self
             .columns
             .iter()
             .map(|c| match &c.dist {
-                ColumnDist::ZipfInt { cardinality, s } => Some(Zipf::new(*cardinality, *s)),
-                _ => None,
+                ColumnDist::ZipfInt { cardinality, s } => {
+                    ColumnSampler::Zipf(Zipf::new(*cardinality, *s))
+                }
+                ColumnDist::Category { n } => ColumnSampler::Categories(
+                    (0..(*n).max(1))
+                        .map(|k| Value::Str(format!("cat_{k}").into()))
+                        .collect(),
+                ),
+                _ => ColumnSampler::None,
             })
             .collect();
         (0..self.rows)
@@ -160,7 +176,7 @@ impl TableSpec {
             .collect()
     }
 
-    fn generate_row(&self, seq: u64, rng: &mut StdRng, samplers: &[Option<Zipf>]) -> Row {
+    fn generate_row(&self, seq: u64, rng: &mut StdRng, samplers: &[ColumnSampler]) -> Row {
         let mut row: Row = Vec::with_capacity(self.columns.len());
         for (ci, c) in self.columns.iter().enumerate() {
             if c.null_frac > 0.0 && rng.random::<f64>() < c.null_frac {
@@ -172,13 +188,18 @@ impl TableSpec {
                 ColumnDist::UniformInt { cardinality } => {
                     Value::Int(rng.random_range(0..(*cardinality).max(1)) as i64)
                 }
-                ColumnDist::ZipfInt { .. } => {
-                    Value::Int(samplers[ci].as_ref().expect("sampler built").sample(rng) as i64)
-                }
+                ColumnDist::ZipfInt { .. } => match &samplers[ci] {
+                    ColumnSampler::Zipf(zipf) => Value::Int(zipf.sample(rng) as i64),
+                    _ => unreachable!("sampler built"),
+                },
                 ColumnDist::UniformFloat { max } => Value::Float(rng.random::<f64>() * max),
-                ColumnDist::Category { n } => {
-                    Value::Str(format!("cat_{}", rng.random_range(0..(*n).max(1))).into())
-                }
+                // One shared string per category: a row takes a handle.
+                ColumnDist::Category { n } => match &samplers[ci] {
+                    ColumnSampler::Categories(cats) => {
+                        cats[rng.random_range(0..(*n).max(1)) as usize].clone()
+                    }
+                    _ => unreachable!("sampler built"),
+                },
                 ColumnDist::DerivedFrom { column, divisor } => {
                     // Derive from the already-generated column value.
                     let base = row

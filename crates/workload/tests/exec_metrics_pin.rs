@@ -85,8 +85,9 @@ fn replayed_statement_metrics_are_pinned_bit_for_bit() {
         shape_free, 0xe3da_1e12_e814_d544,
         "rows returned/examined hash {shape_free:#018x}"
     );
-    // Incrementally built trees (every index row by row through
-    // `BTree::insert`).
+    // Bulk-built trees (`BTree::from_sorted` at `BUILD_FILL`). With every
+    // index inserted row by row, as before: 0x3412112781e8bd75 and
+    // (13_322, 1_278, "286989.27", 1_581_056).
     let sums = (
         reads,
         writes,
@@ -94,10 +95,10 @@ fn replayed_statement_metrics_are_pinned_bit_for_bit() {
         replica.db.storage_bytes(),
     );
     assert_eq!(
-        shape_dependent, 0x3412_1127_81e8_bd75,
+        shape_dependent, 0x5d1d_5bb7_4179_4be2,
         "reads/writes/cpu hash {shape_dependent:#018x}, sums {sums:?}"
     );
-    assert_eq!(sums, (13_322, 1_278, "286989.27".to_string(), 1_581_056));
+    assert_eq!(sums, (13_337, 1_262, "286956.15".to_string(), 1_540_096));
 }
 
 /// `Database::execute` (count only) and `Database::query` (rows too) are
