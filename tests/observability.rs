@@ -394,3 +394,362 @@ mod flight_verdicts {
         assert!(!plain.render().contains("flight ("));
     }
 }
+
+// ---------------------------------------------------------------------
+// Single-source pin
+// ---------------------------------------------------------------------
+//
+// Two seeded chaos fleets on which every §8.1 dashboard line, every
+// verdict and every recovery path is non-zero. What an operator reads —
+// the rendered dashboard, the counters line, the canonical digest, and
+// the registry's counters, gauges and histograms — is pinned byte for
+// byte, serial and on 3 threads, so a change to *where* a number is kept
+// can be told from a change to the number.
+
+mod single_source_pin {
+    use super::basic_fleet;
+    use autoindex::dta::DtaConfig;
+    use autoindex::validator::ValidatorConfig;
+    use controlplane::plane::{ControlPlane, ManagedDb};
+    use controlplane::store::CompactionPolicy;
+    use controlplane::{
+        counters_line, DbSettings, EventKind, FaultKind, FaultPoint, FleetDriver,
+        FleetDriverConfig, FleetReport, MetricsRegistry, PlanePolicy, RecoState, RecommenderPolicy,
+        ServerSettings, TenantScript,
+    };
+    use sqlmini::clock::Duration;
+    use std::collections::BTreeSet;
+
+    /// The string counters that sit 1:1 beside an event of the same fact.
+    const SHADOWS: [(&str, EventKind); 20] = [
+        ("reco.expired", EventKind::RecommendationExpired),
+        ("implement.started", EventKind::ImplementStarted),
+        (
+            "implement.failed.transient",
+            EventKind::ImplementFailedTransient,
+        ),
+        ("implement.failed.fatal", EventKind::ImplementFailedFatal),
+        ("validate.nodata", EventKind::ValidationNoData),
+        ("validate.improved", EventKind::ValidationImproved),
+        ("validate.inconclusive", EventKind::ValidationInconclusive),
+        ("validate.regressed", EventKind::ValidationRegressed),
+        ("revert.succeeded", EventKind::RevertSucceeded),
+        ("revert.failed.transient", EventKind::RevertFailedTransient),
+        ("retry.backoff_wait", EventKind::RetryBackoffWait),
+        ("incident.raised", EventKind::IncidentRaised),
+        ("recovery.runs", EventKind::StoreRecovered),
+        ("recovery.from_checkpoint", EventKind::CheckpointRestored),
+        (
+            "recovery.checkpoint_fallback",
+            EventKind::CheckpointFallback,
+        ),
+        ("fleet.quarantines", EventKind::TenantQuarantined),
+        ("fleet.poisoned", EventKind::TenantPoisoned),
+        (
+            "recovery.entries_truncated",
+            EventKind::JournalEntryTruncated,
+        ),
+        ("recovery.reparked", EventKind::RecommendationReparked),
+        ("recovery.corrupt_frames", EventKind::JournalFrameCorrupt),
+    ];
+
+    /// Faults at 0.1 / 0.01, half the fleet on auto, a two-tick breaker,
+    /// compaction every few frames, and scripts arming two journal tears
+    /// (consecutive, so the breaker trips on them), two torn checkpoints
+    /// and one worker panic.
+    fn chaos_driver(policy: PlanePolicy, fault_seed: u64) -> FleetDriver {
+        let script = |tenant, point, count, at_tick| TenantScript {
+            tenant,
+            point,
+            count,
+            kind: FaultKind::Transient,
+            at_tick,
+        };
+        FleetDriver::new(FleetDriverConfig {
+            policy: PlanePolicy {
+                analysis_interval: Duration::from_hours(2),
+                validation_min_wait: Duration::from_hours(1),
+                reco_expiry: Duration::from_hours(6),
+                journal: CompactionPolicy {
+                    enabled: true,
+                    min_frames: 4,
+                    garbage_ratio: 0.5,
+                },
+                ..policy
+            },
+            fault_seed: Some(fault_seed),
+            fault_transient_prob: 0.1,
+            fault_fatal_prob: 0.01,
+            auto_fraction: Some(0.5),
+            quarantine_threshold: 2,
+            quarantine_cooldown: 2,
+            scripts: vec![
+                script(0, FaultPoint::JournalTear, 1, Some(5)),
+                script(0, FaultPoint::JournalTear, 1, Some(6)),
+                script(1, FaultPoint::CheckpointTear, 2, None),
+                script(2, FaultPoint::TenantPanic, 1, Some(9)),
+            ],
+            ..FleetDriverConfig::default()
+        })
+    }
+
+    /// Fleet A: the default validator, so all four verdicts occur, and a
+    /// validation wait short enough for no-data and inconclusive ones.
+    fn fleet_a(threads: usize) -> FleetReport {
+        let policy = PlanePolicy {
+            validation_max_wait: Duration::from_hours(4),
+            ..PlanePolicy::default()
+        };
+        chaos_driver(policy, 0x51D1).run(basic_fleet(16, 7), 48, threads)
+    }
+
+    /// Fleet B: DTA for everyone on a 60-call what-if budget (so sessions
+    /// abort on budget *and* on injected faults), a validator that calls
+    /// every change a regression (so every implemented action reverts and
+    /// reverts fail), one retry, and a stuck horizon shorter than the
+    /// validation wait (so the health stage closes what validation would
+    /// have).
+    fn fleet_b(threads: usize) -> FleetReport {
+        let policy = PlanePolicy {
+            recommender: RecommenderPolicy::DtaOnly,
+            dta: DtaConfig {
+                optimizer_call_budget: 60,
+                ..DtaConfig::default()
+            },
+            validator: ValidatorConfig {
+                alpha: 1.0,
+                min_executions: 2,
+                regression_threshold: -10.0,
+                min_resource_frac: 0.0,
+                ..ValidatorConfig::default()
+            },
+            validation_max_wait: Duration::from_hours(6),
+            stuck_horizon: Duration::from_hours(4),
+            max_retry_attempts: 1,
+            ..PlanePolicy::default()
+        };
+        chaos_driver(policy, 0x51D5).run(basic_fleet(16, 3), 48, threads)
+    }
+
+    /// Every counter that is the only record of its fact, every gauge and
+    /// every histogram (count and sum), on one line.
+    fn registry_line(m: &MetricsRegistry) -> String {
+        let counters: Vec<String> = m
+            .counters()
+            .iter()
+            .filter(|(name, _)| SHADOWS.iter().all(|(shadow, _)| shadow != name))
+            .map(|(name, n)| format!("{name}={n}"))
+            .collect();
+        let gauges: Vec<String> = m.gauges().iter().map(|(k, v)| format!("{k}={v}")).collect();
+        let histograms: Vec<String> = m
+            .histograms()
+            .iter()
+            .map(|(k, h)| format!("{k}={}/{}", h.count(), h.sum()))
+            .collect();
+        format!(
+            "{} | {} | {}",
+            counters.join(" "),
+            gauges.join(" "),
+            histograms.join(" ")
+        )
+    }
+
+    struct Pin {
+        dashboard: &'static str,
+        counters: &'static str,
+        digest: u64,
+        registry: &'static str,
+    }
+
+    fn check(name: &str, run: fn(usize) -> FleetReport, pin: &Pin) -> BTreeSet<EventKind> {
+        let serial = run(1);
+        for (threads, report) in [(1, &serial), (3, &run(3))] {
+            let tag = format!("fleet {name}, {threads} thread(s)");
+            assert_eq!(
+                report.dashboard_with_scheduler().render(),
+                pin.dashboard,
+                "{tag}"
+            );
+            assert_eq!(counters_line(&report.telemetry), pin.counters, "{tag}");
+            assert_eq!(report.canonical_digest(), pin.digest, "{tag}");
+            assert_eq!(registry_line(&report.metrics), pin.registry, "{tag}");
+            // The evidence the single-source refactor rests on: each
+            // string counter equals the count of the event beside it.
+            for (shadow, kind) in SHADOWS {
+                assert_eq!(
+                    report.metrics.counter(shadow),
+                    report.telemetry.count(kind),
+                    "{tag}: {shadow} vs {kind:?}"
+                );
+            }
+        }
+        serial.telemetry.counters().keys().copied().collect()
+    }
+
+    /// The two recovery events no fleet run can produce: a tick-boundary
+    /// tear removes the schedule or checkpoint frame that closed the
+    /// tick, never a mid-flight upsert, and no fault point damages a
+    /// frame in the middle of a journal. Driven here through
+    /// `ControlPlane::recover_store` on a journal damaged by hand.
+    fn recovery_of_a_hand_damaged_journal() -> BTreeSet<EventKind> {
+        let tenant = basic_fleet(1, 7).remove(0);
+        let mut mdb = ManagedDb::new(tenant.db, DbSettings::default(), ServerSettings::default());
+        let mut runner = tenant.runner;
+        let mut plane = ControlPlane::new(PlanePolicy {
+            analysis_interval: Duration::from_hours(2),
+            ..PlanePolicy::default()
+        });
+        for _ in 0..6 {
+            runner.run(&mut mdb.db, &tenant.model, Duration::from_hours(1));
+            plane.tick(&mut mdb);
+        }
+        let now = mdb.db.clock().now();
+        let id = plane
+            .store
+            .all()
+            .find(|r| r.state == RecoState::Active)
+            .map(|r| r.id)
+            .expect("a recommend-only tenant keeps its recommendations Active");
+        plane.store.update(id, |r| {
+            r.transition(RecoState::Implementing, now, "caught mid-flight")
+                .expect("Active -> Implementing");
+        });
+        plane.store.corrupt_journal_frame(1);
+        let report = plane.recover_store(&mdb.db.name, now);
+        assert_eq!((report.reparked.len(), report.corrupt_mid), (1, 1));
+        for (shadow, kind) in SHADOWS {
+            assert_eq!(
+                plane.metrics.counter(shadow),
+                plane.telemetry.count(kind),
+                "{shadow} vs {kind:?}"
+            );
+        }
+        plane.telemetry.counters().keys().copied().collect()
+    }
+
+    #[test]
+    fn dashboard_counters_and_digest_are_pinned_on_two_chaos_fleets() {
+        let mut seen = check("A", fleet_a, &PIN_A);
+        seen.extend(check("B", fleet_b, &PIN_B));
+        seen.extend(recovery_of_a_hand_damaged_journal());
+        // Every `EventKind` with an emit site reachable without a
+        // `FlightDriver`. Outside the set, with the reason:
+        //   DropLockTimedOut — no emit site anywhere (dead variant);
+        //   FlightStarted, FlightTenantVerdict, FlightShipped,
+        //   FlightAborted — emitted by `FlightDriver` into its own
+        //   report's telemetry, never by a fleet run (flight.rs tests
+        //   and `flight_equivalence.rs` count them).
+        // A variant that drops out of this set has lost its last emit
+        // site; a new variant belongs here or in the list above.
+        use EventKind::*;
+        let expected = BTreeSet::from([
+            AnalysisStarted,
+            AnalysisCompleted,
+            RecommendationCreated,
+            RecommendationExpired,
+            ImplementStarted,
+            ImplementSucceeded,
+            ImplementFailedTransient,
+            ImplementFailedFatal,
+            ValidationStarted,
+            ValidationImproved,
+            ValidationInconclusive,
+            ValidationRegressed,
+            ValidationNoData,
+            RevertStarted,
+            RevertSucceeded,
+            RevertFailedTransient,
+            IncidentRaised,
+            DtaSessionAborted,
+            StoreRecovered,
+            JournalEntryTruncated,
+            RecommendationReparked,
+            RetryBackoffWait,
+            TenantQuarantined,
+            TenantPoisoned,
+            CheckpointRestored,
+            CheckpointFallback,
+            JournalFrameCorrupt,
+        ]);
+        assert_eq!(seen, expected);
+    }
+
+    const PIN_A: Pin = Pin {
+        dashboard: "== operational statistics (§8.1) ==
+databases under management            16
+  auto-implement enabled               9  (56.2% of fleet)
+simulated horizon                   0.29 weeks
+outstanding recommendations
+  CREATE INDEX                        10
+  DROP INDEX                           1  (0.1x create backlog)
+implemented actions
+  creates                             20  (70.00/week)
+  drops                                9  (31.50/week)
+reverted actions                       3  (10.3% of implemented)
+  cause validation_regression          3
+  source MissingIndex                  3
+expired recommendations              107
+workload impact
+  queries improved >=2x               24  (of 156 measured)
+  databases with CPU halved            1
+fleet scheduler
+  control passes executed            396
+  control passes skipped             330  (45.5% provably idle)
+plan cache
+  hits                             32303  (99.5% hit rate)
+  misses (compilations)              158
+  invalidations                      225
+journal / recovery
+  checkpoints written                133
+  frames compacted                   739
+  bytes reclaimed                 140848
+  fallback recoveries                  3
+chaos: recoveries 3 / quarantines 2 / poisoned 1 / incidents 6
+",
+        counters: "counters: AnalysisStarted=364 AnalysisCompleted=364 RecommendationCreated=147 RecommendationExpired=107 ImplementStarted=32 ImplementSucceeded=29 ImplementFailedTransient=3 ValidationStarted=29 ValidationImproved=16 ValidationInconclusive=2 ValidationRegressed=3 ValidationNoData=6 RevertStarted=3 RevertSucceeded=3 IncidentRaised=6 StoreRecovered=3 JournalEntryTruncated=3 RetryBackoffWait=10 TenantQuarantined=2 TenantPoisoned=1 CheckpointRestored=1 CheckpointFallback=3\n",
+        digest: 1589037578550113274,
+        registry: "fleet.quarantined_ticks=4 implement.succeeded.create_index=20 implement.succeeded.drop_index=9 reco.created.create_index=100 reco.created.drop_index=47 reco.created.source.DropAnalysis=47 reco.created.source.MissingIndex=100 recovery.entries_replayed=17 recovery.torn_tail=3 retry.resumed=10 revert.action.create_index=3 revert.cause.validation_regression=3 revert.source.MissingIndex=3 validate.failed.fatal=2 validate.failed.transient=7 workload.dbs_cpu_halved=1 workload.queries_improved_2x=24 workload.queries_measured=156 | fleet.auto_tenants=9 fleet.tenants=16 outstanding.create=10 outstanding.drop=1 | recovery.frame_reads=3/23 recovery.journal_bytes=3/1711 recovery.replayed_per_run=3/17 retry.delay_ms=10/32147800 validation.wait_ms=27/252000000",
+    };
+
+    const PIN_B: Pin = Pin {
+        dashboard: "== operational statistics (§8.1) ==
+databases under management            16
+  auto-implement enabled               9  (56.2% of fleet)
+simulated horizon                   0.29 weeks
+outstanding recommendations
+  CREATE INDEX                         8
+  DROP INDEX                           1  (0.1x create backlog)
+implemented actions
+  creates                             15  (52.50/week)
+  drops                              103  (360.50/week)
+reverted actions                     100  (84.7% of implemented)
+  cause validation_regression        101
+  source DropAnalysis                 92
+  source Dta                           8
+expired recommendations              107
+workload impact
+  queries improved >=2x                1  (of 180 measured)
+  databases with CPU halved            0
+DTA what-if budget (§5.3.1)
+  sessions                           312  (57 aborted on budget)
+  optimizer calls issued            9737
+  calls saved (cache/pruning)      17652  (3112 / 14540, 64.4% avoided, hit rate 24.2%)
+fleet scheduler
+  control passes executed            463
+  control passes skipped             249  (35.0% provably idle)
+plan cache
+  hits                             31197  (99.4% hit rate)
+  misses (compilations)              182
+  invalidations                     1307
+journal / recovery
+  checkpoints written                187
+  frames compacted                  1404
+  bytes reclaimed                 451484
+  fallback recoveries                  3
+chaos: recoveries 3 / quarantines 9 / poisoned 1 / incidents 18
+",
+        counters: "counters: AnalysisStarted=359 AnalysisCompleted=359 RecommendationCreated=235 RecommendationExpired=107 ImplementStarted=129 ImplementSucceeded=118 ImplementFailedTransient=10 ImplementFailedFatal=1 ValidationStarted=118 ValidationRegressed=101 ValidationNoData=3 RevertStarted=101 RevertSucceeded=100 RevertFailedTransient=6 IncidentRaised=18 DtaSessionAborted=104 StoreRecovered=3 JournalEntryTruncated=3 RetryBackoffWait=35 TenantQuarantined=9 TenantPoisoned=1 CheckpointRestored=1 CheckpointFallback=3\n",
+        digest: 15908436902197358217,
+        registry: "dta.sessions=312 dta.sessions.aborted=57 dta.whatif.issued=9737 dta.whatif.saved.cache=3112 dta.whatif.saved.pruning=14540 fleet.quarantined_ticks=18 health.stuck_closed=6 implement.succeeded.create_index=15 implement.succeeded.drop_index=103 reco.created.create_index=97 reco.created.drop_index=138 reco.created.source.DropAnalysis=138 reco.created.source.Dta=97 recovery.entries_replayed=22 recovery.torn_tail=3 retry.exhausted=4 retry.resumed=35 revert.action.create_index=8 revert.action.drop_index=92 revert.cause.validation_regression=101 revert.failed.fatal=1 revert.source.DropAnalysis=92 revert.source.Dta=8 validate.failed.fatal=2 validate.failed.transient=23 workload.queries_improved_2x=1 workload.queries_measured=180 | fleet.auto_tenants=9 fleet.tenants=16 outstanding.create=8 outstanding.drop=1 | recovery.frame_reads=3/28 recovery.journal_bytes=3/3326 recovery.replayed_per_run=3/22 retry.delay_ms=35/108869302 validation.wait_ms=104/586800000",
+    };
+}
