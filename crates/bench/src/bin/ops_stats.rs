@@ -77,10 +77,7 @@ fn main() {
         } else {
             "serial replay".to_string()
         };
-        println!(
-            "-- pass: {label} ({:.0} tenant-ticks/s) --",
-            report.throughput()
-        );
+        println!("-- pass: {label} --");
         let rendered = report.dashboard().render();
         println!("{rendered}");
         renders.push(rendered);

@@ -1,6 +1,6 @@
 //! Shared helpers for the figure/table harnesses, the examples and the
-//! cross-crate tests. Nothing here times anything: measurements live in
-//! `benchmark/`.
+//! cross-crate tests. Nothing here times anything, and no harness bin
+//! prints a rate: measurements live in `benchmark/`.
 
 use sqlmini::engine::ServiceTier;
 use std::collections::BTreeMap;

@@ -19,17 +19,17 @@
 //! does. Counters and metrics merge as commutative monoids, so shard
 //! boundaries cannot leak into them by construction.
 
+use crate::dashboard::DashboardSnapshot;
 use crate::fleet_driver::{
-    counters_line, fnv1a64_extend, scheduler_annotated, FleetDriver, FleetDriverConfig,
-    FleetTotals, TenantOutcome, FNV_OFFSET,
+    counters_line, FleetDriver, FleetDriverConfig, FleetTotals, TenantOutcome,
 };
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::pool;
-use crate::region::DashboardSnapshot;
 use crate::shard::{
     HydrationGauge, HydrationMode, ShardAssignment, ShardCommand, ShardDriver, ShardReport,
 };
-use crate::telemetry::{EventKind, Telemetry};
+use crate::telemetry::Telemetry;
 use sqlmini::clock::Duration;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -83,21 +83,6 @@ impl Default for RegionConfig {
     }
 }
 
-/// Per-shard aggregate row for the management surface (its counters
-/// are what [`crate::region::GlobalDashboard::ingest_shard`] takes).
-#[derive(Debug, Clone)]
-pub struct ShardSummary {
-    pub shard: usize,
-    pub tenants: usize,
-    pub statements: u64,
-    pub errors: u64,
-    pub poisoned: usize,
-    pub quarantines: u64,
-    /// The shard's merged telemetry counters.
-    pub counters: BTreeMap<EventKind, u64>,
-    pub elapsed: std::time::Duration,
-}
-
 /// Merged end-of-run state of a sharded region run.
 #[derive(Debug)]
 pub struct RegionReport {
@@ -128,21 +113,19 @@ pub struct RegionReport {
     /// High-water mark of simultaneously hydrated tenants — the number
     /// the million-tenant smoke run bounds with a static cap.
     pub peak_hydrated: usize,
-    pub per_shard: Vec<ShardSummary>,
-    pub elapsed: std::time::Duration,
 }
 
 impl RegionReport {
-    /// The §8.1 ops table from the merged canonical metrics — identical
+    /// The §8.1 ops table from the merged canonical sinks — identical
     /// to the unsharded report's `dashboard()`.
     pub fn dashboard(&self) -> DashboardSnapshot {
-        DashboardSnapshot::from_metrics(&self.metrics, self.sim_time)
+        DashboardSnapshot::new(&self.telemetry, &self.metrics, self.sim_time)
     }
 
-    /// Ops table plus the scheduler / plan-cache / journal blocks, via
-    /// the same annotation helper the unsharded report uses.
+    /// Ops table plus the scheduler / plan-cache / journal blocks, from
+    /// the same driver registry the unsharded report annotates with.
     pub fn dashboard_with_scheduler(&self) -> DashboardSnapshot {
-        scheduler_annotated(self.dashboard(), &self.scheduler_metrics)
+        self.dashboard().with_driver(&self.scheduler_metrics)
     }
 
     /// Control-plane passes that actually ran, region-wide.
@@ -153,15 +136,6 @@ impl RegionReport {
     /// Control-plane passes the sparse scheduler proved unnecessary.
     pub fn control_ticks_skipped(&self) -> u64 {
         self.scheduler_metrics.counter("scheduler.ticks_skipped")
-    }
-
-    /// Tenant-ticks per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return f64::INFINITY;
-        }
-        (self.tenants as u64 * self.ticks as u64) as f64 / secs
     }
 }
 
@@ -183,7 +157,6 @@ impl RegionCoordinator {
 
     /// Drive the whole fleet for `ticks` passes through the shard tier.
     pub fn run(&self, spec: &dyn FleetSpec, ticks: u32) -> RegionReport {
-        let start = std::time::Instant::now();
         let cfg = &self.config;
         let assignment = self.assignment();
         let gauge = Arc::new(HydrationGauge::new());
@@ -211,14 +184,7 @@ impl RegionCoordinator {
             pool::map_ordered(drivers, shard_threads, |_, d| d.execute(spec, command));
 
         let sim_time = Duration::from_millis(cfg.driver.tick_interval.millis() * ticks as u64);
-        self.merge(
-            spec.len(),
-            ticks,
-            sim_time,
-            reports,
-            gauge.peak(),
-            start.elapsed(),
-        )
+        self.merge(spec.len(), ticks, sim_time, reports, gauge.peak())
     }
 
     /// Fold shard reports (in shard order) into the region report. The
@@ -231,25 +197,13 @@ impl RegionCoordinator {
         sim_time: Duration,
         reports: Vec<ShardReport>,
         peak_hydrated: usize,
-        elapsed: std::time::Duration,
     ) -> RegionReport {
         let cfg = &self.config;
         let mut digests: Vec<(usize, u64)> = Vec::with_capacity(tenants);
         let mut outcomes: Option<Vec<(usize, TenantOutcome)>> =
             cfg.retain_outcomes.then(|| Vec::with_capacity(tenants));
         let mut totals = FleetTotals::new();
-        let mut per_shard = Vec::with_capacity(reports.len());
         for report in reports {
-            per_shard.push(ShardSummary {
-                shard: report.shard,
-                tenants: report.digests.len(),
-                statements: report.totals.statements,
-                errors: report.totals.errors,
-                poisoned: report.totals.poisoned,
-                quarantines: report.totals.quarantines,
-                counters: report.totals.telemetry.counters().clone(),
-                elapsed: report.elapsed,
-            });
             digests.extend(report.digests);
             if let (Some(acc), Some(part)) = (&mut outcomes, report.outcomes) {
                 acc.extend(part);
@@ -308,8 +262,6 @@ impl RegionCoordinator {
             poisoned,
             quarantines,
             peak_hydrated,
-            per_shard,
-            elapsed,
         }
     }
 }

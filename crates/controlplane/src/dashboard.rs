@@ -1,22 +1,25 @@
-//! Per-region deployment and cross-region aggregation (§3, §8.3).
+//! The §8.1 operational-statistics table (§3, §8.3).
 //!
 //! One auto-indexing service instance manages all databases in a region —
-//! the compliance boundary: state and telemetry never leave it. What
-//! *does* cross regions is anonymized aggregate telemetry, merged into
-//! the global dashboards on-call engineers use.
+//! the compliance boundary: state and customer data never leave it. What
+//! an operator sees is this table, rolled up from anonymized aggregates:
+//! event counts, the canonical metrics registry, and the driver's
+//! bookkeeping counters. Each line has exactly one source (DESIGN.md,
+//! "Observability is a pure function of fleet state").
 
 use crate::metrics::MetricsRegistry;
 use crate::telemetry::{EventKind, Telemetry};
 use sqlmini::clock::Duration;
 use std::collections::BTreeMap;
 
-/// The §8.1 operational-statistics table, rolled up from a merged
-/// [`MetricsRegistry`]. One snapshot summarizes a fleet (or region) at a
-/// point in simulated time: backlog levels, implementation throughput,
-/// revert rate with cause/source breakdowns, and chaos counters.
+/// The §8.1 operational-statistics table, rolled up from a run's merged
+/// [`Telemetry`] counts and [`MetricsRegistry`]. One snapshot summarizes
+/// a fleet (or region) at a point in simulated time: backlog levels,
+/// implementation throughput, revert rate with cause/source breakdowns,
+/// and chaos counters.
 ///
-/// Built purely from the registry plus the simulated horizon, so a
-/// parallel fleet run — whose merged registry is byte-identical to the
+/// Built purely from the two merged sinks plus the simulated horizon, so
+/// a parallel fleet run — whose merged sinks are byte-identical to the
 /// serial run's — yields a byte-identical snapshot and rendering.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DashboardSnapshot {
@@ -57,22 +60,19 @@ pub struct DashboardSnapshot {
     pub what_if_saved_cache: u64,
     /// What-if calls skipped by relevance pruning (`dta.whatif.saved.pruning`).
     pub what_if_saved_pruning: u64,
-    /// Control-plane passes the fleet scheduler ran (0 when the snapshot
-    /// was built without scheduler context — see
-    /// [`DashboardSnapshot::with_scheduler`]).
+    /// Control-plane passes the fleet scheduler ran (this and the eight
+    /// fields after it are 0 when the snapshot was built without driver
+    /// context — see [`DashboardSnapshot::with_driver`]).
     pub sched_ticks_executed: u64,
     /// Control-plane passes the sparse scheduler proved unnecessary.
     pub sched_ticks_skipped: u64,
-    /// Plan-selection cache hits across the fleet's tenant engines (0
-    /// when built without driver context — see
-    /// [`DashboardSnapshot::with_plan_cache`]).
+    /// Plan-selection cache hits across the fleet's tenant engines.
     pub plan_cache_hits: u64,
     /// Plan-selection cache misses (compilations actually run).
     pub plan_cache_misses: u64,
     /// Cached plans discarded because the catalog fingerprint moved.
     pub plan_cache_invalidations: u64,
-    /// Checkpoint frames written by journal compaction (0 when built
-    /// without driver context — see [`DashboardSnapshot::with_journal`]).
+    /// Checkpoint frames written by journal compaction.
     pub checkpoints_written: u64,
     /// Journal frames truncated away by compaction.
     pub frames_compacted: u64,
@@ -98,8 +98,15 @@ pub struct DashboardSnapshot {
 }
 
 impl DashboardSnapshot {
-    /// Roll a merged registry up into the ops table.
-    pub fn from_metrics(metrics: &MetricsRegistry, sim_time: Duration) -> DashboardSnapshot {
+    /// Roll a run's merged sinks up into the ops table. What the control
+    /// plane announces as an event is read from the event's count; what
+    /// only the registry records (levels, splits by action, cause or
+    /// source, DTA and workload tallies) is read from the registry.
+    pub fn new(
+        telemetry: &Telemetry,
+        metrics: &MetricsRegistry,
+        sim_time: Duration,
+    ) -> DashboardSnapshot {
         DashboardSnapshot {
             databases: metrics.gauge("fleet.tenants"),
             auto_databases: metrics.gauge("fleet.auto_tenants"),
@@ -108,17 +115,17 @@ impl DashboardSnapshot {
             outstanding_drops: metrics.gauge("outstanding.drop"),
             implemented_creates: metrics.counter("implement.succeeded.create_index"),
             implemented_drops: metrics.counter("implement.succeeded.drop_index"),
-            reverts: metrics.counter("revert.succeeded"),
+            reverts: telemetry.count(EventKind::RevertSucceeded),
             revert_causes: metrics.breakdown("revert.cause."),
             reverts_by_source: metrics.breakdown("revert.source."),
-            expired: metrics.counter("reco.expired"),
+            expired: telemetry.count(EventKind::RecommendationExpired),
             queries_measured: metrics.counter("workload.queries_measured"),
             queries_improved_2x: metrics.counter("workload.queries_improved_2x"),
             dbs_cpu_halved: metrics.counter("workload.dbs_cpu_halved"),
-            recoveries: metrics.counter("recovery.runs"),
-            quarantines: metrics.counter("fleet.quarantines"),
-            poisoned: metrics.counter("fleet.poisoned"),
-            incidents: metrics.counter("incident.raised"),
+            recoveries: telemetry.count(EventKind::StoreRecovered),
+            quarantines: telemetry.count(EventKind::TenantQuarantined),
+            poisoned: telemetry.count(EventKind::TenantPoisoned),
+            incidents: telemetry.count(EventKind::IncidentRaised),
             dta_sessions: metrics.counter("dta.sessions"),
             dta_sessions_aborted: metrics.counter("dta.sessions.aborted"),
             what_if_issued: metrics.counter("dta.whatif.issued"),
@@ -142,52 +149,30 @@ impl DashboardSnapshot {
         }
     }
 
-    /// Attach fleet-scheduler counters (kept outside the canonical
-    /// merged registry, so they arrive via this builder rather than
-    /// `from_metrics`). Gates the "fleet scheduler" render block.
-    pub fn with_scheduler(mut self, executed: u64, skipped: u64) -> DashboardSnapshot {
-        self.sched_ticks_executed = executed;
-        self.sched_ticks_skipped = skipped;
-        self
-    }
-
-    /// Attach plan-selection cache counters (non-canonical driver
-    /// bookkeeping, like the scheduler counters, so they arrive via this
-    /// builder rather than `from_metrics`). Gates the "plan cache"
-    /// render block.
-    pub fn with_plan_cache(
-        mut self,
-        hits: u64,
-        misses: u64,
-        invalidations: u64,
-    ) -> DashboardSnapshot {
-        self.plan_cache_hits = hits;
-        self.plan_cache_misses = misses;
-        self.plan_cache_invalidations = invalidations;
-        self
-    }
-
-    /// Attach journal/recovery counters (non-canonical driver
-    /// bookkeeping — compaction changes journal geometry without
-    /// changing canonical state). Gates the "journal / recovery"
-    /// render block.
-    pub fn with_journal(
-        mut self,
-        checkpoints_written: u64,
-        frames_compacted: u64,
-        bytes_reclaimed: u64,
-        fallback_recoveries: u64,
-    ) -> DashboardSnapshot {
-        self.checkpoints_written = checkpoints_written;
-        self.frames_compacted = frames_compacted;
-        self.journal_bytes_reclaimed = bytes_reclaimed;
-        self.fallback_recoveries = fallback_recoveries;
+    /// Attach the driver's bookkeeping registry (`scheduler_metrics` on a
+    /// fleet or region report): control passes executed and skipped,
+    /// plan-cache counters, journal compaction and fallback counters.
+    /// They live outside the canonical registry because they differ by
+    /// construction between scheduling modes, cache settings and
+    /// compaction policies whose canonical output is identical. Gates
+    /// the "fleet scheduler", "plan cache" and "journal / recovery"
+    /// render blocks.
+    pub fn with_driver(mut self, driver: &MetricsRegistry) -> DashboardSnapshot {
+        self.sched_ticks_executed = driver.counter("scheduler.ticks_executed");
+        self.sched_ticks_skipped = driver.counter("scheduler.ticks_skipped");
+        self.plan_cache_hits = driver.counter("plan_cache.hits");
+        self.plan_cache_misses = driver.counter("plan_cache.misses");
+        self.plan_cache_invalidations = driver.counter("plan_cache.invalidations");
+        self.checkpoints_written = driver.counter("journal.checkpoints_written");
+        self.frames_compacted = driver.counter("journal.frames_compacted");
+        self.journal_bytes_reclaimed = driver.counter("journal.bytes_reclaimed");
+        self.fallback_recoveries = driver.counter("journal.fallback_recoveries");
         self
     }
 
     /// Attach policy-flight verdict counters (flight state is journaled
-    /// store state, not merged metrics, so it arrives via this builder
-    /// rather than `from_metrics`). Gates the "flight" render block.
+    /// store state, not a merged sink, so it arrives via this builder
+    /// rather than the constructor). Gates the "flight" render block.
     pub fn with_flight(
         mut self,
         cohort: u64,
@@ -453,218 +438,5 @@ impl DashboardSnapshot {
             self.recoveries, self.quarantines, self.poisoned, self.incidents
         ));
         out
-    }
-}
-
-/// The global dashboard: merged counters across regions, health rollups,
-/// and the fleet-level figures §8.1 reports.
-#[derive(Debug, Default)]
-pub struct GlobalDashboard {
-    merged: Telemetry,
-    metrics: MetricsRegistry,
-    per_region: BTreeMap<String, BTreeMap<EventKind, u64>>,
-}
-
-impl GlobalDashboard {
-    pub fn new() -> GlobalDashboard {
-        GlobalDashboard::default()
-    }
-
-    /// Ingest one aggregate row — a region's exported counters, or one
-    /// shard's from a sharded region run: the counters become a
-    /// per-"region" dashboard row (so the anomaly view works per row),
-    /// and the row's merged metrics — when the caller hasn't already
-    /// merged them at region level — fold into the global registry.
-    pub fn ingest_shard(
-        &mut self,
-        name: impl Into<String>,
-        counters: &BTreeMap<EventKind, u64>,
-        metrics: Option<&MetricsRegistry>,
-    ) {
-        self.merged.merge_counters(counters);
-        if let Some(m) = metrics {
-            self.metrics.merge(m);
-        }
-        self.per_region.insert(name.into(), counters.clone());
-    }
-
-    /// Cross-region merged metrics.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    pub fn global_count(&self, kind: EventKind) -> u64 {
-        self.merged.count(kind)
-    }
-
-    pub fn global_revert_rate(&self) -> f64 {
-        self.merged.revert_rate()
-    }
-
-    /// Regions whose revert rate exceeds `threshold` — the anomaly view
-    /// engineers scan for recommender-quality drift.
-    pub fn anomalous_regions(&self, threshold: f64) -> Vec<(String, f64)> {
-        self.per_region
-            .iter()
-            .filter_map(|(name, counters)| {
-                let implemented = counters
-                    .get(&EventKind::ImplementSucceeded)
-                    .copied()
-                    .unwrap_or(0);
-                if implemented == 0 {
-                    return None;
-                }
-                let reverts = counters
-                    .get(&EventKind::RevertSucceeded)
-                    .copied()
-                    .unwrap_or(0);
-                let rate = reverts as f64 / implemented as f64;
-                if rate > threshold {
-                    Some((name.clone(), rate))
-                } else {
-                    None
-                }
-            })
-            .collect()
-    }
-
-    /// Render the dashboard summary.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "fleet: {} recommendations, {} implemented, {} reverted ({:.1}%), {} incidents\n",
-            self.global_count(EventKind::RecommendationCreated),
-            self.global_count(EventKind::ImplementSucceeded),
-            self.global_count(EventKind::RevertSucceeded),
-            self.global_revert_rate() * 100.0,
-            self.global_count(EventKind::IncidentRaised),
-        ));
-        for (region, counters) in &self.per_region {
-            let implemented = counters
-                .get(&EventKind::ImplementSucceeded)
-                .copied()
-                .unwrap_or(0);
-            out.push_str(&format!("  {region}: {implemented} implemented\n"));
-        }
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
-    use crate::state::{DbSettings, ServerSettings, Setting};
-    use sqlmini::clock::{Duration, SimClock};
-    use sqlmini::engine::{Database, DbConfig};
-    use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
-    use sqlmini::schema::{ColumnDef, ColumnId, TableDef};
-    use sqlmini::types::{Value, ValueType};
-
-    fn mdb(name: &str, seed: u64) -> (ManagedDb, QueryTemplate) {
-        let mut db = Database::new(
-            name,
-            DbConfig {
-                seed,
-                ..DbConfig::default()
-            },
-            SimClock::new(),
-        );
-        let t = db
-            .create_table(TableDef::new(
-                "t",
-                vec![
-                    ColumnDef::new("id", ValueType::Int),
-                    ColumnDef::new("k", ValueType::Int),
-                ],
-            ))
-            .unwrap();
-        db.load_rows(
-            t,
-            (0..15_000i64).map(|i| vec![Value::Int(i), Value::Int(i % 300)]),
-        );
-        db.rebuild_stats(t);
-        let mut q = SelectQuery::new(t);
-        q.predicates = vec![Predicate::param(ColumnId(1), CmpOp::Eq, 0)];
-        q.projection = vec![ColumnId(0)];
-        let tpl = QueryTemplate::new(Statement::Select(q), 1);
-        let settings = DbSettings {
-            auto_create: Setting::On,
-            auto_drop: Setting::On,
-        };
-        (ManagedDb::new(db, settings, ServerSettings::default()), tpl)
-    }
-
-    #[test]
-    fn regions_are_isolated_but_dashboard_merges() {
-        let policy = PlanePolicy {
-            analysis_interval: Duration::from_hours(4),
-            validation_min_wait: Duration::from_hours(2),
-            ..PlanePolicy::default()
-        };
-        // One control plane per region, one database each.
-        let (mdb_w, tpl_w) = mdb("w-db", 1);
-        let (mdb_e, tpl_e) = mdb("e-db", 2);
-        let mut west = (ControlPlane::new(policy.clone()), mdb_w, tpl_w);
-        let mut east = (ControlPlane::new(policy), mdb_e, tpl_e);
-
-        for h in 0..16u64 {
-            for (plane, m, tpl) in [&mut west, &mut east] {
-                for i in 0..20 {
-                    m.db.execute(tpl, &[Value::Int(((h * 20 + i) % 300) as i64)])
-                        .unwrap();
-                }
-                m.db.clock().advance(Duration::from_hours(1));
-                plane.tick(m);
-            }
-        }
-        let (west, east) = (west.0, east.0);
-
-        // Each region has its own state; nothing crossed.
-        assert!(!west.store.is_empty() && !east.store.is_empty());
-        assert!(west.store.all().all(|r| r.database == "w-db"));
-        assert!(east.store.all().all(|r| r.database == "e-db"));
-
-        let mut dash = GlobalDashboard::new();
-        for (name, plane) in [("west", &west), ("east", &east)] {
-            dash.ingest_shard(name, plane.telemetry.counters(), Some(&plane.metrics));
-        }
-        let created = |p: &ControlPlane| p.telemetry.count(EventKind::RecommendationCreated);
-        assert_eq!(
-            dash.global_count(EventKind::RecommendationCreated),
-            created(&west) + created(&east)
-        );
-        assert_eq!(
-            dash.metrics(),
-            &MetricsRegistry::merged([&west.metrics, &east.metrics])
-        );
-        let summary = dash.render();
-        for (region, plane) in [("west", &west), ("east", &east)] {
-            let implemented = plane.telemetry.count(EventKind::ImplementSucceeded);
-            assert!(
-                summary.contains(&format!("  {region}: {implemented} implemented\n")),
-                "{summary}"
-            );
-        }
-    }
-
-    #[test]
-    fn anomalous_region_detection() {
-        let mut dash = GlobalDashboard::new();
-        let counters = |implemented, reverted| {
-            BTreeMap::from([
-                (EventKind::ImplementSucceeded, implemented),
-                (EventKind::RevertSucceeded, reverted),
-            ])
-        };
-        dash.ingest_shard("bad", &counters(10, 4), None);
-        dash.ingest_shard("good", &counters(10, 1), None);
-        dash.ingest_shard("idle", &counters(0, 0), None);
-        let anomalies = dash.anomalous_regions(0.2);
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].0, "bad");
-        assert!((anomalies[0].1 - 0.4).abs() < 1e-9);
-        assert!(dash.anomalous_regions(0.5).is_empty());
-        assert_eq!(dash.global_count(EventKind::ImplementSucceeded), 20);
     }
 }

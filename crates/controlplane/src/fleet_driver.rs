@@ -55,11 +55,12 @@
 //! tear forces that tick's control pass (dense would have run it anyway)
 //! so the recovered state is reprocessed at the same instant everywhere.
 
+use crate::dashboard::DashboardSnapshot;
 use crate::faults::{FaultInjector, FaultKind, FaultPoint};
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
-use crate::region::DashboardSnapshot;
 use crate::state::{effective, DbSettings, ServerSettings};
 use crate::store::StateStore;
 use crate::telemetry::{EventKind, Telemetry};
@@ -213,20 +214,6 @@ pub fn index_hash01(index: usize, salt: u64) -> f64 {
     (index_hash_bits(index, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// FNV-1a offset basis — seed value for [`fnv1a64_extend`].
-pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-
-/// Extend an FNV-1a digest with more bytes. Streaming form so the
-/// sharded region driver can digest a million canonical tenant lines
-/// without ever holding the concatenated string.
-pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// The auto-fraction stream (historical salt, kept byte-identical).
 fn index_uniform01(index: usize) -> f64 {
     index_hash01(index, 0xA070_F8AC)
@@ -259,7 +246,8 @@ pub struct TenantOutcome {
     pub by_state: BTreeMap<String, usize>,
     /// Validation verdict counters (the `Validation*` event kinds).
     pub verdicts: BTreeMap<String, u64>,
-    /// Fault/failure counters (transient + fatal + lock timeouts).
+    /// Fault/failure counters (transient + fatal, aborted DTA sessions,
+    /// quarantines, poisonings).
     pub faults: BTreeMap<String, u64>,
     pub incidents: usize,
     /// Logical journal writes ever made — proxy for state-store write
@@ -294,11 +282,10 @@ impl TenantOutcome {
             EventKind::ValidationRegressed,
             EventKind::ValidationNoData,
         ];
-        const FAULT_KINDS: [EventKind; 7] = [
+        const FAULT_KINDS: [EventKind; 6] = [
             EventKind::ImplementFailedTransient,
             EventKind::ImplementFailedFatal,
             EventKind::RevertFailedTransient,
-            EventKind::DropLockTimedOut,
             EventKind::DtaSessionAborted,
             EventKind::TenantQuarantined,
             EventKind::TenantPoisoned,
@@ -344,9 +331,9 @@ struct SupervisionSummary {
 }
 
 /// Merged end-of-run state of the whole fleet. Everything except
-/// `threads`, `elapsed`, `scheduling`, and `scheduler_metrics` is
-/// identical between serial and parallel runs — and between dense and
-/// sparse runs — of the same fleet + config.
+/// `threads`, `scheduling`, and `scheduler_metrics` is identical between
+/// serial and parallel runs — and between dense and sparse runs — of the
+/// same fleet + config.
 #[derive(Debug)]
 pub struct FleetReport {
     /// Per-tenant outcomes, in fleet order.
@@ -374,7 +361,6 @@ pub struct FleetReport {
     /// Simulated time each tenant was driven (ticks × tick interval).
     pub sim_time: Duration,
     pub threads: usize,
-    pub elapsed: std::time::Duration,
 }
 
 /// The order-free part of a fleet's end-of-run state: the three merged
@@ -419,7 +405,7 @@ impl FleetTotals {
     /// incidents are cut to the most recent `event_retention`, so a fold
     /// over a million tenants stays bounded (`usize::MAX` keeps all).
     pub(crate) fn absorb(&mut self, other: FleetTotals, event_retention: usize) {
-        self.telemetry.merge(&other.telemetry);
+        self.telemetry.merge(other.telemetry);
         self.telemetry.retain_recent(event_retention);
         self.metrics.merge(&other.metrics);
         self.scheduler_metrics.merge(&other.scheduler_metrics);
@@ -438,9 +424,9 @@ impl FleetTotals {
 pub(crate) type TenantResult = (TenantOutcome, FleetTotals);
 
 impl FleetReport {
-    /// Roll the merged metrics into the §8.1 ops table.
+    /// Roll the merged telemetry and metrics into the §8.1 ops table.
     pub fn dashboard(&self) -> DashboardSnapshot {
-        DashboardSnapshot::from_metrics(&self.metrics, self.sim_time)
+        DashboardSnapshot::new(&self.telemetry, &self.metrics, self.sim_time)
     }
 
     /// The §8.1 ops table plus the fleet-scheduler and plan-cache blocks
@@ -448,7 +434,7 @@ impl FleetReport {
     /// [`FleetReport::dashboard`] when comparing runs across modes or
     /// across cache settings.
     pub fn dashboard_with_scheduler(&self) -> DashboardSnapshot {
-        scheduler_annotated(self.dashboard(), &self.scheduler_metrics)
+        self.dashboard().with_driver(&self.scheduler_metrics)
     }
 
     /// Control-plane passes that actually ran.
@@ -549,40 +535,6 @@ impl FleetReport {
         }
         fnv1a64_extend(h, counters_line(&self.telemetry).as_bytes())
     }
-
-    /// Tenant-ticks per wall-clock second.
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            return f64::INFINITY;
-        }
-        (self.tenants.len() as u64 * self.ticks as u64) as f64 / secs
-    }
-}
-
-/// Attach the driver-bookkeeping blocks (fleet scheduler, plan cache,
-/// journal/recovery) from a merged scheduler registry to a §8.1
-/// dashboard. Shared by [`FleetReport::dashboard_with_scheduler`] and
-/// the sharded region report, so both annotate identically.
-pub(crate) fn scheduler_annotated(
-    dash: DashboardSnapshot,
-    sched: &MetricsRegistry,
-) -> DashboardSnapshot {
-    dash.with_scheduler(
-        sched.counter("scheduler.ticks_executed"),
-        sched.counter("scheduler.ticks_skipped"),
-    )
-    .with_plan_cache(
-        sched.counter("plan_cache.hits"),
-        sched.counter("plan_cache.misses"),
-        sched.counter("plan_cache.invalidations"),
-    )
-    .with_journal(
-        sched.counter("journal.checkpoints_written"),
-        sched.counter("journal.frames_compacted"),
-        sched.counter("journal.bytes_reclaimed"),
-        sched.counter("journal.fallback_recoveries"),
-    )
 }
 
 /// One tenant's line of the canonical fleet serialization (JSON +
@@ -665,11 +617,9 @@ impl FleetDriver {
     /// caller's thread). Consumes the fleet; the merged end-of-run state
     /// comes back in the report, in fleet order.
     pub fn run(&self, fleet: Vec<Tenant>, ticks: u32, threads: usize) -> FleetReport {
-        let start = std::time::Instant::now();
         let results = pool::map_ordered(fleet, threads, |index, tenant| {
             self.run_tenant(index, tenant, ticks)
         });
-        let elapsed = start.elapsed();
         // Quiesce: fold the shard-owned sinks in fleet order, keeping
         // every tenant's events.
         let mut totals = FleetTotals::new();
@@ -704,7 +654,6 @@ impl FleetDriver {
             ticks,
             sim_time: Duration::from_millis(self.config.tick_interval.millis() * ticks as u64),
             threads: threads.max(1),
-            elapsed,
         }
     }
 
@@ -799,7 +748,6 @@ impl FleetDriver {
             w.mdb.db.clock().now(),
         );
         w.supervision.status = TenantStatus::Poisoned { tick, note };
-        w.plane.metrics.inc("fleet.poisoned");
         w.done = true;
     }
 
@@ -939,7 +887,6 @@ impl FleetDriver {
         {
             w.consecutive_faulted = 0;
             w.supervision.quarantines += 1;
-            w.plane.metrics.inc("fleet.quarantines");
             w.quarantined_until = tick + 1 + self.config.quarantine_cooldown;
             w.plane.telemetry.emit(
                 EventKind::TenantQuarantined,

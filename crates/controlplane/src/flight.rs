@@ -27,11 +27,12 @@
 //! depends on is a pure function of `(config, tenant index, tenant)` —
 //! thread interleaving, scheduling mode, and cache setting never enter.
 
-use crate::fleet_driver::{fnv1a64_extend, index_hash01, SchedulingMode, FNV_OFFSET};
+use crate::dashboard::DashboardSnapshot;
+use crate::fleet_driver::{index_hash01, SchedulingMode};
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
-use crate::region::DashboardSnapshot;
 use crate::shard::ShardAssignment;
 use crate::state::{DbSettings, ServerSettings};
 use crate::store::StateStore;
@@ -266,8 +267,8 @@ pub fn region_decision<'a>(
 }
 
 /// End-of-flight state: the journaled record, the decision, verdict
-/// tallies, and replay-cost accounting. Everything except `threads` and
-/// `elapsed` is identical across {serial, parallel} × {dense, sparse} ×
+/// tallies, and replay-cost accounting. Everything except `threads` is
+/// identical across {serial, parallel} × {dense, sparse} ×
 /// {cache on, off} × {crash, no-crash} runs of the same flight.
 #[derive(Debug)]
 pub struct FlightReport {
@@ -287,7 +288,6 @@ pub struct FlightReport {
     /// Simulated time each tenant's arms were driven.
     pub sim_time: Duration,
     pub threads: usize,
-    pub elapsed: std::time::Duration,
 }
 
 impl FlightReport {
@@ -304,7 +304,6 @@ impl FlightReport {
         telemetry: Telemetry,
         sim_time: Duration,
         threads: usize,
-        elapsed: std::time::Duration,
     ) -> FlightReport {
         let decision = match record.state {
             FlightState::Shipped => FlightDecision::Ship,
@@ -328,7 +327,6 @@ impl FlightReport {
             telemetry,
             sim_time,
             threads,
-            elapsed,
         }
     }
 
@@ -387,7 +385,8 @@ impl FlightReport {
     /// A standalone dashboard carrying only the flight block (the §8.1
     /// golden snapshots render this).
     pub fn dashboard(&self) -> DashboardSnapshot {
-        self.annotate(DashboardSnapshot::from_metrics(
+        self.annotate(DashboardSnapshot::new(
+            &Telemetry::new(),
             &MetricsRegistry::new(),
             self.sim_time,
         ))
@@ -449,61 +448,16 @@ impl FlightDriver {
         store: &mut StateStore,
         threads: usize,
     ) -> FlightReport {
-        let start = std::time::Instant::now();
-        let cfg = &self.config;
-        let mut telemetry = Telemetry::new();
         let t_now = fleet
             .first()
             .map(|t| t.db.clock().now())
             .unwrap_or(Timestamp(0));
-
-        let record = match store.flight(&cfg.id) {
-            Some(r) => r.clone(),
-            None => FlightRecord {
-                id: cfg.id.clone(),
-                seed: cfg.seed,
-                state: FlightState::Running,
-                cohort: cfg.cohort(fleet.len()),
-                verdicts: BTreeMap::new(),
-            },
-        };
-        if record.state != FlightState::Running {
-            // Terminal: the journaled verdict stands.
-            return FlightReport::from_record(
-                record,
-                telemetry,
-                cfg.sim_time(),
-                threads.max(1),
-                start.elapsed(),
-            );
-        }
-        telemetry.emit(
-            EventKind::FlightStarted,
-            &cfg.id,
-            format!("cohort {} of {}", record.cohort.len(), fleet.len()),
-            t_now,
-        );
-        store.record_flight(&record);
-
-        // Compute the missing verdicts — each a pure function of
-        // (config, index, tenant), so the pool may run them in any
-        // thread interleaving without touching the outcome.
-        let missing: Vec<usize> = record
-            .cohort
-            .iter()
-            .copied()
-            .filter(|i| !record.verdicts.contains_key(i))
-            .collect();
-        let computed = self.flight_tenants(fleet, &missing, threads);
-        let record = self.journal_and_decide(record, computed, store, &mut telemetry, t_now);
-
-        FlightReport::from_record(
-            record,
-            telemetry,
-            cfg.sim_time(),
-            threads.max(1),
-            start.elapsed(),
-        )
+        // Each verdict is a pure function of (config, index, tenant), so
+        // the pool may run them in any thread interleaving without
+        // touching the outcome.
+        self.run_flight(fleet.len(), t_now, store, threads, |missing| {
+            self.flight_tenants(fleet, missing, threads)
+        })
     }
 
     /// Run the flight over a lazily-hydratable fleet through a shard
@@ -521,9 +475,6 @@ impl FlightDriver {
         store: &mut StateStore,
         threads: usize,
     ) -> FlightReport {
-        let start = std::time::Instant::now();
-        let cfg = &self.config;
-        let mut telemetry = Telemetry::new();
         let t_now = if spec.is_empty() {
             Timestamp(0)
         } else {
@@ -532,63 +483,69 @@ impl FlightDriver {
             // is the same instant.
             spec.hydrate(0).db.clock().now()
         };
+        // Shard dispatch: each shard computes its members' verdicts
+        // (pure per tenant); the merge re-sorts by global index, which
+        // reproduces the unsharded journal order exactly.
+        self.run_flight(spec.len(), t_now, store, threads, |missing| {
+            let mut computed = Vec::with_capacity(missing.len());
+            for shard in 0..assignment.shards() {
+                let members: Vec<usize> = missing
+                    .iter()
+                    .copied()
+                    .filter(|&i| assignment.shard_of(i) == shard)
+                    .collect();
+                computed.extend(self.flight_tenants_spec(spec, &members, threads));
+            }
+            computed.sort_unstable_by_key(|&(i, _, _)| i);
+            computed
+        })
+    }
 
+    /// The one flight body. The two public runs differ only in the fleet
+    /// length, in where `t_now` comes from, and in how the verdicts still
+    /// missing from the journaled record are computed (`compute` takes
+    /// their fleet indexes and returns journal rows in that order).
+    fn run_flight(
+        &self,
+        fleet_len: usize,
+        t_now: Timestamp,
+        store: &mut StateStore,
+        threads: usize,
+        compute: impl FnOnce(&[usize]) -> Vec<(usize, String, TenantVerdictRecord)>,
+    ) -> FlightReport {
+        let cfg = &self.config;
+        let mut telemetry = Telemetry::new();
         let record = match store.flight(&cfg.id) {
             Some(r) => r.clone(),
             None => FlightRecord {
                 id: cfg.id.clone(),
                 seed: cfg.seed,
                 state: FlightState::Running,
-                cohort: cfg.cohort(spec.len()),
+                cohort: cfg.cohort(fleet_len),
                 verdicts: BTreeMap::new(),
             },
         };
-        if record.state != FlightState::Running {
-            return FlightReport::from_record(
-                record,
-                telemetry,
-                cfg.sim_time(),
-                threads.max(1),
-                start.elapsed(),
+        // A terminal record skips all of this: the journaled verdict stands.
+        let record = if record.state == FlightState::Running {
+            telemetry.emit(
+                EventKind::FlightStarted,
+                &cfg.id,
+                format!("cohort {} of {fleet_len}", record.cohort.len()),
+                t_now,
             );
-        }
-        telemetry.emit(
-            EventKind::FlightStarted,
-            &cfg.id,
-            format!("cohort {} of {}", record.cohort.len(), spec.len()),
-            t_now,
-        );
-        store.record_flight(&record);
-
-        let missing: Vec<usize> = record
-            .cohort
-            .iter()
-            .copied()
-            .filter(|i| !record.verdicts.contains_key(i))
-            .collect();
-        // Shard dispatch: each shard computes its members' verdicts
-        // (pure per tenant); the merge re-sorts by global index, which
-        // reproduces the unsharded journal order exactly.
-        let mut computed: Vec<(usize, String, TenantVerdictRecord)> =
-            Vec::with_capacity(missing.len());
-        for shard in 0..assignment.shards() {
-            let members: Vec<usize> = missing
+            store.record_flight(&record);
+            let missing: Vec<usize> = record
+                .cohort
                 .iter()
                 .copied()
-                .filter(|&i| assignment.shard_of(i) == shard)
+                .filter(|i| !record.verdicts.contains_key(i))
                 .collect();
-            computed.extend(self.flight_tenants_spec(spec, &members, threads));
-        }
-        computed.sort_unstable_by_key(|&(i, _, _)| i);
-        let record = self.journal_and_decide(record, computed, store, &mut telemetry, t_now);
-
-        FlightReport::from_record(
-            record,
-            telemetry,
-            cfg.sim_time(),
-            threads.max(1),
-            start.elapsed(),
-        )
+            let computed = compute(&missing);
+            self.journal_and_decide(record, computed, store, &mut telemetry, t_now)
+        } else {
+            record
+        };
+        FlightReport::from_record(record, telemetry, cfg.sim_time(), threads.max(1))
     }
 
     /// The shared tail of every flight run: journal the computed

@@ -1,0 +1,18 @@
+//! FNV-1a/64 — the crate's one byte hash: canonical digests, journal
+//! frame checksums, flight cohort salts and the anonymized tenant
+//! identifier all fold bytes through it, so none of them depends on the
+//! toolchain's unspecified `DefaultHasher`.
+
+/// FNV-1a offset basis — seed value for [`fnv1a64_extend`].
+pub(crate) const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Extend an FNV-1a digest with more bytes. Streaming form so the
+/// sharded region driver can digest a million canonical tenant lines
+/// without ever holding the concatenated string.
+pub(crate) fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}

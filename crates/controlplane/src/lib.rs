@@ -10,13 +10,14 @@
 
 pub mod api;
 pub mod coordinator;
+pub mod dashboard;
 pub mod faults;
 pub mod fleet_driver;
 pub mod flight;
+mod hash;
 pub mod lock_protocol;
 pub mod metrics;
 pub mod plane;
-pub mod region;
 pub mod scheduler;
 pub mod shard;
 pub mod stages;
@@ -26,9 +27,8 @@ pub mod telemetry;
 pub mod trace;
 
 pub use api::ManagementApi;
-pub use coordinator::{
-    RegionConfig, RegionCoordinator, RegionReport, ShardConcurrency, ShardSummary,
-};
+pub use coordinator::{RegionConfig, RegionCoordinator, RegionReport, ShardConcurrency};
+pub use dashboard::DashboardSnapshot;
 pub use faults::{FaultInjector, FaultKind, FaultPoint};
 pub use fleet_driver::{
     canonical_line, counters_line, index_hash01, index_hash_bits, FleetDriver, FleetDriverConfig,
@@ -40,7 +40,6 @@ pub use flight::{
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use plane::{ControlPlane, ManagedDb, PlanePolicy, RecommenderPolicy, RetryPolicy};
-pub use region::{DashboardSnapshot, GlobalDashboard};
 pub use shard::{
     HydrationGauge, HydrationMode, ShardAssignment, ShardCommand, ShardDriver, ShardReport,
     ASSIGNMENT_SLOTS,

@@ -8,8 +8,6 @@
 //! exponential back-off when the timeout fires. The control plane manages
 //! this fault-tolerant protocol.
 
-use crate::metrics::MetricsRegistry;
-use crate::trace::Tracer;
 use sqlmini::clock::{Duration, Timestamp};
 use sqlmini::lock::{
     simulate, summarize_convoy, ConvoySummary, LockMode, LockOutcome, LockPriority, LockRequest,
@@ -59,36 +57,9 @@ pub fn run_drop_protocol(
     drop_at: Timestamp,
     cfg: &DropProtocolConfig,
 ) -> DropProtocolOutcome {
-    let mut tracer = Tracer::disabled();
-    let mut metrics = MetricsRegistry::default();
-    run_drop_protocol_observed(workload, drop_at, cfg, &mut tracer, &mut metrics)
-}
-
-/// [`run_drop_protocol`] with observability: every attempt becomes a
-/// child span under a `drop_protocol` root (timestamped in sim time),
-/// and grant/timeout counters plus a `lock.wait_ms` histogram land in
-/// `metrics`. The un-observed entry point delegates here with a
-/// disabled tracer and a throwaway registry, so the protocol logic
-/// exists exactly once.
-pub fn run_drop_protocol_observed(
-    workload: &[LockRequest],
-    drop_at: Timestamp,
-    cfg: &DropProtocolConfig,
-    tracer: &mut Tracer,
-    metrics: &mut MetricsRegistry,
-) -> DropProtocolOutcome {
     let drop_id_base = workload.iter().map(|r| r.id).max().unwrap_or(0) + 1;
     let mut attempt_at = drop_at;
     let mut backoff = cfg.initial_backoff;
-    tracer.start("drop_protocol", drop_at);
-    tracer.attr(
-        "mode",
-        if cfg.naive_fifo {
-            "naive_fifo"
-        } else {
-            "low_priority"
-        },
-    );
 
     if cfg.naive_fifo {
         // Single normal-priority attempt: always "succeeds" eventually but
@@ -104,10 +75,6 @@ pub fn run_drop_protocol_observed(
         let outcomes = simulate(&reqs);
         let drop_outcome = outcome_of(&outcomes, drop_id_base);
         let convoy = summarize_convoy(&reqs, &outcomes);
-        let ended_at = drop_outcome.granted_at.unwrap_or(drop_at) + drop_outcome.waited;
-        record_attempt(tracer, metrics, 1, attempt_at, &drop_outcome, ended_at);
-        metrics.add("lock.convoy_blocked", convoy.blocked_shared as u64);
-        tracer.end(ended_at);
         return DropProtocolOutcome {
             succeeded: !drop_outcome.timed_out,
             attempts: 1,
@@ -137,17 +104,6 @@ pub fn run_drop_protocol_observed(
         let drop_outcome = outcome_of(&outcomes, drop_id);
         if !drop_outcome.timed_out {
             let convoy = summarize_convoy(&reqs, &outcomes);
-            let granted_at = drop_outcome.granted_at.unwrap_or(attempt_at);
-            record_attempt(
-                tracer,
-                metrics,
-                attempts,
-                attempt_at,
-                &drop_outcome,
-                granted_at,
-            );
-            metrics.add("lock.convoy_blocked", convoy.blocked_shared as u64);
-            tracer.end(granted_at);
             return DropProtocolOutcome {
                 succeeded: true,
                 attempts,
@@ -155,16 +111,7 @@ pub fn run_drop_protocol_observed(
                 convoy,
             };
         }
-        let aborted_at = attempt_at + cfg.attempt_timeout;
-        record_attempt(
-            tracer,
-            metrics,
-            attempts,
-            attempt_at,
-            &drop_outcome,
-            aborted_at,
-        );
-        attempt_at = aborted_at + backoff;
+        attempt_at = attempt_at + cfg.attempt_timeout + backoff;
         backoff = backoff.saturating_mul(2);
     }
 
@@ -172,45 +119,12 @@ pub fn run_drop_protocol_observed(
     // (low-priority attempts never blocked anyone by construction).
     let outcomes = simulate(workload);
     let convoy = summarize_convoy(workload, &outcomes);
-    metrics.inc("lock.gave_up");
-    metrics.add("lock.convoy_blocked", convoy.blocked_shared as u64);
-    tracer.end(attempt_at);
     DropProtocolOutcome {
         succeeded: false,
         attempts,
         granted_at: None,
         convoy,
     }
-}
-
-/// One attempt's span + counters: `lock.granted` / `lock.timed_out`, and
-/// the realized wait into the `lock.wait_ms` histogram.
-fn record_attempt(
-    tracer: &mut Tracer,
-    metrics: &mut MetricsRegistry,
-    attempt: u32,
-    started: Timestamp,
-    outcome: &LockOutcome,
-    ended: Timestamp,
-) {
-    tracer.start("lock_attempt", started);
-    tracer.attr("attempt", attempt.to_string());
-    tracer.attr(
-        "outcome",
-        if outcome.timed_out {
-            "timed_out"
-        } else {
-            "granted"
-        },
-    );
-    tracer.attr("waited_ms", outcome.waited.millis().to_string());
-    tracer.end(ended);
-    if outcome.timed_out {
-        metrics.inc("lock.timed_out");
-    } else {
-        metrics.inc("lock.granted");
-    }
-    metrics.observe_time("lock.wait_ms", outcome.waited.millis());
 }
 
 fn outcome_of(outcomes: &[LockOutcome], id: u64) -> LockOutcome {
@@ -412,66 +326,6 @@ mod tests {
             out.convoy
         );
         assert!(out.granted_at.unwrap() >= Timestamp(300_000));
-    }
-
-    #[test]
-    fn observed_protocol_emits_attempt_spans_and_lock_counters() {
-        // 300s reader → three aborted low-priority windows, granted on
-        // the 4th; every attempt must appear as a child span and the
-        // counters must foot with the outcome.
-        let w = vec![LockRequest {
-            id: 1,
-            mode: LockMode::Shared,
-            priority: LockPriority::Normal,
-            arrival: Timestamp(0),
-            hold: Duration::from_secs(300),
-        }];
-        let mut tracer = Tracer::enabled();
-        let mut metrics = MetricsRegistry::default();
-        let out = run_drop_protocol_observed(
-            &w,
-            Timestamp(0),
-            &DropProtocolConfig::default(),
-            &mut tracer,
-            &mut metrics,
-        );
-        assert!(out.succeeded);
-        assert_eq!(out.attempts, 4);
-        let roots = tracer.roots();
-        assert_eq!(roots.len(), 1);
-        let root = &roots[0];
-        assert_eq!(root.name, "drop_protocol");
-        assert_eq!(root.attr("mode"), Some("low_priority"));
-        assert_eq!(root.children.len(), 4, "one child span per attempt");
-        assert_eq!(root.children[0].attr("outcome"), Some("timed_out"));
-        assert_eq!(root.children[3].attr("outcome"), Some("granted"));
-        // Root span closes at the grant instant.
-        assert_eq!(root.end, out.granted_at.unwrap());
-        assert_eq!(metrics.counter("lock.timed_out"), 3);
-        assert_eq!(metrics.counter("lock.granted"), 1);
-        assert_eq!(metrics.histogram("lock.wait_ms").unwrap().count(), 4);
-    }
-
-    #[test]
-    fn observed_protocol_is_pure_over_the_observers() {
-        // Instrumentation must not perturb the protocol: observed and
-        // un-observed runs return identical outcomes.
-        let w = workload_with_long_reader();
-        let plain = run_drop_protocol(&w, Timestamp(1_000), &DropProtocolConfig::default());
-        let mut tracer = Tracer::enabled();
-        let mut metrics = MetricsRegistry::default();
-        let observed = run_drop_protocol_observed(
-            &w,
-            Timestamp(1_000),
-            &DropProtocolConfig::default(),
-            &mut tracer,
-            &mut metrics,
-        );
-        assert_eq!(plain, observed);
-        assert_eq!(
-            metrics.counter("lock.granted") + metrics.counter("lock.timed_out"),
-            observed.attempts as u64
-        );
     }
 
     #[test]

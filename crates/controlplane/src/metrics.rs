@@ -393,7 +393,7 @@ mod tests {
         let mut m = MetricsRegistry::new();
         m.add("revert.cause.regression", 4);
         m.add("revert.cause.manual", 1);
-        m.inc("revert.succeeded");
+        m.inc("revert.total");
         let causes = m.breakdown("revert.cause.");
         assert_eq!(causes.len(), 2);
         assert_eq!(causes.get("regression"), Some(&4));

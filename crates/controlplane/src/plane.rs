@@ -323,13 +323,6 @@ impl ControlPlane {
         effective(mdb.settings, mdb.server)
     }
 
-    /// Raise an incident through both sinks: the on-call incident stream
-    /// and the `incident.raised` dashboard counter.
-    pub(crate) fn incident(&mut self, db: &str, summary: String, now: Timestamp) {
-        self.telemetry.incident(db, summary, now);
-        self.metrics.inc("incident.raised");
-    }
-
     /// A recommendation duplicates an open or recently-succeeded one when
     /// it proposes the same action on the same object.
     pub(crate) fn is_duplicate_reco(&self, db_name: &str, reco: &Recommendation) -> bool {
@@ -416,13 +409,8 @@ impl ControlPlane {
                 now,
             );
         }
-        self.metrics.inc("recovery.runs");
         self.metrics
             .add("recovery.entries_replayed", report.replayed as u64);
-        self.metrics
-            .add("recovery.entries_truncated", report.truncated as u64);
-        self.metrics
-            .add("recovery.reparked", report.reparked.len() as u64);
         self.metrics.observe_with(
             "recovery.replayed_per_run",
             report.replayed as u64,
@@ -445,16 +433,13 @@ impl ControlPlane {
                 format!("{} frame reads", report.frame_reads),
                 now,
             );
-            self.metrics.inc("recovery.from_checkpoint");
         }
         if report.corrupt_mid > 0 {
             for _ in 0..report.corrupt_mid {
                 self.telemetry
                     .emit(EventKind::JournalFrameCorrupt, db_name, "", now);
             }
-            self.metrics
-                .add("recovery.corrupt_frames", report.corrupt_mid as u64);
-            self.incident(
+            self.telemetry.incident(
                 db_name,
                 format!(
                     "mid-journal corruption: {} frames skipped (intact records follow them)",
@@ -474,8 +459,7 @@ impl ControlPlane {
                 },
                 now,
             );
-            self.metrics.inc("recovery.checkpoint_fallback");
-            self.incident(
+            self.telemetry.incident(
                 db_name,
                 format!(
                     "checkpoint torn/corrupt: recovery fell back to {} (lossless)",
@@ -490,7 +474,7 @@ impl ControlPlane {
         }
         if report.torn_tail {
             self.metrics.inc("recovery.torn_tail");
-            self.incident(
+            self.telemetry.incident(
                 db_name,
                 format!(
                     "journal tail torn: {} entries lost, {} recommendations re-parked",

@@ -36,9 +36,9 @@
 //! byte-for-byte.
 
 use crate::fleet_driver::{
-    canonical_line, fnv1a64_extend, index_hash_bits, FleetDriver, FleetTotals, TenantOutcome,
-    TenantResult, FNV_OFFSET,
+    canonical_line, index_hash_bits, FleetDriver, FleetTotals, TenantOutcome, TenantResult,
 };
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::pool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -197,7 +197,6 @@ pub struct ShardReport {
     /// Members' sinks and tallies folded in member order (raw events
     /// capped; counters always exact).
     pub totals: FleetTotals,
-    pub elapsed: std::time::Duration,
 }
 
 impl ShardReport {
@@ -207,7 +206,6 @@ impl ShardReport {
             digests: Vec::new(),
             outcomes: retain_outcomes.then(Vec::new),
             totals: FleetTotals::new(),
-            elapsed: std::time::Duration::ZERO,
         }
     }
 
@@ -255,7 +253,6 @@ impl ShardDriver {
     /// bounds residency: a tenant finishes completely before the next
     /// hydrates, so at most `threads` tenants are ever live.
     pub(crate) fn drive(&self, spec: &dyn FleetSpec, ticks: u32, wave: usize) -> ShardReport {
-        let start = std::time::Instant::now();
         let mut report = ShardReport::new(self.shard, self.retain_outcomes);
         for members in self.members.chunks(wave) {
             let results = pool::map_ordered(members.to_vec(), self.threads, |_, index| {
@@ -268,7 +265,6 @@ impl ShardDriver {
                 report.push(index, result, self.event_retention);
             }
         }
-        report.elapsed = start.elapsed();
         report
     }
 }

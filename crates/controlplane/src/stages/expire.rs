@@ -23,7 +23,6 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
         plane
             .telemetry
             .emit(EventKind::RecommendationExpired, &mdb.db.name, "", now);
-        plane.metrics.inc("reco.expired");
     }
 }
 

@@ -26,7 +26,9 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
             continue;
         }
         let state = r.state;
-        plane.incident(&mdb.db.name, format!("{id} stuck in {state:?}"), now);
+        plane
+            .telemetry
+            .incident(&mdb.db.name, format!("{id} stuck in {state:?}"), now);
         plane.metrics.inc("health.stuck_closed");
         // Automated corrective action where safe: park in a terminal
         // state so the pipeline doesn't wedge.

@@ -66,7 +66,6 @@ pub(crate) fn implement_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: R
     plane
         .telemetry
         .emit(EventKind::ImplementStarted, &mdb.db.name, "", now);
-    plane.metrics.inc("implement.started");
 
     let fault_point = match &action {
         RecoAction::CreateIndex { .. } => FaultPoint::IndexBuild,
@@ -126,7 +125,6 @@ pub(crate) fn implement_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: R
             plane
                 .telemetry
                 .emit(EventKind::ImplementFailedFatal, &mdb.db.name, e, now);
-            plane.metrics.inc("implement.failed.fatal");
             false
         }
     }
@@ -153,14 +151,15 @@ pub(crate) fn handle_fault(
                 format!("attempt {attempts}"),
                 now,
             );
-            plane.metrics.inc("implement.failed.transient");
             if attempts > plane.policy.max_retry_attempts {
                 plane.store.update(id, |r| {
                     r.transition(RecoState::Error, now, "retry budget exhausted")
                         .expect("Retry -> Error");
                 });
                 plane.metrics.inc("retry.exhausted");
-                plane.incident(&mdb.db.name, format!("{id}: retries exhausted"), now);
+                plane
+                    .telemetry
+                    .incident(&mdb.db.name, format!("{id}: retries exhausted"), now);
             } else {
                 park_backoff(plane, &mdb.db.name, attempts, now);
             }
@@ -174,8 +173,9 @@ pub(crate) fn handle_fault(
             plane
                 .telemetry
                 .emit(EventKind::ImplementFailedFatal, &mdb.db.name, "fault", now);
-            plane.metrics.inc("implement.failed.fatal");
-            plane.incident(&mdb.db.name, format!("{id}: fatal fault"), now);
+            plane
+                .telemetry
+                .incident(&mdb.db.name, format!("{id}: fatal fault"), now);
             false
         }
     }
@@ -191,5 +191,4 @@ pub(crate) fn park_backoff(plane: &mut ControlPlane, db_name: &str, attempts: u3
         format!("attempt {attempts}"),
         now,
     );
-    plane.metrics.inc("retry.backoff_wait");
 }

@@ -32,14 +32,17 @@ pub(crate) fn revert_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: Reco
                 plane
                     .telemetry
                     .emit(EventKind::RevertFailedTransient, &mdb.db.name, "", now);
-                plane.metrics.inc("revert.failed.transient");
                 if attempts > plane.policy.max_retry_attempts {
                     plane.store.update(id, |r| {
                         r.transition(RecoState::Error, now, "revert retries exhausted")
                             .expect("Retry -> Error");
                     });
                     plane.metrics.inc("retry.exhausted");
-                    plane.incident(&mdb.db.name, format!("{id}: revert retries exhausted"), now);
+                    plane.telemetry.incident(
+                        &mdb.db.name,
+                        format!("{id}: revert retries exhausted"),
+                        now,
+                    );
                 } else {
                     super::implement::park_backoff(plane, &mdb.db.name, attempts, now);
                 }
@@ -50,7 +53,9 @@ pub(crate) fn revert_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: Reco
                         .expect("Reverting -> Error");
                 });
                 plane.metrics.inc("revert.failed.fatal");
-                plane.incident(&mdb.db.name, format!("{id}: revert fatal"), now);
+                plane
+                    .telemetry
+                    .incident(&mdb.db.name, format!("{id}: revert fatal"), now);
             }
         }
         plane.tracer.attr("outcome", "faulted");
@@ -71,7 +76,6 @@ pub(crate) fn revert_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: Reco
         plane
             .telemetry
             .emit(EventKind::RevertSucceeded, &mdb.db.name, "", now);
-        plane.metrics.inc("revert.succeeded");
         plane
             .metrics
             .inc(&format!("revert.action.{}", action_kind(&action)));

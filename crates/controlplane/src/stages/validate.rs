@@ -43,7 +43,7 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
                                 .expect("Retry -> Error");
                         });
                         plane.metrics.inc("retry.exhausted");
-                        plane.incident(
+                        plane.telemetry.incident(
                             &mdb.db.name,
                             format!("{id}: validation retries exhausted"),
                             now,
@@ -95,7 +95,6 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
                     plane
                         .telemetry
                         .emit(EventKind::ValidationNoData, &mdb.db.name, "", now);
-                    plane.metrics.inc("validate.nodata");
                     plane
                         .metrics
                         .observe_time("validation.wait_ms", waited.millis());
@@ -111,7 +110,6 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
                     format!("{:.0}%", -outcome.aggregate_cpu_change * 100.0),
                     now,
                 );
-                plane.metrics.inc("validate.improved");
                 plane
                     .metrics
                     .observe_time("validation.wait_ms", waited.millis());
@@ -123,7 +121,6 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
                     plane
                         .telemetry
                         .emit(EventKind::ValidationInconclusive, &mdb.db.name, "", now);
-                    plane.metrics.inc("validate.inconclusive");
                     plane
                         .metrics
                         .observe_time("validation.wait_ms", waited.millis());
@@ -145,7 +142,6 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
                     format!("{:+.0}%", outcome.aggregate_cpu_change * 100.0),
                     now,
                 );
-                plane.metrics.inc("validate.regressed");
                 plane
                     .metrics
                     .observe_time("validation.wait_ms", waited.millis());

@@ -37,8 +37,8 @@
 //! rest: journals live in process memory only, so there is never an
 //! older frame to migrate and a newer one can only be damage.
 
-use crate::fleet_driver::{fnv1a64_extend, FNV_OFFSET};
 use crate::flight::{FlightRecord, FlightState, TenantVerdict, TenantVerdictRecord};
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::stages::{NextDue, WakeSchedule};
 use crate::state::{RecoId, RecoState, RecoSubState, RetryPhase, TrackedReco, Transition};
 use autoindex::{RecoAction, RecoSource, Recommendation};

@@ -5,6 +5,7 @@
 //! that pipeline: typed events with **no query text or data values**,
 //! counters, and an incident stream for the on-call path.
 
+use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use sqlmini::clock::Timestamp;
 use std::collections::BTreeMap;
 
@@ -29,7 +30,6 @@ pub enum EventKind {
     RevertStarted,
     RevertSucceeded,
     RevertFailedTransient,
-    DropLockTimedOut,
     IncidentRaised,
     DtaSessionAborted,
     /// The state store crashed and was rebuilt from its journal.
@@ -78,12 +78,10 @@ pub struct Event {
 
 /// Stable anonymizing hash of a database name — the only tenant
 /// identifier that ever leaves a shard (events, incidents, span attrs).
+/// FNV-1a/64: the same value on every toolchain, unlike std's
+/// `DefaultHasher`.
 pub fn db_hash(name: &str) -> u64 {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h = DefaultHasher::new();
-    name.hash(&mut h);
-    h.finish()
+    fnv1a64_extend(FNV_OFFSET, name.as_bytes())
 }
 
 /// An incident requiring (simulated) on-call attention.
@@ -162,18 +160,9 @@ impl Telemetry {
         &self.events
     }
 
-    /// The operational revert rate: reverts ÷ implemented actions (§8.1
-    /// reports ~11%).
-    pub fn revert_rate(&self) -> f64 {
-        let implemented = self.count(EventKind::ImplementSucceeded);
-        if implemented == 0 {
-            return 0.0;
-        }
-        self.count(EventKind::RevertSucceeded) as f64 / implemented as f64
-    }
-
-    /// Merge another telemetry sink into this one (cross-region
-    /// aggregation for dashboards, §8.3).
+    /// Fold another telemetry sink into this one, taking its events and
+    /// incidents by value (the fleet, shard and region folds all own what
+    /// they merge).
     ///
     /// Unlike [`Telemetry::emit`], merging does **not** enforce the
     /// event-retention cap — the fleet driver's quiesce merge keeps
@@ -181,22 +170,12 @@ impl Telemetry {
     /// unbounded stream of shards (the million-tenant region driver)
     /// must call [`Telemetry::retain_recent`] between merges to stay
     /// bounded; counters aggregate exactly either way.
-    pub fn merge(&mut self, other: &Telemetry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(*k).or_default() += v;
+    pub fn merge(&mut self, mut other: Telemetry) {
+        for (k, v) in other.counters {
+            *self.counters.entry(k).or_default() += v;
         }
-        self.events.extend(other.events.iter().cloned());
-        self.incidents.extend(other.incidents.iter().cloned());
-    }
-
-    /// Merge a bare counters map (a shard's aggregate row — see
-    /// [`crate::region::GlobalDashboard::ingest_shard`]). Counter-only
-    /// by design: shard rows carry no raw events across the management
-    /// boundary.
-    pub fn merge_counters(&mut self, counters: &BTreeMap<EventKind, u64>) {
-        for (k, v) in counters {
-            *self.counters.entry(*k).or_default() += v;
-        }
+        self.events.append(&mut other.events);
+        self.incidents.append(&mut other.incidents);
     }
 
     /// Drop all but the most recent `n` raw events and incidents —
@@ -238,7 +217,6 @@ mod tests {
         t.emit(EventKind::RevertSucceeded, "db1", "", Timestamp(3));
         assert_eq!(t.count(EventKind::ImplementSucceeded), 2);
         assert_eq!(t.events().len(), 3);
-        assert!((t.revert_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -277,6 +255,13 @@ mod tests {
         assert_eq!(t.events()[0].db_hash, t.events()[1].db_hash);
     }
 
+    /// The hash is FNV-1a/64 of the name's bytes, whatever the toolchain.
+    #[test]
+    fn db_hash_is_pinned() {
+        assert_eq!(db_hash(""), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(db_hash("db1"), 0xCA89_6918_F453_F7D6);
+    }
+
     #[test]
     fn incidents_tracked() {
         let mut t = Telemetry::new();
@@ -292,9 +277,13 @@ mod tests {
         a.emit(EventKind::RecommendationCreated, "x", "", Timestamp(0));
         b.emit(EventKind::RecommendationCreated, "y", "", Timestamp(0));
         b.incident("y", "oops", Timestamp(1));
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.count(EventKind::RecommendationCreated), 2);
+        assert_eq!(a.count(EventKind::IncidentRaised), 1);
         assert_eq!(a.incidents().len(), 1);
+        // Events arrive by value, in order: `a`'s own, then `b`'s.
+        let names: Vec<u64> = a.events().iter().map(|e| e.db_hash).collect();
+        assert_eq!(names, [db_hash("x"), db_hash("y"), db_hash("y")]);
     }
 
     #[test]

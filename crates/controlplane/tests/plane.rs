@@ -2,9 +2,9 @@
 //! against a seeded single-tenant database. (Moved out of `plane.rs`
 //! when the monolithic tick was split into stage modules.)
 
+use controlplane::dashboard::DashboardSnapshot;
 use controlplane::faults::{FaultInjector, FaultKind, FaultPoint};
 use controlplane::plane::{ControlPlane, ManagedDb, PlanePolicy, RecommenderPolicy, RetryPolicy};
-use controlplane::region::DashboardSnapshot;
 use controlplane::state::{DbSettings, RecoId, RecoState, ServerSettings, Setting};
 use controlplane::telemetry::EventKind;
 use sqlmini::clock::{Duration, SimClock};
@@ -183,7 +183,7 @@ fn dta_session_metrics_feed_dashboard() {
     assert!(saved_cache > 0, "cost cache must absorb repeat configs");
     assert_eq!(plane.metrics.counter("dta.sessions.aborted"), 0);
 
-    let snap = DashboardSnapshot::from_metrics(&plane.metrics, Duration::from_hours(24));
+    let snap = DashboardSnapshot::new(&plane.telemetry, &plane.metrics, Duration::from_hours(24));
     assert_eq!(snap.dta_sessions, sessions);
     assert_eq!(snap.what_if_issued, issued);
     assert_eq!(snap.what_if_saved_cache, saved_cache);

@@ -296,8 +296,8 @@ proptest! {
         prop_assert_eq!(region.statements, oracle.statements);
         prop_assert_eq!(region.errors, oracle.errors);
         prop_assert_eq!(region.by_state.clone(), oracle.by_state.clone());
-        // Shard summaries partition the fleet exactly.
-        let assigned: usize = region.per_shard.iter().map(|s| s.tenants).sum();
+        // The coordinator's assignment partitions the fleet exactly.
+        let assigned: usize = ShardAssignment::new(shards).partition(n).iter().map(Vec::len).sum();
         prop_assert_eq!(assigned, n);
     }
 

@@ -41,6 +41,21 @@ use controlplane::{
 use sqlmini::clock::Duration;
 use workload::fleet::{generate_fleet, FleetSpec, MixedFleetSpec, Tenant, TierMix};
 
+/// Run `f` and return its result with the wall time it took. The drivers
+/// read no clock: what this example prints it measures itself (printed,
+/// never asserted — claims go through `benchmark/`).
+fn timed<R>(f: impl FnOnce() -> R) -> (R, std::time::Duration) {
+    let start = std::time::Instant::now();
+    let out = f();
+    (out, start.elapsed())
+}
+
+/// `"1.23s (456.7 tenant-ticks/s)"`.
+fn pace(wall: std::time::Duration, tenants: usize, ticks: u32) -> String {
+    let rate = (tenants as u64 * ticks as u64) as f64 / wall.as_secs_f64();
+    format!("{wall:.2?} ({rate:.1} tenant-ticks/s)")
+}
+
 fn main() {
     let args = Args::parse();
     let ticks = args.get_u64("ticks", 4) as u32;
@@ -110,14 +125,13 @@ fn main() {
             threads_per_shard: threads,
             ..RegionConfig::default()
         });
-        let region = coordinator.run(spec.as_ref(), ticks);
+        let (region, wall) = timed(|| coordinator.run(spec.as_ref(), ticks));
         println!(
-            "sharded: {} tenants across {} shards x {} ticks in {:.2?} ({:.1} tenant-ticks/s)",
+            "sharded: {} tenants across {} shards x {} ticks in {}",
             region.tenants,
             region.shards,
             region.ticks,
-            region.elapsed,
-            region.throughput(),
+            pace(wall, region.tenants, region.ticks),
         );
         println!("fleet states: {:?}", region.by_state);
         println!(
@@ -152,14 +166,13 @@ fn main() {
     }
 
     let driver = FleetDriver::new(driver_config);
-    let parallel = driver.run(fleet(seed), ticks, threads);
+    let (parallel, wall) = timed(|| driver.run(fleet(seed), ticks, threads));
     println!(
-        "parallel: {} tenants x {} ticks on {} threads in {:.2?} ({:.1} tenant-ticks/s)",
+        "parallel: {} tenants x {} ticks on {} threads in {}",
         parallel.tenants.len(),
         parallel.ticks,
         parallel.threads,
-        parallel.elapsed,
-        parallel.throughput(),
+        pace(wall, parallel.tenants.len(), parallel.ticks),
     );
     println!("fleet states: {:?}", parallel.by_state);
     println!(
@@ -183,11 +196,10 @@ fn main() {
         println!("telemetry:\n{}", parallel.telemetry.export_json());
     }
 
-    let serial = driver.run(fleet(seed), ticks, 1);
+    let (serial, wall) = timed(|| driver.run(fleet(seed), ticks, 1));
     println!(
-        "serial replay in {:.2?} ({:.1} tenant-ticks/s)",
-        serial.elapsed,
-        serial.throughput(),
+        "serial replay in {}",
+        pace(wall, serial.tenants.len(), serial.ticks)
     );
     assert_eq!(
         serial.canonical_string(),
