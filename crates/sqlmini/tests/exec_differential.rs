@@ -8,17 +8,23 @@
 //! workload generator's twelve statement shapes, both sides must agree on
 //! every result, and after every write each secondary index must equal
 //! one rebuilt from the heap.
+//!
+//! A twin database runs the same DDL and statements in lockstep through
+//! `Database::execute`, which builds no result set. It must record what
+//! `query` records: the same metrics, bit for bit, and the same plan for
+//! every statement, and in the end the same Query Store and usage DMV.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlmini::clock::SimClock;
+use sqlmini::clock::{SimClock, Timestamp};
 use sqlmini::engine::{Database, DbConfig};
 use sqlmini::index::SecondaryIndex;
 use sqlmini::plan::{Access, JoinStrategy, Plan};
 use sqlmini::query::{
     AggFunc, CmpOp, JoinSpec, OrderKey, Predicate, QueryTemplate, Scalar, SelectQuery, Statement,
 };
+use sqlmini::querystore::Metric;
 use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
 use sqlmini::types::{Row, Value, ValueType};
 use std::collections::BTreeMap;
@@ -361,7 +367,10 @@ impl Table {
 }
 
 struct World {
+    /// Driven by `query`, whose rows are checked against `reference`.
     db: Database,
+    /// Driven by `execute` in lockstep with `db`: same DDL, same statements.
+    twin: Database,
     reference: Tables,
     /// `tables[0]` is the join's outer side, `tables[1]` the inner.
     tables: Vec<Table>,
@@ -370,6 +379,10 @@ struct World {
     /// covering index access, hash join, index nested-loop join. Read by
     /// the coverage test.
     paths: [u32; 5],
+    /// SELECTs executed that were: scalar aggregates, scalar aggregates
+    /// that returned no row, two-column GROUP BYs. Read by the coverage
+    /// test.
+    shapes: [u32; 3],
 }
 
 fn build_world(seed: u64) -> (World, StdRng) {
@@ -379,11 +392,13 @@ fn build_world(seed: u64) -> (World, StdRng) {
         ..DbConfig::default()
     };
     let mut world = World {
-        db: Database::new("diff", cfg, SimClock::new()),
+        db: Database::new("diff", cfg.clone(), SimClock::new()),
+        twin: Database::new("diff", cfg, SimClock::new()),
         reference: Tables::new(),
         tables: Vec::new(),
         n_indexes: 0,
         paths: [0; 5],
+        shapes: [0; 3],
     };
     // Mostly small; a big inner side now and then, so that seeking it
     // once per outer row can beat hashing all of it.
@@ -418,15 +433,18 @@ fn build_world(seed: u64) -> (World, StdRng) {
             .map(|(i, k)| ColumnDef::new(format!("c{i}"), k.value_type()).nullable())
             .collect();
         let def = TableDef::new(format!("t{t}"), columns).with_primary_key(ColumnId(0));
-        let id = world.db.create_table(def).expect("fresh table");
+        let id = world.db.create_table(def.clone()).expect("fresh table");
+        assert_eq!(world.twin.create_table(def).expect("fresh table"), id);
         let mut table = Table {
             id,
             kinds,
             next_pk: 0,
         };
         let data: Vec<Row> = (0..rows).map(|_| table.new_row(&mut rng)).collect();
-        world.db.load_rows(id, data.clone());
-        world.db.rebuild_stats(id);
+        for db in [&mut world.db, &mut world.twin] {
+            db.load_rows(id, data.clone());
+            db.rebuild_stats(id);
+        }
         world.reference.insert(id, data);
         world.tables.push(table);
     }
@@ -449,7 +467,8 @@ impl World {
         let def = self.tables[side].index_def(rng, name, lead.map(|(_, c)| c));
         self.n_indexes += 1;
         let table = def.table;
-        self.db.create_index(def).expect("index builds");
+        self.db.create_index(def.clone()).expect("index builds");
+        self.twin.create_index(def).expect("index builds");
         storage_matches(&self.db, &self.reference, table)
             .unwrap_or_else(|e| panic!("after CREATE INDEX ix{}: {e:?}", self.n_indexes - 1));
     }
@@ -518,6 +537,9 @@ impl World {
                 params.push(t.kind(f).param(rng, rows));
             }
             // GroupAgg and Report: the report orders and limits its groups.
+            // Beyond the workload's one group column: now and then two,
+            // or none (a scalar aggregate), sometimes over a filter that
+            // matches no row, which yields no row rather than one.
             5 | 7 => {
                 let g = t.any_col(rng);
                 let funcs = [
@@ -527,16 +549,27 @@ impl World {
                     AggFunc::Max,
                     AggFunc::Avg,
                 ];
-                q.group_by = vec![g];
+                q.group_by = match rng.random_range(0..5) {
+                    0 => vec![],
+                    1 => match t.any_col(rng) {
+                        h if h == g => vec![g, ColumnId(0)],
+                        h => vec![g, h],
+                    },
+                    _ => vec![g],
+                };
                 q.aggregates = (0..rng.random_range(1..4))
                     .map(|_| (funcs[rng.random_range(0..5usize)], t.any_col(rng)))
                     .collect();
-                if rng.random_range(0..3) == 0 {
+                if q.group_by.is_empty() && rng.random() {
+                    // Every pk is at least zero.
+                    q.predicates = vec![Predicate::param(ColumnId(0), CmpOp::Lt, 0)];
+                    params.push(Value::Int(0));
+                } else if rng.random_range(0..3) == 0 {
                     let c = t.any_col(rng);
                     q.predicates = vec![Predicate::param(c, CmpOp::Ne, 0)];
                     params.push(t.kind(c).param(rng, rows));
                 }
-                if shape == 7 {
+                if shape == 7 && !q.group_by.is_empty() {
                     q.order_by = vec![OrderKey {
                         column: g,
                         asc: rng.random(),
@@ -643,7 +676,8 @@ impl World {
         (Statement::Select(q), params)
     }
 
-    /// Run one statement on both sides and compare.
+    /// Run one statement on both sides and compare; run it on the twin
+    /// and compare what both databases recorded.
     fn step(&mut self, stmt: &Statement, params: &[Value]) -> Result<(), TestCaseError> {
         let tpl = QueryTemplate::new(stmt.clone(), params.len() as u16);
         self.note_path(&tpl, params);
@@ -651,6 +685,21 @@ impl World {
             .db
             .query(&tpl, params)
             .map_err(|e| TestCaseError::fail(format!("{stmt:?}: {e:?}")))?;
+        let counted = self
+            .twin
+            .execute(&tpl, params)
+            .map_err(|e| TestCaseError::fail(format!("execute {stmt:?}: {e:?}")))?;
+        prop_assert!(
+            counted.metrics == out.metrics
+                && counted.metrics.cpu_us.to_bits() == out.metrics.cpu_us.to_bits()
+                && counted.duration_us.to_bits() == out.duration_us.to_bits(),
+            "execute {:?} {}, query {:?} {}: {stmt:?} {params:?}",
+            counted.metrics,
+            counted.duration_us,
+            out.metrics,
+            out.duration_us
+        );
+        prop_assert_eq!(counted.plan_id, out.plan_id);
         let Statement::Select(q) = stmt else {
             let affected = apply_write(&mut self.reference, stmt, params);
             prop_assert!(
@@ -661,6 +710,11 @@ impl World {
             prop_assert!(got.is_empty());
             return storage_matches(&self.db, &self.reference, stmt.table());
         };
+        if q.group_by.is_empty() && !q.aggregates.is_empty() {
+            self.shapes[0] += 1;
+            self.shapes[1] += u32::from(got.is_empty());
+        }
+        self.shapes[2] += u32::from(q.group_by.len() == 2);
         let width = self.reference[&q.table].first().map_or(0, Vec::len);
         let want = eval(&reference_plan(q, width), &self.reference, params);
         let n = q.limit.map_or(want.len(), |lim| lim.min(want.len()));
@@ -779,6 +833,17 @@ fn run_interleaving(seed: u64, steps: usize) -> Result<World, TestCaseError> {
         let (stmt, params) = world.statement(&mut rng, shape);
         world.step(&stmt, &params)?;
     }
+    let (db, twin) = (&world.db, &world.twin);
+    let (from, to) = (Timestamp::EPOCH, Timestamp(u64::MAX));
+    for metric in [Metric::CpuTime, Metric::LogicalReads, Metric::Duration] {
+        let a = db.query_store().total_resources(metric, from, to);
+        let b = twin.query_store().total_resources(metric, from, to);
+        prop_assert!(a.to_bits() == b.to_bits(), "{metric:?}: {a} vs {b}");
+    }
+    prop_assert!(db.total_cpu_us.to_bits() == twin.total_cpu_us.to_bits());
+    let usage =
+        |db: &Database| -> Vec<_> { db.usage_dmv().all().map(|(id, u)| (id, *u)).collect() };
+    prop_assert_eq!(usage(db), usage(twin));
     Ok(world)
 }
 
@@ -792,17 +857,23 @@ proptest! {
 }
 
 /// The generator above is only worth its name if it reaches the paths
-/// the executor rewrite touched. Fixed seeds, so this cannot flake.
+/// the executor rewrite touched, and the SELECT shapes a result-free
+/// execution must count right. Fixed seeds, so this cannot flake.
 #[test]
 fn interleavings_reach_every_access_path_and_join_strategy() {
     let mut paths = [0u32; 5];
-    for seed in 0..8 {
+    let mut shapes = [0u32; 3];
+    for seed in 0..16 {
         let world = run_interleaving(seed, 80).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         for (total, n) in paths.iter_mut().zip(world.paths) {
             *total += n;
         }
+        for (total, n) in shapes.iter_mut().zip(world.shapes) {
+            *total += n;
+        }
     }
     assert!(paths.iter().all(|&n| n >= 10), "{paths:?}");
+    assert!(shapes.iter().all(|&n| n >= 10), "{shapes:?}");
 }
 
 /// UPDATE and DELETE whose access path is the very index they modify, by
