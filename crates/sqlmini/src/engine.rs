@@ -752,7 +752,7 @@ impl Database {
         }
 
         // Usage DMV from plan shape.
-        self.note_usage(&entry.plan, metrics.rows_returned, now);
+        self.note_usage(&entry.plan, now);
 
         // Query Store (references and plan identity are interned in the
         // cache entry — see `compile_entry`).
@@ -778,7 +778,7 @@ impl Database {
         }
     }
 
-    fn note_usage(&mut self, plan: &Plan, affected_rows: u64, now: Timestamp) {
+    fn note_usage(&mut self, plan: &Plan, now: Timestamp) {
         let note_access = |a: &Access, dmv: &mut IndexUsageDmv| match a {
             Access::SeqScan => {}
             Access::IndexSeek {
@@ -818,7 +818,6 @@ impl Database {
             }
             Plan::Insert { .. } => {}
         }
-        let _ = affected_rows;
     }
 
     fn lognormal(&mut self, sigma: f64) -> f64 {

@@ -12,15 +12,32 @@
 //!
 //! The control plane consumes these counts and never a result set, so the
 //! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a [`RowView`]: a reference to the heap row, or the
-//! key / included slices of a covering index leaf. Residual filters, both
-//! join strategies, grouping and sorting all work on views (the hash
-//! table and the group index are keyed by `&Value`); storage is only
-//! borrowed shared for the whole statement, so a view stays valid until
-//! the sink. The sink applies `LIMIT` first and then either clones the
-//! projected values into the caller's `Vec<Row>` or — when the caller
-//! passed none — only counts. Owned rows are built nowhere else, except
-//! for aggregate result rows and the rows DML writes.
+//! qualifying row on as a [`RowView`]: a reference to the heap row, or to
+//! the leaf values of a covering index entry. Residual predicates are
+//! bound once per access — the slot their column sits in, the operator,
+//! the resolved operand — so a row pays only for the comparisons. Both
+//! join strategies work on views (the hash table is keyed by `&Value`);
+//! storage is only borrowed shared for the whole statement, so a view
+//! stays valid until the sink.
+//!
+//! # Two sinks
+//!
+//! A result nobody reads is not computed; its cost still is. Rows flow
+//! from the access path, through the join if there is one, into one of
+//! two sinks, picked by whether the caller wants rows:
+//!
+//! - The **count sink** (no `out`: every `Database::execute`, so all
+//!   workload and control-plane traffic) keeps the number of rows and,
+//!   under GROUP BY, a set of distinct group keys — borrowed rows,
+//!   hashed and compared by their group values, probed only when a row's
+//!   key differs from the previous row's. It evaluates no aggregate,
+//!   sorts nothing and projects nothing.
+//! - The **rows sink** (`Database::query`, for tests and the SQL API)
+//!   keeps the row views, then aggregates, sorts, applies `LIMIT` and
+//!   clones the projected values into the caller's `Vec<Row>`. It is the
+//!   reference for the count sink: `exec_differential` drives both in
+//!   lockstep and requires bit-equal metrics. Owned rows are built
+//!   nowhere else, except for the rows DML writes.
 //!
 //! # Accounting order
 //!
@@ -29,7 +46,9 @@
 //! the fleet digests see its low bits). Operators may be restructured
 //! freely as long as every `add_*` call keeps its operand and its place
 //! in that sequence; `workload/tests/exec_metrics_pin.rs` holds the
-//! witness.
+//! witness. Both sinks end in one tail, [`charge_output`], which charges
+//! aggregation, sort and output from the two numbers each sink knows:
+//! the rows that reached it and the groups they formed.
 
 use crate::catalog::Catalog;
 use crate::heap::{Heap, RowId};
@@ -39,7 +58,8 @@ use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, 
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
 use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
 use crate::types::{Row, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 
 /// Counters of actual work done by one statement execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -113,35 +133,45 @@ pub struct ExecContext<'a> {
 }
 
 /// One input row as the operators see it, borrowed from storage for the
-/// length of the statement (`'c`): a heap row, or a covering index leaf.
+/// length of the statement (`'c`): a heap row, or the leaf values of a
+/// covering index entry (key values, then included values).
 #[derive(Clone, Copy)]
-enum RowView<'c> {
-    Heap(&'c Row),
-    Leaf {
-        def: &'c IndexDef,
-        key: &'c [Value],
-        incl: &'c [Value],
-    },
+struct RowView<'c> {
+    /// The index whose leaf `vals` is; `None` for a heap row.
+    leaf: Option<&'c IndexDef>,
+    vals: &'c [Value],
 }
 
 impl<'c> RowView<'c> {
-    fn col(self, c: ColumnId) -> &'c Value {
-        match self {
-            RowView::Heap(row) => &row[c.0 as usize],
-            RowView::Leaf { def, key, incl } => {
-                if let Some(i) = def.key_columns.iter().position(|&k| k == c) {
-                    &key[i]
-                } else if let Some(i) = def.included_columns.iter().position(|&k| k == c) {
-                    &incl[i]
-                } else {
-                    // The planner marks an access covering only when the
-                    // leaf carries every column the plan reads from it.
-                    debug_assert!(false, "covering read of {c} not in '{}'", def.name);
-                    &Value::Null
-                }
-            }
+    fn heap(row: &'c Row) -> RowView<'c> {
+        RowView {
+            leaf: None,
+            vals: row,
         }
     }
+
+    fn col(self, c: ColumnId) -> &'c Value {
+        self.at(slot(self.leaf, c))
+    }
+
+    fn at(self, slot: usize) -> &'c Value {
+        self.vals.get(slot).unwrap_or(&Value::Null)
+    }
+}
+
+/// Where column `c` sits in a row view: at its own position in a heap row
+/// (`leaf` is `None`), at its position among the key-then-included
+/// columns of a covering leaf. A column the leaf lacks reads as NULL.
+fn slot(leaf: Option<&IndexDef>, c: ColumnId) -> usize {
+    let Some(def) = leaf else {
+        return c.0 as usize;
+    };
+    def.leaf_columns().position(|k| k == c).unwrap_or_else(|| {
+        // The planner marks an access covering only when the leaf
+        // carries every column the plan reads from it.
+        debug_assert!(false, "covering read of {c} not in '{}'", def.name);
+        usize::MAX
+    })
 }
 
 fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBound {
@@ -159,8 +189,31 @@ fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBo
     }
 }
 
-fn holds(p: &Predicate, params: &[Value], v: RowView) -> bool {
-    p.op.eval(v.col(p.column), p.value.resolve(params))
+/// A predicate bound to the rows of one access: the slot its column sits
+/// in, its operator and its resolved operand.
+struct Bound<'q> {
+    slot: usize,
+    op: CmpOp,
+    value: &'q Value,
+}
+
+/// Bind `preds` under `params` to rows laid out as `leaf` says ([`slot`]).
+fn bind<'q>(
+    preds: impl IntoIterator<Item = &'q Predicate>,
+    params: &'q [Value],
+    leaf: Option<&IndexDef>,
+) -> Vec<Bound<'q>> {
+    let bound = |p: &'q Predicate| Bound {
+        slot: slot(leaf, p.column),
+        op: p.op,
+        value: p.value.resolve(params),
+    };
+    preds.into_iter().map(bound).collect()
+}
+
+/// Whether `row` satisfies every predicate of `filter`.
+fn keeps(filter: &[Bound], row: RowView) -> bool {
+    filter.iter().all(|b| b.op.eval(row.at(b.slot), b.value))
 }
 
 /// The residual predicates of one access path — `preds[i]` for each `i`
@@ -172,11 +225,13 @@ struct Residual<'q> {
     params: &'q [Value],
 }
 
-impl Residual<'_> {
-    fn keeps(self, v: RowView) -> bool {
-        self.which
-            .iter()
-            .all(|&i| holds(&self.preds[i], self.params, v))
+impl<'q> Residual<'q> {
+    fn bind(self, leaf: Option<&IndexDef>) -> Vec<Bound<'q>> {
+        bind(
+            self.which.iter().map(|&i| &self.preds[i]),
+            self.params,
+            leaf,
+        )
     }
 
     /// Charge the evaluation of every residual predicate on `rows` rows.
@@ -209,9 +264,11 @@ fn run_access<'c>(
             m.add_pages_read(cm, heap.page_count());
             m.add_rows_examined(cm, heap.len() as u64);
             residual.charge(m, cm, heap.len() as u64);
+            let filter = residual.bind(None);
             for (rid, row) in heap.scan_quiet() {
-                if residual.keeps(RowView::Heap(row)) {
-                    emit(rid, RowView::Heap(row));
+                let v = RowView::heap(row);
+                if keeps(&filter, v) {
+                    emit(rid, v);
                 }
             }
             return Ok(());
@@ -226,13 +283,19 @@ fn run_access<'c>(
         .indexes
         .get(&id)
         .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
+    let leaf = Some(&ix.def);
+    let filter = if covering {
+        residual.bind(leaf)
+    } else {
+        Vec::new()
+    };
     let mut rids: Vec<RowId> = Vec::new();
-    let mut visit = |rid, key, incl| {
-        let def = &ix.def;
+    let mut visit = |rid, vals| {
+        let v = RowView { leaf, vals };
         if !covering {
             rids.push(rid);
-        } else if residual.keeps(RowView::Leaf { def, key, incl }) {
-            emit(rid, RowView::Leaf { def, key, incl });
+        } else if keeps(&filter, v) {
+            emit(rid, v);
         }
     };
     let (n, pages) = match access {
@@ -268,17 +331,120 @@ fn fetch_and_filter<'c>(
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) {
+    let filter = residual.bind(None);
     let mut fetched = 0u64;
     for &rid in rids {
         m.add_pages_read(cm, 1);
         if let Some(row) = heap.peek(rid) {
             fetched += 1;
-            if residual.keeps(RowView::Heap(row)) {
-                emit(rid, RowView::Heap(row));
+            let v = RowView::heap(row);
+            if keeps(&filter, v) {
+                emit(rid, v);
             }
         }
     }
     residual.charge(m, cm, fetched);
+}
+
+/// Run a SELECT plan's access path and join, handing every result pair
+/// (outer row, inner row) to `sink` — the inner row is `None` without a
+/// join. Charges the access and the join; what the sink does is charged
+/// by [`charge_output`].
+fn produce<'c>(
+    ctx: &'c ExecContext<'_>,
+    q: &SelectQuery,
+    plan: &SelectPlan,
+    params: &[Value],
+    m: &mut ActualMetrics,
+    mut sink: impl FnMut(RowView<'c>, Option<RowView<'c>>),
+) -> Result<(), ExecError> {
+    let cm = ctx.cost_model;
+    let residual = Residual {
+        preds: &q.predicates,
+        which: &plan.residual,
+        params,
+    };
+    let (jspec, jplan) = match (&q.join, &plan.join) {
+        (None, _) => {
+            return run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
+                sink(v, None)
+            })
+        }
+        (Some(_), None) => return Err(ExecError::PlanShape("join query without a join plan")),
+        (Some(jspec), Some(jplan)) => (jspec, jplan),
+    };
+    let mut outers: Vec<RowView> = Vec::new();
+    run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
+        outers.push(v)
+    })?;
+    match &jplan.strategy {
+        JoinStrategy::Hash { inner_access } => {
+            let mut ht: HashMap<&Value, Vec<RowView>> = HashMap::new();
+            let mut inners = 0u64;
+            let residual = Residual {
+                preds: &jspec.predicates,
+                which: &jplan.residual,
+                params,
+            };
+            run_access(ctx, jspec.table, inner_access, residual, m, |_, v| {
+                inners += 1;
+                ht.entry(v.col(jspec.inner_col)).or_default().push(v);
+            })?;
+            m.add_hash_ops(cm, inners);
+            m.add_hash_ops(cm, outers.len() as u64);
+            for outer in outers {
+                for &inner in ht.get(outer.col(jspec.outer_col)).into_iter().flatten() {
+                    sink(outer, Some(inner));
+                }
+            }
+        }
+        JoinStrategy::IndexNestedLoop {
+            inner_index,
+            covering,
+        } => {
+            let id = inner_index.real_id().ok_or(ExecError::HypotheticalPlan)?;
+            // A missing index fails the statement at its first outer row,
+            // not before: with no outer row there is nothing to seek.
+            let inner_ix = ctx.indexes.get(&id);
+            let leaf = inner_ix.filter(|_| *covering).map(|ix| &ix.def);
+            let filter = bind(&jspec.predicates, params, leaf);
+            let mut rids: Vec<RowId> = Vec::new();
+            let mut matched: Vec<RowView> = Vec::new();
+            for outer in outers {
+                let ix =
+                    inner_ix.ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
+                let key = std::slice::from_ref(outer.col(jspec.outer_col));
+                let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
+                rids.clear();
+                matched.clear();
+                let (n, pages) = ix.seek_visit(key, lo, hi, |rid, vals| {
+                    if *covering {
+                        matched.push(RowView { leaf, vals });
+                    } else {
+                        rids.push(rid);
+                    }
+                });
+                m.add_pages_read(cm, pages);
+                m.add_rows_examined(cm, n);
+                if !*covering {
+                    let heap = ctx
+                        .heaps
+                        .get(&jspec.table)
+                        .ok_or(ExecError::UnknownTable(jspec.table))?;
+                    for &rid in &rids {
+                        m.add_pages_read(cm, 1);
+                        matched.extend(heap.peek(rid).map(RowView::heap));
+                    }
+                }
+                let evals = matched.len() as u64 * jspec.predicates.len() as u64;
+                m.add_pred_evals(cm, evals);
+                for &inner in matched.iter().filter(|&&v| keeps(&filter, v)) {
+                    sink(outer, Some(inner));
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 /// ORDER BY comparison of two rows of any representation: `col` reads a
@@ -302,7 +468,8 @@ fn order_cmp<'v, R: Copy>(
 }
 
 /// Execute a SELECT plan. The projected rows are appended to `out` when
-/// the caller passes one; the metrics are the same either way.
+/// the caller passes one (the rows sink); otherwise they are only counted
+/// (the count sink). The metrics are the same either way.
 pub fn execute_select(
     ctx: &ExecContext<'_>,
     q: &SelectQuery,
@@ -312,180 +479,208 @@ pub fn execute_select(
 ) -> Result<ActualMetrics, ExecError> {
     let cm = ctx.cost_model;
     let mut m = ActualMetrics::default();
-
-    // Access and join: pairs of (outer view, inner view).
-    let mut joined: Vec<(RowView, Option<RowView>)> = Vec::new();
-    let residual = Residual {
-        preds: &q.predicates,
-        which: &plan.residual,
-        params,
+    let Some(out) = out else {
+        let mut count = Counter::new(&q.group_by);
+        produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
+        charge_output(&mut m, cm, q, plan, count.rows, count.groups());
+        return Ok(m);
     };
-    match (&q.join, &plan.join) {
-        (None, _) => run_access(ctx, q.table, &plan.access, residual, &mut m, |_, v| {
-            joined.push((v, None))
-        })?,
-        (Some(_), None) => return Err(ExecError::PlanShape("join query without a join plan")),
-        (Some(jspec), Some(jplan)) => {
-            let mut outers: Vec<RowView> = Vec::new();
-            run_access(ctx, q.table, &plan.access, residual, &mut m, |_, v| {
-                outers.push(v)
-            })?;
-            match &jplan.strategy {
-                JoinStrategy::Hash { inner_access } => {
-                    let mut ht: HashMap<&Value, Vec<RowView>> = HashMap::new();
-                    let mut inners = 0u64;
-                    let residual = Residual {
-                        preds: &jspec.predicates,
-                        which: &jplan.residual,
-                        params,
-                    };
-                    run_access(ctx, jspec.table, inner_access, residual, &mut m, |_, v| {
-                        inners += 1;
-                        ht.entry(v.col(jspec.inner_col)).or_default().push(v);
-                    })?;
-                    m.add_hash_ops(cm, inners);
-                    m.add_hash_ops(cm, outers.len() as u64);
-                    for outer in outers {
-                        if let Some(matches) = ht.get(outer.col(jspec.outer_col)) {
-                            joined.extend(matches.iter().map(|&inner| (outer, Some(inner))));
-                        }
-                    }
-                }
-                JoinStrategy::IndexNestedLoop {
-                    inner_index,
-                    covering,
-                } => {
-                    let id = inner_index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-                    let mut rids: Vec<RowId> = Vec::new();
-                    let mut matched: Vec<RowView> = Vec::new();
-                    for outer in outers {
-                        let ix = ctx
-                            .indexes
-                            .get(&id)
-                            .ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
-                        let def = &ix.def;
-                        let key = std::slice::from_ref(outer.col(jspec.outer_col));
-                        let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
-                        rids.clear();
-                        matched.clear();
-                        let (n, pages) = ix.seek_visit(key, lo, hi, |rid, key, incl| {
-                            if *covering {
-                                matched.push(RowView::Leaf { def, key, incl });
-                            } else {
-                                rids.push(rid);
-                            }
-                        });
-                        m.add_pages_read(cm, pages);
-                        m.add_rows_examined(cm, n);
-                        if !*covering {
-                            let heap = ctx
-                                .heaps
-                                .get(&jspec.table)
-                                .ok_or(ExecError::UnknownTable(jspec.table))?;
-                            for &rid in &rids {
-                                m.add_pages_read(cm, 1);
-                                matched.extend(heap.peek(rid).map(RowView::Heap));
-                            }
-                        }
-                        let evals = matched.len() as u64 * jspec.predicates.len() as u64;
-                        m.add_pred_evals(cm, evals);
-                        joined.extend(
-                            matched
-                                .iter()
-                                .filter(|v| jspec.predicates.iter().all(|p| holds(p, params, **v)))
-                                .map(|&inner| (outer, Some(inner))),
-                        );
-                    }
-                }
-            }
-        }
-    }
 
-    let has_agg = !q.aggregates.is_empty() || !q.group_by.is_empty();
-    let needs_sort = plan.needs_sort && !q.order_by.is_empty();
-    // Aggregate output rows are (group keys, aggregates), in key order.
-    let mut agg_rows: Vec<Row> = Vec::new();
-    if has_agg {
-        // Stream vs hash only differ in cost; compute uniformly but
-        // charge per strategy.
-        match plan.agg {
-            AggStrategy::Hash => m.add_hash_ops(cm, joined.len() as u64),
-            _ => m.cpu_us += cm.cpu_per_output_row * joined.len() as f64,
-        }
-        // One probe per input row through borrowed values; a key is
-        // allocated only when its group is new.
-        let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
-        let mut states: Vec<Vec<AggState>> = Vec::new();
-        let mut key: Vec<&Value> = Vec::with_capacity(q.group_by.len());
-        for (outer, _) in &joined {
-            key.clear();
-            key.extend(q.group_by.iter().map(|&c| outer.col(c)));
-            let g = match index.get(key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    index.insert(key.clone(), states.len());
-                    states.push(
-                        q.aggregates
-                            .iter()
-                            .map(|(f, _)| AggState::new(*f))
-                            .collect(),
-                    );
-                    states.len() - 1
-                }
-            };
-            for (st, (_, col)) in states[g].iter_mut().zip(&q.aggregates) {
-                st.update(outer.col(*col));
-            }
-        }
-        // `Value`'s order over the keys, first-seen group first on a tie:
-        // the order a `BTreeMap` keyed by the group key iterates in.
-        let mut groups: Vec<(Vec<&Value>, usize)> = index.into_iter().collect();
-        groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        for (key, g) in groups {
-            let mut row: Row = key.into_iter().cloned().collect();
-            row.extend(states[g].iter().map(AggState::finish));
-            agg_rows.push(row);
-        }
-        if needs_sort {
+    let mut joined: Vec<(RowView, Option<RowView>)> = Vec::new();
+    produce(ctx, q, plan, params, &mut m, |outer, inner| {
+        joined.push((outer, inner))
+    })?;
+    let sorts = plan.needs_sort && !q.order_by.is_empty();
+    if is_aggregate(q) {
+        let mut groups = aggregate(q, &joined);
+        let returned = charge_output(
+            &mut m,
+            cm,
+            q,
+            plan,
+            joined.len() as u64,
+            groups.len() as u64,
+        );
+        if sorts {
             // ORDER BY on a group column sorts by its position in the key.
-            m.cpu_us += cm.sort_cpu(agg_rows.len() as f64);
-            agg_rows.sort_by(|a, b| {
+            groups.sort_by(|a, b| {
                 order_cmp(&q.order_by, (a, b), |row: &Row, c| {
                     q.group_by.iter().position(|g| *g == c).map(|i| &row[i])
                 })
             });
         }
-    } else if needs_sort {
-        // Sort the source rows, *before* projection, so ORDER BY columns
-        // need not be projected.
-        m.cpu_us += cm.sort_cpu(joined.len() as f64);
-        joined.sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), |v, c| Some(v.col(c))));
-    }
-
-    // Sink: LIMIT first, then project what is left — or only count it.
-    let produced = if has_agg {
-        agg_rows.len()
+        out.extend(groups.into_iter().take(returned));
     } else {
-        joined.len()
-    };
-    let returned = q.limit.map_or(produced, |lim| lim.min(produced));
-    m.rows_returned = returned as u64;
-    m.cpu_us += cm.cpu_per_output_row * returned as f64;
-    if let Some(out) = out {
-        if has_agg {
-            out.extend(agg_rows.into_iter().take(returned));
-        } else {
-            // Projection: primary columns then join columns.
-            out.extend(joined[..returned].iter().map(|(outer, inner)| {
-                let mut row: Row = q.projection.iter().map(|&c| outer.col(c).clone()).collect();
-                if let (Some(jspec), Some(inner)) = (&q.join, inner) {
-                    row.extend(jspec.projection.iter().map(|&c| inner.col(c).clone()));
-                }
-                row
-            }));
+        let returned = charge_output(&mut m, cm, q, plan, joined.len() as u64, 0);
+        if sorts {
+            // Sort the source rows, *before* projection, so ORDER BY
+            // columns need not be projected.
+            joined
+                .sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), |v, c| Some(v.col(c))));
         }
+        // LIMIT first, then project what is left: primary columns, then
+        // join columns.
+        out.extend(joined[..returned].iter().map(|(outer, inner)| {
+            let mut row: Row = q.projection.iter().map(|&c| outer.col(c).clone()).collect();
+            if let (Some(jspec), Some(inner)) = (&q.join, inner) {
+                row.extend(jspec.projection.iter().map(|&c| inner.col(c).clone()));
+            }
+            row
+        }));
     }
     Ok(m)
+}
+
+/// Whether a SELECT returns one row per group rather than one per input
+/// row (GROUP BY, or aggregates over the whole input).
+fn is_aggregate(q: &SelectQuery) -> bool {
+    !q.aggregates.is_empty() || !q.group_by.is_empty()
+}
+
+/// The accounting tail both sinks end in. From the rows that reached the
+/// sink and the groups they formed (read only when [`is_aggregate`]), it
+/// charges aggregation, sort and output, in that order, and returns how
+/// many rows the statement returns.
+fn charge_output(
+    m: &mut ActualMetrics,
+    cm: &CostModel,
+    q: &SelectQuery,
+    plan: &SelectPlan,
+    rows: u64,
+    groups: u64,
+) -> usize {
+    let produced = if is_aggregate(q) {
+        // Stream and hash aggregation differ only in cost.
+        match plan.agg {
+            AggStrategy::Hash => m.add_hash_ops(cm, rows),
+            _ => m.cpu_us += cm.cpu_per_output_row * rows as f64,
+        }
+        groups
+    } else {
+        rows
+    };
+    if plan.needs_sort && !q.order_by.is_empty() {
+        m.cpu_us += cm.sort_cpu(produced as f64);
+    }
+    let returned = q.limit.map_or(produced, |lim| produced.min(lim as u64));
+    m.rows_returned = returned;
+    m.cpu_us += cm.cpu_per_output_row * returned as f64;
+    returned as usize
+}
+
+/// The count sink: how many rows reached it and, under GROUP BY, the
+/// distinct keys among them. A row's key is probed in the set only when
+/// it differs from the previous row's, so a run of equal keys — input in
+/// index order — costs one comparison a row.
+struct Counter<'c, 'q> {
+    group_by: &'q [ColumnId],
+    rows: u64,
+    keys: HashSet<GroupKey<'c, 'q>>,
+    last: Option<GroupKey<'c, 'q>>,
+}
+
+/// A row standing for its GROUP BY key: hashed and compared by the values
+/// of the group columns, read through the row, so a key borrows what it
+/// holds and a new group allocates nothing of its own.
+#[derive(Clone, Copy)]
+struct GroupKey<'c, 'q> {
+    row: RowView<'c>,
+    group_by: &'q [ColumnId],
+}
+
+impl Hash for GroupKey<'_, '_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.group_by {
+            self.row.col(c).hash(state);
+        }
+    }
+}
+
+impl PartialEq for GroupKey<'_, '_> {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.row, other.row);
+        self.group_by.iter().all(|&c| a.col(c) == b.col(c))
+    }
+}
+
+impl Eq for GroupKey<'_, '_> {}
+
+impl<'c, 'q> Counter<'c, 'q> {
+    fn new(group_by: &'q [ColumnId]) -> Counter<'c, 'q> {
+        Counter {
+            group_by,
+            rows: 0,
+            keys: HashSet::new(),
+            last: None,
+        }
+    }
+
+    fn push(&mut self, row: RowView<'c>) {
+        self.rows += 1;
+        if self.group_by.is_empty() {
+            return;
+        }
+        let key = GroupKey {
+            row,
+            group_by: self.group_by,
+        };
+        if self.last != Some(key) {
+            self.keys.insert(key);
+            self.last = Some(key);
+        }
+    }
+
+    /// The groups the rows form: one per distinct key, or without GROUP
+    /// BY one for the whole input — none when no row qualified.
+    fn groups(&self) -> u64 {
+        if self.group_by.is_empty() {
+            self.rows.min(1)
+        } else {
+            self.keys.len() as u64
+        }
+    }
+}
+
+/// The rows sink's aggregation: one row per group — the key values, then
+/// the aggregates — in key order.
+fn aggregate<'c>(q: &SelectQuery, joined: &[(RowView<'c>, Option<RowView<'c>>)]) -> Vec<Row> {
+    // One probe per input row through borrowed values; a key is
+    // allocated only when its group is new.
+    let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
+    let mut states: Vec<Vec<AggState>> = Vec::new();
+    let mut key: Vec<&Value> = Vec::with_capacity(q.group_by.len());
+    for (outer, _) in joined {
+        key.clear();
+        key.extend(q.group_by.iter().map(|&c| outer.col(c)));
+        let g = match index.get(key.as_slice()) {
+            Some(&g) => g,
+            None => {
+                index.insert(key.clone(), states.len());
+                states.push(
+                    q.aggregates
+                        .iter()
+                        .map(|(f, _)| AggState::new(*f))
+                        .collect(),
+                );
+                states.len() - 1
+            }
+        };
+        for (st, (_, col)) in states[g].iter_mut().zip(&q.aggregates) {
+            st.update(outer.col(*col));
+        }
+    }
+    // `Value`'s order over the keys, first-seen group first on a tie:
+    // the order a `BTreeMap` keyed by the group key iterates in.
+    let mut groups: Vec<(Vec<&Value>, usize)> = index.into_iter().collect();
+    groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+    groups
+        .into_iter()
+        .map(|(key, g)| {
+            let mut row: Row = key.into_iter().cloned().collect();
+            row.extend(states[g].iter().map(AggState::finish));
+            row
+        })
+        .collect()
 }
 
 /// Running state of one aggregate: only what its function reads.

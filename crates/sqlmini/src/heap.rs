@@ -2,11 +2,10 @@
 //!
 //! Rows live in an append-oriented arena addressed by [`RowId`]. A simple
 //! page model (fixed page size, rows-per-page derived from the average row
-//! width) converts row access patterns into *logical page reads*, the metric
-//! the paper's validator reasons about.
+//! width) fixes the heap's geometry; the executor turns that geometry into
+//! the *logical page reads* the paper's validator reasons about.
 
 use crate::types::Row;
-use std::cell::Cell;
 
 /// Identity of a row within a heap. Stable for the row's lifetime.
 #[derive(
@@ -26,8 +25,6 @@ pub struct Heap {
     /// Average row width in bytes (from the table schema); fixes the page
     /// geometry for logical-read accounting.
     row_width: u64,
-    reads: Cell<u64>,
-    writes: u64,
 }
 
 impl Heap {
@@ -38,8 +35,6 @@ impl Heap {
             free: Vec::new(),
             live: 0,
             row_width: row_width.max(1),
-            reads: Cell::new(0),
-            writes: 0,
         }
     }
 
@@ -70,28 +65,8 @@ impl Heap {
         self.page_count() * PAGE_SIZE
     }
 
-    /// Logical page reads performed since creation / last reset.
-    pub fn logical_reads(&self) -> u64 {
-        self.reads.get()
-    }
-
-    /// Logical page writes performed since creation / last reset.
-    pub fn logical_writes(&self) -> u64 {
-        self.writes
-    }
-
-    pub fn reset_io(&mut self) {
-        self.reads.set(0);
-        self.writes = 0;
-    }
-
-    fn page_of(&self, id: RowId) -> u64 {
-        id.0 / self.rows_per_page()
-    }
-
-    /// Insert a row, returning its id. Counts one page write.
+    /// Insert a row, returning its id.
     pub fn insert(&mut self, row: Row) -> RowId {
-        self.writes += 1;
         self.live += 1;
         if let Some(slot) = self.free.pop() {
             self.slots[slot as usize] = Some(row);
@@ -102,36 +77,26 @@ impl Heap {
         }
     }
 
-    /// Fetch a row by id, counting one page read (a bookmark lookup).
-    pub fn get(&self, id: RowId) -> Option<&Row> {
-        self.reads.set(self.reads.get() + 1);
-        self.slots.get(id.0 as usize).and_then(|s| s.as_ref())
-    }
-
-    /// Fetch without IO accounting (catalog/maintenance access).
+    /// Fetch a row by id.
     pub fn peek(&self, id: RowId) -> Option<&Row> {
         self.slots.get(id.0 as usize).and_then(|s| s.as_ref())
     }
 
-    /// Replace a row in place. Counts one read (locate) and one write.
+    /// Replace a row in place.
     pub fn update(&mut self, id: RowId, row: Row) -> bool {
-        self.reads.set(self.reads.get() + 1);
         match self.slots.get_mut(id.0 as usize) {
             Some(slot @ Some(_)) => {
                 *slot = Some(row);
-                self.writes += 1;
                 true
             }
             _ => false,
         }
     }
 
-    /// Delete a row. Counts one read and one write. Returns the old row.
+    /// Delete a row. Returns the old row.
     pub fn delete(&mut self, id: RowId) -> Option<Row> {
-        self.reads.set(self.reads.get() + 1);
         match self.slots.get_mut(id.0 as usize) {
             Some(slot @ Some(_)) => {
-                self.writes += 1;
                 self.live -= 1;
                 let row = slot.take();
                 self.free.push(id.0);
@@ -141,19 +106,7 @@ impl Heap {
         }
     }
 
-    /// Sequential scan over all live rows. Charges logical reads for every
-    /// page in the heap up-front (a table scan touches every page regardless
-    /// of how many rows qualify downstream).
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
-        self.reads.set(self.reads.get() + self.page_count());
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
-    }
-
-    /// Iterate live rows without IO accounting (used by index builds whose
-    /// IO is modeled separately, and by tests).
+    /// Iterate live rows in row-id order.
     pub fn scan_quiet(&self) -> impl Iterator<Item = (RowId, &Row)> + '_ {
         self.slots
             .iter()
@@ -161,8 +114,8 @@ impl Heap {
             .filter_map(|(i, s)| s.as_ref().map(|r| (RowId(i as u64), r)))
     }
 
-    /// Scan up to `max_rows` live rows starting at slot `start`, without
-    /// IO accounting (resumable index builds charge their own IO).
+    /// Scan up to `max_rows` live rows starting at slot `start`
+    /// (resumable index builds charge their own IO).
     /// Returns the rows and the next slot to continue from (`None` when
     /// the heap is exhausted).
     pub fn scan_slots(&self, start: u64, max_rows: usize) -> (Vec<(RowId, Row)>, Option<u64>) {
@@ -181,15 +134,6 @@ impl Heap {
         };
         (out, next)
     }
-
-    /// Distinct pages touched when fetching the given row ids (bookmark
-    /// lookups batched by page). Does not perform the reads.
-    pub fn distinct_pages(&self, ids: &[RowId]) -> u64 {
-        let mut pages: Vec<u64> = ids.iter().map(|&id| self.page_of(id)).collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -207,11 +151,11 @@ mod tests {
         let a = h.insert(row(1));
         let b = h.insert(row(2));
         assert_eq!(h.len(), 2);
-        assert_eq!(h.get(a).unwrap()[0], Value::Int(1));
+        assert_eq!(h.peek(a).unwrap()[0], Value::Int(1));
         assert_eq!(h.delete(a).unwrap()[0], Value::Int(1));
         assert_eq!(h.len(), 1);
-        assert!(h.get(a).is_none());
-        assert!(h.get(b).is_some());
+        assert!(h.peek(a).is_none());
+        assert!(h.peek(b).is_some());
     }
 
     #[test]
@@ -228,7 +172,7 @@ mod tests {
         let mut h = Heap::new(32);
         let a = h.insert(row(1));
         assert!(h.update(a, row(99)));
-        assert_eq!(h.get(a).unwrap()[0], Value::Int(99));
+        assert_eq!(h.peek(a).unwrap()[0], Value::Int(99));
         assert!(!h.update(RowId(500), row(0)));
     }
 
@@ -240,7 +184,7 @@ mod tests {
         }
         h.delete(RowId(3));
         let ids: Vec<i64> = h
-            .scan()
+            .scan_quiet()
             .map(|(_, r)| match r[0] {
                 Value::Int(i) => i,
                 _ => panic!(),
@@ -258,23 +202,6 @@ mod tests {
             h.insert(row(i));
         }
         assert_eq!(h.page_count(), 3);
-        h.reset_io();
-        let _ = h.scan().count();
-        assert_eq!(h.logical_reads(), 3);
-        h.reset_io();
-        h.get(RowId(0));
-        assert_eq!(h.logical_reads(), 1);
-    }
-
-    #[test]
-    fn distinct_pages_dedups() {
-        let mut h = Heap::new(100);
-        for i in 0..200 {
-            h.insert(row(i));
-        }
-        // Rows 0 and 1 share page 0; row 100 is on page 1.
-        assert_eq!(h.distinct_pages(&[RowId(0), RowId(1), RowId(100)]), 2);
-        assert_eq!(h.distinct_pages(&[]), 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::btree::BTree;
 use crate::heap::{Heap, RowId, PAGE_SIZE};
-use crate::schema::{ColumnId, IndexDef, TableDef};
+use crate::schema::{IndexDef, TableDef};
 use crate::types::{Row, Value};
 use std::cmp::Ordering;
 use std::ops::Bound;
@@ -76,19 +76,6 @@ pub struct IndexEntry {
     pub key_vals: Vec<Value>,
     /// Included-column values (definition order).
     pub included_vals: Vec<Value>,
-}
-
-impl IndexEntry {
-    /// Value of `col` if it is available at the leaf of index `def`.
-    pub fn leaf_value(&self, def: &IndexDef, col: ColumnId) -> Option<&Value> {
-        if let Some(i) = def.key_columns.iter().position(|&c| c == col) {
-            return Some(&self.key_vals[i]);
-        }
-        if let Some(i) = def.included_columns.iter().position(|&c| c == col) {
-            return Some(&self.included_vals[i]);
-        }
-        None
-    }
 }
 
 /// Bound on the first non-equality key column of a seek.
@@ -224,7 +211,9 @@ impl SecondaryIndex {
     /// inequality (on the column ordered right after the equalities).
     pub fn seek(&self, eq_prefix: &[Value], lo: ColBound, hi: ColBound) -> SeekResult {
         let mut entries = Vec::new();
-        let (_, pages_visited) = self.seek_visit(eq_prefix, lo, hi, |rid, key_vals, included| {
+        let key_len = self.def.key_columns.len();
+        let (_, pages_visited) = self.seek_visit(eq_prefix, lo, hi, |rid, leaf| {
+            let (key_vals, included) = leaf.split_at(key_len);
             entries.push(IndexEntry {
                 rid,
                 key_vals: key_vals.to_vec(),
@@ -239,15 +228,16 @@ impl SecondaryIndex {
 
     /// Seek without materializing owned [`IndexEntry`]s: `f` is called
     /// once per qualifying entry, in key order, with the entry's row id
-    /// and *borrowed* key / included values. The slices borrow from the
-    /// index, not from the visit, so a caller may keep them after the
-    /// seek returns (the executor's covering row views do). Returns
+    /// and its *borrowed* leaf values — the key values, then the included
+    /// values, the order of [`IndexDef::leaf_columns`]. The slice borrows
+    /// from the index, not from the visit, so a caller may keep it after
+    /// the seek returns (the executor's covering row views do). Returns
     /// `(entries_visited, pages_visited)`.
     ///
     /// This is the executor's hot path — the per-entry `Vec` clones of
     /// [`seek`] dominated control-pass allocation, and most callers only
     /// need a subset of the values (or just the row ids).
-    pub fn seek_visit<'a, F: FnMut(RowId, &'a [Value], &'a [Value])>(
+    pub fn seek_visit<'a, F: FnMut(RowId, &'a [Value])>(
         &'a self,
         eq_prefix: &[Value],
         lo: ColBound,
@@ -283,7 +273,7 @@ impl SecondaryIndex {
         let range_idx = prefix_len; // position of the range column, if any
         let mut visited = 0u64;
         for (entry, ()) in self.tree.range(Bound::Included(&lo_key), Bound::Unbounded) {
-            let (key_vals, included) = entry.split();
+            let key_vals = entry.split().0;
             // Stop once the equality prefix no longer matches.
             if key_vals[..prefix_len] != eq_prefix[..] {
                 break;
@@ -307,7 +297,7 @@ impl SecondaryIndex {
                 ColBound::Unbounded => {}
             }
             visited += 1;
-            f(entry.rid, key_vals, included);
+            f(entry.rid, &entry.vals);
         }
         // Convert node visits into page visits; at least the descent.
         let pages_visited = (self.tree.read_visits() - reads_before).max(self.tree.height() as u64);
@@ -320,7 +310,7 @@ impl SecondaryIndex {
     }
 
     /// Visitor form of [`scan_all`], mirroring [`seek_visit`].
-    pub fn scan_visit<'a, F: FnMut(RowId, &'a [Value], &'a [Value])>(&'a self, f: F) -> (u64, u64) {
+    pub fn scan_visit<'a, F: FnMut(RowId, &'a [Value])>(&'a self, f: F) -> (u64, u64) {
         self.seek_visit(&[], ColBound::Unbounded, ColBound::Unbounded, f)
     }
 
@@ -346,7 +336,7 @@ fn entries_per_page(entry_width: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{ColumnDef, TableId};
+    use crate::schema::{ColumnDef, ColumnId, TableId};
     use crate::types::ValueType;
 
     fn table() -> TableDef {
@@ -447,12 +437,8 @@ mod tests {
         let (_, ix) = populated();
         let r = ix.seek(&[Value::Int(0)], ColBound::Unbounded, ColBound::Unbounded);
         let e = &r.entries[0]; // row id 0: status "open"
-        assert_eq!(
-            e.leaf_value(&ix.def, ColumnId(2)),
-            Some(&Value::Str("open".into()))
-        );
-        assert_eq!(e.leaf_value(&ix.def, ColumnId(1)), Some(&Value::Int(0)));
-        assert_eq!(e.leaf_value(&ix.def, ColumnId(0)), None);
+        assert_eq!(e.key_vals, vec![Value::Int(0), Value::Float(0.0)]);
+        assert_eq!(e.included_vals, vec![Value::Str("open".into())]);
     }
 
     #[test]
@@ -585,7 +571,8 @@ mod tests {
                 &[Value::Int(21), Value::Float(21.0)],
                 ColBound::Unbounded,
                 ColBound::Unbounded,
-                |r, _, included| seen.push((r, included[0].clone())),
+                // Keys (customer, total), then the included status.
+                |r, leaf| seen.push((r, leaf[2].clone())),
             );
             seen
         };

@@ -39,13 +39,18 @@ impl CmpOp {
     }
 
     pub fn eval(self, lhs: &Value, rhs: &Value) -> bool {
-        if lhs.is_null() || rhs.is_null() {
+        let ord = match (lhs, rhs) {
+            // Nearly every predicate the executor evaluates compares two
+            // integers: skip `Value::cmp`'s dispatch over the pair.
+            (Value::Int(a), Value::Int(b)) => a.cmp(b),
             // SQL three-valued logic collapsed: NULL comparisons are false
             // except NULL = NULL which we treat as true for simplicity of
             // the simulator (IS NULL semantics).
-            return self == CmpOp::Eq && lhs.is_null() && rhs.is_null();
-        }
-        let ord = lhs.cmp(rhs);
+            _ if lhs.is_null() || rhs.is_null() => {
+                return self == CmpOp::Eq && lhs.is_null() && rhs.is_null();
+            }
+            _ => lhs.cmp(rhs),
+        };
         match self {
             CmpOp::Eq => ord == std::cmp::Ordering::Equal,
             CmpOp::Ne => ord != std::cmp::Ordering::Equal,
@@ -440,6 +445,56 @@ mod tests {
         assert!(!CmpOp::Eq.eval(&a, &b));
         assert!(CmpOp::Gt.eval(&b, &a));
         assert!(CmpOp::Ge.eval(&b, &b));
+    }
+
+    /// `eval` answers from `Value`'s order, whatever shortcut it takes for
+    /// a pair of operands: each operator holds exactly on the orderings it
+    /// names, and a NULL operand makes every comparison false but
+    /// NULL = NULL.
+    #[test]
+    fn eval_agrees_with_value_order_on_every_operand_pair() {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        let operands = [
+            Value::Int(-4),
+            Value::Int(3),
+            Value::Int(i64::MAX),
+            Value::Float(-4.0),
+            Value::Float(2.5),
+            Value::Float(3.0),
+            Value::Null,
+            Value::Str("a".into()),
+            Value::Str("b".into()),
+        ];
+        let holds_on = |op: CmpOp| match op {
+            CmpOp::Eq => vec![Equal],
+            CmpOp::Ne => vec![Less, Greater],
+            CmpOp::Lt => vec![Less],
+            CmpOp::Le => vec![Less, Equal],
+            CmpOp::Gt => vec![Greater],
+            CmpOp::Ge => vec![Equal, Greater],
+        };
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        for lhs in &operands {
+            for rhs in &operands {
+                for op in ops {
+                    let want = if lhs.is_null() || rhs.is_null() {
+                        op == CmpOp::Eq && lhs.is_null() && rhs.is_null()
+                    } else {
+                        holds_on(op).contains(&lhs.cmp(rhs))
+                    };
+                    assert_eq!(op.eval(lhs, rhs), want, "{lhs:?} {op} {rhs:?}");
+                }
+            }
+        }
+        assert!(CmpOp::Eq.eval(&Value::Int(3), &Value::Float(3.0)));
+        assert!(CmpOp::Eq.eval(&Value::Float(3.0), &Value::Int(3)));
     }
 
     #[test]
