@@ -28,6 +28,7 @@ use crate::metrics::MetricsRegistry;
 use crate::pool;
 use crate::shard::{
     HydrationGauge, HydrationMode, ShardAssignment, ShardCommand, ShardDriver, ShardReport,
+    REGION_RAW_EVENTS,
 };
 use crate::telemetry::Telemetry;
 use sqlmini::clock::Duration;
@@ -65,8 +66,6 @@ pub struct RegionConfig {
     /// string). Affordable for test-scale fleets; off at the million
     /// scale, where the digest is the comparison surface.
     pub retain_outcomes: bool,
-    /// Raw-event cap applied while folding shard telemetry.
-    pub event_retention: usize,
 }
 
 impl Default for RegionConfig {
@@ -78,7 +77,6 @@ impl Default for RegionConfig {
             shard_concurrency: ShardConcurrency::Sequential,
             hydration: HydrationMode::Lazy,
             retain_outcomes: true,
-            event_retention: 10_000,
         }
     }
 }
@@ -170,7 +168,6 @@ impl RegionCoordinator {
                 driver: FleetDriver::new(cfg.driver.clone()),
                 threads: cfg.threads_per_shard,
                 retain_outcomes: cfg.retain_outcomes,
-                event_retention: cfg.event_retention,
                 gauge: gauge.clone(),
             })
             .collect();
@@ -208,7 +205,7 @@ impl RegionCoordinator {
             if let (Some(acc), Some(part)) = (&mut outcomes, report.outcomes) {
                 acc.extend(part);
             }
-            totals.absorb(report.totals, cfg.event_retention);
+            totals.absorb(report.totals, REGION_RAW_EVENTS);
         }
         let FleetTotals {
             telemetry,
@@ -269,7 +266,6 @@ impl RegionCoordinator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet_driver::SchedulingMode;
     use crate::plane::PlanePolicy;
     use workload::fleet::{MixedFleetSpec, TierMix};
 
@@ -281,7 +277,6 @@ mod tests {
                     validation_min_wait: Duration::from_hours(1),
                     ..PlanePolicy::default()
                 },
-                scheduling: SchedulingMode::Sparse,
                 ..FleetDriverConfig::default()
             },
             shards,

@@ -64,7 +64,6 @@ use crate::pool;
 use crate::state::{effective, DbSettings, ServerSettings};
 use crate::store::StateStore;
 use crate::telemetry::{EventKind, Telemetry};
-use crate::trace::Tracer;
 use sqlmini::clock::{Duration, Timestamp};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,10 +82,11 @@ pub struct TenantScript {
     pub point: FaultPoint,
     pub count: u32,
     pub kind: FaultKind,
-    /// When set, the script arms at the start of this tick instead of at
-    /// worker setup — keying the fault by `(tenant, tick)` so its firing
-    /// point is identical under dense and sparse scheduling.
-    pub at_tick: Option<u64>,
+    /// The script arms at the start of this tick (`0`: the first) —
+    /// keying the fault by `(tenant, tick)` so its firing point is
+    /// identical under dense and sparse scheduling. A tick the tenant
+    /// spends in quarantine arms nothing.
+    pub at_tick: u64,
 }
 
 /// How the fleet driver decides which ticks take a control-plane pass.
@@ -112,24 +112,25 @@ impl Default for SchedulingMode {
     }
 }
 
+/// Each tenant's store allocates RecoIds from `index * ID_STRIDE`,
+/// keeping ids disjoint fleet-wide.
+const ID_STRIDE: u64 = 1_000_000;
+
 /// Knobs for a fleet run. Everything that influences tenant behavior
-/// lives here, so a config + fleet seed fully determines the outcome.
+/// lives here or in the tenants themselves (each engine's own
+/// `DbConfig`, plan cache included), so a config + fleet seed fully
+/// determines the outcome.
 #[derive(Debug, Clone)]
 pub struct FleetDriverConfig {
     pub policy: PlanePolicy,
     /// Simulated time advanced per tick (workload runs for the whole
     /// interval, then the control plane takes one pass).
     pub tick_interval: Duration,
-    /// Auto-indexing settings applied to every tenant.
-    pub settings: DbSettings,
     /// When set, each tenant gets a stochastic fault injector seeded
     /// from this value and the tenant's fleet index.
     pub fault_seed: Option<u64>,
     pub fault_transient_prob: f64,
     pub fault_fatal_prob: f64,
-    /// Each tenant's store allocates RecoIds from
-    /// `index * id_stride`, keeping ids disjoint fleet-wide.
-    pub id_stride: u64,
     /// Circuit breaker: this many *consecutive* ticks with at least one
     /// injected fault quarantines the tenant (`0` disables). Counted per
     /// tenant from per-tenant state only, so it replays deterministically.
@@ -138,37 +139,24 @@ pub struct FleetDriverConfig {
     /// workload keeps running — the customer's database stays up; only
     /// the tuner backs away.
     pub quarantine_cooldown: u32,
-    /// Chaos knob: crash + recover each tenant's store at the first tick
-    /// boundary after every `k`-th journal write. Tick boundaries are
-    /// the process-restart points (no recommendation is ever mid-flight
-    /// there), so a sweep with an intact journal must replay
-    /// byte-identically to an uncrashed run.
-    pub crash_every_writes: Option<u64>,
     /// Chaos knob: crash + recover each tenant's store at the *start* of
-    /// every `k`-th tick (`0`/`None` disables). A pure function of the
-    /// tick number — identical under dense/sparse scheduling and any
-    /// thread count — so end-to-end runs (e.g. `fleet_smoke
-    /// --crash-every`) exercise recovery without perturbing replay.
+    /// every `k`-th tick after the first (`0`/`None` disables). Tick
+    /// boundaries are the process-restart points (no recommendation is
+    /// ever mid-flight there) and the cadence is a pure function of the
+    /// tick number, so a sweep with an intact journal replays
+    /// byte-identically to an uncrashed run under either scheduling mode
+    /// and any thread count.
     pub crash_every_ticks: Option<u32>,
-    /// Deterministic per-tenant fault scripts, applied at worker setup.
+    /// Deterministic per-tenant fault scripts, each armed at its tick.
     pub scripts: Vec<TenantScript>,
     /// When set, this fraction of tenants (chosen by a pure hash of the
     /// fleet index — thread-independent) runs with auto-implementation
-    /// fully ON and the rest in recommend-only mode, overriding
-    /// `settings`. Models §8.1's "about a quarter of eligible databases
+    /// fully ON and the rest in recommend-only mode; unset, every tenant
+    /// is fully ON. Models §8.1's "about a quarter of eligible databases
     /// have auto-implementation enabled".
     pub auto_fraction: Option<f64>,
-    /// Enable per-tenant tick tracing (span trees on each tenant's
-    /// control plane). Off by default: traces are a debugging surface,
-    /// not part of the canonical fleet state.
-    pub trace: bool,
     /// Dense (oracle) vs sparse (due-time-indexed) control scheduling.
     pub scheduling: SchedulingMode,
-    /// Whether each tenant's engine memoizes compiled plans across
-    /// executions. `false` recompiles every statement — the differential
-    /// oracle for the plan-cache equivalence tests, byte-identical to
-    /// the cached mode in everything but speed.
-    pub plan_cache: bool,
 }
 
 impl Default for FleetDriverConfig {
@@ -176,20 +164,15 @@ impl Default for FleetDriverConfig {
         FleetDriverConfig {
             policy: PlanePolicy::default(),
             tick_interval: Duration::from_hours(1),
-            settings: DbSettings::all_on(),
             fault_seed: None,
             fault_transient_prob: 0.0,
             fault_fatal_prob: 0.0,
-            id_stride: 1_000_000,
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
-            crash_every_writes: None,
             crash_every_ticks: None,
             scripts: Vec::new(),
             auto_fraction: None,
-            trace: false,
             scheduling: SchedulingMode::default(),
-            plan_cache: true,
         }
     }
 }
@@ -402,11 +385,11 @@ impl FleetTotals {
     }
 
     /// Fold `other` in. Counters and tallies stay exact; raw events and
-    /// incidents are cut to the most recent `event_retention`, so a fold
-    /// over a million tenants stays bounded (`usize::MAX` keeps all).
-    pub(crate) fn absorb(&mut self, other: FleetTotals, event_retention: usize) {
+    /// incidents are cut to the most recent `raw_events`, so a fold over
+    /// a million tenants stays bounded (`usize::MAX` keeps all).
+    pub(crate) fn absorb(&mut self, other: FleetTotals, raw_events: usize) {
         self.telemetry.merge(other.telemetry);
-        self.telemetry.retain_recent(event_retention);
+        self.telemetry.retain_recent(raw_events);
         self.metrics.merge(&other.metrics);
         self.scheduler_metrics.merge(&other.scheduler_metrics);
         for (state, n) in other.by_state {
@@ -586,7 +569,6 @@ struct TenantWorker {
     supervision: SupervisionSummary,
     consecutive_faulted: u32,
     quarantined_until: u32,
-    writes_at_last_crash: u64,
     t_start: Timestamp,
     /// First tick on which control work could be due ([`NEVER`] parks
     /// the tenant). Starts at 0: the first pass must run, there is no
@@ -658,14 +640,11 @@ impl FleetDriver {
     }
 
     /// Set up one tenant's worker: journaled store with a disjoint id
-    /// block, index-seeded fault injector, scripts, per-tenant settings,
-    /// and a detached clock.
+    /// block, index-seeded fault injector, per-tenant settings, and a
+    /// detached clock.
     fn worker(&self, index: usize, tenant: Tenant) -> TenantWorker {
         let mut plane = ControlPlane::new(self.config.policy.clone());
-        plane.store = StateStore::with_id_base(index as u64 * self.config.id_stride);
-        if self.config.trace {
-            plane.tracer = Tracer::enabled();
-        }
+        plane.store = StateStore::with_id_base(index as u64 * ID_STRIDE);
         if let Some(seed) = self.config.fault_seed {
             // Seeded by fleet index, NOT by worker thread: replays the
             // same fault schedule wherever the tenant executes.
@@ -675,14 +654,6 @@ impl FleetDriver {
                 self.config.fault_transient_prob,
                 self.config.fault_fatal_prob,
             );
-        }
-        for s in self
-            .config
-            .scripts
-            .iter()
-            .filter(|s| s.tenant == index && s.at_tick.is_none())
-        {
-            plane.faults.script(s.point, s.count, s.kind);
         }
         let Tenant {
             name,
@@ -696,12 +667,11 @@ impl FleetDriver {
         // its time stream — otherwise driving one clone of a fleet would
         // advance time for every other clone and wreck replay.
         db.detach_clock();
-        db.config.plan_cache = self.config.plan_cache;
-        // Per-tenant settings: either the uniform config, or (§8.1) a
+        // Per-tenant settings: full auto everywhere, or (§8.1) a
         // hash-chosen fraction of the fleet on full auto and the rest in
         // recommend-only mode.
         let settings = match self.config.auto_fraction {
-            None => self.config.settings,
+            None => DbSettings::all_on(),
             Some(f) if index_uniform01(index) < f => DbSettings::all_on(),
             Some(_) => DbSettings::default(),
         };
@@ -729,7 +699,6 @@ impl FleetDriver {
             },
             consecutive_faulted: 0,
             quarantined_until: 0,
-            writes_at_last_crash: 0,
             t_start,
             next_wake: 0,
             sched: MetricsRegistry::new(),
@@ -760,7 +729,7 @@ impl FleetDriver {
     /// panicking tenant is frozen and reported as
     /// [`TenantStatus::Poisoned`] instead of aborting the whole fleet;
     /// consecutive faulted ticks trip a quarantine circuit-breaker; and
-    /// the chaos `crash_every_writes` knob crash-recovers the journaled
+    /// the chaos `crash_every_ticks` knob crash-recovers the journaled
     /// store at tick boundaries. All supervision decisions derive from
     /// per-tenant state only, so they replay deterministically.
     fn step_tenant(&self, w: &mut TenantWorker, tick: u32) {
@@ -774,8 +743,8 @@ impl FleetDriver {
                 .run_slice_into(&mut w.mdb.db, &w.model, interval, &mut w.run);
             return;
         }
-        // Arm tick-keyed scripts, then take the tick-boundary
-        // process-death probe. JournalTear models the process dying
+        // Arm this tick's scripts, then take the tick-boundary
+        // process-death probes. JournalTear models the process dying
         // between ticks, so it is consumed here — keyed by
         // `(tenant, tick)`, identical under dense and sparse scheduling —
         // not inside the control pass, where sparse skips would shift its
@@ -785,26 +754,34 @@ impl FleetDriver {
             .config
             .scripts
             .iter()
-            .filter(|s| s.tenant == w.index && s.at_tick == Some(tick as u64))
+            .filter(|s| s.tenant == w.index && s.at_tick == tick as u64)
         {
             w.plane.faults.script(s.point, s.count, s.kind);
         }
         let injected_before = w.plane.faults.injected;
-        let mut control_due =
-            self.config.scheduling == SchedulingMode::Dense || tick as u64 >= w.next_wake;
         // Chaos knob: a process restart at the start of every k-th tick.
-        // Silent (no telemetry), like the crash_every_writes sweep: an
-        // intact-journal recovery must replay byte-identically to an
-        // uncrashed run. Only a re-park (a reco caught mid-flight) can
-        // invalidate the recorded schedule; run the pass then.
+        // Silent (no telemetry): an intact-journal recovery must replay
+        // byte-identically to an uncrashed run. The restarted process
+        // knows only what the journal kept, so the wake tick is
+        // re-derived from the recovered schedule, recorded as of the end
+        // of tick `tick - 1`. With no schedule, or a reco caught
+        // mid-flight and re-parked (which invalidates it), the pass runs
+        // this tick — over-waking is a no-op, under-waking would diverge
+        // from dense.
         if let Some(k) = self.config.crash_every_ticks {
             if k > 0 && tick > 0 && tick.is_multiple_of(k) {
                 let report = w.plane.store.crash_and_recover();
-                if !report.reparked.is_empty() {
-                    control_due = true;
-                }
+                let now = w.mdb.db.clock().now();
+                w.next_wake = match w.plane.store.schedule(&w.mdb.db.name) {
+                    Some(s) if report.reparked.is_empty() => s
+                        .next_wake_tick(now, tick as u64 - 1, interval)
+                        .unwrap_or(NEVER),
+                    _ => tick as u64,
+                };
             }
         }
+        let mut control_due =
+            self.config.scheduling == SchedulingMode::Dense || tick as u64 >= w.next_wake;
         if w.plane.faults.check(FaultPoint::JournalTear).is_some() {
             let now = w.mdb.db.clock().now();
             let name = w.mdb.db.name.clone();
@@ -837,45 +814,17 @@ impl FleetDriver {
             }
             Ok(schedule) => schedule,
         };
-        let now = w.mdb.db.clock().now();
         let Some(schedule) = schedule else {
             // Sparse skip: the schedule proves no stage has due work, so
             // the control pass would be a no-op, and the skip resets the
             // breaker exactly as a dense no-op pass would (a no-op pass
             // injects nothing).
-            if self.config.trace {
-                w.plane.tracer.start("tick.skipped", now);
-                w.plane.tracer.end(now);
-            }
             w.consecutive_faulted = 0;
             return;
         };
         w.next_wake = schedule
-            .next_wake_tick(now, tick as u64, interval)
+            .next_wake_tick(w.mdb.db.clock().now(), tick as u64, interval)
             .unwrap_or(NEVER);
-        // Chaos sweep: crash + recover at the tick boundary once
-        // enough journal writes accumulated. Recovery stays out of
-        // telemetry here so an intact-journal sweep replays
-        // byte-identically to an uncrashed run; the recovery stats
-        // remain inspectable via `StateStore::recovery_stats`.
-        if let Some(k) = self.config.crash_every_writes {
-            let written = w.plane.store.journal_writes();
-            if written >= w.writes_at_last_crash.saturating_add(k.max(1)) {
-                w.plane.store.crash_and_recover();
-                w.writes_at_last_crash = w.plane.store.journal_writes();
-                // Re-derive the wake from the *recovered* schedule.
-                // Recovery may have reparked mid-flight recommendations
-                // (which invalidates the recorded schedule for this db);
-                // wake conservatively on the next tick then — over-waking
-                // is a no-op, under-waking would diverge from dense.
-                w.next_wake = match w.plane.store.schedule(&w.mdb.db.name) {
-                    Some(s) => s
-                        .next_wake_tick(now, tick as u64, interval)
-                        .unwrap_or(NEVER),
-                    None => tick as u64 + 1,
-                };
-            }
-        }
         // Circuit breaker on consecutive faulted ticks.
         if w.plane.faults.injected > injected_before {
             w.consecutive_faulted += 1;

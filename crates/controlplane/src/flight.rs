@@ -22,18 +22,19 @@
 //! Determinism contract (the headline claim, pinned by the
 //! `flight_equivalence` proptests and the chaos suite): a flight's
 //! cohort, per-tenant verdicts, and region verdict are byte-identical
-//! across {serial, parallel} × {dense, sparse} × {plan cache on, off}
-//! and across crash-after-every-write recovery. Everything a verdict
-//! depends on is a pure function of `(config, tenant index, tenant)` —
-//! thread interleaving, scheduling mode, and cache setting never enter.
+//! across {serial, parallel} × {plan cache on, off} and across a resume
+//! from any prefix of the flight's journal. Everything a verdict depends
+//! on is a pure function of `(config, tenant index, tenant)` — thread
+//! interleaving and cache setting never enter. Arms schedule their
+//! control passes sparsely, which is byte-identical to running every
+//! pass (the fleet driver's dense oracle proves the same gate).
 
 use crate::dashboard::DashboardSnapshot;
-use crate::fleet_driver::{index_hash01, SchedulingMode};
+use crate::fleet_driver::index_hash01;
 use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
-use crate::shard::ShardAssignment;
 use crate::state::{DbSettings, ServerSettings};
 use crate::store::StateStore;
 use crate::telemetry::{EventKind, Telemetry};
@@ -44,12 +45,14 @@ use sqlmini::clock::{Duration, Timestamp};
 use sqlmini::engine::Database;
 use sqlmini::querystore::Metric;
 use std::collections::BTreeMap;
-use workload::fleet::FleetSpec;
 use workload::runner::{replay, ReplayFidelity, Trace};
 use workload::{Tenant, WorkloadModel, WorkloadRunner};
 
 /// Parked-forever sentinel for sparse arm scheduling.
 const NEVER: u64 = u64::MAX;
+
+/// Simulated time per flight tick: one hour.
+const TICK_INTERVAL: Duration = Duration(3_600_000);
 
 /// Configuration of one policy flight.
 #[derive(Debug, Clone)]
@@ -65,10 +68,6 @@ pub struct FlightConfig {
     pub control: PlanePolicy,
     /// The policy under test (the B arm).
     pub candidate: PlanePolicy,
-    /// Per-arm database settings.
-    pub settings: DbSettings,
-    /// Simulated time per tick.
-    pub tick_interval: Duration,
     /// Ticks of untouched traffic before tuning starts — the §7.3 base
     /// window that pins the fixed execution counts.
     pub baseline_ticks: u32,
@@ -85,13 +84,6 @@ pub struct FlightConfig {
     /// Replay infidelity: probability an event is dropped on replay.
     /// Identical (same seed) for both arms — there is one traffic fork.
     pub replay_drop_prob: f64,
-    /// Dense vs sparse arm control scheduling (must not change verdicts).
-    pub scheduling: SchedulingMode,
-    /// Plan-cache setting for the arms (must not change verdicts).
-    pub plan_cache: bool,
-    /// Chaos knob: crash-recover the region store after every k journal
-    /// writes while verdicts are journaled.
-    pub crash_every_writes: Option<u64>,
 }
 
 impl Default for FlightConfig {
@@ -102,17 +94,12 @@ impl Default for FlightConfig {
             cohort_fraction: 0.5,
             control: PlanePolicy::default(),
             candidate: PlanePolicy::default(),
-            settings: DbSettings::all_on(),
-            tick_interval: Duration::from_hours(1),
             baseline_ticks: 6,
             measure_ticks: 18,
             alpha: 0.05,
             margin: 0.01,
             divergence_tolerance: 0.25,
             replay_drop_prob: 0.01,
-            scheduling: SchedulingMode::Dense,
-            plan_cache: true,
-            crash_every_writes: None,
         }
     }
 }
@@ -151,7 +138,7 @@ impl FlightConfig {
 
     /// Simulated time one tenant's arms are driven.
     pub fn sim_time(&self) -> Duration {
-        Duration::from_millis(self.tick_interval.millis() * self.total_ticks() as u64)
+        Duration::from_millis(TICK_INTERVAL.millis() * self.total_ticks() as u64)
     }
 }
 
@@ -268,8 +255,8 @@ pub fn region_decision<'a>(
 
 /// End-of-flight state: the journaled record, the decision, verdict
 /// tallies, and replay-cost accounting. Everything except `threads` is
-/// identical across {serial, parallel} × {dense, sparse} ×
-/// {cache on, off} × {crash, no-crash} runs of the same flight.
+/// identical across {serial, parallel} × {cache on, off} ×
+/// {fresh, resumed} runs of the same flight.
 #[derive(Debug)]
 pub struct FlightReport {
     pub record: FlightRecord,
@@ -332,9 +319,9 @@ impl FlightReport {
 
     /// Canonical serialization of the flight outcome: one JSON line per
     /// cohort tenant (in fleet order) plus the decision line. Serial,
-    /// parallel, sparse, cache-off, and crash-swept runs of the same
-    /// flight produce byte-identical output — the determinism contract
-    /// the property and chaos tests pin down.
+    /// parallel, cache-off, and resumed runs of the same flight produce
+    /// byte-identical output — the determinism contract the property and
+    /// chaos tests pin down.
     pub fn canonical_string(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
@@ -448,89 +435,28 @@ impl FlightDriver {
         store: &mut StateStore,
         threads: usize,
     ) -> FlightReport {
-        let t_now = fleet
-            .first()
-            .map(|t| t.db.clock().now())
-            .unwrap_or(Timestamp(0));
-        // Each verdict is a pure function of (config, index, tenant), so
-        // the pool may run them in any thread interleaving without
-        // touching the outcome.
-        self.run_flight(fleet.len(), t_now, store, threads, |missing| {
-            self.flight_tenants(fleet, missing, threads)
-        })
-    }
-
-    /// Run the flight over a lazily-hydratable fleet through a shard
-    /// assignment — the sharded region's flight path. The cohort is
-    /// computed from **global** tenant indices ([`FlightConfig::in_cohort`]
-    /// hashes the index, never the shard), each shard worker computes
-    /// verdicts for its own members, and the merged verdicts journal in
-    /// global cohort order — so the journal sequence, the record, and
-    /// the report are byte-identical to [`FlightDriver::run_with_store`]
-    /// over the materialized fleet, for *any* shard count.
-    pub fn run_sharded(
-        &self,
-        spec: &dyn FleetSpec,
-        assignment: &ShardAssignment,
-        store: &mut StateStore,
-        threads: usize,
-    ) -> FlightReport {
-        let t_now = if spec.is_empty() {
-            Timestamp(0)
-        } else {
-            // The unsharded path reads the first tenant's clock; a
-            // hydrated tenant is a pure function of its index, so this
-            // is the same instant.
-            spec.hydrate(0).db.clock().now()
-        };
-        // Shard dispatch: each shard computes its members' verdicts
-        // (pure per tenant); the merge re-sorts by global index, which
-        // reproduces the unsharded journal order exactly.
-        self.run_flight(spec.len(), t_now, store, threads, |missing| {
-            let mut computed = Vec::with_capacity(missing.len());
-            for shard in 0..assignment.shards() {
-                let members: Vec<usize> = missing
-                    .iter()
-                    .copied()
-                    .filter(|&i| assignment.shard_of(i) == shard)
-                    .collect();
-                computed.extend(self.flight_tenants_spec(spec, &members, threads));
-            }
-            computed.sort_unstable_by_key(|&(i, _, _)| i);
-            computed
-        })
-    }
-
-    /// The one flight body. The two public runs differ only in the fleet
-    /// length, in where `t_now` comes from, and in how the verdicts still
-    /// missing from the journaled record are computed (`compute` takes
-    /// their fleet indexes and returns journal rows in that order).
-    fn run_flight(
-        &self,
-        fleet_len: usize,
-        t_now: Timestamp,
-        store: &mut StateStore,
-        threads: usize,
-        compute: impl FnOnce(&[usize]) -> Vec<(usize, String, TenantVerdictRecord)>,
-    ) -> FlightReport {
         let cfg = &self.config;
         let mut telemetry = Telemetry::new();
-        let record = match store.flight(&cfg.id) {
+        let mut record = match store.flight(&cfg.id) {
             Some(r) => r.clone(),
             None => FlightRecord {
                 id: cfg.id.clone(),
                 seed: cfg.seed,
                 state: FlightState::Running,
-                cohort: cfg.cohort(fleet_len),
+                cohort: cfg.cohort(fleet.len()),
                 verdicts: BTreeMap::new(),
             },
         };
         // A terminal record skips all of this: the journaled verdict stands.
-        let record = if record.state == FlightState::Running {
+        if record.state == FlightState::Running {
+            let t_now = fleet
+                .first()
+                .map(|t| t.db.clock().now())
+                .unwrap_or(Timestamp(0));
             telemetry.emit(
                 EventKind::FlightStarted,
                 &cfg.id,
-                format!("cohort {} of {fleet_len}", record.cohort.len()),
+                format!("cohort {} of {}", record.cohort.len(), fleet.len()),
                 t_now,
             );
             store.record_flight(&record);
@@ -540,64 +466,31 @@ impl FlightDriver {
                 .copied()
                 .filter(|i| !record.verdicts.contains_key(i))
                 .collect();
-            let computed = compute(&missing);
-            self.journal_and_decide(record, computed, store, &mut telemetry, t_now)
-        } else {
-            record
-        };
-        FlightReport::from_record(record, telemetry, cfg.sim_time(), threads.max(1))
-    }
-
-    /// The shared tail of every flight run: journal the computed
-    /// verdicts sequentially in the order given (global cohort order),
-    /// with the chaos crash-sweep knob applied at write boundaries,
-    /// then journal the region-level decision.
-    fn journal_and_decide(
-        &self,
-        mut record: FlightRecord,
-        computed: Vec<(usize, String, TenantVerdictRecord)>,
-        store: &mut StateStore,
-        telemetry: &mut Telemetry,
-        t_now: Timestamp,
-    ) -> FlightRecord {
-        let cfg = &self.config;
-        let mut writes_at_last_crash = store.journal_writes();
-        for (index, name, verdict) in computed {
-            telemetry.emit(
-                EventKind::FlightTenantVerdict,
-                &name,
-                format!("{:?}", verdict.verdict),
-                t_now,
-            );
-            record.verdicts.insert(index, verdict);
-            store.record_flight(&record);
-            if let Some(k) = cfg.crash_every_writes {
-                if store.journal_writes() >= writes_at_last_crash.saturating_add(k.max(1)) {
-                    store.crash_and_recover();
-                    writes_at_last_crash = store.journal_writes();
-                    // The journal is the source of truth; what it
-                    // recovered must be what we think we wrote.
-                    record = store
-                        .flight(&cfg.id)
-                        .expect("recovered store retains the active flight")
-                        .clone();
-                }
+            // Journal the verdicts one write each, in cohort order.
+            for (index, name, verdict) in self.flight_tenants(fleet, &missing, threads) {
+                telemetry.emit(
+                    EventKind::FlightTenantVerdict,
+                    &name,
+                    format!("{:?}", verdict.verdict),
+                    t_now,
+                );
+                record.verdicts.insert(index, verdict);
+                store.record_flight(&record);
             }
+            // Region decision: auto-promote or auto-abort, journaled.
+            let decision = region_decision(record.verdicts.values().map(|v| &v.verdict));
+            record.state = match decision {
+                FlightDecision::Ship => FlightState::Shipped,
+                FlightDecision::Abort => FlightState::Aborted,
+            };
+            store.record_flight(&record);
+            let (kind, label) = match decision {
+                FlightDecision::Ship => (EventKind::FlightShipped, "ship"),
+                FlightDecision::Abort => (EventKind::FlightAborted, "abort"),
+            };
+            telemetry.emit(kind, &cfg.id, label, t_now);
         }
-
-        // Region decision: auto-promote or auto-abort, journaled.
-        let decision = region_decision(record.verdicts.values().map(|v| &v.verdict));
-        record.state = match decision {
-            FlightDecision::Ship => FlightState::Shipped,
-            FlightDecision::Abort => FlightState::Aborted,
-        };
-        store.record_flight(&record);
-        let (kind, label) = match decision {
-            FlightDecision::Ship => (EventKind::FlightShipped, "ship"),
-            FlightDecision::Abort => (EventKind::FlightAborted, "abort"),
-        };
-        telemetry.emit(kind, &cfg.id, label, t_now);
-        record
+        FlightReport::from_record(record, telemetry, cfg.sim_time(), threads.max(1))
     }
 
     /// Run the per-tenant pipelines for `missing` (fleet indexes) on the
@@ -618,23 +511,6 @@ impl FlightDriver {
         })
     }
 
-    /// Spec-hydrating variant of [`FlightDriver::flight_tenants`] for
-    /// the sharded path: hydrate each missing cohort member from the
-    /// fleet spec, run its pipeline, and return
-    /// `(index, name, verdict)` in `missing` order. Hydration happens
-    /// inside the worker, so at most `threads` cohort tenants are
-    /// resident at once.
-    fn flight_tenants_spec(
-        &self,
-        spec: &dyn FleetSpec,
-        missing: &[usize],
-        threads: usize,
-    ) -> Vec<(usize, String, TenantVerdictRecord)> {
-        pool::map_ordered(missing.to_vec(), threads, |_, i| {
-            self.flight_tenant(i, spec.hydrate(i))
-        })
-    }
-
     /// Deterministic per-(tenant, arm) fork noise seed.
     fn arm_seed(&self, index: usize, arm: u64) -> u64 {
         self.config.seed
@@ -649,12 +525,11 @@ impl FlightDriver {
     /// completed steps clean up in reverse and the tenant is discarded.
     /// Returns the journal row `(index, tenant name, verdict)`.
     fn flight_tenant(&self, index: usize, tenant: Tenant) -> (usize, String, TenantVerdictRecord) {
-        let cfg = &self.config;
         // The traffic primary: the caller's private copy of the tenant,
-        // on its own clock.
+        // on its own clock. Its `DbConfig` (plan cache included) is what
+        // both arms fork.
         let mut primary = tenant.db;
         primary.detach_clock();
-        primary.config.plan_cache = cfg.plan_cache;
         let t0 = primary.clock().now();
         let mut ctx = FlightCtx {
             primary,
@@ -678,20 +553,18 @@ impl FlightDriver {
     fn tenant_workflow(&self, index: usize) -> Workflow<FlightCtx> {
         let cfg = self.config.clone();
         let total_ticks = cfg.total_ticks();
-        let interval = cfg.tick_interval;
-        let sparse = cfg.scheduling == SchedulingMode::Sparse;
+        let interval = TICK_INTERVAL;
         let fidelity_seed =
             cfg.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x0046_4C49;
 
-        let make_arm = |policy: PlanePolicy, seed: u64, plan_cache: bool, settings: DbSettings| {
+        let make_arm = |policy: PlanePolicy, seed: u64| {
             move |ctx: &mut FlightCtx| {
                 let b = create_b_instance(&ctx.primary, seed);
                 let mut db = b.db;
                 // Forks share the primary's clock; each arm owns its
                 // own time stream.
                 db.detach_clock();
-                db.config.plan_cache = plan_cache;
-                let mdb = ManagedDb::new(db, settings, ServerSettings::default());
+                let mdb = ManagedDb::new(db, DbSettings::all_on(), ServerSettings::default());
                 Ok::<Arm, String>(Arm {
                     plane: ControlPlane::new(policy.clone()),
                     mdb,
@@ -701,18 +574,8 @@ impl FlightDriver {
                 })
             }
         };
-        let fork_control = make_arm(
-            cfg.control.clone(),
-            self.arm_seed(index, 0xA),
-            cfg.plan_cache,
-            cfg.settings,
-        );
-        let fork_candidate = make_arm(
-            cfg.candidate.clone(),
-            self.arm_seed(index, 0xB),
-            cfg.plan_cache,
-            cfg.settings,
-        );
+        let fork_control = make_arm(cfg.control.clone(), self.arm_seed(index, 0xA));
+        let fork_candidate = make_arm(cfg.candidate.clone(), self.arm_seed(index, 0xB));
         let baseline_ticks = cfg.baseline_ticks;
         let tolerance = cfg.divergence_tolerance;
         let drop_prob = cfg.replay_drop_prob;
@@ -778,8 +641,7 @@ impl FlightDriver {
                         // sparse schedule gates passes after that, and
                         // must be unobservable (a skipped pass is
                         // provably a no-op).
-                        let due = k as u64 >= baseline_ticks as u64
-                            && (!sparse || k as u64 >= arm.next_wake);
+                        let due = k as u64 >= baseline_ticks as u64 && k as u64 >= arm.next_wake;
                         if due {
                             let schedule = arm.plane.tick(&mut arm.mdb);
                             arm.next_wake = schedule

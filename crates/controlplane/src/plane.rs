@@ -264,10 +264,12 @@ impl ControlPlane {
     pub fn tick(&mut self, mdb: &mut ManagedDb) -> WakeSchedule {
         let started = mdb.db.clock().now();
         self.tracer.start("tick", started);
-        self.tracer.attr(
-            "db_hash",
-            format!("{:016x}", crate::telemetry::db_hash(&mdb.db.name)),
-        );
+        if self.tracer.is_enabled() {
+            self.tracer.attr(
+                "db_hash",
+                format!("{:016x}", crate::telemetry::db_hash(&mdb.db.name)),
+            );
+        }
         self.maybe_journal_tear(mdb);
         for stage in Stage::ALL {
             self.tracer.start(stage.name(), mdb.db.clock().now());

@@ -158,6 +158,11 @@ impl HydrationGauge {
 /// order the wave's tenants finished in.
 pub(crate) const HYDRATION_WAVE: usize = 64;
 
+/// Raw telemetry events (and incidents) kept while folding a region's
+/// tenants, shards and shard reports: counters stay exact, only the raw
+/// log is cut, so a fold over a million tenants stays bounded.
+pub(crate) const REGION_RAW_EVENTS: usize = 10_000;
+
 /// How a shard hydrates its members. Streaming is the only way left —
 /// the enum, and [`RegionConfig::hydration`](crate::coordinator::RegionConfig::hydration)
 /// with it, survive only because the frozen benchmark adapter names
@@ -195,7 +200,7 @@ pub struct ShardReport {
     /// tenant at the million scale.
     pub outcomes: Option<Vec<(usize, TenantOutcome)>>,
     /// Members' sinks and tallies folded in member order (raw events
-    /// capped; counters always exact).
+    /// capped at [`REGION_RAW_EVENTS`]; counters always exact).
     pub totals: FleetTotals,
 }
 
@@ -209,11 +214,11 @@ impl ShardReport {
         }
     }
 
-    fn push(&mut self, index: usize, result: TenantResult, event_retention: usize) {
+    fn push(&mut self, index: usize, result: TenantResult) {
         let (outcome, totals) = result;
         let line = fnv1a64_extend(FNV_OFFSET, canonical_line(&outcome).as_bytes());
         self.digests.push((index, line));
-        self.totals.absorb(totals, event_retention);
+        self.totals.absorb(totals, REGION_RAW_EVENTS);
         if let Some(out) = &mut self.outcomes {
             out.push((index, outcome));
         }
@@ -234,8 +239,6 @@ pub struct ShardDriver {
     pub threads: usize,
     /// Retain full [`TenantOutcome`]s (small fleets only).
     pub retain_outcomes: bool,
-    /// Raw-event cap applied between folds.
-    pub event_retention: usize,
     /// Region-shared residency gauge.
     pub gauge: Arc<HydrationGauge>,
 }
@@ -262,7 +265,7 @@ impl ShardDriver {
                 result
             });
             for (&index, result) in members.iter().zip(results) {
-                report.push(index, result, self.event_retention);
+                report.push(index, result);
             }
         }
         report
@@ -363,7 +366,6 @@ mod tests {
             driver,
             threads: 2,
             retain_outcomes: true,
-            event_retention: usize::MAX,
             gauge: Arc::new(HydrationGauge::new()),
         };
         let report = shard.drive(&spec, 2, 2);

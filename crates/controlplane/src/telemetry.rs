@@ -296,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn event_retention_cap() {
+    fn retain_events_caps_the_raw_log() {
         let mut t = Telemetry::new();
         t.retain_events = 10;
         for i in 0..25 {

@@ -103,6 +103,15 @@ fn small_fleet(n: usize, seed: u64) -> Vec<Tenant> {
         .collect()
 }
 
+/// The same fleet with every tenant's plan cache off: the
+/// recompile-every-statement oracle.
+fn without_plan_cache(mut fleet: Vec<Tenant>) -> Vec<Tenant> {
+    for t in &mut fleet {
+        t.db.config.plan_cache = false;
+    }
+    fleet
+}
+
 fn reco(n: u32) -> autoindex::Recommendation {
     use sqlmini::schema::{ColumnId, IndexDef, TableId};
     autoindex::Recommendation {
@@ -123,11 +132,10 @@ fn reco(n: u32) -> autoindex::Recommendation {
 // ---------------------------------------------------------------------
 
 /// For a 16-tenant fleet over 20 ticks, crashing + recovering every
-/// tenant's store after every journal write (taking effect at the next
-/// tick boundary — the process-restart point) must yield the same
-/// canonical fleet state as the uncrashed serial run.
+/// tenant's store at every tick boundary — the process-restart point —
+/// must yield the same canonical fleet state as the uncrashed serial run.
 #[test]
-fn crash_sweep_after_every_write_matches_uncrashed_run() {
+fn crash_sweep_at_every_tick_boundary_matches_uncrashed_run() {
     let seed = chaos_seed();
     let base = FleetDriverConfig {
         policy: fast_policy(),
@@ -140,25 +148,25 @@ fn crash_sweep_after_every_write_matches_uncrashed_run() {
     let fleet = small_fleet(16, seed);
     let uncrashed = FleetDriver::new(base.clone()).run(fleet.clone(), 20, 1);
     let swept = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(1),
+        crash_every_ticks: Some(1),
         ..base.clone()
     })
     .run(fleet.clone(), 20, 1);
     assert_eq!(
         uncrashed.canonical_string(),
         swept.canonical_string(),
-        "crash-recovery at every write must be invisible in the end state"
+        "crash-recovery at every tick must be invisible in the end state"
     );
     // Coarser cadences converge too, and the sweep replays identically
     // under pooled parallelism.
     let coarse = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(5),
+        crash_every_ticks: Some(5),
         ..base.clone()
     })
     .run(fleet.clone(), 20, 1);
     assert_eq!(uncrashed.canonical_string(), coarse.canonical_string());
     let swept_parallel = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(1),
+        crash_every_ticks: Some(1),
         ..base
     })
     .run(fleet, 20, 4);
@@ -298,7 +306,7 @@ fn journal_tears_during_live_run_park_in_retry_not_corruption() {
             point: FaultPoint::JournalTear,
             count: 6,
             kind: FaultKind::Transient,
-            at_tick: None,
+            at_tick: 0,
         }],
         scheduling: sched_mode(),
         ..FleetDriverConfig::default()
@@ -338,7 +346,7 @@ fn poisoned_tenant_is_isolated_from_the_fleet() {
             point: FaultPoint::TenantPanic,
             count: 1,
             kind: FaultKind::Fatal,
-            at_tick: None,
+            at_tick: 0,
         }],
         ..clean_cfg.clone()
     };
@@ -381,7 +389,7 @@ fn quarantine_breaker_trips_and_replays_deterministically() {
         point: FaultPoint::JournalTear,
         count: 1,
         kind: FaultKind::Transient,
-        at_tick: Some(t),
+        at_tick: t,
     });
     let cfg = FleetDriverConfig {
         policy: fast_policy(),
@@ -574,10 +582,10 @@ fn recorded_wake_schedules_recover_exactly() {
 }
 
 /// The full sparse pipeline under crash sweep: an 8-tenant sparse run
-/// that crash-recovers every tenant's store after every journal write
-/// must end byte-identical to the uncrashed sparse run — i.e. the
-/// wake ticks re-derived from recovered `WakeSchedule`s replay the same
-/// skips — and both must match the dense oracle.
+/// that crash-recovers every tenant's store at every tick boundary must
+/// end byte-identical to the uncrashed sparse run — i.e. the wake ticks
+/// re-derived from recovered `WakeSchedule`s replay the same skips — and
+/// both must match the dense oracle.
 #[test]
 fn sparse_crash_sweep_recovers_wakeups_identically() {
     let seed = chaos_seed();
@@ -592,7 +600,7 @@ fn sparse_crash_sweep_recovers_wakeups_identically() {
     let fleet = small_fleet(8, seed);
     let uncrashed = FleetDriver::new(base.clone()).run(fleet.clone(), 20, 1);
     let swept = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(1),
+        crash_every_ticks: Some(1),
         ..base.clone()
     })
     .run(fleet.clone(), 20, 1);
@@ -620,8 +628,8 @@ fn sparse_crash_sweep_recovers_wakeups_identically() {
 }
 
 /// The plan cache under crash sweep: memoized plans are engine-private
-/// and never journaled, so crash-recovering every tenant's store after
-/// every journal write with the cache ON must land byte-identical to
+/// and never journaled, so crash-recovering every tenant's store at
+/// every tick boundary with the cache ON must land byte-identical to
 /// (a) the uncrashed cache-on run and (b) the crash-swept cache-OFF
 /// oracle — recovery transparency in both directions. A recovered
 /// store simply re-misses and recompiles; nothing observable moves.
@@ -634,27 +642,21 @@ fn crash_sweep_with_plan_cache_matches_uncrashed_and_oracle() {
         fault_transient_prob: 0.15,
         fault_fatal_prob: 0.01,
         scheduling: sched_mode(),
-        plan_cache: true,
         ..FleetDriverConfig::default()
     };
-    let fleet = small_fleet(6, seed);
-    let uncrashed = FleetDriver::new(base.clone()).run(fleet.clone(), 20, 1);
-    let swept = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(1),
+    let swept_cfg = FleetDriverConfig {
+        crash_every_ticks: Some(1),
         ..base.clone()
-    })
-    .run(fleet.clone(), 20, 1);
+    };
+    let fleet = small_fleet(6, seed);
+    let uncrashed = FleetDriver::new(base).run(fleet.clone(), 20, 1);
+    let swept = FleetDriver::new(swept_cfg.clone()).run(fleet.clone(), 20, 1);
     assert_eq!(
         uncrashed.canonical_string(),
         swept.canonical_string(),
         "cache-on crash sweep must replay the uncrashed run exactly"
     );
-    let oracle = FleetDriver::new(FleetDriverConfig {
-        crash_every_writes: Some(1),
-        plan_cache: false,
-        ..base
-    })
-    .run(fleet, 20, 1);
+    let oracle = FleetDriver::new(swept_cfg).run(without_plan_cache(fleet), 20, 1);
     assert_eq!(
         swept.canonical_string(),
         oracle.canonical_string(),
@@ -674,7 +676,7 @@ fn crash_sweep_with_plan_cache_matches_uncrashed_and_oracle() {
 // Checkpointed journals: the compaction differential oracle.
 // ---------------------------------------------------------------------
 
-/// The tentpole proof for checkpointing: a crash-after-every-write sweep
+/// The tentpole proof for checkpointing: a crash-at-every-tick sweep
 /// with aggressive compaction ON must land byte-identical — canonical
 /// string, merged metrics, dashboard render — to the compaction-OFF
 /// oracle, across {dense, sparse} × {1, 4 threads} × {plan cache
@@ -685,7 +687,14 @@ fn crash_sweep_with_plan_cache_matches_uncrashed_and_oracle() {
 fn compaction_crash_sweep_matches_compaction_off_oracle() {
     let seed = chaos_seed();
     let fleet = small_fleet(8, seed);
-    let mk = |journal: CompactionPolicy, scheduling, plan_cache| FleetDriverConfig {
+    let fleet_for = |plan_cache| {
+        if plan_cache {
+            fleet.clone()
+        } else {
+            without_plan_cache(fleet.clone())
+        }
+    };
+    let mk = |journal: CompactionPolicy, scheduling| FleetDriverConfig {
         policy: PlanePolicy {
             journal,
             ..fast_policy()
@@ -693,16 +702,15 @@ fn compaction_crash_sweep_matches_compaction_off_oracle() {
         fault_seed: Some(seed),
         fault_transient_prob: 0.15,
         fault_fatal_prob: 0.01,
-        crash_every_writes: Some(1),
+        crash_every_ticks: Some(1),
         scheduling,
-        plan_cache,
         ..FleetDriverConfig::default()
     };
     let off = CompactionPolicy {
         enabled: false,
         ..CompactionPolicy::default()
     };
-    let oracle = FleetDriver::new(mk(off, SchedulingMode::Dense, false)).run(fleet.clone(), 20, 1);
+    let oracle = FleetDriver::new(mk(off, SchedulingMode::Dense)).run(fleet_for(false), 20, 1);
     assert_eq!(
         oracle.checkpoints_written(),
         0,
@@ -711,8 +719,8 @@ fn compaction_crash_sweep_matches_compaction_off_oracle() {
     for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
         for threads in [1usize, 4] {
             for plan_cache in [false, true] {
-                let on = FleetDriver::new(mk(aggressive_compaction(), scheduling, plan_cache)).run(
-                    fleet.clone(),
+                let on = FleetDriver::new(mk(aggressive_compaction(), scheduling)).run(
+                    fleet_for(plan_cache),
                     20,
                     threads,
                 );
@@ -764,7 +772,7 @@ fn torn_checkpoint_falls_back_losslessly_and_reports() {
         point: FaultPoint::CheckpointTear,
         count: 2,
         kind: FaultKind::Transient,
-        at_tick: None,
+        at_tick: 0,
     };
     let fleet = small_fleet(2, seed);
     let clean = FleetDriver::new(mk(vec![])).run(fleet.clone(), 24, 1);
@@ -824,44 +832,13 @@ fn flight_cfg(seed: u64) -> FlightConfig {
         candidate: fast_policy(),
         baseline_ticks: 3,
         measure_ticks: 8,
-        scheduling: sched_mode(),
         ..FlightConfig::default()
     }
 }
 
-/// Crash-recovering the region store after **every** journal write
-/// during an active flight must converge to the same `FlightReport` as
-/// the uncrashed run — cohort, per-tenant verdicts, decision, all of it.
-#[test]
-fn flight_crash_sweep_after_every_write_matches_uncrashed() {
-    let seed = chaos_seed();
-    let fleet = small_fleet(6, seed);
-    let cfg = flight_cfg(seed);
-
-    let mut clean_store = StateStore::new();
-    let clean = FlightDriver::new(cfg.clone()).run_with_store(&fleet, &mut clean_store, 1);
-
-    let swept_cfg = FlightConfig {
-        crash_every_writes: Some(1),
-        ..cfg
-    };
-    let mut swept_store = StateStore::new();
-    let swept = FlightDriver::new(swept_cfg).run_with_store(&fleet, &mut swept_store, 2);
-
-    assert_eq!(
-        clean.canonical_string(),
-        swept.canonical_string(),
-        "crash sweep changed the flight verdict"
-    );
-    assert_eq!(
-        clean_store.flight(&clean.record.id),
-        swept_store.flight(&swept.record.id),
-        "journaled terminal flight records diverged"
-    );
-}
-
-/// Recovery from **every** journal prefix, followed by a resumed run,
-/// must land on the identical report: completed verdicts are never
+/// Recovery from **every** journal prefix — a crash after any write —
+/// followed by a resumed run, must land on the identical report and the
+/// identical journaled terminal record: completed verdicts are never
 /// recomputed, missing ones are, and the decision is stable.
 #[test]
 fn flight_resume_from_every_journal_prefix_converges() {
@@ -883,6 +860,11 @@ fn flight_resume_from_every_journal_prefix_converges() {
             full.canonical_string(),
             resumed.canonical_string(),
             "resume from journal prefix {k} diverged"
+        );
+        assert_eq!(
+            recovered.flight(&full.record.id),
+            full_store.flight(&full.record.id),
+            "journaled terminal flight record diverged after resuming from prefix {k}"
         );
     }
 }

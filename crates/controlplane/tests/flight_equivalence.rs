@@ -2,20 +2,17 @@
 //!
 //! The headline contract for fleet-scale policy flighting: a flight's
 //! cohort, per-tenant Welch verdicts, and region-level ship/no-ship
-//! decision are **byte-identical** across
-//! {serial, parallel} × {dense, sparse} × {plan cache on, off}.
-//! Thread interleaving, arm scheduling, and the plan-selection cache
-//! are performance knobs — none may leak into an A/B verdict, or the
-//! same candidate would ship in one region and abort in another.
+//! decision are **byte-identical** across thread counts and with the
+//! tenants' plan caches off. Thread interleaving and the plan-selection
+//! cache are performance knobs — neither may leak into an A/B verdict,
+//! or the same candidate would ship in one region and abort in another.
 //!
 //! Alongside the property sweep, the seeded end-to-end acceptance runs:
 //! a genuinely better candidate (tunes a fleet the control never
 //! touches) must ship, and the reverse flight must abort with the
 //! regression attributed to the candidate.
 
-use controlplane::{
-    FlightConfig, FlightDecision, FlightDriver, PlanePolicy, SchedulingMode, TenantVerdict,
-};
+use controlplane::{FlightConfig, FlightDecision, FlightDriver, PlanePolicy, TenantVerdict};
 use proptest::prelude::*;
 use sqlmini::clock::Duration;
 use sqlmini::engine::ServiceTier;
@@ -34,6 +31,19 @@ fn small_fleet(n: usize, seed: u64) -> Vec<Tenant> {
             cfg.schema.max_rows = 3_000;
             cfg.workload.base_rate_per_hour = 120.0;
             generate_tenant(&cfg)
+        })
+        .collect()
+}
+
+/// A copy of `fleet` with every tenant's plan cache off: the arms fork
+/// the tenant's engine configuration, so both recompile every statement.
+fn without_plan_cache(fleet: &[Tenant]) -> Vec<Tenant> {
+    fleet
+        .iter()
+        .map(|t| {
+            let mut t = t.clone();
+            t.db.config.plan_cache = false;
+            t
         })
         .collect()
 }
@@ -108,8 +118,9 @@ fn regressive_candidate_aborts() {
     assert!(report.regressed >= 1);
 }
 
-/// The two seeded flights above, re-run under every execution mode,
-/// stay byte-identical — the acceptance criterion in one test.
+/// The two seeded flights above, re-run on three threads and with the
+/// plan cache off, stay byte-identical — the acceptance criterion in one
+/// test.
 #[test]
 fn seeded_flights_identical_across_modes() {
     let fleet = small_fleet(4, 42);
@@ -117,25 +128,20 @@ fn seeded_flights_identical_across_modes() {
         (idle_policy(), fast_policy()),
         (fast_policy(), idle_policy()),
     ] {
-        let base_cfg = flight_config(42, control, candidate);
-        let baseline = FlightDriver::new(base_cfg.clone()).run(&fleet, 1);
-        for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
-            for plan_cache in [true, false] {
-                for threads in [1, 3] {
-                    let cfg = FlightConfig {
-                        scheduling,
-                        plan_cache,
-                        ..base_cfg.clone()
-                    };
-                    let report = FlightDriver::new(cfg).run(&fleet, threads);
-                    assert_eq!(
-                        baseline.canonical_string(),
-                        report.canonical_string(),
-                        "verdict drifted under {scheduling:?} cache={plan_cache} threads={threads}"
-                    );
-                }
-            }
-        }
+        let driver = FlightDriver::new(flight_config(42, control, candidate));
+        let baseline = driver.run(&fleet, 1).canonical_string();
+        assert_eq!(
+            baseline,
+            driver.run(&fleet, 3).canonical_string(),
+            "verdict drifted on 3 threads"
+        );
+        assert_eq!(
+            baseline,
+            driver
+                .run(&without_plan_cache(&fleet), 1)
+                .canonical_string(),
+            "verdict drifted with the plan cache off"
+        );
     }
 }
 
@@ -147,8 +153,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Cohort membership, every per-tenant Welch verdict, and the
-    /// rendered dashboard flight block are byte-identical across
-    /// scheduling mode, thread count, and plan-cache setting.
+    /// rendered dashboard flight block are byte-identical across thread
+    /// count and plan-cache setting.
     #[test]
     fn flight_reports_equal_across_modes(
         n in 2usize..=4,
@@ -168,16 +174,13 @@ proptest! {
             measure_ticks: 5,
             ..FlightConfig::default()
         };
-        let baseline = FlightDriver::new(base_cfg.clone()).run(&fleet, 1);
+        let driver = FlightDriver::new(base_cfg.clone());
+        let baseline = driver.run(&fleet, 1);
         prop_assert_eq!(&baseline.record.cohort, &base_cfg.cohort(fleet.len()));
 
-        for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
-            for plan_cache in [true, false] {
-                let cfg = FlightConfig { scheduling, plan_cache, ..base_cfg.clone() };
-                let report = FlightDriver::new(cfg).run(&fleet, threads);
-                prop_assert_eq!(baseline.canonical_string(), report.canonical_string());
-                prop_assert_eq!(baseline.dashboard().render(), report.dashboard().render());
-            }
+        for report in [driver.run(&fleet, threads), driver.run(&without_plan_cache(&fleet), threads)] {
+            prop_assert_eq!(baseline.canonical_string(), report.canonical_string());
+            prop_assert_eq!(baseline.dashboard().render(), report.dashboard().render());
         }
         // No verdict category escapes the tally.
         let tallied = baseline.improved + baseline.regressed

@@ -8,8 +8,8 @@
 //! behavior change in the recommender pipeline, the state machine, or
 //! the view serialization — never noise.
 //!
-//! Two seeds are pinned. `GOLDEN_SEED` selects which one a run checks
-//! (default: both). To regenerate after an intentional change:
+//! Two seeds are pinned, and every run checks both. To regenerate after
+//! an intentional change:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p controlplane --test golden_api
@@ -177,17 +177,12 @@ fn check_seed(seed: u64) {
     );
 }
 
-/// Seeds a run validates: `GOLDEN_SEED` pins one, default checks both.
-fn seeds() -> Vec<u64> {
-    match std::env::var("GOLDEN_SEED") {
-        Ok(s) => vec![s.parse().expect("GOLDEN_SEED must be a u64")],
-        Err(_) => vec![42, 7],
-    }
-}
+/// The pinned seeds.
+const SEEDS: [u64; 2] = [42, 7];
 
 #[test]
 fn management_api_views_match_golden_fixture() {
-    for seed in seeds() {
+    for seed in SEEDS {
         check_seed(seed);
     }
 }
@@ -276,7 +271,7 @@ fn check_flight_seed(seed: u64) {
 
 #[test]
 fn flight_dashboard_matches_golden_fixture() {
-    for seed in seeds() {
+    for seed in SEEDS {
         check_flight_seed(seed);
     }
 }

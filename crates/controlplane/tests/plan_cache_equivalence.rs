@@ -69,7 +69,9 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn build_fleet(spec: &FleetSpec) -> Vec<Tenant> {
+/// The scenario's fleet, every tenant engine's plan cache on or off
+/// (off recompiles every statement: the oracle).
+fn build_fleet(spec: &FleetSpec, plan_cache: bool) -> Vec<Tenant> {
     (0..spec.tenants)
         .map(|i| {
             let s = mix(spec.seed ^ (i as u64 + 1));
@@ -84,12 +86,13 @@ fn build_fleet(spec: &FleetSpec) -> Vec<Tenant> {
             } else {
                 30.0 + (mix(s ^ 0xA5A5) % 240) as f64
             };
+            cfg.db.plan_cache = plan_cache;
             generate_tenant(&cfg)
         })
         .collect()
 }
 
-fn config(spec: &FleetSpec, plan_cache: bool) -> FleetDriverConfig {
+fn config(spec: &FleetSpec) -> FleetDriverConfig {
     FleetDriverConfig {
         policy: PlanePolicy {
             analysis_interval: Duration::from_hours(2),
@@ -100,7 +103,6 @@ fn config(spec: &FleetSpec, plan_cache: bool) -> FleetDriverConfig {
         fault_transient_prob: spec.transient_prob,
         fault_fatal_prob: spec.fatal_prob,
         scheduling: spec.scheduling,
-        plan_cache,
         ..FleetDriverConfig::default()
     }
 }
@@ -110,12 +112,10 @@ proptest! {
 
     #[test]
     fn cache_on_equals_cache_off_for_any_fleet(spec in fleet_spec()) {
-        let fleet = build_fleet(&spec);
         let ticks = spec.ticks;
-        let on = FleetDriver::new(config(&spec, true))
-            .run(fleet.clone(), ticks, spec.threads);
-        let off = FleetDriver::new(config(&spec, false))
-            .run(fleet.clone(), ticks, spec.threads);
+        let driver = FleetDriver::new(config(&spec));
+        let on = driver.run(build_fleet(&spec, true), ticks, spec.threads);
+        let off = driver.run(build_fleet(&spec, false), ticks, spec.threads);
 
         prop_assert!(
             on.canonical_string() == off.canonical_string(),
@@ -147,7 +147,7 @@ proptest! {
         // The cached run itself replays identically across thread
         // counts (cache state is per-tenant, never shared).
         if spec.threads > 1 {
-            let serial = FleetDriver::new(config(&spec, true)).run(fleet, ticks, 1);
+            let serial = driver.run(build_fleet(&spec, true), ticks, 1);
             prop_assert!(
                 serial.canonical_string() == on.canonical_string(),
                 "cache-on serial vs {} threads diverged for {:?}",
@@ -173,14 +173,13 @@ fn steady_state_hits_and_full_mode_square_agree() {
         transient_prob: 0.0,
         fatal_prob: 0.0,
     };
-    let fleet = build_fleet(&spec);
     let mut canonicals = Vec::new();
     let mut cached_hit_rate = 0.0;
     for scheduling in [SchedulingMode::Dense, SchedulingMode::Sparse] {
         for plan_cache in [true, false] {
-            let mut cfg = config(&spec, plan_cache);
+            let mut cfg = config(&spec);
             cfg.scheduling = scheduling;
-            let report = FleetDriver::new(cfg).run(fleet.clone(), spec.ticks, 1);
+            let report = FleetDriver::new(cfg).run(build_fleet(&spec, plan_cache), spec.ticks, 1);
             if plan_cache && scheduling == SchedulingMode::Sparse {
                 cached_hit_rate = report.plan_cache_hit_rate();
                 // The driver bookkeeping surfaces on the ops dashboard.

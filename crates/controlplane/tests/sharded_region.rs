@@ -7,13 +7,12 @@
 //! region report must be byte-identical to the
 //! unsharded `FleetDriver` run over the same fleet: canonical string,
 //! canonical digest, merged metrics registry, and rendered dashboard.
-//! Flight cohorts and verdicts must likewise be invariant under
-//! resharding — a tenant's flight membership hashes its global index,
-//! never its shard.
+//! Flight cohorts must likewise be invariant under resharding — a
+//! tenant's flight membership hashes its global index, never its shard.
 
 use controlplane::{
-    FleetDriver, FleetDriverConfig, FlightConfig, FlightDriver, PlanePolicy, RegionConfig,
-    RegionCoordinator, RegionReport, SchedulingMode, ShardAssignment, ShardConcurrency, StateStore,
+    FleetDriver, FleetDriverConfig, FlightConfig, PlanePolicy, RegionConfig, RegionCoordinator,
+    RegionReport, SchedulingMode, ShardAssignment, ShardConcurrency,
 };
 use proptest::prelude::*;
 use sqlmini::clock::Duration;
@@ -26,6 +25,8 @@ use workload::fleet::{FleetSpec, Tenant, TenantConfig};
 struct TestSpec {
     n: usize,
     seed: u64,
+    /// Each tenant engine's plan cache; off is the recompile oracle.
+    plan_cache: bool,
 }
 
 impl FleetSpec for TestSpec {
@@ -44,11 +45,12 @@ impl FleetSpec for TestSpec {
         cfg.schema.min_rows = 500;
         cfg.schema.max_rows = 1_500;
         cfg.workload.base_rate_per_hour = 60.0;
+        cfg.db.plan_cache = self.plan_cache;
         workload::fleet::generate_tenant(&cfg)
     }
 }
 
-fn driver_config(scheduling: SchedulingMode, plan_cache: bool) -> FleetDriverConfig {
+fn driver_config(scheduling: SchedulingMode) -> FleetDriverConfig {
     FleetDriverConfig {
         policy: PlanePolicy {
             analysis_interval: Duration::from_hours(2),
@@ -58,7 +60,6 @@ fn driver_config(scheduling: SchedulingMode, plan_cache: bool) -> FleetDriverCon
         fault_seed: Some(99),
         fault_transient_prob: 0.05,
         scheduling,
-        plan_cache,
         ..FleetDriverConfig::default()
     }
 }
@@ -74,15 +75,19 @@ struct Shape {
     plan_cache: bool,
 }
 
-fn region_run(spec: &dyn FleetSpec, ticks: u32, shape: Shape) -> RegionReport {
+fn region_run(spec: &TestSpec, ticks: u32, shape: Shape) -> RegionReport {
+    let spec = TestSpec {
+        plan_cache: shape.plan_cache,
+        ..spec.clone()
+    };
     RegionCoordinator::new(RegionConfig {
-        driver: driver_config(shape.scheduling, shape.plan_cache),
+        driver: driver_config(shape.scheduling),
         shards: shape.shards,
         threads_per_shard: shape.threads_per_shard,
         shard_concurrency: shape.concurrency,
         ..RegionConfig::default()
     })
-    .run(spec, ticks)
+    .run(&spec, ticks)
 }
 
 // ---------------------------------------------------------------------
@@ -94,13 +99,14 @@ fn region_run(spec: &dyn FleetSpec, ticks: u32, shape: Shape) -> RegionReport {
 /// for byte.
 #[test]
 fn region_matrix_matches_unsharded_oracle() {
-    let spec = TestSpec { n: 12, seed: 42 };
+    let spec = TestSpec {
+        n: 12,
+        seed: 42,
+        plan_cache: true,
+    };
     let ticks = 4;
-    let oracle = FleetDriver::new(driver_config(SchedulingMode::Sparse, true)).run(
-        spec.materialize(),
-        ticks,
-        1,
-    );
+    let oracle =
+        FleetDriver::new(driver_config(SchedulingMode::Sparse)).run(spec.materialize(), ticks, 1);
     let canon = oracle.canonical_string();
     let digest = oracle.canonical_digest();
     let dash = oracle.dashboard().render();
@@ -147,7 +153,11 @@ fn region_matrix_matches_unsharded_oracle() {
 /// `shards * threads_per_shard`.
 #[test]
 fn lazy_hydration_residency_is_bounded_by_workers() {
-    let spec = TestSpec { n: 48, seed: 7 };
+    let spec = TestSpec {
+        n: 48,
+        seed: 7,
+        plan_cache: true,
+    };
     let seq = region_run(
         &spec,
         2,
@@ -184,35 +194,20 @@ fn lazy_hydration_residency_is_bounded_by_workers() {
 }
 
 // ---------------------------------------------------------------------
-// Flight cohorts and verdicts under resharding.
+// Flight cohorts under resharding.
 // ---------------------------------------------------------------------
-
-fn flight_config(seed: u64, fraction: f64) -> FlightConfig {
-    FlightConfig {
-        id: format!("shard-flt-{seed:04x}"),
-        seed,
-        cohort_fraction: fraction,
-        control: PlanePolicy {
-            analysis_interval: Duration::from_hours(100_000),
-            ..PlanePolicy::default()
-        },
-        candidate: PlanePolicy {
-            analysis_interval: Duration::from_hours(2),
-            validation_min_wait: Duration::from_hours(1),
-            ..PlanePolicy::default()
-        },
-        baseline_ticks: 2,
-        measure_ticks: 5,
-        ..FlightConfig::default()
-    }
-}
 
 /// Cohort sampling hashes the global tenant index: the union of
 /// per-shard cohort filters over any partition equals the unsharded
 /// cohort, so resharding can never move a tenant in or out of a flight.
 #[test]
 fn flight_cohort_is_stable_under_resharding() {
-    let cfg = flight_config(42, 0.5);
+    let cfg = FlightConfig {
+        id: "shard-flt-002a".to_string(),
+        seed: 42,
+        cohort_fraction: 0.5,
+        ..FlightConfig::default()
+    };
     let fleet_size = 500;
     let unsharded = cfg.cohort(fleet_size);
     assert!(!unsharded.is_empty() && unsharded.len() < fleet_size);
@@ -228,32 +223,6 @@ fn flight_cohort_is_stable_under_resharding() {
             union, unsharded,
             "cohort must be identical for {shards} shards vs unsharded"
         );
-    }
-}
-
-/// The sharded flight runner — per-shard verdict computation merged in
-/// global cohort order — produces a byte-identical report and journal
-/// outcome to the unsharded flight, for any shard count.
-#[test]
-fn sharded_flight_matches_unsharded() {
-    let spec = TestSpec { n: 8, seed: 42 };
-    let cfg = flight_config(42, 1.0);
-    let fleet = spec.materialize();
-    let oracle = FlightDriver::new(cfg.clone()).run(&fleet, 1);
-
-    for shards in [1usize, 4, 16] {
-        for threads in [1usize, 2] {
-            let assignment = ShardAssignment::new(shards);
-            let mut store = StateStore::new();
-            let report =
-                FlightDriver::new(cfg.clone()).run_sharded(&spec, &assignment, &mut store, threads);
-            assert_eq!(
-                report.canonical_string(),
-                oracle.canonical_string(),
-                "flight verdict drifted at {shards} shards, {threads} threads"
-            );
-            assert_eq!(report.decision, oracle.decision);
-        }
     }
 }
 
@@ -274,8 +243,8 @@ proptest! {
         ticks in 1u32..=4,
         threads in 1usize..=3,
     ) {
-        let spec = TestSpec { n, seed: seed as u64 };
-        let oracle = FleetDriver::new(driver_config(SchedulingMode::Sparse, true))
+        let spec = TestSpec { n, seed: seed as u64, plan_cache: true };
+        let oracle = FleetDriver::new(driver_config(SchedulingMode::Sparse))
             .run(spec.materialize(), ticks, 1);
         let region = region_run(
             &spec,

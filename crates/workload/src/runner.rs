@@ -3,7 +3,7 @@
 //! be replayed against a B-instance (the TDS-fork analogue, §7.1).
 
 use crate::gen::ZipfCache;
-use crate::model::{TemplateKind, WorkloadModel};
+use crate::model::WorkloadModel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlmini::clock::{Duration, Timestamp};
@@ -18,8 +18,6 @@ pub struct RunSummary {
     pub statements: u64,
     pub errors: u64,
     pub rows_returned: u64,
-    pub total_cpu_us: f64,
-    pub by_kind: BTreeMap<TemplateKind, u64>,
 }
 
 impl RunSummary {
@@ -27,10 +25,6 @@ impl RunSummary {
         self.statements += other.statements;
         self.errors += other.errors;
         self.rows_returned += other.rows_returned;
-        self.total_cpu_us += other.total_cpu_us;
-        for (k, v) in &other.by_kind {
-            *self.by_kind.entry(*k).or_default() += v;
-        }
     }
 }
 
@@ -183,8 +177,6 @@ impl WorkloadRunner {
             Ok(out) => {
                 summary.statements += 1;
                 summary.rows_returned += out.metrics.rows_returned;
-                summary.total_cpu_us += out.metrics.cpu_us;
-                *summary.by_kind.entry(spec.kind).or_default() += 1;
             }
             Err(_) => {
                 summary.errors += 1;
@@ -263,6 +255,7 @@ mod tests {
     use super::*;
     use crate::fleet::{generate_tenant, TenantConfig};
     use sqlmini::engine::ServiceTier;
+    use sqlmini::query::Statement;
 
     fn small_tenant(seed: u64) -> crate::fleet::Tenant {
         let mut cfg = TenantConfig::new("t", seed, ServiceTier::Standard);
@@ -351,22 +344,33 @@ mod tests {
 
     #[test]
     fn fresh_pk_counters_never_collide() {
+        // Every INSERT and bulk load takes its key from the table's
+        // fresh-pk counter. Over two runs no key is drawn twice, and none
+        // reuses a key the generator loaded (0..rows).
         let mut t = small_tenant(5);
-        t.runner.run(&mut t.db, &t.model, Duration::from_hours(2));
-        // No INSERT can fail on duplicate pk in this engine (no constraint),
-        // but counters must be strictly increasing: run again and ensure
-        // table growth equals insert count.
-        let table = t.table_ids[0];
-        let before_rows = t.db.table_rows(table);
-        let summary = t.runner.run(&mut t.db, &t.model, Duration::from_hours(2));
-        let inserted: u64 = summary
-            .by_kind
+        let loaded: BTreeMap<TableId, i64> = t
+            .table_ids
             .iter()
-            .filter(|(k, _)| **k == TemplateKind::InsertRow || **k == TemplateKind::BulkLoad)
-            .map(|(_, v)| *v)
-            .sum();
-        let _ = (before_rows, inserted);
-        // Sanity: runner kept counters monotone (no panic, deterministic).
-        assert!(summary.statements > 0);
+            .map(|&table| (table, t.db.table_rows(table) as i64))
+            .collect();
+        let mut drawn = std::collections::BTreeSet::new();
+        for _ in 0..2 {
+            let (_, trace) = t
+                .runner
+                .run_traced(&mut t.db, &t.model, Duration::from_hours(2));
+            for e in &trace.events {
+                let (Statement::Insert { table, .. } | Statement::BulkInsert { table, .. }) =
+                    t.model.templates[e.template_index].template.statement
+                else {
+                    continue;
+                };
+                let Value::Int(pk) = e.params[0] else {
+                    panic!("fresh pk is an integer: {:?}", e.params[0]);
+                };
+                assert!(pk >= loaded[&table], "{table:?}: fresh pk {pk} was loaded");
+                assert!(drawn.insert((table, pk)), "{table:?}: pk {pk} drawn twice");
+            }
+        }
+        assert!(drawn.len() > 1, "the runs drew {} fresh keys", drawn.len());
     }
 }

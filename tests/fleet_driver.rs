@@ -237,7 +237,6 @@ fn million_tenant_region_runs_at_peak_residency_one() {
         threads_per_shard: 1,
         shard_concurrency: ShardConcurrency::Sequential,
         retain_outcomes: false,
-        event_retention: 1000,
         ..RegionConfig::default()
     })
     .run(&spec, 1);

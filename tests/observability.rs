@@ -98,7 +98,7 @@ proptest! {
 // Fleet-level determinism of the dashboard
 // ---------------------------------------------------------------------
 
-fn observability_driver(fault_seed: u64, trace: bool) -> FleetDriver {
+fn observability_driver(fault_seed: u64) -> FleetDriver {
     FleetDriver::new(FleetDriverConfig {
         policy: PlanePolicy {
             analysis_interval: Duration::from_hours(2),
@@ -109,7 +109,6 @@ fn observability_driver(fault_seed: u64, trace: bool) -> FleetDriver {
         fault_transient_prob: 0.1,
         fault_fatal_prob: 0.01,
         auto_fraction: Some(0.5),
-        trace,
         ..FleetDriverConfig::default()
     })
 }
@@ -140,7 +139,7 @@ proptest! {
         threads in 2usize..=4,
         seed in any::<u16>(),
     ) {
-        let driver = observability_driver(seed as u64 ^ 0x0B5E7, false);
+        let driver = observability_driver(seed as u64 ^ 0x0B5E7);
         let serial = driver.run(basic_fleet(n_tenants, seed as u64), ticks, 1);
         let parallel = driver.run(basic_fleet(n_tenants, seed as u64), ticks, threads);
         prop_assert_eq!(serial.metrics.clone(), parallel.metrics.clone());
@@ -151,19 +150,61 @@ proptest! {
 
 #[test]
 fn tracing_does_not_perturb_fleet_state() {
-    // Same fleet, tracing off vs on: canonical state, metrics, and the
-    // rendered dashboard must not move by a byte.
-    let plain = observability_driver(0xFEED, false).run(basic_fleet(4, 99), 4, 2);
-    let traced = observability_driver(0xFEED, true).run(basic_fleet(4, 99), 4, 2);
-    assert_eq!(plain.canonical_string(), traced.canonical_string());
-    assert_eq!(plain.metrics, traced.metrics);
-    assert_eq!(plain.dashboard().render(), traced.dashboard().render());
+    // Every tenant of a fleet under its own faulted control plane,
+    // tracing off vs on: the journal, the telemetry counters, the
+    // metrics and the final indexes must not move by a byte, while the
+    // traced planes really record a span per pass.
+    use controlplane::plane::{ControlPlane, ManagedDb};
+    use controlplane::{counters_line, DbSettings, FaultInjector, ServerSettings};
+    let drive = |tenant: workload::fleet::Tenant, traced: bool| {
+        let workload::fleet::Tenant {
+            mut db,
+            model,
+            mut runner,
+            ..
+        } = tenant;
+        db.detach_clock();
+        let mut mdb = ManagedDb::new(db, DbSettings::all_on(), ServerSettings::default());
+        let mut plane = ControlPlane::new(PlanePolicy {
+            analysis_interval: Duration::from_hours(2),
+            validation_min_wait: Duration::from_hours(1),
+            ..PlanePolicy::default()
+        })
+        .with_faults(FaultInjector::uniform(0xFEED, 0.1, 0.01));
+        if traced {
+            plane = plane.with_tracing();
+        }
+        for _ in 0..6 {
+            let hour = Duration::from_hours(1);
+            runner.run_slice_into(&mut mdb.db, &model, hour, &mut Default::default());
+            plane.tick(&mut mdb);
+        }
+        let indexes: Vec<String> = mdb
+            .db
+            .catalog()
+            .indexes()
+            .map(|(_, d)| d.name.clone())
+            .collect();
+        let state = (
+            plane.store.journal_lines().to_vec(),
+            counters_line(&plane.telemetry),
+            plane.metrics,
+            indexes,
+        );
+        (state, plane.tracer.roots().len())
+    };
+    for (a, b) in basic_fleet(4, 99).into_iter().zip(basic_fleet(4, 99)) {
+        let (plain, no_spans) = drive(a, false);
+        let (traced, spans) = drive(b, true);
+        assert_eq!(plain, traced);
+        assert_eq!((no_spans, spans), (0, 6), "one root span per traced pass");
+    }
 }
 
 #[test]
 fn dashboard_foots_with_telemetry() {
     use controlplane::EventKind;
-    let report = observability_driver(0xACE, false).run(basic_fleet(5, 7), 5, 3);
+    let report = observability_driver(0xACE).run(basic_fleet(5, 7), 5, 3);
     let dash = report.dashboard();
     assert_eq!(dash.databases, 5);
     // The identities between records that stay independent: the
@@ -447,10 +488,10 @@ mod single_source_pin {
             quarantine_threshold: 2,
             quarantine_cooldown: 2,
             scripts: vec![
-                script(0, FaultPoint::JournalTear, 1, Some(5)),
-                script(0, FaultPoint::JournalTear, 1, Some(6)),
-                script(1, FaultPoint::CheckpointTear, 2, None),
-                script(2, FaultPoint::TenantPanic, 1, Some(9)),
+                script(0, FaultPoint::JournalTear, 1, 5),
+                script(0, FaultPoint::JournalTear, 1, 6),
+                script(1, FaultPoint::CheckpointTear, 2, 0),
+                script(2, FaultPoint::TenantPanic, 1, 9),
             ],
             ..FleetDriverConfig::default()
         })
