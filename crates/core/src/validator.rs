@@ -147,16 +147,22 @@ pub fn validate(
     let total_before_cpu = qs.total_resources(Metric::CpuTime, before.0, before.1);
     let mut statements = Vec::new();
     let mut inspected = 0usize;
+    let plan_refs_index =
+        |p: &sqlmini::plan::PlanId| qs.plan_index_refs(*p).iter().any(|n| n == index_name);
 
     for (qid, _info) in qs.known_queries() {
         inspected += 1;
+        // Both gating rules below need a plan of this query that
+        // references the index; a query none of whose plans ever did
+        // cannot qualify, so neither window is read for it.
+        if !qs.plan_history(qid).iter().any(plan_refs_index) {
+            continue;
+        }
         let before_plans = qs.plans_in_window(qid, before.0, before.1);
         let after_plans = qs.plans_in_window(qid, after.0, after.1);
         if before_plans.is_empty() || after_plans.is_empty() {
             continue;
         }
-        let plan_refs_index =
-            |p: &sqlmini::plan::PlanId| qs.plan_index_refs(*p).iter().any(|n| n == index_name);
 
         // Plan-change gating (§6 rule 2).
         let qualifies = match kind {
@@ -583,5 +589,226 @@ mod tests {
             Verdict::Improved => 0,
         };
         assert!(strictness(per_stmt.verdict) >= strictness(agg.verdict));
+    }
+
+    /// The loop `validate` ran before it learned to skip a query none of
+    /// whose plans references the index: every known query's windows are
+    /// read, and the gating rules alone turn it away. The reference for
+    /// `gate_skips_nothing_that_could_qualify`.
+    fn validate_ungated(
+        db: &Database,
+        index_name: &str,
+        kind: ChangeKind,
+        before: (Timestamp, Timestamp),
+        after: (Timestamp, Timestamp),
+        cfg: &ValidatorConfig,
+    ) -> ValidationOutcome {
+        let qs = db.query_store();
+        let before = (qs.align_up(before.0), qs.align_down(before.1));
+        let after = (qs.align_up(after.0), after.1.max(qs.align_up(after.0)));
+        let total_before_cpu = qs.total_resources(Metric::CpuTime, before.0, before.1);
+        let mut statements = Vec::new();
+        let mut inspected = 0usize;
+        for (qid, _info) in qs.known_queries() {
+            inspected += 1;
+            let before_plans = qs.plans_in_window(qid, before.0, before.1);
+            let after_plans = qs.plans_in_window(qid, after.0, after.1);
+            if before_plans.is_empty() || after_plans.is_empty() {
+                continue;
+            }
+            let plan_refs_index =
+                |p: &sqlmini::plan::PlanId| qs.plan_index_refs(*p).iter().any(|n| n == index_name);
+            let qualifies = match kind {
+                ChangeKind::Created => {
+                    after_plans.iter().any(|(p, _)| plan_refs_index(p))
+                        && !before_plans.iter().any(|(p, _)| plan_refs_index(p))
+                }
+                ChangeKind::Dropped => {
+                    before_plans.iter().any(|(p, _)| plan_refs_index(p))
+                        && !after_plans.iter().any(|(p, _)| plan_refs_index(p))
+                }
+            };
+            if !qualifies {
+                continue;
+            }
+            let mut before_agg = ExecAgg::default();
+            for (_, a) in &before_plans {
+                before_agg.merge(a);
+            }
+            let mut after_agg = ExecAgg::default();
+            for (p, a) in &after_plans {
+                if kind == ChangeKind::Dropped || plan_refs_index(p) {
+                    after_agg.merge(a);
+                }
+            }
+            let cpu_before = sample_of(&before_agg, Metric::CpuTime);
+            let cpu_after = sample_of(&after_agg, Metric::CpuTime);
+            if cpu_before.count < cfg.min_executions || cpu_after.count < cfg.min_executions {
+                continue;
+            }
+            let reads_before = sample_of(&before_agg, Metric::LogicalReads);
+            let reads_after = sample_of(&after_agg, Metric::LogicalReads);
+            let cpu_test = welch_t_test(&cpu_before, &cpu_after);
+            let reads_test = welch_t_test(&reads_before, &reads_after);
+            let change = |b: f64, a: f64| if b > 0.0 { (a - b) / b } else { 0.0 };
+            let cpu_change = change(cpu_before.mean, cpu_after.mean);
+            let reads_change = change(reads_before.mean, reads_after.mean);
+            let resource_frac = if total_before_cpu > 0.0 {
+                before_agg.cpu.sum / total_before_cpu
+            } else {
+                0.0
+            };
+            let sig_worse = |t: &Option<WelchResult>, change: f64| {
+                t.as_ref()
+                    .is_some_and(|r| r.p_b_greater < cfg.alpha && change > cfg.regression_threshold)
+            };
+            let sig_better = |t: &Option<WelchResult>, change: f64| {
+                t.as_ref().is_some_and(|r| {
+                    (1.0 - r.p_b_greater) < cfg.alpha && change < -cfg.improvement_threshold
+                })
+            };
+            statements.push(StatementValidation {
+                query_id: qid,
+                cpu_before,
+                cpu_after,
+                cpu_test,
+                reads_before,
+                reads_after,
+                reads_test,
+                cpu_change,
+                resource_frac,
+                significant_regression: sig_worse(&cpu_test, cpu_change)
+                    || sig_worse(&reads_test, reads_change),
+                significant_improvement: sig_better(&cpu_test, cpu_change)
+                    || sig_better(&reads_test, reads_change),
+            });
+        }
+        let (mut agg_before, mut agg_after) = (0.0f64, 0.0f64);
+        for s in &statements {
+            let w = s.cpu_before.count as f64;
+            agg_before += w * s.cpu_before.mean;
+            agg_after += w * s.cpu_after.mean;
+        }
+        let aggregate_cpu_change = if agg_before > 0.0 {
+            (agg_after - agg_before) / agg_before
+        } else {
+            0.0
+        };
+        let verdict = if statements.is_empty() {
+            Verdict::NoData
+        } else {
+            match cfg.policy {
+                RevertPolicy::PerStatement => {
+                    if statements.iter().any(|s| {
+                        s.significant_regression && s.resource_frac >= cfg.min_resource_frac
+                    }) {
+                        Verdict::Regressed
+                    } else if statements.iter().any(|s| s.significant_improvement) {
+                        Verdict::Improved
+                    } else {
+                        Verdict::Inconclusive
+                    }
+                }
+                RevertPolicy::Aggregate => {
+                    if aggregate_cpu_change > cfg.regression_threshold
+                        && statements.iter().any(|s| s.significant_regression)
+                    {
+                        Verdict::Regressed
+                    } else if aggregate_cpu_change < -cfg.improvement_threshold
+                        && statements.iter().any(|s| s.significant_improvement)
+                    {
+                        Verdict::Improved
+                    } else {
+                        Verdict::Inconclusive
+                    }
+                }
+            }
+        };
+        ValidationOutcome {
+            verdict,
+            statements,
+            aggregate_cpu_change,
+            inspected,
+        }
+    }
+
+    /// The gate is exact: over a store of many queries whose plans never
+    /// touch the validated index (they seek another one) and one that
+    /// qualifies, `validate` gives what the ungated loop gives — verdict,
+    /// every statement, the aggregate change to the bit, and the count of
+    /// queries inspected — after a create and after a drop, under both
+    /// revert policies.
+    #[test]
+    fn gate_skips_nothing_that_could_qualify() {
+        let (mut db, t) = orders_db();
+        db.create_index(IndexDef::new("ix_id", t, vec![ColumnId(0)], vec![]))
+            .unwrap();
+        let unrelated: Vec<QueryTemplate> = (1..=12)
+            .map(|limit| {
+                let mut q = SelectQuery::new(t);
+                q.predicates = vec![Predicate::param(ColumnId(0), CmpOp::Eq, 0)];
+                q.projection = vec![ColumnId(1 + limit % 2)];
+                q.limit = Some(limit as usize);
+                QueryTemplate::new(Statement::Select(q), 1)
+            })
+            .collect();
+        let qualifying = select_tpl(t);
+        let run = |db: &mut Database, n: usize| {
+            let start = db.clock().now();
+            for i in 0..n {
+                db.execute(&qualifying, &[Value::Int((i % 300) as i64)])
+                    .unwrap();
+                for tpl in &unrelated {
+                    db.execute(tpl, &[Value::Int((i * 37 % 10_000) as i64)])
+                        .unwrap();
+                }
+                db.clock().advance(Duration::from_mins(2));
+            }
+            (start, db.clock().now())
+        };
+        let def = IndexDef::new(
+            "auto_ix",
+            t,
+            vec![ColumnId(1)],
+            vec![ColumnId(0), ColumnId(2)],
+        );
+        // Three hours a phase, so each window keeps two whole intervals
+        // once aligned.
+        let first = run(&mut db, 90);
+        let (id, _) = db.create_index(def).unwrap();
+        let second = run(&mut db, 90);
+        db.drop_index(id).unwrap();
+        let third = run(&mut db, 90);
+
+        for (kind, before, after) in [
+            (ChangeKind::Created, first, second),
+            (ChangeKind::Dropped, second, third),
+        ] {
+            for policy in [RevertPolicy::PerStatement, RevertPolicy::Aggregate] {
+                let cfg = ValidatorConfig {
+                    policy,
+                    ..ValidatorConfig::default()
+                };
+                let gated = validate(&db, "auto_ix", kind, before, after, &cfg);
+                let ungated = validate_ungated(&db, "auto_ix", kind, before, after, &cfg);
+                assert_eq!(gated.verdict, ungated.verdict, "{kind:?} {policy:?}");
+                assert_ne!(
+                    gated.verdict,
+                    Verdict::NoData,
+                    "{kind:?}: one query qualifies"
+                );
+                assert_eq!(gated.statements.len(), 1);
+                assert_eq!(
+                    format!("{:?}", gated.statements),
+                    format!("{:?}", ungated.statements)
+                );
+                assert_eq!(
+                    gated.aggregate_cpu_change.to_bits(),
+                    ungated.aggregate_cpu_change.to_bits()
+                );
+                assert_eq!(gated.inspected, ungated.inspected);
+                assert_eq!(gated.inspected, 1 + unrelated.len());
+            }
+        }
     }
 }

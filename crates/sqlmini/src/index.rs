@@ -3,14 +3,15 @@
 //! An index entry's key is the composite of the index's key-column values
 //! plus the row id (making every entry unique even under duplicate key
 //! values, as SQL Server does with its row locator). The included-column
-//! values ride in the same allocation behind the key values, so covering
-//! scans never touch the heap and an entry costs one allocation.
+//! values ride behind the key values in the same leaf slot, so covering
+//! scans never touch the heap. A leaf keeps its entries flat — one run of
+//! values and one of row ids, [`BTree`]'s layout — so an entry costs no
+//! allocation of its own.
 
 use crate::btree::BTree;
 use crate::heap::{Heap, RowId, PAGE_SIZE};
 use crate::schema::{IndexDef, TableDef};
 use crate::types::{Row, Value};
-use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Leaf fill an index is built to, as a fraction of a page's entries: the
@@ -19,54 +20,6 @@ use std::ops::Bound;
 /// index has the size the what-if API promised and room for maintenance
 /// inserts before its first split.
 pub const BUILD_FILL: f64 = 0.69;
-
-/// One index entry: key-column values in index order, then included-column
-/// values in definition order, in one allocation; then the row id. Entries
-/// order (and compare equal) by key values then row id — the included
-/// values are cargo.
-#[derive(Debug, Clone)]
-struct IndexKey {
-    vals: Box<[Value]>,
-    /// How many of `vals` are key values.
-    key_len: u32,
-    rid: RowId,
-}
-
-impl IndexKey {
-    /// A key-only entry, as a seek bound or a removal probe.
-    fn probe(key_vals: Vec<Value>, rid: RowId) -> IndexKey {
-        IndexKey {
-            key_len: key_vals.len() as u32,
-            vals: key_vals.into(),
-            rid,
-        }
-    }
-
-    /// `(key values, included values)`.
-    fn split(&self) -> (&[Value], &[Value]) {
-        self.vals.split_at(self.key_len as usize)
-    }
-}
-
-impl Ord for IndexKey {
-    fn cmp(&self, other: &IndexKey) -> Ordering {
-        (self.split().0.cmp(other.split().0)).then(self.rid.cmp(&other.rid))
-    }
-}
-
-impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &IndexKey) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl PartialEq for IndexKey {
-    fn eq(&self, other: &IndexKey) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-
-impl Eq for IndexKey {}
 
 /// One qualifying index entry returned by a seek or scan.
 #[derive(Debug, Clone)]
@@ -90,7 +43,10 @@ pub enum ColBound {
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     pub def: IndexDef,
-    tree: BTree<IndexKey, ()>,
+    /// Entries of the leaf columns' values (key columns in index order,
+    /// then included columns in definition order), ordered by the key
+    /// values then the row id.
+    tree: BTree,
     /// Bytes per entry, fixing page geometry.
     entry_width: u64,
 }
@@ -106,9 +62,11 @@ impl SecondaryIndex {
     /// Create an empty index with page geometry derived from the schema.
     pub fn new(def: IndexDef, table: &TableDef) -> SecondaryIndex {
         let entry_width = entry_width(&def, table);
+        let fanout = entries_per_page(entry_width) as usize;
+        let tree = BTree::new(fanout, def.leaf_columns().count(), def.key_columns.len());
         SecondaryIndex {
             def,
-            tree: BTree::new(entries_per_page(entry_width) as usize),
+            tree,
             entry_width,
         }
     }
@@ -118,16 +76,30 @@ impl SecondaryIndex {
     /// (no root-to-leaf insert per row). Returns the number of heap pages
     /// scanned (the IO cost of the build's scan phase).
     pub fn build(&mut self, heap: &Heap) -> u64 {
-        let mut entries = Vec::with_capacity(heap.len());
-        entries.extend(
-            heap.scan_quiet()
-                .map(|(rid, row)| (self.entry_for(rid, row), ())),
-        );
+        let (w, k) = (self.tree.width(), self.tree.key_len());
+        let columns: Vec<usize> = self.def.leaf_columns().map(|c| c.0 as usize).collect();
+        // The sort reads the key values alone, gathered flat and dropped
+        // once sorted; the leaves then take every value from the heap, so
+        // the build never holds a second copy of the index.
+        let mut keys = Vec::with_capacity(heap.len() * k);
+        let mut rids = Vec::with_capacity(heap.len());
+        for (rid, row) in heap.scan_quiet() {
+            keys.extend(columns[..k].iter().map(|&c| row[c].clone()));
+            rids.push(rid);
+        }
         // The heap hands rows over in row-id order, so a stable sort on
         // the key values alone leaves equal keys in row-id order: the
         // entries' own order, without comparing a row id.
-        entries.sort_by(|(a, ()), (b, ())| a.split().0.cmp(b.split().0));
-        self.tree = BTree::from_sorted(self.tree.fanout(), BUILD_FILL, entries);
+        let order = build_order(&keys, rids.len(), k);
+        drop(keys);
+        let (columns, rids) = (&columns[..], &rids[..]);
+        let entries = order.iter().map(|&i| {
+            let rid = rids[i as usize];
+            let row = heap.peek(rid).expect("a scanned row is live");
+            (columns.iter().map(move |&c| row[c].clone()), rid)
+        });
+        let fanout = self.tree.fanout();
+        self.tree = BTree::from_sorted(fanout, BUILD_FILL, w, k, entries);
         heap.page_count()
     }
 
@@ -163,21 +135,17 @@ impl SecondaryIndex {
         self.tree.height()
     }
 
-    /// The entry `row` has in this index.
-    fn entry_for(&self, rid: RowId, row: &Row) -> IndexKey {
+    /// The values of the entry `row` has in this index.
+    fn entry_for(&self, row: &Row) -> Vec<Value> {
         let leaf = self.def.leaf_columns();
-        IndexKey {
-            vals: leaf.map(|c| row[c.0 as usize].clone()).collect(),
-            key_len: self.def.key_columns.len() as u32,
-            rid,
-        }
+        leaf.map(|c| row[c.0 as usize].clone()).collect()
     }
 
     /// Index maintenance: reflect a newly inserted heap row. Returns pages
     /// written (tree nodes touched).
     pub fn insert_row(&mut self, rid: RowId, row: &Row) -> u64 {
         let before = self.tree.write_visits();
-        self.tree.insert(self.entry_for(rid, row), ());
+        self.tree.insert(self.entry_for(row), rid);
         self.tree.write_visits() - before
     }
 
@@ -185,8 +153,8 @@ impl SecondaryIndex {
     pub fn delete_row(&mut self, rid: RowId, row: &Row) -> u64 {
         let before = self.tree.write_visits();
         let key_cols = self.def.key_columns.iter();
-        let key_vals = key_cols.map(|&c| row[c.0 as usize].clone()).collect();
-        self.tree.remove(&IndexKey::probe(key_vals, rid));
+        let key_vals: Vec<Value> = key_cols.map(|&c| row[c.0 as usize].clone()).collect();
+        self.tree.remove(&key_vals, rid);
         self.tree.write_visits() - before
     }
 
@@ -256,14 +224,11 @@ impl SecondaryIndex {
         let reads_before = self.tree.read_visits();
 
         // Lower composite bound.
-        let lo_key = {
-            let mut vals = eq_prefix.to_vec();
-            match &lo {
-                ColBound::Included(v) | ColBound::Excluded(v) => vals.push(v.clone()),
-                ColBound::Unbounded => {}
-            }
-            IndexKey::probe(vals, RowId(0))
-        };
+        let mut lo_key = eq_prefix.to_vec();
+        match &lo {
+            ColBound::Included(v) | ColBound::Excluded(v) => lo_key.push(v.clone()),
+            ColBound::Unbounded => {}
+        }
         let lo_excl_val = match &lo {
             ColBound::Excluded(v) => Some(v),
             _ => None,
@@ -272,8 +237,10 @@ impl SecondaryIndex {
         let prefix_len = eq_prefix.len();
         let range_idx = prefix_len; // position of the range column, if any
         let mut visited = 0u64;
-        for (entry, ()) in self.tree.range(Bound::Included(&lo_key), Bound::Unbounded) {
-            let key_vals = entry.split().0;
+        let key_len = self.def.key_columns.len();
+        let from = Bound::Included((&lo_key[..], RowId(0)));
+        for (entry, rid) in self.tree.range(from, Bound::Unbounded) {
+            let key_vals = &entry[..key_len];
             // Stop once the equality prefix no longer matches.
             if key_vals[..prefix_len] != eq_prefix[..] {
                 break;
@@ -297,7 +264,7 @@ impl SecondaryIndex {
                 ColBound::Unbounded => {}
             }
             visited += 1;
-            f(entry.rid, &entry.vals);
+            f(rid, entry);
         }
         // Convert node visits into page visits; at least the descent.
         let pages_visited = (self.tree.read_visits() - reads_before).max(self.tree.height() as u64);
@@ -331,6 +298,154 @@ fn entry_width(def: &IndexDef, table: &TableDef) -> u64 {
 /// Entries a page holds, which is also the tree's fanout.
 fn entries_per_page(entry_width: u64) -> u64 {
     (PAGE_SIZE / entry_width).clamp(8, 512)
+}
+
+/// The positions `0..n` of the `n` keys in `keys` (`k` values each, flat)
+/// in the order a stable sort on them puts them.
+///
+/// Comparing two keys means reaching into `keys` twice, a cache miss a
+/// comparison; so each key column is first sorted on a 64-bit image of
+/// its values, kept beside the position in the sort buffer, and only ties
+/// go further (see [`sort_run`]).
+fn build_order(keys: &[Value], n: usize, k: usize) -> Vec<u32> {
+    let mut order: Vec<(u64, u32)> = (0..n as u32).map(|i| (0, i)).collect();
+    sort_run(&mut order, keys, k, 0);
+    order.into_iter().map(|(_, i)| i).collect()
+}
+
+/// Sort `run` — entries equal on their key values before column `col`,
+/// in position order — by their key values from `col` on, then position.
+///
+/// Nulls order first and equal each other, so they move to the front in
+/// position order. The rest sort on their [`Image`] and position. A run of
+/// one image holds equal values where the image is exact, and goes on to
+/// the next column; elsewhere it is sorted by comparing the values. A
+/// column of mixed types (or with a NaN) has no image, and is compared.
+fn sort_run(run: &mut [(u64, u32)], keys: &[Value], k: usize, col: usize) {
+    if run.len() < 2 || col == k {
+        return;
+    }
+    let at = |i: u32| &keys[i as usize * k + col];
+    let rest_of_key = |i: u32| &keys[i as usize * k + col..(i as usize + 1) * k];
+    let compare =
+        |a: &(u64, u32), b: &(u64, u32)| rest_of_key(a.1).cmp(rest_of_key(b.1)).then(a.1.cmp(&b.1));
+    let nulls = run.iter().filter(|e| at(e.1).is_null()).count();
+    if nulls > 0 && nulls < run.len() {
+        let (null, other): (Vec<_>, Vec<_>) = run.iter().partition(|e| at(e.1).is_null());
+        run[..nulls].copy_from_slice(&null);
+        run[nulls..].copy_from_slice(&other);
+    }
+    let (null, rest) = run.split_at_mut(nulls);
+    sort_run(null, keys, k, col + 1);
+    let Some(image) = Image::of(rest.iter().map(|e| at(e.1))) else {
+        rest.sort_unstable_by(compare);
+        return;
+    };
+    for e in rest.iter_mut() {
+        e.0 = image.of_value(at(e.1));
+    }
+    rest.sort_unstable();
+    let mut start = 0;
+    while start < rest.len() {
+        let first = rest[start].0;
+        let len = rest[start..].iter().take_while(|e| e.0 == first).count();
+        let tie = &mut rest[start..start + len];
+        if image.exact {
+            sort_run(tie, keys, k, col + 1);
+        } else {
+            tie.sort_unstable_by(compare);
+        }
+        start += len;
+    }
+}
+
+/// An order-preserving 64-bit image of one column's non-null values: a
+/// smaller value never has a larger image, equal values have equal
+/// images, and where `exact`, equal images are equal values.
+struct Image {
+    kind: ImageKind,
+    exact: bool,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum ImageKind {
+    Bool,
+    Int,
+    /// Ints and floats together, as `Value` compares them: as `f64`.
+    Num,
+    Date,
+    /// The first eight bytes, zero-padded: exact when no string is longer
+    /// or holds a zero byte.
+    Str,
+}
+
+impl Image {
+    /// The image for a column holding `vals`, if one exists.
+    fn of<'a>(vals: impl Iterator<Item = &'a Value>) -> Option<Image> {
+        let mut kind: Option<ImageKind> = None;
+        let (mut long_str, mut big_int) = (false, false);
+        for v in vals {
+            let this = match v {
+                Value::Bool(_) => ImageKind::Bool,
+                Value::Int(i) => {
+                    // Beyond 2^53 an int has no f64 of its own.
+                    big_int |= i.unsigned_abs() > 1 << 53;
+                    ImageKind::Int
+                }
+                Value::Float(f) if f.is_nan() => return None,
+                Value::Float(_) => ImageKind::Num,
+                Value::Date(_) => ImageKind::Date,
+                Value::Str(s) => {
+                    long_str |= s.len() > 8 || s.bytes().any(|b| b == 0);
+                    ImageKind::Str
+                }
+                Value::Null => return None,
+            };
+            kind = Some(match (kind, this) {
+                (None, this) => this,
+                (Some(a), b) if a == b => a,
+                (Some(ImageKind::Int | ImageKind::Num), ImageKind::Int | ImageKind::Num) => {
+                    ImageKind::Num
+                }
+                _ => return None,
+            });
+        }
+        let kind = kind?;
+        let exact = match kind {
+            ImageKind::Num => !big_int,
+            ImageKind::Str => !long_str,
+            ImageKind::Bool | ImageKind::Int | ImageKind::Date => true,
+        };
+        Some(Image { kind, exact })
+    }
+
+    fn of_value(&self, v: &Value) -> u64 {
+        const SIGN: u64 = 1 << 63;
+        match (self.kind, v) {
+            (ImageKind::Num, Value::Int(i)) => float_image(*i as f64),
+            (ImageKind::Num, Value::Float(f)) => float_image(*f),
+            (_, Value::Int(i)) => *i as u64 ^ SIGN,
+            (_, Value::Bool(b)) => u64::from(*b),
+            (_, Value::Date(d)) => i64::from(*d) as u64 ^ SIGN,
+            (_, Value::Str(s)) => {
+                let mut head = [0u8; 8];
+                let n = s.len().min(8);
+                head[..n].copy_from_slice(&s.as_bytes()[..n]);
+                u64::from_be_bytes(head)
+            }
+            (_, Value::Float(_) | Value::Null) => unreachable!("no image for {v:?}"),
+        }
+    }
+}
+
+/// `f64` (not NaN) to a `u64` of the same order; `-0.0` equals `0.0`.
+fn float_image(f: f64) -> u64 {
+    let bits = if f == 0.0 { 0 } else { f.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 #[cfg(test)]
@@ -548,9 +663,228 @@ mod tests {
         }
     }
 
+    /// A leaf slot is its values and its row id, in the leaf's own two
+    /// runs: `24 × width + 8` bytes of the page allocation, nothing else.
     #[test]
-    fn an_entry_is_one_allocation_of_32_bytes() {
-        assert_eq!(std::mem::size_of::<(IndexKey, ())>(), 32);
+    fn a_leaf_slot_is_its_values_and_a_row_id() {
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<RowId>(), 8);
+    }
+
+    /// A column per value pool, each drawn at random for 2,000 rows.
+    fn pools() -> Vec<Vec<Value>> {
+        let s = |t: &str| Value::Str(t.into());
+        vec![
+            // 0: ints and floats that compare equal (3 and 3.0, -0.0 and
+            // 0.0 and 0), and ints past 2^53 whose f64s collide.
+            vec![
+                Value::Null,
+                Value::Int(3),
+                Value::Float(3.0),
+                Value::Float(-0.0),
+                Value::Float(0.0),
+                Value::Int(0),
+                Value::Int(-5),
+                Value::Float(2.5),
+                Value::Float(-1e300),
+                Value::Int(1 << 53),
+                Value::Int((1 << 53) + 1),
+            ],
+            // 1: strings sharing an 8-byte prefix, 8 bytes and longer,
+            // empty, and with a zero byte.
+            vec![
+                Value::Null,
+                s(""),
+                s("a"),
+                s("a\0"),
+                s("prefix_"),
+                s("prefix__"),
+                s("prefix__a"),
+                s("prefix__b"),
+                s("zzzzzzzzzzzz"),
+                s("cat_1"),
+                s("cat_12"),
+            ],
+            // 2: dates.
+            vec![
+                Value::Null,
+                Value::Date(-3),
+                Value::Date(0),
+                Value::Date(19_000),
+            ],
+            // 3: booleans.
+            vec![Value::Bool(true), Value::Bool(false), Value::Null],
+            // 4: ints at the ends of their range.
+            vec![
+                Value::Int(i64::MIN),
+                Value::Int(-1),
+                Value::Int(0),
+                Value::Int(1),
+                Value::Int(i64::MAX),
+            ],
+            // 5: every type in one column.
+            vec![
+                Value::Int(1),
+                s("x"),
+                Value::Bool(true),
+                Value::Date(1),
+                Value::Float(0.5),
+                Value::Null,
+            ],
+            // 6: short strings only, no nulls.
+            vec![s("open"), s("done"), s("held"), s("")],
+        ]
+    }
+
+    /// The build puts entries in exactly the order of a stable sort on
+    /// their key values (the heap hands rows over in row-id order, so
+    /// that is key values, then row id), whatever the key's types and
+    /// however many columns it has.
+    #[test]
+    fn build_order_is_a_stable_sort_on_the_key_values() {
+        let pools = pools();
+        let columns = (0..pools.len())
+            .map(|i| ColumnDef::new(format!("c{i}"), ValueType::Str))
+            .collect();
+        let table = TableDef::new("mixed", columns);
+        let mut heap = Heap::new(table.avg_row_width());
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        for _ in 0..2_000 {
+            let row = pools
+                .iter()
+                .map(|pool| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    pool[(x >> 32) as usize % pool.len()].clone()
+                })
+                .collect();
+            heap.insert(row);
+        }
+        let keys: [&[u32]; 15] = [
+            &[0],
+            &[1],
+            &[2],
+            &[3],
+            &[4],
+            &[5],
+            &[6],
+            &[0, 1],
+            &[1, 0],
+            &[6, 4],
+            &[3, 2],
+            &[5, 0],
+            &[3, 6, 1],
+            &[2, 5, 0],
+            &[6, 3, 4],
+        ];
+        for key in keys {
+            let key_columns: Vec<ColumnId> = key.iter().map(|&c| ColumnId(c)).collect();
+            let def = IndexDef::new("ix", TableId(0), key_columns.clone(), vec![ColumnId(6)]);
+            let mut ix = SecondaryIndex::new(def, &table);
+            ix.build(&heap);
+            ix.check_invariants()
+                .unwrap_or_else(|e| panic!("key {key:?}: {e}"));
+            let mut want: Vec<(Vec<Value>, RowId)> = heap
+                .scan_quiet()
+                .map(|(rid, row)| (key.iter().map(|&c| row[c as usize].clone()).collect(), rid))
+                .collect();
+            want.sort_by(|a, b| a.0.cmp(&b.0));
+            // `Debug` tells apart what `==` does not: Int(3) and
+            // Float(3.0), -0.0 and 0.0.
+            let want: Vec<String> = want.iter().map(|e| format!("{e:?}")).collect();
+            let got: Vec<String> = ix
+                .scan_all()
+                .entries
+                .into_iter()
+                .map(|e| format!("{:?}", (e.key_vals, e.rid)))
+                .collect();
+            assert!(got == want, "key {key:?}: build order differs");
+        }
+    }
+
+    /// A fork's indexes are its own: writes through the fork change the
+    /// fork's seeks and leave the original's as they were.
+    #[test]
+    fn writes_to_a_fork_leave_the_original_index_alone() {
+        use crate::clock::SimClock;
+        use crate::engine::{Database, DbConfig};
+        use crate::query::{CmpOp, Predicate, QueryTemplate, Scalar, Statement};
+
+        let t = table();
+        let mut db = Database::new("original", DbConfig::default(), SimClock::new());
+        let tid = db.create_table(t).unwrap();
+        db.load_rows(
+            tid,
+            (0..1000i64).map(|i| {
+                row(
+                    i,
+                    i % 50,
+                    if i % 3 == 0 { "open" } else { "done" },
+                    i as f64,
+                )
+            }),
+        );
+        let (ix, _) = db
+            .create_index(IndexDef::new(
+                "ix_cust_total",
+                tid,
+                vec![ColumnId(1), ColumnId(3)],
+                vec![ColumnId(2)],
+            ))
+            .unwrap();
+        let seeks = |db: &Database| -> Vec<_> {
+            let index = db.secondary_index(ix).unwrap();
+            index.check_invariants().unwrap();
+            (0..50)
+                .flat_map(|c| {
+                    let found =
+                        index.seek(&[Value::Int(c)], ColBound::Unbounded, ColBound::Unbounded);
+                    found
+                        .entries
+                        .into_iter()
+                        .map(|e| (e.rid, e.key_vals, e.included_vals))
+                })
+                .collect()
+        };
+        let before = seeks(&db);
+        let mut fork = db.fork("fork", 7);
+        let p = |c: u32, at: u16| Predicate::param(ColumnId(c), CmpOp::Eq, at);
+        let writes = [
+            Statement::Insert {
+                table: tid,
+                values: (0..4).map(Scalar::Param).collect(),
+            },
+            Statement::Update {
+                table: tid,
+                predicates: vec![p(1, 0)],
+                set: vec![(ColumnId(2), Scalar::Param(1))],
+            },
+            Statement::Delete {
+                table: tid,
+                predicates: vec![p(1, 0)],
+            },
+        ];
+        for (i, stmt) in writes.into_iter().enumerate() {
+            let tpl = QueryTemplate::new(stmt, [4, 2, 1][i]);
+            for c in 0..10i64 {
+                let params = match i {
+                    0 => vec![
+                        Value::Int(5_000 + c),
+                        Value::Int(c),
+                        Value::Str("new".into()),
+                        Value::Float(0.5),
+                    ],
+                    1 => vec![Value::Int(10 + c), Value::Str("held".into())],
+                    _ => vec![Value::Int(20 + c)],
+                };
+                fork.execute(&tpl, &params).unwrap();
+            }
+        }
+        assert_eq!(seeks(&db), before);
+        assert_ne!(seeks(&fork), before);
+        assert_eq!(db.secondary_index(ix).unwrap().len(), 1000);
+        assert_eq!(fork.secondary_index(ix).unwrap().len(), 1000 + 10 - 200);
     }
 
     /// Entries compare by key values then row id, so an entry that

@@ -7,12 +7,20 @@
 //!
 //! Variance is tracked via sum and sum-of-squares so the Welch t-test in
 //! the validator can be computed over any interval window.
+//!
+//! Cells are keyed (interval, query, plan), the order the whole-window
+//! folds (`total_resources`, `top_k_queries`) sum in. Beside them each
+//! (query, plan) keeps the rising list of intervals it has a cell in, so
+//! a per-plan fold reads exactly its own cells, still in interval order:
+//! every aggregate adds the same cells in the same order as a scan of the
+//! window would.
 
 use crate::clock::{Duration, Timestamp};
 use crate::exec::ActualMetrics;
 use crate::plan::PlanId;
 use crate::query::{QueryId, QueryTemplate};
 use crate::types::Value;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Which execution metric to aggregate or compare.
@@ -123,6 +131,8 @@ pub struct QueryStore {
     retention: Duration,
     /// (interval, query, plan) -> aggregate.
     data: BTreeMap<(IntervalId, QueryId, PlanId), ExecAgg>,
+    /// (query, plan) -> the intervals it has a cell in, rising.
+    plan_intervals: BTreeMap<(QueryId, PlanId), Vec<IntervalId>>,
     queries: BTreeMap<QueryId, QueryInfo>,
     /// Which plans each query has used (plan history).
     plans: BTreeMap<QueryId, Vec<PlanId>>,
@@ -136,6 +146,7 @@ impl QueryStore {
             interval,
             retention,
             data: BTreeMap::new(),
+            plan_intervals: BTreeMap::new(),
             queries: BTreeMap::new(),
             plans: BTreeMap::new(),
             plan_refs: BTreeMap::new(),
@@ -211,10 +222,16 @@ impl QueryStore {
         now: Timestamp,
     ) {
         let iv = self.interval_of(now);
-        self.data
-            .entry((iv, qid, plan))
-            .or_default()
-            .record(metrics, duration_us);
+        match self.data.entry((iv, qid, plan)) {
+            Entry::Occupied(cell) => cell.into_mut().record(metrics, duration_us),
+            Entry::Vacant(cell) => {
+                cell.insert(ExecAgg::default()).record(metrics, duration_us);
+                // Time only moves forward, so this is an append; a clock
+                // set back still lands the interval in place.
+                let ivs = self.plan_intervals.entry((qid, plan)).or_default();
+                ivs.insert(ivs.partition_point(|&i| i < iv), iv);
+            }
+        }
         let info = self.queries.entry(qid).or_insert_with(|| QueryInfo {
             template: template.clone(),
             sample_params: params.to_vec(),
@@ -223,7 +240,8 @@ impl QueryStore {
         });
         info.last_seen = now;
         if !params.is_empty() {
-            info.sample_params = params.to_vec();
+            info.sample_params.clear();
+            info.sample_params.extend_from_slice(params);
         }
         let plans = self.plans.entry(qid).or_default();
         if !plans.contains(&plan) {
@@ -260,16 +278,15 @@ impl QueryStore {
         from: Timestamp,
         to: Timestamp,
     ) -> ExecAgg {
+        let mut agg = ExecAgg::default();
+        let Some(ivs) = self.plan_intervals.get(&(qid, plan)) else {
+            return agg;
+        };
         let lo = self.interval_of(from);
         let hi = self.hi_interval(to);
-        let mut agg = ExecAgg::default();
-        for ((iv, q, p), a) in self.data.range((lo, QueryId(0), PlanId(0))..) {
-            if *iv > hi {
-                break;
-            }
-            if *q == qid && *p == plan {
-                agg.merge(a);
-            }
+        let first = ivs.partition_point(|&iv| iv < lo);
+        for &iv in ivs[first..].iter().take_while(|&&iv| iv <= hi) {
+            agg.merge(&self.data[&(iv, qid, plan)]);
         }
         agg
     }
@@ -277,7 +294,7 @@ impl QueryStore {
     /// Aggregate stats for one query across all plans over `[from, to)`.
     pub fn query_stats(&self, qid: QueryId, from: Timestamp, to: Timestamp) -> ExecAgg {
         let mut agg = ExecAgg::default();
-        for p in self.plan_history(qid).to_vec() {
+        for &p in self.plan_history(qid) {
             agg.merge(&self.plan_stats(qid, p, from, to));
         }
         agg
@@ -343,6 +360,10 @@ impl QueryStore {
         let horizon = Timestamp(now.millis().saturating_sub(self.retention.millis()));
         let min_iv = self.interval_of(horizon);
         self.data.retain(|(iv, _, _), _| *iv >= min_iv);
+        self.plan_intervals.retain(|_, ivs| {
+            ivs.drain(..ivs.partition_point(|&iv| iv < min_iv));
+            !ivs.is_empty()
+        });
     }
 
     /// Number of stored (interval, query, plan) cells (observability).
@@ -356,6 +377,7 @@ mod tests {
     use super::*;
     use crate::query::{SelectQuery, Statement};
     use crate::schema::TableId;
+    use proptest::prelude::*;
 
     fn tpl(t: u32) -> QueryTemplate {
         QueryTemplate::new(Statement::Select(SelectQuery::new(TableId(t))), 0)
@@ -588,5 +610,229 @@ mod tests {
         let agg = s.query_stats(t.query_id(), Timestamp(0), Timestamp(1));
         assert_eq!(agg.count(), 2);
         assert!((agg.cpu.mean() - 20.0).abs() < 1e-9);
+    }
+
+    /// What the store is asked, answered the slow way: only the cells,
+    /// kept by (interval, query, plan) as the store keeps them, and every
+    /// read a scan of all of them in key order.
+    #[derive(Default)]
+    struct FullScan {
+        cells: BTreeMap<(IntervalId, QueryId, PlanId), ExecAgg>,
+        plans: BTreeMap<QueryId, Vec<PlanId>>,
+    }
+
+    impl FullScan {
+        fn record(&mut self, iv: IntervalId, q: QueryId, p: PlanId, m: &ActualMetrics, d: f64) {
+            self.cells.entry((iv, q, p)).or_default().record(m, d);
+            let plans = self.plans.entry(q).or_default();
+            if !plans.contains(&p) {
+                plans.push(p);
+            }
+        }
+
+        fn in_window(
+            &self,
+            qs: &QueryStore,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> impl Iterator<Item = (&(IntervalId, QueryId, PlanId), &ExecAgg)> {
+            let (lo, hi) = (qs.interval_of(from), qs.hi_interval(to));
+            self.cells
+                .iter()
+                .filter(move |((iv, _, _), _)| lo <= *iv && *iv <= hi)
+        }
+
+        fn plan_stats(
+            &self,
+            qs: &QueryStore,
+            q: QueryId,
+            p: PlanId,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> ExecAgg {
+            let mut agg = ExecAgg::default();
+            for ((_, cq, cp), a) in self.in_window(qs, from, to) {
+                if (*cq, *cp) == (q, p) {
+                    agg.merge(a);
+                }
+            }
+            agg
+        }
+
+        fn plan_history(&self, q: QueryId) -> &[PlanId] {
+            self.plans.get(&q).map(Vec::as_slice).unwrap_or(&[])
+        }
+
+        fn query_stats(
+            &self,
+            qs: &QueryStore,
+            q: QueryId,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> ExecAgg {
+            let mut agg = ExecAgg::default();
+            for &p in self.plan_history(q) {
+                agg.merge(&self.plan_stats(qs, q, p, from, to));
+            }
+            agg
+        }
+
+        fn plans_in_window(
+            &self,
+            qs: &QueryStore,
+            q: QueryId,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> Vec<(PlanId, ExecAgg)> {
+            let stats = self
+                .plan_history(q)
+                .iter()
+                .map(|&p| (p, self.plan_stats(qs, q, p, from, to)));
+            stats.filter(|(_, a)| a.count() > 0).collect()
+        }
+
+        fn total_resources(
+            &self,
+            qs: &QueryStore,
+            m: Metric,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> f64 {
+            self.in_window(qs, from, to)
+                .map(|(_, a)| a.metric(m).sum)
+                .sum()
+        }
+
+        fn top_k(
+            &self,
+            qs: &QueryStore,
+            m: Metric,
+            k: usize,
+            from: Timestamp,
+            to: Timestamp,
+        ) -> Vec<(QueryId, f64)> {
+            let mut totals: BTreeMap<QueryId, f64> = BTreeMap::new();
+            for ((_, q, _), a) in self.in_window(qs, from, to) {
+                *totals.entry(*q).or_default() += a.metric(m).sum;
+            }
+            let mut v: Vec<(QueryId, f64)> = totals.into_iter().collect();
+            v.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+            v.truncate(k);
+            v
+        }
+    }
+
+    /// An aggregate as bits: every count, and every sum and sum of squares
+    /// through `f64::to_bits`.
+    fn bits(a: &ExecAgg) -> Vec<u64> {
+        [&a.cpu, &a.reads, &a.duration, &a.rows]
+            .iter()
+            .flat_map(|m| [m.count, m.sum.to_bits(), m.sum_sq.to_bits()])
+            .collect()
+    }
+
+    /// Differential: random record streams — several queries, plans that
+    /// switch and switch back, many executions to an interval, clock
+    /// jumps (now and then backwards) and retention — and every read the
+    /// store answers from its per-plan interval lists equals, bit for bit,
+    /// a scan of every cell. Salted with `CHAOS_SEED`, so CI's chaos
+    /// matrix draws different cases per seed.
+    #[test]
+    fn reads_equal_a_full_scan_of_the_cells() {
+        let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
+        proptest::run_prop_test(
+            &format!("querystore_reads_equal_a_full_scan_of_the_cells/{seed}"),
+            &ProptestConfig::with_cases(64),
+            (1usize..600, 1u32..7, 1u64..5, any::<u64>()),
+            |(n, queries, plans, salt)| {
+                let mut x = salt | 1;
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x
+                };
+                let hour = Duration::from_hours(1).millis();
+                let mut s = QueryStore::new(Duration::from_hours(1), Duration::from_days(1));
+                let mut reference = FullScan::default();
+                let mut current: Vec<u64> = vec![0; queries as usize];
+                let mut now = next() % (100 * hour);
+                let start = now;
+                for _ in 0..n {
+                    now = match next() % 100 {
+                        0..=69 => now + next() % (10 * 60_000),
+                        70..=94 => now + next() % (5 * hour),
+                        95..=97 => now + next() % (40 * hour),
+                        _ => now.saturating_sub(next() % (3 * hour)),
+                    };
+                    let q = (next() % u64::from(queries)) as usize;
+                    if next() % 5 == 0 {
+                        current[q] = next() % plans;
+                    }
+                    let template = tpl(q as u32);
+                    let plan = PlanId(q as u64 * 100 + current[q]);
+                    let m = ActualMetrics {
+                        rows_returned: next() % 50,
+                        rows_examined: 0,
+                        logical_reads: next() % 1_000,
+                        logical_writes: 0,
+                        cpu_us: (next() % 1_000_000) as f64 / 7.0,
+                    };
+                    let d = (next() % 1_000_000) as f64 / 3.0;
+                    let at = Timestamp(now);
+                    s.record(&template, &[], plan, &[], &m, d, at);
+                    reference.record(s.interval_of(at), template.query_id(), plan, &m, d);
+                    if next() % 50 == 0 {
+                        s.enforce_retention(at);
+                        let horizon =
+                            Timestamp(now.saturating_sub(Duration::from_days(1).millis()));
+                        let min_iv = s.interval_of(horizon);
+                        reference.cells.retain(|(iv, _, _), _| *iv >= min_iv);
+                    }
+                }
+                prop_assert_eq!(s.cell_count(), reference.cells.len());
+                let span = now.max(start) + 2 * hour;
+                for _ in 0..24 {
+                    let (a, b) = (next() % span, next() % span);
+                    let (from, to) = (Timestamp(a.min(b)), Timestamp(a.max(b)));
+                    for q in 0..queries {
+                        let qid = tpl(q).query_id();
+                        prop_assert_eq!(s.plan_history(qid), reference.plan_history(qid));
+                        for p in 0..plans + 1 {
+                            let p = PlanId(u64::from(q) * 100 + p);
+                            prop_assert_eq!(
+                                bits(&s.plan_stats(qid, p, from, to)),
+                                bits(&reference.plan_stats(&s, qid, p, from, to))
+                            );
+                        }
+                        prop_assert_eq!(
+                            bits(&s.query_stats(qid, from, to)),
+                            bits(&reference.query_stats(&s, qid, from, to))
+                        );
+                        let got = s.plans_in_window(qid, from, to);
+                        let want = reference.plans_in_window(&s, qid, from, to);
+                        let flat = |v: &[(PlanId, ExecAgg)]| -> Vec<_> {
+                            v.iter().map(|(p, a)| (*p, bits(a))).collect()
+                        };
+                        prop_assert_eq!(flat(&got), flat(&want));
+                    }
+                    for m in [Metric::CpuTime, Metric::LogicalReads, Metric::Duration] {
+                        prop_assert_eq!(
+                            s.total_resources(m, from, to).to_bits(),
+                            reference.total_resources(&s, m, from, to).to_bits()
+                        );
+                        let k = (next() % (u64::from(queries) + 2)) as usize;
+                        let flat = |v: Vec<(QueryId, f64)>| -> Vec<_> {
+                            v.into_iter().map(|(q, t)| (q, t.to_bits())).collect()
+                        };
+                        prop_assert_eq!(
+                            flat(s.top_k_queries(m, k, from, to)),
+                            flat(reference.top_k(&s, m, k, from, to))
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

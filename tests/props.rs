@@ -10,6 +10,7 @@ use proptest::prelude::*;
 use sqlmini::btree::BTree;
 use sqlmini::clock::SimClock;
 use sqlmini::engine::{Database, DbConfig};
+use sqlmini::heap::RowId;
 use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
 use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef};
 use sqlmini::stats::TableStats;
@@ -38,26 +39,37 @@ fn tree_op() -> impl Strategy<Value = TreeOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// The tree as a map `u16 -> u32`: the entry for `k -> v` is
+    /// `[Int(k), Int(v)]`, one key value and one included value, at row
+    /// id 0.
     #[test]
     fn btree_matches_std_btreemap(ops in proptest::collection::vec(tree_op(), 1..600), fanout in 4usize..32) {
-        let mut tree: BTree<u16, u32> = BTree::new(fanout);
+        let int = |v: &Value| match v {
+            Value::Int(i) => *i,
+            other => panic!("not an Int: {other:?}"),
+        };
+        let key = |k: u16| [Value::Int(i64::from(k))];
+        let mut tree = BTree::new(fanout, 2, 1);
         let mut model: BTreeMap<u16, u32> = BTreeMap::new();
         for op in ops {
             match op {
                 TreeOp::Insert(k, v) => {
-                    prop_assert_eq!(tree.insert(k, v), model.insert(k, v));
+                    let entry = vec![Value::Int(i64::from(k)), Value::Int(i64::from(v))];
+                    let old = tree.insert(entry, RowId(0)).map(|e| int(&e[1]) as u32);
+                    prop_assert_eq!(old, model.insert(k, v));
                 }
                 TreeOp::Remove(k) => {
-                    prop_assert_eq!(tree.remove(&k), model.remove(&k));
+                    prop_assert_eq!(tree.remove(&key(k), RowId(0)), model.remove(&k).is_some());
                 }
                 TreeOp::Get(k) => {
-                    prop_assert_eq!(tree.get(&k), model.get(&k));
+                    let got = tree.get(&key(k), RowId(0)).map(|e| int(&e[1]) as u32);
+                    prop_assert_eq!(got, model.get(&k).copied());
                 }
             }
         }
         prop_assert_eq!(tree.len(), model.len());
         tree.check_invariants().map_err(TestCaseError::fail)?;
-        let got: Vec<(u16, u32)> = tree.iter().map(|(k, v)| (*k, *v)).collect();
+        let got: Vec<(u16, u32)> = tree.iter().map(|(e, _)| (int(&e[0]) as u16, int(&e[1]) as u32)).collect();
         let want: Vec<(u16, u32)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
