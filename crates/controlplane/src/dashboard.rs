@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 /// Built purely from the two merged sinks plus the simulated horizon, so
 /// a parallel fleet run — whose merged sinks are byte-identical to the
 /// serial run's — yields a byte-identical snapshot and rendering.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct DashboardSnapshot {
     /// Databases the registry saw (`fleet.tenants` gauge).
     pub databases: i64,

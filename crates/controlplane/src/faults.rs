@@ -14,9 +14,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Places where a fault can strike.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultPoint {
     /// Index build fails mid-way (resource pressure, node restart).
     IndexBuild,
@@ -42,7 +40,7 @@ pub enum FaultPoint {
 }
 
 /// Kind of injected failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// Retryable (the paper's Retry state).
     Transient,

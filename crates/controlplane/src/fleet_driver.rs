@@ -90,7 +90,7 @@ pub struct TenantScript {
 }
 
 /// How the fleet driver decides which ticks take a control-plane pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulingMode {
     /// Every non-quarantined tick takes a control pass. The replay
     /// oracle: trivially correct, O(fleet) control work per tick.
@@ -203,7 +203,7 @@ fn index_uniform01(index: usize) -> f64 {
 }
 
 /// How a tenant's worker finished.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum TenantStatus {
     /// All ticks ran (possibly with quarantine windows).
     Completed,
@@ -220,7 +220,7 @@ impl TenantStatus {
 }
 
 /// End-of-run state of one tenant, in a canonically serializable form.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TenantOutcome {
     pub name: String,
     /// Recommendations ever tracked for this tenant.

@@ -14,7 +14,7 @@ use sqlmini::lock::{
 };
 
 /// Protocol configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DropProtocolConfig {
     /// Low-priority wait timeout for each attempt.
     pub attempt_timeout: Duration,
@@ -37,7 +37,7 @@ impl Default for DropProtocolConfig {
 }
 
 /// Result of running the protocol against a concurrent workload.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DropProtocolOutcome {
     pub succeeded: bool,
     pub attempts: u32,

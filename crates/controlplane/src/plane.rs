@@ -40,7 +40,7 @@ use sqlmini::engine::Database;
 /// Which recommender the per-region policy assigns (§5.1.1: "a
 /// pre-configured policy in the control plane determines which
 /// recommender to invoke").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecommenderPolicy {
     MiOnly,
     DtaOnly,
@@ -59,7 +59,7 @@ pub enum RecommenderPolicy {
 /// no RNG state — so replays are byte-identical regardless of thread
 /// interleaving, and the retry stage can compute a parked reco's exact
 /// wake instant up front.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RetryPolicy {
     /// Delay before the first retry.
     pub base: Duration,
@@ -116,7 +116,7 @@ impl RetryPolicy {
 }
 
 /// Control-plane policy knobs.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PlanePolicy {
     pub recommender: RecommenderPolicy,
     /// How often to run full analysis per database.

@@ -12,7 +12,7 @@ use sqlmini::engine::Database;
 use sqlmini::querystore::Metric;
 
 /// Scheduling policy.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchedulerConfig {
     /// How much history to profile.
     pub lookback: Duration,

@@ -101,7 +101,7 @@ impl Stage {
 }
 
 /// When a stage next needs to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NextDue {
     /// No pending work and nothing that could become due on its own:
     /// only a state change from another stage (or a user action) can
@@ -131,7 +131,7 @@ impl NextDue {
 /// the end of a tick from final state. Journaled by the store (so crash
 /// recovery reconstructs it) and mapped onto the tick grid by the fleet
 /// driver as the tenant's next wake tick.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WakeSchedule {
     pub recommend: NextDue,
     pub retry: NextDue,

@@ -11,7 +11,7 @@ use autoindex::Recommendation;
 use sqlmini::clock::Timestamp;
 
 /// The nine recommendation states of §4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum RecoState {
     /// Ready to be applied.
     Active,
@@ -114,7 +114,7 @@ impl RecoState {
 
 /// Sub-states for diagnosis (§4: "many of the above states have
 /// sub-states").
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, serde::Serialize)]
 pub enum RecoSubState {
     #[default]
     None,
@@ -126,7 +126,7 @@ pub enum RecoSubState {
     ValidationDetail(String),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub enum RetryPhase {
     Implement,
     Validate,
@@ -134,9 +134,7 @@ pub enum RetryPhase {
 }
 
 /// Unique id of a tracked recommendation.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct RecoId(pub u64);
 
 impl std::fmt::Display for RecoId {
@@ -146,7 +144,7 @@ impl std::fmt::Display for RecoId {
 }
 
 /// One state-machine transition, kept for the history view.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Transition {
     pub at: Timestamp,
     pub from: RecoState,
@@ -155,7 +153,7 @@ pub struct Transition {
 }
 
 /// A tracked recommendation: the payload plus its state machine.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TrackedReco {
     pub id: RecoId,
     pub database: String,
@@ -256,7 +254,7 @@ impl TrackedReco {
 
 /// Portal-level auto-indexing settings (§2): each option can be set at
 /// the database or inherited from the logical server.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Setting {
     On,
     Off,
@@ -265,7 +263,7 @@ pub enum Setting {
 }
 
 /// Auto-indexing configuration for one database.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DbSettings {
     /// Automatically implement CREATE INDEX recommendations.
     pub auto_create: Setting,
@@ -285,7 +283,7 @@ impl DbSettings {
 }
 
 /// Server-level defaults that databases inherit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerSettings {
     pub auto_create: bool,
     pub auto_drop: bool,

@@ -49,7 +49,7 @@ pub use codec::{FrameError, FrameFault};
 /// `appends_since_checkpoint >= max(min_frames, ⌈garbage_ratio × live⌉)`
 /// where `live` counts tracked recommendations + schedules + 1 — so
 /// serial, parallel, and sparse replays compact at identical points.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CompactionPolicy {
     /// Master switch; `false` restores the append-only-forever behavior
     /// (the differential oracle for the equivalence proofs).
@@ -93,7 +93,7 @@ pub struct CheckpointStats {
 }
 
 /// What one [`StateStore::crash_and_recover`] pass did.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RecoveryReport {
     /// Journal entries successfully replayed (a restored checkpoint
     /// counts as one).

@@ -101,7 +101,7 @@ pub(super) struct CheckpointState {
 }
 
 /// A journal frame recovery read and did not replay.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FrameError {
     /// Index of the frame in the journal handed to recovery.
     pub frame: usize,
@@ -109,7 +109,7 @@ pub struct FrameError {
 }
 
 /// Why a frame was not replayed.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameFault {
     /// The header does not parse, or the payload is not the length the
     /// header promises: a write that stopped part-way.

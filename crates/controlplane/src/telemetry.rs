@@ -10,9 +10,7 @@ use sqlmini::clock::Timestamp;
 use std::collections::BTreeMap;
 
 /// Event kinds emitted by the control plane.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     AnalysisStarted,
     AnalysisCompleted,
@@ -66,7 +64,7 @@ pub enum EventKind {
 /// One anonymized event: kind + database *hash* + time. The database name
 /// is folded to a stable hash so dashboards can correlate events without
 /// carrying tenant identity.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Event {
     pub at: Timestamp,
     pub kind: EventKind,
@@ -85,7 +83,7 @@ pub fn db_hash(name: &str) -> u64 {
 }
 
 /// An incident requiring (simulated) on-call attention.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     pub at: Timestamp,
     pub db_hash: u64,
@@ -291,8 +289,12 @@ mod tests {
         let mut t = Telemetry::new();
         t.emit(EventKind::ValidationImproved, "db", "", Timestamp(0));
         let j = t.export_json();
-        let parsed: BTreeMap<String, u64> = serde_json::from_str(&j).unwrap();
-        assert_eq!(parsed.get("ValidationImproved"), Some(&1));
+        let parsed: serde::Value = serde_json::from_str(&j).unwrap();
+        assert_eq!(serde_json::to_string_pretty(&parsed).unwrap(), j);
+        assert_eq!(
+            parsed.get("ValidationImproved"),
+            Some(&serde::Value::UInt(1))
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use sqlmini::query::QueryId;
 use sqlmini::schema::{ColumnId, IndexDef, IndexId, IndexOrigin, TableId};
 
 /// Where a recommendation came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize)]
 pub enum RecoSource {
     /// Missing-Indexes-based recommender (§5.2).
     MissingIndex,
@@ -18,7 +18,7 @@ pub enum RecoSource {
 
 /// An index candidate under consideration: ordered key columns + includes
 /// on one table, with an accumulated benefit estimate.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexCandidate {
     pub table: TableId,
     pub key_columns: Vec<ColumnId>,
@@ -106,7 +106,7 @@ impl IndexCandidate {
 }
 
 /// The action a recommendation proposes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub enum RecoAction {
     CreateIndex { def: IndexDef },
     DropIndex { index: IndexId, name: String },
@@ -122,7 +122,7 @@ impl RecoAction {
 }
 
 /// One recommendation emitted by a recommender.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Recommendation {
     pub action: RecoAction,
     pub source: RecoSource,

@@ -12,7 +12,7 @@
 //! the classifier is useful before any online training happens.
 
 /// Feature vector for one candidate.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidateFeatures {
     /// Average estimated improvement percentage (0–100).
     pub est_impact_pct: f64,
@@ -40,7 +40,7 @@ impl CandidateFeatures {
 }
 
 /// A trained outcome of one validation, used as a training example.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingExample {
     pub features: CandidateFeatures,
     /// True when validation confirmed a meaningful improvement.
@@ -48,7 +48,7 @@ pub struct TrainingExample {
 }
 
 /// Logistic-regression classifier for "will this index have real impact?".
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpactClassifier {
     weights: [f64; 6],
     /// Probability threshold below which a candidate is filtered out.

@@ -19,7 +19,7 @@ use sqlmini::engine::Database;
 use sqlmini::schema::{IndexId, IndexOrigin};
 
 /// Drop-analysis configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DropConfig {
     /// Usage must be absent for at least this long (the paper: ~60 days).
     pub observation_window: Duration,
@@ -44,7 +44,7 @@ impl Default for DropConfig {
 }
 
 /// Why an index was proposed for dropping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DropReason {
     Unused,
     Duplicate { keep: IndexId },

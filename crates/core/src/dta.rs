@@ -35,7 +35,7 @@ use sqlmini::schema::{ColumnId, IndexDef, TableId};
 use sqlmini::types::Value;
 
 /// DTA session configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DtaConfig {
     /// Look-back window (the paper's N hours).
     pub window: Duration,
@@ -79,7 +79,7 @@ impl Default for DtaConfig {
 }
 
 /// Why a statement was skipped.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SkipReason {
     /// Text irrecoverably incomplete; cannot be what-if costed.
     Uncostable,

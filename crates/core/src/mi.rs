@@ -36,7 +36,7 @@ use sqlmini::index::SecondaryIndex;
 use std::collections::BTreeMap;
 
 /// Configuration of the MI recommender.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MiConfig {
     /// Minimum cumulative optimizations that must have requested the
     /// candidate (filters ad-hoc queries).

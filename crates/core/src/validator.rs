@@ -28,14 +28,14 @@ use sqlmini::query::QueryId;
 use sqlmini::querystore::{ExecAgg, Metric};
 
 /// Whether the validated change created or dropped the index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChangeKind {
     Created,
     Dropped,
 }
 
 /// Revert-trigger policy (§6's two settings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RevertPolicy {
     /// Any significant regression on any significant statement reverts.
     PerStatement,
@@ -44,7 +44,7 @@ pub enum RevertPolicy {
 }
 
 /// Validator configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ValidatorConfig {
     /// Significance level for the Welch tests.
     pub alpha: f64,
@@ -75,7 +75,7 @@ impl Default for ValidatorConfig {
 }
 
 /// Verdict of a validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// Statistically significant improvement; keep the change.
     Improved,

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 /// Counters for one cached what-if session: calls actually issued to the
 /// optimizer vs. calls avoided, split by *how* they were avoided.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WhatIfStats {
     /// Optimizer invocations actually issued (each consumes budget).
     pub issued: u64,

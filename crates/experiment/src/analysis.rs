@@ -132,9 +132,7 @@ pub fn compare_costs(a: &CostSample, b: &CostSample) -> Option<CostComparison> {
 }
 
 /// The four slices of Figure 6.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Winner {
     Dta,
     Mi,

@@ -16,9 +16,7 @@ use crate::schema::{ColumnId, IndexId, TableId};
 use std::collections::BTreeMap;
 
 /// Key identifying one missing-index candidate group.
-#[derive(
-    Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MissingIndexKey {
     pub table: TableId,
     pub equality_columns: Vec<ColumnId>,
@@ -28,7 +26,7 @@ pub struct MissingIndexKey {
 
 /// Accumulated statistics for one missing-index candidate (the group-stats
 /// view's `user_seeks`, `avg_total_user_cost`, `avg_user_impact`).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MissingIndexStats {
     /// Number of query optimizations that produced this candidate.
     pub user_seeks: u64,
@@ -113,7 +111,7 @@ impl MissingIndexDmv {
 }
 
 /// Per-index usage counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexUsage {
     pub user_seeks: u64,
     pub user_scans: u64,

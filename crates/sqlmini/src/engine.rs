@@ -35,9 +35,7 @@ use std::collections::BTreeMap;
 
 /// Azure SQL Database service tier — governs the resources available to a
 /// database (and hence execution durations and tuning budgets) [28].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ServiceTier {
     /// Fraction of a core; tiny Query Store; MI-only tuning territory.
     Basic,
@@ -69,7 +67,7 @@ impl ServiceTier {
 }
 
 /// Engine configuration.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DbConfig {
     pub tier: ServiceTier,
     /// Seed for the engine's noise model.
@@ -160,7 +158,7 @@ pub struct ExecOutcome {
 }
 
 /// Report of a completed index build.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct IndexBuildReport {
     pub index: IndexId,
     pub heap_pages_scanned: u64,

@@ -62,7 +62,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Counters of actual work done by one statement execution.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActualMetrics {
     pub rows_returned: u64,
     pub rows_examined: u64,

@@ -8,9 +8,7 @@
 use crate::types::Row;
 
 /// Identity of a row within a heap. Stable for the row's lifetime.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RowId(pub u64);
 
 /// Logical page size in bytes, matching SQL Server's 8 KiB pages.

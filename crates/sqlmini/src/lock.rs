@@ -16,7 +16,7 @@
 use crate::clock::{Duration, Timestamp};
 
 /// Lock mode on the table's schema.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockMode {
     /// Schema-stability (shared): acquired by every query on the table.
     Shared,
@@ -25,7 +25,7 @@ pub enum LockMode {
 }
 
 /// Priority class of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockPriority {
     /// Participates in FIFO ordering (blocks later requests while waiting).
     Normal,
@@ -38,7 +38,7 @@ pub enum LockPriority {
 }
 
 /// One lock request in the simulated timeline.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LockRequest {
     /// Caller-assigned identifier (reported back in outcomes).
     pub id: u64,
@@ -51,7 +51,7 @@ pub struct LockRequest {
 }
 
 /// What happened to one request.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LockOutcome {
     pub id: u64,
     /// When the lock was granted (None if timed out).
@@ -224,7 +224,7 @@ fn insert_instant(instants: &mut Vec<Timestamp>, cursor: &mut usize, t: Timestam
 }
 
 /// Summary of convoy behaviour in a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvoySummary {
     /// Number of shared requests that waited at all.
     pub blocked_shared: usize,

@@ -39,7 +39,7 @@ use crate::types::Value;
 /// Both the optimizer (on estimated counts) and the executor (on actual
 /// counts) use this model, so estimated and actual CPU time are directly
 /// comparable — the paper's validator depends on that comparability.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     /// CPU cost of reading one logical page.
     pub cpu_per_page: f64,
@@ -139,7 +139,7 @@ pub trait PlannerEnv {
 
 /// A missing-index observation produced while optimizing one statement
 /// (the raw material of the MI DMV, §5.2).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissingIndexObservation {
     pub table: TableId,
     /// Columns appearing in equality predicates.

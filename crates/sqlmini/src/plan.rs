@@ -14,9 +14,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Stable identifier of a plan's structure (Query Store's plan_id).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PlanId(pub u64);
 
 impl fmt::Display for PlanId {
@@ -28,7 +26,7 @@ impl fmt::Display for PlanId {
 /// Reference to an index from a plan. What-if plans may reference
 /// hypothetical indexes (which cannot be executed); executable plans only
 /// reference real ones.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum IndexRef {
     Real { id: IndexId, name: String },
     Hypothetical { name: String },
@@ -54,14 +52,14 @@ impl IndexRef {
 }
 
 /// A one-sided bound on the seek's range column.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangeBound {
     pub op: CmpOp,
     pub value: Scalar,
 }
 
 /// How a table's rows are obtained.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Access {
     /// Full heap scan.
     SeqScan,
@@ -116,7 +114,7 @@ impl Access {
 }
 
 /// Join strategy for the optional inner table.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JoinStrategy {
     /// Build a hash table on the inner side (accessed via `inner_access`),
     /// probe with outer rows.
@@ -129,7 +127,7 @@ pub enum JoinStrategy {
 }
 
 /// Plan for the inner side of a join.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinPlan {
     pub strategy: JoinStrategy,
     /// Indices into the join spec's predicate list evaluated as residuals.
@@ -137,7 +135,7 @@ pub struct JoinPlan {
 }
 
 /// Aggregation strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggStrategy {
     /// No aggregation in the query.
     None,
@@ -148,7 +146,7 @@ pub enum AggStrategy {
 }
 
 /// Optimizer cost estimates attached to a plan.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanEstimates {
     /// Estimated rows produced by the plan.
     pub rows_out: f64,
@@ -162,7 +160,7 @@ pub struct PlanEstimates {
 }
 
 /// An executable (or what-if) plan for a SELECT.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectPlan {
     pub access: Access,
     /// Indices into the statement's predicate list evaluated as residuals
@@ -239,7 +237,7 @@ impl SelectPlan {
 }
 
 /// Plan for a DML statement (the qualifying-row search part).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DmlPlan {
     pub access: Access,
     pub residual: Vec<usize>,
@@ -264,7 +262,7 @@ impl DmlPlan {
 }
 
 /// Any statement plan.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Plan {
     Select(SelectPlan),
     /// Insert paths are trivial: append + maintain every index.

@@ -17,7 +17,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// Comparison operators supported in predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     Eq,
     Ne,
@@ -77,7 +77,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// A scalar operand: a literal or a parameter placeholder.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Scalar {
     Lit(Value),
     Param(u16),
@@ -103,7 +103,7 @@ impl fmt::Display for Scalar {
 }
 
 /// A simple sargable predicate: `column op scalar`.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     pub column: ColumnId,
     pub op: CmpOp,
@@ -148,7 +148,7 @@ impl fmt::Display for Predicate {
 }
 
 /// Aggregate functions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     Count,
     Sum,
@@ -171,7 +171,7 @@ impl fmt::Display for AggFunc {
 }
 
 /// An inner equi-join from the primary table to a second table.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JoinSpec {
     pub table: TableId,
     /// Join key on the primary (outer) table.
@@ -185,14 +185,14 @@ pub struct JoinSpec {
 }
 
 /// Ordering specification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OrderKey {
     pub column: ColumnId,
     pub asc: bool,
 }
 
 /// A SELECT query.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SelectQuery {
     pub table: TableId,
     pub predicates: Vec<Predicate>,
@@ -240,7 +240,7 @@ impl SelectQuery {
 }
 
 /// A statement: the unit Query Store tracks and the tuner analyzes.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     Select(SelectQuery),
     /// Insert one row (values may contain parameters).
@@ -315,9 +315,7 @@ impl Statement {
 }
 
 /// Stable identifier of a query template (Query Store's query_id).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct QueryId(pub u64);
 
 impl fmt::Display for QueryId {
@@ -329,9 +327,7 @@ impl fmt::Display for QueryId {
 /// How completely the statement's text was captured — Query Store text can
 /// be a fragment of a larger batch that the what-if API cannot optimize
 /// (§5.3.2's central workload-acquisition challenge).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TextFidelity {
     /// Full statement text available.
     #[default]
@@ -367,34 +363,6 @@ impl PartialEq for QueryTemplate {
     }
 }
 
-// Hand-written (de)serialization: the memo cell is an implementation
-// detail and must not appear on the wire, so the serialized shape is
-// exactly the three semantic fields the derive used to emit.
-impl serde::Serialize for QueryTemplate {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("statement".into(), self.statement.to_value()),
-            ("n_params".into(), self.n_params.to_value()),
-            ("fidelity".into(), self.fidelity.to_value()),
-        ])
-    }
-}
-
-impl serde::Deserialize for QueryTemplate {
-    fn from_value(v: &serde::Value) -> Result<QueryTemplate, serde::Error> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| serde::Error::msg(format!("QueryTemplate missing field {k}")))
-        };
-        Ok(QueryTemplate {
-            statement: serde::Deserialize::from_value(field("statement")?)?,
-            n_params: serde::Deserialize::from_value(field("n_params")?)?,
-            fidelity: serde::Deserialize::from_value(field("fidelity")?)?,
-            cached_id: std::cell::OnceCell::new(),
-        })
-    }
-}
-
 impl QueryTemplate {
     pub fn new(statement: Statement, n_params: u16) -> QueryTemplate {
         QueryTemplate {
@@ -415,8 +383,7 @@ impl QueryTemplate {
     pub fn query_id(&self) -> QueryId {
         *self.cached_id.get_or_init(|| {
             let mut h = DefaultHasher::new();
-            // Hash the serialized structure; serde_json is not a dependency
-            // of this crate, so hash a debug rendering (stable within a
+            // Hash a debug rendering of the structure (stable within a
             // build, and templates are compared only within one simulation).
             format!("{:?}|{}|{:?}", self.statement, self.n_params, self.fidelity).hash(&mut h);
             QueryId(h.finish())

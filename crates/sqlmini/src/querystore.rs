@@ -24,7 +24,7 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// Which execution metric to aggregate or compare.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// CPU time in microseconds (logical; low variance).
     CpuTime,
@@ -35,7 +35,7 @@ pub enum Metric {
 }
 
 /// Streaming aggregate of one metric: count, mean, and variance via sums.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct MetricAgg {
     pub count: u64,
     pub sum: f64,
@@ -74,7 +74,7 @@ impl MetricAgg {
 }
 
 /// Aggregated execution statistics for one (query, plan) in one interval.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecAgg {
     pub cpu: MetricAgg,
     pub reads: MetricAgg,

@@ -4,21 +4,15 @@ use crate::types::ValueType;
 use std::fmt;
 
 /// Identifier of a table within a database catalog.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct TableId(pub u32);
 
 /// Positional identifier of a column within its table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct ColumnId(pub u32);
 
 /// Identifier of an index within a database catalog.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize)]
 pub struct IndexId(pub u32);
 
 impl fmt::Display for TableId {
@@ -38,7 +32,7 @@ impl fmt::Display for IndexId {
 }
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     pub name: String,
     pub ty: ValueType,
@@ -65,7 +59,7 @@ impl ColumnDef {
 /// Definition of a table: a name plus ordered columns. Row identity is the
 /// implicit heap row id; an optional primary-key column index is recorded
 /// for the generators and the clustered access path.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableDef {
     pub name: String,
     pub columns: Vec<ColumnDef>,
@@ -107,9 +101,7 @@ impl TableDef {
 }
 
 /// How the auto-indexing service came to know about an index.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, serde::Serialize)]
 pub enum IndexOrigin {
     /// Created by the application / user (pre-existing).
     #[default]
@@ -123,7 +115,7 @@ pub enum IndexOrigin {
 /// Definition of a non-clustered (secondary) B+ tree index: ordered key
 /// columns plus included (leaf-only payload) columns, mirroring the shape
 /// the paper's service manages.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, serde::Serialize)]
 pub struct IndexDef {
     pub name: String,
     pub table: TableId,

@@ -28,7 +28,7 @@ pub mod defaults {
 }
 
 /// One histogram bucket over the numeric projection of a column's values.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bucket {
     /// Inclusive upper bound of the bucket (numeric projection).
     pub hi: f64,
@@ -39,7 +39,7 @@ pub struct Bucket {
 }
 
 /// Statistics for one column.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: f64,
     pub max: f64,
@@ -194,7 +194,7 @@ impl ColumnStats {
 }
 
 /// Statistics for one table.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableStats {
     /// Row count when the statistics were built.
     pub row_count: u64,

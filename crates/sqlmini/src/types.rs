@@ -10,7 +10,7 @@ use std::cmp::Ordering;
 use std::fmt;
 
 /// The scalar type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ValueType {
     /// 64-bit signed integer.
     Int,
@@ -71,50 +71,6 @@ pub enum Value {
     Str(std::sync::Arc<str>),
     Bool(bool),
     Date(i32),
-}
-
-// Hand-written serde impls: the wire shape must stay identical to what the
-// derive produced when `Str` held a `String` (unit variant -> bare string,
-// one-field variant -> single-key object), so journals and canonical dumps
-// are unaffected by the Arc<str> representation.
-impl serde::Serialize for Value {
-    fn to_value(&self) -> serde::Value {
-        match self {
-            Value::Null => serde::Value::Str("Null".to_string()),
-            Value::Int(i) => serde::Value::Object(vec![("Int".to_string(), i.to_value())]),
-            Value::Float(f) => serde::Value::Object(vec![("Float".to_string(), f.to_value())]),
-            Value::Str(s) => {
-                serde::Value::Object(vec![("Str".to_string(), serde::Value::Str(s.to_string()))])
-            }
-            Value::Bool(b) => serde::Value::Object(vec![("Bool".to_string(), b.to_value())]),
-            Value::Date(d) => serde::Value::Object(vec![("Date".to_string(), d.to_value())]),
-        }
-    }
-}
-
-impl serde::Deserialize for Value {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        match v {
-            serde::Value::Str(s) if s == "Null" => Ok(Value::Null),
-            serde::Value::Object(fields) if fields.len() == 1 => {
-                let (tag, inner) = &fields[0];
-                match tag.as_str() {
-                    "Int" => Ok(Value::Int(i64::from_value(inner)?)),
-                    "Float" => Ok(Value::Float(f64::from_value(inner)?)),
-                    "Str" => inner
-                        .as_str()
-                        .map(|s| Value::Str(s.into()))
-                        .ok_or_else(|| serde::Error::msg("expected string for Value::Str")),
-                    "Bool" => Ok(Value::Bool(bool::from_value(inner)?)),
-                    "Date" => Ok(Value::Date(i32::from_value(inner)?)),
-                    other => Err(serde::Error::msg(format!("unknown Value variant {other}"))),
-                }
-            }
-            other => Err(serde::Error::msg(format!(
-                "cannot deserialize Value from {other:?}"
-            ))),
-        }
-    }
 }
 
 impl Value {

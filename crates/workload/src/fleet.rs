@@ -17,7 +17,7 @@ use sqlmini::query::Statement;
 use sqlmini::schema::{ColumnId, IndexDef, IndexOrigin, TableId};
 
 /// How many pre-existing user indexes a tenant gets.
-#[derive(Debug, Clone, Copy, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct UserIndexPolicy {
     /// Indexes matched to actual query templates (the user tuned these).
     pub n_useful: usize,

@@ -13,7 +13,7 @@ use sqlmini::schema::{ColumnDef, ColumnId, TableDef};
 use sqlmini::types::{Row, Value, ValueType};
 
 /// How values of one column are distributed.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ColumnDist {
     /// Sequential integers 0.. (primary keys).
     Sequential,
@@ -119,7 +119,7 @@ impl ZipfCache {
 }
 
 /// Specification of one column: name, distribution, nullable fraction.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnSpec {
     pub name: String,
     pub dist: ColumnDist,
@@ -127,7 +127,7 @@ pub struct ColumnSpec {
 }
 
 /// Specification of one table: columns + target row count.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableSpec {
     pub name: String,
     pub columns: Vec<ColumnSpec>,
@@ -221,7 +221,7 @@ impl TableSpec {
 }
 
 /// Parameters controlling schema generation.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SchemaGenConfig {
     pub min_tables: usize,
     pub max_tables: usize,

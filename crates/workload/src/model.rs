@@ -13,7 +13,7 @@ use sqlmini::schema::{ColumnId, TableId};
 use sqlmini::types::Value;
 
 /// How one parameter of a template is drawn at execution time.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ParamGen {
     UniformInt {
         lo: i64,
@@ -52,7 +52,7 @@ impl ParamGen {
     /// Draw a value. `prev` holds already-drawn parameters of the same
     /// statement (for `OffsetFrom`); `fresh_pk` supplies pk counters;
     /// `zipf` keeps the caller's Zipf samplers between draws, so that
-    /// `ParamGen` itself stays plain serializable data.
+    /// `ParamGen` itself stays plain data.
     pub fn draw(
         &self,
         rng: &mut StdRng,
@@ -89,9 +89,7 @@ impl ParamGen {
 }
 
 /// Class of a template (reporting/diagnostics + weight policy).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TemplateKind {
     PointLookup,
     SecondaryFilter,
@@ -216,7 +214,7 @@ impl WorkloadModel {
 }
 
 /// Knobs for workload synthesis.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadGenConfig {
     /// Fraction of statement *weight* devoted to writes.
     pub write_fraction: f64,

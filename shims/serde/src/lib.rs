@@ -3,11 +3,13 @@
 //! Real serde abstracts over serializers; this shim serializes through a
 //! self-describing [`Value`] tree instead, which is all `serde_json`
 //! (the only serializer in this workspace) needs. The derive macro
-//! re-exported here generates `to_value` / `from_value` implementations
-//! mirroring serde's externally-tagged data model, so journal lines and
-//! telemetry exports look like the real thing.
+//! re-exported here generates `to_value` implementations mirroring
+//! serde's externally-tagged data model, so the canonical tenant lines,
+//! telemetry exports and API views look like the real thing. Nothing in
+//! the workspace reads its own JSON back: [`Deserialize`] is implemented
+//! for [`Value`] alone, so free-form documents can still be parsed.
 
-pub use serde_derive::{Deserialize, Serialize};
+pub use serde_derive::Serialize;
 
 use std::collections::BTreeMap;
 
@@ -83,6 +85,18 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
+impl Deserialize for Value {
+    fn from_value(v: &Value) -> Result<Value, Error> {
+        Ok(v.clone())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Primitive impls
 // ---------------------------------------------------------------------
@@ -92,71 +106,19 @@ macro_rules! impl_serde_uint {
         impl Serialize for $t {
             fn to_value(&self) -> Value { Value::UInt(*self as u64) }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t)))),
-                    other => Err(Error::msg(format!(
-                        "expected integer for {}, got {other:?}", stringify!($t)
-                    ))),
-                }
-            }
-        }
     )*};
 }
-impl_serde_uint!(u8, u16, u32, u64, usize);
+impl_serde_uint!(u32, u64, usize);
 
-macro_rules! impl_serde_int {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value { Value::Int(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t)))),
-                    Value::UInt(n) => <$t>::try_from(*n)
-                        .map_err(|_| Error::msg(format!("{n} out of range for {}", stringify!($t)))),
-                    other => Err(Error::msg(format!(
-                        "expected integer for {}, got {other:?}", stringify!($t)
-                    ))),
-                }
-            }
-        }
-    )*};
+impl Serialize for i64 {
+    fn to_value(&self) -> Value {
+        Value::Int(*self)
+    }
 }
-impl_serde_int!(i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
     fn to_value(&self) -> Value {
         Value::Float(*self)
-    }
-}
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Float(f) => Ok(*f),
-            Value::Int(n) => Ok(*n as f64),
-            Value::UInt(n) => Ok(*n as f64),
-            // serde_json writes non-finite floats as null.
-            Value::Null => Ok(f64::NAN),
-            other => Err(Error::msg(format!("expected number, got {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Float(*self as f64)
-    }
-}
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|f| f as f32)
     }
 }
 
@@ -165,55 +127,10 @@ impl Serialize for bool {
         Value::Bool(*self)
     }
 }
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::msg(format!("expected bool, got {other:?}"))),
-        }
-    }
-}
-
-impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| Error::msg("expected single-char string"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::msg("expected single-char string")),
-        }
-    }
-}
 
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
-    }
-}
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::msg(format!("expected string, got {v:?}")))
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
     }
 }
 
@@ -229,68 +146,10 @@ impl<T: Serialize> Serialize for Option<T> {
         }
     }
 }
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()
-            .ok_or_else(|| Error::msg(format!("expected array, got {v:?}")))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize + Copy + Default, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items = v
-            .as_array()
-            .ok_or_else(|| Error::msg(format!("expected array, got {v:?}")))?;
-        if items.len() != N {
-            return Err(Error::msg(format!(
-                "expected {N} elements, got {}",
-                items.len()
-            )));
-        }
-        let mut out = [T::default(); N];
-        for (slot, item) in out.iter_mut().zip(items) {
-            *slot = T::from_value(item)?;
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
     }
 }
 
@@ -301,97 +160,19 @@ macro_rules! impl_serde_tuple {
                 Value::Array(vec![$(self.$n.to_value()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array()
-                    .ok_or_else(|| Error::msg(format!("expected tuple array, got {v:?}")))?;
-                let expected = [$(stringify!($n)),+].len();
-                if items.len() != expected {
-                    return Err(Error::msg(format!(
-                        "expected {expected}-tuple, got {} elements", items.len()
-                    )));
-                }
-                Ok(($($t::from_value(&items[$n])?,)+))
-            }
-        }
     )*};
 }
 impl_serde_tuple! {
-    (0 A)
     (0 A, 1 B)
-    (0 A, 1 B, 2 C)
     (0 A, 1 B, 2 C, 3 D)
 }
 
-/// Map keys must serialize to strings (the JSON constraint).
-fn key_to_string<K: Serialize>(k: &K) -> String {
-    match k.to_value() {
-        Value::Str(s) => s,
-        Value::Int(n) => n.to_string(),
-        Value::UInt(n) => n.to_string(),
-        other => panic!("map key must serialize to a string or integer, got {other:?}"),
-    }
-}
-
-impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
+impl<V: Serialize> Serialize for BTreeMap<String, V> {
     fn to_value(&self) -> Value {
         Value::Object(
             self.iter()
-                .map(|(k, v)| (key_to_string(k), v.to_value()))
+                .map(|(k, v)| (k.clone(), v.to_value()))
                 .collect(),
         )
-    }
-}
-
-impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| Error::msg(format!("expected object, got {v:?}")))?;
-        let mut out = BTreeMap::new();
-        for (k, val) in fields {
-            // Keys arrive as strings; re-parse through the string Value.
-            let key = K::from_value(&Value::Str(k.clone())).or_else(|_| {
-                // Integer-keyed maps: try numeric re-parse.
-                k.parse::<i64>()
-                    .map_err(|_| Error::msg(format!("bad map key {k:?}")))
-                    .and_then(|n| K::from_value(&Value::Int(n)))
-            })?;
-            out.insert(key, V::from_value(val)?);
-        }
-        Ok(out)
-    }
-}
-
-/// Find a field in an object slice (used by derive-generated code).
-pub fn find<'a>(fields: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn option_and_vec_round_trip() {
-        let v: Vec<Option<u32>> = vec![Some(3), None, Some(7)];
-        let val = v.to_value();
-        assert_eq!(Vec::<Option<u32>>::from_value(&val).unwrap(), v);
-    }
-
-    #[test]
-    fn map_round_trip() {
-        let mut m = BTreeMap::new();
-        m.insert("a".to_string(), 1u64);
-        m.insert("b".to_string(), 2);
-        let val = m.to_value();
-        assert_eq!(BTreeMap::<String, u64>::from_value(&val).unwrap(), m);
-    }
-
-    #[test]
-    fn integer_width_checks() {
-        assert!(u8::from_value(&Value::UInt(300)).is_err());
-        assert_eq!(u8::from_value(&Value::UInt(255)).unwrap(), 255);
-        assert_eq!(i32::from_value(&Value::Int(-5)).unwrap(), -5);
     }
 }

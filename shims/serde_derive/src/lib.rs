@@ -1,19 +1,20 @@
 //! Offline shim for `serde_derive` (see `shims/README.md`).
 //!
-//! Generates `serde::Serialize` / `serde::Deserialize` impls against the
-//! shim `serde` crate's `Value` model. The parser below hand-walks the
+//! Generates `serde::Serialize` impls against the shim `serde` crate's
+//! `Value` model; there is no `Deserialize` derive, since nothing in the
+//! workspace reads its own JSON back. The parser below hand-walks the
 //! `proc_macro::TokenStream` (no `syn`/`quote` in this environment) and
 //! supports exactly the item shapes this workspace derives on:
-//! non-generic structs (named / tuple / unit) and non-generic enums with
-//! unit, newtype, tuple, and struct variants, using serde's external
-//! tagging. Unsupported shapes fail the build with a clear message.
+//! non-generic structs (named / newtype) and non-generic enums with
+//! unit, newtype and struct variants, using serde's external tagging.
+//! Unsupported shapes fail the build with a clear message.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 #[derive(Debug)]
 enum Fields {
     Unit,
-    Tuple(usize),
+    Newtype,
     Named(Vec<String>),
 }
 
@@ -31,32 +32,10 @@ enum Item {
 
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::Serialize)
-}
-
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, Mode::Deserialize)
-}
-
-#[derive(Clone, Copy)]
-enum Mode {
-    Serialize,
-    Deserialize,
-}
-
-fn expand(input: TokenStream, mode: Mode) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(item) => item,
-        Err(msg) => {
-            return format!("compile_error!({msg:?});").parse().unwrap();
-        }
-    };
-    let code = match (mode, &item) {
-        (Mode::Serialize, Item::Struct { name, fields }) => gen_struct_ser(name, fields),
-        (Mode::Deserialize, Item::Struct { name, fields }) => gen_struct_de(name, fields),
-        (Mode::Serialize, Item::Enum { name, variants }) => gen_enum_ser(name, variants),
-        (Mode::Deserialize, Item::Enum { name, variants }) => gen_enum_de(name, variants),
+    let code = match parse_item(input) {
+        Ok(Item::Struct { name, fields }) => gen_struct_ser(&name, &fields),
+        Ok(Item::Enum { name, variants }) => gen_enum_ser(&name, &variants),
+        Err(msg) => format!("compile_error!({msg:?});"),
     };
     code.parse().unwrap()
 }
@@ -91,9 +70,8 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
                     Fields::Named(parse_named_fields(g.stream())?)
                 }
                 Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                    Fields::Tuple(count_tuple_fields(g.stream()))
+                    newtype(&name, g.stream())?
                 }
-                Some(TokenTree::Punct(p)) if p.as_char() == ';' => Fields::Unit,
                 other => return Err(format!("unsupported struct body for {name}: {other:?}")),
             };
             Ok(Item::Struct { name, fields })
@@ -178,8 +156,14 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
-fn count_tuple_fields(stream: TokenStream) -> usize {
-    split_top_level_commas(stream).len()
+/// Tuple shapes are supported with exactly one field.
+fn newtype(name: &str, stream: TokenStream) -> Result<Fields, String> {
+    match split_top_level_commas(stream).len() {
+        1 => Ok(Fields::Newtype),
+        n => Err(format!(
+            "serde shim derive supports one-field tuples only ({name} has {n})"
+        )),
+    }
 }
 
 fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> {
@@ -198,7 +182,7 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<(String, Fields)>, String> 
                 Fields::Named(parse_named_fields(g.stream())?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-                Fields::Tuple(count_tuple_fields(g.stream()))
+                newtype(&name, g.stream())?
             }
             Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
                 return Err(format!(
@@ -229,66 +213,15 @@ fn named_fields_to_object(accessor: impl Fn(&str) -> String, names: &[String]) -
     format!("::serde::Value::Object(::std::vec![{}])", entries.join(""))
 }
 
-fn named_fields_from_object(ty_path: &str, source: &str, names: &[String]) -> String {
-    let inits: Vec<String> = names
-        .iter()
-        .map(|n| {
-            format!(
-                "{n}: ::serde::Deserialize::from_value(::serde::find({source}, {n:?})\
-                 .ok_or_else(|| ::serde::Error::msg(::std::format!(\"missing field {n} in {ty_path}\")))?)?,"
-            )
-        })
-        .collect();
-    format!("{ty_path} {{ {} }}", inits.join(""))
-}
-
 fn gen_struct_ser(name: &str, fields: &Fields) -> String {
     let body = match fields {
-        Fields::Unit => "::serde::Value::Null".to_string(),
-        Fields::Tuple(1) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i}),"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{}])", items.join(""))
-        }
+        Fields::Unit => unreachable!("a unit struct is rejected by parse_item"),
+        Fields::Newtype => "::serde::Serialize::to_value(&self.0)".to_string(),
         Fields::Named(names) => named_fields_to_object(|n| format!("&self.{n}"), names),
     };
     format!(
         "impl ::serde::Serialize for {name} {{\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\
-         }}"
-    )
-}
-
-fn gen_struct_de(name: &str, fields: &Fields) -> String {
-    let body = match fields {
-        Fields::Unit => format!("::std::result::Result::Ok({name})"),
-        Fields::Tuple(1) => format!(
-            "::std::result::Result::Ok({name}(::serde::Deserialize::from_value(v)?))"
-        ),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
-                .collect();
-            format!(
-                "let items = v.as_array().ok_or_else(|| ::serde::Error::msg(\"expected array for {name}\"))?;\
-                 if items.len() != {n} {{\
-                     return ::std::result::Result::Err(::serde::Error::msg(\"wrong tuple arity for {name}\"));\
-                 }}\
-                 ::std::result::Result::Ok({name}({}))",
-                items.join("")
-            )
-        }
-        Fields::Named(names) => format!(
-            "let fields = v.as_object().ok_or_else(|| ::serde::Error::msg(\"expected object for {name}\"))?;\
-             ::std::result::Result::Ok({})",
-            named_fields_from_object(name, "fields", names)
-        ),
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\
-             fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{ {body} }}\
          }}"
     )
 }
@@ -300,23 +233,10 @@ fn gen_enum_ser(name: &str, variants: &[(String, Fields)]) -> String {
             Fields::Unit => format!(
                 "Self::{vname} => ::serde::Value::Str(::std::string::String::from({vname:?})),"
             ),
-            Fields::Tuple(1) => format!(
+            Fields::Newtype => format!(
                 "Self::{vname}(f0) => ::serde::Value::Object(::std::vec![(\
                      ::std::string::String::from({vname:?}), ::serde::Serialize::to_value(f0))]),"
             ),
-            Fields::Tuple(n) => {
-                let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Serialize::to_value(f{i}),"))
-                    .collect();
-                format!(
-                    "Self::{vname}({}) => ::serde::Value::Object(::std::vec![(\
-                         ::std::string::String::from({vname:?}),\
-                         ::serde::Value::Array(::std::vec![{}]))]),",
-                    binds.join(","),
-                    items.join("")
-                )
-            }
             Fields::Named(fnames) => {
                 let obj = named_fields_to_object(|n| n.to_string(), fnames);
                 format!(
@@ -332,76 +252,5 @@ fn gen_enum_ser(name: &str, variants: &[(String, Fields)]) -> String {
              fn to_value(&self) -> ::serde::Value {{ match self {{ {} }} }}\
          }}",
         arms.join("")
-    )
-}
-
-fn gen_enum_de(name: &str, variants: &[(String, Fields)]) -> String {
-    let unit_arms: Vec<String> = variants
-        .iter()
-        .filter(|(_, f)| matches!(f, Fields::Unit))
-        .map(|(vname, _)| format!("{vname:?} => ::std::result::Result::Ok(Self::{vname}),"))
-        .collect();
-    let data_arms: Vec<String> = variants
-        .iter()
-        .filter_map(|(vname, fields)| match fields {
-            Fields::Unit => None,
-            Fields::Tuple(1) => Some(format!(
-                "{vname:?} => ::std::result::Result::Ok(Self::{vname}(\
-                     ::serde::Deserialize::from_value(inner)?)),"
-            )),
-            Fields::Tuple(n) => {
-                let items: Vec<String> = (0..*n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?,"))
-                    .collect();
-                Some(format!(
-                    "{vname:?} => {{\
-                         let items = inner.as_array().ok_or_else(|| ::serde::Error::msg(\
-                             \"expected array for {name}::{vname}\"))?;\
-                         if items.len() != {n} {{\
-                             return ::std::result::Result::Err(::serde::Error::msg(\
-                                 \"wrong arity for {name}::{vname}\"));\
-                         }}\
-                         ::std::result::Result::Ok(Self::{vname}({}))\
-                     }},",
-                    items.join("")
-                ))
-            }
-            Fields::Named(fnames) => {
-                let init = named_fields_from_object(&format!("Self::{vname}"), "vfields", fnames);
-                Some(format!(
-                    "{vname:?} => {{\
-                         let vfields = inner.as_object().ok_or_else(|| ::serde::Error::msg(\
-                             \"expected object for {name}::{vname}\"))?;\
-                         ::std::result::Result::Ok({init})\
-                     }},"
-                ))
-            }
-        })
-        .collect();
-    format!(
-        "impl ::serde::Deserialize for {name} {{\
-             fn from_value(v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\
-                 match v {{\
-                     ::serde::Value::Str(s) => match s.as_str() {{\
-                         {units}\
-                         other => ::std::result::Result::Err(::serde::Error::msg(\
-                             ::std::format!(\"unknown {name} variant {{other}}\"))),\
-                     }},\
-                     ::serde::Value::Object(fields) if fields.len() == 1 => {{\
-                         let (tag, inner) = &fields[0];\
-                         let _ = inner;\
-                         match tag.as_str() {{\
-                             {datas}\
-                             other => ::std::result::Result::Err(::serde::Error::msg(\
-                                 ::std::format!(\"unknown {name} variant {{other}}\"))),\
-                         }}\
-                     }},\
-                     other => ::std::result::Result::Err(::serde::Error::msg(\
-                         ::std::format!(\"cannot deserialize {name} from {{other:?}}\"))),\
-                 }}\
-             }}\
-         }}",
-        units = unit_arms.join(""),
-        datas = data_arms.join("")
     )
 }

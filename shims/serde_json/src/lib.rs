@@ -395,46 +395,51 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
 
     #[test]
     fn round_trip_map() {
-        let mut m = BTreeMap::new();
-        m.insert("alpha".to_string(), 3u64);
-        m.insert("beta".to_string(), 0);
+        let m = Value::Object(vec![
+            ("alpha".to_string(), Value::UInt(3)),
+            ("beta".to_string(), Value::UInt(0)),
+        ]);
         let text = to_string_pretty(&m).unwrap();
         assert!(text.contains("\"alpha\": 3"));
-        let back: BTreeMap<String, u64> = from_str(&text).unwrap();
+        let back: Value = from_str(&text).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
     fn parses_nested() {
-        let v: Vec<Vec<i64>> = from_str("[[1,2],[,]]".replace(",]", "]").as_str()).unwrap();
-        assert_eq!(v, vec![vec![1, 2], vec![]]);
+        let v: Value = from_str("[[1,2],[]]").unwrap();
+        let expected = Value::Array(vec![
+            Value::Array(vec![Value::UInt(1), Value::UInt(2)]),
+            Value::Array(vec![]),
+        ]);
+        assert_eq!(v, expected);
+        assert_eq!(to_string(&v).unwrap(), "[[1,2],[]]");
     }
 
     #[test]
     fn string_escapes_round_trip() {
-        let s = "line\n\"quoted\"\tτ✓".to_string();
+        let s = Value::Str("line\n\"quoted\"\tτ✓".to_string());
         let text = to_string(&s).unwrap();
-        let back: String = from_str(&text).unwrap();
+        let back: Value = from_str(&text).unwrap();
         assert_eq!(back, s);
     }
 
     #[test]
     fn floats_keep_their_type() {
-        let text = to_string(&2.0f64).unwrap();
+        let text = to_string(&Value::Float(2.0)).unwrap();
         assert_eq!(text, "2.0");
-        let back: f64 = from_str(&text).unwrap();
-        assert_eq!(back, 2.0);
+        let back: Value = from_str(&text).unwrap();
+        assert_eq!(back, Value::Float(2.0));
     }
 
     #[test]
     fn negative_and_large_numbers() {
-        let back: i64 = from_str("-42").unwrap();
-        assert_eq!(back, -42);
-        let back: u64 = from_str("18446744073709551615").unwrap();
-        assert_eq!(back, u64::MAX);
+        let back: Value = from_str("-42").unwrap();
+        assert_eq!(back, Value::Int(-42));
+        let back: Value = from_str("18446744073709551615").unwrap();
+        assert_eq!(back, Value::UInt(u64::MAX));
     }
 }
