@@ -107,7 +107,6 @@ fn mi_stage_ablation() {
             use_merging: merging,
             use_classifier: classifier,
             max_recommendations: 10,
-            ..MiConfig::default()
         };
         let a = recommend(&db, &store, &cfg, &ImpactClassifier::default());
         println!(

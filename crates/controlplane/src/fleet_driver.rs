@@ -15,7 +15,7 @@
 //!
 //! # One kernel
 //!
-//! [`FleetDriver::run_tenant`] is the only loop that ever ticks a
+//! `FleetDriver::run_tenant` is the only loop that ever ticks a
 //! tenant: set up the worker, step it `ticks` times, roll up its
 //! outcome. It is *tenant-major* — a tenant runs all its ticks before
 //! the executor touches the next one — on every path: the serial run,
@@ -349,7 +349,7 @@ pub struct FleetReport {
 /// The order-free part of a fleet's end-of-run state: the three merged
 /// sinks and the summed per-tenant tallies. One tenant's worker hands
 /// back a `FleetTotals` of its own; shards, regions and the unsharded
-/// report all build theirs with [`FleetTotals::absorb`], the one fold.
+/// report all build theirs with `FleetTotals::absorb`, the one fold.
 #[derive(Debug)]
 pub struct FleetTotals {
     /// Telemetry merged in fold order (counters exact; raw events capped

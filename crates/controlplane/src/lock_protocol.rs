@@ -13,11 +13,12 @@ use sqlmini::lock::{
     simulate, summarize_convoy, ConvoySummary, LockMode, LockOutcome, LockPriority, LockRequest,
 };
 
+/// Low-priority wait timeout for each attempt.
+const ATTEMPT_TIMEOUT: Duration = Duration::from_secs(30);
+
 /// Protocol configuration.
 #[derive(Debug, Clone)]
 pub struct DropProtocolConfig {
-    /// Low-priority wait timeout for each attempt.
-    pub attempt_timeout: Duration,
     /// Back-off after a timed-out attempt (doubles per retry).
     pub initial_backoff: Duration,
     pub max_attempts: u32,
@@ -28,7 +29,6 @@ pub struct DropProtocolConfig {
 impl Default for DropProtocolConfig {
     fn default() -> DropProtocolConfig {
         DropProtocolConfig {
-            attempt_timeout: Duration::from_secs(30),
             initial_backoff: Duration::from_secs(60),
             max_attempts: 5,
             naive_fifo: false,
@@ -95,7 +95,7 @@ pub fn run_drop_protocol(
             id: drop_id,
             mode: LockMode::Exclusive,
             priority: LockPriority::Low {
-                timeout: cfg.attempt_timeout,
+                timeout: ATTEMPT_TIMEOUT,
             },
             arrival: attempt_at,
             hold: Duration::from_millis(10),
@@ -111,7 +111,7 @@ pub fn run_drop_protocol(
                 convoy,
             };
         }
-        attempt_at = attempt_at + cfg.attempt_timeout + backoff;
+        attempt_at = attempt_at + ATTEMPT_TIMEOUT + backoff;
         backoff = backoff.saturating_mul(2);
     }
 

@@ -23,7 +23,6 @@
 
 use crate::faults::{FaultInjector, FaultPoint};
 use crate::metrics::MetricsRegistry;
-use crate::scheduler::SchedulerConfig;
 use crate::stages::{Stage, WakeSchedule};
 use crate::state::{effective, DbSettings, RecoId, RecoState, ServerSettings};
 use crate::store::{CompactionPolicy, StateStore};
@@ -128,8 +127,6 @@ pub struct PlanePolicy {
     /// Give up waiting for validation data after this long (→ Success
     /// with a no-data note).
     pub validation_max_wait: Duration,
-    /// Length of the pre-change comparison window.
-    pub validation_before_window: Duration,
     pub max_retry_attempts: u32,
     /// Backoff-with-jitter discipline for resuming parked retries.
     pub retry: RetryPolicy,
@@ -145,7 +142,6 @@ pub struct PlanePolicy {
     pub dta: DtaConfig,
     pub validator: ValidatorConfig,
     pub drops: DropConfig,
-    pub scheduler: SchedulerConfig,
     /// Journal checkpointing/compaction trigger. The check runs at the
     /// end of every executed tick, after the wake schedule is recorded;
     /// it is deterministic in journaled state only, so serial, parallel,
@@ -161,7 +157,6 @@ impl Default for PlanePolicy {
             reco_expiry: Duration::from_days(7),
             validation_min_wait: Duration::from_hours(3),
             validation_max_wait: Duration::from_days(2),
-            validation_before_window: Duration::from_hours(12),
             max_retry_attempts: 3,
             retry: RetryPolicy::default(),
             schedule_builds: false,
@@ -171,7 +166,6 @@ impl Default for PlanePolicy {
             dta: DtaConfig::default(),
             validator: ValidatorConfig::default(),
             drops: DropConfig::default(),
-            scheduler: SchedulerConfig::default(),
             journal: CompactionPolicy::default(),
         }
     }

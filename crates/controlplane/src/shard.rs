@@ -25,7 +25,7 @@
 //!
 //! A million-tenant fleet cannot be resident at once, so a shard never
 //! materializes its slice: members are hydrated from the [`FleetSpec`]
-//! one wave of [`HYDRATION_WAVE`] at a time, each tenant is constructed,
+//! one wave of `HYDRATION_WAVE` at a time, each tenant is constructed,
 //! driven for *all* its ticks, folded into the shard report, and
 //! dropped — so peak resident tenants is bounded by the worker thread
 //! count, independent of fleet size (the [`HydrationGauge`] proves it).
@@ -200,7 +200,7 @@ pub struct ShardReport {
     /// tenant at the million scale.
     pub outcomes: Option<Vec<(usize, TenantOutcome)>>,
     /// Members' sinks and tallies folded in member order (raw events
-    /// capped at [`REGION_RAW_EVENTS`]; counters always exact).
+    /// capped at `REGION_RAW_EVENTS`; counters always exact).
     pub totals: FleetTotals,
 }
 

@@ -14,7 +14,7 @@ use sqlmini::clock::Timestamp;
 pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
     let now = mdb.db.clock().now();
     let (auto_create, auto_drop) = plane.effective_settings(mdb);
-    if plane.policy.schedule_builds && !is_low_activity(&mdb.db, &plane.policy.scheduler, now) {
+    if plane.policy.schedule_builds && !is_low_activity(&mdb.db, now) {
         return;
     }
     let due: Vec<RecoId> = plane

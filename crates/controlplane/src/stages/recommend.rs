@@ -38,9 +38,7 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
     // workload for the primary's resources, so it can be restricted to
     // low-activity windows. MI analysis is DMV-snapshot arithmetic and
     // is always safe.
-    let use_dta = use_dta
-        && (!plane.policy.dta_low_activity_only
-            || is_low_activity(&mdb.db, &plane.policy.scheduler, now));
+    let use_dta = use_dta && (!plane.policy.dta_low_activity_only || is_low_activity(&mdb.db, now));
 
     let mut new_recos: Vec<Recommendation> = Vec::new();
     if use_dta {

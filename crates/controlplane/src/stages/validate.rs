@@ -11,7 +11,10 @@ use crate::telemetry::EventKind;
 use autoindex::classifier::TrainingExample;
 use autoindex::validator::{validate, ChangeKind, Verdict};
 use autoindex::{CandidateFeatures, RecoAction, RecoSource};
-use sqlmini::clock::Timestamp;
+use sqlmini::clock::{Duration, Timestamp};
+
+/// Length of the pre-change comparison window the validator reads.
+const BEFORE_WINDOW: Duration = Duration::from_hours(12);
 
 pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
     let now = mdb.db.clock().now();
@@ -74,7 +77,7 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
             Timestamp(
                 implemented_at
                     .millis()
-                    .saturating_sub(plane.policy.validation_before_window.millis()),
+                    .saturating_sub(BEFORE_WINDOW.millis()),
             ),
             implemented_at,
         );

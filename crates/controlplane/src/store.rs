@@ -381,9 +381,9 @@ impl StateStore {
     }
 
     /// Mangle the newest checkpoint frame — models the process dying
-    /// mid-checkpoint-write ([`FaultPoint::CheckpointTear`]
-    /// (crate::faults::FaultPoint::CheckpointTear)). Recovery must step
-    /// down the fallback ladder, losing nothing.
+    /// mid-checkpoint-write
+    /// ([`FaultPoint::CheckpointTear`](crate::faults::FaultPoint::CheckpointTear)).
+    /// Recovery must step down the fallback ladder, losing nothing.
     pub fn corrupt_last_checkpoint(&mut self) {
         if let Some(i) = self.last_checkpoint {
             self.corrupt_journal_frame(i);

@@ -18,27 +18,21 @@ use sqlmini::clock::{Duration, Timestamp};
 use sqlmini::engine::Database;
 use sqlmini::schema::{IndexId, IndexOrigin};
 
+/// Minimum maintenance events for an unused index to be worth dropping (a
+/// dormant index on a read-only table costs nothing).
+const MIN_UPDATES: u64 = 10;
+
 /// Drop-analysis configuration.
 #[derive(Debug, Clone)]
 pub struct DropConfig {
     /// Usage must be absent for at least this long (the paper: ~60 days).
     pub observation_window: Duration,
-    /// Maximum reads over the window for an index to count as unused.
-    pub max_reads: u64,
-    /// Minimum maintenance events for an unused index to be worth
-    /// dropping (a dormant index on a read-only table costs nothing).
-    pub min_updates: u64,
-    /// Also propose duplicates.
-    pub include_duplicates: bool,
 }
 
 impl Default for DropConfig {
     fn default() -> DropConfig {
         DropConfig {
             observation_window: Duration::from_days(60),
-            max_reads: 0,
-            min_updates: 10,
-            include_duplicates: true,
         }
     }
 }
@@ -86,7 +80,7 @@ pub fn recommend_drops(
                 continue;
             }
             let usage = db.usage_dmv().usage(*id);
-            if usage.reads() <= cfg.max_reads && usage.user_updates >= cfg.min_updates {
+            if usage.reads() == 0 && usage.user_updates >= MIN_UPDATES {
                 out.push(DropProposal {
                     recommendation: Recommendation {
                         action: RecoAction::DropIndex {
@@ -107,64 +101,62 @@ pub fn recommend_drops(
     }
 
     // Duplicate analysis: group by (table, key columns); keep the best.
-    if cfg.include_duplicates {
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, (_, def)) in indexes.iter().enumerate() {
-            match groups
-                .iter_mut()
-                .find(|g| indexes[g[0]].1.duplicate_of(def))
-            {
-                Some(g) => g.push(i),
-                None => groups.push(vec![i]),
-            }
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, (_, def)) in indexes.iter().enumerate() {
+        match groups
+            .iter_mut()
+            .find(|g| indexes[g[0]].1.duplicate_of(def))
+        {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
         }
-        for group in groups.into_iter().filter(|g| g.len() > 1) {
-            // Keep the one with the most includes (most covering), then
-            // most reads; protected members are always kept.
-            let keep = *group
-                .iter()
-                .max_by_key(|&&i| {
-                    let (id, def) = &indexes[i];
-                    (
-                        protected(def) as usize,
-                        def.included_columns.len(),
-                        db.usage_dmv().usage(*id).reads(),
-                    )
-                })
-                .expect("non-empty group");
-            for &i in &group {
-                if i == keep {
-                    continue;
-                }
+    }
+    for group in groups.into_iter().filter(|g| g.len() > 1) {
+        // Keep the one with the most includes (most covering), then
+        // most reads; protected members are always kept.
+        let keep = *group
+            .iter()
+            .max_by_key(|&&i| {
                 let (id, def) = &indexes[i];
-                if protected(def) {
-                    continue;
-                }
-                // Avoid double-reporting an index already flagged unused.
-                if out.iter().any(|p| match &p.recommendation.action {
-                    RecoAction::DropIndex { index, .. } => index == id,
-                    _ => false,
-                }) {
-                    continue;
-                }
-                out.push(DropProposal {
-                    recommendation: Recommendation {
-                        action: RecoAction::DropIndex {
-                            index: *id,
-                            name: def.name.clone(),
-                        },
-                        source: RecoSource::DropAnalysis,
-                        estimated_benefit: db.usage_dmv().usage(*id).user_updates as f64,
-                        estimated_improvement: 0.0,
-                        estimated_size_bytes: db.index_size_bytes(*id),
-                        impacted_queries: vec![],
-                        generated_at: now,
-                    },
-                    reason: DropReason::Duplicate {
-                        keep: indexes[keep].0,
-                    },
-                });
+                (
+                    protected(def) as usize,
+                    def.included_columns.len(),
+                    db.usage_dmv().usage(*id).reads(),
+                )
+            })
+            .expect("non-empty group");
+        for &i in &group {
+            if i == keep {
+                continue;
             }
+            let (id, def) = &indexes[i];
+            if protected(def) {
+                continue;
+            }
+            // Avoid double-reporting an index already flagged unused.
+            if out.iter().any(|p| match &p.recommendation.action {
+                RecoAction::DropIndex { index, .. } => index == id,
+                _ => false,
+            }) {
+                continue;
+            }
+            out.push(DropProposal {
+                recommendation: Recommendation {
+                    action: RecoAction::DropIndex {
+                        index: *id,
+                        name: def.name.clone(),
+                    },
+                    source: RecoSource::DropAnalysis,
+                    estimated_benefit: db.usage_dmv().usage(*id).user_updates as f64,
+                    estimated_improvement: 0.0,
+                    estimated_size_bytes: db.index_size_bytes(*id),
+                    impacted_queries: vec![],
+                    generated_at: now,
+                },
+                reason: DropReason::Duplicate {
+                    keep: indexes[keep].0,
+                },
+            });
         }
     }
 

@@ -34,6 +34,10 @@ use sqlmini::querystore::Metric;
 use sqlmini::schema::{ColumnId, IndexDef, TableId};
 use sqlmini::types::Value;
 
+/// Minimum relative workload improvement for a recommendation set to be
+/// emitted at all.
+const MIN_IMPROVEMENT_FRAC: f64 = 0.02;
+
 /// DTA session configuration.
 #[derive(Debug, Clone)]
 pub struct DtaConfig {
@@ -47,13 +51,6 @@ pub struct DtaConfig {
     pub storage_budget_bytes: Option<u64>,
     /// Maximum optimizer ("what-if") calls before the session aborts.
     pub optimizer_call_budget: u64,
-    /// Minimum relative workload improvement for a recommendation set to
-    /// be emitted at all.
-    pub min_improvement_frac: f64,
-    /// Augment the search with MI DMV candidates (§5.3.2, last step).
-    pub augment_with_mi: bool,
-    /// Metric used for workload selection.
-    pub selection_metric: Metric,
     /// Memoize what-if costs on (statement, per-table configuration
     /// fingerprint) and skip statements a candidate's table cannot
     /// affect. Recommendations are byte-identical either way (pinned by
@@ -70,9 +67,6 @@ impl Default for DtaConfig {
             max_indexes: 5,
             storage_budget_bytes: None,
             optimizer_call_budget: 5_000,
-            min_improvement_frac: 0.02,
-            augment_with_mi: true,
-            selection_metric: Metric::CpuTime,
             what_if_cache: true,
         }
     }
@@ -283,7 +277,7 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
     // ---- Workload acquisition (§5.3.2) --------------------------------
     let top = db
         .query_store()
-        .top_k_queries(cfg.selection_metric, cfg.top_k, from, now);
+        .top_k_queries(Metric::CpuTime, cfg.top_k, from, now);
     let mut work: Vec<WorkItem> = Vec::new();
     let mut skipped: Vec<(QueryId, SkipReason)> = Vec::new();
     let mut rewritten: Vec<QueryId> = Vec::new();
@@ -314,7 +308,7 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
     }
 
     let analyzed: Vec<QueryId> = work.iter().map(|w| w.qid).collect();
-    let coverage = workload_coverage(db, &analyzed, cfg.selection_metric, from, now);
+    let coverage = workload_coverage(db, &analyzed, Metric::CpuTime, from, now);
 
     let existing: Vec<IndexDef> = db.catalog().indexes().map(|(_, d)| d.clone()).collect();
 
@@ -336,33 +330,31 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
         }
     }
 
-    // MI augmentation: candidates the server already observed, covering
-    // statements DTA skipped.
+    // MI augmentation (§5.3.2, last step): candidates the server already
+    // observed, covering statements DTA skipped.
     let mut mi_bonus: Vec<(usize, f64)> = Vec::new();
-    if cfg.augment_with_mi {
-        let entries = db.mi_dmv().snapshot();
-        for (key, stats) in entries {
-            let cand = IndexCandidate::from_missing_index_key(&key);
-            if existing.iter().any(|ix| cand.served_by(ix)) {
-                continue;
+    let entries = db.mi_dmv().snapshot();
+    for (key, stats) in entries {
+        let cand = IndexCandidate::from_missing_index_key(&key);
+        if existing.iter().any(|ix| cand.served_by(ix)) {
+            continue;
+        }
+        // Match on the full (table, keys, includes) identity — an MI
+        // candidate with different includes is a *different* index and
+        // must not be merged into (nor credit its impact score to) a
+        // structurally distinct pool entry.
+        let idx = match pool_position(&pool, &cand) {
+            Some(i) => i,
+            None => {
+                pool.push(cand);
+                pool.len() - 1
             }
-            // Match on the full (table, keys, includes) identity — an MI
-            // candidate with different includes is a *different* index and
-            // must not be merged into (nor credit its impact score to) a
-            // structurally distinct pool entry.
-            let idx = match pool_position(&pool, &cand) {
-                Some(i) => i,
-                None => {
-                    pool.push(cand);
-                    pool.len() - 1
-                }
-            };
-            // Optimizer-estimated benefit for statements the what-if pass
-            // can't reach (the paper: "use the optimizer's cost estimates
-            // ... whenever DTA cannot cost them").
-            if !skipped.is_empty() {
-                mi_bonus.push((idx, stats.impact_score()));
-            }
+        };
+        // Optimizer-estimated benefit for statements the what-if pass
+        // can't reach (the paper: "use the optimizer's cost estimates
+        // ... whenever DTA cannot cost them").
+        if !skipped.is_empty() {
+            mi_bonus.push((idx, stats.impact_score()));
         }
     }
 
@@ -571,7 +563,7 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
     } else {
         0.0
     };
-    let recommendations = if improvement >= cfg.min_improvement_frac {
+    let recommendations = if improvement >= MIN_IMPROVEMENT_FRAC {
         chosen
             .iter()
             .zip(&chosen_benefit)

@@ -1,4 +1,4 @@
-//! Index merging (§5.2, step five; Chaudhuri & Narasayya, ICDE'99 [12]).
+//! Index merging (§5.2, step five; Chaudhuri & Narasayya, ICDE'99 \[12\]).
 //!
 //! To serve multiple queries with fewer indexes, candidates whose key
 //! columns are a **prefix** of another candidate's keys (but whose include

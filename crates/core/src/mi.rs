@@ -35,21 +35,26 @@ use sqlmini::engine::Database;
 use sqlmini::index::SecondaryIndex;
 use std::collections::BTreeMap;
 
+/// Minimum cumulative optimizations that must have requested a candidate
+/// (filters ad-hoc queries).
+const MIN_SEEKS: u64 = 3;
+
+/// Minimum cumulative impact-score growth per hour for the slope test.
+const SLOPE_THRESHOLD_PER_HOUR: f64 = 1.0;
+
+/// One-sided significance level for the slope test.
+const SLOPE_ALPHA: f64 = 0.05;
+
+/// Minimum snapshots before a candidate can be recommended.
+const MIN_SNAPSHOTS: usize = 3;
+
+/// The slope test runs over only the most recent snapshots, so a candidate
+/// that was hot long ago but has flat-lined is rejected.
+const SLOPE_WINDOW: usize = 8;
+
 /// Configuration of the MI recommender.
 #[derive(Debug, Clone)]
 pub struct MiConfig {
-    /// Minimum cumulative optimizations that must have requested the
-    /// candidate (filters ad-hoc queries).
-    pub min_seeks: u64,
-    /// Minimum cumulative impact-score growth per hour for the slope test.
-    pub slope_threshold_per_hour: f64,
-    /// One-sided significance level for the slope test.
-    pub slope_alpha: f64,
-    /// Minimum snapshots before a candidate can be recommended.
-    pub min_snapshots: usize,
-    /// The slope test runs over only the most recent snapshots, so a
-    /// candidate that was hot long ago but has flat-lined is rejected.
-    pub slope_window: usize,
     pub max_recommendations: usize,
     /// Ablation knobs.
     pub use_merging: bool,
@@ -59,11 +64,6 @@ pub struct MiConfig {
 impl Default for MiConfig {
     fn default() -> MiConfig {
         MiConfig {
-            min_seeks: 3,
-            slope_threshold_per_hour: 1.0,
-            slope_alpha: 0.05,
-            min_snapshots: 3,
-            slope_window: 8,
             max_recommendations: 5,
             use_merging: true,
             use_classifier: true,
@@ -162,24 +162,24 @@ pub fn recommend(
     for (key, series) in &store.series {
         analysis.considered += 1;
         let last = series.last().expect("non-empty series");
-        if last.cum_seeks < cfg.min_seeks {
+        if last.cum_seeks < MIN_SEEKS {
             analysis.filtered_few_seeks += 1;
             continue;
         }
-        if series.len() < cfg.min_snapshots {
+        if series.len() < MIN_SNAPSHOTS {
             analysis.filtered_slope += 1;
             continue;
         }
         // Slope test on (hours, cumulative impact) over the most recent
         // snapshots only — growth must be *ongoing*.
-        let recent = &series[series.len().saturating_sub(cfg.slope_window.max(3))..];
+        let recent = &series[series.len().saturating_sub(SLOPE_WINDOW)..];
         let t0 = recent[0].at;
         let points: Vec<(f64, f64)> = recent
             .iter()
             .map(|p| (p.at.since(t0).as_hours_f64(), p.cum_impact))
             .collect();
-        match slope_above_threshold(&points, cfg.slope_threshold_per_hour) {
-            Some(st) if st.p_greater < cfg.slope_alpha => {}
+        match slope_above_threshold(&points, SLOPE_THRESHOLD_PER_HOUR) {
+            Some(st) if st.p_greater < SLOPE_ALPHA => {}
             _ => {
                 analysis.filtered_slope += 1;
                 continue;

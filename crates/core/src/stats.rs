@@ -1,6 +1,6 @@
 //! Statistical tests used by the recommender and validator.
 //!
-//! * **Welch's t-test** [42] — compares execution metrics before/after an
+//! * **Welch's t-test** \[42\] — compares execution metrics before/after an
 //!   index change without assuming equal variances (§6's validation test,
 //!   also used by the experimentation analysis in §7.3).
 //! * **Slope hypothesis test** — the MI recommender's statistically-robust

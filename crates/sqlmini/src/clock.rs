@@ -61,7 +61,7 @@ impl Duration {
         Duration(ms)
     }
     #[inline]
-    pub fn from_secs(s: u64) -> Duration {
+    pub const fn from_secs(s: u64) -> Duration {
         Duration(s * 1000)
     }
     #[inline]
@@ -69,11 +69,11 @@ impl Duration {
         Duration(m * 60_000)
     }
     #[inline]
-    pub fn from_hours(h: u64) -> Duration {
+    pub const fn from_hours(h: u64) -> Duration {
         Duration(h * 3_600_000)
     }
     #[inline]
-    pub fn from_days(d: u64) -> Duration {
+    pub const fn from_days(d: u64) -> Duration {
         Duration(d * 86_400_000)
     }
     #[inline]

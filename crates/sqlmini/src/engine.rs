@@ -8,7 +8,7 @@
 //!   DMV telemetry; `query` is the same and also returns the rows;
 //! * the **what-if API** ([`WhatIfSession`]) — cost statements under
 //!   hypothetical index configurations without materializing anything
-//!   (the AutoAdmin interface of [11] that DTA is built on);
+//!   (the AutoAdmin interface of \[11\] that DTA is built on);
 //! * online **DDL** — `create_index` (with a build-cost/duration model and
 //!   resource governance) and `drop_index`;
 //! * failure hooks — `restart()` resets the missing-index DMV and plan
@@ -22,7 +22,7 @@ use crate::dmv::{IndexUsageDmv, MissingIndexDmv};
 use crate::exec::{execute_dml, execute_select, ActualMetrics, ExecContext, ExecError};
 use crate::heap::Heap;
 use crate::index::SecondaryIndex;
-use crate::optimizer::{optimize, CostModel, IndexGeom, MissingIndexObservation, PlannerEnv};
+use crate::optimizer::{optimize, IndexGeom, MissingIndexObservation, PlannerEnv};
 use crate::plan::{Access, IndexRef, JoinStrategy, Plan, PlanEstimates, PlanId};
 use crate::query::{QueryId, QueryTemplate, Statement};
 use crate::querystore::QueryStore;
@@ -34,7 +34,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Azure SQL Database service tier — governs the resources available to a
-/// database (and hence execution durations and tuning budgets) [28].
+/// database (and hence execution durations and tuning budgets) \[28\].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ServiceTier {
     /// Fraction of a core; tiny Query Store; MI-only tuning territory.
@@ -66,6 +66,16 @@ impl ServiceTier {
     }
 }
 
+/// Sampling fraction for statistics rebuilds of tables with 5,000 rows or
+/// more; smaller tables are read in full.
+const STATS_SAMPLE_FRAC: f64 = 0.1;
+
+/// Query Store aggregation interval (hourly, as the service runs it, §6).
+const QUERY_STORE_INTERVAL: Duration = Duration::from_hours(1);
+
+/// How long Query Store keeps an interval.
+const QUERY_STORE_RETENTION: Duration = Duration::from_days(60);
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -81,11 +91,6 @@ pub struct DbConfig {
     /// Whether statistics auto-update when stale (disabling it widens the
     /// estimate/actual gap — an ablation knob).
     pub auto_update_stats: bool,
-    /// Sampling fraction for statistics rebuilds.
-    pub stats_sample_frac: f64,
-    pub cost_model: CostModel,
-    pub query_store_interval: Duration,
-    pub query_store_retention: Duration,
     /// Whether compiled plans are memoized across executions (keyed by
     /// query id + catalog-epoch fingerprint). Disabling it recompiles
     /// every statement — the differential-test oracle, which must be
@@ -101,10 +106,6 @@ impl Default for DbConfig {
             cpu_noise_sigma: 0.05,
             duration_noise_sigma: 0.35,
             auto_update_stats: true,
-            stats_sample_frac: 0.1,
-            cost_model: CostModel::default(),
-            query_store_interval: Duration::from_hours(1),
-            query_store_retention: Duration::from_days(60),
             plan_cache: true,
         }
     }
@@ -210,17 +211,6 @@ pub struct PlanCacheStats {
     pub invalidations: u64,
 }
 
-impl PlanCacheStats {
-    /// Fraction of executions served from cache.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.invalidations;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
-
 /// Per-table snapshot of the physical geometry the planner sees. Captured
 /// at every catalog-epoch bump so compilation is a pure function of the
 /// epoch — live heap/index sizes drift with every write, which would make
@@ -273,8 +263,7 @@ pub struct Database {
 impl Database {
     pub fn new(name: impl Into<String>, config: DbConfig, clock: SimClock) -> Database {
         let rng = StdRng::seed_from_u64(config.seed);
-        let query_store =
-            QueryStore::new(config.query_store_interval, config.query_store_retention);
+        let query_store = QueryStore::new(QUERY_STORE_INTERVAL, QUERY_STORE_RETENTION);
         Database {
             name: name.into(),
             config,
@@ -338,18 +327,18 @@ impl Database {
         self.bump_table(table);
     }
 
-    /// Rebuild statistics for a table (full or sampled per config).
+    /// Rebuild statistics for a table (full below 5,000 rows, sampled at
+    /// or above).
     pub fn rebuild_stats(&mut self, table: TableId) {
         let heap = &self.heaps[&table];
         let n_cols = self.catalog.table(table).expect("table").columns.len();
-        let frac = self.config.stats_sample_frac;
-        let stats = if frac >= 1.0 || heap.len() < 5_000 {
+        let stats = if heap.len() < 5_000 {
             TableStats::build_full(heap.scan_quiet().map(|(_, r)| r), n_cols)
         } else {
             TableStats::build_sampled(
                 heap.scan_quiet().map(|(_, r)| r),
                 n_cols,
-                frac,
+                STATS_SAMPLE_FRAC,
                 self.config.seed ^ table.0 as u64,
             )
         };
@@ -715,7 +704,6 @@ impl Database {
             catalog: &self.catalog,
             heaps: &mut self.heaps,
             indexes: &mut self.indexes,
-            cost_model: &self.config.cost_model,
         };
         match (stmt, plan) {
             (Statement::Select(q), Plan::Select(sp)) => execute_select(&ctx, q, sp, params, rows),
@@ -954,9 +942,6 @@ impl PlannerEnv for EngineEnv<'_> {
             .map(|g| g.indexes.clone())
             .unwrap_or_default()
     }
-    fn cost_model(&self) -> &CostModel {
-        &self.db.config.cost_model
-    }
 }
 
 /// A what-if session: plans are costed under (real indexes ∪ added hypo
@@ -1049,31 +1034,6 @@ impl WhatIfSession<'_> {
         let est = r.plan.estimates();
         (r.plan, est)
     }
-
-    /// Batch-cost one statement under many single-index alternatives.
-    ///
-    /// Each alternative is costed as if it were the only hypothetical
-    /// added on top of the session's current configuration; the base
-    /// (real-index) geometry for the statement's tables is resolved once
-    /// and shared across the whole batch instead of being rebuilt per
-    /// candidate. Each alternative still counts as one optimizer
-    /// invocation, and every result is bit-identical to the sequential
-    /// `add_hypothetical` → `cost` → `clear` dance it replaces (costing
-    /// is a pure function of the visible configuration).
-    pub fn cost_batch(
-        &mut self,
-        template: &QueryTemplate,
-        params: &[Value],
-        alternatives: &[IndexDef],
-    ) -> Vec<(Plan, PlanEstimates)> {
-        let mut out = Vec::with_capacity(alternatives.len());
-        for def in alternatives {
-            self.added.push(def.clone());
-            out.push(self.cost(template, params));
-            self.added.pop();
-        }
-        out
-    }
 }
 
 struct WhatIfEnv<'a> {
@@ -1120,9 +1080,6 @@ impl PlannerEnv for WhatIfEnv<'_> {
             geoms.push(IndexGeom::hypothetical(def.clone(), tdef, rows));
         }
         geoms
-    }
-    fn cost_model(&self) -> &CostModel {
-        &self.db.config.cost_model
     }
 }
 
@@ -1253,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_batch_matches_sequential_costing() {
+    fn reused_session_costs_like_fresh_sessions() {
         let (mut db, t) = orders_db();
         // One real index so the memoized base geometry is non-trivial.
         db.create_index(IndexDef::new("ix_status", t, vec![ColumnId(2)], vec![]))
@@ -1273,20 +1230,24 @@ mod tests {
             sequential.push(s.cost(&tpl, &[Value::Int(7)]));
         }
 
+        // One session reused: add → cost → clear. Its memoized base
+        // geometry must not leak one alternative into the next (DTA
+        // relies on this memo).
         let calls_before = db.optimizer_calls;
         let mut s = db.what_if();
-        let batched = s.cost_batch(&tpl, &[Value::Int(7)], &alts);
+        let mut reused = Vec::new();
+        for def in &alts {
+            s.add_hypothetical(def.clone());
+            reused.push(s.cost(&tpl, &[Value::Int(7)]));
+            s.clear();
+        }
         drop(s);
         assert_eq!(
             db.optimizer_calls,
             calls_before + alts.len() as u64,
             "each alternative counts as one optimizer invocation"
         );
-        assert_eq!(batched.len(), sequential.len());
-        for ((bp, be), (sp, se)) in batched.iter().zip(&sequential) {
-            assert_eq!(bp, sp, "batched plan differs from sequential");
-            assert_eq!(be, se, "batched estimates differ from sequential");
-        }
+        assert_eq!(reused, sequential, "a reused session costs like fresh ones");
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! The executor interprets a [`Plan`] over real storage and **counts** the
 //! work it does — rows examined, predicates evaluated, logical pages read
 //! and written, hash operations, sort sizes — then converts those counts
-//! into CPU microseconds with the *same* [`CostModel`] the optimizer used
-//! on its estimates. Estimated and actual CPU time therefore differ only
-//! where cardinality estimation erred, which is precisely the gap the
+//! into CPU microseconds with the *same* constants the optimizer charges
+//! its estimates ([`CPU_PER_PAGE`] and its siblings in
+//! [`crate::optimizer`]). Estimated and actual CPU time therefore differ
+//! only where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
 //!
 //! # Borrowed rows
 //!
 //! The control plane consumes these counts and never a result set, so the
 //! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a [`RowView`]: a reference to the heap row, or to
+//! qualifying row on as a `RowView`: a reference to the heap row, or to
 //! the leaf values of a covering index entry. Residual predicates are
 //! bound once per access — the slot their column sits in, the operator,
 //! the resolved operand — so a row pays only for the comparisons. Both
@@ -46,14 +47,17 @@
 //! the fleet digests see its low bits). Operators may be restructured
 //! freely as long as every `add_*` call keeps its operand and its place
 //! in that sequence; `workload/tests/exec_metrics_pin.rs` holds the
-//! witness. Both sinks end in one tail, [`charge_output`], which charges
+//! witness. Both sinks end in one tail, `charge_output`, which charges
 //! aggregation, sort and output from the two numbers each sink knows:
 //! the rows that reached it and the groups they formed.
 
 use crate::catalog::Catalog;
 use crate::heap::{Heap, RowId};
 use crate::index::{ColBound, SecondaryIndex};
-use crate::optimizer::CostModel;
+use crate::optimizer::{
+    sort_cpu, CPU_PER_HASH_OP, CPU_PER_OUTPUT_ROW, CPU_PER_PAGE, CPU_PER_PRED, CPU_PER_ROW,
+    CPU_PER_WRITE_PAGE,
+};
 use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, SelectPlan};
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
 use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
@@ -73,27 +77,27 @@ pub struct ActualMetrics {
 }
 
 impl ActualMetrics {
-    fn add_pages_read(&mut self, cm: &CostModel, pages: u64) {
+    fn add_pages_read(&mut self, pages: u64) {
         self.logical_reads += pages;
-        self.cpu_us += cm.cpu_per_page * pages as f64;
+        self.cpu_us += CPU_PER_PAGE * pages as f64;
     }
 
-    fn add_pages_written(&mut self, cm: &CostModel, pages: u64) {
+    fn add_pages_written(&mut self, pages: u64) {
         self.logical_writes += pages;
-        self.cpu_us += cm.cpu_per_write_page * pages as f64;
+        self.cpu_us += CPU_PER_WRITE_PAGE * pages as f64;
     }
 
-    fn add_rows_examined(&mut self, cm: &CostModel, rows: u64) {
+    fn add_rows_examined(&mut self, rows: u64) {
         self.rows_examined += rows;
-        self.cpu_us += cm.cpu_per_row * rows as f64;
+        self.cpu_us += CPU_PER_ROW * rows as f64;
     }
 
-    fn add_pred_evals(&mut self, cm: &CostModel, n: u64) {
-        self.cpu_us += cm.cpu_per_pred * n as f64;
+    fn add_pred_evals(&mut self, n: u64) {
+        self.cpu_us += CPU_PER_PRED * n as f64;
     }
 
-    fn add_hash_ops(&mut self, cm: &CostModel, n: u64) {
-        self.cpu_us += cm.cpu_per_hash_op * n as f64;
+    fn add_hash_ops(&mut self, n: u64) {
+        self.cpu_us += CPU_PER_HASH_OP * n as f64;
     }
 }
 
@@ -129,7 +133,6 @@ pub struct ExecContext<'a> {
     pub catalog: &'a Catalog,
     pub heaps: &'a mut BTreeMap<TableId, Heap>,
     pub indexes: &'a mut BTreeMap<IndexId, SecondaryIndex>,
-    pub cost_model: &'a CostModel,
 }
 
 /// One input row as the operators see it, borrowed from storage for the
@@ -235,9 +238,9 @@ impl<'q> Residual<'q> {
     }
 
     /// Charge the evaluation of every residual predicate on `rows` rows.
-    fn charge(self, m: &mut ActualMetrics, cm: &CostModel, rows: u64) {
+    fn charge(self, m: &mut ActualMetrics, rows: u64) {
         if !self.which.is_empty() {
-            m.add_pred_evals(cm, rows * self.which.len() as u64);
+            m.add_pred_evals(rows * self.which.len() as u64);
         }
     }
 }
@@ -254,16 +257,15 @@ fn run_access<'c>(
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) -> Result<(), ExecError> {
-    let cm = ctx.cost_model;
     let heap = ctx
         .heaps
         .get(&table)
         .ok_or(ExecError::UnknownTable(table))?;
     let (index, covering) = match access {
         Access::SeqScan => {
-            m.add_pages_read(cm, heap.page_count());
-            m.add_rows_examined(cm, heap.len() as u64);
-            residual.charge(m, cm, heap.len() as u64);
+            m.add_pages_read(heap.page_count());
+            m.add_rows_examined(heap.len() as u64);
+            residual.charge(m, heap.len() as u64);
             let filter = residual.bind(None);
             for (rid, row) in heap.scan_quiet() {
                 let v = RowView::heap(row);
@@ -311,12 +313,12 @@ fn run_access<'c>(
             (n, ix.leaf_pages() + ix.height() as u64)
         }
     };
-    m.add_pages_read(cm, pages);
-    m.add_rows_examined(cm, n);
+    m.add_pages_read(pages);
+    m.add_rows_examined(n);
     if covering {
-        residual.charge(m, cm, n);
+        residual.charge(m, n);
     } else {
-        fetch_and_filter(heap, &rids, residual, cm, m, emit);
+        fetch_and_filter(heap, &rids, residual, m, emit);
     }
     Ok(())
 }
@@ -327,14 +329,13 @@ fn fetch_and_filter<'c>(
     heap: &'c Heap,
     rids: &[RowId],
     residual: Residual,
-    cm: &CostModel,
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) {
     let filter = residual.bind(None);
     let mut fetched = 0u64;
     for &rid in rids {
-        m.add_pages_read(cm, 1);
+        m.add_pages_read(1);
         if let Some(row) = heap.peek(rid) {
             fetched += 1;
             let v = RowView::heap(row);
@@ -343,7 +344,7 @@ fn fetch_and_filter<'c>(
             }
         }
     }
-    residual.charge(m, cm, fetched);
+    residual.charge(m, fetched);
 }
 
 /// Run a SELECT plan's access path and join, handing every result pair
@@ -358,7 +359,6 @@ fn produce<'c>(
     m: &mut ActualMetrics,
     mut sink: impl FnMut(RowView<'c>, Option<RowView<'c>>),
 ) -> Result<(), ExecError> {
-    let cm = ctx.cost_model;
     let residual = Residual {
         preds: &q.predicates,
         which: &plan.residual,
@@ -390,8 +390,8 @@ fn produce<'c>(
                 inners += 1;
                 ht.entry(v.col(jspec.inner_col)).or_default().push(v);
             })?;
-            m.add_hash_ops(cm, inners);
-            m.add_hash_ops(cm, outers.len() as u64);
+            m.add_hash_ops(inners);
+            m.add_hash_ops(outers.len() as u64);
             for outer in outers {
                 for &inner in ht.get(outer.col(jspec.outer_col)).into_iter().flatten() {
                     sink(outer, Some(inner));
@@ -424,20 +424,20 @@ fn produce<'c>(
                         rids.push(rid);
                     }
                 });
-                m.add_pages_read(cm, pages);
-                m.add_rows_examined(cm, n);
+                m.add_pages_read(pages);
+                m.add_rows_examined(n);
                 if !*covering {
                     let heap = ctx
                         .heaps
                         .get(&jspec.table)
                         .ok_or(ExecError::UnknownTable(jspec.table))?;
                     for &rid in &rids {
-                        m.add_pages_read(cm, 1);
+                        m.add_pages_read(1);
                         matched.extend(heap.peek(rid).map(RowView::heap));
                     }
                 }
                 let evals = matched.len() as u64 * jspec.predicates.len() as u64;
-                m.add_pred_evals(cm, evals);
+                m.add_pred_evals(evals);
                 for &inner in matched.iter().filter(|&&v| keeps(&filter, v)) {
                     sink(outer, Some(inner));
                 }
@@ -477,12 +477,11 @@ pub fn execute_select(
     params: &[Value],
     out: Option<&mut Vec<Row>>,
 ) -> Result<ActualMetrics, ExecError> {
-    let cm = ctx.cost_model;
     let mut m = ActualMetrics::default();
     let Some(out) = out else {
         let mut count = Counter::new(&q.group_by);
         produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
-        charge_output(&mut m, cm, q, plan, count.rows, count.groups());
+        charge_output(&mut m, q, plan, count.rows, count.groups());
         return Ok(m);
     };
 
@@ -493,14 +492,7 @@ pub fn execute_select(
     let sorts = plan.needs_sort && !q.order_by.is_empty();
     if is_aggregate(q) {
         let mut groups = aggregate(q, &joined);
-        let returned = charge_output(
-            &mut m,
-            cm,
-            q,
-            plan,
-            joined.len() as u64,
-            groups.len() as u64,
-        );
+        let returned = charge_output(&mut m, q, plan, joined.len() as u64, groups.len() as u64);
         if sorts {
             // ORDER BY on a group column sorts by its position in the key.
             groups.sort_by(|a, b| {
@@ -511,7 +503,7 @@ pub fn execute_select(
         }
         out.extend(groups.into_iter().take(returned));
     } else {
-        let returned = charge_output(&mut m, cm, q, plan, joined.len() as u64, 0);
+        let returned = charge_output(&mut m, q, plan, joined.len() as u64, 0);
         if sorts {
             // Sort the source rows, *before* projection, so ORDER BY
             // columns need not be projected.
@@ -543,7 +535,6 @@ fn is_aggregate(q: &SelectQuery) -> bool {
 /// many rows the statement returns.
 fn charge_output(
     m: &mut ActualMetrics,
-    cm: &CostModel,
     q: &SelectQuery,
     plan: &SelectPlan,
     rows: u64,
@@ -552,19 +543,19 @@ fn charge_output(
     let produced = if is_aggregate(q) {
         // Stream and hash aggregation differ only in cost.
         match plan.agg {
-            AggStrategy::Hash => m.add_hash_ops(cm, rows),
-            _ => m.cpu_us += cm.cpu_per_output_row * rows as f64,
+            AggStrategy::Hash => m.add_hash_ops(rows),
+            _ => m.cpu_us += CPU_PER_OUTPUT_ROW * rows as f64,
         }
         groups
     } else {
         rows
     };
     if plan.needs_sort && !q.order_by.is_empty() {
-        m.cpu_us += cm.sort_cpu(produced as f64);
+        m.cpu_us += sort_cpu(produced as f64);
     }
     let returned = q.limit.map_or(produced, |lim| produced.min(lim as u64));
     m.rows_returned = returned;
-    m.cpu_us += cm.cpu_per_output_row * returned as f64;
+    m.cpu_us += CPU_PER_OUTPUT_ROW * returned as f64;
     returned as usize
 }
 
@@ -738,7 +729,6 @@ pub fn execute_dml(
     plan: &Plan,
     params: &[Value],
 ) -> Result<ActualMetrics, ExecError> {
-    let cm = ctx.cost_model;
     let mut m = ActualMetrics::default();
     match (stmt, plan) {
         (Statement::Insert { table, values }, Plan::Insert { .. }) => {
@@ -775,11 +765,11 @@ pub fn execute_dml(
                 for (c, s) in set {
                     new[c.0 as usize] = s.resolve(params).clone();
                 }
-                m.add_pages_written(cm, 1);
+                m.add_pages_written(1);
                 for (id, _) in ctx.catalog.indexes_on(*table) {
                     if let Some(ix) = ctx.indexes.get_mut(&id) {
                         let pages = ix.update_row(rid, old, &new);
-                        m.add_pages_written(cm, pages);
+                        m.add_pages_written(pages);
                     }
                 }
                 heap.update(rid, new);
@@ -796,11 +786,11 @@ pub fn execute_dml(
                 let Some(old) = heap.delete(rid) else {
                     continue;
                 };
-                m.add_pages_written(cm, 1);
+                m.add_pages_written(1);
                 for (id, _) in ctx.catalog.indexes_on(*table) {
                     if let Some(ix) = ctx.indexes.get_mut(&id) {
                         let pages = ix.delete_row(rid, &old);
-                        m.add_pages_written(cm, pages);
+                        m.add_pages_written(pages);
                     }
                 }
                 m.rows_returned += 1;
@@ -818,18 +808,17 @@ fn insert_one(
     params: &[Value],
     m: &mut ActualMetrics,
 ) -> Result<(), ExecError> {
-    let cm = ctx.cost_model;
     let heap = ctx
         .heaps
         .get_mut(&table)
         .ok_or(ExecError::UnknownTable(table))?;
     let rid = heap.insert(values.iter().map(|s| s.resolve(params).clone()).collect());
-    m.add_pages_written(cm, 1);
+    m.add_pages_written(1);
     let row = heap.peek(rid).expect("row was just inserted");
     for (id, _) in ctx.catalog.indexes_on(table) {
         if let Some(ix) = ctx.indexes.get_mut(&id) {
             let pages = ix.insert_row(rid, row);
-            m.add_pages_written(cm, pages);
+            m.add_pages_written(pages);
         }
     }
     m.rows_returned += 1;
@@ -871,9 +860,7 @@ fn find_targets(
         run_access(ctx, table, &dp.access, unfiltered, m, |rid, _| {
             rids.push(rid)
         })?;
-        fetch_and_filter(heap, &rids, residual, ctx.cost_model, m, |rid, _| {
-            targets.push(rid)
-        });
+        fetch_and_filter(heap, &rids, residual, m, |rid, _| targets.push(rid));
     } else {
         run_access(ctx, table, &dp.access, residual, m, |rid, _| {
             targets.push(rid)
@@ -885,7 +872,7 @@ fn find_targets(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, CostModel, IndexGeom, PlannerEnv};
+    use crate::optimizer::{optimize, IndexGeom, PlannerEnv};
     use crate::schema::ColumnId;
     use crate::schema::{ColumnDef, IndexDef, TableDef};
     use crate::stats::TableStats;
@@ -898,7 +885,6 @@ mod tests {
         heaps: BTreeMap<TableId, Heap>,
         indexes: BTreeMap<IndexId, SecondaryIndex>,
         stats: BTreeMap<TableId, TableStats>,
-        cm: CostModel,
     }
 
     impl World {
@@ -935,7 +921,6 @@ mod tests {
                 heaps,
                 indexes: BTreeMap::new(),
                 stats: stats_map,
-                cm: CostModel::default(),
             }
         }
 
@@ -962,7 +947,6 @@ mod tests {
                 catalog: &self.catalog,
                 heaps: &mut self.heaps,
                 indexes: &mut self.indexes,
-                cost_model: &self.cm,
             };
             let mut rows = Vec::new();
             let metrics = match (&plan, stmt) {
@@ -1010,9 +994,6 @@ mod tests {
                     })
                 })
                 .collect()
-        }
-        fn cost_model(&self) -> &CostModel {
-            &self.0.cm
         }
     }
 
@@ -1294,7 +1275,6 @@ mod tests {
             catalog: &w.catalog,
             heaps: &mut w.heaps,
             indexes: &mut w.indexes,
-            cost_model: &w.cm,
         };
         let (q, sp) = match (&stmt, &r.plan) {
             (Statement::Select(q), Plan::Select(sp)) => (q, sp),
@@ -1325,7 +1305,6 @@ mod tests {
             catalog: &w.catalog,
             heaps: &mut w.heaps,
             indexes: &mut w.indexes,
-            cost_model: &w.cm,
         };
         let mut rows = Vec::new();
         let err = execute_select(&ctx, &joined, sp, &[], Some(&mut rows)).unwrap_err();

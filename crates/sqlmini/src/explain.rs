@@ -143,7 +143,7 @@ fn pad(depth: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::{optimize, CostModel, IndexGeom, PlannerEnv};
+    use crate::optimizer::{optimize, IndexGeom, PlannerEnv};
     use crate::query::{CmpOp, Predicate, SelectQuery, Statement};
     use crate::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
     use crate::stats::TableStats;
@@ -153,7 +153,6 @@ mod tests {
         t: TableDef,
         s: TableStats,
         geoms: Vec<IndexGeom>,
-        cm: CostModel,
     }
 
     impl PlannerEnv for Env {
@@ -168,9 +167,6 @@ mod tests {
         }
         fn indexes_on(&self, _t: TableId) -> Vec<IndexGeom> {
             self.geoms.clone()
-        }
-        fn cost_model(&self) -> &CostModel {
-            &self.cm
         }
     }
 
@@ -196,12 +192,7 @@ mod tests {
             };
             geoms.push(g);
         }
-        Env {
-            t,
-            s,
-            geoms,
-            cm: CostModel::default(),
-        }
+        Env { t, s, geoms }
     }
 
     fn catalog() -> Catalog {

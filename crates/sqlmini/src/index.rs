@@ -203,7 +203,7 @@ impl SecondaryIndex {
     /// `(entries_visited, pages_visited)`.
     ///
     /// This is the executor's hot path — the per-entry `Vec` clones of
-    /// [`seek`] dominated control-pass allocation, and most callers only
+    /// [`seek`](Self::seek) dominated control-pass allocation, and most callers only
     /// need a subset of the values (or just the row ids).
     pub fn seek_visit<'a, F: FnMut(RowId, &'a [Value])>(
         &'a self,
@@ -276,7 +276,8 @@ impl SecondaryIndex {
         self.seek(&[], ColBound::Unbounded, ColBound::Unbounded)
     }
 
-    /// Visitor form of [`scan_all`], mirroring [`seek_visit`].
+    /// Visitor form of [`scan_all`](Self::scan_all), mirroring
+    /// [`seek_visit`](Self::seek_visit).
     pub fn scan_visit<'a, F: FnMut(RowId, &'a [Value])>(&'a self, f: F) -> (u64, u64) {
         self.seek_visit(&[], ColBound::Unbounded, ColBound::Unbounded, f)
     }

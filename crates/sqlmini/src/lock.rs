@@ -3,7 +3,7 @@
 //! SQL Server's lock scheduler is FIFO: a blocked exclusive request also
 //! blocks every *later* shared request, so dropping an index — a metadata
 //! flash — can convoy an entire workload behind one long-running reader
-//! (§8.3). SQL Server 2014 added *managed lock priorities* [43], letting
+//! (§8.3). SQL Server 2014 added *managed lock priorities* \[43\], letting
 //! online operations wait at low priority without blocking later normal
 //! requests, with a timeout after which the operation backs off.
 //!

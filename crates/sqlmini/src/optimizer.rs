@@ -34,51 +34,33 @@ use crate::schema::{ColumnId, IndexDef, TableDef, TableId};
 use crate::stats::{defaults, TableStats};
 use crate::types::Value;
 
-/// Tunable constants converting page and row counts into CPU microseconds.
-///
-/// Both the optimizer (on estimated counts) and the executor (on actual
-/// counts) use this model, so estimated and actual CPU time are directly
-/// comparable — the paper's validator depends on that comparability.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// CPU cost of reading one logical page.
-    pub cpu_per_page: f64,
-    /// CPU cost of examining one row.
-    pub cpu_per_row: f64,
-    /// CPU cost of evaluating one predicate on one row.
-    pub cpu_per_pred: f64,
-    /// CPU cost of producing one output row.
-    pub cpu_per_output_row: f64,
-    /// CPU cost of one hash-table insert or probe.
-    pub cpu_per_hash_op: f64,
-    /// Multiplier on `n log2 n` for sorting.
-    pub sort_factor: f64,
-    /// CPU cost of one index/heap maintenance page write.
-    pub cpu_per_write_page: f64,
-}
+// The cost model: constants converting page and row counts into CPU
+// microseconds. Both the optimizer (on estimated counts) and the executor
+// (on actual counts) charge them, so estimated and actual CPU time are
+// directly comparable — the paper's validator depends on that
+// comparability.
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            cpu_per_page: 2.0,
-            cpu_per_row: 0.10,
-            cpu_per_pred: 0.03,
-            cpu_per_output_row: 0.05,
-            cpu_per_hash_op: 0.15,
-            sort_factor: 0.05,
-            cpu_per_write_page: 4.0,
-        }
-    }
-}
+/// CPU cost of reading one logical page.
+pub const CPU_PER_PAGE: f64 = 2.0;
+/// CPU cost of examining one row.
+pub const CPU_PER_ROW: f64 = 0.10;
+/// CPU cost of evaluating one predicate on one row.
+pub const CPU_PER_PRED: f64 = 0.03;
+/// CPU cost of producing one output row.
+pub const CPU_PER_OUTPUT_ROW: f64 = 0.05;
+/// CPU cost of one hash-table insert or probe.
+pub const CPU_PER_HASH_OP: f64 = 0.15;
+/// CPU cost of one index/heap maintenance page write.
+pub const CPU_PER_WRITE_PAGE: f64 = 4.0;
+/// Multiplier on `n log2 n` for sorting.
+const SORT_FACTOR: f64 = 0.05;
 
-impl CostModel {
-    /// CPU microseconds for a sort of `n` rows.
-    pub fn sort_cpu(&self, n: f64) -> f64 {
-        if n <= 1.0 {
-            0.0
-        } else {
-            self.sort_factor * n * n.log2()
-        }
+/// CPU microseconds for a sort of `n` rows.
+pub fn sort_cpu(n: f64) -> f64 {
+    if n <= 1.0 {
+        0.0
+    } else {
+        SORT_FACTOR * n * n.log2()
     }
 }
 
@@ -134,7 +116,6 @@ pub trait PlannerEnv {
     /// would see).
     fn heap_pages(&self, t: TableId) -> f64;
     fn indexes_on(&self, t: TableId) -> Vec<IndexGeom>;
-    fn cost_model(&self) -> &CostModel;
 }
 
 /// A missing-index observation produced while optimizing one statement
@@ -254,7 +235,6 @@ fn access_paths(
     params: &[Value],
 ) -> Vec<PathAlt> {
     let stats = env.table_stats(t);
-    let cm = env.cost_model();
     let row_count = stats.row_count as f64;
     let heap_pages = env.heap_pages(t);
     let col_sels = column_selectivities(preds, stats, params);
@@ -268,9 +248,9 @@ fn access_paths(
     // Sequential scan baseline.
     {
         let pages = heap_pages;
-        let cpu = cm.cpu_per_page * pages
-            + cm.cpu_per_row * row_count
-            + cm.cpu_per_pred * row_count * preds.len() as f64;
+        let cpu = CPU_PER_PAGE * pages
+            + CPU_PER_ROW * row_count
+            + CPU_PER_PRED * row_count * preds.len() as f64;
         alts.push(PathAlt {
             access: Access::SeqScan,
             consumed: vec![],
@@ -361,9 +341,9 @@ fn access_paths(
             let leaf_visits = (qualified / geom.rows_per_leaf()).ceil().max(1.0);
             let lookup_pages = if covering { 0.0 } else { qualified };
             let pages = geom.height + leaf_visits + lookup_pages;
-            let cpu = cm.cpu_per_page * pages
-                + cm.cpu_per_row * qualified
-                + cm.cpu_per_pred * qualified * n_residual as f64;
+            let cpu = CPU_PER_PAGE * pages
+                + CPU_PER_ROW * qualified
+                + CPU_PER_PRED * qualified * n_residual as f64;
             alts.push(PathAlt {
                 access: Access::IndexSeek {
                     index: geom.rref.clone(),
@@ -384,9 +364,9 @@ fn access_paths(
         // Covering ordered scan: useful for narrow scans and order-riding.
         if covering {
             let pages = geom.height + geom.leaf_pages;
-            let cpu = cm.cpu_per_page * pages
-                + cm.cpu_per_row * row_count
-                + cm.cpu_per_pred * row_count * preds.len() as f64;
+            let cpu = CPU_PER_PAGE * pages
+                + CPU_PER_ROW * row_count
+                + CPU_PER_PRED * row_count * preds.len() as f64;
             alts.push(PathAlt {
                 access: Access::IndexScan {
                     index: geom.rref.clone(),
@@ -450,7 +430,6 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
     match stmt {
         Statement::Select(q) => optimize_select(env, q, params),
         Statement::Insert { table, .. } => {
-            let cm = env.cost_model();
             let n_ix = env.indexes_on(*table).len() as f64;
             let pages = 1.0 + n_ix * 2.0;
             OptimizeResult {
@@ -459,14 +438,13 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
                         rows_out: 1.0,
                         rows_examined: 0.0,
                         pages,
-                        cpu_us: cm.cpu_per_write_page * pages,
+                        cpu_us: CPU_PER_WRITE_PAGE * pages,
                     },
                 },
                 missing: vec![],
             }
         }
         Statement::BulkInsert { table, rows, .. } => {
-            let cm = env.cost_model();
             let n_ix = env.indexes_on(*table).len() as f64;
             let pages = (1.0 + n_ix * 2.0) * *rows as f64;
             OptimizeResult {
@@ -475,7 +453,7 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
                         rows_out: *rows as f64,
                         rows_examined: 0.0,
                         pages,
-                        cpu_us: cm.cpu_per_write_page * pages,
+                        cpu_us: CPU_PER_WRITE_PAGE * pages,
                     },
                 },
                 missing: vec![],
@@ -489,7 +467,6 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
             let (dml, missing) = optimize_dml(env, *table, predicates, params);
             // Maintenance: indexes containing any SET column pay a
             // delete+insert per affected row.
-            let cm = env.cost_model();
             let affected = dml.est.rows_out;
             let maint_pages: f64 = env
                 .indexes_on(*table)
@@ -503,7 +480,7 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
                 * affected;
             let mut est = dml.est;
             est.pages += maint_pages + affected; // heap write per row
-            est.cpu_us += cm.cpu_per_write_page * (maint_pages + affected);
+            est.cpu_us += CPU_PER_WRITE_PAGE * (maint_pages + affected);
             OptimizeResult {
                 plan: Plan::Update(DmlPlan { est, ..dml }),
                 missing,
@@ -511,13 +488,12 @@ pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> Opt
         }
         Statement::Delete { table, predicates } => {
             let (dml, missing) = optimize_dml(env, *table, predicates, params);
-            let cm = env.cost_model();
             let affected = dml.est.rows_out;
             let maint_pages: f64 =
                 env.indexes_on(*table).iter().map(|g| g.height).sum::<f64>() * affected;
             let mut est = dml.est;
             est.pages += maint_pages + affected;
-            est.cpu_us += cm.cpu_per_write_page * (maint_pages + affected);
+            est.cpu_us += CPU_PER_WRITE_PAGE * (maint_pages + affected);
             OptimizeResult {
                 plan: Plan::Delete(DmlPlan { est, ..dml }),
                 missing,
@@ -566,7 +542,6 @@ fn optimize_dml(
 }
 
 fn optimize_select(env: &dyn PlannerEnv, q: &SelectQuery, params: &[Value]) -> OptimizeResult {
-    let cm = env.cost_model();
     let stats = env.table_stats(q.table);
     let needed = q.needed_columns();
 
@@ -638,8 +613,8 @@ fn optimize_select(env: &dyn PlannerEnv, q: &SelectQuery, params: &[Value]) -> O
                     .max(1.0);
                 let join_rows = (rows * inner_rows / inner_ndv).max(0.0);
                 let hash_cost = inner_best.cost
-                    + cm.cpu_per_hash_op * (inner_rows + rows)
-                    + cm.cpu_per_output_row * join_rows;
+                    + CPU_PER_HASH_OP * (inner_rows + rows)
+                    + CPU_PER_OUTPUT_ROW * join_rows;
                 let hash_residual: Vec<usize> = (0..jspec.predicates.len())
                     .filter(|i| !inner_best.consumed.contains(i))
                     .collect();
@@ -655,10 +630,10 @@ fn optimize_select(env: &dyn PlannerEnv, q: &SelectQuery, params: &[Value]) -> O
                     let per_key = (geom.entries / inner_ndv).max(1.0);
                     let lookup = if covering { 0.0 } else { per_key };
                     let per_seek_pages = geom.height + 1.0 + lookup;
-                    let per_seek_cpu = cm.cpu_per_page * per_seek_pages
-                        + cm.cpu_per_row * per_key
-                        + cm.cpu_per_pred * per_key * jspec.predicates.len() as f64;
-                    let total = rows * per_seek_cpu + cm.cpu_per_output_row * join_rows;
+                    let per_seek_cpu = CPU_PER_PAGE * per_seek_pages
+                        + CPU_PER_ROW * per_key
+                        + CPU_PER_PRED * per_key * jspec.predicates.len() as f64;
+                    let total = rows * per_seek_cpu + CPU_PER_OUTPUT_ROW * join_rows;
                     let jp = JoinPlan {
                         strategy: JoinStrategy::IndexNestedLoop {
                             inner_index: geom.rref.clone(),
@@ -697,16 +672,16 @@ fn optimize_select(env: &dyn PlannerEnv, q: &SelectQuery, params: &[Value]) -> O
                 AggStrategy::None
             } else {
                 // Scalar aggregate: single pass, single output row.
-                cost += cm.cpu_per_hash_op * rows;
+                cost += CPU_PER_HASH_OP * rows;
                 rows = 1.0;
                 AggStrategy::Stream
             }
         } else if order_satisfies_group(&order, &q.group_by) && join_plan.is_none() {
-            cost += cm.cpu_per_output_row * rows;
+            cost += CPU_PER_OUTPUT_ROW * rows;
             rows = estimate_groups(stats, &q.group_by, rows);
             AggStrategy::Stream
         } else {
-            cost += cm.cpu_per_hash_op * rows;
+            cost += CPU_PER_HASH_OP * rows;
             let groups = estimate_groups(stats, &q.group_by, rows);
             rows = groups;
             order.clear(); // hash agg destroys order
@@ -716,14 +691,14 @@ fn optimize_select(env: &dyn PlannerEnv, q: &SelectQuery, params: &[Value]) -> O
         // Sort for ORDER BY.
         let needs_sort = !order_satisfies(&order, &q.order_by);
         if needs_sort && !q.order_by.is_empty() {
-            cost += cm.sort_cpu(rows);
+            cost += sort_cpu(rows);
         }
 
         // Limit.
         if let Some(lim) = q.limit {
             rows = rows.min(lim as f64);
         }
-        cost += cm.cpu_per_output_row * rows;
+        cost += CPU_PER_OUTPUT_ROW * rows;
 
         let plan = SelectPlan {
             access: alt.access,
@@ -821,7 +796,6 @@ fn missing_index_for(
     let tdef = env.table_def(table);
     let ideal = IndexDef::new("__mi_ideal", table, key, includes);
     let geom = IndexGeom::hypothetical(ideal, tdef, stats.row_count as f64);
-    let cm = env.cost_model();
     let seek_sel: f64 = eq_cols
         .iter()
         .map(&sel_of)
@@ -830,7 +804,7 @@ fn missing_index_for(
     let qualified = (stats.row_count as f64 * seek_sel).max(0.0);
     let leaf_visits = (qualified / geom.rows_per_leaf()).ceil().max(1.0);
     let pages = geom.height + leaf_visits; // ideal index always covers
-    let ideal_cost = cm.cpu_per_page * pages + cm.cpu_per_row * qualified;
+    let ideal_cost = CPU_PER_PAGE * pages + CPU_PER_ROW * qualified;
 
     let improvement_pct = if current_cost <= 0.0 {
         0.0
@@ -864,7 +838,6 @@ mod tests {
         tables: Vec<TableDef>,
         stats: Vec<TableStats>,
         geoms: Vec<Vec<IndexGeom>>,
-        cm: CostModel,
     }
 
     impl PlannerEnv for TestEnv {
@@ -883,9 +856,6 @@ mod tests {
         }
         fn indexes_on(&self, t: TableId) -> Vec<IndexGeom> {
             self.geoms[t.0 as usize].clone()
-        }
-        fn cost_model(&self) -> &CostModel {
-            &self.cm
         }
     }
 
@@ -918,7 +888,6 @@ mod tests {
             tables: vec![t],
             stats: vec![stats],
             geoms: vec![geoms],
-            cm: CostModel::default(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Query Store: persistent execution-statistics tracking.
 //!
 //! Mirrors the SQL Server feature the paper's recommender and validator
-//! depend on [29]: per (query, plan, time interval) it keeps execution
+//! depend on \[29\]: per (query, plan, time interval) it keeps execution
 //! counts and the mean/variance of each metric (CPU time, logical reads,
 //! duration), plus the query's template and a sample parameter binding.
 //!

@@ -61,7 +61,7 @@ impl ColumnStats {
         ColumnStats::from_sorted(&positions, nulls, scale)
     }
 
-    /// [`build`](Self::build) over positions already in rising order.
+    /// `build` over positions already in rising order.
     pub fn from_sorted(positions: &[f64], nulls: usize, scale: f64) -> ColumnStats {
         let n = positions.len();
         if n == 0 {

@@ -236,3 +236,44 @@ fn storage_accounting_tracks_ddl() {
     db.drop_index(id).unwrap();
     assert_eq!(db.storage_bytes(), before);
 }
+
+#[test]
+fn write_plans_reference_the_indexes_they_maintain() {
+    let (mut db, t) = orders_db(2_000);
+    let stmts = [
+        "INSERT INTO orders VALUES (@p0, 1, 2, 3.5)",
+        "DELETE FROM orders WHERE id = @p0",
+        "UPDATE orders SET status = 3 WHERE id = @p0",
+        "UPDATE orders SET total = 0 WHERE id = @p0",
+    ];
+    let tpls: Vec<QueryTemplate> = stmts
+        .iter()
+        .map(|s| parse_template(db.catalog(), s).unwrap())
+        .collect();
+    let run = |db: &mut Database, key: i64| {
+        tpls.iter()
+            .map(|tpl| {
+                let out = db.execute(tpl, &[Value::Int(key)]).unwrap();
+                let refs = db.query_store().plan_index_refs(out.plan_id).to_vec();
+                (out.plan_id, refs)
+            })
+            .collect::<Vec<_>>()
+    };
+    let before = run(&mut db, 10_000);
+    db.create_index(IndexDef::new("ix", t, vec![ColumnId(2)], vec![]))
+        .unwrap();
+    let after = run(&mut db, 10_001);
+
+    let ix = vec!["ix".to_string()];
+    for (i, stmt) in stmts.iter().enumerate() {
+        assert!(before[i].1.is_empty(), "{stmt}: no index before");
+        let maintains = i < 3;
+        if maintains {
+            assert_eq!(after[i].1, ix, "{stmt}: records the maintained index");
+            assert_ne!(after[i].0, before[i].0, "{stmt}: plan_id moves");
+        } else {
+            assert!(after[i].1.is_empty(), "{stmt}: does not record ix");
+            assert_eq!(after[i].0, before[i].0, "{stmt}: plan_id stays");
+        }
+    }
+}

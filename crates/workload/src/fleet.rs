@@ -85,7 +85,6 @@ impl TenantConfig {
                     min_rows: 10_000,
                     max_rows: 60_000,
                     correlation_prob: 0.2,
-                    ..SchemaGenConfig::default()
                 },
                 WorkloadGenConfig {
                     reads_per_table: 6,

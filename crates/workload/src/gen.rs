@@ -220,6 +220,9 @@ impl TableSpec {
     }
 }
 
+/// Probability a column is Zipf-skewed rather than uniform.
+const SKEW_PROB: f64 = 0.3;
+
 /// Parameters controlling schema generation.
 #[derive(Debug, Clone)]
 pub struct SchemaGenConfig {
@@ -231,8 +234,6 @@ pub struct SchemaGenConfig {
     pub max_rows: u64,
     /// Probability a non-pk column is correlated with a previous column.
     pub correlation_prob: f64,
-    /// Probability a column is Zipf-skewed rather than uniform.
-    pub skew_prob: f64,
 }
 
 impl Default for SchemaGenConfig {
@@ -245,7 +246,6 @@ impl Default for SchemaGenConfig {
             min_rows: 2_000,
             max_rows: 30_000,
             correlation_prob: 0.15,
-            skew_prob: 0.3,
         }
     }
 }
@@ -287,7 +287,7 @@ pub fn generate_schema(cfg: &SchemaGenConfig, seed: u64) -> Vec<TableSpec> {
                 match rng.random_range(0..6) {
                     0 | 1 => {
                         let cardinality = 10u64.pow(rng.random_range(1..5));
-                        if rng.random::<f64>() < cfg.skew_prob {
+                        if rng.random::<f64>() < SKEW_PROB {
                             ColumnDist::ZipfInt {
                                 cardinality,
                                 s: 1.0 + rng.random::<f64>(),
