@@ -7,15 +7,17 @@
 //! chunk boundaries, and the build can **pause** under resource pressure
 //! (or a failure) and **resume** later without losing progress.
 //!
-//! Concurrency note: a resumable build here snapshots heap slots in chunk
-//! order; if DML modified the table while the build was in flight, the
-//! finish step detects it (modification counter) and performs one
-//! reconciliation rebuild — correctness first, with the chunked-log
-//! behaviour still fully modeled. The production service schedules builds
-//! in low-activity windows (§6), making reconciliation the rare path.
+//! Concurrency note: a resumable build here steps through the heap's live
+//! row ids a chunk at a time; if DML modified the table while the build
+//! was in flight, the finish step detects it (modification counter) and
+//! performs one reconciliation rebuild — correctness first, with the
+//! chunked-log behaviour still fully modeled. The production service
+//! schedules builds in low-activity windows (§6), making reconciliation
+//! the rare path.
 
 use crate::clock::Duration;
 use crate::engine::{Database, EngineError};
+use crate::heap::RowId;
 use crate::index::SecondaryIndex;
 use crate::schema::{IndexDef, IndexId};
 
@@ -124,20 +126,23 @@ impl Database {
                 return false;
             }
         };
-        let (rows, next) = heap.scan_slots(start, chunk_rows);
+        let mut live = heap.live_ids_from(RowId(start));
+        let chunk: Vec<RowId> = live.by_ref().take(chunk_rows).collect();
+        let next = live.next().map(|rid| rid.0);
         // Log truncation at the chunk boundary: whatever accumulated in
         // the previous chunk is now truncatable.
         build.log_since_truncate = 0;
         build.truncations += 1;
-        for (rid, row) in &rows {
-            let pages = build.partial.insert_row(*rid, row);
+        for &rid in &chunk {
+            let row = heap.row(rid).expect("a listed row is live");
+            let pages = build.partial.insert_row(rid, &row);
             let bytes = pages * crate::heap::PAGE_SIZE;
             build.log_since_truncate += bytes;
             build.total_log_bytes += bytes;
         }
-        build.rows_done += rows.len() as u64;
+        build.rows_done += chunk.len() as u64;
         // Build-rate time model shared with the one-shot path.
-        let secs = rows.len() as f64 * 64.0 / self.config.tier.index_build_rate();
+        let secs = chunk.len() as f64 * 64.0 / self.config.tier.index_build_rate();
         build.build_time = build.build_time + Duration::from_millis((secs * 1000.0) as u64);
         build.next_slot = next;
         next.is_none()

@@ -13,13 +13,19 @@
 //!
 //! The control plane consumes these counts and never a result set, so the
 //! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a `RowView`: a reference to the heap row, or to
-//! the leaf values of a covering index entry. Residual predicates are
-//! bound once per access — the slot their column sits in, the operator,
-//! the resolved operand — so a row pays only for the comparisons. Both
-//! join strategies work on views (the hash table is keyed by `&Value`);
-//! storage is only borrowed shared for the whole statement, so a view
-//! stays valid until the sink.
+//! qualifying row on as a `RowView`: a heap and a row id, read from the
+//! heap's columns at that slot, or the leaf values of a covering index
+//! entry. Tables are stored by column ([`crate::heap`]), so a sequential
+//! scan evaluates each residual predicate on its own column and reads no
+//! other value of a row it rejects. Residual predicates, GROUP BY columns
+//! and join keys are bound once per access — the slot their column sits
+//! in, and for a predicate its operator and resolved operand — so a row
+//! pays only for the comparisons and the hashing. Both join strategies
+//! work on views (the hash table is keyed by `&Value`); storage is only
+//! borrowed shared for the whole statement, so a view stays valid until
+//! the sink. The executor's temporary hash tables (group keys, the join's
+//! build side) hash a word at a time with a multiply, not with SipHash:
+//! they live for one statement and nothing reads them in hash order.
 //!
 //! # Two sinks
 //!
@@ -63,7 +69,7 @@ use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
 use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
 use crate::types::{Row, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Counters of actual work done by one statement execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -136,35 +142,44 @@ pub struct ExecContext<'a> {
 }
 
 /// One input row as the operators see it, borrowed from storage for the
-/// length of the statement (`'c`): a heap row, or the leaf values of a
-/// covering index entry (key values, then included values).
+/// length of the statement (`'c`): a heap row, read from the heap's
+/// columns at its slot, or the leaf values of a covering index entry (key
+/// values, then included values).
 #[derive(Clone, Copy)]
-struct RowView<'c> {
-    /// The index whose leaf `vals` is; `None` for a heap row.
-    leaf: Option<&'c IndexDef>,
-    vals: &'c [Value],
+enum RowView<'c> {
+    Heap {
+        heap: &'c Heap,
+        rid: RowId,
+    },
+    Leaf {
+        def: &'c IndexDef,
+        vals: &'c [Value],
+    },
 }
 
 impl<'c> RowView<'c> {
-    fn heap(row: &'c Row) -> RowView<'c> {
-        RowView {
-            leaf: None,
-            vals: row,
-        }
-    }
-
+    /// The value of column `c`, its [`slot`] found anew: for the rows
+    /// sink's projection and sort. The hot paths bind slots once per
+    /// access and read with [`at`](Self::at).
     fn col(self, c: ColumnId) -> &'c Value {
-        self.at(slot(self.leaf, c))
+        let leaf = match self {
+            RowView::Heap { .. } => None,
+            RowView::Leaf { def, .. } => Some(def),
+        };
+        self.at(slot(leaf, c))
     }
 
     fn at(self, slot: usize) -> &'c Value {
-        self.vals.get(slot).unwrap_or(&Value::Null)
+        match self {
+            RowView::Heap { heap, rid } => heap.value(rid, slot),
+            RowView::Leaf { vals, .. } => vals.get(slot).unwrap_or(&Value::Null),
+        }
     }
 }
 
-/// Where column `c` sits in a row view: at its own position in a heap row
-/// (`leaf` is `None`), at its position among the key-then-included
-/// columns of a covering leaf. A column the leaf lacks reads as NULL.
+/// Where column `c` sits in a row view: its own column of a heap (`leaf`
+/// is `None`), its position among the key-then-included columns of a
+/// covering leaf. A column the leaf lacks reads as NULL.
 fn slot(leaf: Option<&IndexDef>, c: ColumnId) -> usize {
     let Some(def) = leaf else {
         return c.0 as usize;
@@ -175,6 +190,87 @@ fn slot(leaf: Option<&IndexDef>, c: ColumnId) -> usize {
         debug_assert!(false, "covering read of {c} not in '{}'", def.name);
         usize::MAX
     })
+}
+
+/// The [`slot`] of each of `cols` in rows laid out as `leaf` says.
+fn slots(leaf: Option<&IndexDef>, cols: &[ColumnId]) -> Vec<usize> {
+    cols.iter().map(|&c| slot(leaf, c)).collect()
+}
+
+/// The layout of the rows `access` emits: its index's leaf when the
+/// access is covering, the heap's otherwise (`None`). A missing index
+/// reads as the heap's; `run_access` then fails before any row flows.
+fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c IndexDef> {
+    match access {
+        Access::IndexSeek {
+            index,
+            covering: true,
+            ..
+        }
+        | Access::IndexScan {
+            index,
+            covering: true,
+        } => Some(&ctx.indexes.get(&index.real_id()?)?.def),
+        _ => None,
+    }
+}
+
+/// The hasher of the executor's temporary hash tables (the count sink's
+/// group keys, the hash join's build side, the rows sink's groups): one
+/// add and one multiply a word, where std's SipHash spends rounds. It is
+/// deterministic; nothing reads these tables in hash order, so the hash
+/// moves no output.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+/// `BuildHasher` of [`WordHasher`].
+pub(crate) type WordState = BuildHasherDefault<WordHasher>;
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self
+            .0
+            .wrapping_add(word)
+            .wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("eight bytes")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut w = [0u8; 8];
+            w[..tail.len()].copy_from_slice(tail);
+            // The tail's length in the top byte keeps "a" apart from "a\0".
+            self.add(u64::from_le_bytes(w) | ((tail.len() as u64) << 56));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its best bits high; the table indexes by
+        // the low ones.
+        self.0.rotate_left(26)
+    }
 }
 
 fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBound {
@@ -246,7 +342,7 @@ impl<'q> Residual<'q> {
 }
 
 /// Run an access path, apply the plan's residual predicates, and hand
-/// every surviving row to `emit` as a view: the heap row (sequential scan,
+/// every surviving row to `emit` as a view: a heap row (sequential scan,
 /// or bookmark lookup behind a non-covering index) or the index leaf
 /// itself when the access is covering.
 fn run_access<'c>(
@@ -266,11 +362,28 @@ fn run_access<'c>(
             m.add_pages_read(heap.page_count());
             m.add_rows_examined(heap.len() as u64);
             residual.charge(m, heap.len() as u64);
-            let filter = residual.bind(None);
-            for (rid, row) in heap.scan_quiet() {
-                let v = RowView::heap(row);
-                if keeps(&filter, v) {
-                    emit(rid, v);
+            // Each predicate reads its own column at the row's slot: a
+            // row costs the values it compares and nothing else.
+            let filter: Vec<(&[Value], CmpOp, &Value)> = residual
+                .bind(None)
+                .into_iter()
+                .map(|b| (heap.column(b.slot), b.op, b.value))
+                .collect();
+            let Some((&(first, op, v), rest)) = filter.split_first() else {
+                for rid in heap.live_ids() {
+                    emit(rid, RowView::Heap { heap, rid });
+                }
+                return Ok(());
+            };
+            // The first predicate walks its column. A dead slot reads NULL,
+            // so the live flag is read only for a slot that passes it.
+            for (s, x) in first.iter().enumerate() {
+                let rid = RowId(s as u64);
+                if op.eval(x, v)
+                    && heap.is_live(rid)
+                    && rest.iter().all(|&(col, op, v)| op.eval(&col[s], v))
+                {
+                    emit(rid, RowView::Heap { heap, rid });
                 }
             }
             return Ok(());
@@ -285,15 +398,15 @@ fn run_access<'c>(
         .indexes
         .get(&id)
         .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
-    let leaf = Some(&ix.def);
+    let def = &ix.def;
     let filter = if covering {
-        residual.bind(leaf)
+        residual.bind(Some(def))
     } else {
         Vec::new()
     };
     let mut rids: Vec<RowId> = Vec::new();
     let mut visit = |rid, vals| {
-        let v = RowView { leaf, vals };
+        let v = RowView::Leaf { def, vals };
         if !covering {
             rids.push(rid);
         } else if keeps(&filter, v) {
@@ -336,9 +449,9 @@ fn fetch_and_filter<'c>(
     let mut fetched = 0u64;
     for &rid in rids {
         m.add_pages_read(1);
-        if let Some(row) = heap.peek(rid) {
+        if heap.is_live(rid) {
             fetched += 1;
-            let v = RowView::heap(row);
+            let v = RowView::Heap { heap, rid };
             if keeps(&filter, v) {
                 emit(rid, v);
             }
@@ -377,9 +490,11 @@ fn produce<'c>(
     run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
         outers.push(v)
     })?;
+    let outer_key = slot(leaf_of(ctx, &plan.access), jspec.outer_col);
     match &jplan.strategy {
         JoinStrategy::Hash { inner_access } => {
-            let mut ht: HashMap<&Value, Vec<RowView>> = HashMap::new();
+            let inner_key = slot(leaf_of(ctx, inner_access), jspec.inner_col);
+            let mut ht: HashMap<&Value, Vec<RowView>, WordState> = HashMap::default();
             let mut inners = 0u64;
             let residual = Residual {
                 preds: &jspec.predicates,
@@ -388,12 +503,12 @@ fn produce<'c>(
             };
             run_access(ctx, jspec.table, inner_access, residual, m, |_, v| {
                 inners += 1;
-                ht.entry(v.col(jspec.inner_col)).or_default().push(v);
+                ht.entry(v.at(inner_key)).or_default().push(v);
             })?;
             m.add_hash_ops(inners);
             m.add_hash_ops(outers.len() as u64);
             for outer in outers {
-                for &inner in ht.get(outer.col(jspec.outer_col)).into_iter().flatten() {
+                for &inner in ht.get(outer.at(outer_key)).into_iter().flatten() {
                     sink(outer, Some(inner));
                 }
             }
@@ -413,13 +528,13 @@ fn produce<'c>(
             for outer in outers {
                 let ix =
                     inner_ix.ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
-                let key = std::slice::from_ref(outer.col(jspec.outer_col));
+                let key = std::slice::from_ref(outer.at(outer_key));
                 let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
                 rids.clear();
                 matched.clear();
                 let (n, pages) = ix.seek_visit(key, lo, hi, |rid, vals| {
                     if *covering {
-                        matched.push(RowView { leaf, vals });
+                        matched.push(RowView::Leaf { def: &ix.def, vals });
                     } else {
                         rids.push(rid);
                     }
@@ -433,7 +548,9 @@ fn produce<'c>(
                         .ok_or(ExecError::UnknownTable(jspec.table))?;
                     for &rid in &rids {
                         m.add_pages_read(1);
-                        matched.extend(heap.peek(rid).map(RowView::heap));
+                        if heap.is_live(rid) {
+                            matched.push(RowView::Heap { heap, rid });
+                        }
                     }
                 }
                 let evals = matched.len() as u64 * jspec.predicates.len() as u64;
@@ -478,8 +595,10 @@ pub fn execute_select(
     out: Option<&mut Vec<Row>>,
 ) -> Result<ActualMetrics, ExecError> {
     let mut m = ActualMetrics::default();
+    let leaf = leaf_of(ctx, &plan.access);
     let Some(out) = out else {
-        let mut count = Counter::new(&q.group_by);
+        let group = slots(leaf, &q.group_by);
+        let mut count = Counter::new(&group);
         produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
         charge_output(&mut m, q, plan, count.rows, count.groups());
         return Ok(m);
@@ -491,7 +610,7 @@ pub fn execute_select(
     })?;
     let sorts = plan.needs_sort && !q.order_by.is_empty();
     if is_aggregate(q) {
-        let mut groups = aggregate(q, &joined);
+        let mut groups = aggregate(q, leaf, &joined);
         let returned = charge_output(&mut m, q, plan, joined.len() as u64, groups.len() as u64);
         if sorts {
             // ORDER BY on a group column sorts by its position in the key.
@@ -564,25 +683,26 @@ fn charge_output(
 /// it differs from the previous row's, so a run of equal keys — input in
 /// index order — costs one comparison a row.
 struct Counter<'c, 'q> {
-    group_by: &'q [ColumnId],
+    /// The group columns' slots in the rows that reach the sink.
+    group: &'q [usize],
     rows: u64,
-    keys: HashSet<GroupKey<'c, 'q>>,
+    keys: HashSet<GroupKey<'c, 'q>, WordState>,
     last: Option<GroupKey<'c, 'q>>,
 }
 
 /// A row standing for its GROUP BY key: hashed and compared by the values
-/// of the group columns, read through the row, so a key borrows what it
+/// at the group slots, read through the row, so a key borrows what it
 /// holds and a new group allocates nothing of its own.
 #[derive(Clone, Copy)]
 struct GroupKey<'c, 'q> {
     row: RowView<'c>,
-    group_by: &'q [ColumnId],
+    group: &'q [usize],
 }
 
 impl Hash for GroupKey<'_, '_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for &c in self.group_by {
-            self.row.col(c).hash(state);
+        for &s in self.group {
+            self.row.at(s).hash(state);
         }
     }
 }
@@ -590,30 +710,30 @@ impl Hash for GroupKey<'_, '_> {
 impl PartialEq for GroupKey<'_, '_> {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (self.row, other.row);
-        self.group_by.iter().all(|&c| a.col(c) == b.col(c))
+        self.group.iter().all(|&s| a.at(s) == b.at(s))
     }
 }
 
 impl Eq for GroupKey<'_, '_> {}
 
 impl<'c, 'q> Counter<'c, 'q> {
-    fn new(group_by: &'q [ColumnId]) -> Counter<'c, 'q> {
+    fn new(group: &'q [usize]) -> Counter<'c, 'q> {
         Counter {
-            group_by,
+            group,
             rows: 0,
-            keys: HashSet::new(),
+            keys: HashSet::default(),
             last: None,
         }
     }
 
     fn push(&mut self, row: RowView<'c>) {
         self.rows += 1;
-        if self.group_by.is_empty() {
+        if self.group.is_empty() {
             return;
         }
         let key = GroupKey {
             row,
-            group_by: self.group_by,
+            group: self.group,
         };
         if self.last != Some(key) {
             self.keys.insert(key);
@@ -624,7 +744,7 @@ impl<'c, 'q> Counter<'c, 'q> {
     /// The groups the rows form: one per distinct key, or without GROUP
     /// BY one for the whole input — none when no row qualified.
     fn groups(&self) -> u64 {
-        if self.group_by.is_empty() {
+        if self.group.is_empty() {
             self.rows.min(1)
         } else {
             self.keys.len() as u64
@@ -632,17 +752,23 @@ impl<'c, 'q> Counter<'c, 'q> {
     }
 }
 
-/// The rows sink's aggregation: one row per group — the key values, then
-/// the aggregates — in key order.
-fn aggregate<'c>(q: &SelectQuery, joined: &[(RowView<'c>, Option<RowView<'c>>)]) -> Vec<Row> {
+/// The rows sink's aggregation over rows laid out as `leaf` says: one row
+/// per group — the key values, then the aggregates — in key order.
+fn aggregate<'c>(
+    q: &SelectQuery,
+    leaf: Option<&IndexDef>,
+    joined: &[(RowView<'c>, Option<RowView<'c>>)],
+) -> Vec<Row> {
+    let group = slots(leaf, &q.group_by);
+    let inputs: Vec<usize> = q.aggregates.iter().map(|&(_, c)| slot(leaf, c)).collect();
     // One probe per input row through borrowed values; a key is
     // allocated only when its group is new.
-    let mut index: HashMap<Vec<&Value>, usize> = HashMap::new();
+    let mut index: HashMap<Vec<&Value>, usize, WordState> = HashMap::default();
     let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut key: Vec<&Value> = Vec::with_capacity(q.group_by.len());
+    let mut key: Vec<&Value> = Vec::with_capacity(group.len());
     for (outer, _) in joined {
         key.clear();
-        key.extend(q.group_by.iter().map(|&c| outer.col(c)));
+        key.extend(group.iter().map(|&s| outer.at(s)));
         let g = match index.get(key.as_slice()) {
             Some(&g) => g,
             None => {
@@ -656,8 +782,8 @@ fn aggregate<'c>(q: &SelectQuery, joined: &[(RowView<'c>, Option<RowView<'c>>)])
                 states.len() - 1
             }
         };
-        for (st, (_, col)) in states[g].iter_mut().zip(&q.aggregates) {
-            st.update(outer.col(*col));
+        for (st, &s) in states[g].iter_mut().zip(&inputs) {
+            st.update(outer.at(s));
         }
     }
     // `Value`'s order over the keys, first-seen group first on a tie:
@@ -760,7 +886,7 @@ pub fn execute_dml(
                 .get_mut(table)
                 .ok_or(ExecError::UnknownTable(*table))?;
             for rid in targets {
-                let Some(old) = heap.peek(rid) else { continue };
+                let Some(old) = heap.row(rid) else { continue };
                 let mut new = old.clone();
                 for (c, s) in set {
                     new[c.0 as usize] = s.resolve(params).clone();
@@ -768,7 +894,7 @@ pub fn execute_dml(
                 m.add_pages_written(1);
                 for (id, _) in ctx.catalog.indexes_on(*table) {
                     if let Some(ix) = ctx.indexes.get_mut(&id) {
-                        let pages = ix.update_row(rid, old, &new);
+                        let pages = ix.update_row(rid, &old, &new);
                         m.add_pages_written(pages);
                     }
                 }
@@ -812,15 +938,16 @@ fn insert_one(
         .heaps
         .get_mut(&table)
         .ok_or(ExecError::UnknownTable(table))?;
-    let rid = heap.insert(values.iter().map(|s| s.resolve(params).clone()).collect());
+    let row: Row = values.iter().map(|s| s.resolve(params).clone()).collect();
+    let rid = heap.next_id();
     m.add_pages_written(1);
-    let row = heap.peek(rid).expect("row was just inserted");
     for (id, _) in ctx.catalog.indexes_on(table) {
         if let Some(ix) = ctx.indexes.get_mut(&id) {
-            let pages = ix.insert_row(rid, row);
+            let pages = ix.insert_row(rid, &row);
             m.add_pages_written(pages);
         }
     }
+    heap.insert(row);
     m.rows_returned += 1;
     Ok(())
 }
@@ -902,7 +1029,7 @@ mod tests {
                 ))
                 .unwrap();
             let tdef = catalog.table(t).unwrap().clone();
-            let mut heap = Heap::new(tdef.avg_row_width());
+            let mut heap = Heap::new(tdef.columns.len(), tdef.avg_row_width());
             for i in 0..2000i64 {
                 heap.insert(vec![
                     Value::Int(i),
@@ -911,7 +1038,7 @@ mod tests {
                     Value::Float((i % 500) as f64),
                 ]);
             }
-            let stats = TableStats::build_full(heap.scan_quiet().map(|(_, r)| r), 4);
+            let stats = TableStats::build_full(&heap);
             let mut heaps = BTreeMap::new();
             heaps.insert(t, heap);
             let mut stats_map = BTreeMap::new();
@@ -1054,6 +1181,101 @@ mod tests {
         }
     }
 
+    /// Under GROUP BY over keys mixing `Int`, `Float`, `Str` and `NULL`
+    /// (`3` beside `3.0`, `0` beside `-0.0`, strings of one to seventeen
+    /// bytes, with and without a trailing zero byte), the count sink forms
+    /// as many groups as the rows sink and as `Value`'s order tells apart:
+    /// over the heap's columns, and over a covering index's leaves.
+    #[test]
+    fn count_sink_groups_mixed_keys_as_the_rows_sink_does() {
+        let mut w = World::new();
+        let mt = w
+            .catalog
+            .add_table(TableDef::new(
+                "mixed",
+                vec![
+                    ColumnDef::new("k", ValueType::Str),
+                    ColumnDef::new("j", ValueType::Int),
+                ],
+            ))
+            .unwrap();
+        let pool = [
+            Value::Null,
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(3.5),
+            Value::Int(0),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::from("a"),
+            Value::from("a\0"),
+            Value::from("abcdefgh"),
+            Value::from("abcdefghi"),
+            Value::from("abcdefghijklmnopq"),
+            Value::from("abcdefghijklmnopr"),
+        ];
+        let mut heap = Heap::new(2, 32);
+        for i in 0..600usize {
+            let j = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i % 3) as i64)
+            };
+            heap.insert(vec![pool[(i * 5) % pool.len()].clone(), j]);
+        }
+        let want = |cols: &[usize]| -> usize {
+            let keys = heap.live_ids().map(|rid| -> Vec<Value> {
+                cols.iter().map(|&c| heap.value(rid, c).clone()).collect()
+            });
+            keys.collect::<std::collections::BTreeSet<_>>().len()
+        };
+        let (one, two) = (want(&[0]), want(&[0, 1]));
+        w.stats.insert(mt, TableStats::build_full(&heap));
+        w.heaps.insert(mt, heap);
+        assert_eq!(one, pool.len() - 3, "3 = 3.0 and 0 = -0.0 = 0.0");
+        for indexed in [false, true] {
+            if indexed {
+                // Leaf slots (j, k): the heap's columns swapped.
+                let def = IndexDef::new("ix_jk", mt, vec![ColumnId(1)], vec![ColumnId(0)]);
+                let id = w.catalog.add_index(def.clone()).unwrap();
+                let mut ix = SecondaryIndex::new(def, w.catalog.table(mt).unwrap());
+                ix.build(&w.heaps[&mt]);
+                w.indexes.insert(id, ix);
+            }
+            for (group_by, groups) in [
+                (vec![ColumnId(0)], one),
+                (vec![ColumnId(0), ColumnId(1)], two),
+            ] {
+                let mut q = SelectQuery::new(mt);
+                q.group_by = group_by;
+                q.aggregates = vec![(AggFunc::Count, ColumnId(1))];
+                q.index_hint = indexed.then(|| "ix_jk".to_string());
+                let stmt = Statement::Select(q.clone());
+                let rows = w.run(&stmt, &[]);
+                let plan = optimize(&EnvView(&w), &stmt, &[]).plan;
+                let Plan::Select(sp) = &plan else {
+                    panic!("select plans as select")
+                };
+                if indexed {
+                    assert!(
+                        matches!(sp.access, Access::IndexScan { covering: true, .. }),
+                        "{:?}",
+                        sp.access
+                    );
+                }
+                let ctx = ExecContext {
+                    catalog: &w.catalog,
+                    heaps: &mut w.heaps,
+                    indexes: &mut w.indexes,
+                };
+                let counted = execute_select(&ctx, &q, sp, &[], None).unwrap();
+                assert_eq!(rows.rows.len(), groups, "rows sink, indexed {indexed}");
+                assert_eq!(counted.rows_returned, groups as u64, "count sink");
+                assert_eq!(counted, rows.metrics);
+            }
+        }
+    }
+
     #[test]
     fn order_by_and_limit() {
         let mut w = World::new();
@@ -1086,11 +1308,11 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let mut heap = Heap::new(24);
+        let mut heap = Heap::new(2, 24);
         for i in 0..100i64 {
             heap.insert(vec![Value::Int(i), Value::Int(i % 10)]);
         }
-        let cstats = TableStats::build_full(heap.scan_quiet().map(|(_, r)| r), 2);
+        let cstats = TableStats::build_full(&heap);
         w.heaps.insert(ct, heap);
         w.stats.insert(ct, cstats);
 
@@ -1129,11 +1351,11 @@ mod tests {
             .unwrap();
         // Large inner table: per-row index seeks beat building a hash
         // table over the whole thing.
-        let mut heap = Heap::new(24);
+        let mut heap = Heap::new(2, 24);
         for i in 0..20_000i64 {
             heap.insert(vec![Value::Int(i % 100), Value::Int(i % 10)]);
         }
-        let cstats = TableStats::build_full(heap.scan_quiet().map(|(_, r)| r), 2);
+        let cstats = TableStats::build_full(&heap);
         w.heaps.insert(ct, heap);
         w.stats.insert(ct, cstats);
 
@@ -1210,6 +1432,39 @@ mod tests {
         assert!(r.rows.is_empty());
         // Index consistent with heap.
         assert_eq!(w.indexes.values().next().unwrap().len(), 1980);
+    }
+
+    /// A deleted slot reads NULL in every column, and a sequential scan
+    /// reads its first predicate's column without the live flag: an
+    /// `= NULL` predicate must still find only the live rows holding NULL.
+    #[test]
+    fn seq_scan_for_null_skips_deleted_slots() {
+        let mut w = World::new();
+        let del = Statement::Delete {
+            table: TableId(0),
+            predicates: vec![Predicate::eq(ColumnId(1), 7i64)],
+        };
+        assert_eq!(w.run(&del, &[]).metrics.rows_returned, 20);
+        for id in 0..3 {
+            let ins = Statement::Insert {
+                table: TableId(0),
+                values: [
+                    Value::Int(5_000 + id),
+                    Value::Int(1),
+                    Value::Null,
+                    Value::Null,
+                ]
+                .map(Scalar::Lit)
+                .to_vec(),
+            };
+            w.run(&ins, &[]);
+        }
+        let mut q = SelectQuery::new(TableId(0));
+        q.predicates = vec![Predicate::eq(ColumnId(2), Value::Null)];
+        q.projection = vec![ColumnId(0)];
+        let r = w.run(&Statement::Select(q), &[]);
+        assert_eq!(r.rows.len(), 3, "{:?}", r.rows);
+        assert_eq!(r.metrics.rows_examined, 2_000 - 20 + 3);
     }
 
     #[test]

@@ -143,11 +143,12 @@ fn pad(depth: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::Heap;
     use crate::optimizer::{optimize, IndexGeom, PlannerEnv};
     use crate::query::{CmpOp, Predicate, SelectQuery, Statement};
     use crate::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
     use crate::stats::TableStats;
-    use crate::types::{Row, Value, ValueType};
+    use crate::types::{Value, ValueType};
 
     struct Env {
         t: TableDef,
@@ -178,10 +179,11 @@ mod tests {
                 ColumnDef::new("c", ValueType::Int),
             ],
         );
-        let rows: Vec<Row> = (0..5000i64)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 100)])
-            .collect();
-        let s = TableStats::build_full(rows.iter(), 2);
+        let mut heap = Heap::new(2, t.avg_row_width());
+        for i in 0..5000i64 {
+            heap.insert(vec![Value::Int(i), Value::Int(i % 100)]);
+        }
+        let s = TableStats::build_full(&heap);
         let mut geoms = vec![];
         if with_index {
             let def = IndexDef::new("ix_c", TableId(0), vec![ColumnId(1)], vec![ColumnId(0)]);

@@ -72,31 +72,30 @@ impl SecondaryIndex {
     }
 
     /// Build the index from an existing heap, replacing whatever it held:
-    /// one scan, one sort, and a tree written bottom-up at [`BUILD_FILL`]
-    /// (no root-to-leaf insert per row). Returns the number of heap pages
+    /// one sort, and a tree written bottom-up at [`BUILD_FILL`] (no
+    /// root-to-leaf insert per row). Returns the number of heap pages
     /// scanned (the IO cost of the build's scan phase).
     pub fn build(&mut self, heap: &Heap) -> u64 {
         let (w, k) = (self.tree.width(), self.tree.key_len());
-        let columns: Vec<usize> = self.def.leaf_columns().map(|c| c.0 as usize).collect();
-        // The sort reads the key values alone, gathered flat and dropped
-        // once sorted; the leaves then take every value from the heap, so
-        // the build never holds a second copy of the index.
-        let mut keys = Vec::with_capacity(heap.len() * k);
-        let mut rids = Vec::with_capacity(heap.len());
-        for (rid, row) in heap.scan_quiet() {
-            keys.extend(columns[..k].iter().map(|&c| row[c].clone()));
-            rids.push(rid);
-        }
-        // The heap hands rows over in row-id order, so a stable sort on
-        // the key values alone leaves equal keys in row-id order: the
-        // entries' own order, without comparing a row id.
-        let order = build_order(&keys, rids.len(), k);
-        drop(keys);
-        let (columns, rids) = (&columns[..], &rids[..]);
-        let entries = order.iter().map(|&i| {
-            let rid = rids[i as usize];
-            let row = heap.peek(rid).expect("a scanned row is live");
-            (columns.iter().map(move |&c| row[c].clone()), rid)
+        let columns: Vec<&[Value]> = self
+            .def
+            .leaf_columns()
+            .map(|c| heap.column(c.0 as usize))
+            .collect();
+        // The sort reads the key columns where they lie, one column at a
+        // time, and the leaves then take every value from the columns in
+        // the sorted order: no value is copied before its leaf is written.
+        // Slots go in rising (row-id) order, so a stable sort on the key
+        // values alone leaves equal keys in row-id order: the entries' own
+        // order, without comparing a row id.
+        let slots = heap
+            .live_ids()
+            .map(|rid| u32::try_from(rid.0).expect("a heap holds fewer than 2^32 slots"));
+        let order = build_order(&columns[..k], slots);
+        let columns = &columns[..];
+        let entries = order.iter().map(|&slot| {
+            let values = columns.iter().map(move |col| col[slot as usize].clone());
+            (values, RowId(u64::from(slot)))
         });
         let fanout = self.tree.fanout();
         self.tree = BTree::from_sorted(fanout, BUILD_FILL, w, k, entries);
@@ -301,33 +300,33 @@ fn entries_per_page(entry_width: u64) -> u64 {
     (PAGE_SIZE / entry_width).clamp(8, 512)
 }
 
-/// The positions `0..n` of the `n` keys in `keys` (`k` values each, flat)
-/// in the order a stable sort on them puts them.
+/// The `slots` (rising) in the order a stable sort on their key values
+/// puts them: `keys[j][slot]` is the `j`-th key value of the row at `slot`.
 ///
 /// Comparing two keys means reaching into `keys` twice, a cache miss a
 /// comparison; so each key column is first sorted on a 64-bit image of
-/// its values, kept beside the position in the sort buffer, and only ties
-/// go further (see [`sort_run`]).
-fn build_order(keys: &[Value], n: usize, k: usize) -> Vec<u32> {
-    let mut order: Vec<(u64, u32)> = (0..n as u32).map(|i| (0, i)).collect();
-    sort_run(&mut order, keys, k, 0);
+/// its values, kept beside the slot in the sort buffer, and only ties go
+/// further (see [`sort_run`]).
+fn build_order(keys: &[&[Value]], slots: impl Iterator<Item = u32>) -> Vec<u32> {
+    let mut order: Vec<(u64, u32)> = slots.map(|i| (0, i)).collect();
+    sort_run(&mut order, keys, 0);
     order.into_iter().map(|(_, i)| i).collect()
 }
 
 /// Sort `run` — entries equal on their key values before column `col`,
-/// in position order — by their key values from `col` on, then position.
+/// in slot order — by their key values from `col` on, then slot.
 ///
 /// Nulls order first and equal each other, so they move to the front in
-/// position order. The rest sort on their [`Image`] and position. A run of
-/// one image holds equal values where the image is exact, and goes on to
-/// the next column; elsewhere it is sorted by comparing the values. A
-/// column of mixed types (or with a NaN) has no image, and is compared.
-fn sort_run(run: &mut [(u64, u32)], keys: &[Value], k: usize, col: usize) {
-    if run.len() < 2 || col == k {
+/// slot order. The rest sort on their [`Image`] and slot. A run of one
+/// image holds equal values where the image is exact, and goes on to the
+/// next column; elsewhere it is sorted by comparing the values. A column
+/// of mixed types (or with a NaN) has no image, and is compared.
+fn sort_run(run: &mut [(u64, u32)], keys: &[&[Value]], col: usize) {
+    if run.len() < 2 || col == keys.len() {
         return;
     }
-    let at = |i: u32| &keys[i as usize * k + col];
-    let rest_of_key = |i: u32| &keys[i as usize * k + col..(i as usize + 1) * k];
+    let at = |i: u32| &keys[col][i as usize];
+    let rest_of_key = |i: u32| keys[col..].iter().map(move |c| &c[i as usize]);
     let compare =
         |a: &(u64, u32), b: &(u64, u32)| rest_of_key(a.1).cmp(rest_of_key(b.1)).then(a.1.cmp(&b.1));
     let nulls = run.iter().filter(|e| at(e.1).is_null()).count();
@@ -337,7 +336,7 @@ fn sort_run(run: &mut [(u64, u32)], keys: &[Value], k: usize, col: usize) {
         run[nulls..].copy_from_slice(&other);
     }
     let (null, rest) = run.split_at_mut(nulls);
-    sort_run(null, keys, k, col + 1);
+    sort_run(null, keys, col + 1);
     let Some(image) = Image::of(rest.iter().map(|e| at(e.1))) else {
         rest.sort_unstable_by(compare);
         return;
@@ -352,7 +351,7 @@ fn sort_run(run: &mut [(u64, u32)], keys: &[Value], k: usize, col: usize) {
         let len = rest[start..].iter().take_while(|e| e.0 == first).count();
         let tie = &mut rest[start..start + len];
         if image.exact {
-            sort_run(tie, keys, k, col + 1);
+            sort_run(tie, keys, col + 1);
         } else {
             tie.sort_unstable_by(compare);
         }
@@ -478,7 +477,7 @@ mod tests {
 
     fn populated() -> (Heap, SecondaryIndex) {
         let t = table();
-        let mut heap = Heap::new(t.avg_row_width());
+        let mut heap = Heap::new(t.columns.len(), t.avg_row_width());
         for i in 0..1000i64 {
             heap.insert(row(
                 i,
@@ -561,7 +560,7 @@ mod tests {
     fn maintenance_insert_delete_update() {
         let (mut heap, mut ix) = populated();
         let rid = heap.insert(row(5000, 7, "open", 1.5));
-        ix.insert_row(rid, heap.peek(rid).unwrap());
+        ix.insert_row(rid, &heap.row(rid).unwrap());
         assert_eq!(
             ix.seek(&[Value::Int(7)], ColBound::Unbounded, ColBound::Unbounded)
                 .entries
@@ -569,7 +568,7 @@ mod tests {
             21
         );
         // Update moving the row to another customer.
-        let old = heap.peek(rid).unwrap().clone();
+        let old = heap.row(rid).unwrap();
         let new = row(5000, 8, "open", 1.5);
         heap.update(rid, new.clone());
         let pages = ix.update_row(rid, &old, &new);
@@ -638,8 +637,8 @@ mod tests {
         let narrow = table();
         let narrow_def = populated().1.def;
         for rows in [1_000i64, 10_000, 100_000] {
-            let mut narrow_heap = Heap::new(narrow.avg_row_width());
-            let mut wide_heap = Heap::new(wide.avg_row_width());
+            let mut narrow_heap = Heap::new(narrow.columns.len(), narrow.avg_row_width());
+            let mut wide_heap = Heap::new(wide.columns.len(), wide.avg_row_width());
             for i in 0..rows {
                 narrow_heap.insert(row(i, i % 50, "open", i as f64));
                 wide_heap.insert(wide_row(i, &tags));
@@ -748,7 +747,7 @@ mod tests {
             .map(|i| ColumnDef::new(format!("c{i}"), ValueType::Str))
             .collect();
         let table = TableDef::new("mixed", columns);
-        let mut heap = Heap::new(table.avg_row_width());
+        let mut heap = Heap::new(table.columns.len(), table.avg_row_width());
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
         for _ in 0..2_000 {
             let row = pools
@@ -787,8 +786,11 @@ mod tests {
             ix.check_invariants()
                 .unwrap_or_else(|e| panic!("key {key:?}: {e}"));
             let mut want: Vec<(Vec<Value>, RowId)> = heap
-                .scan_quiet()
-                .map(|(rid, row)| (key.iter().map(|&c| row[c as usize].clone()).collect(), rid))
+                .live_ids()
+                .map(|rid| {
+                    let key_vals = key.iter().map(|&c| heap.value(rid, c as usize).clone());
+                    (key_vals.collect(), rid)
+                })
                 .collect();
             want.sort_by(|a, b| a.0.cmp(&b.0));
             // `Debug` tells apart what `==` does not: Int(3) and
@@ -896,7 +898,7 @@ mod tests {
     fn included_value_update_is_visible_through_seek_visit() {
         let (mut heap, mut ix) = populated();
         let rid = RowId(21); // customer 21, total 21.0, status "open"
-        let old = heap.peek(rid).unwrap().clone();
+        let old = heap.row(rid).unwrap();
         let new = row(21, 21, "held", 21.0);
         heap.update(rid, new.clone());
         assert!(ix.update_row(rid, &old, &new) > 0);
@@ -930,13 +932,13 @@ mod tests {
     fn bulk_built_index_survives_maintenance() {
         let tags = tags();
         let (table, def) = wide_table();
-        let mut heap = Heap::new(table.avg_row_width());
+        let mut heap = Heap::new(table.columns.len(), table.avg_row_width());
         for i in 0..1_500 {
             heap.insert(wide_row(i, &tags));
         }
         let mut ix = SecondaryIndex::new(def.clone(), &table);
         ix.build(&heap);
-        let mut live: Vec<RowId> = heap.scan_quiet().map(|(rid, _)| rid).collect();
+        let mut live: Vec<RowId> = heap.live_ids().collect();
         let mut x: u64 = 0x1234_5678_9abc_def1;
         let mut next_id = 1_500;
         for step in 0..3_000 {
@@ -948,12 +950,12 @@ mod tests {
                 0 => {
                     let rid = heap.insert(wide_row(next_id, &tags));
                     next_id += 1;
-                    assert!(ix.insert_row(rid, heap.peek(rid).unwrap()) > 0);
+                    assert!(ix.insert_row(rid, &heap.row(rid).unwrap()) > 0);
                     live.push(rid);
                 }
                 1 | 2 => {
                     let rid = live.swap_remove(pick);
-                    let old = heap.peek(rid).unwrap().clone();
+                    let old = heap.row(rid).unwrap();
                     heap.delete(rid);
                     assert!(ix.delete_row(rid, &old) > 0);
                 }
@@ -961,7 +963,7 @@ mod tests {
                     // Column 1 is the leading key, column 5 is included,
                     // column 0 is the second key: one of each kind.
                     let rid = live[pick];
-                    let old = heap.peek(rid).unwrap().clone();
+                    let old = heap.row(rid).unwrap();
                     let mut new = old.clone();
                     let col = [1, 5, 0][(x >> 40) as usize % 3];
                     new[col] = if col == 0 {
@@ -990,12 +992,12 @@ mod tests {
     #[test]
     fn duplicate_keys_supported() {
         let t = table();
-        let mut heap = Heap::new(t.avg_row_width());
+        let mut heap = Heap::new(t.columns.len(), t.avg_row_width());
         let def = IndexDef::new("ix_status", TableId(0), vec![ColumnId(2)], vec![]);
         let mut ix = SecondaryIndex::new(def, &t);
         for i in 0..100 {
             let rid = heap.insert(row(i, 0, "same", 0.0));
-            ix.insert_row(rid, heap.peek(rid).unwrap());
+            ix.insert_row(rid, &heap.row(rid).unwrap());
         }
         let r = ix.seek(
             &[Value::Str("same".into())],

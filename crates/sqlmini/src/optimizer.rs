@@ -829,9 +829,10 @@ fn missing_index_for(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::Heap;
     use crate::query::{OrderKey, Predicate};
     use crate::schema::{ColumnDef, IndexId};
-    use crate::types::{Row, Value, ValueType};
+    use crate::types::{Value, ValueType};
 
     /// A self-contained planner environment for unit tests.
     struct TestEnv {
@@ -873,17 +874,16 @@ mod tests {
 
     fn env_with(geoms: Vec<IndexGeom>) -> TestEnv {
         let t = orders_table();
-        let rows: Vec<Row> = (0..10_000i64)
-            .map(|i| {
-                vec![
-                    Value::Int(i),
-                    Value::Int(i % 500),
-                    Value::Int(i % 5),
-                    Value::Float((i % 1000) as f64),
-                ]
-            })
-            .collect();
-        let stats = TableStats::build_full(rows.iter(), 4);
+        let mut heap = Heap::new(4, t.avg_row_width());
+        for i in 0..10_000i64 {
+            heap.insert(vec![
+                Value::Int(i),
+                Value::Int(i % 500),
+                Value::Int(i % 5),
+                Value::Float((i % 1000) as f64),
+            ]);
+        }
+        let stats = TableStats::build_full(&heap);
         TestEnv {
             tables: vec![t],
             stats: vec![stats],

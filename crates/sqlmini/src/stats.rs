@@ -11,7 +11,8 @@
 //! 3. **Independence assumption** — multi-predicate selectivities are
 //!    multiplied in the optimizer even when columns are correlated.
 
-use crate::types::{Row, Value};
+use crate::heap::Heap;
+use crate::types::Value;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -208,63 +209,47 @@ pub struct TableStats {
 }
 
 impl TableStats {
-    /// Build statistics from the full table contents.
-    pub fn build_full(rows: impl Iterator<Item = impl AsRef<Row>>, n_columns: usize) -> TableStats {
-        Self::build_impl(rows, n_columns, None, 0)
+    /// Build statistics from every live row of `heap`.
+    pub fn build_full(heap: &Heap) -> TableStats {
+        Self::build_impl(heap, None, 0)
     }
 
     /// Build statistics from a Bernoulli sample of the rows (what DTA's
     /// sampled statistics do, and what keeps tuning cheap on large tables).
-    pub fn build_sampled(
-        rows: impl Iterator<Item = impl AsRef<Row>>,
-        n_columns: usize,
-        sample_frac: f64,
-        seed: u64,
-    ) -> TableStats {
-        Self::build_impl(rows, n_columns, Some(sample_frac.clamp(0.001, 1.0)), seed)
+    pub fn build_sampled(heap: &Heap, sample_frac: f64, seed: u64) -> TableStats {
+        Self::build_impl(heap, Some(sample_frac.clamp(0.001, 1.0)), seed)
     }
 
-    fn build_impl(
-        rows: impl Iterator<Item = impl AsRef<Row>>,
-        n_columns: usize,
-        sample_frac: Option<f64>,
-        seed: u64,
-    ) -> TableStats {
+    /// The sample is drawn first, one draw per live row in row-id order;
+    /// then each column contributes the positions of the sampled rows, in
+    /// that order, bar the NULLs it counts.
+    fn build_impl(heap: &Heap, sample_frac: Option<f64>, seed: u64) -> TableStats {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5747_5f53_5441_5453);
-        // One position per sampled row per column, bar the NULLs.
-        let expected = rows.size_hint().1.unwrap_or(0) as f64 * sample_frac.unwrap_or(1.0);
-        let mut positions: Vec<Vec<f64>> = (0..n_columns)
-            .map(|_| Vec::with_capacity(expected as usize))
+        let sample: Vec<usize> = heap
+            .live_ids()
+            .filter(|_| sample_frac.is_none_or(|f| rng.random::<f64>() < f))
+            .map(|rid| rid.0 as usize)
             .collect();
-        let mut nulls: Vec<usize> = vec![0; n_columns];
-        let mut row_count = 0u64;
-        let mut sampled = 0u64;
-        for row in rows {
-            row_count += 1;
-            if let Some(f) = sample_frac {
-                if rng.random::<f64>() >= f {
-                    continue;
-                }
-            }
-            sampled += 1;
-            let row = row.as_ref();
-            for (c, v) in row.iter().enumerate().take(n_columns) {
-                if v.is_null() {
-                    nulls[c] += 1;
-                } else {
-                    positions[c].push(v.as_f64());
-                }
-            }
-        }
+        let row_count = heap.len() as u64;
+        let sampled = sample.len() as u64;
         let scale = if sampled == 0 {
             1.0
         } else {
             row_count as f64 / sampled as f64
         };
-        let columns = positions
-            .into_iter()
-            .zip(nulls)
-            .map(|(p, n)| ColumnStats::build(p, n, scale))
+        let columns = (0..heap.width())
+            .map(|c| {
+                let column = heap.column(c);
+                let mut positions = Vec::with_capacity(sample.len());
+                let mut nulls = 0;
+                for &slot in &sample {
+                    match &column[slot] {
+                        Value::Null => nulls += 1,
+                        v => positions.push(v.as_f64()),
+                    }
+                }
+                ColumnStats::build(positions, nulls, scale)
+            })
             .collect();
         TableStats {
             row_count,
@@ -308,11 +293,18 @@ pub fn reservoir_sample<T: Clone>(items: &[T], k: usize, seed: u64) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Row;
 
-    fn uniform_rows(n: i64) -> Vec<Row> {
-        (0..n)
-            .map(|i| vec![Value::Int(i), Value::Int(i % 10)])
-            .collect()
+    fn heap_of(width: usize, rows: impl IntoIterator<Item = Row>) -> Heap {
+        let mut heap = Heap::new(width, 8 * width as u64);
+        for row in rows {
+            heap.insert(row);
+        }
+        heap
+    }
+
+    fn uniform_rows(n: i64) -> Heap {
+        heap_of(2, (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 10)]))
     }
 
     /// What `ColumnStats::build` was before its sort went unstable.
@@ -368,7 +360,7 @@ mod tests {
     #[test]
     fn full_stats_row_count_and_ndv() {
         let rows = uniform_rows(1000);
-        let s = TableStats::build_full(rows.iter(), 2);
+        let s = TableStats::build_full(&rows);
         assert_eq!(s.row_count, 1000);
         assert_eq!(s.sampled_rows, 1000);
         let c0 = &s.columns[0];
@@ -380,7 +372,7 @@ mod tests {
     #[test]
     fn eq_selectivity_uniform() {
         let rows = uniform_rows(1000);
-        let s = TableStats::build_full(rows.iter(), 2);
+        let s = TableStats::build_full(&rows);
         let sel = s.columns[1].eq_selectivity(&Value::Int(3));
         assert!((sel - 0.1).abs() < 0.05, "sel {sel} should be ~0.1");
         let sel0 = s.columns[0].eq_selectivity(&Value::Int(500));
@@ -390,7 +382,7 @@ mod tests {
     #[test]
     fn out_of_range_value_estimates_tiny() {
         let rows = uniform_rows(1000);
-        let s = TableStats::build_full(rows.iter(), 2);
+        let s = TableStats::build_full(&rows);
         let sel = s.columns[0].eq_selectivity(&Value::Int(100_000));
         assert!(sel <= 0.01);
     }
@@ -398,7 +390,7 @@ mod tests {
     #[test]
     fn range_selectivity_proportional() {
         let rows = uniform_rows(1000);
-        let s = TableStats::build_full(rows.iter(), 2);
+        let s = TableStats::build_full(&rows);
         let sel = s.columns[0].range_selectivity(Some(250.0), Some(500.0));
         assert!((sel - 0.25).abs() < 0.08, "sel {sel} should be ~0.25");
         let all = s.columns[0].range_selectivity(None, None);
@@ -409,8 +401,8 @@ mod tests {
     #[test]
     fn sampled_stats_approximate_full() {
         let rows = uniform_rows(20_000);
-        let full = TableStats::build_full(rows.iter(), 2);
-        let samp = TableStats::build_sampled(rows.iter(), 2, 0.05, 42);
+        let full = TableStats::build_full(&rows);
+        let samp = TableStats::build_sampled(&rows, 0.05, 42);
         assert_eq!(samp.row_count, 20_000);
         assert!(samp.sampled_rows < 3000);
         let f = full.columns[1].eq_selectivity(&Value::Int(5));
@@ -418,10 +410,52 @@ mod tests {
         assert!((f - s).abs() < 0.05, "full {f} vs sampled {s}");
     }
 
+    /// Statistics read by column are the row-at-a-time build's, bit for
+    /// bit: one draw per live row in row-id order (deleted slots draw
+    /// nothing), and each column's positions in that order.
+    #[test]
+    fn sampled_stats_equal_a_row_at_a_time_reference() {
+        let mut heap = heap_of(
+            3,
+            (0..20_000i64).map(|i| {
+                let f = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Float((i % 13) as f64 / 3.0)
+                };
+                vec![Value::Int(i), f, Value::Str(format!("s{}", i % 37).into())]
+            }),
+        );
+        for i in (0..20_000).step_by(11) {
+            heap.delete(crate::heap::RowId(i));
+        }
+        let rows: Vec<Row> = heap.live_ids().filter_map(|r| heap.row(r)).collect();
+        for (frac, seed) in [(0.05, 42), (0.5, 7), (1.0, 1)] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5747_5f53_5441_5453);
+            let sample: Vec<&Row> = rows.iter().filter(|_| rng.random::<f64>() < frac).collect();
+            let scale = rows.len() as f64 / sample.len() as f64;
+            let got = TableStats::build_sampled(&heap, frac, seed);
+            assert_eq!(got.row_count as usize, rows.len());
+            assert_eq!(got.sampled_rows as usize, sample.len());
+            for (c, got) in got.columns.iter().enumerate() {
+                let values = sample.iter().map(|r| &r[c]);
+                let positions: Vec<f64> =
+                    values.filter(|v| !v.is_null()).map(Value::as_f64).collect();
+                let nulls = sample.len() - positions.len();
+                let want = ColumnStats::build(positions, nulls, scale);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "column {c} at {frac}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn staleness_threshold() {
         let rows = uniform_rows(1000);
-        let mut s = TableStats::build_full(rows.iter(), 2);
+        let mut s = TableStats::build_full(&rows);
         assert!(!s.is_stale());
         s.note_modifications(600);
         assert!(!s.is_stale()); // 500 + 200 floor
@@ -431,16 +465,17 @@ mod tests {
 
     #[test]
     fn nulls_tracked() {
-        let rows: Vec<Row> = (0..100)
-            .map(|i| {
+        let rows = heap_of(
+            1,
+            (0..100).map(|i| {
                 vec![if i % 4 == 0 {
                     Value::Null
                 } else {
                     Value::Int(i)
                 }]
-            })
-            .collect();
-        let s = TableStats::build_full(rows.iter(), 1);
+            }),
+        );
+        let s = TableStats::build_full(&rows);
         let nf = s.columns[0].null_frac;
         assert!((nf - 0.25).abs() < 0.02, "null_frac {nf}");
         let sel = s.columns[0].eq_selectivity(&Value::Null);
@@ -449,8 +484,7 @@ mod tests {
 
     #[test]
     fn empty_table_stats() {
-        let rows: Vec<Row> = vec![];
-        let s = TableStats::build_full(rows.iter(), 2);
+        let s = TableStats::build_full(&Heap::new(2, 16));
         assert_eq!(s.row_count, 0);
         assert_eq!(
             s.columns[0].eq_selectivity(&Value::Int(1)),
@@ -470,10 +504,11 @@ mod tests {
     #[test]
     fn skewed_histogram_separates_heavy_value() {
         // 90% of rows have value 0; the rest uniform 1..=100.
-        let rows: Vec<Row> = (0..1000)
-            .map(|i| vec![Value::Int(if i < 900 { 0 } else { i % 100 + 1 })])
-            .collect();
-        let s = TableStats::build_full(rows.iter(), 1);
+        let rows = heap_of(
+            1,
+            (0..1000).map(|i| vec![Value::Int(if i < 900 { 0 } else { i % 100 + 1 })]),
+        );
+        let s = TableStats::build_full(&rows);
         let heavy = s.columns[0].eq_selectivity(&Value::Int(0));
         let light = s.columns[0].eq_selectivity(&Value::Int(50));
         assert!(heavy > 0.5, "heavy {heavy}");

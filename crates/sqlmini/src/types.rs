@@ -56,13 +56,16 @@ impl fmt::Display for ValueType {
 /// value) so composite index keys can be compared without panicking even
 /// when schemas are heterogeneous.
 ///
-/// Strings are reference-counted (`Arc<str>`). The executor no longer
-/// clones rows to read them (scans, covering leaves and join probes hand
-/// out borrowed views), but a value is still copied wherever a second
-/// owner is made: into every index entry that carries its column (build
-/// and maintenance), into a result row at `Database::query`'s sink, into
-/// a new group key, and across `Database::clone`/`fork`. Sharing the
-/// backing buffer keeps each of those a refcount bump.
+/// A table stores its values by column, one `Vec<Value>` each
+/// (`crate::heap`), so a value is 24 bytes in place and a row costs no
+/// allocation of its own. Strings are reference-counted (`Arc<str>`). The
+/// executor does not clone values to read them (scans, covering leaves
+/// and join probes hand out borrowed views), but a value is still copied
+/// wherever a second owner is made: into every index entry that carries
+/// its column (build and maintenance), into the owned rows DML reads and
+/// writes, into a result row at `Database::query`'s sink, into a new
+/// group key, and across `Database::clone`/`fork`. Sharing the backing
+/// buffer keeps each of those a refcount bump.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -278,17 +281,38 @@ mod tests {
         assert_eq!(Value::Null.to_string(), "NULL");
     }
 
+    /// Values that compare equal hash equal, under std's default hasher
+    /// and under the executor's word hasher; strings that differ in their
+    /// last byte, or in a trailing zero byte, hash apart.
     #[test]
     fn hash_consistent_with_eq_for_int_float() {
+        use crate::exec::WordState;
         use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let h = |v: &Value| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(Value::Int(7), Value::Float(7.0));
-        assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
+        use std::hash::{BuildHasher, BuildHasherDefault};
+
+        fn check(hasher: impl BuildHasher) {
+            let h = |v: &Value| hasher.hash_one(v);
+            assert_eq!(Value::Int(7), Value::Float(7.0));
+            assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
+            assert_eq!(Value::Float(0.0), Value::Float(-0.0));
+            assert_eq!(h(&Value::Float(0.0)), h(&Value::Float(-0.0)));
+            assert_eq!(h(&Value::Int(0)), h(&Value::Float(-0.0)));
+            assert_ne!(h(&Value::Int(7)), h(&Value::Float(7.5)));
+            for n in [1, 8, 9, 17] {
+                let text: String = (0..n).map(|i| (b'a' + i as u8) as char).collect();
+                // Two allocations of one text hash as one value.
+                let (a, b) = (Value::Str(text.as_str().into()), Value::from(text.clone()));
+                assert_eq!(a, b);
+                assert_eq!(h(&a), h(&b), "{n} bytes");
+                let mut last = text.clone();
+                last.pop();
+                last.push('~');
+                assert_ne!(h(&a), h(&Value::from(last)), "{n} bytes, last byte changed");
+                assert_ne!(h(&a), h(&Value::from(text + "\0")), "{n} bytes and a zero");
+            }
+        }
+        check(BuildHasherDefault::<DefaultHasher>::default());
+        check(WordState::default());
     }
 
     #[test]

@@ -779,7 +779,10 @@ impl World {
 /// build, so this is also a differential between those two paths.
 fn storage_matches(db: &Database, reference: &Tables, table: TableId) -> Result<(), TestCaseError> {
     let heap = db.heap(table).expect("table has a heap");
-    let rows: Vec<Row> = heap.scan_quiet().map(|(_, r)| r.clone()).collect();
+    let rows: Vec<Row> = heap
+        .live_ids()
+        .map(|rid| heap.row(rid).expect("a listed row is live"))
+        .collect();
     prop_assert_eq!(rows.len(), reference[&table].len());
     prop_assert!(is_sub_multiset(rows, reference[&table].clone()));
     let tdef = db.catalog().table(table).expect("table is in the catalog");

@@ -132,8 +132,7 @@ pub fn generate_tenant(cfg: &TenantConfig) -> Tenant {
     let mut table_ids = Vec::with_capacity(specs.len());
     for spec in &specs {
         let tid = db.create_table(spec.to_table_def()).expect("fresh table");
-        let rows = spec.generate_rows(&mut rng);
-        db.load_rows(tid, rows);
+        db.load_columns(tid, spec.generate_columns(&mut rng));
         db.rebuild_stats(tid);
         table_ids.push(tid);
     }

@@ -10,7 +10,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlmini::schema::{ColumnDef, ColumnId, TableDef};
-use sqlmini::types::{Row, Value, ValueType};
+use sqlmini::types::{Value, ValueType};
 
 /// How values of one column are distributed.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ impl ColumnDist {
     }
 }
 
-/// Per-column state of one [`TableSpec::generate_rows`] call.
+/// Per-column state of one [`TableSpec::generate_columns`] call.
 enum ColumnSampler {
     None,
     Zipf(Zipf),
@@ -153,8 +153,11 @@ impl TableSpec {
         .with_primary_key(ColumnId(0))
     }
 
-    /// Generate all rows for this table.
-    pub fn generate_rows(&self, rng: &mut StdRng) -> Vec<Row> {
+    /// Generate all rows for this table, by column: `columns[c][i]` is
+    /// column `c` of row `i`, the layout the engine stores
+    /// (`Database::load_columns`), so no row is allocated on the way.
+    /// Values are drawn row by row, columns left to right.
+    pub fn generate_columns(&self, rng: &mut StdRng) -> Vec<Vec<Value>> {
         // What a column's distribution needs built once, not once per row.
         let samplers: Vec<ColumnSampler> = self
             .columns
@@ -171,52 +174,65 @@ impl TableSpec {
                 _ => ColumnSampler::None,
             })
             .collect();
-        (0..self.rows)
-            .map(|i| self.generate_row(i, rng, &samplers))
-            .collect()
+        let mut columns: Vec<Vec<Value>> = (self.columns.iter())
+            .map(|_| Vec::with_capacity(self.rows as usize))
+            .collect();
+        for seq in 0..self.rows {
+            for ci in 0..self.columns.len() {
+                let v = self.generate_value(ci, seq, rng, &samplers, &columns);
+                columns[ci].push(v);
+            }
+        }
+        columns
     }
 
-    fn generate_row(&self, seq: u64, rng: &mut StdRng, samplers: &[ColumnSampler]) -> Row {
-        let mut row: Row = Vec::with_capacity(self.columns.len());
-        for (ci, c) in self.columns.iter().enumerate() {
-            if c.null_frac > 0.0 && rng.random::<f64>() < c.null_frac {
-                row.push(Value::Null);
-                continue;
-            }
-            let v = match &c.dist {
-                ColumnDist::Sequential => Value::Int(seq as i64),
-                ColumnDist::UniformInt { cardinality } => {
-                    Value::Int(rng.random_range(0..(*cardinality).max(1)) as i64)
-                }
-                ColumnDist::ZipfInt { .. } => match &samplers[ci] {
-                    ColumnSampler::Zipf(zipf) => Value::Int(zipf.sample(rng) as i64),
-                    _ => unreachable!("sampler built"),
-                },
-                ColumnDist::UniformFloat { max } => Value::Float(rng.random::<f64>() * max),
-                // One shared string per category: a row takes a handle.
-                ColumnDist::Category { n } => match &samplers[ci] {
-                    ColumnSampler::Categories(cats) => {
-                        cats[rng.random_range(0..(*n).max(1)) as usize].clone()
-                    }
-                    _ => unreachable!("sampler built"),
-                },
-                ColumnDist::DerivedFrom { column, divisor } => {
-                    // Derive from the already-generated column value.
-                    let base = row
-                        .get(column.0 as usize)
-                        .map(|v| v.as_f64())
-                        .unwrap_or(0.0);
-                    Value::Int((base as i64) / (*divisor).max(1) as i64)
-                }
-                ColumnDist::RecentDate { days } => {
-                    // Quadratic skew toward day `days`.
-                    let u = rng.random::<f64>();
-                    Value::Date((*days as f64 * u.sqrt()) as i32)
-                }
-            };
-            row.push(v);
+    /// Column `ci` of row `seq`, drawn after the row's columns before it
+    /// (which `columns` already holds).
+    fn generate_value(
+        &self,
+        ci: usize,
+        seq: u64,
+        rng: &mut StdRng,
+        samplers: &[ColumnSampler],
+        columns: &[Vec<Value>],
+    ) -> Value {
+        let c = &self.columns[ci];
+        if c.null_frac > 0.0 && rng.random::<f64>() < c.null_frac {
+            return Value::Null;
         }
-        row
+        match &c.dist {
+            ColumnDist::Sequential => Value::Int(seq as i64),
+            ColumnDist::UniformInt { cardinality } => {
+                Value::Int(rng.random_range(0..(*cardinality).max(1)) as i64)
+            }
+            ColumnDist::ZipfInt { .. } => match &samplers[ci] {
+                ColumnSampler::Zipf(zipf) => Value::Int(zipf.sample(rng) as i64),
+                _ => unreachable!("sampler built"),
+            },
+            ColumnDist::UniformFloat { max } => Value::Float(rng.random::<f64>() * max),
+            // One shared string per category: a row takes a handle.
+            ColumnDist::Category { n } => match &samplers[ci] {
+                ColumnSampler::Categories(cats) => {
+                    cats[rng.random_range(0..(*n).max(1)) as usize].clone()
+                }
+                _ => unreachable!("sampler built"),
+            },
+            ColumnDist::DerivedFrom { column, divisor } => {
+                // Derive from the row's already-generated value of `column`
+                // (0 when that column comes at or after this one).
+                let base = columns
+                    .get(column.0 as usize)
+                    .and_then(|col| col.get(seq as usize))
+                    .map(|v| v.as_f64())
+                    .unwrap_or(0.0);
+                Value::Int((base as i64) / (*divisor).max(1) as i64)
+            }
+            ColumnDist::RecentDate { days } => {
+                // Quadratic skew toward day `days`.
+                let u = rng.random::<f64>();
+                Value::Date((*days as f64 * u.sqrt()) as i32)
+            }
+        }
     }
 }
 
@@ -381,16 +397,18 @@ mod tests {
             rows: 500,
         };
         let mut rng = StdRng::seed_from_u64(1);
-        let rows = spec.generate_rows(&mut rng);
-        assert_eq!(rows.len(), 500);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(r[0], Value::Int(i as i64));
+        let cols = spec.generate_columns(&mut rng);
+        assert!(cols.iter().all(|c| c.len() == 500));
+        for (i, (id, (base, derived))) in
+            cols[0].iter().zip(cols[1].iter().zip(&cols[2])).enumerate()
+        {
+            assert_eq!(*id, Value::Int(i as i64));
             // Perfect correlation.
-            let base = match r[1] {
+            let base = match base {
                 Value::Int(v) => v,
                 _ => panic!(),
             };
-            assert_eq!(r[2], Value::Int(base / 10));
+            assert_eq!(*derived, Value::Int(base / 10));
         }
     }
 
@@ -470,8 +488,8 @@ mod tests {
             rows: 1000,
         };
         let mut rng = StdRng::seed_from_u64(2);
-        let rows = spec.generate_rows(&mut rng);
-        let nulls = rows.iter().filter(|r| r[1].is_null()).count();
+        let cols = spec.generate_columns(&mut rng);
+        let nulls = cols[1].iter().filter(|v| v.is_null()).count();
         assert!((300..700).contains(&nulls), "nulls {nulls}");
     }
 
@@ -506,10 +524,10 @@ mod tests {
             rows: 2000,
         };
         let mut rng = StdRng::seed_from_u64(5);
-        let rows = t.generate_rows(&mut rng);
-        let recent = rows
+        let cols = t.generate_columns(&mut rng);
+        let recent = cols[1]
             .iter()
-            .filter(|r| matches!(r[1], Value::Date(d) if d >= 50))
+            .filter(|v| matches!(v, Value::Date(d) if *d >= 50))
             .count();
         assert!(recent > 1200, "recent {recent} should dominate");
     }

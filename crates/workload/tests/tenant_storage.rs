@@ -29,14 +29,15 @@ fn statistics_are_the_stable_sorts_bit_for_bit() {
     for tenant in tenants() {
         for (table, def) in tenant.db.catalog().tables() {
             let heap = tenant.db.heap(table).expect("table has a heap");
-            let n_cols = def.columns.len();
-            let got = TableStats::build_full(heap.scan_quiet().map(|(_, r)| r), n_cols);
+            let got = TableStats::build_full(heap);
             assert_eq!(got.row_count as usize, heap.len());
+            assert_eq!(got.columns.len(), def.columns.len());
             for (c, got) in got.columns.iter().enumerate() {
                 let mut positions: Vec<f64> = heap
-                    .scan_quiet()
-                    .filter(|(_, r)| !r[c].is_null())
-                    .map(|(_, r)| r[c].as_f64())
+                    .live_ids()
+                    .map(|rid| heap.value(rid, c))
+                    .filter(|v| !v.is_null())
+                    .map(|v| v.as_f64())
                     .collect();
                 let nulls = heap.len() - positions.len();
                 positions.sort_by(|a, b| a.partial_cmp(b).expect("no NaN is generated"));
@@ -80,8 +81,8 @@ fn bulk_built_indexes_equal_insert_built_ones() {
             let tdef = catalog.table(def.table).expect("indexed table exists");
             let heap = tenant.db.heap(def.table).expect("table has a heap");
             let mut inserted = SecondaryIndex::new(def.clone(), tdef);
-            for (rid, row) in heap.scan_quiet() {
-                inserted.insert_row(rid, row);
+            for rid in heap.live_ids() {
+                inserted.insert_row(rid, &heap.row(rid).expect("a listed row is live"));
             }
             assert_eq!(live.len(), heap.len());
             assert!(

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use sqlmini::btree::BTree;
 use sqlmini::clock::SimClock;
 use sqlmini::engine::{Database, DbConfig};
-use sqlmini::heap::RowId;
+use sqlmini::heap::{Heap, RowId};
 use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
 use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef};
 use sqlmini::stats::TableStats;
@@ -101,8 +101,11 @@ proptest! {
         lo in -1200f64..1200.0,
         width in 0f64..500.0,
     ) {
-        let rows: Vec<Row> = vals.iter().map(|&v| vec![Value::Int(v)]).collect();
-        let stats = TableStats::build_full(rows.iter(), 1);
+        let mut heap = Heap::new(1, 8);
+        for &v in &vals {
+            heap.insert(vec![Value::Int(v)]);
+        }
+        let stats = TableStats::build_full(&heap);
         let cs = &stats.columns[0];
         let hi = lo + width;
         let sel = cs.range_selectivity(Some(lo), Some(hi));
