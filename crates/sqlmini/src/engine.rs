@@ -18,6 +18,7 @@
 
 use crate::catalog::{Catalog, CatalogError};
 use crate::clock::{Duration, SimClock, Timestamp};
+use crate::column::Column;
 use crate::dmv::{IndexUsageDmv, MissingIndexDmv};
 use crate::exec::{execute_dml, execute_select, ActualMetrics, ExecContext, ExecError};
 use crate::heap::Heap;
@@ -304,40 +305,40 @@ impl Database {
         Ok(id)
     }
 
-    /// Bulk-load rows without statement accounting (initial population).
+    /// Bulk-load rows without statement accounting (initial population):
+    /// the rows, by column, through [`load_columns`](Self::load_columns).
+    ///
+    /// # Panics
+    /// If a row does not have one value per column.
     pub fn load_rows(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) {
-        let heap = self.heaps.get_mut(&table).expect("table exists");
-        let ix_ids: Vec<IndexId> = self.catalog.indexes_on(table).map(|(id, _)| id).collect();
-        let rows = rows.into_iter();
-        heap.reserve(rows.size_hint().0);
+        let width = self.heaps.get(&table).expect("table exists").width();
+        let mut columns = vec![Column::new(); width];
         for row in rows {
-            let rid = heap.next_id();
-            for ix in &ix_ids {
-                if let Some(sx) = self.indexes.get_mut(ix) {
-                    sx.insert_row(rid, &row);
+            assert_eq!(row.len(), width, "row width differs from the table's");
+            for (col, v) in columns.iter_mut().zip(row) {
+                col.push(v);
+            }
+        }
+        self.load_columns(table, columns);
+    }
+
+    /// Bulk-load rows given by column (slot `i` of `columns[c]` is column
+    /// `c` of the `i`-th row) without statement accounting: the one path
+    /// that fills a heap and the indexes already on it in bulk. The rows
+    /// take the ids that many inserts would; a table that never held a
+    /// row keeps the columns as they are, so nothing is copied.
+    pub fn load_columns(&mut self, table: TableId, columns: Vec<Column>) {
+        let heap = self.heaps.get_mut(&table).expect("table exists");
+        let ids = heap.append_columns(columns);
+        for (id, _) in self.catalog.indexes_on(table) {
+            if let Some(ix) = self.indexes.get_mut(&id) {
+                for &rid in &ids {
+                    ix.insert_row(rid, &heap.row(rid).expect("a loaded row is live"));
                 }
             }
-            heap.insert(row);
         }
         // Bulk loads move the table's physical geometry wholesale; refresh
         // the planning snapshot so compiles see the populated table.
-        self.bump_table(table);
-    }
-
-    /// Bulk-load rows given by column (`columns[c][i]` is column `c` of the
-    /// `i`-th row) without statement accounting: a generated table's
-    /// initial population. The rows take new slots in order, and an empty
-    /// table keeps the vectors as its columns, so nothing is copied.
-    pub fn load_columns(&mut self, table: TableId, columns: Vec<Vec<Value>>) {
-        let heap = self.heaps.get_mut(&table).expect("table exists");
-        let first = heap.append_columns(columns);
-        for (id, _) in self.catalog.indexes_on(table) {
-            if let Some(ix) = self.indexes.get_mut(&id) {
-                for rid in heap.live_ids_from(first) {
-                    ix.insert_row(rid, &heap.row(rid).expect("a listed row is live"));
-                }
-            }
-        }
         self.bump_table(table);
     }
 

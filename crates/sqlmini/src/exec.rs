@@ -9,23 +9,39 @@
 //! only where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
 //!
-//! # Borrowed rows
+//! # Borrowed rows, typed columns
 //!
 //! The control plane consumes these counts and never a result set, so the
 //! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a `RowView`: a heap and a row id, read from the
-//! heap's columns at that slot, or the leaf values of a covering index
-//! entry. Tables are stored by column ([`crate::heap`]), so a sequential
-//! scan evaluates each residual predicate on its own column and reads no
-//! other value of a row it rejects. Residual predicates, GROUP BY columns
-//! and join keys are bound once per access — the slot their column sits
-//! in, and for a predicate its operator and resolved operand — so a row
-//! pays only for the comparisons and the hashing. Both join strategies
-//! work on views (the hash table is keyed by `&Value`); storage is only
-//! borrowed shared for the whole statement, so a view stays valid until
-//! the sink. The executor's temporary hash tables (group keys, the join's
-//! build side) hash a word at a time with a multiply, not with SipHash:
-//! they live for one statement and nothing reads them in hash order.
+//! qualifying row on as a `RowView`: a heap and a row id, or the leaf
+//! values of a covering index entry. Tables are stored by typed column
+//! ([`crate::column`]), and the hot operators work on those columns, not
+//! on `Value`s:
+//!
+//! - A residual predicate over heap rows is compiled once per access
+//!   against its column's representation (`Column::filter`). A
+//!   sequential scan evaluates its first predicate 64 slots at a time
+//!   over the typed slice, masks the result with the live bits, and
+//!   tests the other predicates only on the slots that survive.
+//! - The count sink counts distinct GROUP BY keys of one heap column by
+//!   their words (`Column::word`): a bit per dictionary code for a string
+//!   column, a set of 64-bit words for the others.
+//! - The hash join keys its build side by words when both key columns
+//!   are heap columns of one kind of word; its table chains each key's
+//!   rows in arrival order, so a key costs no allocation of its own.
+//!
+//! The kernels reproduce `Value`'s order and equality exactly (`Int`
+//! against `Float` numerically, `-0.0` equal to `0.0`, a NaN operand
+//! equal to every number, variants of different types by rank); what
+//! they do not cover — a column stored per value, a covering leaf, a
+//! GROUP BY of more than one column, join keys of two kinds or two
+//! dictionaries — goes through the per-value path, which reads each
+//! value as a `Value` (borrowed from a leaf, built from a heap column).
+//! Storage is only borrowed shared for the whole statement, so a view
+//! stays valid until the sink. The executor's temporary hash tables
+//! (group keys, the join's build side) hash a word at a time with a
+//! multiply, not with SipHash: they live for one statement and nothing
+//! reads them in hash order.
 //!
 //! # Two sinks
 //!
@@ -58,6 +74,7 @@
 //! the rows that reached it and the groups they formed.
 
 use crate::catalog::Catalog;
+use crate::column::{Column, Filter, WordKind};
 use crate::heap::{Heap, RowId};
 use crate::index::{ColBound, SecondaryIndex};
 use crate::optimizer::{
@@ -68,6 +85,8 @@ use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, 
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
 use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
 use crate::types::{Row, Value};
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 
@@ -159,9 +178,9 @@ enum RowView<'c> {
 
 impl<'c> RowView<'c> {
     /// The value of column `c`, its [`slot`] found anew: for the rows
-    /// sink's projection and sort. The hot paths bind slots once per
-    /// access and read with [`at`](Self::at).
-    fn col(self, c: ColumnId) -> &'c Value {
+    /// sink's projection and sort. The per-value paths bind slots once
+    /// per access and read with [`at`](Self::at).
+    fn col(self, c: ColumnId) -> Cow<'c, Value> {
         let leaf = match self {
             RowView::Heap { .. } => None,
             RowView::Leaf { def, .. } => Some(def),
@@ -169,12 +188,26 @@ impl<'c> RowView<'c> {
         self.at(slot(leaf, c))
     }
 
-    fn at(self, slot: usize) -> &'c Value {
+    /// The value at `slot`: borrowed from a leaf, built from a heap column.
+    fn at(self, slot: usize) -> Cow<'c, Value> {
         match self {
-            RowView::Heap { heap, rid } => heap.value(rid, slot),
-            RowView::Leaf { vals, .. } => vals.get(slot).unwrap_or(&Value::Null),
+            RowView::Heap { heap, rid } => Cow::Owned(heap.value(rid, slot)),
+            RowView::Leaf { vals, .. } => Cow::Borrowed(leaf_value(vals, slot)),
         }
     }
+
+    /// The heap slot of a heap row.
+    fn heap_slot(self) -> usize {
+        match self {
+            RowView::Heap { rid, .. } => rid.0 as usize,
+            RowView::Leaf { .. } => unreachable!("a covering leaf has no heap slot"),
+        }
+    }
+}
+
+/// The value at `slot` of a covering leaf; NULL for a column it lacks.
+fn leaf_value(vals: &[Value], slot: usize) -> &Value {
+    vals.get(slot).unwrap_or(&Value::Null)
 }
 
 /// Where column `c` sits in a row view: its own column of a heap (`leaf`
@@ -288,31 +321,70 @@ fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBo
     }
 }
 
-/// A predicate bound to the rows of one access: the slot its column sits
-/// in, its operator and its resolved operand.
+/// A predicate bound to the leaves of one covering access: the slot its
+/// column sits in, its operator and its resolved operand.
 struct Bound<'q> {
     slot: usize,
     op: CmpOp,
     value: &'q Value,
 }
 
-/// Bind `preds` under `params` to rows laid out as `leaf` says ([`slot`]).
-fn bind<'q>(
+/// Predicates bound to the rows of one access.
+enum Filters<'c, 'q> {
+    /// Compiled against the heap's columns, tested by slot.
+    Heap(Vec<Filter<'c>>),
+    /// Bound to the slots of a covering leaf.
+    Leaf(Vec<Bound<'q>>),
+}
+
+/// Bind `preds` under `params` to the rows of `heap` (`leaf` is `None`)
+/// or to leaves laid out as `leaf` says ([`slot`]).
+fn bind<'c, 'q>(
     preds: impl IntoIterator<Item = &'q Predicate>,
     params: &'q [Value],
     leaf: Option<&IndexDef>,
-) -> Vec<Bound<'q>> {
-    let bound = |p: &'q Predicate| Bound {
-        slot: slot(leaf, p.column),
-        op: p.op,
-        value: p.value.resolve(params),
-    };
-    preds.into_iter().map(bound).collect()
+    heap: &'c Heap,
+) -> Filters<'c, 'q> {
+    let preds = preds.into_iter();
+    match leaf {
+        None => Filters::Heap(compile(preds, params, heap)),
+        Some(_) => Filters::Leaf(
+            preds
+                .map(|p| Bound {
+                    slot: slot(leaf, p.column),
+                    op: p.op,
+                    value: p.value.resolve(params),
+                })
+                .collect(),
+        ),
+    }
 }
 
-/// Whether `row` satisfies every predicate of `filter`.
-fn keeps(filter: &[Bound], row: RowView) -> bool {
-    filter.iter().all(|b| b.op.eval(row.at(b.slot), b.value))
+/// `preds` under `params`, compiled against the columns of `heap`.
+fn compile<'c, 'q>(
+    preds: impl IntoIterator<Item = &'q Predicate>,
+    params: &'q [Value],
+    heap: &'c Heap,
+) -> Vec<Filter<'c>> {
+    let column = |p: &Predicate| heap.column(p.column.0 as usize);
+    let filter = |p: &'q Predicate| column(p).filter(p.op, p.value.resolve(params));
+    preds.into_iter().map(filter).collect()
+}
+
+impl Filters<'_, '_> {
+    /// Whether `row` satisfies every predicate.
+    fn keeps(&self, row: RowView) -> bool {
+        match (self, row) {
+            (Filters::Heap(f), RowView::Heap { rid, .. }) => {
+                f.iter().all(|f| f.test(rid.0 as usize))
+            }
+            (Filters::Leaf(b), RowView::Leaf { vals, .. }) => b
+                .iter()
+                .all(|b| b.op.eval(leaf_value(vals, b.slot), b.value)),
+            (Filters::Heap(f), RowView::Leaf { .. }) => f.is_empty(),
+            (Filters::Leaf(b), RowView::Heap { .. }) => b.is_empty(),
+        }
+    }
 }
 
 /// The residual predicates of one access path — `preds[i]` for each `i`
@@ -325,12 +397,12 @@ struct Residual<'q> {
 }
 
 impl<'q> Residual<'q> {
-    fn bind(self, leaf: Option<&IndexDef>) -> Vec<Bound<'q>> {
-        bind(
-            self.which.iter().map(|&i| &self.preds[i]),
-            self.params,
-            leaf,
-        )
+    fn preds(self) -> impl Iterator<Item = &'q Predicate> {
+        self.which.iter().map(move |&i| &self.preds[i])
+    }
+
+    fn bind<'c>(self, leaf: Option<&IndexDef>, heap: &'c Heap) -> Filters<'c, 'q> {
+        bind(self.preds(), self.params, leaf, heap)
     }
 
     /// Charge the evaluation of every residual predicate on `rows` rows.
@@ -362,29 +434,13 @@ fn run_access<'c>(
             m.add_pages_read(heap.page_count());
             m.add_rows_examined(heap.len() as u64);
             residual.charge(m, heap.len() as u64);
-            // Each predicate reads its own column at the row's slot: a
-            // row costs the values it compares and nothing else.
-            let filter: Vec<(&[Value], CmpOp, &Value)> = residual
-                .bind(None)
-                .into_iter()
-                .map(|b| (heap.column(b.slot), b.op, b.value))
-                .collect();
-            let Some((&(first, op, v), rest)) = filter.split_first() else {
-                for rid in heap.live_ids() {
-                    emit(rid, RowView::Heap { heap, rid });
-                }
-                return Ok(());
-            };
-            // The first predicate walks its column. A dead slot reads NULL,
-            // so the live flag is read only for a slot that passes it.
-            for (s, x) in first.iter().enumerate() {
-                let rid = RowId(s as u64);
-                if op.eval(x, v)
-                    && heap.is_live(rid)
-                    && rest.iter().all(|&(col, op, v)| op.eval(&col[s], v))
-                {
-                    emit(rid, RowView::Heap { heap, rid });
-                }
+            // Each predicate runs over its typed column a word of slots
+            // at a time; the others only on words the first leaves some.
+            let filter = compile(residual.preds(), residual.params, heap);
+            let view = |rid| RowView::Heap { heap, rid };
+            match filter.split_first() {
+                None => heap.live_ids().for_each(|rid| emit(rid, view(rid))),
+                Some((first, rest)) => heap.select(first, rest, |rid| emit(rid, view(rid))),
             }
             return Ok(());
         }
@@ -400,16 +456,16 @@ fn run_access<'c>(
         .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
     let def = &ix.def;
     let filter = if covering {
-        residual.bind(Some(def))
+        residual.bind(Some(def), heap)
     } else {
-        Vec::new()
+        Filters::Leaf(Vec::new())
     };
     let mut rids: Vec<RowId> = Vec::new();
     let mut visit = |rid, vals| {
         let v = RowView::Leaf { def, vals };
         if !covering {
             rids.push(rid);
-        } else if keeps(&filter, v) {
+        } else if filter.keeps(v) {
             emit(rid, v);
         }
     };
@@ -445,15 +501,14 @@ fn fetch_and_filter<'c>(
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) {
-    let filter = residual.bind(None);
+    let filter = compile(residual.preds(), residual.params, heap);
     let mut fetched = 0u64;
     for &rid in rids {
         m.add_pages_read(1);
         if heap.is_live(rid) {
             fetched += 1;
-            let v = RowView::Heap { heap, rid };
-            if keeps(&filter, v) {
-                emit(rid, v);
+            if filter.iter().all(|f| f.test(rid.0 as usize)) {
+                emit(rid, RowView::Heap { heap, rid });
             }
         }
     }
@@ -490,26 +545,46 @@ fn produce<'c>(
     run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
         outers.push(v)
     })?;
-    let outer_key = slot(leaf_of(ctx, &plan.access), jspec.outer_col);
+    let outer_leaf = leaf_of(ctx, &plan.access);
+    let outer_key = slot(outer_leaf, jspec.outer_col);
     match &jplan.strategy {
         JoinStrategy::Hash { inner_access } => {
-            let inner_key = slot(leaf_of(ctx, inner_access), jspec.inner_col);
-            let mut ht: HashMap<&Value, Vec<RowView>, WordState> = HashMap::default();
-            let mut inners = 0u64;
+            let inner_leaf = leaf_of(ctx, inner_access);
+            let inner_key = slot(inner_leaf, jspec.inner_col);
             let residual = Residual {
                 preds: &jspec.predicates,
                 which: &jplan.residual,
                 params,
             };
-            run_access(ctx, jspec.table, inner_access, residual, m, |_, v| {
-                inners += 1;
-                ht.entry(v.at(inner_key)).or_default().push(v);
-            })?;
-            m.add_hash_ops(inners);
-            m.add_hash_ops(outers.len() as u64);
-            for outer in outers {
-                for &inner in ht.get(outer.at(outer_key)).into_iter().flatten() {
-                    sink(outer, Some(inner));
+            let inner = Inner {
+                table: jspec.table,
+                access: inner_access,
+                residual,
+            };
+            // Typed words when both keys are heap columns of one kind of
+            // word; a dictionary code means nothing in another column.
+            let words = |leaf: Option<&IndexDef>, table: TableId, c: ColumnId| {
+                if leaf.is_some() {
+                    return None;
+                }
+                let col = ctx.heaps.get(&table)?.column(c.0 as usize);
+                Some((col, col.word_kind()?))
+            };
+            match (
+                words(outer_leaf, q.table, jspec.outer_col),
+                words(inner_leaf, jspec.table, jspec.inner_col),
+            ) {
+                (Some((o, a)), Some((i, b))) if a == b && !matches!(a, WordKind::Code(_)) => {
+                    let key = |col: &Column, v: RowView| {
+                        let s = v.heap_slot();
+                        (!col.is_null(s)).then(|| col.word(s))
+                    };
+                    let inner_key = |v| key(i, v);
+                    hash_join(ctx, inner, m, outers, inner_key, |v| key(o, v), sink)?;
+                }
+                _ => {
+                    let inner_key = |v: RowView<'c>| v.at(inner_key);
+                    hash_join(ctx, inner, m, outers, inner_key, |v| v.at(outer_key), sink)?;
                 }
             }
         }
@@ -521,14 +596,19 @@ fn produce<'c>(
             // A missing index fails the statement at its first outer row,
             // not before: with no outer row there is nothing to seek.
             let inner_ix = ctx.indexes.get(&id);
+            let inner_heap = ctx.heaps.get(&jspec.table);
             let leaf = inner_ix.filter(|_| *covering).map(|ix| &ix.def);
-            let filter = bind(&jspec.predicates, params, leaf);
+            let filter = match inner_heap {
+                Some(heap) => bind(&jspec.predicates, params, leaf, heap),
+                None => Filters::Heap(Vec::new()),
+            };
             let mut rids: Vec<RowId> = Vec::new();
             let mut matched: Vec<RowView> = Vec::new();
             for outer in outers {
                 let ix =
                     inner_ix.ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
-                let key = std::slice::from_ref(outer.at(outer_key));
+                let key = outer.at(outer_key);
+                let key = std::slice::from_ref(&*key);
                 let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
                 rids.clear();
                 matched.clear();
@@ -542,10 +622,7 @@ fn produce<'c>(
                 m.add_pages_read(pages);
                 m.add_rows_examined(n);
                 if !*covering {
-                    let heap = ctx
-                        .heaps
-                        .get(&jspec.table)
-                        .ok_or(ExecError::UnknownTable(jspec.table))?;
+                    let heap = inner_heap.ok_or(ExecError::UnknownTable(jspec.table))?;
                     for &rid in &rids {
                         m.add_pages_read(1);
                         if heap.is_live(rid) {
@@ -555,7 +632,7 @@ fn produce<'c>(
                 }
                 let evals = matched.len() as u64 * jspec.predicates.len() as u64;
                 m.add_pred_evals(evals);
-                for &inner in matched.iter().filter(|&&v| keeps(&filter, v)) {
+                for &inner in matched.iter().filter(|&&v| filter.keeps(v)) {
                     sink(outer, Some(inner));
                 }
             }
@@ -564,19 +641,110 @@ fn produce<'c>(
     Ok(())
 }
 
+/// The inner side of a hash join: its table, its access path and the
+/// residual predicates on it.
+#[derive(Clone, Copy)]
+struct Inner<'q> {
+    table: TableId,
+    access: &'q Access,
+    residual: Residual<'q>,
+}
+
+/// Hash join: build on the inner rows by `inner_key`, then hand every
+/// outer row, in order, to `sink` beside each inner row of an equal
+/// `outer_key`, in the order the inner rows arrived.
+fn hash_join<'c, K: Hash + Eq>(
+    ctx: &'c ExecContext<'_>,
+    inner: Inner,
+    m: &mut ActualMetrics,
+    outers: Vec<RowView<'c>>,
+    inner_key: impl Fn(RowView<'c>) -> K,
+    outer_key: impl Fn(RowView<'c>) -> K,
+    mut sink: impl FnMut(RowView<'c>, Option<RowView<'c>>),
+) -> Result<(), ExecError> {
+    let mut build = BuildSide::default();
+    run_access(ctx, inner.table, inner.access, inner.residual, m, |_, v| {
+        build.push(inner_key(v), v)
+    })?;
+    m.add_hash_ops(build.rows.len() as u64);
+    m.add_hash_ops(outers.len() as u64);
+    for outer in outers {
+        for inner in build.matches(&outer_key(outer)) {
+            sink(outer, Some(inner));
+        }
+    }
+    Ok(())
+}
+
+/// The build side of a hash join: each key's rows chained in arrival
+/// order through `next`, so a key costs one table entry and no vector.
+struct BuildSide<'c, K> {
+    /// A key's first and last row.
+    heads: HashMap<K, (u32, u32), WordState>,
+    /// The row after each row of its key ([`END`](Self::END) at the last).
+    next: Vec<u32>,
+    rows: Vec<RowView<'c>>,
+}
+
+impl<K> Default for BuildSide<'_, K> {
+    fn default() -> Self {
+        BuildSide {
+            heads: HashMap::default(),
+            next: Vec::new(),
+            rows: Vec::new(),
+        }
+    }
+}
+
+impl<'c, K: Hash + Eq> BuildSide<'c, K> {
+    const END: u32 = u32::MAX;
+
+    fn push(&mut self, key: K, row: RowView<'c>) {
+        let i = u32::try_from(self.rows.len()).expect("fewer than 2^32 build rows");
+        self.rows.push(row);
+        self.next.push(Self::END);
+        match self.heads.entry(key) {
+            Entry::Occupied(mut e) => {
+                let last = &mut e.get_mut().1;
+                self.next[*last as usize] = i;
+                *last = i;
+            }
+            Entry::Vacant(e) => {
+                e.insert((i, i));
+            }
+        }
+    }
+
+    /// The rows of `key`, in arrival order.
+    fn matches(&self, key: &K) -> impl Iterator<Item = RowView<'c>> + '_ {
+        let mut at = self.heads.get(key).map_or(Self::END, |&(first, _)| first);
+        std::iter::from_fn(move || {
+            (at != Self::END).then(|| {
+                let row = self.rows[at as usize];
+                at = self.next[at as usize];
+                row
+            })
+        })
+    }
+}
+
 /// ORDER BY comparison of two rows of any representation: `col` reads a
 /// key column's value from one, or `None` for a key the row does not
 /// carry (which is then skipped).
 fn order_cmp<'v, R: Copy>(
     order: &[crate::query::OrderKey],
     (a, b): (R, R),
-    col: impl Fn(R, ColumnId) -> Option<&'v Value>,
+    col: impl Fn(R, ColumnId) -> Option<Cow<'v, Value>>,
 ) -> std::cmp::Ordering {
     for o in order {
         let (Some(x), Some(y)) = (col(a, o.column), col(b, o.column)) else {
             continue;
         };
-        let ord = if o.asc { x.cmp(y) } else { x.cmp(y).reverse() };
+        let ord = if o.asc {
+            x.cmp(&y)
+        } else {
+            x.cmp(&y).reverse()
+        };
         if ord != std::cmp::Ordering::Equal {
             return ord;
         }
@@ -598,7 +766,8 @@ pub fn execute_select(
     let leaf = leaf_of(ctx, &plan.access);
     let Some(out) = out else {
         let group = slots(leaf, &q.group_by);
-        let mut count = Counter::new(&group);
+        let heap = ctx.heaps.get(&q.table).filter(|_| leaf.is_none());
+        let mut count = Counter::new(&group, heap);
         produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
         charge_output(&mut m, q, plan, count.rows, count.groups());
         return Ok(m);
@@ -616,7 +785,8 @@ pub fn execute_select(
             // ORDER BY on a group column sorts by its position in the key.
             groups.sort_by(|a, b| {
                 order_cmp(&q.order_by, (a, b), |row: &Row, c| {
-                    q.group_by.iter().position(|g| *g == c).map(|i| &row[i])
+                    let i = q.group_by.iter().position(|g| *g == c)?;
+                    Some(Cow::Borrowed(&row[i]))
                 })
             });
         }
@@ -632,9 +802,13 @@ pub fn execute_select(
         // LIMIT first, then project what is left: primary columns, then
         // join columns.
         out.extend(joined[..returned].iter().map(|(outer, inner)| {
-            let mut row: Row = q.projection.iter().map(|&c| outer.col(c).clone()).collect();
+            let mut row: Row = q
+                .projection
+                .iter()
+                .map(|&c| outer.col(c).into_owned())
+                .collect();
             if let (Some(jspec), Some(inner)) = (&q.join, inner) {
-                row.extend(jspec.projection.iter().map(|&c| inner.col(c).clone()));
+                row.extend(jspec.projection.iter().map(|&c| inner.col(c).into_owned()));
             }
             row
         }));
@@ -679,15 +853,42 @@ fn charge_output(
 }
 
 /// The count sink: how many rows reached it and, under GROUP BY, the
-/// distinct keys among them. A row's key is probed in the set only when
-/// it differs from the previous row's, so a run of equal keys — input in
-/// index order — costs one comparison a row.
+/// distinct keys among them.
 struct Counter<'c, 'q> {
-    /// The group columns' slots in the rows that reach the sink.
-    group: &'q [usize],
     rows: u64,
-    keys: HashSet<GroupKey<'c, 'q>, WordState>,
-    last: Option<GroupKey<'c, 'q>>,
+    keys: Keys<'c, 'q>,
+}
+
+/// The distinct GROUP BY keys a [`Counter`] has seen.
+enum Keys<'c, 'q> {
+    /// No GROUP BY.
+    None,
+    /// Heap rows grouped on one column that has words
+    /// (`Column::word`): whether a NULL key came, and the words that did.
+    Words {
+        col: &'c Column,
+        null: bool,
+        seen: WordSet,
+    },
+    /// Any other grouping, by value. A row's key is probed in the set
+    /// only when it differs from the previous row's, so a run of equal
+    /// keys — input in index order — costs one comparison a row.
+    Values {
+        /// The group columns' slots in the rows that reach the sink.
+        group: &'q [usize],
+        keys: HashSet<GroupKey<'c, 'q>, WordState>,
+        last: Option<GroupKey<'c, 'q>>,
+    },
+}
+
+/// Distinct words: a bit per dictionary code, or a set of words (probed
+/// only when a word differs from the previous one).
+enum WordSet {
+    Codes(Vec<u64>),
+    Hash {
+        set: HashSet<u64, WordState>,
+        last: Option<u64>,
+    },
 }
 
 /// A row standing for its GROUP BY key: hashed and compared by the values
@@ -717,37 +918,82 @@ impl PartialEq for GroupKey<'_, '_> {
 impl Eq for GroupKey<'_, '_> {}
 
 impl<'c, 'q> Counter<'c, 'q> {
-    fn new(group: &'q [usize]) -> Counter<'c, 'q> {
-        Counter {
-            group,
-            rows: 0,
-            keys: HashSet::default(),
-            last: None,
-        }
+    /// A sink for rows whose group columns sit at `group`: rows of `heap`
+    /// when it is given, covering leaves when not.
+    fn new(group: &'q [usize], heap: Option<&'c Heap>) -> Counter<'c, 'q> {
+        let words = match (group, heap) {
+            ([g], Some(heap)) => {
+                let col = heap.column(*g);
+                col.word_kind().map(|kind| (col, kind))
+            }
+            _ => None,
+        };
+        let keys = match words {
+            _ if group.is_empty() => Keys::None,
+            Some((col, kind)) => Keys::Words {
+                col,
+                null: false,
+                seen: match kind {
+                    WordKind::Code(n) => WordSet::Codes(vec![0; n.div_ceil(64)]),
+                    _ => WordSet::Hash {
+                        set: HashSet::default(),
+                        last: None,
+                    },
+                },
+            },
+            None => Keys::Values {
+                group,
+                keys: HashSet::default(),
+                last: None,
+            },
+        };
+        Counter { rows: 0, keys }
     }
 
     fn push(&mut self, row: RowView<'c>) {
         self.rows += 1;
-        if self.group.is_empty() {
-            return;
-        }
-        let key = GroupKey {
-            row,
-            group: self.group,
-        };
-        if self.last != Some(key) {
-            self.keys.insert(key);
-            self.last = Some(key);
+        match &mut self.keys {
+            Keys::None => {}
+            Keys::Words { col, null, seen } => {
+                let s = row.heap_slot();
+                if col.is_null(s) {
+                    *null = true;
+                    return;
+                }
+                let w = col.word(s);
+                match seen {
+                    WordSet::Codes(bits) => bits[w as usize / 64] |= 1 << (w % 64),
+                    WordSet::Hash { set, last } => {
+                        if *last != Some(w) {
+                            set.insert(w);
+                            *last = Some(w);
+                        }
+                    }
+                }
+            }
+            Keys::Values { group, keys, last } => {
+                let key = GroupKey { row, group };
+                if *last != Some(key) {
+                    keys.insert(key);
+                    *last = Some(key);
+                }
+            }
         }
     }
 
     /// The groups the rows form: one per distinct key, or without GROUP
     /// BY one for the whole input — none when no row qualified.
     fn groups(&self) -> u64 {
-        if self.group.is_empty() {
-            self.rows.min(1)
-        } else {
-            self.keys.len() as u64
+        match &self.keys {
+            Keys::None => self.rows.min(1),
+            Keys::Words { null, seen, .. } => {
+                let words = match seen {
+                    WordSet::Codes(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
+                    WordSet::Hash { set, .. } => set.len(),
+                };
+                words as u64 + u64::from(*null)
+            }
+            Keys::Values { keys, .. } => keys.len() as u64,
         }
     }
 }
@@ -761,11 +1007,10 @@ fn aggregate<'c>(
 ) -> Vec<Row> {
     let group = slots(leaf, &q.group_by);
     let inputs: Vec<usize> = q.aggregates.iter().map(|&(_, c)| slot(leaf, c)).collect();
-    // One probe per input row through borrowed values; a key is
-    // allocated only when its group is new.
-    let mut index: HashMap<Vec<&Value>, usize, WordState> = HashMap::default();
+    // One probe per input row; a key is kept only when its group is new.
+    let mut index: HashMap<Vec<Cow<Value>>, usize, WordState> = HashMap::default();
     let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut key: Vec<&Value> = Vec::with_capacity(group.len());
+    let mut key: Vec<Cow<Value>> = Vec::with_capacity(group.len());
     for (outer, _) in joined {
         key.clear();
         key.extend(group.iter().map(|&s| outer.at(s)));
@@ -788,12 +1033,12 @@ fn aggregate<'c>(
     }
     // `Value`'s order over the keys, first-seen group first on a tie:
     // the order a `BTreeMap` keyed by the group key iterates in.
-    let mut groups: Vec<(Vec<&Value>, usize)> = index.into_iter().collect();
+    let mut groups: Vec<(Vec<Cow<Value>>, usize)> = index.into_iter().collect();
     groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     groups
         .into_iter()
         .map(|(key, g)| {
-            let mut row: Row = key.into_iter().cloned().collect();
+            let mut row: Row = key.into_iter().map(Cow::into_owned).collect();
             row.extend(states[g].iter().map(AggState::finish));
             row
         })
@@ -807,7 +1052,7 @@ struct AggState<'c> {
     count: u64,
     sum: f64,
     /// Running minimum or maximum, for `Min` / `Max`.
-    extreme: Option<&'c Value>,
+    extreme: Option<Cow<'c, Value>>,
 }
 
 impl<'c> AggState<'c> {
@@ -820,10 +1065,11 @@ impl<'c> AggState<'c> {
         }
     }
 
-    fn update(&mut self, v: &'c Value) {
+    fn update(&mut self, v: Cow<'c, Value>) {
         if v.is_null() {
             return;
         }
+        let extreme = self.extreme.as_deref();
         match self.func {
             AggFunc::Count => self.count += 1,
             AggFunc::Sum => self.sum += v.as_f64(),
@@ -831,8 +1077,8 @@ impl<'c> AggState<'c> {
                 self.count += 1;
                 self.sum += v.as_f64();
             }
-            AggFunc::Min if self.extreme.is_none_or(|m| v < m) => self.extreme = Some(v),
-            AggFunc::Max if self.extreme.is_none_or(|m| v > m) => self.extreme = Some(v),
+            AggFunc::Min if extreme.is_none_or(|m| *v < *m) => self.extreme = Some(v),
+            AggFunc::Max if extreme.is_none_or(|m| *v > *m) => self.extreme = Some(v),
             AggFunc::Min | AggFunc::Max => {}
         }
     }
@@ -841,7 +1087,7 @@ impl<'c> AggState<'c> {
         match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min | AggFunc::Max => self.extreme.cloned().unwrap_or(Value::Null),
+            AggFunc::Min | AggFunc::Max => self.extreme.as_deref().cloned().unwrap_or(Value::Null),
             AggFunc::Avg if self.count == 0 => Value::Null,
             AggFunc::Avg => Value::Float(self.sum / self.count as f64),
         }
@@ -885,20 +1131,26 @@ pub fn execute_dml(
                 .heaps
                 .get_mut(table)
                 .ok_or(ExecError::UnknownTable(*table))?;
+            let set: Vec<(ColumnId, Value)> = set
+                .iter()
+                .map(|(c, s)| (*c, s.resolve(params).clone()))
+                .collect();
             for rid in targets {
-                let Some(old) = heap.row(rid) else { continue };
-                let mut new = old.clone();
-                for (c, s) in set {
-                    new[c.0 as usize] = s.resolve(params).clone();
+                if !heap.is_live(rid) {
+                    continue;
                 }
                 m.add_pages_written(1);
+                // Each index reads its own leaf columns, and only when a
+                // SET column is among them.
                 for (id, _) in ctx.catalog.indexes_on(*table) {
                     if let Some(ix) = ctx.indexes.get_mut(&id) {
-                        let pages = ix.update_row(rid, &old, &new);
+                        let pages = ix.update_set(rid, heap, &set);
                         m.add_pages_written(pages);
                     }
                 }
-                heap.update(rid, new);
+                for (c, v) in &set {
+                    heap.set(rid, c.0 as usize, v.clone());
+                }
                 m.rows_returned += 1;
             }
         }
@@ -909,16 +1161,18 @@ pub fn execute_dml(
                 .get_mut(table)
                 .ok_or(ExecError::UnknownTable(*table))?;
             for rid in targets {
-                let Some(old) = heap.delete(rid) else {
+                if !heap.is_live(rid) {
                     continue;
-                };
+                }
                 m.add_pages_written(1);
+                // Each index reads its key columns before the row goes.
                 for (id, _) in ctx.catalog.indexes_on(*table) {
                     if let Some(ix) = ctx.indexes.get_mut(&id) {
-                        let pages = ix.delete_row(rid, &old);
+                        let pages = ix.delete_from(rid, heap);
                         m.add_pages_written(pages);
                     }
                 }
+                heap.delete(rid);
                 m.rows_returned += 1;
             }
         }
@@ -1181,97 +1435,147 @@ mod tests {
         }
     }
 
-    /// Under GROUP BY over keys mixing `Int`, `Float`, `Str` and `NULL`
-    /// (`3` beside `3.0`, `0` beside `-0.0`, strings of one to seventeen
-    /// bytes, with and without a trailing zero byte), the count sink forms
-    /// as many groups as the rows sink and as `Value`'s order tells apart:
-    /// over the heap's columns, and over a covering index's leaves.
+    /// Under GROUP BY, the count sink forms as many groups as the rows
+    /// sink and as `Value`'s order tells apart, over a key column of every
+    /// representation: `Int` (with `i64::MAX`), `Float` (`0.0` beside
+    /// `-0.0`), `Date`, `Bool`, `Str` (strings of one to seventeen bytes,
+    /// with and without a trailing zero byte), all NULL, and per value
+    /// (`3` beside `3.0`, `0` beside `-0.0`, strings among numbers); each
+    /// with NULLs, grouped alone (by words, or per value) and beside an
+    /// `Int` column (per value), over the heap's columns and over a
+    /// covering index's leaves.
     #[test]
     fn count_sink_groups_mixed_keys_as_the_rows_sink_does() {
-        let mut w = World::new();
-        let mt = w
-            .catalog
-            .add_table(TableDef::new(
-                "mixed",
-                vec![
-                    ColumnDef::new("k", ValueType::Str),
-                    ColumnDef::new("j", ValueType::Int),
-                ],
-            ))
-            .unwrap();
-        let pool = [
-            Value::Null,
-            Value::Int(3),
-            Value::Float(3.0),
-            Value::Float(3.5),
-            Value::Int(0),
-            Value::Float(-0.0),
-            Value::Float(0.0),
-            Value::from("a"),
-            Value::from("a\0"),
-            Value::from("abcdefgh"),
-            Value::from("abcdefghi"),
-            Value::from("abcdefghijklmnopq"),
-            Value::from("abcdefghijklmnopr"),
+        let strs = [
+            "a",
+            "a\0",
+            "abcdefgh",
+            "abcdefghi",
+            "abcdefghijklmnopq",
+            "abcdefghijklmnopr",
         ];
-        let mut heap = Heap::new(2, 32);
-        for i in 0..600usize {
-            let j = if i % 7 == 0 {
-                Value::Null
-            } else {
-                Value::Int((i % 3) as i64)
-            };
-            heap.insert(vec![pool[(i * 5) % pool.len()].clone(), j]);
-        }
-        let want = |cols: &[usize]| -> usize {
-            let keys = heap.live_ids().map(|rid| -> Vec<Value> {
-                cols.iter().map(|&c| heap.value(rid, c).clone()).collect()
-            });
-            keys.collect::<std::collections::BTreeSet<_>>().len()
-        };
-        let (one, two) = (want(&[0]), want(&[0, 1]));
-        w.stats.insert(mt, TableStats::build_full(&heap));
-        w.heaps.insert(mt, heap);
-        assert_eq!(one, pool.len() - 3, "3 = 3.0 and 0 = -0.0 = 0.0");
-        for indexed in [false, true] {
-            if indexed {
-                // Leaf slots (j, k): the heap's columns swapped.
-                let def = IndexDef::new("ix_jk", mt, vec![ColumnId(1)], vec![ColumnId(0)]);
-                let id = w.catalog.add_index(def.clone()).unwrap();
-                let mut ix = SecondaryIndex::new(def, w.catalog.table(mt).unwrap());
-                ix.build(&w.heaps[&mt]);
-                w.indexes.insert(id, ix);
+        let strs = strs.map(Value::from);
+        // Each pool, the kind of word its column gets, and how many of
+        // its values fold into another's group.
+        let pools: Vec<(Vec<Value>, Option<WordKind>, usize)> = vec![
+            (
+                vec![
+                    Value::Int(3),
+                    Value::Int(-1),
+                    Value::Int(0),
+                    Value::Int(i64::MAX),
+                ],
+                Some(WordKind::Int),
+                0,
+            ),
+            (
+                [3.0, 3.5, 0.0, -0.0, -7.25].map(Value::Float).to_vec(),
+                Some(WordKind::Float),
+                1,
+            ),
+            (
+                vec![Value::Date(1), Value::Date(-5), Value::Date(400)],
+                Some(WordKind::Date),
+                0,
+            ),
+            (
+                vec![Value::Bool(true), Value::Bool(false)],
+                Some(WordKind::Bool),
+                0,
+            ),
+            (strs.to_vec(), Some(WordKind::Code(strs.len())), 0),
+            (vec![], None, 0),
+            (
+                [
+                    Value::Int(3),
+                    Value::Float(3.0),
+                    Value::Float(3.5),
+                    Value::Int(0),
+                ]
+                .into_iter()
+                .chain([Value::Float(-0.0), Value::Float(0.0)])
+                .chain(strs.iter().cloned())
+                .collect(),
+                None,
+                3,
+            ),
+        ];
+        for (n, (mut pool, kind, folded)) in pools.into_iter().enumerate() {
+            pool.push(Value::Null);
+            let mut w = World::new();
+            let mt = w
+                .catalog
+                .add_table(TableDef::new(
+                    format!("mixed{n}"),
+                    vec![
+                        ColumnDef::new("k", ValueType::Str),
+                        ColumnDef::new("j", ValueType::Int),
+                    ],
+                ))
+                .unwrap();
+            let mut heap = Heap::new(2, 32);
+            for i in 0..600usize {
+                let j = if i % 7 == 0 {
+                    Value::Null
+                } else {
+                    Value::Int((i % 3) as i64)
+                };
+                heap.insert(vec![pool[(i * 11) % pool.len()].clone(), j]);
             }
-            for (group_by, groups) in [
-                (vec![ColumnId(0)], one),
-                (vec![ColumnId(0), ColumnId(1)], two),
-            ] {
-                let mut q = SelectQuery::new(mt);
-                q.group_by = group_by;
-                q.aggregates = vec![(AggFunc::Count, ColumnId(1))];
-                q.index_hint = indexed.then(|| "ix_jk".to_string());
-                let stmt = Statement::Select(q.clone());
-                let rows = w.run(&stmt, &[]);
-                let plan = optimize(&EnvView(&w), &stmt, &[]).plan;
-                let Plan::Select(sp) = &plan else {
-                    panic!("select plans as select")
-                };
+            assert_eq!(heap.column(0).word_kind(), kind, "pool {n}");
+            let want = |cols: &[usize]| -> usize {
+                let keys = heap.live_ids().map(|rid| -> Vec<Value> {
+                    cols.iter().map(|&c| heap.value(rid, c)).collect()
+                });
+                keys.collect::<std::collections::BTreeSet<_>>().len()
+            };
+            let (one, two) = (want(&[0]), want(&[0, 1]));
+            assert_eq!(
+                one,
+                pool.len() - folded,
+                "pool {n}: 3 = 3.0 and 0 = -0.0 = 0.0"
+            );
+            w.stats.insert(mt, TableStats::build_full(&heap));
+            w.heaps.insert(mt, heap);
+            for indexed in [false, true] {
                 if indexed {
-                    assert!(
-                        matches!(sp.access, Access::IndexScan { covering: true, .. }),
-                        "{:?}",
-                        sp.access
-                    );
+                    // Leaf slots (j, k): the heap's columns swapped.
+                    let def = IndexDef::new("ix_jk", mt, vec![ColumnId(1)], vec![ColumnId(0)]);
+                    let id = w.catalog.add_index(def.clone()).unwrap();
+                    let mut ix = SecondaryIndex::new(def, w.catalog.table(mt).unwrap());
+                    ix.build(&w.heaps[&mt]);
+                    w.indexes.insert(id, ix);
                 }
-                let ctx = ExecContext {
-                    catalog: &w.catalog,
-                    heaps: &mut w.heaps,
-                    indexes: &mut w.indexes,
-                };
-                let counted = execute_select(&ctx, &q, sp, &[], None).unwrap();
-                assert_eq!(rows.rows.len(), groups, "rows sink, indexed {indexed}");
-                assert_eq!(counted.rows_returned, groups as u64, "count sink");
-                assert_eq!(counted, rows.metrics);
+                for (group_by, groups) in [
+                    (vec![ColumnId(0)], one),
+                    (vec![ColumnId(0), ColumnId(1)], two),
+                ] {
+                    let mut q = SelectQuery::new(mt);
+                    q.group_by = group_by;
+                    q.aggregates = vec![(AggFunc::Count, ColumnId(1))];
+                    q.index_hint = indexed.then(|| "ix_jk".to_string());
+                    let stmt = Statement::Select(q.clone());
+                    let rows = w.run(&stmt, &[]);
+                    let plan = optimize(&EnvView(&w), &stmt, &[]).plan;
+                    let Plan::Select(sp) = &plan else {
+                        panic!("select plans as select")
+                    };
+                    let covering = matches!(sp.access, Access::IndexScan { covering: true, .. });
+                    assert_eq!(covering, indexed, "{:?}", sp.access);
+                    let ctx = ExecContext {
+                        catalog: &w.catalog,
+                        heaps: &mut w.heaps,
+                        indexes: &mut w.indexes,
+                    };
+                    let counted = execute_select(&ctx, &q, sp, &[], None).unwrap();
+                    assert_eq!(
+                        rows.rows.len(),
+                        groups,
+                        "pool {n}: rows sink, indexed {indexed}"
+                    );
+                    assert_eq!(counted.rows_returned, groups as u64, "pool {n}: count sink");
+                    assert_eq!(counted, rows.metrics);
+                }
             }
         }
     }

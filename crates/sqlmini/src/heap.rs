@@ -1,19 +1,25 @@
-//! Heap table storage, one vector per column.
+//! Heap table storage, one typed column per column.
 //!
-//! A table's rows live in its columns: column `c` is one `Vec<Value>`
-//! holding every row's `c`-th value at the row's slot, beside one live
-//! flag per slot. A [`RowId`] is a slot number, stable for the row's
-//! lifetime; a deleted slot holds `NULL` in every column (so the strings
-//! it held are freed) and goes on a LIFO free list for the next insert.
-//! A scan with one predicate therefore walks one contiguous column, not
-//! one allocation per row, and statistics and index builds read the
-//! columns they need and nothing else.
+//! A table's rows live in its columns: column `c` is one
+//! [`Column`] holding every row's `c`-th value at
+//! the row's slot, stored by type (`i64`, `f64`, `i32`, packed bits, or a
+//! dictionary code for a string, with a null bitmap; per value where a
+//! column holds more than one variant, see [`crate::column`]), beside one
+//! live bit per slot. A [`RowId`] is a slot number, stable for the row's
+//! lifetime; a deleted slot reads `NULL` in every column and goes on a
+//! LIFO free list for the next insert. A string column's dictionary keeps
+//! every string the column was given, including those only deleted rows
+//! held. A scan therefore walks typed slices a word of slots at a time,
+//! not one allocation per row, and statistics and index builds read the
+//! columns they need and nothing else. `Value` is the edge: rows go in
+//! and come out as values, and [`Heap::value`] builds one on demand.
 //!
 //! A simple page model (fixed page size, rows-per-page derived from the
 //! average row width) fixes the heap's geometry by slot count; the
 //! executor turns that geometry into the *logical page reads* the paper's
 //! validator reasons about.
 
+use crate::column::{set_bits, Bits, Column, Filter};
 use crate::types::{Row, Value};
 
 /// Identity of a row within a heap. Stable for the row's lifetime.
@@ -26,12 +32,14 @@ pub const PAGE_SIZE: u64 = 8192;
 /// A heap of rows for one table, stored by column.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    /// `columns[c][slot]`: the value of column `c` in the row at `slot`.
-    columns: Vec<Vec<Value>>,
+    /// `columns[c]`, at a slot: the value of column `c` in the row there.
+    columns: Vec<Column>,
     /// Whether each slot holds a row.
-    live: Vec<bool>,
+    live: Bits,
     /// Dead slots, reused last-freed first: every dead slot, once.
     free: Vec<u64>,
+    /// Slots the columns have room for before they next grow.
+    room: usize,
     /// Average row width in bytes (from the table schema); fixes the page
     /// geometry for logical-read accounting.
     row_width: u64,
@@ -42,9 +50,10 @@ impl Heap {
     /// average width.
     pub fn new(n_columns: usize, row_width: u64) -> Heap {
         Heap {
-            columns: vec![Vec::new(); n_columns],
-            live: Vec::new(),
+            columns: vec![Column::new(); n_columns],
+            live: Bits::default(),
             free: Vec::new(),
+            room: 0,
             row_width: row_width.max(1),
         }
     }
@@ -98,11 +107,13 @@ impl Heap {
             "row width differs from the table's"
         );
         if let Some(slot) = self.free.pop() {
-            self.live[slot as usize] = true;
-            self.write(slot as usize, row);
+            self.live.set(slot as usize, true);
+            for (col, v) in self.columns.iter_mut().zip(row) {
+                col.set(slot as usize, v);
+            }
             RowId(slot)
         } else {
-            if self.live.len() == self.live.capacity() {
+            if self.live.len() == self.room {
                 // An eighth again, not double: doubling grows every
                 // column of the table at once.
                 self.reserve((self.live.len() / 8).max(16));
@@ -115,53 +126,53 @@ impl Heap {
         }
     }
 
-    /// Append rows given by column — `columns[c][i]` is column `c` of the
-    /// `i`-th new row — in new slots, in order; returns the first new id.
-    /// An empty heap takes the vectors as they are.
+    /// Add rows given by column — slot `i` of `columns[c]` is column `c`
+    /// of the `i`-th new row — and return their ids, in order: the ids
+    /// that many [`insert`](Self::insert)s would give them. A heap that
+    /// never held a row takes the columns as they are.
     ///
     /// # Panics
-    /// If there is not one vector per column, or they differ in length.
-    pub(crate) fn append_columns(&mut self, columns: Vec<Vec<Value>>) -> RowId {
-        assert_eq!(columns.len(), self.width(), "one vector per column");
-        let n = columns.first().map_or(0, Vec::len);
+    /// If there is not one column per column, or they differ in length.
+    pub(crate) fn append_columns(&mut self, columns: Vec<Column>) -> Vec<RowId> {
+        assert_eq!(columns.len(), self.width(), "one column per column");
+        let n = columns.first().map_or(0, Column::len);
         assert!(
             columns.iter().all(|c| c.len() == n),
             "columns differ in length"
         );
-        let first = RowId(self.live.len() as u64);
-        for (col, mut new) in self.columns.iter_mut().zip(columns) {
-            if col.is_empty() {
-                *col = new;
-            } else {
-                col.append(&mut new);
-            }
+        if self.live.len() == 0 {
+            self.columns = columns;
+            self.live.extend(n, true);
+            self.room = n;
+            return (0..n as u64).map(RowId).collect();
         }
-        self.live.resize(self.live.len() + n, true);
-        first
+        let row = |i: usize| columns.iter().map(|c| c.value(i)).collect();
+        (0..n).map(|i| self.insert(row(i))).collect()
     }
 
     /// Make room for `additional` more slots in every column (a bulk load
     /// that knows its row count allocates each column once).
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.live.reserve_exact(additional);
+        self.live.reserve(additional);
         for col in &mut self.columns {
-            col.reserve_exact(additional);
+            col.reserve(additional);
         }
+        self.room = self.live.len() + additional;
     }
 
     /// Whether `id` names a live row.
     pub fn is_live(&self, id: RowId) -> bool {
-        self.live.get(id.0 as usize).copied().unwrap_or(false)
+        (id.0 as usize) < self.live.len() && self.live.get(id.0 as usize)
     }
 
-    /// Column `col` of every slot, in slot order; a dead slot reads `NULL`.
-    pub fn column(&self, col: usize) -> &[Value] {
+    /// Column `col`, a value for every slot; a dead slot reads `NULL`.
+    pub fn column(&self, col: usize) -> &Column {
         &self.columns[col]
     }
 
     /// The value of column `col` in slot `id` (`NULL` in a dead slot).
-    pub fn value(&self, id: RowId, col: usize) -> &Value {
-        &self.columns[col][id.0 as usize]
+    pub fn value(&self, id: RowId, col: usize) -> Value {
+        self.columns[col].value(id.0 as usize)
     }
 
     /// Ids of the live rows, rising.
@@ -172,51 +183,56 @@ impl Heap {
     /// Ids of the live rows from `start` on, rising.
     pub(crate) fn live_ids_from(&self, start: RowId) -> impl Iterator<Item = RowId> + '_ {
         let start = (start.0 as usize).min(self.live.len());
-        let live = self.live[start..].iter().enumerate();
-        live.filter(|(_, &l)| l)
-            .map(move |(i, _)| RowId((start + i) as u64))
+        self.live.ones_from(start).map(|s| RowId(s as u64))
+    }
+
+    /// The live rows on which `first` and every filter of `rest` hold,
+    /// rising: each filter is evaluated a word of slots at a time, the
+    /// rest only on words where some slot survives `first`.
+    pub(crate) fn select(&self, first: &Filter, rest: &[Filter], mut emit: impl FnMut(RowId)) {
+        for w in 0..self.live.n_words() {
+            let mut hits = first.word(w) & self.live.word(w);
+            for f in rest {
+                if hits == 0 {
+                    break;
+                }
+                hits &= f.word(w);
+            }
+            for b in set_bits(hits) {
+                emit(RowId((w * 64 + b) as u64));
+            }
+        }
     }
 
     /// An owned copy of a live row.
     pub fn row(&self, id: RowId) -> Option<Row> {
         let slot = id.0 as usize;
         self.is_live(id)
-            .then(|| self.columns.iter().map(|c| c[slot].clone()).collect())
+            .then(|| self.columns.iter().map(|c| c.value(slot)).collect())
     }
 
-    /// Replace a live row in place.
-    ///
-    /// # Panics
-    /// If the row does not have one value per column.
-    pub fn update(&mut self, id: RowId, row: Row) -> bool {
-        assert_eq!(
-            row.len(),
-            self.width(),
-            "row width differs from the table's"
-        );
+    /// Write `v` over column `col` of a live row; `false` if the row is
+    /// not live.
+    pub fn set(&mut self, id: RowId, col: usize, v: Value) -> bool {
         if !self.is_live(id) {
             return false;
         }
-        self.write(id.0 as usize, row);
+        self.columns[col].set(id.0 as usize, v);
         true
     }
 
-    /// Delete a row. Returns the old row.
-    pub fn delete(&mut self, id: RowId) -> Option<Row> {
+    /// Delete a row; `false` if it was not live.
+    pub fn delete(&mut self, id: RowId) -> bool {
         if !self.is_live(id) {
-            return None;
+            return false;
         }
         let slot = id.0 as usize;
-        self.live[slot] = false;
+        self.live.set(slot, false);
         self.free.push(id.0);
-        let take = |c: &mut Vec<Value>| std::mem::replace(&mut c[slot], Value::Null);
-        Some(self.columns.iter_mut().map(take).collect())
-    }
-
-    fn write(&mut self, slot: usize, row: Row) {
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col[slot] = v;
+        for col in &mut self.columns {
+            col.set(slot, Value::Null);
         }
+        true
     }
 }
 
@@ -229,6 +245,16 @@ mod tests {
         vec![Value::Int(i), Value::Str(format!("r{i}").into())]
     }
 
+    /// `a` and `b` are one value: the same variant and, for a float, the
+    /// same bits (`-0.0` is not `0.0`, a NaN is a NaN) — stricter than
+    /// `Value`'s equality, under which `3` equals `3.0`.
+    fn same(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+        }
+    }
+
     #[test]
     fn insert_get_delete() {
         let mut h = Heap::new(2, 32);
@@ -236,12 +262,14 @@ mod tests {
         let b = h.insert(row(2));
         assert_eq!(h.len(), 2);
         assert_eq!(h.row(a).unwrap()[0], Value::Int(1));
-        assert_eq!(h.value(b, 1), &Value::Str("r2".into()));
-        assert_eq!(h.delete(a).unwrap(), row(1));
+        assert_eq!(h.value(b, 1), Value::Str("r2".into()));
+        assert_eq!(h.row(a), Some(row(1)));
+        assert!(h.delete(a));
+        assert!(!h.delete(a));
         assert_eq!(h.len(), 1);
         assert!(h.row(a).is_none());
         assert!(!h.is_live(a));
-        assert_eq!(h.value(a, 1), &Value::Null, "a dead slot holds no string");
+        assert_eq!(h.value(a, 1), Value::Null, "a dead slot reads NULL");
         assert!(h.row(b).is_some());
     }
 
@@ -259,9 +287,9 @@ mod tests {
     fn update_in_place() {
         let mut h = Heap::new(2, 32);
         let a = h.insert(row(1));
-        assert!(h.update(a, row(99)));
-        assert_eq!(h.row(a).unwrap(), row(99));
-        assert!(!h.update(RowId(500), row(0)));
+        assert!(h.set(a, 0, Value::Int(99)));
+        assert_eq!(h.row(a).unwrap(), vec![Value::Int(99), Value::from("r1")]);
+        assert!(!h.set(RowId(500), 0, Value::Int(0)));
     }
 
     #[test]
@@ -302,11 +330,16 @@ mod tests {
     }
 
     /// The heap against a `Vec<Option<Row>>` reference over random
-    /// insert/update/delete/append sequences: after every operation the length,
-    /// the page count, the live ids and every value agree, an insert
-    /// takes the slot freed last (or a new one), and a delete returns the
-    /// row the reference held. Salted with `CHAOS_SEED`, so CI's chaos
-    /// matrix draws different cases per seed.
+    /// insert/set/delete/append sequences: after every operation the
+    /// length, the page count, the live ids and every value agree — each
+    /// value read back as the very variant written, float bits included —
+    /// an insert takes the slot freed last (or a new one), and a batch by
+    /// column takes the ids inserts would. Columns are drawn of one type
+    /// (`Int`, `Float`, `Str`, `Date`, `Bool`) with NULLs, `-0.0` and the
+    /// odd misfit (an `Int` in a `Float` column, a `Str` in an `Int`
+    /// column, a NaN), which moves a column to per-value storage mid-run.
+    /// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different
+    /// cases per seed.
     #[test]
     fn heap_equals_row_reference() {
         let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
@@ -322,19 +355,38 @@ mod tests {
                     x ^= x << 17;
                     x
                 };
+                // Each column's type, and one draw in 64 a misfit (one in
+                // 8 of the heaps never draws one).
+                let types: Vec<u64> = (0..width).map(|c| (salt >> (8 * c)) % 5).collect();
+                let misfits = salt % 8 != 0;
+                let value = |c: usize, r: u64| -> Value {
+                    let k = (r >> 16) as i64 % 50;
+                    if r.is_multiple_of(6) {
+                        return Value::Null;
+                    }
+                    if misfits && (r >> 8).is_multiple_of(64) {
+                        return match (r >> 14) % 4 {
+                            0 => Value::Int(k),
+                            1 => Value::Str(format!("m{k}").into()),
+                            2 => Value::Float(f64::NAN),
+                            _ => Value::Float(k as f64),
+                        };
+                    }
+                    match types[c] {
+                        0 => Value::Int(k - 25),
+                        1 if k % 7 == 0 => Value::Float(-0.0),
+                        1 => Value::Float(k as f64 / 2.0 - 5.0),
+                        2 => Value::Str(format!("s{}", k % 7).into()),
+                        3 => Value::Date(k as i32 - 10),
+                        _ => Value::Bool(k % 2 == 0),
+                    }
+                };
                 let mut heap = Heap::new(width, row_width);
                 let mut model: Vec<Option<Row>> = Vec::new();
                 let mut freed: Vec<u64> = Vec::new();
                 for step in 0..ops {
-                    let new_row = |r: u64| -> Row {
-                        (0..width)
-                            .map(|c| match (r >> (c * 3)) % 4 {
-                                0 => Value::Null,
-                                1 => Value::Int((r >> 16) as i64 % 50),
-                                2 => Value::Float(((r >> 20) % 9) as f64 / 2.0),
-                                _ => Value::Str(format!("s{}", (r >> 24) % 7).into()),
-                            })
-                            .collect()
+                    let new_row = |next: &mut dyn FnMut() -> u64| -> Row {
+                        (0..width).map(|c| value(c, next())).collect()
                     };
                     let r = next();
                     let target = match model.len() {
@@ -345,7 +397,7 @@ mod tests {
                         0..=2 => {
                             let want = freed.pop().unwrap_or(model.len() as u64);
                             prop_assert_eq!(heap.next_id(), RowId(want));
-                            let new = new_row(next());
+                            let new = new_row(&mut next);
                             let rid = heap.insert(new.clone());
                             prop_assert!(rid == RowId(want), "insert at step {step}: {rid:?}");
                             if want as usize == model.len() {
@@ -355,32 +407,45 @@ mod tests {
                             }
                         }
                         3 | 4 => {
-                            let new = new_row(next());
+                            let c = (r >> 20) as usize % width;
+                            let v = value(c, next());
                             let live = model.get(target).is_some_and(Option::is_some);
-                            let done = heap.update(RowId(target as u64), new.clone());
-                            prop_assert!(done == live, "update at step {step}");
+                            let done = heap.set(RowId(target as u64), c, v.clone());
+                            prop_assert!(done == live, "set at step {step}");
                             if live {
-                                model[target] = Some(new);
+                                model[target].as_mut().expect("live")[c] = v;
                             }
                         }
                         5 | 6 => {
-                            let want = model.get_mut(target).and_then(Option::take);
-                            if want.is_some() {
+                            let live = model.get_mut(target).and_then(Option::take).is_some();
+                            if live {
                                 freed.push(target as u64);
                             }
-                            let got = heap.delete(RowId(target as u64));
-                            prop_assert!(got == want, "delete at step {step}: {got:?} != {want:?}");
+                            let done = heap.delete(RowId(target as u64));
+                            prop_assert!(done == live, "delete at step {step}");
                         }
                         _ => {
-                            // A batch by column takes new slots, never freed ones.
+                            // A batch by column takes the ids inserts would.
                             let rows: Vec<Row> =
-                                (0..(r >> 8) % 4).map(|_| new_row(next())).collect();
+                                (0..(r >> 8) % 4).map(|_| new_row(&mut next)).collect();
                             let columns = (0..width)
-                                .map(|c| rows.iter().map(|row| row[c].clone()).collect())
+                                .map(|c| {
+                                    let mut col = Column::new();
+                                    rows.iter().for_each(|row| col.push(row[c].clone()));
+                                    col
+                                })
                                 .collect();
-                            let first = heap.append_columns(columns);
-                            prop_assert_eq!(first, RowId(model.len() as u64));
-                            model.extend(rows.into_iter().map(Some));
+                            let ids = heap.append_columns(columns);
+                            prop_assert_eq!(ids.len(), rows.len());
+                            for (rid, row) in ids.into_iter().zip(rows) {
+                                let want = freed.pop().unwrap_or(model.len() as u64);
+                                prop_assert_eq!(rid, RowId(want));
+                                if want as usize == model.len() {
+                                    model.push(Some(row));
+                                } else {
+                                    model[want as usize] = Some(row);
+                                }
+                            }
                         }
                     }
                     let live: Vec<u64> = (0..model.len() as u64)
@@ -396,12 +461,13 @@ mod tests {
                     for (i, slot) in model.iter().enumerate() {
                         let rid = RowId(i as u64);
                         prop_assert_eq!(heap.is_live(rid), slot.is_some());
-                        prop_assert_eq!(&heap.row(rid), slot);
+                        prop_assert_eq!(heap.row(rid).is_some(), slot.is_some());
                         for c in 0..width {
                             let want = slot.as_ref().map_or(&Value::Null, |r| &r[c]);
+                            let (got, col) = (heap.value(rid, c), heap.column(c).value(i));
                             prop_assert!(
-                                heap.value(rid, c) == want && heap.column(c)[i] == *want,
-                                "value {i}.{c} at step {step}"
+                                same(&got, want) && same(&col, want),
+                                "value {i}.{c} at step {step}: {got:?} != {want:?}"
                             );
                         }
                     }

@@ -9,8 +9,9 @@
 //! allocation of its own.
 
 use crate::btree::BTree;
+use crate::column::{float_image, Column};
 use crate::heap::{Heap, RowId, PAGE_SIZE};
-use crate::schema::{IndexDef, TableDef};
+use crate::schema::{ColumnId, IndexDef, TableDef};
 use crate::types::{Row, Value};
 use std::ops::Bound;
 
@@ -77,7 +78,7 @@ impl SecondaryIndex {
     /// scanned (the IO cost of the build's scan phase).
     pub fn build(&mut self, heap: &Heap) -> u64 {
         let (w, k) = (self.tree.width(), self.tree.key_len());
-        let columns: Vec<&[Value]> = self
+        let columns: Vec<&Column> = self
             .def
             .leaf_columns()
             .map(|c| heap.column(c.0 as usize))
@@ -94,7 +95,7 @@ impl SecondaryIndex {
         let order = build_order(&columns[..k], slots);
         let columns = &columns[..];
         let entries = order.iter().map(|&slot| {
-            let values = columns.iter().map(move |col| col[slot as usize].clone());
+            let values = columns.iter().map(move |col| col.value(slot as usize));
             (values, RowId(u64::from(slot)))
         });
         let fanout = self.tree.fanout();
@@ -134,40 +135,52 @@ impl SecondaryIndex {
         self.tree.height()
     }
 
-    /// The values of the entry `row` has in this index.
-    fn entry_for(&self, row: &Row) -> Vec<Value> {
-        let leaf = self.def.leaf_columns();
-        leaf.map(|c| row[c.0 as usize].clone()).collect()
-    }
-
     /// Index maintenance: reflect a newly inserted heap row. Returns pages
     /// written (tree nodes touched).
     pub fn insert_row(&mut self, rid: RowId, row: &Row) -> u64 {
+        let leaf = self.def.leaf_columns();
+        let entry = leaf.map(|c| row[c.0 as usize].clone()).collect();
         let before = self.tree.write_visits();
-        self.tree.insert(self.entry_for(row), rid);
+        self.tree.insert(entry, rid);
         self.tree.write_visits() - before
     }
 
-    /// Index maintenance: reflect a deleted heap row.
-    pub fn delete_row(&mut self, rid: RowId, row: &Row) -> u64 {
-        let before = self.tree.write_visits();
+    /// Index maintenance for the deletion of live row `rid` of `heap`,
+    /// before the heap lets it go: reads only the key columns. Returns
+    /// pages written.
+    pub(crate) fn delete_from(&mut self, rid: RowId, heap: &Heap) -> u64 {
         let key_cols = self.def.key_columns.iter();
-        let key_vals: Vec<Value> = key_cols.map(|&c| row[c.0 as usize].clone()).collect();
+        let key_vals: Vec<Value> = key_cols.map(|&c| heap.value(rid, c.0 as usize)).collect();
+        let before = self.tree.write_visits();
         self.tree.remove(&key_vals, rid);
         self.tree.write_visits() - before
     }
 
-    /// Index maintenance: reflect an updated heap row. No-op (zero pages)
-    /// when no indexed column changed.
-    pub fn update_row(&mut self, rid: RowId, old: &Row, new: &Row) -> u64 {
-        let touched = self
-            .def
-            .leaf_columns()
-            .any(|c| old[c.0 as usize] != new[c.0 as usize]);
-        if !touched {
+    /// Index maintenance for an UPDATE that writes `set` (column, value;
+    /// the last write to a column wins) over live row `rid` of `heap`,
+    /// before the heap takes it: zero pages, and nothing read, when no
+    /// leaf column is set; reads only the leaf columns otherwise, and
+    /// writes nothing when their values do not change. Returns pages
+    /// written.
+    pub(crate) fn update_set(&mut self, rid: RowId, heap: &Heap, set: &[(ColumnId, Value)]) -> u64 {
+        let setting = |c: ColumnId| set.iter().rev().find(|(s, _)| *s == c).map(|(_, v)| v);
+        if !self.def.leaf_columns().any(|c| setting(c).is_some()) {
             return 0;
         }
-        self.delete_row(rid, old) + self.insert_row(rid, new)
+        let old: Vec<Value> = (self.def.leaf_columns())
+            .map(|c| heap.value(rid, c.0 as usize))
+            .collect();
+        let new = (self.def.leaf_columns().zip(&old))
+            .map(|(c, v)| setting(c).unwrap_or(v).clone())
+            .collect::<Vec<Value>>();
+        if old == new {
+            return 0;
+        }
+        let k = self.def.key_columns.len();
+        let before = self.tree.write_visits();
+        self.tree.remove(&old[..k], rid);
+        self.tree.insert(new, rid);
+        self.tree.write_visits() - before
     }
 
     /// Seek with an equality prefix on the leading key columns and an
@@ -301,56 +314,86 @@ fn entries_per_page(entry_width: u64) -> u64 {
 }
 
 /// The `slots` (rising) in the order a stable sort on their key values
-/// puts them: `keys[j][slot]` is the `j`-th key value of the row at `slot`.
+/// puts them: `keys[j]` holds the `j`-th key value of every slot.
 ///
 /// Comparing two keys means reaching into `keys` twice, a cache miss a
 /// comparison; so each key column is first sorted on a 64-bit image of
 /// its values, kept beside the slot in the sort buffer, and only ties go
 /// further (see [`sort_run`]).
-fn build_order(keys: &[&[Value]], slots: impl Iterator<Item = u32>) -> Vec<u32> {
+fn build_order(keys: &[&Column], slots: impl Iterator<Item = u32>) -> Vec<u32> {
+    let keys: Vec<Key> = keys
+        .iter()
+        .map(|&column| Key {
+            column,
+            ranks: column.code_ranks(),
+        })
+        .collect();
     let mut order: Vec<(u64, u32)> = slots.map(|i| (0, i)).collect();
-    sort_run(&mut order, keys, 0);
+    sort_run(&mut order, &keys, 0);
     order.into_iter().map(|(_, i)| i).collect()
+}
+
+/// A key column as the build sorts it: the column, and for a string
+/// column each code's rank ([`Column::code_ranks`]).
+struct Key<'c> {
+    column: &'c Column,
+    ranks: Vec<u64>,
 }
 
 /// Sort `run` — entries equal on their key values before column `col`,
 /// in slot order — by their key values from `col` on, then slot.
 ///
 /// Nulls order first and equal each other, so they move to the front in
-/// slot order. The rest sort on their [`Image`] and slot. A run of one
-/// image holds equal values where the image is exact, and goes on to the
-/// next column; elsewhere it is sorted by comparing the values. A column
-/// of mixed types (or with a NaN) has no image, and is compared.
-fn sort_run(run: &mut [(u64, u32)], keys: &[&[Value]], col: usize) {
+/// slot order. The rest sort on an image and slot. A typed column's image
+/// is exact ([`Column::image`]), so a run of one image holds equal values
+/// and goes on to the next column. A column stored per value has an
+/// [`Image`] of its own where one exists, exact or not; where it is not
+/// exact a run of one image is sorted by comparing the values, and a
+/// column of mixed types (or with a NaN) has no image and is compared.
+fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
     if run.len() < 2 || col == keys.len() {
         return;
     }
-    let at = |i: u32| &keys[col][i as usize];
-    let rest_of_key = |i: u32| keys[col..].iter().map(move |c| &c[i as usize]);
+    let column = keys[col].column;
+    let rest_of_key = |i: u32| keys[col..].iter().map(move |k| k.column.value(i as usize));
     let compare =
         |a: &(u64, u32), b: &(u64, u32)| rest_of_key(a.1).cmp(rest_of_key(b.1)).then(a.1.cmp(&b.1));
-    let nulls = run.iter().filter(|e| at(e.1).is_null()).count();
+    let nulls = run.iter().filter(|e| column.is_null(e.1 as usize)).count();
     if nulls > 0 && nulls < run.len() {
-        let (null, other): (Vec<_>, Vec<_>) = run.iter().partition(|e| at(e.1).is_null());
+        let (null, other): (Vec<_>, Vec<_>) =
+            run.iter().partition(|e| column.is_null(e.1 as usize));
         run[..nulls].copy_from_slice(&null);
         run[nulls..].copy_from_slice(&other);
     }
     let (null, rest) = run.split_at_mut(nulls);
     sort_run(null, keys, col + 1);
-    let Some(image) = Image::of(rest.iter().map(|e| at(e.1))) else {
-        rest.sort_unstable_by(compare);
-        return;
+    let exact = match column.as_values() {
+        None => {
+            for e in rest.iter_mut() {
+                e.0 = (column.image(e.1 as usize, &keys[col].ranks))
+                    .expect("a typed column that is not all NULL has images");
+            }
+            true
+        }
+        Some(values) => {
+            let at = |i: u32| &values[i as usize];
+            let Some(image) = Image::of(rest.iter().map(|e| at(e.1))) else {
+                rest.sort_unstable_by(compare);
+                return;
+            };
+            for e in rest.iter_mut() {
+                e.0 = image.of_value(at(e.1));
+            }
+            image.exact
+        }
     };
-    for e in rest.iter_mut() {
-        e.0 = image.of_value(at(e.1));
-    }
     rest.sort_unstable();
     let mut start = 0;
     while start < rest.len() {
         let first = rest[start].0;
         let len = rest[start..].iter().take_while(|e| e.0 == first).count();
         let tie = &mut rest[start..start + len];
-        if image.exact {
+        if exact {
             sort_run(tie, keys, col + 1);
         } else {
             tie.sort_unstable_by(compare);
@@ -359,9 +402,10 @@ fn sort_run(run: &mut [(u64, u32)], keys: &[&[Value]], col: usize) {
     }
 }
 
-/// An order-preserving 64-bit image of one column's non-null values: a
-/// smaller value never has a larger image, equal values have equal
-/// images, and where `exact`, equal images are equal values.
+/// An order-preserving 64-bit image of the non-null values of a column
+/// stored per value: a smaller value never has a larger image, equal
+/// values have equal images, and where `exact`, equal images are equal
+/// values.
 struct Image {
     kind: ImageKind,
     exact: bool,
@@ -438,16 +482,6 @@ impl Image {
     }
 }
 
-/// `f64` (not NaN) to a `u64` of the same order; `-0.0` equals `0.0`.
-fn float_image(f: f64) -> u64 {
-    let bits = if f == 0.0 { 0 } else { f.to_bits() };
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,6 +507,35 @@ mod tests {
             Value::Str(status.into()),
             Value::Float(total),
         ]
+    }
+
+    /// An UPDATE as the executor runs it: the index reads the old
+    /// values, then the heap takes the new ones. Returns the index's
+    /// pages written.
+    fn update(
+        ix: &mut SecondaryIndex,
+        heap: &mut Heap,
+        rid: RowId,
+        set: &[(ColumnId, Value)],
+    ) -> u64 {
+        let pages = ix.update_set(rid, heap, set);
+        set.iter()
+            .for_each(|(c, v)| assert!(heap.set(rid, c.0 as usize, v.clone())));
+        pages
+    }
+
+    /// A DELETE as the executor runs it: the index first, then the heap.
+    fn delete(ix: &mut SecondaryIndex, heap: &mut Heap, rid: RowId) -> u64 {
+        let pages = ix.delete_from(rid, heap);
+        assert!(heap.delete(rid));
+        pages
+    }
+
+    /// Every column of `row`, as an UPDATE's SET list.
+    fn set_all(row: &Row) -> Vec<(ColumnId, Value)> {
+        (0..row.len())
+            .map(|c| (ColumnId(c as u32), row[c].clone()))
+            .collect()
     }
 
     fn populated() -> (Heap, SecondaryIndex) {
@@ -568,10 +631,7 @@ mod tests {
             21
         );
         // Update moving the row to another customer.
-        let old = heap.row(rid).unwrap();
-        let new = row(5000, 8, "open", 1.5);
-        heap.update(rid, new.clone());
-        let pages = ix.update_row(rid, &old, &new);
+        let pages = update(&mut ix, &mut heap, rid, &[(ColumnId(1), Value::Int(8))]);
         assert!(pages > 0);
         assert_eq!(
             ix.seek(&[Value::Int(7)], ColBound::Unbounded, ColBound::Unbounded)
@@ -579,12 +639,20 @@ mod tests {
                 .len(),
             20
         );
-        // Update touching no indexed column is free.
-        let pages = ix.update_row(rid, &new, &new);
+        // Update touching no indexed column is free, and so is one
+        // that writes the indexed columns' own values back.
+        let pages = update(&mut ix, &mut heap, rid, &[(ColumnId(0), Value::Int(5001))]);
         assert_eq!(pages, 0);
+        let same = set_all(&heap.row(rid).unwrap());
+        assert_eq!(update(&mut ix, &mut heap, rid, &same), 0);
+        // The last write to a column wins.
+        let twice = [(ColumnId(1), Value::Int(9)), (ColumnId(1), Value::Int(8))];
+        assert_eq!(update(&mut ix, &mut heap, rid, &twice), 0);
+        ix.check_invariants().unwrap();
         // Delete.
-        ix.delete_row(rid, &new);
+        assert!(delete(&mut ix, &mut heap, rid) > 0);
         assert_eq!(ix.len(), 1000);
+        assert_eq!(ix.len(), heap.len());
     }
 
     #[test]
@@ -892,16 +960,14 @@ mod tests {
 
     /// Entries compare by key values then row id, so an entry that
     /// differs only in an included value would *replace* its twin in the
-    /// tree. `update_row` deletes before it inserts; either way the new
+    /// tree. `update_set` deletes before it inserts; either way the new
     /// included value must be the one a seek returns.
     #[test]
     fn included_value_update_is_visible_through_seek_visit() {
         let (mut heap, mut ix) = populated();
         let rid = RowId(21); // customer 21, total 21.0, status "open"
-        let old = heap.row(rid).unwrap();
-        let new = row(21, 21, "held", 21.0);
-        heap.update(rid, new.clone());
-        assert!(ix.update_row(rid, &old, &new) > 0);
+        let held = [(ColumnId(2), Value::Str("held".into()))];
+        assert!(update(&mut ix, &mut heap, rid, &held) > 0);
         let status_of = |ix: &SecondaryIndex| {
             let mut seen = Vec::new();
             ix.seek_visit(
@@ -955,24 +1021,19 @@ mod tests {
                 }
                 1 | 2 => {
                     let rid = live.swap_remove(pick);
-                    let old = heap.row(rid).unwrap();
-                    heap.delete(rid);
-                    assert!(ix.delete_row(rid, &old) > 0);
+                    assert!(delete(&mut ix, &mut heap, rid) > 0);
                 }
                 _ => {
                     // Column 1 is the leading key, column 5 is included,
                     // column 0 is the second key: one of each kind.
                     let rid = live[pick];
-                    let old = heap.row(rid).unwrap();
-                    let mut new = old.clone();
                     let col = [1, 5, 0][(x >> 40) as usize % 3];
-                    new[col] = if col == 0 {
+                    let v = if col == 0 {
                         Value::Int(-(step as i64))
                     } else {
                         tags[(x >> 48) as usize % tags.len()].clone()
                     };
-                    heap.update(rid, new.clone());
-                    ix.update_row(rid, &old, &new);
+                    update(&mut ix, &mut heap, rid, &[(ColumnId(col), v)]);
                 }
             }
             ix.check_invariants()

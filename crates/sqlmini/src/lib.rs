@@ -16,6 +16,7 @@ pub mod btree;
 pub mod build;
 pub mod catalog;
 pub mod clock;
+pub mod column;
 pub mod dmv;
 pub mod engine;
 pub mod exec;

@@ -51,13 +51,20 @@ impl CmpOp {
             }
             _ => lhs.cmp(rhs),
         };
+        self.holds(ord)
+    }
+
+    /// Whether the operator holds between two operands that order as
+    /// `ord` (left against right).
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
         match self {
-            CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-            CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-            CmpOp::Lt => ord == std::cmp::Ordering::Less,
-            CmpOp::Le => ord != std::cmp::Ordering::Greater,
-            CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-            CmpOp::Ge => ord != std::cmp::Ordering::Less,
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
         }
     }
 }

@@ -239,15 +239,7 @@ impl TableStats {
         };
         let columns = (0..heap.width())
             .map(|c| {
-                let column = heap.column(c);
-                let mut positions = Vec::with_capacity(sample.len());
-                let mut nulls = 0;
-                for &slot in &sample {
-                    match &column[slot] {
-                        Value::Null => nulls += 1,
-                        v => positions.push(v.as_f64()),
-                    }
-                }
+                let (positions, nulls) = heap.column(c).positions(&sample);
                 ColumnStats::build(positions, nulls, scale)
             })
             .collect();

@@ -56,16 +56,18 @@ impl fmt::Display for ValueType {
 /// value) so composite index keys can be compared without panicking even
 /// when schemas are heterogeneous.
 ///
-/// A table stores its values by column, one `Vec<Value>` each
-/// (`crate::heap`), so a value is 24 bytes in place and a row costs no
-/// allocation of its own. Strings are reference-counted (`Arc<str>`). The
-/// executor does not clone values to read them (scans, covering leaves
-/// and join probes hand out borrowed views), but a value is still copied
-/// wherever a second owner is made: into every index entry that carries
-/// its column (build and maintenance), into the owned rows DML reads and
-/// writes, into a result row at `Database::query`'s sink, into a new
-/// group key, and across `Database::clone`/`fork`. Sharing the backing
-/// buffer keeps each of those a refcount bump.
+/// `Value` is the engine's edge, not its storage: a table keeps its
+/// values by typed column (`crate::column`) — `i64`, `f64`, `i32`, bits,
+/// or a `u32` dictionary code for a string — and builds a `Value` only
+/// where one is asked for: a row read or written through the API, an
+/// index entry (build and maintenance; B+tree leaves hold `Value`s), a
+/// result row at `Database::query`'s sink, and the per-value paths of the
+/// executor. A column that receives values of more than one variant (or
+/// a NaN) keeps one `Value` per slot, exactly as written. Strings are
+/// reference-counted (`Arc<str>`), so a string value built from a
+/// column's dictionary, or copied into an index entry, is a refcount
+/// bump. The executor's typed kernels reproduce this type's order,
+/// equality and hash exactly.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -109,15 +111,7 @@ impl Value {
                 }
             }
             Value::Date(d) => *d as f64,
-            Value::Str(s) => {
-                // Map the first 8 bytes to a monotone-in-lexicographic-order
-                // float so range selectivity over strings is meaningful.
-                let mut acc: u64 = 0;
-                for (i, b) in s.bytes().take(8).enumerate() {
-                    acc |= (b as u64) << (56 - 8 * i);
-                }
-                acc as f64
-            }
+            Value::Str(s) => str_position(s),
         }
     }
 
@@ -236,6 +230,17 @@ impl From<bool> for Value {
     fn from(v: bool) -> Self {
         Value::Bool(v)
     }
+}
+
+/// A string's numeric view ([`Value::as_f64`]): its first 8 bytes as a
+/// float, monotone in lexicographic order, so range selectivity over
+/// strings is meaningful.
+pub(crate) fn str_position(s: &str) -> f64 {
+    let mut acc: u64 = 0;
+    for (i, b) in s.bytes().take(8).enumerate() {
+        acc |= (b as u64) << (56 - 8 * i);
+    }
+    acc as f64
 }
 
 /// A row is a vector of values positionally matching a table's columns.

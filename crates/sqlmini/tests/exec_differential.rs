@@ -251,25 +251,44 @@ fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
 
 /// What a column holds. Domains are small, so predicates hit and groups
 /// merge; `Mixed` puts `Int(k)`, `Float(k.0)` and `Float(k.5)` in one
-/// column, which `Value`'s order treats as numbers. Every float is a
-/// multiple of 0.5, so sums are exact in any order of addition.
+/// column, which `Value`'s order treats as numbers (and the heap stores
+/// per value), `Real` only floats, `-0.0` beside `0.0` among them (a
+/// typed float column). Every float is a multiple of 0.5, so sums are
+/// exact in any order of addition.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Pk,
     Small(i64),
     Mixed,
+    Real,
     Text,
     Day,
+    Flag,
 }
 
 impl Kind {
     fn value_type(self) -> ValueType {
         match self {
             Kind::Pk | Kind::Small(_) => ValueType::Int,
-            Kind::Mixed => ValueType::Float,
+            Kind::Mixed | Kind::Real => ValueType::Float,
             Kind::Text => ValueType::Str,
             Kind::Day => ValueType::Date,
+            Kind::Flag => ValueType::Bool,
         }
+    }
+
+    /// Two kinds of one family hold values that can be equal.
+    fn family(self) -> ValueType {
+        match self {
+            Kind::Mixed | Kind::Real => ValueType::Int,
+            k => k.value_type(),
+        }
+    }
+
+    /// Whether two columns of this kind join on typed words: the heap
+    /// stores it typed, and not by dictionary code.
+    fn joins_by_word(self) -> bool {
+        !matches!(self, Kind::Mixed | Kind::Text)
     }
 
     /// A non-NULL value of the column's domain.
@@ -285,8 +304,13 @@ impl Kind {
                     _ => Value::Float(k as f64 + 0.5),
                 }
             }
+            Kind::Real => {
+                let x = rng.random_range(-3..4i64) as f64 * 0.5;
+                Value::Float(if x == 0.0 && rng.random() { -0.0 } else { x })
+            }
             Kind::Text => Value::Str(format!("s{}", rng.random_range(0..5)).into()),
             Kind::Day => Value::Date(rng.random_range(0..10)),
+            Kind::Flag => Value::Bool(rng.random()),
         }
     }
 
@@ -300,7 +324,7 @@ impl Kind {
     }
 
     fn is_numeric(self) -> bool {
-        matches!(self, Kind::Small(_) | Kind::Mixed | Kind::Day)
+        matches!(self, Kind::Small(_) | Kind::Mixed | Kind::Real | Kind::Day)
     }
 }
 
@@ -380,9 +404,10 @@ struct World {
     /// the coverage test.
     paths: [u32; 5],
     /// SELECTs executed that were: scalar aggregates, scalar aggregates
-    /// that returned no row, two-column GROUP BYs. Read by the coverage
-    /// test.
-    shapes: [u32; 3],
+    /// that returned no row, two-column GROUP BYs, joins off the inner pk
+    /// on typed words (two columns of one kind that joins by word), and
+    /// on values (any other pair). Read by the coverage test.
+    shapes: [u32; 5],
 }
 
 fn build_world(seed: u64) -> (World, StdRng) {
@@ -398,7 +423,7 @@ fn build_world(seed: u64) -> (World, StdRng) {
         tables: Vec::new(),
         n_indexes: 0,
         paths: [0; 5],
-        shapes: [0; 3],
+        shapes: [0; 5],
     };
     // Mostly small; a big inner side now and then, so that seeking it
     // once per outer row can beat hashing all of it.
@@ -419,11 +444,13 @@ fn build_world(seed: u64) -> (World, StdRng) {
             });
         }
         for _ in 0..rng.random_range(2..5) {
-            kinds.push(match rng.random_range(0..5) {
+            kinds.push(match rng.random_range(0..7) {
                 0 => Kind::Small(rng.random_range(2..40)),
                 1 => Kind::Small(3),
                 2 => Kind::Mixed,
-                3 => Kind::Text,
+                3 => Kind::Real,
+                4 => Kind::Text,
+                5 => Kind::Flag,
                 _ => Kind::Day,
             });
         }
@@ -577,12 +604,24 @@ impl World {
                     q.limit = rng.random::<bool>().then(|| rng.random_range(1..6));
                 }
             }
-            // JoinQuery: always from the outer table to the inner pk.
+            // JoinQuery: from the outer table's foreign key to the inner
+            // pk or, half the time, between two other columns of one
+            // family; such a key is far from unique, so then over the
+            // first few outer rows only.
             6 => {
                 let (outer, inner) = (&self.tables[0], &self.tables[1]);
                 q = SelectQuery::new(outer.id);
                 q.projection = outer.projection(rng, &[]);
-                if rng.random() {
+                let o = outer.any_col(rng);
+                let family = outer.kind(o).family();
+                let keys = match inner.col(rng, |k| k.family() == family) {
+                    Some(i) if rng.random() => (o, i),
+                    _ => (ColumnId(1), ColumnId(0)),
+                };
+                if keys.1 != ColumnId(0) {
+                    q.predicates = vec![Predicate::param(ColumnId(0), CmpOp::Lt, 0)];
+                    params.push(Value::Int(rng.random_range(1..20)));
+                } else if rng.random() {
                     let c = if rng.random() {
                         ColumnId(0)
                     } else {
@@ -599,8 +638,8 @@ impl World {
                 }
                 q.join = Some(JoinSpec {
                     table: inner.id,
-                    outer_col: ColumnId(1),
-                    inner_col: ColumnId(0),
+                    outer_col: keys.0,
+                    inner_col: keys.1,
                     predicates,
                     projection: inner.projection(rng, &[]),
                 });
@@ -715,6 +754,14 @@ impl World {
             self.shapes[1] += u32::from(got.is_empty());
         }
         self.shapes[2] += u32::from(q.group_by.len() == 2);
+        if let Some(j) = q.join.as_ref().filter(|j| j.inner_col != ColumnId(0)) {
+            let (o, i) = (
+                self.tables[0].kind(j.outer_col),
+                self.tables[1].kind(j.inner_col),
+            );
+            let same = std::mem::discriminant(&o) == std::mem::discriminant(&i);
+            self.shapes[if same && o.joins_by_word() { 3 } else { 4 }] += 1;
+        }
         let width = self.reference[&q.table].first().map_or(0, Vec::len);
         let want = eval(&reference_plan(q, width), &self.reference, params);
         let n = q.limit.map_or(want.len(), |lim| lim.min(want.len()));
@@ -775,7 +822,7 @@ impl World {
 /// After a write to `table` or index DDL on it: the heap holds the
 /// reference's rows, and every index on it is a well-formed tree holding
 /// what a rebuild from the heap gives. The live index got there by
-/// `insert_row`/`delete_row`/`update_row` and the rebuild by the bulk
+/// `insert_row`/`delete_from`/`update_set` and the rebuild by the bulk
 /// build, so this is also a differential between those two paths.
 fn storage_matches(db: &Database, reference: &Tables, table: TableId) -> Result<(), TestCaseError> {
     let heap = db.heap(table).expect("table has a heap");
@@ -850,13 +897,17 @@ fn run_interleaving(seed: u64, steps: usize) -> Result<World, TestCaseError> {
     Ok(world)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn executor_agrees_with_naive_evaluator(seed in any::<u64>(), steps in 40usize..90) {
-        run_interleaving(seed, steps)?;
-    }
+/// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different cases
+/// per seed.
+#[test]
+fn executor_agrees_with_naive_evaluator() {
+    let salt = std::env::var("CHAOS_SEED").unwrap_or_default();
+    proptest::run_prop_test(
+        &format!("executor_agrees_with_naive_evaluator/{salt}"),
+        &ProptestConfig::with_cases(64),
+        (any::<u64>(), 40usize..90),
+        |(seed, steps)| run_interleaving(seed, steps).map(drop),
+    );
 }
 
 /// The generator above is only worth its name if it reaches the paths
@@ -865,7 +916,7 @@ proptest! {
 #[test]
 fn interleavings_reach_every_access_path_and_join_strategy() {
     let mut paths = [0u32; 5];
-    let mut shapes = [0u32; 3];
+    let mut shapes = [0u32; 5];
     for seed in 0..16 {
         let world = run_interleaving(seed, 80).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         for (total, n) in paths.iter_mut().zip(world.paths) {

@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sqlmini::column::Column;
 use sqlmini::schema::{ColumnDef, ColumnId, TableDef};
 use sqlmini::types::{Value, ValueType};
 
@@ -51,8 +52,8 @@ impl ColumnDist {
 enum ColumnSampler {
     None,
     Zipf(Zipf),
-    /// `cat_0..cat_{n-1}`.
-    Categories(Vec<Value>),
+    /// The dictionary codes of `cat_0..cat_{n-1}` in the column.
+    Categories(Vec<u32>),
 }
 
 /// Zipf sampler over `0..n` with exponent `s`, using the rejection-free
@@ -153,54 +154,54 @@ impl TableSpec {
         .with_primary_key(ColumnId(0))
     }
 
-    /// Generate all rows for this table, by column: `columns[c][i]` is
-    /// column `c` of row `i`, the layout the engine stores
-    /// (`Database::load_columns`), so no row is allocated on the way.
-    /// Values are drawn row by row, columns left to right.
-    pub fn generate_columns(&self, rng: &mut StdRng) -> Vec<Vec<Value>> {
-        // What a column's distribution needs built once, not once per row.
-        let samplers: Vec<ColumnSampler> = self
-            .columns
-            .iter()
-            .map(|c| match &c.dist {
+    /// Generate all rows for this table, by column: slot `i` of
+    /// `columns[c]` is column `c` of row `i`, stored by type as the engine
+    /// stores it (`Database::load_columns`), so no row and no `Value` is
+    /// kept on the way and the load takes the columns as they are. Values
+    /// are drawn row by row, columns left to right.
+    pub fn generate_columns(&self, rng: &mut StdRng) -> Vec<Column> {
+        let n = self.rows as usize;
+        let mut columns: Vec<Column> = (self.columns.iter())
+            .map(|c| Column::of_type(c.dist.value_type(), n))
+            .collect();
+        // What a column's distribution needs built once, not once per row;
+        // a category's string goes into its column's dictionary once.
+        let samplers: Vec<ColumnSampler> = (self.columns.iter().zip(&mut columns))
+            .map(|(c, column)| match &c.dist {
                 ColumnDist::ZipfInt { cardinality, s } => {
                     ColumnSampler::Zipf(Zipf::new(*cardinality, *s))
                 }
                 ColumnDist::Category { n } => ColumnSampler::Categories(
                     (0..(*n).max(1))
-                        .map(|k| Value::Str(format!("cat_{k}").into()))
+                        .map(|k| column.intern(format!("cat_{k}").into()))
                         .collect(),
                 ),
                 _ => ColumnSampler::None,
             })
             .collect();
-        let mut columns: Vec<Vec<Value>> = (self.columns.iter())
-            .map(|_| Vec::with_capacity(self.rows as usize))
-            .collect();
         for seq in 0..self.rows {
             for ci in 0..self.columns.len() {
-                let v = self.generate_value(ci, seq, rng, &samplers, &columns);
-                columns[ci].push(v);
+                self.generate_value(ci, seq, rng, &samplers, &mut columns);
             }
         }
         columns
     }
 
-    /// Column `ci` of row `seq`, drawn after the row's columns before it
-    /// (which `columns` already holds).
+    /// Draw column `ci` of row `seq` onto `columns[ci]`, after the row's
+    /// columns before it (which `columns` already holds).
     fn generate_value(
         &self,
         ci: usize,
         seq: u64,
         rng: &mut StdRng,
         samplers: &[ColumnSampler],
-        columns: &[Vec<Value>],
-    ) -> Value {
+        columns: &mut [Column],
+    ) {
         let c = &self.columns[ci];
         if c.null_frac > 0.0 && rng.random::<f64>() < c.null_frac {
-            return Value::Null;
+            return columns[ci].push(Value::Null);
         }
-        match &c.dist {
+        let v = match &c.dist {
             ColumnDist::Sequential => Value::Int(seq as i64),
             ColumnDist::UniformInt { cardinality } => {
                 Value::Int(rng.random_range(0..(*cardinality).max(1)) as i64)
@@ -210,10 +211,11 @@ impl TableSpec {
                 _ => unreachable!("sampler built"),
             },
             ColumnDist::UniformFloat { max } => Value::Float(rng.random::<f64>() * max),
-            // One shared string per category: a row takes a handle.
+            // One dictionary entry per category: a row takes its code.
             ColumnDist::Category { n } => match &samplers[ci] {
-                ColumnSampler::Categories(cats) => {
-                    cats[rng.random_range(0..(*n).max(1)) as usize].clone()
+                ColumnSampler::Categories(codes) => {
+                    let k = rng.random_range(0..(*n).max(1)) as usize;
+                    return columns[ci].push_code(codes[k]);
                 }
                 _ => unreachable!("sampler built"),
             },
@@ -222,8 +224,8 @@ impl TableSpec {
                 // (0 when that column comes at or after this one).
                 let base = columns
                     .get(column.0 as usize)
-                    .and_then(|col| col.get(seq as usize))
-                    .map(|v| v.as_f64())
+                    .filter(|col| col.len() > seq as usize)
+                    .map(|col| col.value(seq as usize).as_f64())
                     .unwrap_or(0.0);
                 Value::Int((base as i64) / (*divisor).max(1) as i64)
             }
@@ -232,7 +234,8 @@ impl TableSpec {
                 let u = rng.random::<f64>();
                 Value::Date((*days as f64 * u.sqrt()) as i32)
             }
-        }
+        };
+        columns[ci].push(v);
     }
 }
 
@@ -399,16 +402,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let cols = spec.generate_columns(&mut rng);
         assert!(cols.iter().all(|c| c.len() == 500));
-        for (i, (id, (base, derived))) in
-            cols[0].iter().zip(cols[1].iter().zip(&cols[2])).enumerate()
+        for (i, (id, (base, derived))) in cols[0]
+            .iter()
+            .zip(cols[1].iter().zip(cols[2].iter()))
+            .enumerate()
         {
-            assert_eq!(*id, Value::Int(i as i64));
+            assert_eq!(id, Value::Int(i as i64));
             // Perfect correlation.
             let base = match base {
                 Value::Int(v) => v,
                 _ => panic!(),
             };
-            assert_eq!(*derived, Value::Int(base / 10));
+            assert_eq!(derived, Value::Int(base / 10));
         }
     }
 

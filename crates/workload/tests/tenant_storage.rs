@@ -2,6 +2,7 @@
 //! put there: statistics are the stable sort's, and a bulk-built index is
 //! entry for entry the one row-by-row inserts would have made.
 
+use sqlmini::clock::Duration;
 use sqlmini::engine::ServiceTier;
 use sqlmini::index::SecondaryIndex;
 use sqlmini::stats::{ColumnStats, TableStats};
@@ -95,4 +96,81 @@ fn bulk_built_indexes_equal_insert_built_ones() {
         }
     }
     assert!(indexes >= 100, "{indexes} indexes");
+}
+
+/// The tenant shapes the repository benchmark drives (the tier presets
+/// of `benchmark/src/presets.rs`, its write-heavy Premium and its
+/// provably idle tenant), as `TenantConfig`s.
+fn benchmark_shapes(seed: u64) -> Vec<TenantConfig> {
+    let preset = |tier, tables: Option<(usize, usize)>, rows: (u64, u64), rate, writes| {
+        let mut cfg = TenantConfig::new(format!("b{seed}"), seed, tier);
+        if let Some((lo, hi)) = tables {
+            cfg.schema.min_tables = lo;
+            cfg.schema.max_tables = hi;
+        }
+        (cfg.schema.min_rows, cfg.schema.max_rows) = rows;
+        cfg.workload.base_rate_per_hour = rate;
+        cfg.workload.write_fraction = writes;
+        cfg
+    };
+    let basic = preset(ServiceTier::Basic, None, (1_000, 4_000), 50.0, 0.12);
+    let mut standard = preset(
+        ServiceTier::Standard,
+        Some((2, 4)),
+        (2_000, 10_000),
+        150.0,
+        0.12,
+    );
+    standard.db.cpu_noise_sigma = 0.25;
+    let premium = |rate, writes| {
+        let mut cfg = preset(
+            ServiceTier::Premium,
+            Some((3, 5)),
+            (5_000, 15_000),
+            rate,
+            writes,
+        );
+        cfg.workload.reads_per_table = 6;
+        cfg.db.cpu_noise_sigma = 0.20;
+        cfg
+    };
+    let mut idle = preset(ServiceTier::Basic, Some((1, 1)), (50, 100), 0.0, 0.0);
+    idle.workload.reads_per_table = 0;
+    idle.workload.with_joins = false;
+    idle.workload.with_report = false;
+    vec![
+        basic,
+        standard,
+        premium(250.0, 0.12),
+        premium(20.0, 0.5),
+        idle,
+    ]
+}
+
+/// The benchmark measures the typed path: a tenant of every shape it
+/// drives, generated and then run for six hours of its own statements,
+/// holds every column by type. A column falls back to per-value storage
+/// only when it receives values of two variants (or a NaN), so a
+/// generator or parameter change that did that would fail here before it
+/// moved the benchmark onto the slow path.
+#[test]
+fn benchmark_tenants_stay_on_typed_columns() {
+    let mut columns = 0;
+    for seed in [42, 7, 1234] {
+        for cfg in benchmark_shapes(seed) {
+            let mut tenant = generate_tenant(&cfg);
+            let summary =
+                (tenant.runner).run(&mut tenant.db, &tenant.model, Duration::from_hours(6));
+            assert_eq!(summary.errors, 0);
+            for (table, def) in tenant.db.catalog().tables() {
+                let heap = tenant.db.heap(table).expect("a table has a heap");
+                for (c, col) in def.columns.iter().enumerate() {
+                    let name = (&cfg.name, cfg.tier, &def.name, &col.name);
+                    assert!(!heap.column(c).is_per_value(), "{name:?} went per value");
+                    columns += 1;
+                }
+            }
+        }
+    }
+    assert!(columns > 100, "{columns} columns");
 }
