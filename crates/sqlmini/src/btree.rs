@@ -10,71 +10,148 @@
 //!
 //! An entry is `width` values — the index's key values, then its included
 //! values — and a row id. Entries order (and compare equal) by their first
-//! `key_len` values, then the row id, so duplicate index keys are
-//! supported and the included values are cargo. A node holds its entries
-//! flat, as the page it models does: one run of values, `width` to an
-//! entry, and beside it one run of row ids. An entry costs no allocation of
-//! its own.
+//! `key_len` values under `Value`'s order, then the row id, so duplicate
+//! index keys are supported and the included values are cargo.
+//!
+//! A node holds its entries column-major, as a heap holds its rows: one
+//! typed run ([`crate::column`]) per column — `i64`, `f64`, `i32`, packed
+//! bits or `u32` string codes, a null bitmap beside each — and one run of
+//! row ids. A leaf has a run for every column, an internal node one for
+//! each key column of its separators. The representation belongs to the
+//! tree's column, not to the node: the first value that is not NULL fixes
+//! it in every node, and a value that does not fit it (another variant, or
+//! a NaN) moves that column to one `Value` a slot in every node, for good,
+//! every value kept exactly as written. A string column's codes index one
+//! dictionary for the whole tree, so a code names the same string in every
+//! leaf. A lookup's key — a seek's prefix and bounds, a maintenance key —
+//! is compiled once against the columns' representations into a
+//! `Probe`, which orders stored entries exactly as `Value::cmp` and the
+//! row id would, without building a `Value`.
 
+use crate::column::{Column, Dict, Operand, Rep, Typed};
 use crate::heap::RowId;
 use crate::types::Value;
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::ops::Bound;
+use std::ops::{Bound, Range};
 
 /// Index of a node in the tree's arena.
 type NodeId = usize;
 
 const NO_NODE: NodeId = usize::MAX;
 
-/// An entry's ordering key, or a bound on one: key values and a row id.
-/// The values may be a prefix of the key columns; a prefix orders before
-/// every key that extends it.
-pub type Probe<'a> = (&'a [Value], RowId);
+/// An entry's ordering key, or a bound on one, as values: key values and a
+/// row id. The values may be a prefix of the key columns; a prefix orders
+/// before every key that extends it.
+pub type Key<'a> = (&'a [Value], RowId);
 
-fn cmp_key(a: Probe<'_>, b: Probe<'_>) -> Ordering {
+/// `a` against `b` as the tree orders keys.
+fn cmp_key(a: Key<'_>, b: Key<'_>) -> Ordering {
     a.0.cmp(b.0).then(a.1.cmp(&b.1))
 }
 
-/// Entries stored flat: `vals` holds a fixed number of values per entry
-/// (the stride, which the tree passes in), `rids` one row id per entry.
-/// A leaf's stride is the tree's `width`; an internal node's separators
-/// keep only the ordering values, stride `key_len`.
-#[derive(Debug, Clone, Default)]
-struct Run {
-    vals: Vec<Value>,
+/// One column of the tree: the representation every node holds it in,
+/// and the dictionary its string codes index.
+#[derive(Debug, Clone)]
+struct Col {
+    rep: Rep,
+    dict: Dict,
+}
+
+/// A key compiled against the tree's key columns ([`BTree::probe`]):
+/// stored entries order against it exactly as their key values and row
+/// id order against its values and row id ([`Key`]).
+pub(crate) struct Probe<'v> {
+    ops: Vec<Operand<'v>>,
+    /// Whether `ops` covers every key column; if not, the row id is not
+    /// compared and an entry that matches the prefix orders after it.
+    whole: bool,
+    rid: RowId,
+}
+
+impl<'v> Probe<'v> {
+    /// Number of key values.
+    pub(crate) fn len(&self) -> usize {
+        self.ops.len()
+    }
+
+    /// The operand for key column `j`.
+    pub(crate) fn op(&self, j: usize) -> &Operand<'v> {
+        &self.ops[j]
+    }
+}
+
+/// Entries stored column-major: one typed run per column (all of a leaf's
+/// columns; an internal node's key columns), one row id per entry.
+#[derive(Debug, Clone)]
+pub(crate) struct Run {
+    cols: Vec<Typed>,
     rids: Vec<RowId>,
 }
 
 impl Run {
-    fn with_capacity(entries: usize, w: usize) -> Run {
+    /// An empty run of the columns `cols`, with room for `capacity`
+    /// entries.
+    fn new(cols: &[Col], capacity: usize) -> Run {
         Run {
-            vals: Vec::with_capacity(entries * w),
-            rids: Vec::with_capacity(entries),
+            cols: cols.iter().map(|c| Typed::new(c.rep, capacity)).collect(),
+            rids: Vec::with_capacity(capacity),
         }
     }
 
-    fn len(&self) -> usize {
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
         self.rids.len()
     }
 
-    /// Entry `i`'s values.
-    fn values(&self, i: usize, w: usize) -> &[Value] {
-        &self.vals[i * w..(i + 1) * w]
+    /// Number of columns.
+    #[inline]
+    pub(crate) fn width(&self) -> usize {
+        self.cols.len()
     }
 
-    /// Entry `i`'s ordering key: its first `k` values and its row id.
-    fn key(&self, i: usize, w: usize, k: usize) -> Probe<'_> {
-        (&self.vals[i * w..i * w + k], self.rids[i])
+    /// Entry `i`'s row id.
+    #[inline]
+    pub(crate) fn rid(&self, i: usize) -> RowId {
+        self.rids[i]
+    }
+
+    /// Column `j`'s run.
+    #[inline]
+    pub(crate) fn col(&self, j: usize) -> &Typed {
+        &self.cols[j]
+    }
+
+    /// Entry `i`'s first `n` values.
+    fn values(&self, i: usize, n: usize, cols: &[Col]) -> Vec<Value> {
+        (0..n)
+            .map(|j| self.cols[j].value(i, &cols[j].dict))
+            .collect()
+    }
+
+    /// How entry `i`'s key orders against `probe`.
+    #[inline]
+    fn cmp(&self, i: usize, probe: &Probe, cols: &[Col]) -> Ordering {
+        for (j, op) in probe.ops.iter().enumerate() {
+            let o = self.cols[j].cmp_at(i, op, &cols[j].dict);
+            if o != Ordering::Equal {
+                return o;
+            }
+        }
+        if probe.whole {
+            self.rids[i].cmp(&probe.rid)
+        } else {
+            Ordering::Greater
+        }
     }
 
     /// `Ok(i)` if entry `i`'s key equals `probe`, else `Err` of where
     /// `probe` would go.
-    fn search(&self, w: usize, k: usize, probe: Probe<'_>) -> Result<usize, usize> {
+    fn search(&self, probe: &Probe, cols: &[Col]) -> Result<usize, usize> {
         let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match cmp_key(self.key(mid, w, k), probe) {
+            match self.cmp(mid, probe, cols) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Ok(mid),
@@ -85,63 +162,110 @@ impl Run {
 
     /// Where a descent for `probe` goes: past every separator not
     /// greater than it.
-    fn child_for(&self, k: usize, probe: Probe<'_>) -> usize {
-        match self.search(k, k, probe) {
+    fn child_for(&self, probe: &Probe, cols: &[Col]) -> usize {
+        match self.search(probe, cols) {
             Ok(i) => i + 1,
             Err(i) => i,
         }
     }
 
-    fn insert<I>(&mut self, i: usize, w: usize, vals: I, rid: RowId)
-    where
-        I: IntoIterator<Item = Value>,
-        I::IntoIter: ExactSizeIterator,
-    {
-        self.vals.splice(i * w..i * w, vals);
+    /// Insert the entry `entry(j)` for each column `j` at position `i`;
+    /// every value fits its column.
+    fn insert<'v>(
+        &mut self,
+        i: usize,
+        entry: &dyn Fn(usize) -> &'v Value,
+        rid: RowId,
+        cols: &mut [Col],
+    ) {
+        for (j, run) in self.cols.iter_mut().enumerate() {
+            run.insert(i, entry(j), &mut cols[j].dict);
+        }
         self.rids.insert(i, rid);
     }
 
-    fn remove(&mut self, i: usize, w: usize) {
-        self.vals.drain(i * w..(i + 1) * w);
+    /// Write the entry `entry(j)` over entry `i`.
+    fn set<'v>(
+        &mut self,
+        i: usize,
+        entry: &dyn Fn(usize) -> &'v Value,
+        rid: RowId,
+        cols: &mut [Col],
+    ) {
+        for (j, run) in self.cols.iter_mut().enumerate() {
+            run.set(i, entry(j), &mut cols[j].dict);
+        }
+        self.rids[i] = rid;
+    }
+
+    fn remove(&mut self, i: usize) {
+        self.cols.iter_mut().for_each(|c| c.remove(i));
         self.rids.remove(i);
     }
 
-    /// Overwrite entry `i`'s key (stride `k`) with a copy of `key`.
-    fn set_key(&mut self, i: usize, k: usize, key: Probe<'_>) {
-        self.vals[i * k..(i + 1) * k].clone_from_slice(key.0);
-        self.rids[i] = key.1;
+    /// Insert a copy of entry `j` of `src` — as many of its columns as
+    /// this run has — at position `i`.
+    fn insert_from(&mut self, i: usize, src: &Run, j: usize) {
+        for (run, from) in self.cols.iter_mut().zip(&src.cols) {
+            run.insert_from(i, from, j);
+        }
+        self.rids.insert(i, src.rids[j]);
     }
 
-    /// Append a copy of `key` (stride `k`).
-    fn push_key(&mut self, key: Probe<'_>) {
-        self.vals.extend_from_slice(key.0);
-        self.rids.push(key.1);
+    fn push_from(&mut self, src: &Run, j: usize) {
+        self.insert_from(self.len(), src, j);
+    }
+
+    /// Overwrite entry `i` with a copy of entry `j` of `src`, as for
+    /// [`insert_from`](Self::insert_from).
+    fn set_from(&mut self, i: usize, src: &Run, j: usize) {
+        for (run, from) in self.cols.iter_mut().zip(&src.cols) {
+            run.set_from(i, from, j);
+        }
+        self.rids[i] = src.rids[j];
+    }
+
+    /// Entry `i`'s first `k` columns, as a run of one entry: a separator.
+    fn key_of(&self, i: usize, k: usize) -> Run {
+        let mut key = Run {
+            cols: (self.cols[..k].iter())
+                .map(|c| Typed::new(c.rep(), 1))
+                .collect(),
+            rids: Vec::with_capacity(1),
+        };
+        key.push_from(self, i);
+        key
     }
 
     /// Entries `at..` moved into a new run with room for `cap` entries.
-    fn split_off(&mut self, at: usize, w: usize, cap: usize) -> Run {
-        let mut right = Run::with_capacity(cap, w);
-        right.vals.extend(self.vals.drain(at * w..));
-        right.rids.extend(self.rids.drain(at..));
-        right
+    fn split_off(&mut self, at: usize, cap: usize) -> Run {
+        let mut rids = Vec::with_capacity(cap);
+        rids.extend(self.rids.drain(at..));
+        Run {
+            cols: self.cols.iter_mut().map(|c| c.split_off(at, cap)).collect(),
+            rids,
+        }
     }
 
     fn append(&mut self, other: &mut Run) {
-        self.vals.append(&mut other.vals);
+        for (run, o) in self.cols.iter_mut().zip(&mut other.cols) {
+            run.append(o);
+        }
         self.rids.append(&mut other.rids);
     }
 
     /// Move entry `i` of `self` to position `j` of `to`.
-    fn move_entry(&mut self, i: usize, w: usize, to: &mut Run, j: usize) {
-        to.vals
-            .splice(j * w..j * w, self.vals.drain(i * w..(i + 1) * w));
-        to.rids.insert(j, self.rids.remove(i));
+    fn move_entry(&mut self, i: usize, to: &mut Run, j: usize) {
+        to.insert_from(j, self, i);
+        self.remove(i);
     }
 
-    /// Exchange entry `i` of `self` with entry `j` of `other`.
-    fn swap_entry(&mut self, i: usize, w: usize, other: &mut Run, j: usize) {
-        self.vals[i * w..(i + 1) * w].swap_with_slice(&mut other.vals[j * w..(j + 1) * w]);
-        std::mem::swap(&mut self.rids[i], &mut other.rids[j]);
+    /// Exchange entry `i` of `self` with entry `j` of `other`, two runs of
+    /// the same columns.
+    fn swap_entry(&mut self, i: usize, other: &mut Run, j: usize) {
+        let mine = self.key_of(i, self.cols.len());
+        self.set_from(i, other, j);
+        other.set_from(j, &mine, 0);
     }
 }
 
@@ -152,12 +276,12 @@ enum Node {
         /// than every key under the former, no greater than any under the
         /// latter. A bulk build or a split sets it to the smallest key of
         /// the right subtree; a later `remove` of that key leaves it stale
-        /// but still dividing. Stride `key_len`.
+        /// but still dividing. The key columns only.
         keys: Run,
         children: Vec<NodeId>,
     },
     Leaf {
-        /// Stride `width`.
+        /// Every column.
         entries: Run,
         next: NodeId,
         prev: NodeId,
@@ -179,8 +303,8 @@ pub struct BTree {
     len: usize,
     fanout: usize,
     height: usize,
-    /// Values per entry: the key values, then the included values.
-    width: usize,
+    /// An entry's columns: the key columns, then the included columns.
+    cols: Vec<Col>,
     /// How many of an entry's values order it.
     key_len: usize,
     /// Logical node visits by read operations; interior mutability because
@@ -194,31 +318,80 @@ impl BTree {
     /// Create an empty tree with the given maximum node fanout (>= 4) for
     /// entries of `width` values, the first `key_len` of which order them.
     pub fn new(fanout: usize, width: usize, key_len: usize) -> BTree {
+        let cols = (0..width)
+            .map(|_| Col {
+                rep: Rep::Nulls,
+                dict: Dict::default(),
+            })
+            .collect();
+        BTree::with_cols(fanout, cols, key_len)
+    }
+
+    fn with_cols(fanout: usize, cols: Vec<Col>, key_len: usize) -> BTree {
         assert!(fanout >= 4, "fanout must be at least 4");
-        assert!(key_len <= width, "more key values than values");
-        let mut t = BTree {
-            arena: Vec::new(),
-            root: NO_NODE,
+        assert!(key_len <= cols.len(), "more key values than values");
+        let root = Node::Leaf {
+            entries: Run::new(&cols, 0),
+            next: NO_NODE,
+            prev: NO_NODE,
+        };
+        BTree {
+            arena: vec![root],
+            root: 0,
             free_head: NO_NODE,
             len: 0,
             fanout,
             height: 1,
-            width,
+            cols,
             key_len,
             read_visits: Cell::new(0),
             write_visits: 0,
-        };
-        t.root = t.alloc(Node::Leaf {
-            entries: Run::default(),
-            next: NO_NODE,
-            prev: NO_NODE,
-        });
-        t
+        }
     }
 
     /// Build a tree bottom-up from `entries` — each its `width` values and
-    /// its row id — which must already be in strictly rising key order:
-    /// leaves are written left to right and linked both ways, then each
+    /// its row id — which must already be in strictly rising key order.
+    /// The values are laid into columns first, each column taking the
+    /// representation its values call for, then the tree is written as
+    /// `from_columns` writes it. The engine builds through
+    /// `from_columns`; this form serves tests and models.
+    pub fn from_sorted<E: IntoIterator<Item = Value>>(
+        fanout: usize,
+        fill: f64,
+        width: usize,
+        key_len: usize,
+        entries: impl ExactSizeIterator<Item = (E, RowId)>,
+    ) -> BTree {
+        let mut columns = vec![Column::new(); width];
+        let mut rids = Vec::with_capacity(entries.len());
+        for (vals, rid) in entries {
+            let mut vals = vals.into_iter();
+            for col in &mut columns {
+                let v = vals.next();
+                col.push(v.unwrap_or_else(|| panic!("from_sorted: {width} values an entry")));
+            }
+            assert!(
+                vals.next().is_none(),
+                "from_sorted: {width} values an entry"
+            );
+            rids.push(rid);
+        }
+        let sources: Vec<&Column> = columns.iter().collect();
+        let order: Vec<u32> = (0..rids.len() as u32).collect();
+        BTree::from_columns(fanout, fill, key_len, &sources, &order, |i| {
+            rids[i as usize]
+        })
+    }
+
+    /// Build a tree bottom-up whose `i`-th entry is slot `order[i]` of
+    /// every column of `sources` (its key columns, then its included
+    /// columns) with row id `rid(order[i])`; the entries must already be
+    /// in strictly rising key order. Each tree column takes its source's
+    /// representation and shares its dictionary, and every leaf copies
+    /// its slots of a column in one gather: no `Value` is built for a
+    /// typed column.
+    ///
+    /// Leaves are written left to right and linked both ways, then each
     /// internal level from the smallest keys of the level below, every
     /// node `fill × fanout` full (rounded up, and evened out so that no
     /// node is left under half full). No entry is compared against another
@@ -232,16 +405,26 @@ impl BTree {
     /// for nodes at `fill` is therefore cut into fewer, fuller ones, and
     /// entries too few for two half-full leaves make one root leaf
     /// whatever `fill` says.
-    pub fn from_sorted<E: IntoIterator<Item = Value>>(
+    pub(crate) fn from_columns(
         fanout: usize,
         fill: f64,
-        width: usize,
         key_len: usize,
-        mut entries: impl ExactSizeIterator<Item = (E, RowId)>,
+        sources: &[&Column],
+        order: &[u32],
+        rid: impl Fn(u32) -> RowId,
     ) -> BTree {
-        let mut t = BTree::new(fanout, width, key_len);
-        let (w, k) = (width, key_len);
-        let n = entries.len();
+        let cols = (sources.iter())
+            .map(|c| {
+                let (vals, dict) = c.parts();
+                Col {
+                    rep: vals.rep(),
+                    dict: dict.clone(),
+                }
+            })
+            .collect();
+        let mut t = BTree::with_cols(fanout, cols, key_len);
+        let k = key_len;
+        let n = order.len();
         if n == 0 {
             return t;
         }
@@ -258,58 +441,55 @@ impl BTree {
         t.len = n;
         // One level at a time: the smallest key under each node, and the
         // node.
-        let mut firsts = Run::default();
+        let mut firsts = Run::new(&t.cols[..k], 0);
         let mut ids: Vec<NodeId> = Vec::new();
+        let mut at = 0;
         for size in spread(n) {
             // A leaf is allocated as the page it models, room for `fanout`
             // entries: the maintenance inserts the fill leaves room for
             // then never move it.
-            let mut leaf = Run::with_capacity(fanout, w);
-            for (vals, rid) in entries.by_ref().take(size) {
-                leaf.vals.extend(vals);
-                leaf.rids.push(rid);
+            let slots = &order[at..at + size];
+            let mut leaf = Run::new(&t.cols, fanout);
+            for (run, src) in leaf.cols.iter_mut().zip(sources) {
+                run.extend_from(src.parts().0, slots);
             }
-            assert_eq!(
-                leaf.vals.len(),
-                size * w,
-                "from_sorted: {w} values an entry"
-            );
+            leaf.rids.extend(slots.iter().map(|&s| rid(s)));
             debug_assert!(
                 {
+                    let key = |run: &Run, i| (run.values(i, k, &t.cols), run.rids[i]);
                     let last_before = match t.arena.last() {
-                        Some(Node::Leaf { entries, .. }) => {
-                            Some(entries.key(entries.len() - 1, w, k))
-                        }
+                        Some(Node::Leaf { entries, .. }) => Some(key(entries, entries.len() - 1)),
                         _ => None,
                     };
-                    let keys = (0..size).map(|i| leaf.key(i, w, k));
-                    let keys = last_before.into_iter().chain(keys);
-                    keys.is_sorted_by(|a, b| cmp_key(*a, *b).is_lt())
+                    let keys = last_before
+                        .into_iter()
+                        .chain((0..size).map(|i| key(&leaf, i)));
+                    let keys: Vec<_> = keys.collect();
+                    keys.is_sorted_by(|a, b| cmp_key((&a.0, a.1), (&b.0, b.1)).is_lt())
                 },
                 "from_sorted: keys must be strictly rising"
             );
             let id = t.arena.len();
-            firsts.push_key(leaf.key(0, w, k));
+            firsts.push_from(&leaf, 0);
             ids.push(id);
             t.arena.push(Node::Leaf {
                 entries: leaf,
                 next: id + 1,
                 prev: if id == 0 { NO_NODE } else { id - 1 },
             });
+            at += size;
         }
         if let Some(Node::Leaf { next, .. }) = t.arena.last_mut() {
             *next = NO_NODE;
         }
         while ids.len() > 1 {
-            let mut above = Run::default();
+            let mut above = Run::new(&t.cols[..k], 0);
             let mut above_ids = Vec::new();
             let mut at = 0;
             for size in spread(ids.len()) {
-                let keys = Run {
-                    vals: firsts.vals[(at + 1) * k..(at + size) * k].to_vec(),
-                    rids: firsts.rids[at + 1..at + size].to_vec(),
-                };
-                above.push_key(firsts.key(at, k, k));
+                let mut keys = Run::new(&t.cols[..k], size - 1);
+                (at + 1..at + size).for_each(|i| keys.push_from(&firsts, i));
+                above.push_from(&firsts, at);
                 above_ids.push(t.arena.len());
                 t.arena.push(Node::Internal {
                     keys,
@@ -332,7 +512,7 @@ impl BTree {
 
     /// Values per entry.
     pub fn width(&self) -> usize {
-        self.width
+        self.cols.len()
     }
 
     /// How many of an entry's values order it.
@@ -352,6 +532,22 @@ impl BTree {
     /// Height of the tree (1 for a lone leaf).
     pub fn height(&self) -> usize {
         self.height
+    }
+
+    /// Whether column `j` holds one `Value` a slot: it received values of
+    /// more than one variant, or a NaN.
+    pub fn is_per_value(&self, j: usize) -> bool {
+        self.cols[j].rep == Rep::Values
+    }
+
+    /// Column `j`'s representation.
+    pub(crate) fn rep(&self, j: usize) -> Rep {
+        self.cols[j].rep
+    }
+
+    /// The dictionary column `j`'s string codes index.
+    pub(crate) fn dict(&self, j: usize) -> &Dict {
+        &self.cols[j].dict
     }
 
     /// Number of live (non-free) nodes — the tree's "page count".
@@ -404,51 +600,111 @@ impl BTree {
         self.read_visits.set(self.read_visits.get() + 1);
     }
 
+    /// `key` (at most `key_len` values) and `rid`, compiled against the
+    /// key columns' representations. The operands borrow the values.
+    pub(crate) fn probe<'v>(
+        &self,
+        key: impl IntoIterator<Item = &'v Value>,
+        rid: RowId,
+    ) -> Probe<'v> {
+        let ops: Vec<Operand> = (key.into_iter().zip(&self.cols))
+            .map(|(v, c)| Operand::new(c.rep, &c.dict, v))
+            .collect();
+        debug_assert!(
+            ops.len() <= self.key_len,
+            "a key longer than the key columns"
+        );
+        Probe {
+            whole: ops.len() == self.key_len,
+            ops,
+            rid,
+        }
+    }
+
+    /// `probe` with `v` after its values, as the next key column's.
+    pub(crate) fn probe_then<'v>(&self, mut probe: Probe<'v>, v: &'v Value) -> Probe<'v> {
+        let c = &self.cols[probe.ops.len()];
+        probe.ops.push(Operand::new(c.rep, &c.dict, v));
+        probe.whole = probe.ops.len() == self.key_len;
+        probe
+    }
+
+    /// How entry `i` of `run`, a leaf of this tree, orders against
+    /// operand `op` (compiled for key column `j`) in column `j`.
+    pub(crate) fn cmp_col(&self, run: &Run, i: usize, j: usize, op: &Operand) -> Ordering {
+        run.cols[j].cmp_at(i, op, &self.cols[j].dict)
+    }
+
     /// The values of the entry whose key is `key`. Counts one read visit
-    /// per level descended.
-    pub fn get(&self, key: &[Value], rid: RowId) -> Option<&[Value]> {
-        let leaf = self.descend_to_leaf((key, rid));
+    /// per level descended. The engine reads the tree only through
+    /// [`SecondaryIndex::seek_visit`](crate::index::SecondaryIndex::seek_visit);
+    /// `get`, [`range`](Self::range) and [`iter`](Self::iter) serve tests
+    /// and models.
+    pub fn get(&self, key: &[Value], rid: RowId) -> Option<Vec<Value>> {
+        let probe = self.probe(key, rid);
+        let leaf = self.descend_to_leaf(&probe);
         match &self.arena[leaf] {
-            Node::Leaf { entries, .. } => entries
-                .search(self.width, self.key_len, (key, rid))
-                .ok()
-                .map(|i| entries.values(i, self.width)),
+            Node::Leaf { entries, .. } => (entries.search(&probe, &self.cols).ok())
+                .map(|i| entries.values(i, self.width(), &self.cols)),
             _ => unreachable!("descend_to_leaf returned non-leaf"),
         }
     }
 
-    fn descend_to_leaf(&self, probe: Probe<'_>) -> NodeId {
+    fn descend_to_leaf(&self, probe: &Probe) -> NodeId {
         let mut node = self.root;
         loop {
             self.bump_read();
             match &self.arena[node] {
                 Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
-                    node = children[keys.child_for(self.key_len, probe)];
+                    node = children[keys.child_for(probe, &self.cols)];
                 }
                 Node::Free { .. } => unreachable!("descended into freed node"),
             }
         }
     }
 
-    /// Insert an entry: `width` values, the first `key_len` of which order
-    /// it with `rid`. An entry whose key is already present is overwritten,
-    /// included values too, and its old values are returned. Counts one
-    /// write visit per node touched.
-    pub fn insert(&mut self, entry: Vec<Value>, rid: RowId) -> Option<Vec<Value>> {
-        assert_eq!(entry.len(), self.width, "an entry is {} values", self.width);
+    /// Move column `j` to representation `to` in every node.
+    fn widen(&mut self, j: usize, to: Rep) {
+        let dict = &self.cols[j].dict;
+        for node in &mut self.arena {
+            match node {
+                Node::Leaf { entries: run, .. } => run.cols[j].widen(to, dict),
+                Node::Internal { keys: run, .. } if j < self.key_len => run.cols[j].widen(to, dict),
+                _ => {}
+            }
+        }
+        self.cols[j].rep = to;
+    }
+
+    /// Insert an entry: `entry(j)` for each of the `width` columns, the
+    /// first `key_len` of which order it with `rid`. A column the value
+    /// does not fit moves to the representation that holds it first. An
+    /// entry whose key is already present is overwritten, included values
+    /// too, and its old values are returned. Counts one write visit per
+    /// node touched.
+    pub fn insert<'v>(
+        &mut self,
+        entry: impl Fn(usize) -> &'v Value,
+        rid: RowId,
+    ) -> Option<Vec<Value>> {
+        for j in 0..self.width() {
+            let to = self.cols[j].rep.after(entry(j));
+            if to != self.cols[j].rep {
+                self.widen(j, to);
+            }
+        }
+        let probe = self.probe((0..self.key_len).map(&entry), rid);
         let root = self.root;
-        match self.insert_rec(root, entry, rid) {
+        match self.insert_rec(root, &probe, &entry, rid) {
             InsertResult::Replaced(old) => Some(old),
             InsertResult::Inserted => {
                 self.len += 1;
                 None
             }
-            InsertResult::Split(sep, right) => {
+            InsertResult::Split(keys, right) => {
                 // Grow the tree by one level.
                 let old_root = self.root;
-                let mut keys = Run::with_capacity(1, self.key_len);
-                keys.push_key((&sep.0, sep.1));
                 self.root = self.alloc(Node::Internal {
                     keys,
                     children: vec![old_root, right],
@@ -460,23 +716,29 @@ impl BTree {
         }
     }
 
-    fn insert_rec(&mut self, node: NodeId, mut entry: Vec<Value>, rid: RowId) -> InsertResult {
+    fn insert_rec<'v>(
+        &mut self,
+        node: NodeId,
+        probe: &Probe,
+        entry: &dyn Fn(usize) -> &'v Value,
+        rid: RowId,
+    ) -> InsertResult {
         self.write_visits += 1;
-        let (w, k) = (self.width, self.key_len);
+        let (fanout, cols) = (self.fanout, &mut self.cols);
         match &mut self.arena[node] {
             Node::Leaf { entries, .. } => {
-                match entries.search(w, k, (&entry[..k], rid)) {
+                match entries.search(probe, cols) {
                     Ok(i) => {
                         // The new entry replaces the stored one whole: keys
                         // that compare equal may still differ in what they
                         // carry (an index entry's included values).
-                        entries.vals[i * w..(i + 1) * w].swap_with_slice(&mut entry);
-                        entries.rids[i] = rid;
-                        return InsertResult::Replaced(entry);
+                        let old = entries.values(i, cols.len(), cols);
+                        entries.set(i, entry, rid, cols);
+                        return InsertResult::Replaced(old);
                     }
-                    Err(i) => entries.insert(i, w, entry, rid),
+                    Err(i) => entries.insert(i, entry, rid, cols),
                 }
-                if entries.len() >= self.fanout {
+                if entries.len() >= fanout {
                     let (sep, right) = self.split_leaf(node);
                     InsertResult::Split(sep, right)
                 } else {
@@ -484,14 +746,14 @@ impl BTree {
                 }
             }
             Node::Internal { keys, children } => {
-                let idx = keys.child_for(k, (&entry[..k], rid));
+                let idx = keys.child_for(probe, cols);
                 let child = children[idx];
-                match self.insert_rec(child, entry, rid) {
+                match self.insert_rec(child, probe, entry, rid) {
                     InsertResult::Split(sep, right) => {
                         if let Node::Internal { keys, children } = &mut self.arena[node] {
-                            keys.insert(idx, k, sep.0, sep.1);
+                            keys.insert_from(idx, &sep, 0);
                             children.insert(idx + 1, right);
-                            if keys.len() >= self.fanout {
+                            if keys.len() >= fanout {
                                 let (sep, right) = self.split_internal(node);
                                 return InsertResult::Split(sep, right);
                             }
@@ -505,17 +767,16 @@ impl BTree {
         }
     }
 
-    fn split_leaf(&mut self, node: NodeId) -> (Separator, NodeId) {
-        let (w, k, fanout) = (self.width, self.key_len, self.fanout);
+    fn split_leaf(&mut self, node: NodeId) -> (Run, NodeId) {
+        let (k, fanout) = (self.key_len, self.fanout);
         let (right_entries, old_next) = match &mut self.arena[node] {
             Node::Leaf { entries, next, .. } => {
                 let mid = entries.len() / 2;
-                (entries.split_off(mid, w, fanout), *next)
+                (entries.split_off(mid, fanout), *next)
             }
             _ => unreachable!(),
         };
-        let (sep_vals, sep_rid) = right_entries.key(0, w, k);
-        let sep = (sep_vals.to_vec(), sep_rid);
+        let sep = right_entries.key_of(0, k);
         let right = self.alloc(Node::Leaf {
             entries: right_entries,
             next: old_next,
@@ -532,16 +793,15 @@ impl BTree {
         (sep, right)
     }
 
-    fn split_internal(&mut self, node: NodeId) -> (Separator, NodeId) {
-        let k = self.key_len;
+    fn split_internal(&mut self, node: NodeId) -> (Run, NodeId) {
         let (sep, right_keys, right_children) = match &mut self.arena[node] {
             Node::Internal { keys, children } => {
                 let mid = keys.len() / 2;
-                let right_keys = keys.split_off(mid + 1, k, keys.len() - mid - 1);
+                let right_keys = keys.split_off(mid + 1, keys.len() - mid - 1);
                 // The middle key moves up; it leaves the left node.
-                let sep = keys.split_off(mid, k, 1);
+                let sep = keys.split_off(mid, 1);
                 let right_children = children.split_off(mid + 1);
-                ((sep.vals, sep.rids[0]), right_keys, right_children)
+                (sep, right_keys, right_children)
             }
             _ => unreachable!(),
         };
@@ -555,8 +815,9 @@ impl BTree {
     /// Remove the entry whose key is `key`; whether there was one.
     /// Rebalances the tree by borrowing from or merging with siblings.
     pub fn remove(&mut self, key: &[Value], rid: RowId) -> bool {
+        let probe = self.probe(key, rid);
         let root = self.root;
-        let removed = self.remove_rec(root, (key, rid));
+        let removed = self.remove_rec(root, &probe);
         if removed {
             self.len -= 1;
             // Shrink the root if it became a pass-through internal node.
@@ -574,19 +835,18 @@ impl BTree {
         removed
     }
 
-    fn remove_rec(&mut self, node: NodeId, probe: Probe<'_>) -> bool {
+    fn remove_rec(&mut self, node: NodeId, probe: &Probe) -> bool {
         self.write_visits += 1;
-        let (w, k) = (self.width, self.key_len);
         match &mut self.arena[node] {
-            Node::Leaf { entries, .. } => match entries.search(w, k, probe) {
+            Node::Leaf { entries, .. } => match entries.search(probe, &self.cols) {
                 Ok(i) => {
-                    entries.remove(i, w);
+                    entries.remove(i);
                     true
                 }
                 Err(_) => false,
             },
             Node::Internal { keys, children } => {
-                let idx = keys.child_for(k, probe);
+                let idx = keys.child_for(probe, &self.cols);
                 let child = children[idx];
                 let removed = self.remove_rec(child, probe);
                 if removed {
@@ -653,7 +913,6 @@ impl BTree {
 
     fn borrow_from_left(&mut self, parent: NodeId, idx: usize, left: NodeId, child: NodeId) {
         self.write_visits += 2;
-        let (w, k) = (self.width, self.key_len);
         let mut l = self.take(left);
         let mut c = self.take(child);
         let Node::Internal { keys: sep, .. } = &mut self.arena[parent] else {
@@ -661,8 +920,8 @@ impl BTree {
         };
         match (&mut l, &mut c) {
             (Node::Leaf { entries: le, .. }, Node::Leaf { entries: ce, .. }) => {
-                le.move_entry(le.len() - 1, w, ce, 0);
-                sep.set_key(idx - 1, k, ce.key(0, w, k));
+                le.move_entry(le.len() - 1, ce, 0);
+                sep.set_from(idx - 1, ce, 0);
             }
             (
                 Node::Internal {
@@ -676,8 +935,8 @@ impl BTree {
             ) => {
                 // The left sibling's last key goes up, the separator down.
                 let last = lk.len() - 1;
-                lk.swap_entry(last, k, sep, idx - 1);
-                lk.move_entry(last, k, ck, 0);
+                lk.swap_entry(last, sep, idx - 1);
+                lk.move_entry(last, ck, 0);
                 cc.insert(0, lc.pop().expect("left non-empty"));
             }
             _ => unreachable!("sibling kind mismatch"),
@@ -688,7 +947,6 @@ impl BTree {
 
     fn borrow_from_right(&mut self, parent: NodeId, idx: usize, child: NodeId, right: NodeId) {
         self.write_visits += 2;
-        let (w, k) = (self.width, self.key_len);
         let mut c = self.take(child);
         let mut r = self.take(right);
         let Node::Internal { keys: sep, .. } = &mut self.arena[parent] else {
@@ -696,8 +954,8 @@ impl BTree {
         };
         match (&mut c, &mut r) {
             (Node::Leaf { entries: ce, .. }, Node::Leaf { entries: re, .. }) => {
-                re.move_entry(0, w, ce, ce.len());
-                sep.set_key(idx, k, re.key(0, w, k));
+                re.move_entry(0, ce, ce.len());
+                sep.set_from(idx, re, 0);
             }
             (
                 Node::Internal {
@@ -710,8 +968,8 @@ impl BTree {
                 },
             ) => {
                 // The right sibling's first key goes up, the separator down.
-                rk.swap_entry(0, k, sep, idx);
-                rk.move_entry(0, k, ck, ck.len());
+                rk.swap_entry(0, sep, idx);
+                rk.move_entry(0, ck, ck.len());
                 cc.push(rc.remove(0));
             }
             _ => unreachable!("sibling kind mismatch"),
@@ -724,7 +982,6 @@ impl BTree {
     /// `parent.keys[sep_idx]`.
     fn merge_children(&mut self, parent: NodeId, sep_idx: usize, left: NodeId, right: NodeId) {
         self.write_visits += 2;
-        let k = self.key_len;
         let mut l = self.take(left);
         let right_node = self.take(right);
         let Node::Internal {
@@ -744,7 +1001,7 @@ impl BTree {
                     ..
                 },
             ) => {
-                sep.remove(sep_idx, k);
+                sep.remove(sep_idx);
                 entries.append(&mut r_entries);
                 *next = r_next;
                 if let Some(Node::Leaf { prev, .. }) = self.arena.get_mut(r_next) {
@@ -759,7 +1016,7 @@ impl BTree {
                 },
             ) => {
                 // The separator comes down between the two key runs.
-                sep.move_entry(sep_idx, k, keys, keys.len());
+                sep.move_entry(sep_idx, keys, keys.len());
                 keys.append(&mut r_keys);
                 children.append(&mut r_children);
             }
@@ -769,18 +1026,25 @@ impl BTree {
         self.free(right);
     }
 
-    /// Iterate entries in key order over the given bounds, each as its
-    /// values and row id. Counts read visits for the descent and each leaf
-    /// traversed.
-    pub fn range<'k>(&self, lo: Bound<Probe<'_>>, hi: Bound<Probe<'k>>) -> RangeIter<'_, 'k> {
-        let (w, k) = (self.width, self.key_len);
-        let (leaf, pos) = match lo {
+    /// Hand the leaves to `f` in key order, from where a lower bound would
+    /// be found (the leftmost entry when it is unbounded): `f(run, pos)`
+    /// gets each leaf's entries and the first position to read — `pos` in
+    /// the first leaf, 0 after — and returns whether to go on to the next
+    /// leaf. Counts a read visit for each level of the descent and for
+    /// every step from a leaf to the next, the step off the last leaf
+    /// included.
+    pub(crate) fn walk<'a>(
+        &'a self,
+        from: Bound<&Probe>,
+        mut f: impl FnMut(&'a Run, usize) -> bool,
+    ) {
+        let (mut leaf, mut pos) = match from {
             Bound::Unbounded => (self.leftmost_leaf(), 0),
             Bound::Included(p) | Bound::Excluded(p) => {
                 let leaf = self.descend_to_leaf(p);
                 let pos = match &self.arena[leaf] {
-                    Node::Leaf { entries, .. } => match entries.search(w, k, p) {
-                        Ok(i) if matches!(lo, Bound::Excluded(_)) => i + 1,
+                    Node::Leaf { entries, .. } => match entries.search(p, &self.cols) {
+                        Ok(i) if matches!(from, Bound::Excluded(_)) => i + 1,
                         Ok(i) | Err(i) => i,
                     },
                     _ => unreachable!(),
@@ -788,16 +1052,48 @@ impl BTree {
                 (leaf, pos)
             }
         };
-        RangeIter {
-            tree: self,
-            leaf,
-            pos,
-            hi,
+        while leaf != NO_NODE {
+            let Node::Leaf { entries, next, .. } = &self.arena[leaf] else {
+                unreachable!("a walk reached a non-leaf")
+            };
+            if !f(entries, pos) {
+                return;
+            }
+            self.bump_read();
+            (leaf, pos) = (*next, 0);
         }
     }
 
-    /// Iterate all entries in key order.
-    pub fn iter(&self) -> RangeIter<'_, 'static> {
+    /// The entries in key order over the given bounds, each as its values
+    /// and row id, collected. Counts read visits as `walk` does. For tests
+    /// and models (see [`get`](Self::get)).
+    pub fn range<'k>(
+        &self,
+        lo: Bound<Key<'k>>,
+        hi: Bound<Key<'k>>,
+    ) -> std::vec::IntoIter<(Vec<Value>, RowId)> {
+        let probe = |(k, rid): Key<'k>| self.probe(k, rid);
+        let (from, to) = (lo.map(probe), hi.map(probe));
+        let mut out = Vec::new();
+        self.walk(from.as_ref(), |run, pos| {
+            for i in pos..run.len() {
+                let in_range = match &to {
+                    Bound::Unbounded => true,
+                    Bound::Included(p) => run.cmp(i, p, &self.cols) != Ordering::Greater,
+                    Bound::Excluded(p) => run.cmp(i, p, &self.cols) == Ordering::Less,
+                };
+                if !in_range {
+                    return false;
+                }
+                out.push((run.values(i, self.width(), &self.cols), run.rids[i]));
+            }
+            true
+        });
+        out.into_iter()
+    }
+
+    /// All entries in key order. For tests and models.
+    pub fn iter(&self) -> std::vec::IntoIter<(Vec<Value>, RowId)> {
         self.range(Bound::Unbounded, Bound::Unbounded)
     }
 
@@ -819,20 +1115,21 @@ impl BTree {
     /// children, an internal root at least two); order (keys strictly
     /// rising across the whole tree, every separator greater than all
     /// keys under its left child and no greater than any under its
-    /// right); shape (every leaf at depth `height`, every entry `width`
-    /// values, every separator `key_len`); leaf links (`next` from the
-    /// leftmost leaf visits exactly the leaves reachable from the root, in
-    /// order, and `prev` mirrors it); bookkeeping (`len` entries,
-    /// `node_count` nodes reachable, every other arena slot on the free
-    /// list).
+    /// right); shape (every leaf at depth `height`, a run per column in
+    /// every leaf and per key column in every internal node, each in its
+    /// column's representation, a value per entry, every string code in
+    /// its column's dictionary); leaf links (`next` from the leftmost leaf
+    /// visits exactly the leaves reachable from the root, in order, and
+    /// `prev` mirrors it); bookkeeping (`len` entries, `node_count` nodes
+    /// reachable, every other arena slot on the free list).
     pub fn check_invariants(&self) -> Result<(), String> {
-        let (w, k) = (self.width, self.key_len);
+        let k = self.key_len;
         let mut leaves = Vec::new();
         let mut internals = 0usize;
         self.check_subtree(self.root, 1, None, None, &mut leaves, &mut internals)?;
 
         let mut count = 0usize;
-        let mut last: Option<Probe<'_>> = None;
+        let mut last: Option<(Vec<Value>, RowId)> = None;
         let mut chain = Vec::with_capacity(leaves.len());
         let (mut leaf, mut prev_leaf) = (leaves[0], NO_NODE);
         while leaf != NO_NODE {
@@ -851,9 +1148,11 @@ impl BTree {
                 return Err(format!("leaf chain runs past the last leaf to {leaf}"));
             }
             for i in 0..entries.len() {
-                let key = entries.key(i, w, k);
-                if last.is_some_and(|l| cmp_key(l, key) != Ordering::Less) {
-                    return Err(format!("keys out of order at {key:?}"));
+                let key = (entries.values(i, k, &self.cols), entries.rids[i]);
+                if let Some(l) = &last {
+                    if cmp_key((&l.0, l.1), (&key.0, key.1)) != Ordering::Less {
+                        return Err(format!("keys out of order at {key:?}"));
+                    }
                 }
                 last = Some(key);
                 count += 1;
@@ -901,19 +1200,30 @@ impl BTree {
         Ok(())
     }
 
+    /// Whether `run` holds one run per column of `cols`, each in its
+    /// column's representation, well formed, a value per entry.
+    fn check_run(run: &Run, cols: &[Col]) -> bool {
+        run.cols.len() == cols.len()
+            && (run.cols.iter().zip(cols))
+                .all(|(t, c)| t.rep() == c.rep && t.len() == run.len() && t.is_well_formed(&c.dict))
+    }
+
     /// `check_invariants` below one node: every key in `lo ..< hi` (the
-    /// separators on the way down), occupancy, depth, stride. Appends the
+    /// separators on the way down), occupancy, depth, columns. Appends the
     /// leaves in key order.
     fn check_subtree(
         &self,
         node: NodeId,
         depth: usize,
-        lo: Option<Probe<'_>>,
-        hi: Option<Probe<'_>>,
+        lo: Option<&(Vec<Value>, RowId)>,
+        hi: Option<&(Vec<Value>, RowId)>,
         leaves: &mut Vec<NodeId>,
         internals: &mut usize,
     ) -> Result<(), String> {
-        let (w, k) = (self.width, self.key_len);
+        let k = self.key_len;
+        let key_of = |run: &Run, i: usize| (run.values(i, k, &self.cols), run.rids[i]);
+        let cmp =
+            |a: &(Vec<Value>, RowId), b: &(Vec<Value>, RowId)| cmp_key((&a.0, a.1), (&b.0, b.1));
         let is_root = node == self.root;
         let min = self.fanout / 2;
         match self.arena.get(node) {
@@ -925,9 +1235,8 @@ impl BTree {
                     ));
                 }
                 let n = entries.len();
-                if entries.vals.len() != n * w {
-                    let values = entries.vals.len();
-                    return Err(format!("leaf {node}: {values} values for {n} entries"));
+                if !BTree::check_run(entries, &self.cols) {
+                    return Err(format!("leaf {node}: columns do not hold {n} entries"));
                 }
                 if n >= self.fanout || (!is_root && n < min) {
                     return Err(format!(
@@ -936,11 +1245,11 @@ impl BTree {
                     ));
                 }
                 if n > 0 {
-                    let (first, last) = (entries.key(0, w, k), entries.key(n - 1, w, k));
-                    if lo.is_some_and(|lo| cmp_key(first, lo) == Ordering::Less) {
+                    let (first, last) = (key_of(entries, 0), key_of(entries, n - 1));
+                    if lo.is_some_and(|lo| cmp(&first, lo) == Ordering::Less) {
                         return Err(format!("leaf {node}: {first:?} under separator {lo:?}"));
                     }
-                    if hi.is_some_and(|hi| cmp_key(last, hi) != Ordering::Less) {
+                    if hi.is_some_and(|hi| cmp(&last, hi) != Ordering::Less) {
                         return Err(format!("leaf {node}: {last:?} not under separator {hi:?}"));
                     }
                 }
@@ -950,7 +1259,7 @@ impl BTree {
             Some(Node::Internal { keys, children }) => {
                 *internals += 1;
                 let n = children.len();
-                if n != keys.len() + 1 || keys.vals.len() != keys.len() * k {
+                if n != keys.len() + 1 || !BTree::check_run(keys, &self.cols[..k]) {
                     return Err(format!("node {node}: {} keys, {n} children", keys.len()));
                 }
                 if n > self.fanout || n < if is_root { 2 } else { min } {
@@ -962,19 +1271,12 @@ impl BTree {
                 if depth >= self.height {
                     return Err(format!("internal node {node} at leaf depth {depth}"));
                 }
+                let seps: Vec<_> = (0..keys.len()).map(|i| key_of(keys, i)).collect();
                 for (i, &child) in children.iter().enumerate() {
-                    let lo = if i == 0 {
-                        lo
-                    } else {
-                        Some(keys.key(i - 1, k, k))
-                    };
-                    let hi = if i < keys.len() {
-                        Some(keys.key(i, k, k))
-                    } else {
-                        hi
-                    };
+                    let lo = if i == 0 { lo } else { Some(&seps[i - 1]) };
+                    let hi = if i < seps.len() { Some(&seps[i]) } else { hi };
                     if let (Some(lo), Some(hi)) = (lo, hi) {
-                        if cmp_key(lo, hi) != Ordering::Less {
+                        if cmp(lo, hi) != Ordering::Less {
                             return Err(format!("node {node}: separators out of order at {hi:?}"));
                         }
                     }
@@ -987,58 +1289,47 @@ impl BTree {
     }
 }
 
-/// A separator on its way up from a split: key values and row id.
-type Separator = (Vec<Value>, RowId);
-
 enum InsertResult {
     Inserted,
     Replaced(Vec<Value>),
-    Split(Separator, NodeId),
+    /// A separator on its way up from a split (a run of one entry, the
+    /// key columns), and the new right node.
+    Split(Run, NodeId),
 }
 
-/// Ordered iterator over a key range of a [`BTree`]: each entry's values
-/// (key values, then included values) and row id.
-pub struct RangeIter<'a, 'k> {
+/// Consecutive entries of one leaf, as a seek or scan hands them on:
+/// positions `range` of the leaf's run.
+#[derive(Clone)]
+pub struct Entries<'a> {
     tree: &'a BTree,
-    leaf: NodeId,
-    pos: usize,
-    hi: Bound<Probe<'k>>,
+    run: &'a Run,
+    range: Range<usize>,
 }
 
-impl<'a> Iterator for RangeIter<'a, '_> {
-    type Item = (&'a [Value], RowId);
+impl<'a> Entries<'a> {
+    pub(crate) fn new(tree: &'a BTree, run: &'a Run, range: Range<usize>) -> Entries<'a> {
+        Entries { tree, run, range }
+    }
 
-    fn next(&mut self) -> Option<Self::Item> {
-        let (w, k) = (self.tree.width, self.tree.key_len);
-        loop {
-            if self.leaf == NO_NODE {
-                return None;
-            }
-            match &self.tree.arena[self.leaf] {
-                Node::Leaf { entries, next, .. } => {
-                    if self.pos < entries.len() {
-                        let key = entries.key(self.pos, w, k);
-                        let in_range = match self.hi {
-                            Bound::Unbounded => true,
-                            Bound::Included(h) => cmp_key(key, h) != Ordering::Greater,
-                            Bound::Excluded(h) => cmp_key(key, h) == Ordering::Less,
-                        };
-                        if !in_range {
-                            self.leaf = NO_NODE;
-                            return None;
-                        }
-                        let item = (entries.values(self.pos, w), key.1);
-                        self.pos += 1;
-                        return Some(item);
-                    }
-                    // Advance to the next leaf; count a page visit.
-                    self.tree.bump_read();
-                    self.leaf = *next;
-                    self.pos = 0;
-                }
-                _ => unreachable!("range iter on non-leaf"),
-            }
-        }
+    /// The positions of the entries in their leaf, rising.
+    pub fn positions(&self) -> Range<usize> {
+        self.range.clone()
+    }
+
+    /// The row id of the entry at position `i`.
+    pub fn rid(&self, i: usize) -> RowId {
+        self.run.rid(i)
+    }
+
+    /// Column `j`'s value of the entry at position `i`, as it was
+    /// written.
+    pub fn value(&self, i: usize, j: usize) -> Value {
+        self.run.cols[j].value(i, self.tree.dict(j))
+    }
+
+    /// The leaf's run.
+    pub(crate) fn run(&self) -> &'a Run {
+        self.run
     }
 }
 
@@ -1069,7 +1360,8 @@ mod tests {
 
     /// Insert `k -> v`; the value it replaced.
     fn ins(t: &mut BTree, k: u64, v: u64) -> Option<u64> {
-        t.insert(entry(k, v), RowId(0)).map(|old| int(&old[1]))
+        let e = entry(k, v);
+        t.insert(|j| &e[j], RowId(0)).map(|old| int(&old[1]))
     }
 
     fn get(t: &BTree, k: u64) -> Option<u64> {
@@ -1114,10 +1406,11 @@ mod tests {
     fn insert_replaces() {
         let mut t = map(4);
         let tagged = |s: &str| vec![Value::Int(1), Value::Str(s.into())];
-        assert_eq!(t.insert(tagged("a"), RowId(0)), None);
-        assert_eq!(t.insert(tagged("b"), RowId(0)), Some(tagged("a")));
+        let (a, b) = (tagged("a"), tagged("b"));
+        assert_eq!(t.insert(|j| &a[j], RowId(0)), None);
+        assert_eq!(t.insert(|j| &b[j], RowId(0)), Some(tagged("a")));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&[Value::Int(1)], RowId(0)), Some(&tagged("b")[..]));
+        assert_eq!(t.get(&[Value::Int(1)], RowId(0)), Some(tagged("b")));
     }
 
     /// An entry's order ignores its included values, so an entry that
@@ -1133,12 +1426,11 @@ mod tests {
             ]
         };
         for k in 0..20 {
-            t.insert(tagged(k, "old", k), RowId(0));
+            let e = tagged(k, "old", k);
+            t.insert(|j| &e[j], RowId(0));
         }
-        assert_eq!(
-            t.insert(tagged(7, "new", 70), RowId(0)),
-            Some(tagged(7, "old", 7))
-        );
+        let new = tagged(7, "new", 70);
+        assert_eq!(t.insert(|j| &new[j], RowId(0)), Some(tagged(7, "old", 7)));
         assert_eq!(t.len(), 20);
         for (e, _) in t.iter() {
             let k = int(&e[0]);
@@ -1147,7 +1439,7 @@ mod tests {
             } else {
                 tagged(k, "old", k)
             };
-            assert_eq!(e, &want[..]);
+            assert_eq!(e, want);
         }
         t.check_invariants().unwrap();
     }
@@ -1190,7 +1482,7 @@ mod tests {
     }
 
     /// A bound on the map's key alone: row id 0, like every entry.
-    fn at(k: &[Value]) -> Probe<'_> {
+    fn at(k: &[Value]) -> Key<'_> {
         (k, RowId(0))
     }
 
@@ -1313,17 +1605,20 @@ mod tests {
     /// leave a separator stale), but a tree that was only ever built or
     /// inserted into has it.
     fn separators_are_first_keys(t: &BTree) -> bool {
-        let (w, k) = (t.width, t.key_len);
+        let k = t.key_len;
+        let key = |run: &Run, i: usize| (run.values(i, k, &t.cols), run.rids[i]);
         let first_key = |mut node: NodeId| loop {
             match &t.arena[node] {
-                Node::Leaf { entries, .. } => return entries.key(0, w, k),
+                Node::Leaf { entries, .. } => return key(entries, 0),
                 Node::Internal { children, .. } => node = children[0],
                 Node::Free { .. } => unreachable!(),
             }
         };
         t.arena.iter().all(|n| match n {
-            Node::Internal { keys, children } => (0..keys.len())
-                .all(|i| cmp_key(keys.key(i, k, k), first_key(children[i + 1])).is_eq()),
+            Node::Internal { keys, children } => (0..keys.len()).all(|i| {
+                let (a, b) = (key(keys, i), first_key(children[i + 1]));
+                cmp_key((&a.0, a.1), (&b.0, b.1)).is_eq()
+            }),
             _ => true,
         })
     }
@@ -1462,8 +1757,10 @@ mod tests {
                 }
                 let mut inserted = BTree::new(fanout, 2, 1);
                 for (k, r, v) in shuffled {
-                    inserted.insert(dup_entry(k, v), RowId(u64::from(r)));
+                    let e = dup_entry(k, v);
+                    inserted.insert(|j| &e[j], RowId(u64::from(r)));
                 }
+                prop_assert_eq!(inserted.len(), n);
                 inserted.check_invariants().map_err(TestCaseError::fail)?;
 
                 // Probes: present keys, and absent ones on either side.

@@ -1,29 +1,36 @@
-//! One heap column, stored by type, and the kernels that read it.
+//! Values stored by type, and the kernels that read them: one heap
+//! column, or one column of a B+tree node.
 //!
-//! A [`Column`] keeps its values in the narrowest form their type has:
+//! `Typed` keeps a run of values in the narrowest form their type has:
 //! `Int` as `i64`, `Float` as `f64`, `Date` as `i32`, `Bool` as packed
-//! bits, and `Str` as a `u32` code into one dictionary of `Arc<str>` per
-//! column (so a row's string costs four bytes, and equal strings share a
-//! code). Beside the values sits a null bitmap. The first value that is
-//! not NULL picks the representation; nothing is enforced on write, so a
-//! column that then receives a value of another variant (an `Int` in a
-//! `Float` column, a string in an `Int` column) or a NaN moves, for good,
-//! to per-value storage: one [`Value`] a slot, exactly as written. Every
-//! value reads back as the variant it was written as, in every
-//! representation.
+//! bits, and `Str` as a `u32` code into a dictionary of `Arc<str>` kept by
+//! the owner (so a string costs four bytes, and equal strings share a
+//! code). Beside the values sits a null bitmap. A heap [`Column`] is one
+//! such run and its dictionary; an index column is one run in every node
+//! of its tree and one dictionary for the tree ([`crate::btree`]).
 //!
-//! The kernels answer the executor's questions over a whole column
-//! without building a `Value`: `Filter` evaluates `column op operand`
-//! for one slot or for 64 at a time, exactly as [`CmpOp::eval`] would on
-//! the stored value; `Column::word` gives each value a 64-bit word whose
-//! equality is `Value`'s equality within the column, for grouping and
-//! join keys; `Column::image` gives it an order-preserving image for
-//! the index build's sort. NaN is why a float column falls back: under
-//! `Value`'s order a NaN equals every number, which no word can say.
+//! The first value that is not NULL picks the representation (`Rep`);
+//! nothing is enforced on write, so a column that then receives a value
+//! of another variant (an `Int` in a `Float` column, a string in an `Int`
+//! column) or a NaN moves, for good, to per-value storage: one [`Value`]
+//! a slot, exactly as written. Every value reads back as the variant it
+//! was written as, in every representation.
+//!
+//! The kernels answer the executor's questions over a run without
+//! building a `Value`: a `Test` evaluates `value op operand` for one
+//! slot or for 64 at a time, exactly as [`CmpOp::eval`] would on the
+//! stored value; an `Operand` orders a slot against a value, exactly as
+//! `Value::cmp` would (the tree's probes); `Typed::word` gives each
+//! value a 64-bit word whose equality is `Value`'s equality within the
+//! column, for grouping and join keys; `Typed::image` gives it an
+//! order-preserving image for the index build's sort. NaN is why a float
+//! column falls back: under `Value`'s order a NaN equals every number,
+//! which no word can say.
 
 use crate::exec::WordState;
 use crate::query::CmpOp;
 use crate::types::{str_position, Value, ValueType};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -36,10 +43,18 @@ pub(crate) struct Bits {
 }
 
 impl Bits {
+    pub(crate) fn with_capacity(bits: usize) -> Bits {
+        Bits {
+            words: Vec::with_capacity(bits.div_ceil(64)),
+            len: 0,
+        }
+    }
+
     pub(crate) fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     pub(crate) fn get(&self, i: usize) -> bool {
         debug_assert!(i < self.len);
         self.words[i / 64] >> (i % 64) & 1 == 1
@@ -63,7 +78,90 @@ impl Bits {
         self.set(self.len - 1, bit);
     }
 
+    /// Insert `bit` at `i`, moving the bits from `i` on up by one.
+    pub(crate) fn insert(&mut self, i: usize, bit: bool) {
+        debug_assert!(i <= self.len);
+        self.push(false);
+        let (w0, b) = (i / 64, i % 64);
+        for w in (w0 + 1..self.words.len()).rev() {
+            self.words[w] = self.words[w] << 1 | self.words[w - 1] >> 63;
+        }
+        let low = (1u64 << b) - 1;
+        let word = self.words[w0];
+        self.words[w0] = word & low | (word & !low) << 1 | u64::from(bit) << b;
+    }
+
+    /// Remove the bit at `i`, moving the bits after it down by one.
+    pub(crate) fn remove(&mut self, i: usize) -> bool {
+        let bit = self.get(i);
+        let (w0, b) = (i / 64, i % 64);
+        let low = (1u64 << b) - 1;
+        let word = self.words[w0];
+        self.words[w0] = word & low | (word >> 1) & !low;
+        for w in w0 + 1..self.words.len() {
+            self.words[w - 1] |= self.words[w] << 63;
+            self.words[w] >>= 1;
+        }
+        self.truncate(self.len - 1);
+        bit
+    }
+
+    /// Keep the first `n` bits.
+    pub(crate) fn truncate(&mut self, n: usize) {
+        debug_assert!(n <= self.len);
+        self.len = n;
+        self.words.truncate(n.div_ceil(64));
+        if !n.is_multiple_of(64) {
+            self.words[n / 64] &= (1u64 << (n % 64)) - 1;
+        }
+    }
+
+    /// The 64 bits from bit `start` on, the first in the lowest place;
+    /// zero past the end.
+    fn bits_from(&self, start: usize) -> u64 {
+        let (w, b) = (start / 64, start % 64);
+        let lo = self.words.get(w).map_or(0, |x| x >> b);
+        let hi = match self.words.get(w + 1) {
+            Some(x) if b > 0 => x << (64 - b),
+            _ => 0,
+        };
+        lo | hi
+    }
+
+    /// Bits `at..` moved into new bits with room for `capacity`.
+    pub(crate) fn split_off(&mut self, at: usize, capacity: usize) -> Bits {
+        let mut right = Bits::with_capacity(capacity);
+        let n = self.len - at;
+        right
+            .words
+            .extend((0..n.div_ceil(64)).map(|k| self.bits_from(at + 64 * k)));
+        right.len = n;
+        if !n.is_multiple_of(64) {
+            right.words[n / 64] &= (1u64 << (n % 64)) - 1;
+        }
+        self.truncate(at);
+        right
+    }
+
+    /// Append every bit of `other`, leaving it empty.
+    pub(crate) fn append(&mut self, other: &mut Bits) {
+        let b = self.len % 64;
+        for &word in &other.words {
+            if b == 0 {
+                self.words.push(word);
+            } else {
+                *self.words.last_mut().expect("a partial last word") |= word << b;
+                self.words.push(word >> (64 - b));
+            }
+        }
+        // The last high part may open a word no bit reaches.
+        self.len += other.len;
+        self.words.truncate(self.len.div_ceil(64));
+        other.truncate(0);
+    }
+
     /// Bits `64 w .. 64 w + 64`, the first in the lowest place.
+    #[inline]
     pub(crate) fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
@@ -124,48 +222,536 @@ pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A column's strings, each once, with the code each goes by.
+/// The strings of a column, each once, with the code each goes by.
+///
+/// A clone shares the strings: an index built on a heap column starts
+/// from the heap column's dictionary, and whichever of the two first adds
+/// a string copies the dictionary for itself. Codes already handed out
+/// name the same strings in both.
 #[derive(Debug, Clone, Default)]
-struct Dict {
+pub(crate) struct Dict(Arc<Strings>);
+
+#[derive(Debug, Clone, Default)]
+struct Strings {
     strings: Vec<Arc<str>>,
     codes: HashMap<Arc<str>, u32, WordState>,
 }
 
 impl Dict {
-    fn code(&mut self, s: Arc<str>) -> u32 {
-        if let Some(&c) = self.codes.get(&s) {
+    fn code(&mut self, s: &Arc<str>) -> u32 {
+        if let Some(c) = self.code_of(s) {
             return c;
         }
-        let c = u32::try_from(self.strings.len()).expect("fewer than 2^32 strings in a column");
-        self.strings.push(s.clone());
-        self.codes.insert(s, c);
+        let d = Arc::make_mut(&mut self.0);
+        let c = u32::try_from(d.strings.len()).expect("fewer than 2^32 strings in a column");
+        d.strings.push(s.clone());
+        d.codes.insert(s.clone(), c);
         c
+    }
+
+    /// The code of `s`, if the dictionary holds it.
+    fn code_of(&self, s: &str) -> Option<u32> {
+        self.0.codes.get(s).copied()
+    }
+
+    /// The strings, by code.
+    fn strings(&self) -> &[Arc<str>] {
+        &self.0.strings
+    }
+
+    /// Number of strings.
+    pub(crate) fn len(&self) -> usize {
+        self.0.strings.len()
     }
 }
 
-/// How a column holds its values (see the module doc).
+/// How a run of values is stored (see the module doc).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Rep {
+    /// Nothing but NULLs so far.
+    Nulls,
+    Int,
+    /// Never a NaN.
+    Float,
+    Date,
+    Bool,
+    Str,
+    /// Values of more than one variant, or a NaN: one `Value` a slot.
+    Values,
+}
+
+impl Rep {
+    /// The representation a run in `self` needs for `v` to fit: itself
+    /// when `v` is NULL or fits, `v`'s own type when nothing but NULLs
+    /// came before, per value otherwise.
+    #[inline]
+    pub(crate) fn after(self, v: &Value) -> Rep {
+        let own = match v {
+            Value::Null => return self,
+            Value::Int(_) => Rep::Int,
+            Value::Float(x) if x.is_nan() => Rep::Values,
+            Value::Float(_) => Rep::Float,
+            Value::Date(_) => Rep::Date,
+            Value::Bool(_) => Rep::Bool,
+            Value::Str(_) => Rep::Str,
+        };
+        match self {
+            Rep::Nulls => own,
+            Rep::Values => Rep::Values,
+            _ if own == self => self,
+            _ => Rep::Values,
+        }
+    }
+}
+
+/// A run's values, in its representation.
 #[derive(Debug, Clone, Default)]
 enum Data {
-    /// Nothing but NULLs so far.
     #[default]
     Nulls,
     Int(Vec<i64>),
-    /// Never a NaN.
     Float(Vec<f64>),
     Date(Vec<i32>),
     Bool(Bits),
-    Str(Vec<u32>, Dict),
-    /// Values of more than one variant, or a NaN: one `Value` a slot.
+    /// Codes into the owner's [`Dict`].
+    Str(Vec<u32>),
     Values(Vec<Value>),
 }
 
-/// One column of a heap: a value per slot, stored by type (module doc).
-/// A NULL slot holds a zero (code 0 for strings) under its null bit.
+/// A run of values stored by type, beside a null bitmap (module doc). A
+/// NULL slot holds a zero (code 0 for strings) under its null bit. String
+/// codes index a [`Dict`] its owner keeps; every method that reads or
+/// writes a string takes it.
 #[derive(Debug, Clone, Default)]
-pub struct Column {
+pub(crate) struct Typed {
     data: Data,
     /// Bit `i` set: slot `i` is NULL.
     nulls: Bits,
+}
+
+impl Typed {
+    /// An empty run in representation `rep`, with room for `capacity`
+    /// values.
+    pub(crate) fn new(rep: Rep, capacity: usize) -> Typed {
+        let data = match rep {
+            Rep::Nulls => Data::Nulls,
+            Rep::Int => Data::Int(Vec::with_capacity(capacity)),
+            Rep::Float => Data::Float(Vec::with_capacity(capacity)),
+            Rep::Date => Data::Date(Vec::with_capacity(capacity)),
+            Rep::Bool => Data::Bool(Bits::with_capacity(capacity)),
+            Rep::Str => Data::Str(Vec::with_capacity(capacity)),
+            Rep::Values => Data::Values(Vec::with_capacity(capacity)),
+        };
+        Typed {
+            data,
+            nulls: Bits::with_capacity(capacity),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn rep(&self) -> Rep {
+        match self.data {
+            Data::Nulls => Rep::Nulls,
+            Data::Int(_) => Rep::Int,
+            Data::Float(_) => Rep::Float,
+            Data::Date(_) => Rep::Date,
+            Data::Bool(_) => Rep::Bool,
+            Data::Str(_) => Rep::Str,
+            Data::Values(_) => Rep::Values,
+        }
+    }
+
+    /// Number of slots.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.nulls.len()
+    }
+
+    /// Whether slot `i` is NULL.
+    #[inline]
+    pub(crate) fn is_null(&self, i: usize) -> bool {
+        self.nulls.get(i)
+    }
+
+    /// Whether the values agree in number with the null bits, and every
+    /// string code names a string of `dict`.
+    pub(crate) fn is_well_formed(&self, dict: &Dict) -> bool {
+        let n = self.len();
+        match &self.data {
+            Data::Nulls => (0..n).all(|i| self.nulls.get(i)),
+            Data::Int(v) => v.len() == n,
+            Data::Float(v) => v.len() == n && v.iter().all(|x| !x.is_nan()),
+            Data::Date(v) => v.len() == n,
+            Data::Bool(v) => v.len() == n,
+            Data::Str(v) => v.len() == n && v.iter().all(|&c| (c as usize) < dict.len().max(1)),
+            Data::Values(v) => {
+                v.len() == n
+                    && v.iter()
+                        .zip(0..)
+                        .all(|(x, i)| x.is_null() == self.nulls.get(i))
+            }
+        }
+    }
+
+    /// The value at slot `i`, as it was written.
+    pub(crate) fn value(&self, i: usize, dict: &Dict) -> Value {
+        if self.nulls.get(i) {
+            return Value::Null;
+        }
+        match &self.data {
+            Data::Nulls => Value::Null,
+            Data::Int(v) => Value::Int(v[i]),
+            Data::Float(v) => Value::Float(v[i]),
+            Data::Date(v) => Value::Date(v[i]),
+            Data::Bool(v) => Value::Bool(v.get(i)),
+            Data::Str(v) => Value::Str(dict.strings()[v[i] as usize].clone()),
+            Data::Values(v) => v[i].clone(),
+        }
+    }
+
+    /// Move to representation `to` (a [`Rep::after`] of this one): from
+    /// nothing but NULLs to a type, zero under every null bit, or from
+    /// anything to one `Value` a slot.
+    pub(crate) fn widen(&mut self, to: Rep, dict: &Dict) {
+        if to == self.rep() {
+            return;
+        }
+        let n = self.len();
+        self.data = match to {
+            Rep::Values => Data::Values((0..n).map(|i| self.value(i, dict)).collect()),
+            _ => {
+                debug_assert_eq!(self.rep(), Rep::Nulls, "only NULLs take a type");
+                let mut t = Typed::new(to, n);
+                match &mut t.data {
+                    Data::Int(v) => v.resize(n, 0),
+                    Data::Float(v) => v.resize(n, 0.0),
+                    Data::Date(v) => v.resize(n, 0),
+                    Data::Bool(v) => v.extend(n, false),
+                    Data::Str(v) => v.resize(n, 0),
+                    Data::Nulls | Data::Values(_) => unreachable!("{to:?} is a type"),
+                }
+                t.data
+            }
+        };
+    }
+
+    /// Append `v`, which must fit: the run is in `Rep::after(v)` already.
+    #[inline]
+    pub(crate) fn push(&mut self, v: &Value, dict: &mut Dict) {
+        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
+        self.nulls.push(v.is_null());
+        match &mut self.data {
+            Data::Nulls => {}
+            Data::Int(c) => c.push(if let Value::Int(x) = v { *x } else { 0 }),
+            Data::Float(c) => c.push(if let Value::Float(x) = v { *x } else { 0.0 }),
+            Data::Date(c) => c.push(if let Value::Date(x) = v { *x } else { 0 }),
+            Data::Bool(c) => c.push(matches!(v, Value::Bool(true))),
+            Data::Str(c) => c.push(if let Value::Str(s) = v {
+                dict.code(s)
+            } else {
+                0
+            }),
+            Data::Values(c) => c.push(v.clone()),
+        }
+    }
+
+    /// Insert `v` at slot `i`; `v` must fit, as for [`push`](Self::push).
+    pub(crate) fn insert(&mut self, i: usize, v: &Value, dict: &mut Dict) {
+        if i == self.len() {
+            return self.push(v, dict);
+        }
+        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
+        self.nulls.insert(i, v.is_null());
+        match &mut self.data {
+            Data::Nulls => {}
+            Data::Int(c) => c.insert(i, if let Value::Int(x) = v { *x } else { 0 }),
+            Data::Float(c) => c.insert(i, if let Value::Float(x) = v { *x } else { 0.0 }),
+            Data::Date(c) => c.insert(i, if let Value::Date(x) = v { *x } else { 0 }),
+            Data::Bool(c) => c.insert(i, matches!(v, Value::Bool(true))),
+            Data::Str(c) => c.insert(
+                i,
+                if let Value::Str(s) = v {
+                    dict.code(s)
+                } else {
+                    0
+                },
+            ),
+            Data::Values(c) => c.insert(i, v.clone()),
+        }
+    }
+
+    /// Write `v` over slot `i`; `v` must fit, as for [`push`](Self::push).
+    pub(crate) fn set(&mut self, i: usize, v: &Value, dict: &mut Dict) {
+        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
+        self.nulls.set(i, v.is_null());
+        match &mut self.data {
+            Data::Nulls => {}
+            Data::Int(c) => c[i] = if let Value::Int(x) = v { *x } else { 0 },
+            Data::Float(c) => c[i] = if let Value::Float(x) = v { *x } else { 0.0 },
+            Data::Date(c) => c[i] = if let Value::Date(x) = v { *x } else { 0 },
+            Data::Bool(c) => c.set(i, matches!(v, Value::Bool(true))),
+            Data::Str(c) => {
+                c[i] = if let Value::Str(s) = v {
+                    dict.code(s)
+                } else {
+                    0
+                }
+            }
+            Data::Values(c) => c[i] = v.clone(),
+        }
+    }
+
+    /// Insert a copy of slot `j` of `src`, a run of the same
+    /// representation and dictionary, at slot `i`.
+    pub(crate) fn insert_from(&mut self, i: usize, src: &Typed, j: usize) {
+        self.nulls.insert(i, src.nulls.get(j));
+        match (&mut self.data, &src.data) {
+            (Data::Nulls, Data::Nulls) => {}
+            (Data::Int(c), Data::Int(s)) => c.insert(i, s[j]),
+            (Data::Float(c), Data::Float(s)) => c.insert(i, s[j]),
+            (Data::Date(c), Data::Date(s)) => c.insert(i, s[j]),
+            (Data::Bool(c), Data::Bool(s)) => c.insert(i, s.get(j)),
+            (Data::Str(c), Data::Str(s)) => c.insert(i, s[j]),
+            (Data::Values(c), Data::Values(s)) => c.insert(i, s[j].clone()),
+            _ => unreachable!("a copy between representations"),
+        }
+    }
+
+    /// Write a copy of slot `j` of `src` (as for
+    /// [`insert_from`](Self::insert_from)) over slot `i`.
+    pub(crate) fn set_from(&mut self, i: usize, src: &Typed, j: usize) {
+        self.nulls.set(i, src.nulls.get(j));
+        match (&mut self.data, &src.data) {
+            (Data::Nulls, Data::Nulls) => {}
+            (Data::Int(c), Data::Int(s)) => c[i] = s[j],
+            (Data::Float(c), Data::Float(s)) => c[i] = s[j],
+            (Data::Date(c), Data::Date(s)) => c[i] = s[j],
+            (Data::Bool(c), Data::Bool(s)) => c.set(i, s.get(j)),
+            (Data::Str(c), Data::Str(s)) => c[i] = s[j],
+            (Data::Values(c), Data::Values(s)) => c[i] = s[j].clone(),
+            _ => unreachable!("a copy between representations"),
+        }
+    }
+
+    /// Append copies of `src`'s slots `slots`, in order (as for
+    /// [`insert_from`](Self::insert_from)): the index build's gather.
+    pub(crate) fn extend_from(&mut self, src: &Typed, slots: &[u32]) {
+        let nulls = &src.nulls;
+        slots
+            .iter()
+            .for_each(|&j| self.nulls.push(nulls.get(j as usize)));
+        let at = |j: &u32| *j as usize;
+        match (&mut self.data, &src.data) {
+            (Data::Nulls, Data::Nulls) => {}
+            (Data::Int(c), Data::Int(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
+            (Data::Float(c), Data::Float(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
+            (Data::Date(c), Data::Date(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
+            (Data::Bool(c), Data::Bool(s)) => slots.iter().for_each(|j| c.push(s.get(at(j)))),
+            (Data::Str(c), Data::Str(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
+            (Data::Values(c), Data::Values(s)) => c.extend(slots.iter().map(|j| s[at(j)].clone())),
+            _ => unreachable!("a copy between representations"),
+        }
+    }
+
+    /// Remove slot `i`.
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.nulls.remove(i);
+        match &mut self.data {
+            Data::Nulls => {}
+            Data::Int(c) => drop(c.remove(i)),
+            Data::Float(c) => drop(c.remove(i)),
+            Data::Date(c) => drop(c.remove(i)),
+            Data::Bool(c) => drop(c.remove(i)),
+            Data::Str(c) => drop(c.remove(i)),
+            Data::Values(c) => drop(c.remove(i)),
+        }
+    }
+
+    /// Slots `at..` moved into a new run with room for `capacity`.
+    pub(crate) fn split_off(&mut self, at: usize, capacity: usize) -> Typed {
+        fn tail<T>(v: &mut Vec<T>, at: usize, capacity: usize) -> Vec<T> {
+            let mut right = Vec::with_capacity(capacity);
+            right.extend(v.drain(at..));
+            right
+        }
+        let data = match &mut self.data {
+            Data::Nulls => Data::Nulls,
+            Data::Int(c) => Data::Int(tail(c, at, capacity)),
+            Data::Float(c) => Data::Float(tail(c, at, capacity)),
+            Data::Date(c) => Data::Date(tail(c, at, capacity)),
+            Data::Bool(c) => Data::Bool(c.split_off(at, capacity)),
+            Data::Str(c) => Data::Str(tail(c, at, capacity)),
+            Data::Values(c) => Data::Values(tail(c, at, capacity)),
+        };
+        Typed {
+            data,
+            nulls: self.nulls.split_off(at, capacity),
+        }
+    }
+
+    /// Append every slot of `other`, a run of the same representation and
+    /// dictionary, leaving it empty.
+    pub(crate) fn append(&mut self, other: &mut Typed) {
+        self.nulls.append(&mut other.nulls);
+        match (&mut self.data, &mut other.data) {
+            (Data::Nulls, Data::Nulls) => {}
+            (Data::Int(c), Data::Int(o)) => c.append(o),
+            (Data::Float(c), Data::Float(o)) => c.append(o),
+            (Data::Date(c), Data::Date(o)) => c.append(o),
+            (Data::Bool(c), Data::Bool(o)) => c.append(o),
+            (Data::Str(c), Data::Str(o)) => c.append(o),
+            (Data::Values(c), Data::Values(o)) => c.append(o),
+            _ => unreachable!("an append between representations"),
+        }
+    }
+
+    /// A word for the value at slot `i` (not NULL) such that, within this
+    /// run and every run of its dictionary, two values are equal under
+    /// `Value`'s order exactly when their words are: `-0.0` and `0.0`
+    /// share one.
+    ///
+    /// # Panics
+    /// If the values have no words ([`word_kind`](Self::word_kind) is `None`).
+    #[inline]
+    pub(crate) fn word(&self, i: usize) -> u64 {
+        match &self.data {
+            Data::Int(v) => v[i] as u64,
+            Data::Float(v) if v[i] == 0.0 => 0,
+            Data::Float(v) => v[i].to_bits(),
+            Data::Date(v) => v[i] as u32 as u64,
+            Data::Bool(v) => u64::from(v.get(i)),
+            Data::Str(v) => u64::from(v[i]),
+            Data::Nulls | Data::Values(_) => unreachable!("no words in {:?}", self.data),
+        }
+    }
+
+    /// What the words of [`word`](Self::word) mean, or `None` where it
+    /// has none: two runs' words compare only under one kind, and a code
+    /// never equals another dictionary's code.
+    pub(crate) fn word_kind(&self, dict: &Dict) -> Option<WordKind> {
+        word_kind(self.rep(), dict)
+    }
+
+    /// An order-preserving 64-bit image of the value at slot `i` (not
+    /// NULL), exact within the run: images compare as the values do under
+    /// `Value`'s order. `ranks` is [`Column::code_ranks`]. `None` for a
+    /// run stored per value or all NULL.
+    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> Option<u64> {
+        const SIGN: u64 = 1 << 63;
+        Some(match &self.data {
+            Data::Int(v) => v[i] as u64 ^ SIGN,
+            Data::Float(v) => float_image(v[i]),
+            Data::Date(v) => i64::from(v[i]) as u64 ^ SIGN,
+            Data::Bool(v) => u64::from(v.get(i)),
+            Data::Str(v) => ranks[v[i] as usize],
+            Data::Nulls | Data::Values(_) => return None,
+        })
+    }
+
+    /// The values of a run stored per value.
+    pub(crate) fn as_values(&self) -> Option<&[Value]> {
+        match &self.data {
+            Data::Values(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// How the value at slot `i` orders against the operand of `key`
+    /// (compiled for this run's representation and `dict`): exactly
+    /// `stored.cmp(operand)`.
+    #[inline]
+    pub(crate) fn cmp_at(&self, i: usize, key: &Operand, dict: &Dict) -> Ordering {
+        if self.nulls.get(i) {
+            return if matches!(key, Operand::Null) {
+                Ordering::Equal
+            } else {
+                Ordering::Less
+            };
+        }
+        let unordered = |o: Option<Ordering>| o.unwrap_or(Ordering::Equal);
+        match (key, &self.data) {
+            (Operand::Null, _) => Ordering::Greater,
+            (Operand::Rank(o), _) => *o,
+            (Operand::Int(y), Data::Int(v)) => v[i].cmp(y),
+            (Operand::IntAsFloat(y), Data::Int(v)) => unordered((v[i] as f64).partial_cmp(y)),
+            (Operand::Float(y), Data::Float(v)) => unordered(v[i].partial_cmp(y)),
+            (Operand::Date(y), Data::Date(v)) => v[i].cmp(y),
+            (Operand::Bool(y), Data::Bool(v)) => v.get(i).cmp(y),
+            (Operand::Str(_, Some(code)), Data::Str(v)) if v[i] == *code => Ordering::Equal,
+            (Operand::Str(y, _), Data::Str(v)) => (*dict.strings()[v[i] as usize]).cmp(*y),
+            (Operand::Value(y), Data::Values(v)) => v[i].cmp(y),
+            _ => unreachable!("an operand compiled for another representation"),
+        }
+    }
+}
+
+/// The kind of word a run of representation `rep` has ([`Typed::word_kind`]).
+pub(crate) fn word_kind(rep: Rep, dict: &Dict) -> Option<WordKind> {
+    Some(match rep {
+        Rep::Int => WordKind::Int,
+        Rep::Float => WordKind::Float,
+        Rep::Date => WordKind::Date,
+        Rep::Bool => WordKind::Bool,
+        Rep::Str => WordKind::Code(dict.len()),
+        Rep::Nulls | Rep::Values => return None,
+    })
+}
+
+/// A value to order slots against, compiled for one representation
+/// ([`Typed::cmp_at`]): a key column's part of a B+tree probe.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Operand<'v> {
+    Null,
+    /// An operand of a type that ranks apart from the run's: every value
+    /// that is not NULL orders thus against it.
+    Rank(Ordering),
+    Int(i64),
+    /// A `Float` operand against an `Int` run: compared as `f64`, a NaN
+    /// equal to every value, as `Value` compares them.
+    IntAsFloat(f64),
+    /// A number against a `Float` run (an `Int` taken as `f64`).
+    Float(f64),
+    Date(i32),
+    Bool(bool),
+    /// A string, and its code where the dictionary holds it: a slot of
+    /// that code is equal without comparing the strings.
+    Str(&'v str, Option<u32>),
+    Value(&'v Value),
+}
+
+impl<'v> Operand<'v> {
+    /// `v` compiled for runs of representation `rep` whose string codes
+    /// index `dict`.
+    pub(crate) fn new(rep: Rep, dict: &Dict, v: &'v Value) -> Operand<'v> {
+        use Value as V;
+        let rank = |sample: Value| Operand::Rank(sample.cmp(v));
+        match (rep, v) {
+            (_, V::Null) => Operand::Null,
+            // Every slot is NULL: nothing past the null bit is read.
+            (Rep::Nulls, _) => Operand::Rank(Ordering::Less),
+            (Rep::Values, _) => Operand::Value(v),
+            (Rep::Int, V::Int(y)) => Operand::Int(*y),
+            (Rep::Int, V::Float(y)) => Operand::IntAsFloat(*y),
+            (Rep::Int, _) => rank(V::Int(0)),
+            (Rep::Float, V::Float(y)) => Operand::Float(*y),
+            (Rep::Float, V::Int(y)) => Operand::Float(*y as f64),
+            (Rep::Float, _) => rank(V::Float(0.0)),
+            (Rep::Date, V::Date(y)) => Operand::Date(*y),
+            (Rep::Date, _) => rank(V::Date(0)),
+            (Rep::Bool, V::Bool(y)) => Operand::Bool(*y),
+            (Rep::Bool, _) => rank(V::Bool(false)),
+            (Rep::Str, V::Str(y)) => Operand::Str(y, dict.code_of(y)),
+            (Rep::Str, _) => rank(V::Str("".into())),
+        }
+    }
+}
+
+/// One column of a heap: a value per slot, stored by type (module doc),
+/// and the dictionary of its strings.
+#[derive(Debug, Clone, Default)]
+pub struct Column {
+    vals: Typed,
+    dict: Dict,
 }
 
 impl Column {
@@ -177,88 +763,69 @@ impl Column {
     /// An empty column already in the representation of `ty`, with room
     /// for `capacity` values: what a generator that knows the type uses.
     pub fn of_type(ty: ValueType, capacity: usize) -> Column {
-        let data = match ty {
-            ValueType::Int => Data::Int(Vec::with_capacity(capacity)),
-            ValueType::Float => Data::Float(Vec::with_capacity(capacity)),
-            ValueType::Date => Data::Date(Vec::with_capacity(capacity)),
-            ValueType::Bool => Data::Bool(Bits::default()),
-            ValueType::Str => Data::Str(Vec::with_capacity(capacity), Dict::default()),
+        let rep = match ty {
+            ValueType::Int => Rep::Int,
+            ValueType::Float => Rep::Float,
+            ValueType::Date => Rep::Date,
+            ValueType::Bool => Rep::Bool,
+            ValueType::Str => Rep::Str,
         };
-        let mut nulls = Bits::default();
-        nulls.reserve(capacity);
-        Column { data, nulls }
+        Column {
+            vals: Typed::new(rep, capacity),
+            dict: Dict::default(),
+        }
     }
 
     /// Number of slots.
     pub fn len(&self) -> usize {
-        self.nulls.len()
+        self.vals.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
+    /// The typed values, and the dictionary their string codes index.
+    pub(crate) fn parts(&self) -> (&Typed, &Dict) {
+        (&self.vals, &self.dict)
+    }
+
     /// Whether the column holds one `Value` a slot: it received values of
     /// more than one variant, or a NaN.
     pub fn is_per_value(&self) -> bool {
-        matches!(self.data, Data::Values(_))
+        self.vals.rep() == Rep::Values
     }
 
     /// Whether slot `i` is NULL.
     pub(crate) fn is_null(&self, i: usize) -> bool {
-        self.nulls.get(i)
+        self.vals.is_null(i)
     }
 
     /// The value at slot `i`, as it was written.
     pub fn value(&self, i: usize) -> Value {
-        if self.nulls.get(i) {
-            return Value::Null;
-        }
-        match &self.data {
-            Data::Nulls => Value::Null,
-            Data::Int(v) => Value::Int(v[i]),
-            Data::Float(v) => Value::Float(v[i]),
-            Data::Date(v) => Value::Date(v[i]),
-            Data::Bool(v) => Value::Bool(v.get(i)),
-            Data::Str(v, d) => Value::Str(d.strings[v[i] as usize].clone()),
-            Data::Values(v) => v[i].clone(),
-        }
+        self.vals.value(i, &self.dict)
     }
 
     /// Append a value.
     #[inline]
     pub fn push(&mut self, v: Value) {
-        let null = v.is_null();
-        if !null && !self.fits(&v) {
-            self.make_room_for(&v);
-        }
-        self.nulls.push(null);
-        match &mut self.data {
-            Data::Nulls => {}
-            Data::Int(c) => c.push(if let Value::Int(x) = v { x } else { 0 }),
-            Data::Float(c) => c.push(if let Value::Float(x) = v { x } else { 0.0 }),
-            Data::Date(c) => c.push(if let Value::Date(x) = v { x } else { 0 }),
-            Data::Bool(c) => c.push(matches!(v, Value::Bool(true))),
-            Data::Str(c, d) => c.push(if let Value::Str(s) = v { d.code(s) } else { 0 }),
-            Data::Values(c) => c.push(v),
-        }
+        self.make_room_for(&v);
+        self.vals.push(&v, &mut self.dict);
     }
 
     /// Write a value over slot `i`.
     pub(crate) fn set(&mut self, i: usize, v: Value) {
-        let null = v.is_null();
-        if !null && !self.fits(&v) {
-            self.make_room_for(&v);
-        }
-        self.nulls.set(i, null);
-        match &mut self.data {
-            Data::Nulls => {}
-            Data::Int(c) => c[i] = if let Value::Int(x) = v { x } else { 0 },
-            Data::Float(c) => c[i] = if let Value::Float(x) = v { x } else { 0.0 },
-            Data::Date(c) => c[i] = if let Value::Date(x) = v { x } else { 0 },
-            Data::Bool(c) => c.set(i, matches!(v, Value::Bool(true))),
-            Data::Str(c, d) => c[i] = if let Value::Str(s) = v { d.code(s) } else { 0 },
-            Data::Values(c) => c[i] = v,
+        self.make_room_for(&v);
+        self.vals.set(i, &v, &mut self.dict);
+    }
+
+    /// Change representation so that `v` fits.
+    #[inline]
+    fn make_room_for(&mut self, v: &Value) {
+        let rep = self.vals.rep();
+        let to = rep.after(v);
+        if to != rep {
+            self.vals.widen(to, &self.dict);
         }
     }
 
@@ -269,96 +836,33 @@ impl Column {
     /// # Panics
     /// If the column does not hold strings by code.
     pub fn intern(&mut self, s: Arc<str>) -> u32 {
-        match &mut self.data {
-            Data::Str(_, d) => d.code(s),
+        match &self.vals.data {
+            Data::Str(_) => self.dict.code(&s),
             _ => panic!("intern on a column that is not a string column"),
         }
     }
 
     /// Append the string with dictionary code `code` ([`intern`](Self::intern)).
     pub fn push_code(&mut self, code: u32) {
-        match &mut self.data {
-            Data::Str(c, d) if (code as usize) < d.strings.len() => c.push(code),
+        match &mut self.vals.data {
+            Data::Str(c) if (code as usize) < self.dict.len() => c.push(code),
             _ => panic!("push_code of an unknown code"),
         }
-        self.nulls.push(false);
+        self.vals.nulls.push(false);
     }
 
     /// Make room for `additional` more values.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.nulls.reserve(additional);
-        match &mut self.data {
+        self.vals.nulls.reserve(additional);
+        match &mut self.vals.data {
             Data::Nulls => {}
             Data::Int(c) => c.reserve_exact(additional),
             Data::Float(c) => c.reserve_exact(additional),
             Data::Date(c) => c.reserve_exact(additional),
             Data::Bool(c) => c.reserve(additional),
-            Data::Str(c, _) => c.reserve_exact(additional),
+            Data::Str(c) => c.reserve_exact(additional),
             Data::Values(c) => c.reserve_exact(additional),
         }
-    }
-
-    /// Whether `v` (not NULL) can be stored as it is.
-    fn fits(&self, v: &Value) -> bool {
-        match (&self.data, v) {
-            (Data::Int(_), Value::Int(_))
-            | (Data::Date(_), Value::Date(_))
-            | (Data::Bool(_), Value::Bool(_))
-            | (Data::Str(..), Value::Str(_))
-            | (Data::Values(_), _) => true,
-            (Data::Float(_), Value::Float(x)) => !x.is_nan(),
-            _ => false,
-        }
-    }
-
-    /// Change representation so that `v`, which does not fit, does: an
-    /// all-NULL column takes `v`'s type, any other goes per value.
-    fn make_room_for(&mut self, v: &Value) {
-        let n = self.len();
-        self.data = match (&self.data, v) {
-            (Data::Nulls, Value::Int(_)) => Data::Int(vec![0; n]),
-            (Data::Nulls, Value::Float(x)) if !x.is_nan() => Data::Float(vec![0.0; n]),
-            (Data::Nulls, Value::Date(_)) => Data::Date(vec![0; n]),
-            (Data::Nulls, Value::Bool(_)) => {
-                let mut bits = Bits::default();
-                bits.extend(n, false);
-                Data::Bool(bits)
-            }
-            (Data::Nulls, Value::Str(_)) => Data::Str(vec![0; n], Dict::default()),
-            _ => Data::Values((0..n).map(|i| self.value(i)).collect()),
-        };
-    }
-
-    /// A word for the value at slot `i` (not NULL) such that, within this
-    /// column, two values are equal under `Value`'s order exactly when
-    /// their words are: `-0.0` and `0.0` share one.
-    ///
-    /// # Panics
-    /// If the values have no words ([`word_kind`](Self::word_kind) is `None`).
-    pub(crate) fn word(&self, i: usize) -> u64 {
-        match &self.data {
-            Data::Int(v) => v[i] as u64,
-            Data::Float(v) if v[i] == 0.0 => 0,
-            Data::Float(v) => v[i].to_bits(),
-            Data::Date(v) => v[i] as u32 as u64,
-            Data::Bool(v) => u64::from(v.get(i)),
-            Data::Str(v, _) => u64::from(v[i]),
-            Data::Nulls | Data::Values(_) => unreachable!("no words in {:?}", self.data),
-        }
-    }
-
-    /// What the words of [`word`](Self::word) mean, or `None` where it
-    /// has none: two columns' words compare only under one kind, and a
-    /// code never equals another dictionary's code.
-    pub(crate) fn word_kind(&self) -> Option<WordKind> {
-        Some(match &self.data {
-            Data::Int(_) => WordKind::Int,
-            Data::Float(_) => WordKind::Float,
-            Data::Date(_) => WordKind::Date,
-            Data::Bool(_) => WordKind::Bool,
-            Data::Str(_, d) => WordKind::Code(d.strings.len()),
-            Data::Nulls | Data::Values(_) => return None,
-        })
     }
 
     /// Every value, in slot order.
@@ -368,21 +872,19 @@ impl Column {
 
     /// The values of a per-value column.
     pub(crate) fn as_values(&self) -> Option<&[Value]> {
-        match &self.data {
-            Data::Values(v) => Some(v),
-            _ => None,
-        }
+        self.vals.as_values()
     }
 
     /// For a string column, each code's rank among the dictionary's
     /// strings in order (the images [`image`](Self::image) gives them);
     /// empty for any other column.
     pub(crate) fn code_ranks(&self) -> Vec<u64> {
-        let Data::Str(_, d) = &self.data else {
+        if self.vals.rep() != Rep::Str {
             return Vec::new();
-        };
-        let mut order: Vec<u32> = (0..d.strings.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| d.strings[a as usize].cmp(&d.strings[b as usize]));
+        }
+        let d = self.dict.strings();
+        let mut order: Vec<u32> = (0..d.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| d[a as usize].cmp(&d[b as usize]));
         let mut ranks = vec![0; order.len()];
         for (rank, &code) in order.iter().enumerate() {
             ranks[code as usize] = rank as u64;
@@ -390,20 +892,9 @@ impl Column {
         ranks
     }
 
-    /// An order-preserving 64-bit image of the value at slot `i` (not
-    /// NULL), exact within the column: images compare as the values do
-    /// under `Value`'s order. `ranks` is [`code_ranks`](Self::code_ranks).
-    /// `None` for a column stored per value or all NULL.
+    /// [`Typed::image`] of slot `i`; `ranks` is [`code_ranks`](Self::code_ranks).
     pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> Option<u64> {
-        const SIGN: u64 = 1 << 63;
-        Some(match &self.data {
-            Data::Int(v) => v[i] as u64 ^ SIGN,
-            Data::Float(v) => float_image(v[i]),
-            Data::Date(v) => i64::from(v[i]) as u64 ^ SIGN,
-            Data::Bool(v) => u64::from(v.get(i)),
-            Data::Str(v, _) => ranks[v[i] as usize],
-            Data::Nulls | Data::Values(_) => return None,
-        })
+        self.vals.image(i, ranks)
     }
 
     /// The numeric projection (`Value::as_f64`) of each value at `slots`
@@ -415,15 +906,16 @@ impl Column {
             out.extend(slots.iter().filter(|&&i| !nulls.get(i)).map(|&i| f(i)));
             out
         }
-        let nulls = &self.nulls;
-        let out = match &self.data {
+        let nulls = &self.vals.nulls;
+        let out = match &self.vals.data {
             Data::Nulls => Vec::new(),
             Data::Int(v) => of(slots, nulls, |i| v[i] as f64),
             Data::Float(v) => of(slots, nulls, |i| v[i]),
             Data::Date(v) => of(slots, nulls, |i| f64::from(v[i])),
             Data::Bool(v) => of(slots, nulls, |i| f64::from(u8::from(v.get(i)))),
-            Data::Str(v, d) => {
-                let of_code: Vec<f64> = d.strings.iter().map(|s| str_position(s)).collect();
+            Data::Str(v) => {
+                let strings = self.dict.strings();
+                let of_code: Vec<f64> = strings.iter().map(|s| str_position(s)).collect();
                 of(slots, nulls, |i| of_code[v[i] as usize])
             }
             Data::Values(v) => of(slots, nulls, |i| v[i].as_f64()),
@@ -434,42 +926,9 @@ impl Column {
 
     /// `column op rhs`, compiled against this column's representation.
     pub(crate) fn filter(&self, op: CmpOp, rhs: &Value) -> Filter<'_> {
-        use Value as V;
-        // An operand of a type that ranks apart from the column's orders
-        // the same against every value that is not NULL.
-        let rank = |sample: Value| {
-            if op.holds(sample.cmp(rhs)) {
-                Test::NotNull
-            } else {
-                Test::Never
-            }
-        };
-        let test = match (&self.data, rhs) {
-            (_, V::Null) if op == CmpOp::Eq => Test::Null,
-            (_, V::Null) | (Data::Nulls, _) => Test::Never,
-            (Data::Values(v), _) => Test::Values(v, op, rhs.clone()),
-            (Data::Int(v), V::Int(y)) => Test::Int(v, op, *y),
-            (Data::Int(v), V::Float(y)) => Test::IntAsFloat(v, op, *y),
-            (Data::Int(_), _) => rank(V::Int(0)),
-            (Data::Float(v), V::Float(y)) => Test::Float(v, op, *y),
-            (Data::Float(v), V::Int(y)) => Test::Float(v, op, *y as f64),
-            (Data::Float(_), _) => rank(V::Float(0.0)),
-            (Data::Date(v), V::Date(y)) => Test::Date(v, op, *y),
-            (Data::Date(_), _) => rank(V::Date(0)),
-            (Data::Bool(v), V::Bool(y)) => Test::Bool(v, [false, true].map(|x| op.holds(x.cmp(y)))),
-            (Data::Bool(_), _) => rank(V::Bool(false)),
-            // No string written yet: every slot is NULL (and code 0
-            // names no string).
-            (Data::Str(_, d), _) if d.strings.is_empty() => Test::Never,
-            (Data::Str(v, d), V::Str(y)) => {
-                let pass = d.strings.iter().map(|s| op.holds((**s).cmp(&**y)));
-                Test::Codes(v, pass.collect())
-            }
-            (Data::Str(..), _) => rank(V::Str("".into())),
-        };
         Filter {
-            nulls: &self.nulls,
-            test,
+            vals: &self.vals,
+            test: Test::new(self.vals.rep(), &self.dict, op, rhs),
         }
     }
 }
@@ -482,7 +941,7 @@ impl FromIterator<Value> for Column {
     }
 }
 
-/// What the words of a column mean ([`Column::word_kind`]).
+/// What the words of a run mean ([`Typed::word_kind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum WordKind {
     Int,
@@ -503,33 +962,47 @@ pub(crate) fn float_image(f: f64) -> u64 {
     }
 }
 
-/// A predicate `column op operand` compiled against the column's
-/// representation ([`Column::filter`]). It holds on a slot exactly when
-/// `op.eval(value, operand)` does.
+/// A [`Test`] bound to one heap column ([`Column::filter`]).
 pub(crate) struct Filter<'c> {
-    nulls: &'c Bits,
-    test: Test<'c>,
+    vals: &'c Typed,
+    test: Test,
 }
 
-enum Test<'c> {
+impl Filter<'_> {
+    /// Whether the predicate holds on slot `i`.
+    pub(crate) fn test(&self, i: usize) -> bool {
+        self.test.holds(self.vals, i)
+    }
+
+    /// Where the predicate holds among slots `64 w .. 64 w + 64`: bit `i`
+    /// for slot `64 w + i`, zero past the column's end.
+    pub(crate) fn word(&self, w: usize) -> u64 {
+        self.test.word(self.vals, w)
+    }
+}
+
+/// A predicate `value op operand` compiled against one representation
+/// and dictionary, bound to no values: it holds on a slot of a run of
+/// that representation exactly when `op.eval(value, operand)` does.
+pub(crate) enum Test {
     /// Holds on no slot.
     Never,
     /// Holds on the NULL slots (`= NULL`).
     Null,
     /// Holds on every slot that is not NULL.
     NotNull,
-    Int(&'c [i64], CmpOp, i64),
-    /// An `Int` column against a `Float` operand: compared as `f64`, a
-    /// NaN operand equal to every value, as `Value` compares them.
-    IntAsFloat(&'c [i64], CmpOp, f64),
-    /// A `Float` column against a number (an `Int` taken as `f64`).
-    Float(&'c [f64], CmpOp, f64),
-    Date(&'c [i32], CmpOp, i32),
+    Int(CmpOp, i64),
+    /// An `Int` run against a `Float` operand: compared as `f64`, a NaN
+    /// operand equal to every value, as `Value` compares them.
+    IntAsFloat(CmpOp, f64),
+    /// A `Float` run against a number (an `Int` taken as `f64`).
+    Float(CmpOp, f64),
+    Date(CmpOp, i32),
     /// Whether the predicate holds on `false` and on `true`.
-    Bool(&'c Bits, [bool; 2]),
+    Bool([bool; 2]),
     /// Whether the predicate holds on each dictionary code's string.
-    Codes(&'c [u32], Vec<bool>),
-    Values(&'c [Value], CmpOp, Value),
+    Codes(Vec<bool>),
+    Values(CmpOp, Value),
 }
 
 /// `op` between `x` and `y` as `Value` orders numbers: a pair that
@@ -572,55 +1045,97 @@ fn mask<T: Copy, U: PartialOrd + Copy>(vals: &[T], conv: impl Fn(T) -> U, op: Cm
     }
 }
 
-impl Filter<'_> {
-    /// Whether the predicate holds on slot `i`.
-    pub(crate) fn test(&self, i: usize) -> bool {
-        match &self.test {
-            Test::Never => false,
-            Test::Null => self.nulls.get(i),
-            Test::Values(v, op, y) => op.eval(&v[i], y),
-            _ if self.nulls.get(i) => false,
-            Test::NotNull => true,
-            Test::Int(v, op, y) => holds(*op, v[i], *y),
-            Test::IntAsFloat(v, op, y) => holds(*op, v[i] as f64, *y),
-            Test::Float(v, op, y) => holds(*op, v[i], *y),
-            Test::Date(v, op, y) => holds(*op, v[i], *y),
-            Test::Bool(v, pass) => pass[usize::from(v.get(i))],
-            Test::Codes(v, pass) => pass[v[i] as usize],
+impl Test {
+    /// `value op rhs` compiled for runs of representation `rep` whose
+    /// string codes index `dict`.
+    pub(crate) fn new(rep: Rep, dict: &Dict, op: CmpOp, rhs: &Value) -> Test {
+        use Value as V;
+        // An operand of a type that ranks apart from the run's orders the
+        // same against every value that is not NULL.
+        let rank = |sample: Value| {
+            if op.holds(sample.cmp(rhs)) {
+                Test::NotNull
+            } else {
+                Test::Never
+            }
+        };
+        match (rep, rhs) {
+            (_, V::Null) if op == CmpOp::Eq => Test::Null,
+            (_, V::Null) | (Rep::Nulls, _) => Test::Never,
+            (Rep::Values, _) => Test::Values(op, rhs.clone()),
+            (Rep::Int, V::Int(y)) => Test::Int(op, *y),
+            (Rep::Int, V::Float(y)) => Test::IntAsFloat(op, *y),
+            (Rep::Int, _) => rank(V::Int(0)),
+            (Rep::Float, V::Float(y)) => Test::Float(op, *y),
+            (Rep::Float, V::Int(y)) => Test::Float(op, *y as f64),
+            (Rep::Float, _) => rank(V::Float(0.0)),
+            (Rep::Date, V::Date(y)) => Test::Date(op, *y),
+            (Rep::Date, _) => rank(V::Date(0)),
+            (Rep::Bool, V::Bool(y)) => Test::Bool([false, true].map(|x| op.holds(x.cmp(y)))),
+            (Rep::Bool, _) => rank(V::Bool(false)),
+            // No string written yet: every slot is NULL (and code 0
+            // names no string).
+            (Rep::Str, _) if dict.len() == 0 => Test::Never,
+            (Rep::Str, V::Str(y)) => {
+                let pass = dict.strings().iter().map(|s| op.holds((**s).cmp(&**y)));
+                Test::Codes(pass.collect())
+            }
+            (Rep::Str, _) => rank(V::Str("".into())),
         }
     }
 
-    /// Where the predicate holds among slots `64 w .. 64 w + 64`: bit `i`
-    /// for slot `64 w + i`, zero past the column's end.
-    pub(crate) fn word(&self, w: usize) -> u64 {
-        let (lo, hi) = (w * 64, (w * 64 + 64).min(self.nulls.len()));
-        let nulls = self.nulls.word(w);
+    /// Whether the predicate holds on slot `i` of `vals`.
+    #[inline]
+    pub(crate) fn holds(&self, vals: &Typed, i: usize) -> bool {
+        match (self, &vals.data) {
+            (Test::Never, _) => false,
+            (Test::Null, _) => vals.nulls.get(i),
+            (Test::Values(op, y), Data::Values(v)) => op.eval(&v[i], y),
+            _ if vals.nulls.get(i) => false,
+            (Test::NotNull, _) => true,
+            (Test::Int(op, y), Data::Int(v)) => holds(*op, v[i], *y),
+            (Test::IntAsFloat(op, y), Data::Int(v)) => holds(*op, v[i] as f64, *y),
+            (Test::Float(op, y), Data::Float(v)) => holds(*op, v[i], *y),
+            (Test::Date(op, y), Data::Date(v)) => holds(*op, v[i], *y),
+            (Test::Bool(pass), Data::Bool(v)) => pass[usize::from(v.get(i))],
+            (Test::Codes(pass), Data::Str(v)) => pass[v[i] as usize],
+            _ => unreachable!("a test compiled for another representation"),
+        }
+    }
+
+    /// Where the predicate holds among slots `64 w .. 64 w + 64` of
+    /// `vals`: bit `i` for slot `64 w + i`, zero past the run's end.
+    pub(crate) fn word(&self, vals: &Typed, w: usize) -> u64 {
+        let (lo, hi) = (w * 64, (w * 64 + 64).min(vals.len()));
+        let nulls = vals.nulls.word(w);
         let valid = if hi - lo == 64 {
             u64::MAX
         } else {
             (1u64 << (hi - lo)) - 1
         };
-        let hits = match &self.test {
-            Test::Never => return 0,
-            Test::Null => return nulls,
-            Test::Values(v, op, y) => return mask_of(&v[lo..hi], |x| op.eval(x, y)),
-            Test::NotNull => valid,
-            Test::Int(v, op, y) => mask(&v[lo..hi], |x| x, *op, *y),
-            Test::IntAsFloat(v, op, y) => mask(&v[lo..hi], |x| x as f64, *op, *y),
-            Test::Float(v, op, y) => mask(&v[lo..hi], |x| x, *op, *y),
-            Test::Date(v, op, y) => mask(&v[lo..hi], |x| x, *op, *y),
-            Test::Bool(v, [on_false, on_true]) => {
+        let hits = match (self, &vals.data) {
+            (Test::Never, _) => return 0,
+            (Test::Null, _) => return nulls,
+            (Test::Values(op, y), Data::Values(v)) => {
+                return mask_of(&v[lo..hi], |x| op.eval(x, y))
+            }
+            (Test::NotNull, _) => valid,
+            (Test::Int(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x, *op, *y),
+            (Test::IntAsFloat(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x as f64, *op, *y),
+            (Test::Float(op, y), Data::Float(v)) => mask(&v[lo..hi], |x| x, *op, *y),
+            (Test::Date(op, y), Data::Date(v)) => mask(&v[lo..hi], |x| x, *op, *y),
+            (Test::Bool([on_false, on_true]), Data::Bool(v)) => {
                 let b = v.word(w);
                 let t = if *on_true { b } else { 0 };
                 let f = if *on_false { !b } else { 0 };
                 (t | f) & valid
             }
-            Test::Codes(v, pass) => mask_of(&v[lo..hi], |&c| pass[c as usize]),
+            (Test::Codes(pass), Data::Str(v)) => mask_of(&v[lo..hi], |&c| pass[c as usize]),
+            _ => unreachable!("a test compiled for another representation"),
         };
         hits & !nulls
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -721,7 +1236,7 @@ mod tests {
         let cols = columns();
         let kinds: Vec<_> = cols
             .iter()
-            .map(|(c, _)| std::mem::discriminant(&c.data))
+            .map(|(c, _)| std::mem::discriminant(&c.vals.data))
             .collect();
         assert_eq!(
             kinds.iter().collect::<std::collections::HashSet<_>>().len(),
@@ -736,7 +1251,7 @@ mod tests {
                     for (i, &w) in want.iter().enumerate() {
                         assert_eq!(f.test(i), w, "{:?} {op} {rhs:?}", vals[i]);
                     }
-                    for w in 0..col.nulls.n_words() {
+                    for w in 0..col.vals.nulls.n_words() {
                         let bits: u64 = want
                             .iter()
                             .enumerate()
@@ -744,7 +1259,12 @@ mod tests {
                             .take(64)
                             .filter(|(_, &hit)| hit)
                             .fold(0, |m, (i, _)| m | 1 << (i % 64));
-                        assert_eq!(f.word(w), bits, "word {w}: {op} {rhs:?} on {:?}", col.data);
+                        assert_eq!(
+                            f.word(w),
+                            bits,
+                            "word {w}: {op} {rhs:?} on {:?}",
+                            col.vals.data
+                        );
                     }
                 }
             }
@@ -756,14 +1276,14 @@ mod tests {
     #[test]
     fn words_and_images_follow_value_order() {
         for (col, vals) in columns() {
-            let Some(_) = col.word_kind() else {
+            let Some(_) = col.vals.word_kind(&col.dict) else {
                 assert!(col.is_per_value() || vals.iter().all(Value::is_null));
                 continue;
             };
             let ranks = col.code_ranks();
             for (i, a) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
                 for (j, b) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
-                    assert_eq!(col.word(i) == col.word(j), a == b, "{a:?} {b:?}");
+                    assert_eq!(col.vals.word(i) == col.vals.word(j), a == b, "{a:?} {b:?}");
                     let (x, y) = (col.image(i, &ranks), col.image(j, &ranks));
                     assert_eq!(x.cmp(&y), a.cmp(b), "{a:?} {b:?}");
                 }
@@ -786,5 +1306,114 @@ mod tests {
         assert_eq!(b.ones_from(2).next(), Some(2));
         assert_eq!(b.ones_from(3).next(), Some(133));
         assert_eq!(b.ones_from(140).count(), 64);
+    }
+
+    /// Every compiled operand orders each slot of every representation
+    /// exactly as `Value::cmp` orders the stored value against it.
+    #[test]
+    fn operands_order_as_value_does_on_every_pair() {
+        for (col, vals) in columns() {
+            let (typed, dict) = col.parts();
+            for rhs in operands() {
+                let key = Operand::new(typed.rep(), dict, &rhs);
+                for (i, v) in vals.iter().enumerate() {
+                    let got = typed.cmp_at(i, &key, dict);
+                    assert_eq!(
+                        got,
+                        v.cmp(&rhs),
+                        "{v:?} against {rhs:?} in {:?}",
+                        typed.rep()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Bit vectors against a `Vec<bool>` model: inserts and removes at
+    /// every position, splits and appends across word boundaries, with
+    /// the bits past the length kept zero (the word kernels read them).
+    #[test]
+    fn bits_insert_remove_split_append_as_a_vec_does() {
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let tidy = |b: &Bits| {
+            b.words.len() == b.len.div_ceil(64)
+                && (b.len.is_multiple_of(64) || b.words[b.len / 64] >> (b.len % 64) == 0)
+        };
+        let mut bits = Bits::default();
+        let mut model: Vec<bool> = Vec::new();
+        for step in 0..4_000 {
+            let r = next();
+            let at = (r >> 20) as usize % (model.len() + 1);
+            match r % 5 {
+                0 | 1 => {
+                    let bit = r >> 40 & 1 == 1;
+                    bits.insert(at, bit);
+                    model.insert(at, bit);
+                }
+                2 if !model.is_empty() => {
+                    let at = at % model.len();
+                    assert_eq!(bits.remove(at), model.remove(at), "step {step}");
+                }
+                3 => {
+                    let mut right = bits.split_off(at, 8);
+                    let tail = model.split_off(at);
+                    assert!(tidy(&bits) && tidy(&right), "split at {at}, step {step}");
+                    assert!((0..tail.len()).all(|i| right.get(i) == tail[i]));
+                    bits.append(&mut right);
+                    model.extend(tail);
+                    assert_eq!(right.len(), 0);
+                }
+                _ => {}
+            }
+            assert!(tidy(&bits), "step {step}");
+            assert_eq!(bits.len(), model.len());
+            assert!(
+                (0..model.len()).all(|i| bits.get(i) == model[i]),
+                "step {step}"
+            );
+        }
+    }
+
+    /// A run moves and widens exactly: copies, splits and appends keep
+    /// every value's variant and bits, and widening to per value (or from
+    /// nothing but NULLs to a type) reads back what was there.
+    #[test]
+    fn typed_runs_copy_split_and_widen_exactly() {
+        let same = |a: &Value, b: &Value| format!("{a:?}") == format!("{b:?}");
+        for (col, vals) in columns() {
+            let (src, dict) = col.parts();
+            let mut dict = dict.clone();
+            let mut run = Typed::new(src.rep(), 4);
+            let slots: Vec<u32> = (0..vals.len() as u32).rev().collect();
+            run.extend_from(src, &slots);
+            let mut want: Vec<Value> = vals.iter().rev().cloned().collect();
+            let mut right = run.split_off(33, 64);
+            right.remove(3);
+            want.remove(36);
+            run.insert_from(5, &right, 0);
+            want.insert(5, want[33].clone());
+            run.append(&mut right);
+            run.set_from(0, src, 1);
+            want[0] = vals[1].clone();
+            assert!(run.is_well_formed(&dict));
+            assert!((0..want.len()).all(|i| same(&run.value(i, &dict), &want[i])));
+            // A misfit moves the run per value; every value stays.
+            let misfit = if src.rep() == Rep::Int {
+                Value::Str("m".into())
+            } else {
+                Value::Int(7)
+            };
+            let to = run.rep().after(&misfit);
+            run.widen(to, &dict);
+            run.insert(2, &misfit, &mut dict);
+            want.insert(2, misfit);
+            assert!((0..want.len()).all(|i| same(&run.value(i, &dict), &want[i])));
+        }
     }
 }

@@ -9,34 +9,39 @@
 //! only where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
 //!
-//! # Borrowed rows, typed columns
+//! # Borrowed rows, typed columns and leaves
 //!
 //! The control plane consumes these counts and never a result set, so the
 //! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a `RowView`: a heap and a row id, or the leaf
-//! values of a covering index entry. Tables are stored by typed column
-//! ([`crate::column`]), and the hot operators work on those columns, not
-//! on `Value`s:
+//! qualifying row on as a `RowView`: a heap and a row id, or a covering
+//! index entry as its leaf's run and a position in it. Tables and index
+//! leaves are stored by typed column ([`crate::column`],
+//! [`crate::btree`]), and the hot operators work on those runs, not on
+//! `Value`s:
 //!
-//! - A residual predicate over heap rows is compiled once per access
-//!   against its column's representation (`Column::filter`). A
-//!   sequential scan evaluates its first predicate 64 slots at a time
-//!   over the typed slice, masks the result with the live bits, and
-//!   tests the other predicates only on the slots that survive.
-//! - The count sink counts distinct GROUP BY keys of one heap column by
-//!   their words (`Column::word`): a bit per dictionary code for a string
-//!   column, a set of 64-bit words for the others.
+//! - A residual predicate is compiled once per access against its
+//!   column's representation — a heap column's, or a covering index
+//!   column's, which every leaf shares. A sequential scan evaluates its
+//!   first predicate 64 slots at a time over the typed slice, masks the
+//!   result with the live bits, and tests the other predicates only on
+//!   the slots that survive; a covering access does the same over each
+//!   leaf's runs, masked to the stretch the seek handed on.
+//! - The count sink counts distinct GROUP BY keys of one column by their
+//!   words (`Typed::word`), read from the heap column or from each row's
+//!   leaf run: a bit per dictionary code for a string column, a set of
+//!   64-bit words for the others.
 //! - The hash join keys its build side by words when both key columns
-//!   are heap columns of one kind of word; its table chains each key's
-//!   rows in arrival order, so a key costs no allocation of its own.
+//!   are of one kind of word, each on a heap or a covering leaf; its
+//!   table chains each key's rows in arrival order, so a key costs no
+//!   allocation of its own.
 //!
 //! The kernels reproduce `Value`'s order and equality exactly (`Int`
 //! against `Float` numerically, `-0.0` equal to `0.0`, a NaN operand
 //! equal to every number, variants of different types by rank); what
-//! they do not cover — a column stored per value, a covering leaf, a
-//! GROUP BY of more than one column, join keys of two kinds or two
-//! dictionaries — goes through the per-value path, which reads each
-//! value as a `Value` (borrowed from a leaf, built from a heap column).
+//! they do not cover — a column stored per value, a GROUP BY of more than
+//! one column, join keys of two kinds or two dictionaries, ORDER BY and
+//! the rows sink — goes through the per-value path, which reads each
+//! value as a `Value` built from its heap column or leaf run.
 //! Storage is only borrowed shared for the whole statement, so a view
 //! stays valid until the sink. The executor's temporary hash tables
 //! (group keys, the join's build side) hash a word at a time with a
@@ -73,8 +78,9 @@
 //! aggregation, sort and output from the two numbers each sink knows:
 //! the rows that reached it and the groups they formed.
 
+use crate::btree::{Entries, Run};
 use crate::catalog::Catalog;
-use crate::column::{Column, Filter, WordKind};
+use crate::column::{set_bits, word_kind, Filter, Test, Typed, WordKind};
 use crate::heap::{Heap, RowId};
 use crate::index::{ColBound, SecondaryIndex};
 use crate::optimizer::{
@@ -83,7 +89,7 @@ use crate::optimizer::{
 };
 use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, SelectPlan};
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
-use crate::schema::{ColumnId, IndexDef, IndexId, TableId};
+use crate::schema::{ColumnId, IndexId, TableId};
 use crate::types::{Row, Value};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
@@ -162,8 +168,8 @@ pub struct ExecContext<'a> {
 
 /// One input row as the operators see it, borrowed from storage for the
 /// length of the statement (`'c`): a heap row, read from the heap's
-/// columns at its slot, or the leaf values of a covering index entry (key
-/// values, then included values).
+/// columns at its slot, or a covering index entry, read from its leaf's
+/// runs at its position (key columns, then included columns).
 #[derive(Clone, Copy)]
 enum RowView<'c> {
     Heap {
@@ -171,8 +177,9 @@ enum RowView<'c> {
         rid: RowId,
     },
     Leaf {
-        def: &'c IndexDef,
-        vals: &'c [Value],
+        ix: &'c SecondaryIndex,
+        run: &'c Run,
+        pos: u32,
     },
 }
 
@@ -180,60 +187,107 @@ impl<'c> RowView<'c> {
     /// The value of column `c`, its [`slot`] found anew: for the rows
     /// sink's projection and sort. The per-value paths bind slots once
     /// per access and read with [`at`](Self::at).
-    fn col(self, c: ColumnId) -> Cow<'c, Value> {
+    fn col(self, c: ColumnId) -> Value {
         let leaf = match self {
             RowView::Heap { .. } => None,
-            RowView::Leaf { def, .. } => Some(def),
+            RowView::Leaf { ix, .. } => Some(ix),
         };
         self.at(slot(leaf, c))
     }
 
-    /// The value at `slot`: borrowed from a leaf, built from a heap column.
-    fn at(self, slot: usize) -> Cow<'c, Value> {
+    /// The value at `slot`, built from the heap's column or the leaf's
+    /// run; NULL for a column a leaf lacks.
+    fn at(self, slot: usize) -> Value {
         match self {
-            RowView::Heap { heap, rid } => Cow::Owned(heap.value(rid, slot)),
-            RowView::Leaf { vals, .. } => Cow::Borrowed(leaf_value(vals, slot)),
-        }
-    }
-
-    /// The heap slot of a heap row.
-    fn heap_slot(self) -> usize {
-        match self {
-            RowView::Heap { rid, .. } => rid.0 as usize,
-            RowView::Leaf { .. } => unreachable!("a covering leaf has no heap slot"),
+            RowView::Heap { heap, rid } => heap.value(rid, slot),
+            RowView::Leaf { ix, run, pos } if slot < run.width() => {
+                run.col(slot).value(pos as usize, ix.tree().dict(slot))
+            }
+            RowView::Leaf { .. } => Value::Null,
         }
     }
 }
 
-/// The value at `slot` of a covering leaf; NULL for a column it lacks.
-fn leaf_value(vals: &[Value], slot: usize) -> &Value {
-    vals.get(slot).unwrap_or(&Value::Null)
+/// Where the rows of one access keep the values of one column that has
+/// words ([`Typed::word`]): the heap's column, found once, or a slot of
+/// the covering leaves, read from each row's run.
+#[derive(Clone, Copy)]
+enum WordAt<'c> {
+    Heap(&'c Typed),
+    Leaf(usize),
+}
+
+impl<'c> WordAt<'c> {
+    /// The column at `slot` of the rows of `table` laid out as `leaf`
+    /// says, and the kind of its words; `None` where it has none.
+    fn new(
+        ctx: &'c ExecContext<'_>,
+        table: TableId,
+        leaf: Option<&'c SecondaryIndex>,
+        slot: usize,
+    ) -> Option<(WordAt<'c>, WordKind)> {
+        match leaf {
+            Some(ix) if slot < ix.tree().width() => {
+                let kind = word_kind(ix.tree().rep(slot), ix.tree().dict(slot))?;
+                Some((WordAt::Leaf(slot), kind))
+            }
+            Some(_) => None,
+            None => {
+                let (vals, dict) = ctx.heaps.get(&table)?.column(slot).parts();
+                Some((WordAt::Heap(vals), vals.word_kind(dict)?))
+            }
+        }
+    }
+
+    /// The word of `row`'s value, `None` for NULL. The arms stay apart,
+    /// so that over a heap the column is loop-invariant.
+    #[inline]
+    fn of(self, row: RowView) -> Option<u64> {
+        let word = |vals: &Typed, i: usize| (!vals.is_null(i)).then(|| vals.word(i));
+        match self {
+            WordAt::Heap(vals) => {
+                let RowView::Heap { rid, .. } = row else {
+                    unreachable!("a leaf row of a heap access")
+                };
+                word(vals, rid.0 as usize)
+            }
+            WordAt::Leaf(s) => {
+                let RowView::Leaf { run, pos, .. } = row else {
+                    unreachable!("a heap row of a covering access")
+                };
+                word(run.col(s), pos as usize)
+            }
+        }
+    }
 }
 
 /// Where column `c` sits in a row view: its own column of a heap (`leaf`
 /// is `None`), its position among the key-then-included columns of a
 /// covering leaf. A column the leaf lacks reads as NULL.
-fn slot(leaf: Option<&IndexDef>, c: ColumnId) -> usize {
-    let Some(def) = leaf else {
+fn slot(leaf: Option<&SecondaryIndex>, c: ColumnId) -> usize {
+    let Some(ix) = leaf else {
         return c.0 as usize;
     };
-    def.leaf_columns().position(|k| k == c).unwrap_or_else(|| {
-        // The planner marks an access covering only when the leaf
-        // carries every column the plan reads from it.
-        debug_assert!(false, "covering read of {c} not in '{}'", def.name);
-        usize::MAX
-    })
+    ix.def
+        .leaf_columns()
+        .position(|k| k == c)
+        .unwrap_or_else(|| {
+            // The planner marks an access covering only when the leaf
+            // carries every column the plan reads from it.
+            debug_assert!(false, "covering read of {c} not in '{}'", ix.def.name);
+            usize::MAX
+        })
 }
 
 /// The [`slot`] of each of `cols` in rows laid out as `leaf` says.
-fn slots(leaf: Option<&IndexDef>, cols: &[ColumnId]) -> Vec<usize> {
+fn slots(leaf: Option<&SecondaryIndex>, cols: &[ColumnId]) -> Vec<usize> {
     cols.iter().map(|&c| slot(leaf, c)).collect()
 }
 
 /// The layout of the rows `access` emits: its index's leaf when the
 /// access is covering, the heap's otherwise (`None`). A missing index
 /// reads as the heap's; `run_access` then fails before any row flows.
-fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c IndexDef> {
+fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c SecondaryIndex> {
     match access {
         Access::IndexSeek {
             index,
@@ -243,7 +297,7 @@ fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c IndexDef
         | Access::IndexScan {
             index,
             covering: true,
-        } => Some(&ctx.indexes.get(&index.real_id()?)?.def),
+        } => ctx.indexes.get(&index.real_id()?),
         _ => None,
     }
 }
@@ -321,43 +375,41 @@ fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBo
     }
 }
 
-/// A predicate bound to the leaves of one covering access: the slot its
-/// column sits in, its operator and its resolved operand.
-struct Bound<'q> {
-    slot: usize,
-    op: CmpOp,
-    value: &'q Value,
-}
-
 /// Predicates bound to the rows of one access.
-enum Filters<'c, 'q> {
+enum Filters<'c> {
     /// Compiled against the heap's columns, tested by slot.
     Heap(Vec<Filter<'c>>),
-    /// Bound to the slots of a covering leaf.
-    Leaf(Vec<Bound<'q>>),
+    /// Compiled against the runs of a covering index's leaf columns: each
+    /// test and the leaf slot it reads.
+    Leaf(Vec<(usize, Test)>),
 }
 
 /// Bind `preds` under `params` to the rows of `heap` (`leaf` is `None`)
-/// or to leaves laid out as `leaf` says ([`slot`]).
+/// or to the leaves of `leaf` ([`slot`]).
 fn bind<'c, 'q>(
     preds: impl IntoIterator<Item = &'q Predicate>,
     params: &'q [Value],
-    leaf: Option<&IndexDef>,
+    leaf: Option<&SecondaryIndex>,
     heap: &'c Heap,
-) -> Filters<'c, 'q> {
+) -> Filters<'c> {
     let preds = preds.into_iter();
-    match leaf {
-        None => Filters::Heap(compile(preds, params, heap)),
-        Some(_) => Filters::Leaf(
-            preds
-                .map(|p| Bound {
-                    slot: slot(leaf, p.column),
-                    op: p.op,
-                    value: p.value.resolve(params),
-                })
-                .collect(),
-        ),
-    }
+    let Some(ix) = leaf else {
+        return Filters::Heap(compile(preds, params, heap));
+    };
+    let tree = ix.tree();
+    Filters::Leaf(
+        preds
+            .filter_map(|p| {
+                let (s, rhs) = (slot(leaf, p.column), p.value.resolve(params));
+                if s >= tree.width() {
+                    // A column the leaf lacks reads NULL: the predicate
+                    // holds everywhere or nowhere.
+                    return (!p.op.eval(&Value::Null, rhs)).then_some((0, Test::Never));
+                }
+                Some((s, Test::new(tree.rep(s), tree.dict(s), p.op, rhs)))
+            })
+            .collect(),
+    )
 }
 
 /// `preds` under `params`, compiled against the columns of `heap`.
@@ -371,19 +423,43 @@ fn compile<'c, 'q>(
     preds.into_iter().map(filter).collect()
 }
 
-impl Filters<'_, '_> {
+impl Filters<'_> {
     /// Whether `row` satisfies every predicate.
     fn keeps(&self, row: RowView) -> bool {
         match (self, row) {
             (Filters::Heap(f), RowView::Heap { rid, .. }) => {
                 f.iter().all(|f| f.test(rid.0 as usize))
             }
-            (Filters::Leaf(b), RowView::Leaf { vals, .. }) => b
-                .iter()
-                .all(|b| b.op.eval(leaf_value(vals, b.slot), b.value)),
+            (Filters::Leaf(t), RowView::Leaf { run, pos, .. }) => {
+                (t.iter()).all(|(s, t)| t.holds(run.col(*s), pos as usize))
+            }
             (Filters::Heap(f), RowView::Leaf { .. }) => f.is_empty(),
-            (Filters::Leaf(b), RowView::Heap { .. }) => b.is_empty(),
+            (Filters::Leaf(t), RowView::Heap { .. }) => t.is_empty(),
         }
+    }
+}
+
+/// The positions of `found` on which every test of `tests` (compiled
+/// against the leaf's runs) holds, rising: the tests run over a leaf's
+/// typed runs 64 positions at a time, the later ones only on words where
+/// some position survives the earlier.
+fn select_leaf(tests: &[(usize, Test)], found: &Entries, mut emit: impl FnMut(usize)) {
+    let (run, range) = (found.run(), found.positions());
+    if range.is_empty() {
+        return;
+    }
+    for w in range.start / 64..=(range.end - 1) / 64 {
+        let lo = w * 64;
+        let (a, b) = (range.start.max(lo) - lo, range.end.min(lo + 64) - lo);
+        let below_b = if b == 64 { u64::MAX } else { (1 << b) - 1 };
+        let mut hits = below_b & !((1u64 << a) - 1);
+        for (s, t) in tests {
+            if hits == 0 {
+                break;
+            }
+            hits &= t.word(run.col(*s), w);
+        }
+        set_bits(hits).for_each(|b| emit(lo + b));
     }
 }
 
@@ -401,7 +477,7 @@ impl<'q> Residual<'q> {
         self.which.iter().map(move |&i| &self.preds[i])
     }
 
-    fn bind<'c>(self, leaf: Option<&IndexDef>, heap: &'c Heap) -> Filters<'c, 'q> {
+    fn bind<'c>(self, leaf: Option<&SecondaryIndex>, heap: &'c Heap) -> Filters<'c> {
         bind(self.preds(), self.params, leaf, heap)
     }
 
@@ -454,28 +530,34 @@ fn run_access<'c>(
         .indexes
         .get(&id)
         .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
-    let def = &ix.def;
     let filter = if covering {
-        residual.bind(Some(def), heap)
+        residual.bind(Some(ix), heap)
     } else {
         Filters::Leaf(Vec::new())
     };
     let mut rids: Vec<RowId> = Vec::new();
-    let mut visit = |rid, vals| {
-        let v = RowView::Leaf { def, vals };
-        if !covering {
-            rids.push(rid);
-        } else if filter.keeps(v) {
-            emit(rid, v);
+    let mut visit = |found: Entries<'c>| {
+        let run = found.run();
+        let view = |i: usize| RowView::Leaf {
+            ix,
+            run,
+            pos: i as u32,
+        };
+        match &filter {
+            _ if !covering => rids.extend(found.positions().map(|i| run.rid(i))),
+            Filters::Leaf(tests) if !tests.is_empty() => {
+                select_leaf(tests, &found, |i| emit(run.rid(i), view(i)))
+            }
+            _ => found.positions().for_each(|i| emit(run.rid(i), view(i))),
         }
     };
     let (n, pages) = match access {
         Access::IndexSeek { eq, lo, hi, .. } => {
             let params = residual.params;
-            let eq_vals: Vec<Value> = eq.iter().map(|s| s.resolve(params).clone()).collect();
+            let eq_vals = eq.iter().map(|s| s.resolve(params));
             let lo_b = resolve_bound(lo, params, true);
             let hi_b = resolve_bound(hi, params, false);
-            ix.seek_visit(&eq_vals, lo_b, hi_b, &mut visit)
+            ix.seek_visit(eq_vals, lo_b, hi_b, &mut visit)
         }
         _ => {
             let (n, _) = ix.scan_visit(&mut visit);
@@ -561,29 +643,19 @@ fn produce<'c>(
                 access: inner_access,
                 residual,
             };
-            // Typed words when both keys are heap columns of one kind of
-            // word; a dictionary code means nothing in another column.
-            let words = |leaf: Option<&IndexDef>, table: TableId, c: ColumnId| {
-                if leaf.is_some() {
-                    return None;
-                }
-                let col = ctx.heaps.get(&table)?.column(c.0 as usize);
-                Some((col, col.word_kind()?))
-            };
-            match (
-                words(outer_leaf, q.table, jspec.outer_col),
-                words(inner_leaf, jspec.table, jspec.inner_col),
-            ) {
+            // Typed words when both keys are columns of one kind of word,
+            // on a heap or a covering leaf; a dictionary code means
+            // nothing in another column.
+            let words = (
+                WordAt::new(ctx, q.table, outer_leaf, outer_key),
+                WordAt::new(ctx, jspec.table, inner_leaf, inner_key),
+            );
+            match words {
                 (Some((o, a)), Some((i, b))) if a == b && !matches!(a, WordKind::Code(_)) => {
-                    let key = |col: &Column, v: RowView| {
-                        let s = v.heap_slot();
-                        (!col.is_null(s)).then(|| col.word(s))
-                    };
-                    let inner_key = |v| key(i, v);
-                    hash_join(ctx, inner, m, outers, inner_key, |v| key(o, v), sink)?;
+                    hash_join(ctx, inner, m, outers, |v| i.of(v), |v| o.of(v), sink)?;
                 }
                 _ => {
-                    let inner_key = |v: RowView<'c>| v.at(inner_key);
+                    let inner_key = |v: RowView| v.at(inner_key);
                     hash_join(ctx, inner, m, outers, inner_key, |v| v.at(outer_key), sink)?;
                 }
             }
@@ -597,7 +669,7 @@ fn produce<'c>(
             // not before: with no outer row there is nothing to seek.
             let inner_ix = ctx.indexes.get(&id);
             let inner_heap = ctx.heaps.get(&jspec.table);
-            let leaf = inner_ix.filter(|_| *covering).map(|ix| &ix.def);
+            let leaf = inner_ix.filter(|_| *covering);
             let filter = match inner_heap {
                 Some(heap) => bind(&jspec.predicates, params, leaf, heap),
                 None => Filters::Heap(Vec::new()),
@@ -608,15 +680,18 @@ fn produce<'c>(
                 let ix =
                     inner_ix.ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
                 let key = outer.at(outer_key);
-                let key = std::slice::from_ref(&*key);
                 let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
                 rids.clear();
                 matched.clear();
-                let (n, pages) = ix.seek_visit(key, lo, hi, |rid, vals| {
-                    if *covering {
-                        matched.push(RowView::Leaf { def: &ix.def, vals });
-                    } else {
-                        rids.push(rid);
+                let (n, pages) = ix.seek_visit([&key], lo, hi, |found| {
+                    let run = found.run();
+                    for i in found.positions() {
+                        if *covering {
+                            let pos = i as u32;
+                            matched.push(RowView::Leaf { ix, run, pos });
+                        } else {
+                            rids.push(run.rid(i));
+                        }
                     }
                 });
                 m.add_pages_read(pages);
@@ -766,8 +841,11 @@ pub fn execute_select(
     let leaf = leaf_of(ctx, &plan.access);
     let Some(out) = out else {
         let group = slots(leaf, &q.group_by);
-        let heap = ctx.heaps.get(&q.table).filter(|_| leaf.is_none());
-        let mut count = Counter::new(&group, heap);
+        let words = match group[..] {
+            [g] => WordAt::new(ctx, q.table, leaf, g),
+            _ => None,
+        };
+        let mut count = Counter::new(&group, words);
         produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
         charge_output(&mut m, q, plan, count.rows, count.groups());
         return Ok(m);
@@ -796,19 +874,15 @@ pub fn execute_select(
         if sorts {
             // Sort the source rows, *before* projection, so ORDER BY
             // columns need not be projected.
-            joined
-                .sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), |v, c| Some(v.col(c))));
+            let col = |v: RowView, c| Some(Cow::Owned(v.col(c)));
+            joined.sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), col));
         }
         // LIMIT first, then project what is left: primary columns, then
         // join columns.
         out.extend(joined[..returned].iter().map(|(outer, inner)| {
-            let mut row: Row = q
-                .projection
-                .iter()
-                .map(|&c| outer.col(c).into_owned())
-                .collect();
+            let mut row: Row = q.projection.iter().map(|&c| outer.col(c)).collect();
             if let (Some(jspec), Some(inner)) = (&q.join, inner) {
-                row.extend(jspec.projection.iter().map(|&c| inner.col(c).into_owned()));
+                row.extend(jspec.projection.iter().map(|&c| inner.col(c)));
             }
             row
         }));
@@ -863,10 +937,11 @@ struct Counter<'c, 'q> {
 enum Keys<'c, 'q> {
     /// No GROUP BY.
     None,
-    /// Heap rows grouped on one column that has words
-    /// (`Column::word`): whether a NULL key came, and the words that did.
+    /// Rows grouped on one column that has words ([`Typed::word`]):
+    /// where the rows keep it, whether a NULL key came, and the words
+    /// that did.
     Words {
-        col: &'c Column,
+        at: WordAt<'c>,
         null: bool,
         seen: WordSet,
     },
@@ -892,8 +967,8 @@ enum WordSet {
 }
 
 /// A row standing for its GROUP BY key: hashed and compared by the values
-/// at the group slots, read through the row, so a key borrows what it
-/// holds and a new group allocates nothing of its own.
+/// at the group slots, read through the row, so a key holds no values of
+/// its own.
 #[derive(Clone, Copy)]
 struct GroupKey<'c, 'q> {
     row: RowView<'c>,
@@ -918,20 +993,14 @@ impl PartialEq for GroupKey<'_, '_> {
 impl Eq for GroupKey<'_, '_> {}
 
 impl<'c, 'q> Counter<'c, 'q> {
-    /// A sink for rows whose group columns sit at `group`: rows of `heap`
-    /// when it is given, covering leaves when not.
-    fn new(group: &'q [usize], heap: Option<&'c Heap>) -> Counter<'c, 'q> {
-        let words = match (group, heap) {
-            ([g], Some(heap)) => {
-                let col = heap.column(*g);
-                col.word_kind().map(|kind| (col, kind))
-            }
-            _ => None,
-        };
-        let keys = match words {
-            _ if group.is_empty() => Keys::None,
-            Some((col, kind)) => Keys::Words {
-                col,
+    /// A sink for rows whose group columns sit at `group`; `words` is
+    /// where the one group column's words are, and their kind, where it
+    /// has them.
+    fn new(group: &'q [usize], words: Option<(WordAt<'c>, WordKind)>) -> Counter<'c, 'q> {
+        let keys = match (group, words) {
+            ([], _) => Keys::None,
+            ([_], Some((at, kind))) => Keys::Words {
+                at,
                 null: false,
                 seen: match kind {
                     WordKind::Code(n) => WordSet::Codes(vec![0; n.div_ceil(64)]),
@@ -941,7 +1010,7 @@ impl<'c, 'q> Counter<'c, 'q> {
                     },
                 },
             },
-            None => Keys::Values {
+            _ => Keys::Values {
                 group,
                 keys: HashSet::default(),
                 last: None,
@@ -954,13 +1023,11 @@ impl<'c, 'q> Counter<'c, 'q> {
         self.rows += 1;
         match &mut self.keys {
             Keys::None => {}
-            Keys::Words { col, null, seen } => {
-                let s = row.heap_slot();
-                if col.is_null(s) {
+            Keys::Words { at, null, seen } => {
+                let Some(w) = at.of(row) else {
                     *null = true;
                     return;
-                }
-                let w = col.word(s);
+                };
                 match seen {
                     WordSet::Codes(bits) => bits[w as usize / 64] |= 1 << (w % 64),
                     WordSet::Hash { set, last } => {
@@ -1000,17 +1067,17 @@ impl<'c, 'q> Counter<'c, 'q> {
 
 /// The rows sink's aggregation over rows laid out as `leaf` says: one row
 /// per group — the key values, then the aggregates — in key order.
-fn aggregate<'c>(
+fn aggregate(
     q: &SelectQuery,
-    leaf: Option<&IndexDef>,
-    joined: &[(RowView<'c>, Option<RowView<'c>>)],
+    leaf: Option<&SecondaryIndex>,
+    joined: &[(RowView<'_>, Option<RowView<'_>>)],
 ) -> Vec<Row> {
     let group = slots(leaf, &q.group_by);
     let inputs: Vec<usize> = q.aggregates.iter().map(|&(_, c)| slot(leaf, c)).collect();
     // One probe per input row; a key is kept only when its group is new.
-    let mut index: HashMap<Vec<Cow<Value>>, usize, WordState> = HashMap::default();
+    let mut index: HashMap<Vec<Value>, usize, WordState> = HashMap::default();
     let mut states: Vec<Vec<AggState>> = Vec::new();
-    let mut key: Vec<Cow<Value>> = Vec::with_capacity(group.len());
+    let mut key: Vec<Value> = Vec::with_capacity(group.len());
     for (outer, _) in joined {
         key.clear();
         key.extend(group.iter().map(|&s| outer.at(s)));
@@ -1033,12 +1100,11 @@ fn aggregate<'c>(
     }
     // `Value`'s order over the keys, first-seen group first on a tie:
     // the order a `BTreeMap` keyed by the group key iterates in.
-    let mut groups: Vec<(Vec<Cow<Value>>, usize)> = index.into_iter().collect();
+    let mut groups: Vec<(Vec<Value>, usize)> = index.into_iter().collect();
     groups.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
     groups
         .into_iter()
-        .map(|(key, g)| {
-            let mut row: Row = key.into_iter().map(Cow::into_owned).collect();
+        .map(|(mut row, g)| {
             row.extend(states[g].iter().map(AggState::finish));
             row
         })
@@ -1047,16 +1113,16 @@ fn aggregate<'c>(
 
 /// Running state of one aggregate: only what its function reads.
 #[derive(Debug, Clone)]
-struct AggState<'c> {
+struct AggState {
     func: AggFunc,
     count: u64,
     sum: f64,
     /// Running minimum or maximum, for `Min` / `Max`.
-    extreme: Option<Cow<'c, Value>>,
+    extreme: Option<Value>,
 }
 
-impl<'c> AggState<'c> {
-    fn new(func: AggFunc) -> AggState<'c> {
+impl AggState {
+    fn new(func: AggFunc) -> AggState {
         AggState {
             func,
             count: 0,
@@ -1065,11 +1131,11 @@ impl<'c> AggState<'c> {
         }
     }
 
-    fn update(&mut self, v: Cow<'c, Value>) {
+    fn update(&mut self, v: Value) {
         if v.is_null() {
             return;
         }
-        let extreme = self.extreme.as_deref();
+        let extreme = self.extreme.as_ref();
         match self.func {
             AggFunc::Count => self.count += 1,
             AggFunc::Sum => self.sum += v.as_f64(),
@@ -1077,8 +1143,8 @@ impl<'c> AggState<'c> {
                 self.count += 1;
                 self.sum += v.as_f64();
             }
-            AggFunc::Min if extreme.is_none_or(|m| *v < *m) => self.extreme = Some(v),
-            AggFunc::Max if extreme.is_none_or(|m| *v > *m) => self.extreme = Some(v),
+            AggFunc::Min if extreme.is_none_or(|m| v < *m) => self.extreme = Some(v),
+            AggFunc::Max if extreme.is_none_or(|m| v > *m) => self.extreme = Some(v),
             AggFunc::Min | AggFunc::Max => {}
         }
     }
@@ -1087,7 +1153,7 @@ impl<'c> AggState<'c> {
         match self.func {
             AggFunc::Count => Value::Int(self.count as i64),
             AggFunc::Sum => Value::Float(self.sum),
-            AggFunc::Min | AggFunc::Max => self.extreme.as_deref().cloned().unwrap_or(Value::Null),
+            AggFunc::Min | AggFunc::Max => self.extreme.clone().unwrap_or(Value::Null),
             AggFunc::Avg if self.count == 0 => Value::Null,
             AggFunc::Avg => Value::Float(self.sum / self.count as f64),
         }
@@ -1522,7 +1588,8 @@ mod tests {
                 };
                 heap.insert(vec![pool[(i * 11) % pool.len()].clone(), j]);
             }
-            assert_eq!(heap.column(0).word_kind(), kind, "pool {n}");
+            let (vals, dict) = heap.column(0).parts();
+            assert_eq!(vals.word_kind(dict), kind, "pool {n}");
             let want = |cols: &[usize]| -> usize {
                 let keys = heap.live_ids().map(|rid| -> Vec<Value> {
                     cols.iter().map(|&c| heap.value(rid, c)).collect()

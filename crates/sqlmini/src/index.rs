@@ -4,15 +4,19 @@
 //! plus the row id (making every entry unique even under duplicate key
 //! values, as SQL Server does with its row locator). The included-column
 //! values ride behind the key values in the same leaf slot, so covering
-//! scans never touch the heap. A leaf keeps its entries flat — one run of
-//! values and one of row ids, [`BTree`]'s layout — so an entry costs no
-//! allocation of its own.
+//! scans never touch the heap. A leaf keeps its entries column-major and
+//! typed — one run per leaf column and one of row ids, [`BTree`]'s
+//! layout — so an entry costs no allocation of its own, and a build
+//! copies the heap's typed columns into the leaves without building a
+//! `Value`. Seeks and scans hand their entries on a leaf at a time
+//! ([`Entries`]), for the executor's kernels to read in place.
 
-use crate::btree::BTree;
-use crate::column::{float_image, Column};
+use crate::btree::{BTree, Entries};
+use crate::column::{float_image, Column, Operand};
 use crate::heap::{Heap, RowId, PAGE_SIZE};
 use crate::schema::{ColumnId, IndexDef, TableDef};
 use crate::types::{Row, Value};
+use std::cmp::Ordering;
 use std::ops::Bound;
 
 /// Leaf fill an index is built to, as a fraction of a page's entries: the
@@ -38,6 +42,16 @@ pub enum ColBound {
     Unbounded,
     Included(Value),
     Excluded(Value),
+}
+
+impl ColBound {
+    /// The bounding value, if any.
+    fn value(&self) -> Option<&Value> {
+        match self {
+            ColBound::Included(v) | ColBound::Excluded(v) => Some(v),
+            ColBound::Unbounded => None,
+        }
+    }
 }
 
 /// A materialized secondary index.
@@ -77,30 +91,31 @@ impl SecondaryIndex {
     /// root-to-leaf insert per row). Returns the number of heap pages
     /// scanned (the IO cost of the build's scan phase).
     pub fn build(&mut self, heap: &Heap) -> u64 {
-        let (w, k) = (self.tree.width(), self.tree.key_len());
+        let k = self.tree.key_len();
         let columns: Vec<&Column> = self
             .def
             .leaf_columns()
             .map(|c| heap.column(c.0 as usize))
             .collect();
         // The sort reads the key columns where they lie, one column at a
-        // time, and the leaves then take every value from the columns in
-        // the sorted order: no value is copied before its leaf is written.
-        // Slots go in rising (row-id) order, so a stable sort on the key
-        // values alone leaves equal keys in row-id order: the entries' own
-        // order, without comparing a row id.
+        // time, and the leaves then copy every column's slots in the
+        // sorted order, typed as the heap holds them. Slots go in rising
+        // (row-id) order, so a stable sort on the key values alone leaves
+        // equal keys in row-id order: the entries' own order, without
+        // comparing a row id.
         let slots = heap
             .live_ids()
             .map(|rid| u32::try_from(rid.0).expect("a heap holds fewer than 2^32 slots"));
         let order = build_order(&columns[..k], slots);
-        let columns = &columns[..];
-        let entries = order.iter().map(|&slot| {
-            let values = columns.iter().map(move |col| col.value(slot as usize));
-            (values, RowId(u64::from(slot)))
-        });
         let fanout = self.tree.fanout();
-        self.tree = BTree::from_sorted(fanout, BUILD_FILL, w, k, entries);
+        let rid = |slot: u32| RowId(u64::from(slot));
+        self.tree = BTree::from_columns(fanout, BUILD_FILL, k, &columns, &order, rid);
         heap.page_count()
+    }
+
+    /// The tree the entries live in.
+    pub(crate) fn tree(&self) -> &BTree {
+        &self.tree
     }
 
     /// Check the tree's structural invariants ([`BTree::check_invariants`]).
@@ -115,6 +130,12 @@ impl SecondaryIndex {
 
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
+    }
+
+    /// Whether leaf column `j` (key columns, then included columns) is
+    /// stored one `Value` a slot ([`BTree::is_per_value`]).
+    pub fn is_per_value(&self, j: usize) -> bool {
+        self.tree.is_per_value(j)
     }
 
     /// Estimated on-disk size in bytes.
@@ -135,13 +156,23 @@ impl SecondaryIndex {
         self.tree.height()
     }
 
+    /// The heap column of leaf column `j`.
+    fn leaf_column(&self, j: usize) -> ColumnId {
+        let k = self.def.key_columns.len();
+        match self.def.key_columns.get(j) {
+            Some(&c) => c,
+            None => self.def.included_columns[j - k],
+        }
+    }
+
     /// Index maintenance: reflect a newly inserted heap row. Returns pages
     /// written (tree nodes touched).
     pub fn insert_row(&mut self, rid: RowId, row: &Row) -> u64 {
-        let leaf = self.def.leaf_columns();
-        let entry = leaf.map(|c| row[c.0 as usize].clone()).collect();
+        let cols: Vec<usize> = (0..self.tree.width())
+            .map(|j| self.leaf_column(j).0 as usize)
+            .collect();
         let before = self.tree.write_visits();
-        self.tree.insert(entry, rid);
+        self.tree.insert(|j| &row[cols[j]], rid);
         self.tree.write_visits() - before
     }
 
@@ -167,13 +198,10 @@ impl SecondaryIndex {
         if !self.def.leaf_columns().any(|c| setting(c).is_some()) {
             return 0;
         }
-        let old: Vec<Value> = (self.def.leaf_columns())
-            .map(|c| heap.value(rid, c.0 as usize))
-            .collect();
-        let new = (self.def.leaf_columns().zip(&old))
-            .map(|(c, v)| setting(c).unwrap_or(v).clone())
-            .collect::<Vec<Value>>();
-        if old == new {
+        let cols: Vec<ColumnId> = self.def.leaf_columns().collect();
+        let old: Vec<Value> = cols.iter().map(|c| heap.value(rid, c.0 as usize)).collect();
+        let new = |j: usize| setting(cols[j]).unwrap_or(&old[j]);
+        if (0..old.len()).all(|j| old[j] == *new(j)) {
             return 0;
         }
         let k = self.def.key_columns.len();
@@ -191,14 +219,13 @@ impl SecondaryIndex {
     /// inequality (on the column ordered right after the equalities).
     pub fn seek(&self, eq_prefix: &[Value], lo: ColBound, hi: ColBound) -> SeekResult {
         let mut entries = Vec::new();
-        let key_len = self.def.key_columns.len();
-        let (_, pages_visited) = self.seek_visit(eq_prefix, lo, hi, |rid, leaf| {
-            let (key_vals, included) = leaf.split_at(key_len);
-            entries.push(IndexEntry {
-                rid,
-                key_vals: key_vals.to_vec(),
-                included_vals: included.to_vec(),
-            });
+        let (k, w) = (self.def.key_columns.len(), self.tree.width());
+        let (_, pages_visited) = self.seek_visit(eq_prefix, lo, hi, |found| {
+            entries.extend(found.positions().map(|i| IndexEntry {
+                rid: found.rid(i),
+                key_vals: (0..k).map(|j| found.value(i, j)).collect(),
+                included_vals: (k..w).map(|j| found.value(i, j)).collect(),
+            }));
         });
         SeekResult {
             entries,
@@ -207,79 +234,85 @@ impl SecondaryIndex {
     }
 
     /// Seek without materializing owned [`IndexEntry`]s: `f` is called
-    /// once per qualifying entry, in key order, with the entry's row id
-    /// and its *borrowed* leaf values — the key values, then the included
-    /// values, the order of [`IndexDef::leaf_columns`]. The slice borrows
-    /// from the index, not from the visit, so a caller may keep it after
-    /// the seek returns (the executor's covering row views do). Returns
-    /// `(entries_visited, pages_visited)`.
+    /// with the qualifying entries a leaf at a time, in key order, as
+    /// positions of the leaf's typed runs ([`Entries`]; columns in the
+    /// order of [`IndexDef::leaf_columns`]). The runs borrow from the
+    /// index, not from the visit, so a caller may keep them after the seek
+    /// returns (the executor's covering row views do). The equality
+    /// values and the bounds are compiled once against the key columns'
+    /// representations; nothing is cloned. Returns `(entries_visited,
+    /// pages_visited)`.
     ///
     /// This is the executor's hot path — the per-entry `Vec` clones of
     /// [`seek`](Self::seek) dominated control-pass allocation, and most callers only
     /// need a subset of the values (or just the row ids).
-    pub fn seek_visit<'a, F: FnMut(RowId, &'a [Value])>(
+    pub fn seek_visit<'a, 'v>(
         &'a self,
-        eq_prefix: &[Value],
+        eq_prefix: impl IntoIterator<Item = &'v Value>,
         lo: ColBound,
         hi: ColBound,
-        mut f: F,
+        mut f: impl FnMut(Entries<'a>),
     ) -> (u64, u64) {
-        assert!(
-            eq_prefix.len() <= self.def.key_columns.len(),
-            "equality prefix longer than key"
-        );
-        let has_range = !matches!((&lo, &hi), (ColBound::Unbounded, ColBound::Unbounded));
-        assert!(
-            !has_range || eq_prefix.len() < self.def.key_columns.len(),
-            "range column beyond key columns"
-        );
-        let reads_before = self.tree.read_visits();
-
-        // Lower composite bound.
-        let mut lo_key = eq_prefix.to_vec();
-        match &lo {
-            ColBound::Included(v) | ColBound::Excluded(v) => lo_key.push(v.clone()),
-            ColBound::Unbounded => {}
-        }
-        let lo_excl_val = match &lo {
-            ColBound::Excluded(v) => Some(v),
-            _ => None,
-        };
-
-        let prefix_len = eq_prefix.len();
-        let range_idx = prefix_len; // position of the range column, if any
-        let mut visited = 0u64;
+        let tree = &self.tree;
         let key_len = self.def.key_columns.len();
-        let from = Bound::Included((&lo_key[..], RowId(0)));
-        for (entry, rid) in self.tree.range(from, Bound::Unbounded) {
-            let key_vals = &entry[..key_len];
-            // Stop once the equality prefix no longer matches.
-            if key_vals[..prefix_len] != eq_prefix[..] {
-                break;
+        let (lo_val, hi_val) = (lo.value(), hi.value());
+        // The lower composite bound: the equality values, then the range's
+        // lower end, at the smallest row id.
+        let mut from = tree.probe(eq_prefix, RowId(0));
+        let p = from.len();
+        if let Some(v) = lo_val {
+            from = tree.probe_then(from, v);
+        }
+        assert!(p <= key_len, "equality prefix longer than key");
+        let has_range = lo_val.is_some() || hi_val.is_some();
+        assert!(!has_range || p < key_len, "range column beyond key columns");
+        let lo_excluded = matches!(lo, ColBound::Excluded(_));
+        let hi_op = hi_val.map(|v| Operand::new(tree.rep(p), tree.dict(p), v));
+        // Whether an entry past the bound need not be looked for: every
+        // entry from the first on qualifies.
+        let open = p == 0 && !lo_excluded && hi_op.is_none();
+
+        let reads_before = tree.read_visits();
+        let mut visited = 0u64;
+        let mut hand_on = |run, range: std::ops::Range<usize>| {
+            if !range.is_empty() {
+                visited += range.len() as u64;
+                f(Entries::new(tree, run, range));
             }
-            if let Some(ex) = lo_excl_val {
-                if &key_vals[range_idx] == ex {
+        };
+        tree.walk(Bound::Included(&from), |run, pos| {
+            if open {
+                hand_on(run, pos..run.len());
+                return true;
+            }
+            let cmp = |i, j, op| tree.cmp_col(run, i, j, op);
+            let mut start = pos;
+            for i in pos..run.len() {
+                // Stop once the equality prefix no longer matches.
+                if !(0..p).all(|j| cmp(i, j, from.op(j)).is_eq()) {
+                    hand_on(run, start..i);
+                    return false;
+                }
+                if lo_excluded && cmp(i, p, from.op(p)).is_eq() {
+                    hand_on(run, start..i);
+                    start = i + 1;
                     continue;
                 }
-            }
-            match &hi {
-                ColBound::Included(v) => {
-                    if key_vals[range_idx] > *v {
-                        break;
-                    }
+                let past = match (&hi, &hi_op) {
+                    (ColBound::Included(_), Some(op)) => cmp(i, p, op) == Ordering::Greater,
+                    (ColBound::Excluded(_), Some(op)) => cmp(i, p, op) != Ordering::Less,
+                    _ => false,
+                };
+                if past {
+                    hand_on(run, start..i);
+                    return false;
                 }
-                ColBound::Excluded(v) => {
-                    if key_vals[range_idx] >= *v {
-                        break;
-                    }
-                }
-                ColBound::Unbounded => {}
             }
-            visited += 1;
-            f(rid, entry);
-        }
+            hand_on(run, start..run.len());
+            true
+        });
         // Convert node visits into page visits; at least the descent.
-        let pages_visited = (self.tree.read_visits() - reads_before).max(self.tree.height() as u64);
+        let pages_visited = (tree.read_visits() - reads_before).max(tree.height() as u64);
         (visited, pages_visited)
     }
 
@@ -290,8 +323,8 @@ impl SecondaryIndex {
 
     /// Visitor form of [`scan_all`](Self::scan_all), mirroring
     /// [`seek_visit`](Self::seek_visit).
-    pub fn scan_visit<'a, F: FnMut(RowId, &'a [Value])>(&'a self, f: F) -> (u64, u64) {
-        self.seek_visit(&[], ColBound::Unbounded, ColBound::Unbounded, f)
+    pub fn scan_visit<'a>(&'a self, f: impl FnMut(Entries<'a>)) -> (u64, u64) {
+        self.seek_visit([], ColBound::Unbounded, ColBound::Unbounded, f)
     }
 
     /// Leaf pages the index occupies (for scan costing).
@@ -731,12 +764,58 @@ mod tests {
         }
     }
 
-    /// A leaf slot is its values and its row id, in the leaf's own two
-    /// runs: `24 × width + 8` bytes of the page allocation, nothing else.
+    /// A leaf slot is its values and its row id, each in its column's
+    /// typed run: an index over typed heap columns, built or maintained,
+    /// keeps no column per value, so an `Int` costs 8 bytes of its leaf's
+    /// page, a string its 4-byte code, and the row id 8.
     #[test]
     fn a_leaf_slot_is_its_values_and_a_row_id() {
-        assert_eq!(std::mem::size_of::<Value>(), 24);
         assert_eq!(std::mem::size_of::<RowId>(), 8);
+        let (mut heap, mut ix) = populated();
+        let typed = |ix: &SecondaryIndex| (0..3).all(|j| !ix.is_per_value(j));
+        assert!(typed(&ix), "{:?}", ix.def);
+        let rid = heap.insert(row(5_000, 7, "held", 2.5));
+        ix.insert_row(rid, &heap.row(rid).unwrap());
+        assert!(typed(&ix));
+        // A misfit moves its column, and only it, to one value a slot.
+        let rid = heap.insert(vec![
+            Value::Int(5_001),
+            Value::Int(7),
+            Value::Int(3),
+            Value::Float(2.0),
+        ]);
+        ix.insert_row(rid, &heap.row(rid).unwrap());
+        assert!(ix.is_per_value(2) && !ix.is_per_value(0) && !ix.is_per_value(1));
+        ix.check_invariants().unwrap();
+    }
+
+    /// A built index shares its heap columns' dictionaries. Whichever
+    /// side first meets a new string copies the dictionary for itself,
+    /// so each side's codes keep naming its own strings: the index meets
+    /// "ix_first" before the heap does, the heap meets "heap_only" alone
+    /// and "heap_first" before the index does, and every entry still
+    /// reads back its heap row's values.
+    #[test]
+    fn heap_and_index_part_their_dictionaries_on_a_new_string() {
+        let (mut heap, mut ix) = populated();
+        let rid = heap.next_id();
+        ix.insert_row(rid, &row(6_000, 1, "ix_first", 1.0));
+        assert_eq!(heap.insert(row(6_000, 1, "ix_first", 1.0)), rid);
+        heap.insert(row(6_001, 2, "heap_only", 1.0));
+        let rid = heap.insert(row(6_002, 3, "heap_first", 1.0));
+        ix.insert_row(rid, &heap.row(rid).unwrap());
+        let rid = heap.insert(row(6_003, 4, "done", 1.0));
+        ix.insert_row(rid, &heap.row(rid).unwrap());
+        ix.check_invariants().unwrap();
+        assert!((0..3).all(|j| !ix.is_per_value(j)));
+        let entries = ix.scan_all().entries;
+        assert_eq!(entries.len(), heap.len() - 1);
+        for e in entries {
+            let vals = e.key_vals.iter().chain(&e.included_vals);
+            for (v, c) in vals.zip(ix.def.leaf_columns()) {
+                assert_eq!(*v, heap.value(e.rid, c.0 as usize), "{:?}", e.rid);
+            }
+        }
     }
 
     /// A column per value pool, each drawn at random for 2,000 rows.
@@ -975,7 +1054,7 @@ mod tests {
                 ColBound::Unbounded,
                 ColBound::Unbounded,
                 // Keys (customer, total), then the included status.
-                |r, leaf| seen.push((r, leaf[2].clone())),
+                |found| seen.extend(found.positions().map(|i| (found.rid(i), found.value(i, 2)))),
             );
             seen
         };
@@ -1048,6 +1127,71 @@ mod tests {
         };
         assert!(entries(&ix) == entries(&rebuilt));
         assert!(ix.height() >= 4, "fanout 8 over {} rows", heap.len());
+    }
+
+    /// An equality seek on one typed key column must find exactly the
+    /// entries a filter over the whole index finds, for operands of every
+    /// kind — a float equal to two ints past 2^53, a NaN (equal to every
+    /// number), NULL, a string in the dictionary and one not, and types
+    /// that rank apart.
+    #[test]
+    fn single_column_seeks_find_every_equal_entry() {
+        let big = 1i64 << 53;
+        let ints: Vec<Value> = [-2, 0, 7, big, big + 1, big + 2]
+            .map(Value::Int)
+            .into_iter()
+            .chain([Value::Null])
+            .collect();
+        let strs: Vec<Value> = ["a", "a\0", "b", ""]
+            .map(Value::from)
+            .into_iter()
+            .chain([Value::Null])
+            .collect();
+        for pool in [ints, strs] {
+            let t = TableDef::new(
+                "t",
+                vec![
+                    ColumnDef::new("k", ValueType::Int),
+                    ColumnDef::new("id", ValueType::Int),
+                ],
+            );
+            let mut heap = Heap::new(2, t.avg_row_width());
+            for i in 0..3_000i64 {
+                heap.insert(vec![
+                    pool[(i * 7 % pool.len() as i64) as usize].clone(),
+                    Value::Int(i),
+                ]);
+            }
+            let def = IndexDef::new("ix_k", TableId(0), vec![ColumnId(0)], vec![ColumnId(1)]);
+            let mut ix = SecondaryIndex::new(def, &t);
+            ix.build(&heap);
+            assert!(ix.height() >= 2, "several leaves");
+            let all = ix.scan_all().entries;
+            let probes = [
+                Value::Float(big as f64),
+                Value::Float(f64::NAN),
+                Value::Float(7.0),
+                Value::Int(big + 1),
+                Value::Null,
+                Value::from("a"),
+                Value::from("zz"),
+                Value::Bool(true),
+                Value::Date(3),
+            ];
+            for probe in probes {
+                let found = ix.seek(
+                    std::slice::from_ref(&probe),
+                    ColBound::Unbounded,
+                    ColBound::Unbounded,
+                );
+                let want: Vec<RowId> = (all.iter())
+                    .filter(|e| e.key_vals[0] == probe)
+                    .map(|e| e.rid)
+                    .collect();
+                let got: Vec<RowId> = found.entries.iter().map(|e| e.rid).collect();
+                assert_eq!(got, want, "{probe:?}");
+            }
+        }
     }
 
     #[test]

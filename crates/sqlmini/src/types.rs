@@ -56,18 +56,18 @@ impl fmt::Display for ValueType {
 /// value) so composite index keys can be compared without panicking even
 /// when schemas are heterogeneous.
 ///
-/// `Value` is the engine's edge, not its storage: a table keeps its
-/// values by typed column (`crate::column`) — `i64`, `f64`, `i32`, bits,
-/// or a `u32` dictionary code for a string — and builds a `Value` only
-/// where one is asked for: a row read or written through the API, an
-/// index entry (build and maintenance; B+tree leaves hold `Value`s), a
-/// result row at `Database::query`'s sink, and the per-value paths of the
-/// executor. A column that receives values of more than one variant (or
-/// a NaN) keeps one `Value` per slot, exactly as written. Strings are
+/// `Value` is the engine's edge, not its storage: a table and every
+/// B+tree node keep their values by typed column (`crate::column`) —
+/// `i64`, `f64`, `i32`, bits, or a `u32` dictionary code for a string —
+/// and build a `Value` only where one is asked for: a row read or written
+/// through the API, an index entry handed to maintenance, a result row at
+/// `Database::query`'s sink, and the per-value paths of the executor. A
+/// column that receives values of more than one variant (or a NaN) keeps
+/// one `Value` per slot, exactly as written. Strings are
 /// reference-counted (`Arc<str>`), so a string value built from a
-/// column's dictionary, or copied into an index entry, is a refcount
-/// bump. The executor's typed kernels reproduce this type's order,
-/// equality and hash exactly.
+/// dictionary is a refcount bump. The typed kernels and the B+tree's
+/// compiled probes reproduce this type's order, equality and hash
+/// exactly.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,

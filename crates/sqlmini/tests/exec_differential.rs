@@ -20,7 +20,7 @@ use rand::{Rng, SeedableRng};
 use sqlmini::clock::{SimClock, Timestamp};
 use sqlmini::engine::{Database, DbConfig};
 use sqlmini::index::SecondaryIndex;
-use sqlmini::plan::{Access, JoinStrategy, Plan};
+use sqlmini::plan::{Access, AggStrategy, JoinStrategy, Plan, SelectPlan};
 use sqlmini::query::{
     AggFunc, CmpOp, JoinSpec, OrderKey, Predicate, QueryTemplate, Scalar, SelectQuery, Statement,
 };
@@ -314,6 +314,19 @@ impl Kind {
         }
     }
 
+    /// A value of another variant that `Value`'s order still places among
+    /// the column's own (`3` in a float column, `3.0` in an int column, a
+    /// number among strings): written over a typed column, it moves the
+    /// column, in the heap and in every index leaf, to per-value storage.
+    fn misfit(self, rng: &mut StdRng) -> Value {
+        let k = rng.random_range(0..6i64);
+        match self {
+            Kind::Pk | Kind::Small(_) => Value::Float(k as f64),
+            Kind::Mixed | Kind::Real | Kind::Text | Kind::Flag => Value::Int(k),
+            Kind::Day => Value::Str(format!("d{k}").into()),
+        }
+    }
+
     /// A stored value: one in ten is NULL.
     fn stored(self, rng: &mut StdRng, rows: i64) -> Value {
         if rng.random_range(0..10) == 0 {
@@ -408,6 +421,32 @@ struct World {
     /// on typed words (two columns of one kind that joins by word), and
     /// on values (any other pair). Read by the coverage test.
     shapes: [u32; 5],
+    /// SELECTs whose outer access is a covering index, by what its
+    /// leaves' runs are asked (see [`Covering`]). Read by the coverage
+    /// test.
+    covering: [u32; Covering::N],
+}
+
+/// What a covering access's typed leaves are asked, as counted in
+/// [`World::covering`]: GROUP BY in index order (stream) and not (hash),
+/// on one column with words or by value; a hash join keyed by words or by
+/// value; a residual filter on a leaf column of each representation; and
+/// any read through an index one of whose columns fell back to per-value
+/// storage while the index was live.
+struct Covering;
+
+impl Covering {
+    const STREAM_BY_WORD: usize = 0;
+    const STREAM_BY_VALUE: usize = 1;
+    const HASH_BY_WORD: usize = 2;
+    const HASH_BY_VALUE: usize = 3;
+    const JOIN_BY_WORD: usize = 4;
+    const JOIN_BY_VALUE: usize = 5;
+    /// Then one per representation: `Int`, `Float`, `Date`, `Bool`,
+    /// `Str`, per value.
+    const FILTER: usize = 6;
+    const FELL_BACK: usize = 12;
+    const N: usize = 13;
 }
 
 fn build_world(seed: u64) -> (World, StdRng) {
@@ -424,6 +463,7 @@ fn build_world(seed: u64) -> (World, StdRng) {
         n_indexes: 0,
         paths: [0; 5],
         shapes: [0; 5],
+        covering: [0; Covering::N],
     };
     // Mostly small; a big inner side now and then, so that seeking it
     // once per outer row can beat hashing all of it.
@@ -496,6 +536,28 @@ impl World {
         let table = def.table;
         self.db.create_index(def.clone()).expect("index builds");
         self.twin.create_index(def).expect("index builds");
+        storage_matches(&self.db, &self.reference, table)
+            .unwrap_or_else(|e| panic!("after CREATE INDEX ix{}: {e:?}", self.n_indexes - 1));
+    }
+
+    /// An index on a random table keyed by one or two of its columns
+    /// (not the pk) and including every other: it covers any query on the
+    /// table, and its key order serves GROUP BY on its leading columns.
+    fn create_covering_index(&mut self, rng: &mut StdRng) {
+        let side = rng.random_range(0..2usize);
+        let t = &self.tables[side];
+        let n = t.kinds.len() as u32;
+        let mut keys = vec![t.any_col(rng)];
+        if rng.random() {
+            keys.push(t.any_col(rng));
+            keys.dedup();
+        }
+        let included = (0..n).map(ColumnId).filter(|c| !keys.contains(c)).collect();
+        let def = IndexDef::new(format!("ix{}", self.n_indexes), t.id, keys, included);
+        self.n_indexes += 1;
+        self.db.create_index(def.clone()).expect("index builds");
+        self.twin.create_index(def).expect("index builds");
+        let table = self.tables[side].id;
         storage_matches(&self.db, &self.reference, table)
             .unwrap_or_else(|e| panic!("after CREATE INDEX ix{}: {e:?}", self.n_indexes - 1));
     }
@@ -686,7 +748,11 @@ impl World {
                 } else {
                     target
                 };
-                params.push(t.kind(target).stored(rng, rows));
+                params.push(if rng.random_range(0..12) == 0 {
+                    t.kind(target).misfit(rng)
+                } else {
+                    t.kind(target).stored(rng, rows)
+                });
                 let set = vec![(target, Scalar::Param(1))];
                 return (
                     Statement::Update {
@@ -700,12 +766,18 @@ impl World {
             _ => unreachable!("twelve shapes"),
         }
         // Now and then force an index, so that paths the cost model would
-        // not pick for tables this small run too.
-        if rng.random_range(0..3) == 0 {
-            let on_table: Vec<String> = self
-                .db
-                .catalog()
-                .indexes_on(q.table)
+        // not pick for tables this small run too: any index, or for a
+        // GROUP BY or a join one that covers the query, so that its
+        // leaves' runs are grouped, hashed and filtered in place.
+        let hint = match rng.random_range(0..6) {
+            0 | 1 => Some(false),
+            2 if (5..=7).contains(&shape) => Some(true),
+            _ => None,
+        };
+        if let Some(covering) = hint {
+            let needed = q.needed_columns();
+            let on_table: Vec<String> = (self.db.catalog().indexes_on(q.table))
+                .filter(|(_, d)| !covering || d.covers(&needed))
                 .map(|(_, d)| d.name.clone())
                 .collect();
             if !on_table.is_empty() {
@@ -798,6 +870,9 @@ impl World {
     /// what-if plan is close enough.)
     fn note_path(&mut self, tpl: &QueryTemplate, params: &[Value]) {
         let (plan, _) = self.db.what_if().cost(tpl, params);
+        if let (Plan::Select(p), Statement::Select(q)) = (&plan, &tpl.statement) {
+            self.note_covering(q, p);
+        }
         let access = match &plan {
             Plan::Select(p) => {
                 match p.join.as_ref().map(|j| &j.strategy) {
@@ -816,6 +891,104 @@ impl World {
                 1 + usize::from(*covering)
             }
         }] += 1;
+    }
+}
+
+impl World {
+    /// Count what a covering access of `p` asks of the leaves' typed runs
+    /// ([`Covering`]), from the plan, the leaf columns' storage and the
+    /// columns' kinds.
+    fn note_covering(&mut self, q: &SelectQuery, p: &SelectPlan) {
+        let (Access::IndexScan {
+            index,
+            covering: true,
+        }
+        | Access::IndexSeek {
+            index,
+            covering: true,
+            ..
+        }) = &p.access
+        else {
+            return;
+        };
+        let Some(ix) = self.index_named(index.name()) else {
+            return;
+        };
+        let t = &self.tables[usize::from(q.table != self.tables[0].id)];
+        let slot = |c: ColumnId| ix.def.leaf_columns().position(|l| l == c);
+        // A leaf column that holds words: stored typed, and not by the
+        // dictionary codes of a string column (where it matters).
+        let typed = |c: ColumnId| slot(c).is_some_and(|s| !ix.is_per_value(s));
+        let mut counts = [0u32; Covering::N];
+        if !q.group_by.is_empty() {
+            let by_word = matches!(q.group_by[..], [g] if typed(g));
+            counts[match (p.agg, by_word) {
+                (AggStrategy::Stream, true) => Covering::STREAM_BY_WORD,
+                (AggStrategy::Stream, false) => Covering::STREAM_BY_VALUE,
+                (_, true) => Covering::HASH_BY_WORD,
+                (_, false) => Covering::HASH_BY_VALUE,
+            }] += 1;
+        }
+        if let (Some(j), Some(JoinStrategy::Hash { inner_access })) =
+            (&q.join, p.join.as_ref().map(|j| &j.strategy))
+        {
+            let inner = &self.tables[1];
+            let inner_typed = match &**inner_access {
+                Access::IndexScan {
+                    index,
+                    covering: true,
+                }
+                | Access::IndexSeek {
+                    index,
+                    covering: true,
+                    ..
+                } => self.index_named(index.name()).is_some_and(|ix| {
+                    let at = ix.def.leaf_columns().position(|l| l == j.inner_col);
+                    at.is_some_and(|s| !ix.is_per_value(s))
+                }),
+                _ => {
+                    let heap = self.db.heap(inner.id).expect("inner heap");
+                    !heap.column(j.inner_col.0 as usize).is_per_value()
+                }
+            };
+            let ty = t.kind(j.outer_col).value_type();
+            let by_word = typed(j.outer_col)
+                && inner_typed
+                && ty == inner.kind(j.inner_col).value_type()
+                && ty != ValueType::Str;
+            counts[if by_word {
+                Covering::JOIN_BY_WORD
+            } else {
+                Covering::JOIN_BY_VALUE
+            }] += 1;
+        }
+        for &i in &p.residual {
+            let c = q.predicates[i].column;
+            let rep = match t.kind(c).value_type() {
+                _ if !typed(c) => 5,
+                ValueType::Int => 0,
+                ValueType::Float => 1,
+                ValueType::Date => 2,
+                ValueType::Bool => 3,
+                ValueType::Str => 4,
+            };
+            counts[Covering::FILTER + rep] += 1;
+        }
+        let fell_back = ix
+            .def
+            .leaf_columns()
+            .enumerate()
+            .any(|(s, c)| ix.is_per_value(s) && !matches!(t.kind(c), Kind::Mixed));
+        counts[Covering::FELL_BACK] += u32::from(fell_back);
+        for (total, n) in self.covering.iter_mut().zip(counts) {
+            *total += n;
+        }
+    }
+
+    fn index_named(&self, name: &str) -> Option<&SecondaryIndex> {
+        let catalog = self.db.catalog();
+        let (id, _) = catalog.indexes().find(|(_, d)| d.name == name)?;
+        self.db.secondary_index(id)
     }
 }
 
@@ -873,15 +1046,17 @@ fn is_sub_multiset(mut part: Vec<Row>, mut whole: Vec<Row>) -> bool {
 fn run_interleaving(seed: u64, steps: usize) -> Result<World, TestCaseError> {
     let (mut world, mut rng) = build_world(seed);
     for _ in 0..steps {
-        if rng.random_range(0..25) == 0 {
-            world.create_index(&mut rng, None);
-            continue;
+        match rng.random_range(0..25) {
+            0 => world.create_index(&mut rng, None),
+            1 => world.create_covering_index(&mut rng),
+            _ => {
+                // Reads twice as likely as writes; every shape is reachable.
+                let r = rng.random_range(0..20u32);
+                let shape = if r < 16 { r % 8 } else { r - 8 };
+                let (stmt, params) = world.statement(&mut rng, shape);
+                world.step(&stmt, &params)?;
+            }
         }
-        // Reads twice as likely as writes; every shape is reachable.
-        let r = rng.random_range(0..20u32);
-        let shape = if r < 16 { r % 8 } else { r - 8 };
-        let (stmt, params) = world.statement(&mut rng, shape);
-        world.step(&stmt, &params)?;
     }
     let (db, twin) = (&world.db, &world.twin);
     let (from, to) = (Timestamp::EPOCH, Timestamp(u64::MAX));
@@ -917,6 +1092,7 @@ fn executor_agrees_with_naive_evaluator() {
 fn interleavings_reach_every_access_path_and_join_strategy() {
     let mut paths = [0u32; 5];
     let mut shapes = [0u32; 5];
+    let mut covering = [0u32; Covering::N];
     for seed in 0..16 {
         let world = run_interleaving(seed, 80).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
         for (total, n) in paths.iter_mut().zip(world.paths) {
@@ -925,9 +1101,13 @@ fn interleavings_reach_every_access_path_and_join_strategy() {
         for (total, n) in shapes.iter_mut().zip(world.shapes) {
             *total += n;
         }
+        for (total, n) in covering.iter_mut().zip(world.covering) {
+            *total += n;
+        }
     }
     assert!(paths.iter().all(|&n| n >= 10), "{paths:?}");
     assert!(shapes.iter().all(|&n| n >= 10), "{shapes:?}");
+    assert!(covering.iter().all(|&n| n >= 5), "{covering:?}");
 }
 
 /// UPDATE and DELETE whose access path is the very index they modify, by

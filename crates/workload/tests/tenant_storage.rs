@@ -149,10 +149,11 @@ fn benchmark_shapes(seed: u64) -> Vec<TenantConfig> {
 
 /// The benchmark measures the typed path: a tenant of every shape it
 /// drives, generated and then run for six hours of its own statements,
-/// holds every column by type. A column falls back to per-value storage
-/// only when it receives values of two variants (or a NaN), so a
-/// generator or parameter change that did that would fail here before it
-/// moved the benchmark onto the slow path.
+/// holds every column by type, in its heap and in every index leaf. A
+/// column falls back to per-value storage only when it receives values
+/// of two variants (or a NaN), so a generator or parameter change that
+/// did that would fail here before it moved the benchmark onto the slow
+/// path.
 #[test]
 fn benchmark_tenants_stay_on_typed_columns() {
     let mut columns = 0;
@@ -167,6 +168,17 @@ fn benchmark_tenants_stay_on_typed_columns() {
                 for (c, col) in def.columns.iter().enumerate() {
                     let name = (&cfg.name, cfg.tier, &def.name, &col.name);
                     assert!(!heap.column(c).is_per_value(), "{name:?} went per value");
+                    columns += 1;
+                }
+            }
+            for (id, def) in tenant.db.catalog().indexes() {
+                let ix = tenant
+                    .db
+                    .secondary_index(id)
+                    .expect("index is materialized");
+                for j in 0..def.leaf_columns().count() {
+                    let name = (&cfg.name, cfg.tier, &def.name, j);
+                    assert!(!ix.is_per_value(j), "{name:?} went per value");
                     columns += 1;
                 }
             }

@@ -7,15 +7,17 @@
 //! choice never changes results.
 
 use proptest::prelude::*;
-use sqlmini::btree::BTree;
+use sqlmini::btree::{BTree, Entries};
 use sqlmini::clock::SimClock;
 use sqlmini::engine::{Database, DbConfig};
 use sqlmini::heap::{Heap, RowId};
+use sqlmini::index::{ColBound, SecondaryIndex};
 use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
-use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef};
+use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
 use sqlmini::stats::TableStats;
 use sqlmini::types::{Row, Value, ValueType};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 // ---------------------------------------------------------------------
 // B+ tree vs model
@@ -54,8 +56,8 @@ proptest! {
         for op in ops {
             match op {
                 TreeOp::Insert(k, v) => {
-                    let entry = vec![Value::Int(i64::from(k)), Value::Int(i64::from(v))];
-                    let old = tree.insert(entry, RowId(0)).map(|e| int(&e[1]) as u32);
+                    let entry = [Value::Int(i64::from(k)), Value::Int(i64::from(v))];
+                    let old = tree.insert(|j| &entry[j], RowId(0)).map(|e| int(&e[1]) as u32);
                     prop_assert_eq!(old, model.insert(k, v));
                 }
                 TreeOp::Remove(k) => {
@@ -388,4 +390,509 @@ proptest! {
         prop_assert_eq!(serial.statements, parallel.statements);
         prop_assert_eq!(serial.telemetry.counters(), parallel.telemetry.counters());
     }
+}
+
+// ---------------------------------------------------------------------
+// The typed B+ tree vs a map of values
+// ---------------------------------------------------------------------
+
+/// The values a column of each kind draws, and the misfit that moves it
+/// to another representation mid-run: `Int` (with the ends of `i64` and
+/// ints past 2^53), `Float` (`-0.0` beside `0.0`; its misfit `3` beside
+/// `3.0`), `Str` (empty, a zero byte, shared prefixes), `Date`, `Bool`, a
+/// cargo `Float` whose misfit is a NaN, and all NULL (whose first value
+/// types it). A key column never draws the NaN: under `Value`'s order a
+/// NaN equals every number, which no ordered map can hold.
+fn tree_kind(kind: usize) -> (Vec<Value>, Value) {
+    let s = |t: &str| Value::Str(t.into());
+    let big = 1i64 << 53;
+    match kind {
+        0 => (
+            [-3, 0, 2, big, big + 1, big + 2, i64::MAX, i64::MIN]
+                .map(Value::Int)
+                .to_vec(),
+            s("misfit"),
+        ),
+        1 => (
+            [-0.0, 0.0, 3.0, 2.5, -1e300].map(Value::Float).to_vec(),
+            Value::Int(3),
+        ),
+        2 => (
+            vec![
+                s(""),
+                s("a"),
+                s("a\0"),
+                s("ab"),
+                s("prefix__a"),
+                s("prefix__b"),
+            ],
+            Value::Int(1),
+        ),
+        3 => ([-1, 0, 19_000].map(Value::Date).to_vec(), Value::Bool(true)),
+        4 => ([false, true].map(Value::Bool).to_vec(), Value::Date(2)),
+        5 => (
+            [1.5, -0.0].map(Value::Float).to_vec(),
+            Value::Float(f64::NAN),
+        ),
+        _ => (vec![], Value::Int(5)),
+    }
+}
+
+/// `a` and `b` are one value: the same variant and, for a float, the same
+/// bits (`-0.0` is not `0.0`) — stricter than `Value`'s equality.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => {
+            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+        }
+        _ => std::mem::discriminant(a) == std::mem::discriminant(b) && a == b,
+    }
+}
+
+fn same_entries(a: &[(Vec<Value>, RowId)], b: &[(Vec<Value>, RowId)]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.1 == y.1
+                && x.0.len() == y.0.len()
+                && x.0.iter().zip(&y.0).all(|(v, w)| same_value(v, w))
+        })
+}
+
+/// Move every column of `t` to one `Value` a slot, leaving its shape and
+/// entries as they were: an entry of `Int`s and then one of strings go in
+/// and out again. Each lands in a leaf with room — `t` is empty, or was
+/// bulk-built at a fill below `fanout - 1` entries a leaf — so nothing
+/// splits or merges.
+fn widen_every_column(t: &mut BTree) {
+    for v in [Value::Int(1), Value::Str("~".into())] {
+        let entry = vec![v; t.width()];
+        let key = &entry[..t.key_len()];
+        assert!(t.insert(|j| &entry[j], RowId(u64::MAX)).is_none());
+        assert!(t.remove(key, RowId(u64::MAX)));
+    }
+    t.reset_visits();
+}
+
+/// The typed tree against a `BTreeMap<(key values, row id), entry>`
+/// model over random inserts (replacing entries whose key compares
+/// equal), removes, gets and ranges, with key and included columns of
+/// every representation and NULLs among them; past the middle of the run
+/// a column may take its misfit and move representation while the tree
+/// is live. Every value read back is checked for its variant and float
+/// bits, and `check_invariants` runs after every step.
+///
+/// Four trees take each step: one bulk-built (`from_sorted`) and one
+/// built by inserts, each beside a twin whose every column is stored per
+/// value from the start. A twin has its tree's shape, so the
+/// representation of a column must not move a single visit: read and
+/// write visits, height and node count agree after every step.
+///
+/// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different cases
+/// per seed.
+#[test]
+fn typed_btree_matches_value_model() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    // Columns that ended typed, and typed columns that fell back mid-run.
+    let (typed, fell_back) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
+    proptest::run_prop_test(
+        &format!("typed_btree_matches_value_model/{seed}"),
+        &ProptestConfig::with_cases(96),
+        (8usize..=24, 1usize..=6, 0usize..400, any::<u64>()),
+        |(fanout, width, ops, salt)| {
+            let mut x = salt | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let key_len = 1 + (salt >> 8) as usize % width.min(3);
+            // Key columns never take the NaN kind.
+            let kinds: Vec<usize> = (0..width)
+                .map(|j| {
+                    let k = (salt >> (16 + 4 * j)) as usize % 7;
+                    if j < key_len && k == 5 {
+                        6
+                    } else {
+                        k
+                    }
+                })
+                .collect();
+            let pools: Vec<(Vec<Value>, Value)> = kinds.iter().map(|&k| tree_kind(k)).collect();
+            let value = |j: usize, r: u64, late: bool| -> Value {
+                let (pool, misfit) = &pools[j];
+                if r.is_multiple_of(7) || pool.is_empty() && !late {
+                    return Value::Null;
+                }
+                if late && (r >> 8).is_multiple_of(16) || pool.is_empty() {
+                    return misfit.clone();
+                }
+                pool[(r >> 16) as usize % pool.len()].clone()
+            };
+            let rid_of = |r: u64| RowId((r >> 40) % 12);
+            type Model = BTreeMap<(Vec<Value>, RowId), Vec<Value>>;
+            let mut model: Model = BTreeMap::new();
+
+            // The first entries, bulk-built and inserted, at least two
+            // leaves' worth so that every leaf has room for the twin's
+            // round trip.
+            let first = 2 * fanout + (next() % 100) as usize;
+            for _ in 0..first {
+                let entry: Vec<Value> = (0..width).map(|j| value(j, next(), false)).collect();
+                let rid = rid_of(next());
+                model.insert((entry[..key_len].to_vec(), rid), entry);
+            }
+            let sorted: Vec<_> = model
+                .iter()
+                .map(|((_, rid), e)| (e.clone(), *rid))
+                .collect();
+            let bulk = BTree::from_sorted(fanout, 0.69, width, key_len, sorted.into_iter());
+            let mut bulk_twin = bulk.clone();
+            widen_every_column(&mut bulk_twin);
+            let mut inserted = BTree::new(fanout, width, key_len);
+            let mut inserted_twin = BTree::new(fanout, width, key_len);
+            widen_every_column(&mut inserted_twin);
+            for ((_, rid), e) in &model {
+                inserted.insert(|j| &e[j], *rid);
+                inserted_twin.insert(|j| &e[j], *rid);
+            }
+            let mut trees = vec![bulk_twin, bulk, inserted_twin, inserted];
+            for t in &mut trees {
+                t.reset_visits();
+            }
+            let kinds_per_value_at_start: Vec<bool> =
+                (0..width).map(|j| trees[1].is_per_value(j)).collect();
+            for j in 0..width {
+                prop_assert!(trees[0].is_per_value(j) && trees[2].is_per_value(j));
+            }
+
+            let listed = |model: &Model| -> Vec<(Vec<Value>, RowId)> {
+                model
+                    .iter()
+                    .map(|((_, rid), e)| (e.clone(), *rid))
+                    .collect()
+            };
+            for step in 0..ops {
+                let r = next();
+                let late = step > ops / 2;
+                let entry: Vec<Value> = (0..width).map(|j| value(j, next(), late)).collect();
+                let rid = rid_of(r);
+                let key = entry[..key_len].to_vec();
+                match r % 6 {
+                    0..=2 => {
+                        let want = model.insert((key, rid), entry.clone());
+                        for t in &mut trees {
+                            let got = t.insert(|j| &entry[j], rid);
+                            let agree = match (&got, &want) {
+                                (None, None) => true,
+                                (Some(g), Some(w)) => {
+                                    same_entries(&[(g.clone(), rid)], &[(w.clone(), rid)])
+                                }
+                                _ => false,
+                            };
+                            prop_assert!(agree, "insert at step {step}: {got:?} != {want:?}");
+                        }
+                    }
+                    3 => {
+                        let want = model.remove(&(key.clone(), rid)).is_some();
+                        for t in &mut trees {
+                            prop_assert!(t.remove(&key, rid) == want, "remove at step {step}");
+                        }
+                    }
+                    4 => {
+                        let want = model.get(&(key.clone(), rid));
+                        for t in &trees {
+                            let got = t.get(&key, rid);
+                            let agree = match (&got, want) {
+                                (None, None) => true,
+                                (Some(g), Some(w)) => {
+                                    same_entries(&[(g.clone(), rid)], &[((*w).clone(), rid)])
+                                }
+                                _ => false,
+                            };
+                            prop_assert!(agree, "get at step {step}");
+                        }
+                    }
+                    _ => {
+                        // A range between two prefixes of drawn keys, each
+                        // end included, excluded or open. A float past 2^53
+                        // or a NaN equals more than one stored number, so
+                        // the entries order monotonically against it only
+                        // as the last value of a strict prefix: then a tie
+                        // orders the entry after the bound, whatever
+                        // follows it.
+                        let bound_key = |r: u64| -> (Vec<Value>, RowId) {
+                            let n = 1 + (r >> 4) as usize % key_len;
+                            let last = |j: usize| j + 1 == n && n < key_len;
+                            let vals = (0..n).map(|j| match (r >> (20 + j)) % 5 {
+                                0 if last(j) => Value::Float(((1i64 << 53) + 1) as f64),
+                                1 if last(j) => Value::Float(f64::NAN),
+                                _ => value(j, r.rotate_left(7 * j as u32 + 3), true),
+                            });
+                            (vals.collect(), rid_of(r))
+                        };
+                        let (a, b) = (bound_key(next()), bound_key(next()));
+                        let (ra, rb) = (next() % 3, next() % 3);
+                        fn bound(k: &(Vec<Value>, RowId), how: u64) -> Bound<(&[Value], RowId)> {
+                            match how {
+                                0 => Bound::Included((&k.0[..], k.1)),
+                                1 => Bound::Excluded((&k.0[..], k.1)),
+                                _ => Bound::Unbounded,
+                            }
+                        }
+                        let (lo, hi) = (bound(&a, ra), bound(&b, rb));
+                        let cmp = |k: &(Vec<Value>, RowId), (v, rid): (&[Value], RowId)| {
+                            k.0.as_slice().cmp(v).then(k.1.cmp(&rid))
+                        };
+                        let want: Vec<(Vec<Value>, RowId)> = model
+                            .iter()
+                            .filter(|(k, _)| match lo {
+                                Bound::Included(b) => cmp(k, b).is_ge(),
+                                Bound::Excluded(b) => cmp(k, b).is_gt(),
+                                Bound::Unbounded => true,
+                            })
+                            .take_while(|(k, _)| match hi {
+                                Bound::Included(b) => cmp(k, b).is_le(),
+                                Bound::Excluded(b) => cmp(k, b).is_lt(),
+                                Bound::Unbounded => true,
+                            })
+                            .map(|((_, rid), e)| (e.clone(), *rid))
+                            .collect();
+                        for t in &trees {
+                            let got: Vec<_> = t.range(lo, hi).collect();
+                            prop_assert!(
+                                same_entries(&got, &want),
+                                "range {lo:?}..{hi:?} at step {step}"
+                            );
+                        }
+                    }
+                }
+                for t in &trees {
+                    t.check_invariants()
+                        .map_err(|e| TestCaseError::fail(format!("step {step}: {e}")))?;
+                    prop_assert_eq!(t.len(), model.len());
+                }
+                for pair in trees.chunks(2) {
+                    let (twin, t) = (&pair[0], &pair[1]);
+                    let shape = |t: &BTree| {
+                        (
+                            t.read_visits(),
+                            t.write_visits(),
+                            t.height(),
+                            t.node_count(),
+                        )
+                    };
+                    prop_assert!(
+                        shape(t) == shape(twin),
+                        "visits at step {step}: {:?} != {:?}",
+                        shape(t),
+                        shape(twin)
+                    );
+                }
+            }
+            for t in &trees {
+                prop_assert!(
+                    same_entries(&t.iter().collect::<Vec<_>>(), &listed(&model)),
+                    "final listing"
+                );
+            }
+            for (j, &began_per_value) in kinds_per_value_at_start.iter().enumerate() {
+                match (!began_per_value, trees[1].is_per_value(j)) {
+                    (true, true) => fell_back.fetch_add(1, Relaxed),
+                    (_, false) => typed.fetch_add(1, Relaxed),
+                    _ => 0,
+                };
+            }
+            Ok(())
+        },
+    );
+    let (typed, fell_back) = (typed.into_inner(), fell_back.into_inner());
+    assert!(
+        typed >= 50 && fell_back >= 20,
+        "{typed} typed, {fell_back} fell back"
+    );
+}
+
+/// `SecondaryIndex::seek_visit` and `scan_visit` — the descent, the walk
+/// and the seek's stop checks the executor runs — against a filter over
+/// the rows: an equality prefix, then a range on the next key column,
+/// each end included, excluded or open. Leaf columns are of every kind
+/// `tree_kind` draws, half the rows bulk-built and half inserted, and the
+/// last quarter may take a column's misfit, so that column falls back
+/// while the index is live. Every entry handed on is checked for its row
+/// id and the variant and bits of every value, and the count of entries
+/// visited for the number that qualify.
+///
+/// A float past 2^53 or a NaN equals more than one stored number, so it
+/// is drawn only where the entries order monotonically against it: as a
+/// range bound, or as the last equality value with no range after it.
+///
+/// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different cases
+/// per seed.
+#[test]
+fn index_seeks_match_a_filter_over_the_rows() {
+    use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+    // Cases whose index had more than one leaf, and leaf columns that
+    // fell back after the build.
+    let (deep, fell_back) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
+    proptest::run_prop_test(
+        &format!("index_seeks_match_a_filter_over_the_rows/{seed}"),
+        &ProptestConfig::with_cases(32),
+        (1usize..=6, 200usize..2500, any::<u64>()),
+        |(width, rows, salt)| {
+            let mut x = salt | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let key_len = 1 + (salt >> 8) as usize % width.min(3);
+            let kinds: Vec<usize> = (0..width)
+                .map(|j| {
+                    let k = (salt >> (16 + 4 * j)) as usize % 7;
+                    if j < key_len && k == 5 {
+                        6
+                    } else {
+                        k
+                    }
+                })
+                .collect();
+            let pools: Vec<(Vec<Value>, Value)> = kinds.iter().map(|&k| tree_kind(k)).collect();
+            let value = |j: usize, r: u64, late: bool| -> Value {
+                let (pool, misfit) = &pools[j];
+                if r.is_multiple_of(7) || pool.is_empty() && !late {
+                    return Value::Null;
+                }
+                if late && (r >> 8).is_multiple_of(16) || pool.is_empty() {
+                    return misfit.clone();
+                }
+                pool[(r >> 16) as usize % pool.len()].clone()
+            };
+            let ty = |k: usize| match k {
+                1 | 5 => ValueType::Float,
+                2 => ValueType::Str,
+                3 => ValueType::Date,
+                4 => ValueType::Bool,
+                _ => ValueType::Int,
+            };
+            let columns = (kinds.iter().enumerate())
+                .map(|(j, &k)| ColumnDef::new(format!("c{j}"), ty(k)))
+                .collect();
+            let table = TableDef::new("t", columns);
+            let def = IndexDef::new(
+                "ix",
+                TableId(0),
+                (0..key_len as u32).map(ColumnId).collect(),
+                (key_len as u32..width as u32).map(ColumnId).collect(),
+            );
+            let mut heap = Heap::new(width, table.avg_row_width());
+            let mut index = SecondaryIndex::new(def, &table);
+            let mut all: Vec<(Row, RowId)> = Vec::with_capacity(rows);
+            for i in 0..rows {
+                if i == rows / 2 {
+                    index.build(&heap);
+                }
+                let late = i >= rows - rows / 4;
+                let row: Row = (0..width).map(|j| value(j, next(), late)).collect();
+                let rid = heap.insert(row.clone());
+                if i >= rows / 2 {
+                    index.insert_row(rid, &row);
+                }
+                all.push((row, rid));
+            }
+            index
+                .check_invariants()
+                .map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(index.len(), rows);
+            // The entries' order: key values, then row id.
+            all.sort_by(|a, b| a.0[..key_len].cmp(&b.0[..key_len]).then(a.1.cmp(&b.1)));
+
+            let listed = |e: &Entries| -> Vec<(RowId, Vec<Value>)> {
+                let values = |i| (0..width).map(|j| e.value(i, j)).collect();
+                e.positions().map(|i| (e.rid(i), values(i))).collect()
+            };
+            let agree = |found: &[(RowId, Vec<Value>)], want: &[&(Row, RowId)]| {
+                found.len() == want.len()
+                    && found
+                        .iter()
+                        .zip(want)
+                        .all(|((rid, vals), (row, want_rid))| {
+                            rid == want_rid && vals.iter().zip(row).all(|(v, w)| same_value(v, w))
+                        })
+            };
+            let mut found = Vec::new();
+            let (visited, _) = index.scan_visit(|e| found.extend(listed(&e)));
+            let want: Vec<&(Row, RowId)> = all.iter().collect();
+            prop_assert!(agree(&found, &want), "scan");
+            prop_assert_eq!(visited, rows as u64);
+
+            for seek in 0..60 {
+                let r = next();
+                let p = r as usize % (key_len + 1);
+                let ranged = p < key_len && (r >> 8) % 3 != 0;
+                let draw = |j: usize, r: u64, special: bool| match (r >> 4) % 8 {
+                    0 if special => Value::Float(((1i64 << 53) + 1) as f64),
+                    1 if special => Value::Float(f64::NAN),
+                    _ => value(j, r >> 8, true),
+                };
+                let eq: Vec<Value> = (0..p)
+                    .map(|j| draw(j, next(), j + 1 == p && !ranged))
+                    .collect();
+                let bound = |how: u64, v: Value| match how % 3 {
+                    0 => ColBound::Included(v),
+                    1 => ColBound::Excluded(v),
+                    _ => ColBound::Unbounded,
+                };
+                let (lo, hi) = if ranged {
+                    let lo = bound(next(), draw(p, next(), true));
+                    (lo, bound(next(), draw(p, next(), true)))
+                } else {
+                    (ColBound::Unbounded, ColBound::Unbounded)
+                };
+                let holds = |v: &Value, b: &ColBound, lower: bool| match b {
+                    ColBound::Unbounded => true,
+                    ColBound::Included(x) if lower => v >= x,
+                    ColBound::Excluded(x) if lower => v > x,
+                    ColBound::Included(x) => v <= x,
+                    ColBound::Excluded(x) => v < x,
+                };
+                let want: Vec<&(Row, RowId)> = (all.iter())
+                    .filter(|(row, _)| {
+                        row[..p] == eq[..]
+                            && (p == key_len
+                                || holds(&row[p], &lo, true) && holds(&row[p], &hi, false))
+                    })
+                    .collect();
+                let mut found = Vec::new();
+                let (visited, pages) =
+                    index.seek_visit(&eq, lo.clone(), hi.clone(), |e| found.extend(listed(&e)));
+                prop_assert!(
+                    agree(&found, &want),
+                    "seek {seek}: {eq:?} then {lo:?}..{hi:?}: {} found, {} qualify",
+                    found.len(),
+                    want.len()
+                );
+                prop_assert_eq!(visited, want.len() as u64);
+                prop_assert!(pages >= index.height() as u64);
+            }
+            if index.height() > 1 {
+                deep.fetch_add(1, Relaxed);
+            }
+            let began: Vec<bool> = (0..width).map(|j| kinds[j] == 5).collect();
+            for (j, &nan_kind) in began.iter().enumerate() {
+                if !nan_kind && index.is_per_value(j) {
+                    fell_back.fetch_add(1, Relaxed);
+                }
+            }
+            Ok(())
+        },
+    );
+    let (deep, fell_back) = (deep.into_inner(), fell_back.into_inner());
+    assert!(
+        deep >= 16 && fell_back >= 8,
+        "{deep} indexes deeper than a leaf, {fell_back} columns fell back"
+    );
 }
