@@ -17,20 +17,18 @@
 //! typed run ([`crate::column`]) per column — `i64`, `f64`, `i32`, packed
 //! bits or `u32` string codes, a null bitmap beside each — and one run of
 //! row ids. A leaf has a run for every column, an internal node one for
-//! each key column of its separators. The representation belongs to the
-//! tree's column, not to the node: the first value that is not NULL fixes
-//! it in every node, and a value that does not fit it (another variant, or
-//! a NaN) moves that column to one `Value` a slot in every node, for good,
-//! every value kept exactly as written. A string column's codes index one
-//! dictionary for the whole tree, so a code names the same string in every
-//! leaf. A lookup's key — a seek's prefix and bounds, a maintenance key —
-//! is compiled once against the columns' representations into a
-//! `Probe`, which orders stored entries exactly as `Value::cmp` and the
-//! row id would, without building a `Value`.
+//! each key column of its separators. Each column of the tree has the
+//! type it is made with (an index's: its table columns' declared types),
+//! in every node, and every value inserted must fit it. A string column's
+//! codes index one dictionary for the whole tree, so a code names the
+//! same string in every leaf. A lookup's key — a seek's prefix and
+//! bounds, a maintenance key — is compiled once against the columns'
+//! types into a `Probe`, which orders stored entries exactly as
+//! `Value::cmp` and the row id would, without building a `Value`.
 
-use crate::column::{Column, Dict, Operand, Rep, Typed};
+use crate::column::{At, Column, Dict, Operand, Typed};
 use crate::heap::RowId;
-use crate::types::Value;
+use crate::types::{Value, ValueType};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::ops::{Bound, Range};
@@ -50,11 +48,11 @@ fn cmp_key(a: Key<'_>, b: Key<'_>) -> Ordering {
     a.0.cmp(b.0).then(a.1.cmp(&b.1))
 }
 
-/// One column of the tree: the representation every node holds it in,
-/// and the dictionary its string codes index.
+/// One column of the tree: its type, and the dictionary its string codes
+/// index.
 #[derive(Debug, Clone)]
 struct Col {
-    rep: Rep,
+    ty: ValueType,
     dict: Dict,
 }
 
@@ -94,7 +92,7 @@ impl Run {
     /// entries.
     fn new(cols: &[Col], capacity: usize) -> Run {
         Run {
-            cols: cols.iter().map(|c| Typed::new(c.rep, capacity)).collect(),
+            cols: cols.iter().map(|c| Typed::new(c.ty, capacity)).collect(),
             rids: Vec::with_capacity(capacity),
         }
     }
@@ -169,33 +167,19 @@ impl Run {
         }
     }
 
-    /// Insert the entry `entry(j)` for each column `j` at position `i`;
-    /// every value fits its column.
-    fn insert<'v>(
+    /// Write the entry `entry(j)` for each column `j` at position `i`,
+    /// before the entry there or over it; every value must fit its column.
+    fn store<'v>(
         &mut self,
-        i: usize,
+        at: At,
         entry: &dyn Fn(usize) -> &'v Value,
         rid: RowId,
         cols: &mut [Col],
     ) {
         for (j, run) in self.cols.iter_mut().enumerate() {
-            run.insert(i, entry(j), &mut cols[j].dict);
+            run.store(at, entry(j), &mut cols[j].dict);
         }
-        self.rids.insert(i, rid);
-    }
-
-    /// Write the entry `entry(j)` over entry `i`.
-    fn set<'v>(
-        &mut self,
-        i: usize,
-        entry: &dyn Fn(usize) -> &'v Value,
-        rid: RowId,
-        cols: &mut [Col],
-    ) {
-        for (j, run) in self.cols.iter_mut().enumerate() {
-            run.set(i, entry(j), &mut cols[j].dict);
-        }
-        self.rids[i] = rid;
+        at.vec(&mut self.rids, rid);
     }
 
     fn remove(&mut self, i: usize) {
@@ -203,37 +187,24 @@ impl Run {
         self.rids.remove(i);
     }
 
-    /// Insert a copy of entry `j` of `src` — as many of its columns as
-    /// this run has — at position `i`.
-    fn insert_from(&mut self, i: usize, src: &Run, j: usize) {
+    /// Write a copy of entry `j` of `src` — as many of its columns as
+    /// this run has — where `at` says.
+    fn copy(&mut self, at: At, src: &Run, j: usize) {
         for (run, from) in self.cols.iter_mut().zip(&src.cols) {
-            run.insert_from(i, from, j);
+            run.copy(at, from, j);
         }
-        self.rids.insert(i, src.rids[j]);
-    }
-
-    fn push_from(&mut self, src: &Run, j: usize) {
-        self.insert_from(self.len(), src, j);
-    }
-
-    /// Overwrite entry `i` with a copy of entry `j` of `src`, as for
-    /// [`insert_from`](Self::insert_from).
-    fn set_from(&mut self, i: usize, src: &Run, j: usize) {
-        for (run, from) in self.cols.iter_mut().zip(&src.cols) {
-            run.set_from(i, from, j);
-        }
-        self.rids[i] = src.rids[j];
+        at.vec(&mut self.rids, src.rids[j]);
     }
 
     /// Entry `i`'s first `k` columns, as a run of one entry: a separator.
     fn key_of(&self, i: usize, k: usize) -> Run {
         let mut key = Run {
             cols: (self.cols[..k].iter())
-                .map(|c| Typed::new(c.rep(), 1))
+                .map(|c| Typed::new(c.ty(), 1))
                 .collect(),
             rids: Vec::with_capacity(1),
         };
-        key.push_from(self, i);
+        key.copy(At::End, self, i);
         key
     }
 
@@ -256,7 +227,7 @@ impl Run {
 
     /// Move entry `i` of `self` to position `j` of `to`.
     fn move_entry(&mut self, i: usize, to: &mut Run, j: usize) {
-        to.insert_from(j, self, i);
+        to.copy(At::Before(j), self, i);
         self.remove(i);
     }
 
@@ -264,8 +235,8 @@ impl Run {
     /// the same columns.
     fn swap_entry(&mut self, i: usize, other: &mut Run, j: usize) {
         let mine = self.key_of(i, self.cols.len());
-        self.set_from(i, other, j);
-        other.set_from(j, &mine, 0);
+        self.copy(At::Over(i), other, j);
+        other.copy(At::Over(j), &mine, 0);
     }
 }
 
@@ -316,11 +287,12 @@ pub struct BTree {
 
 impl BTree {
     /// Create an empty tree with the given maximum node fanout (>= 4) for
-    /// entries of `width` values, the first `key_len` of which order them.
-    pub fn new(fanout: usize, width: usize, key_len: usize) -> BTree {
-        let cols = (0..width)
-            .map(|_| Col {
-                rep: Rep::Nulls,
+    /// entries of one value of each of `types`, the first `key_len` of
+    /// which order them.
+    pub fn new(fanout: usize, types: &[ValueType], key_len: usize) -> BTree {
+        let cols = (types.iter())
+            .map(|&ty| Col {
+                ty,
                 dict: Dict::default(),
             })
             .collect();
@@ -349,47 +321,12 @@ impl BTree {
         }
     }
 
-    /// Build a tree bottom-up from `entries` — each its `width` values and
-    /// its row id — which must already be in strictly rising key order.
-    /// The values are laid into columns first, each column taking the
-    /// representation its values call for, then the tree is written as
-    /// `from_columns` writes it. The engine builds through
-    /// `from_columns`; this form serves tests and models.
-    pub fn from_sorted<E: IntoIterator<Item = Value>>(
-        fanout: usize,
-        fill: f64,
-        width: usize,
-        key_len: usize,
-        entries: impl ExactSizeIterator<Item = (E, RowId)>,
-    ) -> BTree {
-        let mut columns = vec![Column::new(); width];
-        let mut rids = Vec::with_capacity(entries.len());
-        for (vals, rid) in entries {
-            let mut vals = vals.into_iter();
-            for col in &mut columns {
-                let v = vals.next();
-                col.push(v.unwrap_or_else(|| panic!("from_sorted: {width} values an entry")));
-            }
-            assert!(
-                vals.next().is_none(),
-                "from_sorted: {width} values an entry"
-            );
-            rids.push(rid);
-        }
-        let sources: Vec<&Column> = columns.iter().collect();
-        let order: Vec<u32> = (0..rids.len() as u32).collect();
-        BTree::from_columns(fanout, fill, key_len, &sources, &order, |i| {
-            rids[i as usize]
-        })
-    }
-
     /// Build a tree bottom-up whose `i`-th entry is slot `order[i]` of
     /// every column of `sources` (its key columns, then its included
     /// columns) with row id `rid(order[i])`; the entries must already be
     /// in strictly rising key order. Each tree column takes its source's
-    /// representation and shares its dictionary, and every leaf copies
-    /// its slots of a column in one gather: no `Value` is built for a
-    /// typed column.
+    /// type and shares its dictionary, and every leaf copies its slots of
+    /// a column in one gather: no `Value` is built.
     ///
     /// Leaves are written left to right and linked both ways, then each
     /// internal level from the smallest keys of the level below, every
@@ -405,7 +342,7 @@ impl BTree {
     /// for nodes at `fill` is therefore cut into fewer, fuller ones, and
     /// entries too few for two half-full leaves make one root leaf
     /// whatever `fill` says.
-    pub(crate) fn from_columns(
+    pub fn from_columns(
         fanout: usize,
         fill: f64,
         key_len: usize,
@@ -417,7 +354,7 @@ impl BTree {
             .map(|c| {
                 let (vals, dict) = c.parts();
                 Col {
-                    rep: vals.rep(),
+                    ty: vals.ty(),
                     dict: dict.clone(),
                 }
             })
@@ -467,10 +404,10 @@ impl BTree {
                     let keys: Vec<_> = keys.collect();
                     keys.is_sorted_by(|a, b| cmp_key((&a.0, a.1), (&b.0, b.1)).is_lt())
                 },
-                "from_sorted: keys must be strictly rising"
+                "from_columns: keys must be strictly rising"
             );
             let id = t.arena.len();
-            firsts.push_from(&leaf, 0);
+            firsts.copy(At::End, &leaf, 0);
             ids.push(id);
             t.arena.push(Node::Leaf {
                 entries: leaf,
@@ -488,8 +425,8 @@ impl BTree {
             let mut at = 0;
             for size in spread(ids.len()) {
                 let mut keys = Run::new(&t.cols[..k], size - 1);
-                (at + 1..at + size).for_each(|i| keys.push_from(&firsts, i));
-                above.push_from(&firsts, at);
+                (at + 1..at + size).for_each(|i| keys.copy(At::End, &firsts, i));
+                above.copy(At::End, &firsts, at);
                 above_ids.push(t.arena.len());
                 t.arena.push(Node::Internal {
                     keys,
@@ -534,15 +471,9 @@ impl BTree {
         self.height
     }
 
-    /// Whether column `j` holds one `Value` a slot: it received values of
-    /// more than one variant, or a NaN.
-    pub fn is_per_value(&self, j: usize) -> bool {
-        self.cols[j].rep == Rep::Values
-    }
-
-    /// Column `j`'s representation.
-    pub(crate) fn rep(&self, j: usize) -> Rep {
-        self.cols[j].rep
+    /// Column `j`'s type.
+    pub(crate) fn ty(&self, j: usize) -> ValueType {
+        self.cols[j].ty
     }
 
     /// The dictionary column `j`'s string codes index.
@@ -601,14 +532,14 @@ impl BTree {
     }
 
     /// `key` (at most `key_len` values) and `rid`, compiled against the
-    /// key columns' representations. The operands borrow the values.
+    /// key columns' types. The operands borrow the values.
     pub(crate) fn probe<'v>(
         &self,
         key: impl IntoIterator<Item = &'v Value>,
         rid: RowId,
     ) -> Probe<'v> {
         let ops: Vec<Operand> = (key.into_iter().zip(&self.cols))
-            .map(|(v, c)| Operand::new(c.rep, &c.dict, v))
+            .map(|(v, c)| Operand::new(c.ty, &c.dict, v))
             .collect();
         debug_assert!(
             ops.len() <= self.key_len,
@@ -624,7 +555,7 @@ impl BTree {
     /// `probe` with `v` after its values, as the next key column's.
     pub(crate) fn probe_then<'v>(&self, mut probe: Probe<'v>, v: &'v Value) -> Probe<'v> {
         let c = &self.cols[probe.ops.len()];
-        probe.ops.push(Operand::new(c.rep, &c.dict, v));
+        probe.ops.push(Operand::new(c.ty, &c.dict, v));
         probe.whole = probe.ops.len() == self.key_len;
         probe
     }
@@ -664,36 +595,19 @@ impl BTree {
         }
     }
 
-    /// Move column `j` to representation `to` in every node.
-    fn widen(&mut self, j: usize, to: Rep) {
-        let dict = &self.cols[j].dict;
-        for node in &mut self.arena {
-            match node {
-                Node::Leaf { entries: run, .. } => run.cols[j].widen(to, dict),
-                Node::Internal { keys: run, .. } if j < self.key_len => run.cols[j].widen(to, dict),
-                _ => {}
-            }
-        }
-        self.cols[j].rep = to;
-    }
-
     /// Insert an entry: `entry(j)` for each of the `width` columns, the
-    /// first `key_len` of which order it with `rid`. A column the value
-    /// does not fit moves to the representation that holds it first. An
-    /// entry whose key is already present is overwritten, included values
-    /// too, and its old values are returned. Counts one write visit per
-    /// node touched.
+    /// first `key_len` of which order it with `rid`. An entry whose key is
+    /// already present is overwritten, included values too, and its old
+    /// values are returned. Counts one write visit per node touched.
+    ///
+    /// # Panics
+    /// If a value does not fit its column: it is neither NULL nor a value
+    /// of the column's type that is not a NaN.
     pub fn insert<'v>(
         &mut self,
         entry: impl Fn(usize) -> &'v Value,
         rid: RowId,
     ) -> Option<Vec<Value>> {
-        for j in 0..self.width() {
-            let to = self.cols[j].rep.after(entry(j));
-            if to != self.cols[j].rep {
-                self.widen(j, to);
-            }
-        }
         let probe = self.probe((0..self.key_len).map(&entry), rid);
         let root = self.root;
         match self.insert_rec(root, &probe, &entry, rid) {
@@ -733,10 +647,10 @@ impl BTree {
                         // that compare equal may still differ in what they
                         // carry (an index entry's included values).
                         let old = entries.values(i, cols.len(), cols);
-                        entries.set(i, entry, rid, cols);
+                        entries.store(At::Over(i), entry, rid, cols);
                         return InsertResult::Replaced(old);
                     }
-                    Err(i) => entries.insert(i, entry, rid, cols),
+                    Err(i) => entries.store(At::Before(i), entry, rid, cols),
                 }
                 if entries.len() >= fanout {
                     let (sep, right) = self.split_leaf(node);
@@ -751,7 +665,7 @@ impl BTree {
                 match self.insert_rec(child, probe, entry, rid) {
                     InsertResult::Split(sep, right) => {
                         if let Node::Internal { keys, children } = &mut self.arena[node] {
-                            keys.insert_from(idx, &sep, 0);
+                            keys.copy(At::Before(idx), &sep, 0);
                             children.insert(idx + 1, right);
                             if keys.len() >= fanout {
                                 let (sep, right) = self.split_internal(node);
@@ -921,7 +835,7 @@ impl BTree {
         match (&mut l, &mut c) {
             (Node::Leaf { entries: le, .. }, Node::Leaf { entries: ce, .. }) => {
                 le.move_entry(le.len() - 1, ce, 0);
-                sep.set_from(idx - 1, ce, 0);
+                sep.copy(At::Over(idx - 1), ce, 0);
             }
             (
                 Node::Internal {
@@ -955,7 +869,7 @@ impl BTree {
         match (&mut c, &mut r) {
             (Node::Leaf { entries: ce, .. }, Node::Leaf { entries: re, .. }) => {
                 re.move_entry(0, ce, ce.len());
-                sep.set_from(idx, re, 0);
+                sep.copy(At::Over(idx), re, 0);
             }
             (
                 Node::Internal {
@@ -1116,9 +1030,9 @@ impl BTree {
     /// rising across the whole tree, every separator greater than all
     /// keys under its left child and no greater than any under its
     /// right); shape (every leaf at depth `height`, a run per column in
-    /// every leaf and per key column in every internal node, each in its
-    /// column's representation, a value per entry, every string code in
-    /// its column's dictionary); leaf links (`next` from the leftmost leaf
+    /// every leaf and per key column in every internal node, each of its
+    /// column's type, a value per entry, no NaN, every string code in its
+    /// column's dictionary); leaf links (`next` from the leftmost leaf
     /// visits exactly the leaves reachable from the root, in order, and
     /// `prev` mirrors it); bookkeeping (`len` entries, `node_count` nodes
     /// reachable, every other arena slot on the free list).
@@ -1200,12 +1114,12 @@ impl BTree {
         Ok(())
     }
 
-    /// Whether `run` holds one run per column of `cols`, each in its
-    /// column's representation, well formed, a value per entry.
+    /// Whether `run` holds one run per column of `cols`, each of its
+    /// column's type, well formed, a value per entry.
     fn check_run(run: &Run, cols: &[Col]) -> bool {
         run.cols.len() == cols.len()
             && (run.cols.iter().zip(cols))
-                .all(|(t, c)| t.rep() == c.rep && t.len() == run.len() && t.is_well_formed(&c.dict))
+                .all(|(t, c)| t.ty() == c.ty && t.len() == run.len() && t.is_well_formed(&c.dict))
     }
 
     /// `check_invariants` below one node: every key in `lo ..< hi` (the
@@ -1354,8 +1268,10 @@ mod tests {
         vec![Value::Int(k as i64), Value::Int(v as i64)]
     }
 
+    const INTS: [ValueType; 2] = [ValueType::Int; 2];
+
     fn map(fanout: usize) -> BTree {
-        BTree::new(fanout, 2, 1)
+        BTree::new(fanout, &INTS, 1)
     }
 
     /// Insert `k -> v`; the value it replaced.
@@ -1404,7 +1320,7 @@ mod tests {
 
     #[test]
     fn insert_replaces() {
-        let mut t = map(4);
+        let mut t = BTree::new(4, &[ValueType::Int, ValueType::Str], 1);
         let tagged = |s: &str| vec![Value::Int(1), Value::Str(s.into())];
         let (a, b) = (tagged("a"), tagged("b"));
         assert_eq!(t.insert(|j| &a[j], RowId(0)), None);
@@ -1417,7 +1333,7 @@ mod tests {
     /// differs from a stored one only there compares equal to it.
     #[test]
     fn insert_replaces_the_stored_key_too() {
-        let mut t = BTree::new(4, 3, 1);
+        let mut t = BTree::new(4, &[ValueType::Int, ValueType::Str, ValueType::Int], 1);
         let tagged = |k: u64, tag: &str, v: u64| {
             vec![
                 Value::Int(k as i64),
@@ -1623,11 +1539,34 @@ mod tests {
         })
     }
 
-    /// `from_sorted` over `(key, value)` pairs: entries `[Int(key),
+    /// A tree of `width` `Int` columns bulk-built by `from_columns` from
+    /// `entries`, each its values and row id, in strictly rising key
+    /// order.
+    fn bulk(
+        fanout: usize,
+        fill: f64,
+        width: usize,
+        key_len: usize,
+        entries: impl Iterator<Item = (Vec<Value>, RowId)>,
+    ) -> BTree {
+        let mut columns = vec![Column::of_type(ValueType::Int, 0); width];
+        let mut rids = Vec::new();
+        for (vals, rid) in entries {
+            columns.iter_mut().zip(vals).for_each(|(c, v)| c.push(v));
+            rids.push(rid);
+        }
+        let sources: Vec<&Column> = columns.iter().collect();
+        let order: Vec<u32> = (0..rids.len() as u32).collect();
+        BTree::from_columns(fanout, fill, key_len, &sources, &order, |i| {
+            rids[i as usize]
+        })
+    }
+
+    /// [`bulk`] over `(key, value)` pairs: entries `[Int(key),
     /// Int(value)]` at row id 0.
     fn from_pairs(fanout: usize, fill: f64, pairs: &[(u64, u64)]) -> BTree {
         let entries = pairs.iter().map(|&(k, v)| (entry(k, v), RowId(0)));
-        BTree::from_sorted(fanout, fill, 2, 1, entries)
+        bulk(fanout, fill, 2, 1, entries)
     }
 
     /// `n` entries in rising order whose key value repeats heavily (a
@@ -1674,8 +1613,8 @@ mod tests {
     fn bulk_build_fills_to_the_asked_fraction() {
         // 100,000 entries at fanout 100: 69 a leaf, and one level of
         // internal nodes at 69 children under the root.
-        let entries = (0..100_000).map(|i: i32| ([Value::Int(i64::from(i))], RowId(0)));
-        let t = BTree::from_sorted(100, BUILD_FILL, 1, 1, entries);
+        let entries = (0..100_000).map(|i: i32| (vec![Value::Int(i64::from(i))], RowId(0)));
+        let t = bulk(100, BUILD_FILL, 1, 1, entries);
         t.check_invariants().unwrap();
         let leaves = 100_000usize.div_ceil(69);
         let internals = leaves.div_ceil(69);
@@ -1699,7 +1638,7 @@ mod tests {
 
     /// Bulk == incremental: over random fanouts, fills and entry counts
     /// (the awkward ones around a half, one and two nodes' worth first),
-    /// `from_sorted` gives a well-formed tree that iterates to its input
+    /// `from_columns` gives a well-formed tree that iterates to its input
     /// and answers `get` and `range` as a tree built by `insert` in
     /// shuffled order does. Salted with `CHAOS_SEED`, so CI's chaos
     /// matrix draws different cases per seed.
@@ -1740,7 +1679,7 @@ mod tests {
                 let sorted = entries
                     .iter()
                     .map(|&(k, r, v)| (dup_entry(k, v), RowId(u64::from(r))));
-                let bulk = BTree::from_sorted(fanout, fill, 2, 1, sorted);
+                let bulk = bulk(fanout, fill, 2, 1, sorted);
                 bulk.check_invariants().map_err(TestCaseError::fail)?;
                 prop_assert!(separators_are_first_keys(&bulk));
                 prop_assert_eq!(bulk.len(), n);
@@ -1755,7 +1694,7 @@ mod tests {
                 for i in (1..shuffled.len()).rev() {
                     shuffled.swap(i, (xorshift(&mut x) % (i as u64 + 1)) as usize);
                 }
-                let mut inserted = BTree::new(fanout, 2, 1);
+                let mut inserted = BTree::new(fanout, &INTS, 1);
                 for (k, r, v) in shuffled {
                     let e = dup_entry(k, v);
                     inserted.insert(|j| &e[j], RowId(u64::from(r)));

@@ -1,20 +1,22 @@
 //! Values stored by type, and the kernels that read them: one heap
 //! column, or one column of a B+tree node.
 //!
-//! `Typed` keeps a run of values in the narrowest form their type has:
-//! `Int` as `i64`, `Float` as `f64`, `Date` as `i32`, `Bool` as packed
-//! bits, and `Str` as a `u32` code into a dictionary of `Arc<str>` kept by
-//! the owner (so a string costs four bytes, and equal strings share a
-//! code). Beside the values sits a null bitmap. A heap [`Column`] is one
-//! such run and its dictionary; an index column is one run in every node
-//! of its tree and one dictionary for the tree ([`crate::btree`]).
+//! `Typed` keeps a run of values in the form its column's declared
+//! [`ValueType`] gives them: `Int` as `i64`, `Float` as `f64`, `Date` as
+//! `i32`, `Bool` as packed bits, and `Str` as a `u32` code into a
+//! dictionary of `Arc<str>` kept by the owner (so a string costs four
+//! bytes, and equal strings share a code). Beside the values sits a null
+//! bitmap; a NULL slot holds a zero under its null bit. A heap [`Column`]
+//! is one such run and its dictionary; an index column is one run in
+//! every node of its tree and one dictionary for the tree
+//! ([`crate::btree`]).
 //!
-//! The first value that is not NULL picks the representation (`Rep`);
-//! nothing is enforced on write, so a column that then receives a value
-//! of another variant (an `Int` in a `Float` column, a string in an `Int`
-//! column) or a NaN moves, for good, to per-value storage: one [`Value`]
-//! a slot, exactly as written. Every value reads back as the variant it
-//! was written as, in every representation.
+//! The type is fixed when a run is made, and a value written to it must
+//! already fit: NULL, or a value of that type that is not a NaN. The
+//! engine makes each value fit once, where a statement or a load writes
+//! it ([`ValueType::fit`]); a run handed anything else panics. A column
+//! therefore keeps one representation for its whole life, and every
+//! value reads back as the variant of its column's type.
 //!
 //! The kernels answer the executor's questions over a run without
 //! building a `Value`: a `Test` evaluates `value op operand` for one
@@ -23,9 +25,10 @@
 //! `Value::cmp` would (the tree's probes); `Typed::word` gives each
 //! value a 64-bit word whose equality is `Value`'s equality within the
 //! column, for grouping and join keys; `Typed::image` gives it an
-//! order-preserving image for the index build's sort. NaN is why a float
-//! column falls back: under `Value`'s order a NaN equals every number,
-//! which no word can say.
+//! order-preserving image for the index build's sort. No column stores a
+//! NaN because neither could then exist: under `Value`'s order a NaN
+//! equals every number, which no word or image can say. An operand may
+//! still be a NaN; the kernels compare against it as `Value` does.
 
 use crate::exec::WordState;
 use crate::query::CmpOp;
@@ -265,64 +268,52 @@ impl Dict {
     }
 }
 
-/// How a run of values is stored (see the module doc).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Rep {
-    /// Nothing but NULLs so far.
-    Nulls,
-    Int,
-    /// Never a NaN.
-    Float,
-    Date,
-    Bool,
-    Str,
-    /// Values of more than one variant, or a NaN: one `Value` a slot.
-    Values,
-}
-
-impl Rep {
-    /// The representation a run in `self` needs for `v` to fit: itself
-    /// when `v` is NULL or fits, `v`'s own type when nothing but NULLs
-    /// came before, per value otherwise.
-    #[inline]
-    pub(crate) fn after(self, v: &Value) -> Rep {
-        let own = match v {
-            Value::Null => return self,
-            Value::Int(_) => Rep::Int,
-            Value::Float(x) if x.is_nan() => Rep::Values,
-            Value::Float(_) => Rep::Float,
-            Value::Date(_) => Rep::Date,
-            Value::Bool(_) => Rep::Bool,
-            Value::Str(_) => Rep::Str,
-        };
-        match self {
-            Rep::Nulls => own,
-            Rep::Values => Rep::Values,
-            _ if own == self => self,
-            _ => Rep::Values,
-        }
-    }
-}
-
-/// A run's values, in its representation.
-#[derive(Debug, Clone, Default)]
+/// A run's values, in the form of its type.
+#[derive(Debug, Clone)]
 enum Data {
-    #[default]
-    Nulls,
     Int(Vec<i64>),
+    /// Never a NaN.
     Float(Vec<f64>),
     Date(Vec<i32>),
     Bool(Bits),
     /// Codes into the owner's [`Dict`].
     Str(Vec<u32>),
-    Values(Vec<Value>),
 }
 
-/// A run of values stored by type, beside a null bitmap (module doc). A
+/// Where a write into a run goes: after its last slot, before slot `i`
+/// (moving the slots from `i` on up by one), or over slot `i`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum At {
+    End,
+    Before(usize),
+    Over(usize),
+}
+
+impl At {
+    #[inline]
+    pub(crate) fn vec<T>(self, c: &mut Vec<T>, x: T) {
+        match self {
+            At::End => c.push(x),
+            At::Before(i) => c.insert(i, x),
+            At::Over(i) => c[i] = x,
+        }
+    }
+
+    #[inline]
+    fn bits(self, c: &mut Bits, x: bool) {
+        match self {
+            At::End => c.push(x),
+            At::Before(i) => c.insert(i, x),
+            At::Over(i) => c.set(i, x),
+        }
+    }
+}
+
+/// A run of values of one type, beside a null bitmap (module doc). A
 /// NULL slot holds a zero (code 0 for strings) under its null bit. String
 /// codes index a [`Dict`] its owner keeps; every method that reads or
 /// writes a string takes it.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct Typed {
     data: Data,
     /// Bit `i` set: slot `i` is NULL.
@@ -330,17 +321,14 @@ pub(crate) struct Typed {
 }
 
 impl Typed {
-    /// An empty run in representation `rep`, with room for `capacity`
-    /// values.
-    pub(crate) fn new(rep: Rep, capacity: usize) -> Typed {
-        let data = match rep {
-            Rep::Nulls => Data::Nulls,
-            Rep::Int => Data::Int(Vec::with_capacity(capacity)),
-            Rep::Float => Data::Float(Vec::with_capacity(capacity)),
-            Rep::Date => Data::Date(Vec::with_capacity(capacity)),
-            Rep::Bool => Data::Bool(Bits::with_capacity(capacity)),
-            Rep::Str => Data::Str(Vec::with_capacity(capacity)),
-            Rep::Values => Data::Values(Vec::with_capacity(capacity)),
+    /// An empty run of type `ty`, with room for `capacity` values.
+    pub(crate) fn new(ty: ValueType, capacity: usize) -> Typed {
+        let data = match ty {
+            ValueType::Int => Data::Int(Vec::with_capacity(capacity)),
+            ValueType::Float => Data::Float(Vec::with_capacity(capacity)),
+            ValueType::Date => Data::Date(Vec::with_capacity(capacity)),
+            ValueType::Bool => Data::Bool(Bits::with_capacity(capacity)),
+            ValueType::Str => Data::Str(Vec::with_capacity(capacity)),
         };
         Typed {
             data,
@@ -349,15 +337,13 @@ impl Typed {
     }
 
     #[inline]
-    pub(crate) fn rep(&self) -> Rep {
+    pub(crate) fn ty(&self) -> ValueType {
         match self.data {
-            Data::Nulls => Rep::Nulls,
-            Data::Int(_) => Rep::Int,
-            Data::Float(_) => Rep::Float,
-            Data::Date(_) => Rep::Date,
-            Data::Bool(_) => Rep::Bool,
-            Data::Str(_) => Rep::Str,
-            Data::Values(_) => Rep::Values,
+            Data::Int(_) => ValueType::Int,
+            Data::Float(_) => ValueType::Float,
+            Data::Date(_) => ValueType::Date,
+            Data::Bool(_) => ValueType::Bool,
+            Data::Str(_) => ValueType::Str,
         }
     }
 
@@ -373,168 +359,73 @@ impl Typed {
         self.nulls.get(i)
     }
 
-    /// Whether the values agree in number with the null bits, and every
-    /// string code names a string of `dict`.
+    /// Whether the values agree in number with the null bits, no float is
+    /// a NaN, and every string code names a string of `dict`.
     pub(crate) fn is_well_formed(&self, dict: &Dict) -> bool {
         let n = self.len();
         match &self.data {
-            Data::Nulls => (0..n).all(|i| self.nulls.get(i)),
             Data::Int(v) => v.len() == n,
             Data::Float(v) => v.len() == n && v.iter().all(|x| !x.is_nan()),
             Data::Date(v) => v.len() == n,
             Data::Bool(v) => v.len() == n,
             Data::Str(v) => v.len() == n && v.iter().all(|&c| (c as usize) < dict.len().max(1)),
-            Data::Values(v) => {
-                v.len() == n
-                    && v.iter()
-                        .zip(0..)
-                        .all(|(x, i)| x.is_null() == self.nulls.get(i))
-            }
         }
     }
 
-    /// The value at slot `i`, as it was written.
+    /// The value at slot `i`.
     pub(crate) fn value(&self, i: usize, dict: &Dict) -> Value {
         if self.nulls.get(i) {
             return Value::Null;
         }
         match &self.data {
-            Data::Nulls => Value::Null,
             Data::Int(v) => Value::Int(v[i]),
             Data::Float(v) => Value::Float(v[i]),
             Data::Date(v) => Value::Date(v[i]),
             Data::Bool(v) => Value::Bool(v.get(i)),
             Data::Str(v) => Value::Str(dict.strings()[v[i] as usize].clone()),
-            Data::Values(v) => v[i].clone(),
         }
     }
 
-    /// Move to representation `to` (a [`Rep::after`] of this one): from
-    /// nothing but NULLs to a type, zero under every null bit, or from
-    /// anything to one `Value` a slot.
-    pub(crate) fn widen(&mut self, to: Rep, dict: &Dict) {
-        if to == self.rep() {
-            return;
-        }
-        let n = self.len();
-        self.data = match to {
-            Rep::Values => Data::Values((0..n).map(|i| self.value(i, dict)).collect()),
-            _ => {
-                debug_assert_eq!(self.rep(), Rep::Nulls, "only NULLs take a type");
-                let mut t = Typed::new(to, n);
-                match &mut t.data {
-                    Data::Int(v) => v.resize(n, 0),
-                    Data::Float(v) => v.resize(n, 0.0),
-                    Data::Date(v) => v.resize(n, 0),
-                    Data::Bool(v) => v.extend(n, false),
-                    Data::Str(v) => v.resize(n, 0),
-                    Data::Nulls | Data::Values(_) => unreachable!("{to:?} is a type"),
-                }
-                t.data
-            }
-        };
-    }
-
-    /// Append `v`, which must fit: the run is in `Rep::after(v)` already.
+    /// Write `v` where `at` says.
+    ///
+    /// # Panics
+    /// If `v` does not fit the run: it is neither NULL nor a value of the
+    /// run's type that is not a NaN (module doc).
     #[inline]
-    pub(crate) fn push(&mut self, v: &Value, dict: &mut Dict) {
-        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
-        self.nulls.push(v.is_null());
-        match &mut self.data {
-            Data::Nulls => {}
-            Data::Int(c) => c.push(if let Value::Int(x) = v { *x } else { 0 }),
-            Data::Float(c) => c.push(if let Value::Float(x) = v { *x } else { 0.0 }),
-            Data::Date(c) => c.push(if let Value::Date(x) = v { *x } else { 0 }),
-            Data::Bool(c) => c.push(matches!(v, Value::Bool(true))),
-            Data::Str(c) => c.push(if let Value::Str(s) = v {
-                dict.code(s)
-            } else {
-                0
-            }),
-            Data::Values(c) => c.push(v.clone()),
+    pub(crate) fn store(&mut self, at: At, v: &Value, dict: &mut Dict) {
+        let ty = self.ty();
+        match (&mut self.data, v) {
+            (Data::Int(c), Value::Int(x)) => at.vec(c, *x),
+            (Data::Float(c), Value::Float(x)) if !x.is_nan() => at.vec(c, *x),
+            (Data::Date(c), Value::Date(x)) => at.vec(c, *x),
+            (Data::Bool(c), Value::Bool(x)) => at.bits(c, *x),
+            (Data::Str(c), Value::Str(s)) => at.vec(c, dict.code(s)),
+            (Data::Int(c), Value::Null) => at.vec(c, 0),
+            (Data::Float(c), Value::Null) => at.vec(c, 0.0),
+            (Data::Date(c), Value::Null) => at.vec(c, 0),
+            (Data::Bool(c), Value::Null) => at.bits(c, false),
+            (Data::Str(c), Value::Null) => at.vec(c, 0),
+            _ => panic!("{v:?} does not fit a {ty} column"),
         }
+        at.bits(&mut self.nulls, v.is_null());
     }
 
-    /// Insert `v` at slot `i`; `v` must fit, as for [`push`](Self::push).
-    pub(crate) fn insert(&mut self, i: usize, v: &Value, dict: &mut Dict) {
-        if i == self.len() {
-            return self.push(v, dict);
-        }
-        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
-        self.nulls.insert(i, v.is_null());
-        match &mut self.data {
-            Data::Nulls => {}
-            Data::Int(c) => c.insert(i, if let Value::Int(x) = v { *x } else { 0 }),
-            Data::Float(c) => c.insert(i, if let Value::Float(x) = v { *x } else { 0.0 }),
-            Data::Date(c) => c.insert(i, if let Value::Date(x) = v { *x } else { 0 }),
-            Data::Bool(c) => c.insert(i, matches!(v, Value::Bool(true))),
-            Data::Str(c) => c.insert(
-                i,
-                if let Value::Str(s) = v {
-                    dict.code(s)
-                } else {
-                    0
-                },
-            ),
-            Data::Values(c) => c.insert(i, v.clone()),
-        }
-    }
-
-    /// Write `v` over slot `i`; `v` must fit, as for [`push`](Self::push).
-    pub(crate) fn set(&mut self, i: usize, v: &Value, dict: &mut Dict) {
-        debug_assert_eq!(self.rep().after(v), self.rep(), "{v:?} does not fit");
-        self.nulls.set(i, v.is_null());
-        match &mut self.data {
-            Data::Nulls => {}
-            Data::Int(c) => c[i] = if let Value::Int(x) = v { *x } else { 0 },
-            Data::Float(c) => c[i] = if let Value::Float(x) = v { *x } else { 0.0 },
-            Data::Date(c) => c[i] = if let Value::Date(x) = v { *x } else { 0 },
-            Data::Bool(c) => c.set(i, matches!(v, Value::Bool(true))),
-            Data::Str(c) => {
-                c[i] = if let Value::Str(s) = v {
-                    dict.code(s)
-                } else {
-                    0
-                }
-            }
-            Data::Values(c) => c[i] = v.clone(),
-        }
-    }
-
-    /// Insert a copy of slot `j` of `src`, a run of the same
-    /// representation and dictionary, at slot `i`.
-    pub(crate) fn insert_from(&mut self, i: usize, src: &Typed, j: usize) {
-        self.nulls.insert(i, src.nulls.get(j));
+    /// Write a copy of slot `j` of `src`, a run of the same type and
+    /// dictionary, where `at` says.
+    pub(crate) fn copy(&mut self, at: At, src: &Typed, j: usize) {
+        at.bits(&mut self.nulls, src.nulls.get(j));
         match (&mut self.data, &src.data) {
-            (Data::Nulls, Data::Nulls) => {}
-            (Data::Int(c), Data::Int(s)) => c.insert(i, s[j]),
-            (Data::Float(c), Data::Float(s)) => c.insert(i, s[j]),
-            (Data::Date(c), Data::Date(s)) => c.insert(i, s[j]),
-            (Data::Bool(c), Data::Bool(s)) => c.insert(i, s.get(j)),
-            (Data::Str(c), Data::Str(s)) => c.insert(i, s[j]),
-            (Data::Values(c), Data::Values(s)) => c.insert(i, s[j].clone()),
-            _ => unreachable!("a copy between representations"),
-        }
-    }
-
-    /// Write a copy of slot `j` of `src` (as for
-    /// [`insert_from`](Self::insert_from)) over slot `i`.
-    pub(crate) fn set_from(&mut self, i: usize, src: &Typed, j: usize) {
-        self.nulls.set(i, src.nulls.get(j));
-        match (&mut self.data, &src.data) {
-            (Data::Nulls, Data::Nulls) => {}
-            (Data::Int(c), Data::Int(s)) => c[i] = s[j],
-            (Data::Float(c), Data::Float(s)) => c[i] = s[j],
-            (Data::Date(c), Data::Date(s)) => c[i] = s[j],
-            (Data::Bool(c), Data::Bool(s)) => c.set(i, s.get(j)),
-            (Data::Str(c), Data::Str(s)) => c[i] = s[j],
-            (Data::Values(c), Data::Values(s)) => c[i] = s[j].clone(),
-            _ => unreachable!("a copy between representations"),
+            (Data::Int(c), Data::Int(s)) => at.vec(c, s[j]),
+            (Data::Float(c), Data::Float(s)) => at.vec(c, s[j]),
+            (Data::Date(c), Data::Date(s)) => at.vec(c, s[j]),
+            (Data::Bool(c), Data::Bool(s)) => at.bits(c, s.get(j)),
+            (Data::Str(c), Data::Str(s)) => at.vec(c, s[j]),
+            _ => unreachable!("a copy between types"),
         }
     }
 
     /// Append copies of `src`'s slots `slots`, in order (as for
-    /// [`insert_from`](Self::insert_from)): the index build's gather.
+    /// [`copy`](Self::copy)): the index build's gather.
     pub(crate) fn extend_from(&mut self, src: &Typed, slots: &[u32]) {
         let nulls = &src.nulls;
         slots
@@ -542,14 +433,12 @@ impl Typed {
             .for_each(|&j| self.nulls.push(nulls.get(j as usize)));
         let at = |j: &u32| *j as usize;
         match (&mut self.data, &src.data) {
-            (Data::Nulls, Data::Nulls) => {}
             (Data::Int(c), Data::Int(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
             (Data::Float(c), Data::Float(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
             (Data::Date(c), Data::Date(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
             (Data::Bool(c), Data::Bool(s)) => slots.iter().for_each(|j| c.push(s.get(at(j)))),
             (Data::Str(c), Data::Str(s)) => c.extend(slots.iter().map(|j| s[at(j)])),
-            (Data::Values(c), Data::Values(s)) => c.extend(slots.iter().map(|j| s[at(j)].clone())),
-            _ => unreachable!("a copy between representations"),
+            _ => unreachable!("a copy between types"),
         }
     }
 
@@ -557,13 +446,11 @@ impl Typed {
     pub(crate) fn remove(&mut self, i: usize) {
         self.nulls.remove(i);
         match &mut self.data {
-            Data::Nulls => {}
             Data::Int(c) => drop(c.remove(i)),
             Data::Float(c) => drop(c.remove(i)),
             Data::Date(c) => drop(c.remove(i)),
             Data::Bool(c) => drop(c.remove(i)),
             Data::Str(c) => drop(c.remove(i)),
-            Data::Values(c) => drop(c.remove(i)),
         }
     }
 
@@ -575,13 +462,11 @@ impl Typed {
             right
         }
         let data = match &mut self.data {
-            Data::Nulls => Data::Nulls,
             Data::Int(c) => Data::Int(tail(c, at, capacity)),
             Data::Float(c) => Data::Float(tail(c, at, capacity)),
             Data::Date(c) => Data::Date(tail(c, at, capacity)),
             Data::Bool(c) => Data::Bool(c.split_off(at, capacity)),
             Data::Str(c) => Data::Str(tail(c, at, capacity)),
-            Data::Values(c) => Data::Values(tail(c, at, capacity)),
         };
         Typed {
             data,
@@ -589,19 +474,17 @@ impl Typed {
         }
     }
 
-    /// Append every slot of `other`, a run of the same representation and
+    /// Append every slot of `other`, a run of the same type and
     /// dictionary, leaving it empty.
     pub(crate) fn append(&mut self, other: &mut Typed) {
         self.nulls.append(&mut other.nulls);
         match (&mut self.data, &mut other.data) {
-            (Data::Nulls, Data::Nulls) => {}
             (Data::Int(c), Data::Int(o)) => c.append(o),
             (Data::Float(c), Data::Float(o)) => c.append(o),
             (Data::Date(c), Data::Date(o)) => c.append(o),
             (Data::Bool(c), Data::Bool(o)) => c.append(o),
             (Data::Str(c), Data::Str(o)) => c.append(o),
-            (Data::Values(c), Data::Values(o)) => c.append(o),
-            _ => unreachable!("an append between representations"),
+            _ => unreachable!("an append between types"),
         }
     }
 
@@ -609,9 +492,6 @@ impl Typed {
     /// run and every run of its dictionary, two values are equal under
     /// `Value`'s order exactly when their words are: `-0.0` and `0.0`
     /// share one.
-    ///
-    /// # Panics
-    /// If the values have no words ([`word_kind`](Self::word_kind) is `None`).
     #[inline]
     pub(crate) fn word(&self, i: usize) -> u64 {
         match &self.data {
@@ -621,43 +501,32 @@ impl Typed {
             Data::Date(v) => v[i] as u32 as u64,
             Data::Bool(v) => u64::from(v.get(i)),
             Data::Str(v) => u64::from(v[i]),
-            Data::Nulls | Data::Values(_) => unreachable!("no words in {:?}", self.data),
         }
     }
 
-    /// What the words of [`word`](Self::word) mean, or `None` where it
-    /// has none: two runs' words compare only under one kind, and a code
-    /// never equals another dictionary's code.
-    pub(crate) fn word_kind(&self, dict: &Dict) -> Option<WordKind> {
-        word_kind(self.rep(), dict)
+    /// What the words of [`word`](Self::word) mean: two runs' words
+    /// compare only under one kind, and a code never equals another
+    /// dictionary's code.
+    pub(crate) fn word_kind(&self, dict: &Dict) -> WordKind {
+        word_kind(self.ty(), dict)
     }
 
     /// An order-preserving 64-bit image of the value at slot `i` (not
     /// NULL), exact within the run: images compare as the values do under
-    /// `Value`'s order. `ranks` is [`Column::code_ranks`]. `None` for a
-    /// run stored per value or all NULL.
-    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> Option<u64> {
+    /// `Value`'s order. `ranks` is [`Column::code_ranks`].
+    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> u64 {
         const SIGN: u64 = 1 << 63;
-        Some(match &self.data {
+        match &self.data {
             Data::Int(v) => v[i] as u64 ^ SIGN,
             Data::Float(v) => float_image(v[i]),
             Data::Date(v) => i64::from(v[i]) as u64 ^ SIGN,
             Data::Bool(v) => u64::from(v.get(i)),
             Data::Str(v) => ranks[v[i] as usize],
-            Data::Nulls | Data::Values(_) => return None,
-        })
-    }
-
-    /// The values of a run stored per value.
-    pub(crate) fn as_values(&self) -> Option<&[Value]> {
-        match &self.data {
-            Data::Values(v) => Some(v),
-            _ => None,
         }
     }
 
     /// How the value at slot `i` orders against the operand of `key`
-    /// (compiled for this run's representation and `dict`): exactly
+    /// (compiled for this run's type and `dict`): exactly
     /// `stored.cmp(operand)`.
     #[inline]
     pub(crate) fn cmp_at(&self, i: usize, key: &Operand, dict: &Dict) -> Ordering {
@@ -679,25 +548,23 @@ impl Typed {
             (Operand::Bool(y), Data::Bool(v)) => v.get(i).cmp(y),
             (Operand::Str(_, Some(code)), Data::Str(v)) if v[i] == *code => Ordering::Equal,
             (Operand::Str(y, _), Data::Str(v)) => (*dict.strings()[v[i] as usize]).cmp(*y),
-            (Operand::Value(y), Data::Values(v)) => v[i].cmp(y),
-            _ => unreachable!("an operand compiled for another representation"),
+            _ => unreachable!("an operand compiled for another type"),
         }
     }
 }
 
-/// The kind of word a run of representation `rep` has ([`Typed::word_kind`]).
-pub(crate) fn word_kind(rep: Rep, dict: &Dict) -> Option<WordKind> {
-    Some(match rep {
-        Rep::Int => WordKind::Int,
-        Rep::Float => WordKind::Float,
-        Rep::Date => WordKind::Date,
-        Rep::Bool => WordKind::Bool,
-        Rep::Str => WordKind::Code(dict.len()),
-        Rep::Nulls | Rep::Values => return None,
-    })
+/// The kind of word a run of type `ty` has ([`Typed::word_kind`]).
+pub(crate) fn word_kind(ty: ValueType, dict: &Dict) -> WordKind {
+    match ty {
+        ValueType::Int => WordKind::Int,
+        ValueType::Float => WordKind::Float,
+        ValueType::Date => WordKind::Date,
+        ValueType::Bool => WordKind::Bool,
+        ValueType::Str => WordKind::Code(dict.len()),
+    }
 }
 
-/// A value to order slots against, compiled for one representation
+/// A value to order slots against, compiled for one type
 /// ([`Typed::cmp_at`]): a key column's part of a B+tree probe.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Operand<'v> {
@@ -716,64 +583,52 @@ pub(crate) enum Operand<'v> {
     /// A string, and its code where the dictionary holds it: a slot of
     /// that code is equal without comparing the strings.
     Str(&'v str, Option<u32>),
-    Value(&'v Value),
 }
 
 impl<'v> Operand<'v> {
-    /// `v` compiled for runs of representation `rep` whose string codes
-    /// index `dict`.
-    pub(crate) fn new(rep: Rep, dict: &Dict, v: &'v Value) -> Operand<'v> {
+    /// `v` compiled for runs of type `ty` whose string codes index `dict`.
+    pub(crate) fn new(ty: ValueType, dict: &Dict, v: &'v Value) -> Operand<'v> {
         use Value as V;
+        use ValueType as T;
         let rank = |sample: Value| Operand::Rank(sample.cmp(v));
-        match (rep, v) {
+        match (ty, v) {
             (_, V::Null) => Operand::Null,
-            // Every slot is NULL: nothing past the null bit is read.
-            (Rep::Nulls, _) => Operand::Rank(Ordering::Less),
-            (Rep::Values, _) => Operand::Value(v),
-            (Rep::Int, V::Int(y)) => Operand::Int(*y),
-            (Rep::Int, V::Float(y)) => Operand::IntAsFloat(*y),
-            (Rep::Int, _) => rank(V::Int(0)),
-            (Rep::Float, V::Float(y)) => Operand::Float(*y),
-            (Rep::Float, V::Int(y)) => Operand::Float(*y as f64),
-            (Rep::Float, _) => rank(V::Float(0.0)),
-            (Rep::Date, V::Date(y)) => Operand::Date(*y),
-            (Rep::Date, _) => rank(V::Date(0)),
-            (Rep::Bool, V::Bool(y)) => Operand::Bool(*y),
-            (Rep::Bool, _) => rank(V::Bool(false)),
-            (Rep::Str, V::Str(y)) => Operand::Str(y, dict.code_of(y)),
-            (Rep::Str, _) => rank(V::Str("".into())),
+            (T::Int, V::Int(y)) => Operand::Int(*y),
+            (T::Int, V::Float(y)) => Operand::IntAsFloat(*y),
+            (T::Int, _) => rank(V::Int(0)),
+            (T::Float, V::Float(y)) => Operand::Float(*y),
+            (T::Float, V::Int(y)) => Operand::Float(*y as f64),
+            (T::Float, _) => rank(V::Float(0.0)),
+            (T::Date, V::Date(y)) => Operand::Date(*y),
+            (T::Date, _) => rank(V::Date(0)),
+            (T::Bool, V::Bool(y)) => Operand::Bool(*y),
+            (T::Bool, _) => rank(V::Bool(false)),
+            (T::Str, V::Str(y)) => Operand::Str(y, dict.code_of(y)),
+            (T::Str, _) => rank(V::Str("".into())),
         }
     }
 }
 
-/// One column of a heap: a value per slot, stored by type (module doc),
-/// and the dictionary of its strings.
-#[derive(Debug, Clone, Default)]
+/// One column of a heap: a value per slot, stored by its type (module
+/// doc), and the dictionary of its strings.
+#[derive(Debug, Clone)]
 pub struct Column {
     vals: Typed,
     dict: Dict,
 }
 
 impl Column {
-    /// An empty column.
-    pub fn new() -> Column {
-        Column::default()
-    }
-
-    /// An empty column already in the representation of `ty`, with room
-    /// for `capacity` values: what a generator that knows the type uses.
+    /// An empty column of type `ty`, with room for `capacity` values.
     pub fn of_type(ty: ValueType, capacity: usize) -> Column {
-        let rep = match ty {
-            ValueType::Int => Rep::Int,
-            ValueType::Float => Rep::Float,
-            ValueType::Date => Rep::Date,
-            ValueType::Bool => Rep::Bool,
-            ValueType::Str => Rep::Str,
-        };
         Column {
-            vals: Typed::new(rep, capacity),
+            vals: Typed::new(ty, capacity),
             dict: Dict::default(),
         }
+    }
+
+    /// The column's type.
+    pub fn ty(&self) -> ValueType {
+        self.vals.ty()
     }
 
     /// Number of slots.
@@ -790,43 +645,31 @@ impl Column {
         (&self.vals, &self.dict)
     }
 
-    /// Whether the column holds one `Value` a slot: it received values of
-    /// more than one variant, or a NaN.
-    pub fn is_per_value(&self) -> bool {
-        self.vals.rep() == Rep::Values
-    }
-
     /// Whether slot `i` is NULL.
     pub(crate) fn is_null(&self, i: usize) -> bool {
         self.vals.is_null(i)
     }
 
-    /// The value at slot `i`, as it was written.
+    /// The value at slot `i`.
     pub fn value(&self, i: usize) -> Value {
         self.vals.value(i, &self.dict)
     }
 
     /// Append a value.
+    ///
+    /// # Panics
+    /// If `v` does not fit the column: it is neither NULL nor a value of
+    /// the column's type that is not a NaN ([`ValueType::fit`] makes one
+    /// fit).
     #[inline]
     pub fn push(&mut self, v: Value) {
-        self.make_room_for(&v);
-        self.vals.push(&v, &mut self.dict);
+        self.vals.store(At::End, &v, &mut self.dict);
     }
 
-    /// Write a value over slot `i`.
+    /// Write a value over slot `i`; it must fit, as for
+    /// [`push`](Self::push).
     pub(crate) fn set(&mut self, i: usize, v: Value) {
-        self.make_room_for(&v);
-        self.vals.set(i, &v, &mut self.dict);
-    }
-
-    /// Change representation so that `v` fits.
-    #[inline]
-    fn make_room_for(&mut self, v: &Value) {
-        let rep = self.vals.rep();
-        let to = rep.after(v);
-        if to != rep {
-            self.vals.widen(to, &self.dict);
-        }
+        self.vals.store(At::Over(i), &v, &mut self.dict);
     }
 
     /// The code of `s` in a string column's dictionary, added if new.
@@ -834,7 +677,7 @@ impl Column {
     /// fixed set of strings looks each up once, not once a row.
     ///
     /// # Panics
-    /// If the column does not hold strings by code.
+    /// If the column is not a string column.
     pub fn intern(&mut self, s: Arc<str>) -> u32 {
         match &self.vals.data {
             Data::Str(_) => self.dict.code(&s),
@@ -855,13 +698,11 @@ impl Column {
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.vals.nulls.reserve(additional);
         match &mut self.vals.data {
-            Data::Nulls => {}
             Data::Int(c) => c.reserve_exact(additional),
             Data::Float(c) => c.reserve_exact(additional),
             Data::Date(c) => c.reserve_exact(additional),
             Data::Bool(c) => c.reserve(additional),
             Data::Str(c) => c.reserve_exact(additional),
-            Data::Values(c) => c.reserve_exact(additional),
         }
     }
 
@@ -870,16 +711,11 @@ impl Column {
         (0..self.len()).map(|i| self.value(i))
     }
 
-    /// The values of a per-value column.
-    pub(crate) fn as_values(&self) -> Option<&[Value]> {
-        self.vals.as_values()
-    }
-
     /// For a string column, each code's rank among the dictionary's
     /// strings in order (the images [`image`](Self::image) gives them);
     /// empty for any other column.
     pub(crate) fn code_ranks(&self) -> Vec<u64> {
-        if self.vals.rep() != Rep::Str {
+        if self.ty() != ValueType::Str {
             return Vec::new();
         }
         let d = self.dict.strings();
@@ -893,7 +729,7 @@ impl Column {
     }
 
     /// [`Typed::image`] of slot `i`; `ranks` is [`code_ranks`](Self::code_ranks).
-    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> Option<u64> {
+    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> u64 {
         self.vals.image(i, ranks)
     }
 
@@ -908,7 +744,6 @@ impl Column {
         }
         let nulls = &self.vals.nulls;
         let out = match &self.vals.data {
-            Data::Nulls => Vec::new(),
             Data::Int(v) => of(slots, nulls, |i| v[i] as f64),
             Data::Float(v) => of(slots, nulls, |i| v[i]),
             Data::Date(v) => of(slots, nulls, |i| f64::from(v[i])),
@@ -918,26 +753,17 @@ impl Column {
                 let of_code: Vec<f64> = strings.iter().map(|s| str_position(s)).collect();
                 of(slots, nulls, |i| of_code[v[i] as usize])
             }
-            Data::Values(v) => of(slots, nulls, |i| v[i].as_f64()),
         };
         let nulls = slots.len() - out.len();
         (out, nulls)
     }
 
-    /// `column op rhs`, compiled against this column's representation.
+    /// `column op rhs`, compiled against this column's type.
     pub(crate) fn filter(&self, op: CmpOp, rhs: &Value) -> Filter<'_> {
         Filter {
             vals: &self.vals,
-            test: Test::new(self.vals.rep(), &self.dict, op, rhs),
+            test: Test::new(self.ty(), &self.dict, op, rhs),
         }
-    }
-}
-
-impl FromIterator<Value> for Column {
-    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Column {
-        let mut col = Column::new();
-        values.into_iter().for_each(|v| col.push(v));
-        col
     }
 }
 
@@ -953,7 +779,7 @@ pub(crate) enum WordKind {
 }
 
 /// `f64` (not NaN) to a `u64` of the same order; `-0.0` equals `0.0`.
-pub(crate) fn float_image(f: f64) -> u64 {
+fn float_image(f: f64) -> u64 {
     let bits = if f == 0.0 { 0 } else { f.to_bits() };
     if bits >> 63 == 1 {
         !bits
@@ -981,9 +807,9 @@ impl Filter<'_> {
     }
 }
 
-/// A predicate `value op operand` compiled against one representation
-/// and dictionary, bound to no values: it holds on a slot of a run of
-/// that representation exactly when `op.eval(value, operand)` does.
+/// A predicate `value op operand` compiled against one type and
+/// dictionary, bound to no values: it holds on a slot of a run of that
+/// type exactly when `op.eval(value, operand)` does.
 pub(crate) enum Test {
     /// Holds on no slot.
     Never,
@@ -1002,7 +828,6 @@ pub(crate) enum Test {
     Bool([bool; 2]),
     /// Whether the predicate holds on each dictionary code's string.
     Codes(Vec<bool>),
-    Values(CmpOp, Value),
 }
 
 /// `op` between `x` and `y` as `Value` orders numbers: a pair that
@@ -1046,10 +871,11 @@ fn mask<T: Copy, U: PartialOrd + Copy>(vals: &[T], conv: impl Fn(T) -> U, op: Cm
 }
 
 impl Test {
-    /// `value op rhs` compiled for runs of representation `rep` whose
-    /// string codes index `dict`.
-    pub(crate) fn new(rep: Rep, dict: &Dict, op: CmpOp, rhs: &Value) -> Test {
+    /// `value op rhs` compiled for runs of type `ty` whose string codes
+    /// index `dict`.
+    pub(crate) fn new(ty: ValueType, dict: &Dict, op: CmpOp, rhs: &Value) -> Test {
         use Value as V;
+        use ValueType as T;
         // An operand of a type that ranks apart from the run's orders the
         // same against every value that is not NULL.
         let rank = |sample: Value| {
@@ -1059,28 +885,27 @@ impl Test {
                 Test::Never
             }
         };
-        match (rep, rhs) {
+        match (ty, rhs) {
             (_, V::Null) if op == CmpOp::Eq => Test::Null,
-            (_, V::Null) | (Rep::Nulls, _) => Test::Never,
-            (Rep::Values, _) => Test::Values(op, rhs.clone()),
-            (Rep::Int, V::Int(y)) => Test::Int(op, *y),
-            (Rep::Int, V::Float(y)) => Test::IntAsFloat(op, *y),
-            (Rep::Int, _) => rank(V::Int(0)),
-            (Rep::Float, V::Float(y)) => Test::Float(op, *y),
-            (Rep::Float, V::Int(y)) => Test::Float(op, *y as f64),
-            (Rep::Float, _) => rank(V::Float(0.0)),
-            (Rep::Date, V::Date(y)) => Test::Date(op, *y),
-            (Rep::Date, _) => rank(V::Date(0)),
-            (Rep::Bool, V::Bool(y)) => Test::Bool([false, true].map(|x| op.holds(x.cmp(y)))),
-            (Rep::Bool, _) => rank(V::Bool(false)),
+            (_, V::Null) => Test::Never,
+            (T::Int, V::Int(y)) => Test::Int(op, *y),
+            (T::Int, V::Float(y)) => Test::IntAsFloat(op, *y),
+            (T::Int, _) => rank(V::Int(0)),
+            (T::Float, V::Float(y)) => Test::Float(op, *y),
+            (T::Float, V::Int(y)) => Test::Float(op, *y as f64),
+            (T::Float, _) => rank(V::Float(0.0)),
+            (T::Date, V::Date(y)) => Test::Date(op, *y),
+            (T::Date, _) => rank(V::Date(0)),
+            (T::Bool, V::Bool(y)) => Test::Bool([false, true].map(|x| op.holds(x.cmp(y)))),
+            (T::Bool, _) => rank(V::Bool(false)),
             // No string written yet: every slot is NULL (and code 0
             // names no string).
-            (Rep::Str, _) if dict.len() == 0 => Test::Never,
-            (Rep::Str, V::Str(y)) => {
+            (T::Str, _) if dict.len() == 0 => Test::Never,
+            (T::Str, V::Str(y)) => {
                 let pass = dict.strings().iter().map(|s| op.holds((**s).cmp(&**y)));
                 Test::Codes(pass.collect())
             }
-            (Rep::Str, _) => rank(V::Str("".into())),
+            (T::Str, _) => rank(V::Str("".into())),
         }
     }
 
@@ -1090,7 +915,6 @@ impl Test {
         match (self, &vals.data) {
             (Test::Never, _) => false,
             (Test::Null, _) => vals.nulls.get(i),
-            (Test::Values(op, y), Data::Values(v)) => op.eval(&v[i], y),
             _ if vals.nulls.get(i) => false,
             (Test::NotNull, _) => true,
             (Test::Int(op, y), Data::Int(v)) => holds(*op, v[i], *y),
@@ -1099,7 +923,7 @@ impl Test {
             (Test::Date(op, y), Data::Date(v)) => holds(*op, v[i], *y),
             (Test::Bool(pass), Data::Bool(v)) => pass[usize::from(v.get(i))],
             (Test::Codes(pass), Data::Str(v)) => pass[v[i] as usize],
-            _ => unreachable!("a test compiled for another representation"),
+            _ => unreachable!("a test compiled for another type"),
         }
     }
 
@@ -1116,9 +940,6 @@ impl Test {
         let hits = match (self, &vals.data) {
             (Test::Never, _) => return 0,
             (Test::Null, _) => return nulls,
-            (Test::Values(op, y), Data::Values(v)) => {
-                return mask_of(&v[lo..hi], |x| op.eval(x, y))
-            }
             (Test::NotNull, _) => valid,
             (Test::Int(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x, *op, *y),
             (Test::IntAsFloat(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x as f64, *op, *y),
@@ -1131,7 +952,7 @@ impl Test {
                 (t | f) & valid
             }
             (Test::Codes(pass), Data::Str(v)) => mask_of(&v[lo..hi], |&c| pass[c as usize]),
-            _ => unreachable!("a test compiled for another representation"),
+            _ => unreachable!("a test compiled for another type"),
         };
         hits & !nulls
     }
@@ -1183,48 +1004,33 @@ mod tests {
         CmpOp::Ge,
     ];
 
-    /// A column of each representation, its slots holding `vals` (NULLs
-    /// included), 70 slots long so that a word boundary falls inside.
+    const TYPES: [ValueType; 5] = [
+        ValueType::Int,
+        ValueType::Float,
+        ValueType::Date,
+        ValueType::Bool,
+        ValueType::Str,
+    ];
+
+    /// Two columns of each type, 70 slots long so that a word boundary
+    /// falls inside, and the values their slots hold: one holding every
+    /// operand of its type that fits it (NaN does not) and NULLs, and one
+    /// all NULL (a string column with nothing in its dictionary among
+    /// them).
     fn columns() -> Vec<(Column, Vec<Value>)> {
-        let ops = operands();
-        let of = |pick: &dyn Fn(&Value) -> bool| -> Vec<Value> {
-            let mut vals: Vec<Value> = ops.iter().filter(|v| pick(v)).cloned().collect();
+        let mut cols = Vec::new();
+        for ty in TYPES {
+            let fits = |v: &Value| v.value_type() == Some(ty) && ty.fit(v.clone()).is_ok();
+            let mut vals: Vec<Value> = operands().into_iter().filter(fits).collect();
             vals.push(Value::Null);
-            (0..70).map(|i| vals[i * 7 % vals.len()].clone()).collect()
-        };
-        let is_float = |v: &Value| matches!(v, Value::Float(x) if !x.is_nan());
-        let sets: Vec<Vec<Value>> = vec![
-            of(&|v| matches!(v, Value::Int(_))),
-            of(&is_float),
-            of(&|v| matches!(v, Value::Date(_))),
-            of(&|v| matches!(v, Value::Bool(_))),
-            of(&|v| matches!(v, Value::Str(_))),
-            of(&|_| false),
-            // Per value: every operand, NaN included.
-            of(&|_| true),
-        ];
-        let mut cols: Vec<_> = sets
-            .into_iter()
-            .map(|vals| {
-                let mut col = Column::new();
-                for v in &vals {
-                    col.push(v.clone());
-                }
-                (col, vals)
-            })
-            .collect();
-        // All NULL in a representation taken before any value came (a
-        // string column with nothing in its dictionary among them).
-        for ty in [
-            ValueType::Int,
-            ValueType::Float,
-            ValueType::Date,
-            ValueType::Bool,
-            ValueType::Str,
-        ] {
-            let mut col = Column::of_type(ty, 70);
-            (0..70).for_each(|_| col.push(Value::Null));
-            cols.push((col, vec![Value::Null; 70]));
+            for vals in [
+                (0..70).map(|i| vals[i * 7 % vals.len()].clone()).collect(),
+                vec![Value::Null; 70],
+            ] {
+                let mut col = Column::of_type(ty, 70);
+                vals.iter().for_each(|v| col.push(v.clone()));
+                cols.push((col, vals));
+            }
         }
         cols
     }
@@ -1233,17 +1039,7 @@ mod tests {
     /// operand pair, one slot at a time and a word at a time.
     #[test]
     fn kernels_agree_with_eval_on_every_operand_pair() {
-        let cols = columns();
-        let kinds: Vec<_> = cols
-            .iter()
-            .map(|(c, _)| std::mem::discriminant(&c.vals.data))
-            .collect();
-        assert_eq!(
-            kinds.iter().collect::<std::collections::HashSet<_>>().len(),
-            7,
-            "one column of each representation"
-        );
-        for (col, vals) in &cols {
+        for (col, vals) in &columns() {
             for rhs in operands() {
                 for op in OPS {
                     let f = col.filter(op, &rhs);
@@ -1272,14 +1068,10 @@ mod tests {
     }
 
     /// Words are equal exactly where `Value` says the values are, and
-    /// images order as the values do, in every typed representation.
+    /// images order as the values do, in every type.
     #[test]
     fn words_and_images_follow_value_order() {
         for (col, vals) in columns() {
-            let Some(_) = col.vals.word_kind(&col.dict) else {
-                assert!(col.is_per_value() || vals.iter().all(Value::is_null));
-                continue;
-            };
             let ranks = col.code_ranks();
             for (i, a) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
                 for (j, b) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
@@ -1308,22 +1100,17 @@ mod tests {
         assert_eq!(b.ones_from(140).count(), 64);
     }
 
-    /// Every compiled operand orders each slot of every representation
-    /// exactly as `Value::cmp` orders the stored value against it.
+    /// Every compiled operand orders each slot of every type exactly as
+    /// `Value::cmp` orders the stored value against it.
     #[test]
     fn operands_order_as_value_does_on_every_pair() {
         for (col, vals) in columns() {
             let (typed, dict) = col.parts();
             for rhs in operands() {
-                let key = Operand::new(typed.rep(), dict, &rhs);
+                let key = Operand::new(typed.ty(), dict, &rhs);
                 for (i, v) in vals.iter().enumerate() {
                     let got = typed.cmp_at(i, &key, dict);
-                    assert_eq!(
-                        got,
-                        v.cmp(&rhs),
-                        "{v:?} against {rhs:?} in {:?}",
-                        typed.rep()
-                    );
+                    assert_eq!(got, v.cmp(&rhs), "{v:?} against {rhs:?} in {}", typed.ty());
                 }
             }
         }
@@ -1380,40 +1167,51 @@ mod tests {
         }
     }
 
-    /// A run moves and widens exactly: copies, splits and appends keep
-    /// every value's variant and bits, and widening to per value (or from
-    /// nothing but NULLs to a type) reads back what was there.
+    /// A run moves exactly: copies, splits and appends keep every
+    /// value's variant and bits.
     #[test]
-    fn typed_runs_copy_split_and_widen_exactly() {
+    fn typed_runs_copy_split_and_append_exactly() {
         let same = |a: &Value, b: &Value| format!("{a:?}") == format!("{b:?}");
         for (col, vals) in columns() {
             let (src, dict) = col.parts();
-            let mut dict = dict.clone();
-            let mut run = Typed::new(src.rep(), 4);
+            let mut run = Typed::new(src.ty(), 4);
             let slots: Vec<u32> = (0..vals.len() as u32).rev().collect();
             run.extend_from(src, &slots);
             let mut want: Vec<Value> = vals.iter().rev().cloned().collect();
             let mut right = run.split_off(33, 64);
             right.remove(3);
             want.remove(36);
-            run.insert_from(5, &right, 0);
+            run.copy(At::Before(5), &right, 0);
             want.insert(5, want[33].clone());
             run.append(&mut right);
-            run.set_from(0, src, 1);
+            run.copy(At::Over(0), src, 1);
             want[0] = vals[1].clone();
-            assert!(run.is_well_formed(&dict));
-            assert!((0..want.len()).all(|i| same(&run.value(i, &dict), &want[i])));
-            // A misfit moves the run per value; every value stays.
-            let misfit = if src.rep() == Rep::Int {
-                Value::Str("m".into())
-            } else {
-                Value::Int(7)
-            };
-            let to = run.rep().after(&misfit);
-            run.widen(to, &dict);
-            run.insert(2, &misfit, &mut dict);
-            want.insert(2, misfit);
-            assert!((0..want.len()).all(|i| same(&run.value(i, &dict), &want[i])));
+            assert!(run.is_well_formed(dict));
+            assert!((0..want.len()).all(|i| same(&run.value(i, dict), &want[i])));
+        }
+    }
+
+    /// A run takes NULL and values of its type, and refuses anything
+    /// else: another type, or a NaN in a float column.
+    #[test]
+    fn a_run_stores_only_what_fits_its_type() {
+        for (v, ty) in [
+            (Value::Int(3), ValueType::Float),
+            (Value::Float(3.0), ValueType::Int),
+            (Value::Str("x".into()), ValueType::Int),
+            (Value::Float(f64::NAN), ValueType::Float),
+            (Value::Date(1), ValueType::Bool),
+        ] {
+            let stored = std::panic::catch_unwind(|| {
+                let mut col = Column::of_type(ty, 1);
+                col.push(v.clone());
+            });
+            assert!(stored.is_err(), "{v:?} in a {ty} column");
+        }
+        for ty in TYPES {
+            let mut col = Column::of_type(ty, 1);
+            col.push(Value::Null);
+            assert_eq!(col.ty(), ty, "an all-NULL column keeps its type");
         }
     }
 }

@@ -89,8 +89,8 @@ pub struct DbConfig {
     /// top of CPU noise — the paper's reason to validate on logical
     /// metrics (§6).
     pub duration_noise_sigma: f64,
-    /// Whether statistics auto-update when stale (disabling it widens the
-    /// estimate/actual gap — an ablation knob).
+    /// Whether statistics auto-update when stale (disabling it makes the
+    /// estimate/actual gap wider — an ablation knob).
     pub auto_update_stats: bool,
     /// Whether compiled plans are memoized across executions (keyed by
     /// query id + catalog-epoch fingerprint). Disabling it recompiles
@@ -295,10 +295,8 @@ impl Database {
 
     /// Create a table.
     pub fn create_table(&mut self, def: TableDef) -> Result<TableId, EngineError> {
-        let width = def.avg_row_width();
-        let n_cols = def.columns.len();
+        let heap = Heap::new(&def.types(), def.avg_row_width());
         let id = self.catalog.add_table(def)?;
-        let heap = Heap::new(n_cols, width);
         self.stats.insert(id, TableStats::build_full(&heap));
         self.heaps.insert(id, heap);
         self.bump_table(id);
@@ -307,15 +305,28 @@ impl Database {
 
     /// Bulk-load rows without statement accounting (initial population):
     /// the rows, by column, through [`load_columns`](Self::load_columns).
+    /// Each value is made to fit its column as a statement's would be
+    /// ([`ValueType::fit`](crate::types::ValueType::fit)).
     ///
     /// # Panics
-    /// If a row does not have one value per column.
+    /// If a row does not have one value per column, or a value does not
+    /// fit its column: the loader is the program's own, and a misfit is
+    /// its bug.
     pub fn load_rows(&mut self, table: TableId, rows: impl IntoIterator<Item = Row>) {
-        let width = self.heaps.get(&table).expect("table exists").width();
-        let mut columns = vec![Column::new(); width];
+        let def = self.catalog.table(table).expect("table exists");
+        let mut columns: Vec<Column> = (def.columns.iter())
+            .map(|c| Column::of_type(c.ty, 0))
+            .collect();
         for row in rows {
-            assert_eq!(row.len(), width, "row width differs from the table's");
-            for (col, v) in columns.iter_mut().zip(row) {
+            assert_eq!(
+                row.len(),
+                columns.len(),
+                "row width differs from the table's"
+            );
+            for ((col, c), v) in columns.iter_mut().zip(&def.columns).zip(row) {
+                let v = c.ty.fit(v).unwrap_or_else(|v| {
+                    panic!("{v:?} does not fit {}.{} ({})", def.name, c.name, c.ty)
+                });
                 col.push(v);
             }
         }
@@ -327,7 +338,15 @@ impl Database {
     /// that fills a heap and the indexes already on it in bulk. The rows
     /// take the ids that many inserts would; a table that never held a
     /// row keeps the columns as they are, so nothing is copied.
+    ///
+    /// # Panics
+    /// If a column is not of its table column's declared type.
     pub fn load_columns(&mut self, table: TableId, columns: Vec<Column>) {
+        let def = self.catalog.table(table).expect("table exists");
+        for (col, c) in columns.iter().zip(&def.columns) {
+            let (t, n) = (&def.name, &c.name);
+            assert_eq!(col.ty(), c.ty, "a {} column loaded into {t}.{n}", col.ty());
+        }
         let heap = self.heaps.get_mut(&table).expect("table exists");
         let ids = heap.append_columns(columns);
         for (id, _) in self.catalog.indexes_on(table) {
@@ -1161,8 +1180,13 @@ mod tests {
         for batch in [0..3_000i64, 3_000..3_500] {
             by_rows.load_rows(t, batch.clone().map(row));
             let rows: Vec<Row> = batch.map(row).collect();
-            let columns = (0..3)
-                .map(|c| rows.iter().map(|r| r[c].clone()).collect())
+            let types = [ValueType::Int, ValueType::Int, ValueType::Str];
+            let columns = (types.iter().enumerate())
+                .map(|(c, &ty)| {
+                    let mut col = Column::of_type(ty, rows.len());
+                    rows.iter().for_each(|r| col.push(r[c].clone()));
+                    col
+                })
                 .collect();
             by_columns.load_columns(t, columns);
         }

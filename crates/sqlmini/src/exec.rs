@@ -38,15 +38,24 @@
 //! The kernels reproduce `Value`'s order and equality exactly (`Int`
 //! against `Float` numerically, `-0.0` equal to `0.0`, a NaN operand
 //! equal to every number, variants of different types by rank); what
-//! they do not cover — a column stored per value, a GROUP BY of more than
-//! one column, join keys of two kinds or two dictionaries, ORDER BY and
-//! the rows sink — goes through the per-value path, which reads each
-//! value as a `Value` built from its heap column or leaf run.
+//! they do not cover — a GROUP BY of more than one column, join keys of
+//! two kinds or two dictionaries, ORDER BY and the rows sink — goes
+//! through the per-value path, which reads each value as a `Value` built
+//! from its heap column or leaf run.
 //! Storage is only borrowed shared for the whole statement, so a view
 //! stays valid until the sink. The executor's temporary hash tables
 //! (group keys, the join's build side) hash a word at a time with a
 //! multiply, not with SipHash: they live for one statement and nothing
 //! reads them in hash order.
+//!
+//! # The write rule
+//!
+//! Every column stores its declared type, so DML makes each value it
+//! writes fit its column before anything else happens
+//! ([`ValueType::fit`]): NULL fits every column, an `Int` written to a
+//! `Float` column is stored as its `f64`, and any other misfit or a NaN
+//! refuses the statement with [`ExecError::TypeMismatch`] before it
+//! charges a page or writes a row or an index entry.
 //!
 //! # Two sinks
 //!
@@ -89,8 +98,8 @@ use crate::optimizer::{
 };
 use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, SelectPlan};
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
-use crate::schema::{ColumnId, IndexId, TableId};
-use crate::types::{Row, Value};
+use crate::schema::{ColumnId, IndexId, TableDef, TableId};
+use crate::types::{Row, Value, ValueType};
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -144,6 +153,15 @@ pub enum ExecError {
     /// The plan does not have the shape its statement needs (a planner
     /// contract violation, e.g. a join query whose plan has no join).
     PlanShape(&'static str),
+    /// A write gives a column a value that does not fit its declared type
+    /// ([`ValueType::fit`]); the statement is refused whole, before it
+    /// charges or writes anything.
+    TypeMismatch {
+        table: String,
+        column: String,
+        expected: ValueType,
+        got: Value,
+    },
 }
 
 impl std::fmt::Display for ExecError {
@@ -153,6 +171,15 @@ impl std::fmt::Display for ExecError {
             ExecError::HypotheticalPlan => write!(f, "cannot execute a what-if plan"),
             ExecError::UnknownTable(t) => write!(f, "unknown table {t}"),
             ExecError::PlanShape(what) => write!(f, "plan does not fit its statement: {what}"),
+            ExecError::TypeMismatch {
+                table,
+                column,
+                expected,
+                got,
+            } => write!(
+                f,
+                "{got} does not fit {table}.{column}, a {expected} column"
+            ),
         }
     }
 }
@@ -219,7 +246,8 @@ enum WordAt<'c> {
 
 impl<'c> WordAt<'c> {
     /// The column at `slot` of the rows of `table` laid out as `leaf`
-    /// says, and the kind of its words; `None` where it has none.
+    /// says, and the kind of its words; `None` for a column the leaf
+    /// lacks.
     fn new(
         ctx: &'c ExecContext<'_>,
         table: TableId,
@@ -228,13 +256,13 @@ impl<'c> WordAt<'c> {
     ) -> Option<(WordAt<'c>, WordKind)> {
         match leaf {
             Some(ix) if slot < ix.tree().width() => {
-                let kind = word_kind(ix.tree().rep(slot), ix.tree().dict(slot))?;
+                let kind = word_kind(ix.tree().ty(slot), ix.tree().dict(slot));
                 Some((WordAt::Leaf(slot), kind))
             }
             Some(_) => None,
             None => {
                 let (vals, dict) = ctx.heaps.get(&table)?.column(slot).parts();
-                Some((WordAt::Heap(vals), vals.word_kind(dict)?))
+                Some((WordAt::Heap(vals), vals.word_kind(dict)))
             }
         }
     }
@@ -406,7 +434,7 @@ fn bind<'c, 'q>(
                     // holds everywhere or nowhere.
                     return (!p.op.eval(&Value::Null, rhs)).then_some((0, Test::Never));
                 }
-                Some((s, Test::new(tree.rep(s), tree.dict(s), p.op, rhs)))
+                Some((s, Test::new(tree.ty(s), tree.dict(s), p.op, rhs)))
             })
             .collect(),
     )
@@ -1170,7 +1198,8 @@ pub fn execute_dml(
     let mut m = ActualMetrics::default();
     match (stmt, plan) {
         (Statement::Insert { table, values }, Plan::Insert { .. }) => {
-            insert_one(ctx, *table, values, params, &mut m)?;
+            let row = fit_row(table_def(ctx.catalog, *table)?, values, params)?;
+            insert_one(ctx, *table, row, &mut m)?;
         }
         (
             Statement::BulkInsert {
@@ -1180,8 +1209,9 @@ pub fn execute_dml(
             },
             Plan::Insert { .. },
         ) => {
+            let row = fit_row(table_def(ctx.catalog, *table)?, values, params)?;
             for _ in 0..*rows {
-                insert_one(ctx, *table, values, params, &mut m)?;
+                insert_one(ctx, *table, row.clone(), &mut m)?;
             }
         }
         (
@@ -1192,15 +1222,15 @@ pub fn execute_dml(
             },
             Plan::Update(dp),
         ) => {
+            let def = table_def(ctx.catalog, *table)?;
+            let set = (set.iter())
+                .map(|(c, s)| Ok((*c, fit(def, *c, s.resolve(params).clone())?)))
+                .collect::<Result<Vec<(ColumnId, Value)>, ExecError>>()?;
             let targets = find_targets(ctx, *table, predicates, dp, params, &mut m)?;
             let heap = ctx
                 .heaps
                 .get_mut(table)
                 .ok_or(ExecError::UnknownTable(*table))?;
-            let set: Vec<(ColumnId, Value)> = set
-                .iter()
-                .map(|(c, s)| (*c, s.resolve(params).clone()))
-                .collect();
             for rid in targets {
                 if !heap.is_live(rid) {
                     continue;
@@ -1247,18 +1277,46 @@ pub fn execute_dml(
     Ok(m)
 }
 
+/// `table`'s definition, or the error for a table the catalog lacks.
+fn table_def(catalog: &Catalog, table: TableId) -> Result<&TableDef, ExecError> {
+    catalog
+        .table(table)
+        .map_err(|_| ExecError::UnknownTable(table))
+}
+
+/// `v`, written to column `c` of table `def`, made to fit the column's
+/// declared type ([`ValueType::fit`]); the error that refuses the
+/// statement if it does not.
+fn fit(def: &TableDef, c: ColumnId, v: Value) -> Result<Value, ExecError> {
+    let col = def.column(c);
+    col.ty.fit(v).map_err(|got| ExecError::TypeMismatch {
+        table: def.name.clone(),
+        column: col.name.clone(),
+        expected: col.ty,
+        got,
+    })
+}
+
+/// The row an INSERT of `values` under `params` writes, each value made
+/// to [`fit`] its column.
+fn fit_row(def: &TableDef, values: &[Scalar], params: &[Value]) -> Result<Row, ExecError> {
+    (values.iter().zip(0..))
+        .map(|(s, c)| fit(def, ColumnId(c), s.resolve(params).clone()))
+        .collect()
+}
+
+/// Insert `row`, whose values fit their columns, and maintain every index
+/// on the table.
 fn insert_one(
     ctx: &mut ExecContext<'_>,
     table: TableId,
-    values: &[Scalar],
-    params: &[Value],
+    row: Row,
     m: &mut ActualMetrics,
 ) -> Result<(), ExecError> {
     let heap = ctx
         .heaps
         .get_mut(&table)
         .ok_or(ExecError::UnknownTable(table))?;
-    let row: Row = values.iter().map(|s| s.resolve(params).clone()).collect();
     let rid = heap.next_id();
     m.add_pages_written(1);
     for (id, _) in ctx.catalog.indexes_on(table) {
@@ -1349,7 +1407,7 @@ mod tests {
                 ))
                 .unwrap();
             let tdef = catalog.table(t).unwrap().clone();
-            let mut heap = Heap::new(tdef.columns.len(), tdef.avg_row_width());
+            let mut heap = Heap::new(&tdef.types(), tdef.avg_row_width());
             for i in 0..2000i64 {
                 heap.insert(vec![
                     Value::Int(i),
@@ -1503,13 +1561,11 @@ mod tests {
 
     /// Under GROUP BY, the count sink forms as many groups as the rows
     /// sink and as `Value`'s order tells apart, over a key column of every
-    /// representation: `Int` (with `i64::MAX`), `Float` (`0.0` beside
-    /// `-0.0`), `Date`, `Bool`, `Str` (strings of one to seventeen bytes,
-    /// with and without a trailing zero byte), all NULL, and per value
-    /// (`3` beside `3.0`, `0` beside `-0.0`, strings among numbers); each
-    /// with NULLs, grouped alone (by words, or per value) and beside an
-    /// `Int` column (per value), over the heap's columns and over a
-    /// covering index's leaves.
+    /// type: `Int` (with `i64::MAX`), `Float` (`0.0` beside `-0.0`),
+    /// `Date`, `Bool`, `Str` (strings of one to seventeen bytes, with and
+    /// without a trailing zero byte), and all NULL; each with NULLs,
+    /// grouped alone (by words) and beside an `Int` column (per value),
+    /// over the heap's columns and over a covering index's leaves.
     #[test]
     fn count_sink_groups_mixed_keys_as_the_rows_sink_does() {
         let strs = [
@@ -1521,9 +1577,9 @@ mod tests {
             "abcdefghijklmnopr",
         ];
         let strs = strs.map(Value::from);
-        // Each pool, the kind of word its column gets, and how many of
+        // Each pool, its column's type and kind of word, and how many of
         // its values fold into another's group.
-        let pools: Vec<(Vec<Value>, Option<WordKind>, usize)> = vec![
+        let pools: Vec<(Vec<Value>, ValueType, WordKind, usize)> = vec![
             (
                 vec![
                     Value::Int(3),
@@ -1531,55 +1587,42 @@ mod tests {
                     Value::Int(0),
                     Value::Int(i64::MAX),
                 ],
-                Some(WordKind::Int),
+                ValueType::Int,
+                WordKind::Int,
                 0,
             ),
             (
                 [3.0, 3.5, 0.0, -0.0, -7.25].map(Value::Float).to_vec(),
-                Some(WordKind::Float),
+                ValueType::Float,
+                WordKind::Float,
                 1,
             ),
             (
                 vec![Value::Date(1), Value::Date(-5), Value::Date(400)],
-                Some(WordKind::Date),
+                ValueType::Date,
+                WordKind::Date,
                 0,
             ),
             (
                 vec![Value::Bool(true), Value::Bool(false)],
-                Some(WordKind::Bool),
+                ValueType::Bool,
+                WordKind::Bool,
                 0,
             ),
-            (strs.to_vec(), Some(WordKind::Code(strs.len())), 0),
-            (vec![], None, 0),
-            (
-                [
-                    Value::Int(3),
-                    Value::Float(3.0),
-                    Value::Float(3.5),
-                    Value::Int(0),
-                ]
-                .into_iter()
-                .chain([Value::Float(-0.0), Value::Float(0.0)])
-                .chain(strs.iter().cloned())
-                .collect(),
-                None,
-                3,
-            ),
+            (strs.to_vec(), ValueType::Str, WordKind::Code(strs.len()), 0),
+            (vec![], ValueType::Int, WordKind::Int, 0),
         ];
-        for (n, (mut pool, kind, folded)) in pools.into_iter().enumerate() {
+        for (n, (mut pool, ty, kind, folded)) in pools.into_iter().enumerate() {
             pool.push(Value::Null);
             let mut w = World::new();
             let mt = w
                 .catalog
                 .add_table(TableDef::new(
                     format!("mixed{n}"),
-                    vec![
-                        ColumnDef::new("k", ValueType::Str),
-                        ColumnDef::new("j", ValueType::Int),
-                    ],
+                    vec![ColumnDef::new("k", ty), ColumnDef::new("j", ValueType::Int)],
                 ))
                 .unwrap();
-            let mut heap = Heap::new(2, 32);
+            let mut heap = Heap::new(&[ty, ValueType::Int], 32);
             for i in 0..600usize {
                 let j = if i % 7 == 0 {
                     Value::Null
@@ -1597,11 +1640,7 @@ mod tests {
                 keys.collect::<std::collections::BTreeSet<_>>().len()
             };
             let (one, two) = (want(&[0]), want(&[0, 1]));
-            assert_eq!(
-                one,
-                pool.len() - folded,
-                "pool {n}: 3 = 3.0 and 0 = -0.0 = 0.0"
-            );
+            assert_eq!(one, pool.len() - folded, "pool {n}: -0.0 = 0.0");
             w.stats.insert(mt, TableStats::build_full(&heap));
             w.heaps.insert(mt, heap);
             for indexed in [false, true] {
@@ -1679,7 +1718,7 @@ mod tests {
                 ],
             ))
             .unwrap();
-        let mut heap = Heap::new(2, 24);
+        let mut heap = Heap::new(&[ValueType::Int; 2], 24);
         for i in 0..100i64 {
             heap.insert(vec![Value::Int(i), Value::Int(i % 10)]);
         }
@@ -1722,7 +1761,7 @@ mod tests {
             .unwrap();
         // Large inner table: per-row index seeks beat building a hash
         // table over the whole thing.
-        let mut heap = Heap::new(2, 24);
+        let mut heap = Heap::new(&[ValueType::Int; 2], 24);
         for i in 0..20_000i64 {
             heap.insert(vec![Value::Int(i % 100), Value::Int(i % 10)]);
         }

@@ -179,7 +179,7 @@ mod tests {
                 ColumnDef::new("c", ValueType::Int),
             ],
         );
-        let mut heap = Heap::new(2, t.avg_row_width());
+        let mut heap = Heap::new(&t.types(), t.avg_row_width());
         for i in 0..5000i64 {
             heap.insert(vec![Value::Int(i), Value::Int(i % 100)]);
         }

@@ -1,13 +1,13 @@
 //! Heap table storage, one typed column per column.
 //!
-//! A table's rows live in its columns: column `c` is one
-//! [`Column`] holding every row's `c`-th value at
-//! the row's slot, stored by type (`i64`, `f64`, `i32`, packed bits, or a
-//! dictionary code for a string, with a null bitmap; per value where a
-//! column holds more than one variant, see [`crate::column`]), beside one
-//! live bit per slot. A [`RowId`] is a slot number, stable for the row's
-//! lifetime; a deleted slot reads `NULL` in every column and goes on a
-//! LIFO free list for the next insert. A string column's dictionary keeps
+//! A table's rows live in its columns: column `c` is one [`Column`] of
+//! the table's declared type for `c`, holding every row's `c`-th value at
+//! the row's slot (`i64`, `f64`, `i32`, packed bits, or a dictionary code
+//! for a string, with a null bitmap; see [`crate::column`]), beside one
+//! live bit per slot. A value written must fit its column; the engine
+//! makes it fit before it reaches the heap. A [`RowId`] is a slot number,
+//! stable for the row's lifetime; a deleted slot reads `NULL` in every
+//! column and goes on a LIFO free list for the next insert. A string column's dictionary keeps
 //! every string the column was given, including those only deleted rows
 //! held. A scan therefore walks typed slices a word of slots at a time,
 //! not one allocation per row, and statistics and index builds read the
@@ -20,7 +20,7 @@
 //! validator reasons about.
 
 use crate::column::{set_bits, Bits, Column, Filter};
-use crate::types::{Row, Value};
+use crate::types::{Row, Value, ValueType};
 
 /// Identity of a row within a heap. Stable for the row's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,11 +46,11 @@ pub struct Heap {
 }
 
 impl Heap {
-    /// Create an empty heap for rows of `n_columns` values and the given
-    /// average width.
-    pub fn new(n_columns: usize, row_width: u64) -> Heap {
+    /// Create an empty heap for rows of one value of each of `types`
+    /// and the given average width.
+    pub fn new(types: &[ValueType], row_width: u64) -> Heap {
         Heap {
-            columns: vec![Column::new(); n_columns],
+            columns: types.iter().map(|&ty| Column::of_type(ty, 0)).collect(),
             live: Bits::default(),
             free: Vec::new(),
             room: 0,
@@ -99,7 +99,8 @@ impl Heap {
     /// Insert a row, returning its id: the slot freed last, or a new one.
     ///
     /// # Panics
-    /// If the row does not have one value per column.
+    /// If the row does not have one value per column, or a value does not
+    /// fit its column ([`Column::push`]).
     pub fn insert(&mut self, row: Row) -> RowId {
         assert_eq!(
             row.len(),
@@ -133,8 +134,16 @@ impl Heap {
     ///
     /// # Panics
     /// If there is not one column per column, or they differ in length.
+    /// Each must be of its heap column's type.
     pub(crate) fn append_columns(&mut self, columns: Vec<Column>) -> Vec<RowId> {
         assert_eq!(columns.len(), self.width(), "one column per column");
+        debug_assert!(
+            columns
+                .iter()
+                .zip(&self.columns)
+                .all(|(a, b)| a.ty() == b.ty()),
+            "columns of the heap's types"
+        );
         let n = columns.first().map_or(0, Column::len);
         assert!(
             columns.iter().all(|c| c.len() == n),
@@ -213,6 +222,9 @@ impl Heap {
 
     /// Write `v` over column `col` of a live row; `false` if the row is
     /// not live.
+    ///
+    /// # Panics
+    /// If `v` does not fit the column ([`Column::push`]).
     pub fn set(&mut self, id: RowId, col: usize, v: Value) -> bool {
         if !self.is_live(id) {
             return false;
@@ -241,6 +253,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The types of [`row`]'s values.
+    const TYPES: [ValueType; 2] = [ValueType::Int, ValueType::Str];
+
     fn row(i: i64) -> Row {
         vec![Value::Int(i), Value::Str(format!("r{i}").into())]
     }
@@ -257,7 +272,7 @@ mod tests {
 
     #[test]
     fn insert_get_delete() {
-        let mut h = Heap::new(2, 32);
+        let mut h = Heap::new(&TYPES, 32);
         let a = h.insert(row(1));
         let b = h.insert(row(2));
         assert_eq!(h.len(), 2);
@@ -275,7 +290,7 @@ mod tests {
 
     #[test]
     fn slot_reuse() {
-        let mut h = Heap::new(2, 32);
+        let mut h = Heap::new(&TYPES, 32);
         let a = h.insert(row(1));
         h.delete(a);
         assert_eq!(h.next_id(), a);
@@ -285,7 +300,7 @@ mod tests {
 
     #[test]
     fn update_in_place() {
-        let mut h = Heap::new(2, 32);
+        let mut h = Heap::new(&TYPES, 32);
         let a = h.insert(row(1));
         assert!(h.set(a, 0, Value::Int(99)));
         assert_eq!(h.row(a).unwrap(), vec![Value::Int(99), Value::from("r1")]);
@@ -295,12 +310,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "row width")]
     fn insert_rejects_a_row_of_another_width() {
-        Heap::new(3, 32).insert(row(1));
+        Heap::new(&[ValueType::Int; 3], 32).insert(row(1));
     }
 
     #[test]
     fn scan_visits_all_live() {
-        let mut h = Heap::new(2, 32);
+        let mut h = Heap::new(&TYPES, 32);
         for i in 0..10 {
             h.insert(row(i));
         }
@@ -314,7 +329,7 @@ mod tests {
 
     #[test]
     fn page_accounting() {
-        let mut h = Heap::new(2, 100); // 81 rows per 8192-byte page
+        let mut h = Heap::new(&TYPES, 100); // 81 rows per 8192-byte page
         assert_eq!(h.rows_per_page(), 81);
         for i in 0..200 {
             h.insert(row(i));
@@ -324,7 +339,7 @@ mod tests {
 
     #[test]
     fn empty_heap_has_one_page() {
-        let h = Heap::new(2, 64);
+        let h = Heap::new(&TYPES, 64);
         assert_eq!(h.page_count(), 1);
         assert_eq!(h.size_bytes(), PAGE_SIZE);
     }
@@ -335,9 +350,7 @@ mod tests {
     /// value read back as the very variant written, float bits included —
     /// an insert takes the slot freed last (or a new one), and a batch by
     /// column takes the ids inserts would. Columns are drawn of one type
-    /// (`Int`, `Float`, `Str`, `Date`, `Bool`) with NULLs, `-0.0` and the
-    /// odd misfit (an `Int` in a `Float` column, a `Str` in an `Int`
-    /// column, a NaN), which moves a column to per-value storage mid-run.
+    /// (`Int`, `Float`, `Str`, `Date`, `Bool`) with NULLs and `-0.0`.
     /// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different
     /// cases per seed.
     #[test]
@@ -355,33 +368,27 @@ mod tests {
                     x ^= x << 17;
                     x
                 };
-                // Each column's type, and one draw in 64 a misfit (one in
-                // 8 of the heaps never draws one).
-                let types: Vec<u64> = (0..width).map(|c| (salt >> (8 * c)) % 5).collect();
-                let misfits = salt % 8 != 0;
+                let types: Vec<ValueType> = (0..width)
+                    .map(|c| {
+                        use ValueType as T;
+                        [T::Int, T::Float, T::Str, T::Date, T::Bool][(salt >> (8 * c)) as usize % 5]
+                    })
+                    .collect();
                 let value = |c: usize, r: u64| -> Value {
                     let k = (r >> 16) as i64 % 50;
                     if r.is_multiple_of(6) {
                         return Value::Null;
                     }
-                    if misfits && (r >> 8).is_multiple_of(64) {
-                        return match (r >> 14) % 4 {
-                            0 => Value::Int(k),
-                            1 => Value::Str(format!("m{k}").into()),
-                            2 => Value::Float(f64::NAN),
-                            _ => Value::Float(k as f64),
-                        };
-                    }
                     match types[c] {
-                        0 => Value::Int(k - 25),
-                        1 if k % 7 == 0 => Value::Float(-0.0),
-                        1 => Value::Float(k as f64 / 2.0 - 5.0),
-                        2 => Value::Str(format!("s{}", k % 7).into()),
-                        3 => Value::Date(k as i32 - 10),
-                        _ => Value::Bool(k % 2 == 0),
+                        ValueType::Int => Value::Int(k - 25),
+                        ValueType::Float if k % 7 == 0 => Value::Float(-0.0),
+                        ValueType::Float => Value::Float(k as f64 / 2.0 - 5.0),
+                        ValueType::Str => Value::Str(format!("s{}", k % 7).into()),
+                        ValueType::Date => Value::Date(k as i32 - 10),
+                        ValueType::Bool => Value::Bool(k % 2 == 0),
                     }
                 };
-                let mut heap = Heap::new(width, row_width);
+                let mut heap = Heap::new(&types, row_width);
                 let mut model: Vec<Option<Row>> = Vec::new();
                 let mut freed: Vec<u64> = Vec::new();
                 for step in 0..ops {
@@ -430,7 +437,7 @@ mod tests {
                                 (0..(r >> 8) % 4).map(|_| new_row(&mut next)).collect();
                             let columns = (0..width)
                                 .map(|c| {
-                                    let mut col = Column::new();
+                                    let mut col = Column::of_type(types[c], 0);
                                     rows.iter().for_each(|row| col.push(row[c].clone()));
                                     col
                                 })

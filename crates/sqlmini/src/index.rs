@@ -5,14 +5,15 @@
 //! values, as SQL Server does with its row locator). The included-column
 //! values ride behind the key values in the same leaf slot, so covering
 //! scans never touch the heap. A leaf keeps its entries column-major and
-//! typed — one run per leaf column and one of row ids, [`BTree`]'s
-//! layout — so an entry costs no allocation of its own, and a build
-//! copies the heap's typed columns into the leaves without building a
-//! `Value`. Seeks and scans hand their entries on a leaf at a time
+//! typed — one run per leaf column, of its table column's declared type,
+//! and one of row ids, [`BTree`]'s layout — so an entry costs no
+//! allocation of its own, and a build sorts on exact 64-bit images of the
+//! key values and copies the heap's typed columns into the leaves without
+//! building a `Value`. Seeks and scans hand their entries on a leaf at a time
 //! ([`Entries`]), for the executor's kernels to read in place.
 
 use crate::btree::{BTree, Entries};
-use crate::column::{float_image, Column, Operand};
+use crate::column::{Column, Operand};
 use crate::heap::{Heap, RowId, PAGE_SIZE};
 use crate::schema::{ColumnId, IndexDef, TableDef};
 use crate::types::{Row, Value};
@@ -78,7 +79,8 @@ impl SecondaryIndex {
     pub fn new(def: IndexDef, table: &TableDef) -> SecondaryIndex {
         let entry_width = entry_width(&def, table);
         let fanout = entries_per_page(entry_width) as usize;
-        let tree = BTree::new(fanout, def.leaf_columns().count(), def.key_columns.len());
+        let types: Vec<_> = def.leaf_columns().map(|c| table.column(c).ty).collect();
+        let tree = BTree::new(fanout, &types, def.key_columns.len());
         SecondaryIndex {
             def,
             tree,
@@ -130,12 +132,6 @@ impl SecondaryIndex {
 
     pub fn is_empty(&self) -> bool {
         self.tree.is_empty()
-    }
-
-    /// Whether leaf column `j` (key columns, then included columns) is
-    /// stored one `Value` a slot ([`BTree::is_per_value`]).
-    pub fn is_per_value(&self, j: usize) -> bool {
-        self.tree.is_per_value(j)
     }
 
     /// Estimated on-disk size in bytes.
@@ -240,7 +236,7 @@ impl SecondaryIndex {
     /// index, not from the visit, so a caller may keep them after the seek
     /// returns (the executor's covering row views do). The equality
     /// values and the bounds are compiled once against the key columns'
-    /// representations; nothing is cloned. Returns `(entries_visited,
+    /// types; nothing is cloned. Returns `(entries_visited,
     /// pages_visited)`.
     ///
     /// This is the executor's hot path — the per-entry `Vec` clones of
@@ -267,7 +263,7 @@ impl SecondaryIndex {
         let has_range = lo_val.is_some() || hi_val.is_some();
         assert!(!has_range || p < key_len, "range column beyond key columns");
         let lo_excluded = matches!(lo, ColBound::Excluded(_));
-        let hi_op = hi_val.map(|v| Operand::new(tree.rep(p), tree.dict(p), v));
+        let hi_op = hi_val.map(|v| Operand::new(tree.ty(p), tree.dict(p), v));
         // Whether an entry past the bound need not be looked for: every
         // entry from the first on qualifies.
         let open = p == 0 && !lo_excluded && hi_op.is_none();
@@ -350,9 +346,9 @@ fn entries_per_page(entry_width: u64) -> u64 {
 /// puts them: `keys[j]` holds the `j`-th key value of every slot.
 ///
 /// Comparing two keys means reaching into `keys` twice, a cache miss a
-/// comparison; so each key column is first sorted on a 64-bit image of
-/// its values, kept beside the slot in the sort buffer, and only ties go
-/// further (see [`sort_run`]).
+/// comparison; so each key column is sorted on a 64-bit image of its
+/// values, kept beside the slot in the sort buffer, and only ties go on to
+/// the next column (see [`sort_run`]).
 fn build_order(keys: &[&Column], slots: impl Iterator<Item = u32>) -> Vec<u32> {
     let keys: Vec<Key> = keys
         .iter()
@@ -377,20 +373,14 @@ struct Key<'c> {
 /// in slot order — by their key values from `col` on, then slot.
 ///
 /// Nulls order first and equal each other, so they move to the front in
-/// slot order. The rest sort on an image and slot. A typed column's image
-/// is exact ([`Column::image`]), so a run of one image holds equal values
-/// and goes on to the next column. A column stored per value has an
-/// [`Image`] of its own where one exists, exact or not; where it is not
-/// exact a run of one image is sorted by comparing the values, and a
-/// column of mixed types (or with a NaN) has no image and is compared.
+/// slot order. The rest sort on their exact images ([`Column::image`]) and
+/// slot, so a run of one image holds equal values and goes on to the next
+/// column.
 fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
     if run.len() < 2 || col == keys.len() {
         return;
     }
     let column = keys[col].column;
-    let rest_of_key = |i: u32| keys[col..].iter().map(move |k| k.column.value(i as usize));
-    let compare =
-        |a: &(u64, u32), b: &(u64, u32)| rest_of_key(a.1).cmp(rest_of_key(b.1)).then(a.1.cmp(&b.1));
     let nulls = run.iter().filter(|e| column.is_null(e.1 as usize)).count();
     if nulls > 0 && nulls < run.len() {
         let (null, other): (Vec<_>, Vec<_>) =
@@ -400,118 +390,16 @@ fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
     }
     let (null, rest) = run.split_at_mut(nulls);
     sort_run(null, keys, col + 1);
-    let exact = match column.as_values() {
-        None => {
-            for e in rest.iter_mut() {
-                e.0 = (column.image(e.1 as usize, &keys[col].ranks))
-                    .expect("a typed column that is not all NULL has images");
-            }
-            true
-        }
-        Some(values) => {
-            let at = |i: u32| &values[i as usize];
-            let Some(image) = Image::of(rest.iter().map(|e| at(e.1))) else {
-                rest.sort_unstable_by(compare);
-                return;
-            };
-            for e in rest.iter_mut() {
-                e.0 = image.of_value(at(e.1));
-            }
-            image.exact
-        }
-    };
+    for e in rest.iter_mut() {
+        e.0 = column.image(e.1 as usize, &keys[col].ranks);
+    }
     rest.sort_unstable();
     let mut start = 0;
     while start < rest.len() {
         let first = rest[start].0;
         let len = rest[start..].iter().take_while(|e| e.0 == first).count();
-        let tie = &mut rest[start..start + len];
-        if exact {
-            sort_run(tie, keys, col + 1);
-        } else {
-            tie.sort_unstable_by(compare);
-        }
+        sort_run(&mut rest[start..start + len], keys, col + 1);
         start += len;
-    }
-}
-
-/// An order-preserving 64-bit image of the non-null values of a column
-/// stored per value: a smaller value never has a larger image, equal
-/// values have equal images, and where `exact`, equal images are equal
-/// values.
-struct Image {
-    kind: ImageKind,
-    exact: bool,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum ImageKind {
-    Bool,
-    Int,
-    /// Ints and floats together, as `Value` compares them: as `f64`.
-    Num,
-    Date,
-    /// The first eight bytes, zero-padded: exact when no string is longer
-    /// or holds a zero byte.
-    Str,
-}
-
-impl Image {
-    /// The image for a column holding `vals`, if one exists.
-    fn of<'a>(vals: impl Iterator<Item = &'a Value>) -> Option<Image> {
-        let mut kind: Option<ImageKind> = None;
-        let (mut long_str, mut big_int) = (false, false);
-        for v in vals {
-            let this = match v {
-                Value::Bool(_) => ImageKind::Bool,
-                Value::Int(i) => {
-                    // Beyond 2^53 an int has no f64 of its own.
-                    big_int |= i.unsigned_abs() > 1 << 53;
-                    ImageKind::Int
-                }
-                Value::Float(f) if f.is_nan() => return None,
-                Value::Float(_) => ImageKind::Num,
-                Value::Date(_) => ImageKind::Date,
-                Value::Str(s) => {
-                    long_str |= s.len() > 8 || s.bytes().any(|b| b == 0);
-                    ImageKind::Str
-                }
-                Value::Null => return None,
-            };
-            kind = Some(match (kind, this) {
-                (None, this) => this,
-                (Some(a), b) if a == b => a,
-                (Some(ImageKind::Int | ImageKind::Num), ImageKind::Int | ImageKind::Num) => {
-                    ImageKind::Num
-                }
-                _ => return None,
-            });
-        }
-        let kind = kind?;
-        let exact = match kind {
-            ImageKind::Num => !big_int,
-            ImageKind::Str => !long_str,
-            ImageKind::Bool | ImageKind::Int | ImageKind::Date => true,
-        };
-        Some(Image { kind, exact })
-    }
-
-    fn of_value(&self, v: &Value) -> u64 {
-        const SIGN: u64 = 1 << 63;
-        match (self.kind, v) {
-            (ImageKind::Num, Value::Int(i)) => float_image(*i as f64),
-            (ImageKind::Num, Value::Float(f)) => float_image(*f),
-            (_, Value::Int(i)) => *i as u64 ^ SIGN,
-            (_, Value::Bool(b)) => u64::from(*b),
-            (_, Value::Date(d)) => i64::from(*d) as u64 ^ SIGN,
-            (_, Value::Str(s)) => {
-                let mut head = [0u8; 8];
-                let n = s.len().min(8);
-                head[..n].copy_from_slice(&s.as_bytes()[..n]);
-                u64::from_be_bytes(head)
-            }
-            (_, Value::Float(_) | Value::Null) => unreachable!("no image for {v:?}"),
-        }
     }
 }
 
@@ -573,7 +461,7 @@ mod tests {
 
     fn populated() -> (Heap, SecondaryIndex) {
         let t = table();
-        let mut heap = Heap::new(t.columns.len(), t.avg_row_width());
+        let mut heap = Heap::new(&t.types(), t.avg_row_width());
         for i in 0..1000i64 {
             heap.insert(row(
                 i,
@@ -738,8 +626,8 @@ mod tests {
         let narrow = table();
         let narrow_def = populated().1.def;
         for rows in [1_000i64, 10_000, 100_000] {
-            let mut narrow_heap = Heap::new(narrow.columns.len(), narrow.avg_row_width());
-            let mut wide_heap = Heap::new(wide.columns.len(), wide.avg_row_width());
+            let mut narrow_heap = Heap::new(&narrow.types(), narrow.avg_row_width());
+            let mut wide_heap = Heap::new(&wide.types(), wide.avg_row_width());
             for i in 0..rows {
                 narrow_heap.insert(row(i, i % 50, "open", i as f64));
                 wide_heap.insert(wide_row(i, &tags));
@@ -764,28 +652,23 @@ mod tests {
         }
     }
 
-    /// A leaf slot is its values and its row id, each in its column's
-    /// typed run: an index over typed heap columns, built or maintained,
-    /// keeps no column per value, so an `Int` costs 8 bytes of its leaf's
-    /// page, a string its 4-byte code, and the row id 8.
+    /// A leaf slot is its values and its row id, each in a typed run of
+    /// its table column's declared type, built or maintained: an `Int`
+    /// costs 8 bytes of its leaf's page, a string its 4-byte code, and the
+    /// row id 8.
     #[test]
     fn a_leaf_slot_is_its_values_and_a_row_id() {
         assert_eq!(std::mem::size_of::<RowId>(), 8);
+        let t = table();
         let (mut heap, mut ix) = populated();
-        let typed = |ix: &SecondaryIndex| (0..3).all(|j| !ix.is_per_value(j));
-        assert!(typed(&ix), "{:?}", ix.def);
+        let declared = |ix: &SecondaryIndex| {
+            let mut leaf = ix.def.leaf_columns().enumerate();
+            leaf.all(|(j, c)| ix.tree().ty(j) == t.column(c).ty)
+        };
+        assert!(declared(&ix), "{:?}", ix.def);
         let rid = heap.insert(row(5_000, 7, "held", 2.5));
         ix.insert_row(rid, &heap.row(rid).unwrap());
-        assert!(typed(&ix));
-        // A misfit moves its column, and only it, to one value a slot.
-        let rid = heap.insert(vec![
-            Value::Int(5_001),
-            Value::Int(7),
-            Value::Int(3),
-            Value::Float(2.0),
-        ]);
-        ix.insert_row(rid, &heap.row(rid).unwrap());
-        assert!(ix.is_per_value(2) && !ix.is_per_value(0) && !ix.is_per_value(1));
+        assert!(declared(&ix));
         ix.check_invariants().unwrap();
     }
 
@@ -807,7 +690,6 @@ mod tests {
         let rid = heap.insert(row(6_003, 4, "done", 1.0));
         ix.insert_row(rid, &heap.row(rid).unwrap());
         ix.check_invariants().unwrap();
-        assert!((0..3).all(|j| !ix.is_per_value(j)));
         let entries = ix.scan_all().entries;
         assert_eq!(entries.len(), heap.len() - 1);
         for e in entries {
@@ -818,24 +700,24 @@ mod tests {
         }
     }
 
-    /// A column per value pool, each drawn at random for 2,000 rows.
-    fn pools() -> Vec<Vec<Value>> {
+    /// One column per pool of values, each drawn at random for 2,000 rows, and
+    /// the column's type.
+    fn pools() -> Vec<(ValueType, Vec<Value>)> {
         let s = |t: &str| Value::Str(t.into());
-        vec![
-            // 0: ints and floats that compare equal (3 and 3.0, -0.0 and
-            // 0.0 and 0), and ints past 2^53 whose f64s collide.
+        let big = 1i64 << 53;
+        let pools = vec![
+            // 0: floats that compare equal (-0.0 and 0.0), and floats
+            // past 2^53.
             vec![
                 Value::Null,
-                Value::Int(3),
                 Value::Float(3.0),
                 Value::Float(-0.0),
                 Value::Float(0.0),
-                Value::Int(0),
-                Value::Int(-5),
+                Value::Float(-5.0),
                 Value::Float(2.5),
                 Value::Float(-1e300),
-                Value::Int(1 << 53),
-                Value::Int((1 << 53) + 1),
+                Value::Float(big as f64),
+                Value::Float((big + 2) as f64),
             ],
             // 1: strings sharing an 8-byte prefix, 8 bytes and longer,
             // empty, and with a zero byte.
@@ -869,18 +751,19 @@ mod tests {
                 Value::Int(1),
                 Value::Int(i64::MAX),
             ],
-            // 5: every type in one column.
+            // 5: ints past 2^53, whose f64s collide.
             vec![
-                Value::Int(1),
-                s("x"),
-                Value::Bool(true),
-                Value::Date(1),
-                Value::Float(0.5),
                 Value::Null,
+                Value::Int(big),
+                Value::Int(big + 1),
+                Value::Int(-big - 1),
+                Value::Int(7),
             ],
             // 6: short strings only, no nulls.
             vec![s("open"), s("done"), s("held"), s("")],
-        ]
+        ];
+        let ty = |pool: &Vec<Value>| pool.iter().find_map(Value::value_type).expect("a type");
+        pools.into_iter().map(|p| (ty(&p), p)).collect()
     }
 
     /// The build puts entries in exactly the order of a stable sort on
@@ -890,16 +773,16 @@ mod tests {
     #[test]
     fn build_order_is_a_stable_sort_on_the_key_values() {
         let pools = pools();
-        let columns = (0..pools.len())
-            .map(|i| ColumnDef::new(format!("c{i}"), ValueType::Str))
+        let columns = (pools.iter().enumerate())
+            .map(|(i, (ty, _))| ColumnDef::new(format!("c{i}"), *ty))
             .collect();
         let table = TableDef::new("mixed", columns);
-        let mut heap = Heap::new(table.columns.len(), table.avg_row_width());
+        let mut heap = Heap::new(&table.types(), table.avg_row_width());
         let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
         for _ in 0..2_000 {
             let row = pools
                 .iter()
-                .map(|pool| {
+                .map(|(_, pool)| {
                     x ^= x << 13;
                     x ^= x >> 7;
                     x ^= x << 17;
@@ -940,8 +823,7 @@ mod tests {
                 })
                 .collect();
             want.sort_by(|a, b| a.0.cmp(&b.0));
-            // `Debug` tells apart what `==` does not: Int(3) and
-            // Float(3.0), -0.0 and 0.0.
+            // `Debug` tells apart what `==` does not: -0.0 and 0.0.
             let want: Vec<String> = want.iter().map(|e| format!("{e:?}")).collect();
             let got: Vec<String> = ix
                 .scan_all()
@@ -1077,7 +959,7 @@ mod tests {
     fn bulk_built_index_survives_maintenance() {
         let tags = tags();
         let (table, def) = wide_table();
-        let mut heap = Heap::new(table.columns.len(), table.avg_row_width());
+        let mut heap = Heap::new(&table.types(), table.avg_row_width());
         for i in 0..1_500 {
             heap.insert(wide_row(i, &tags));
         }
@@ -1147,15 +1029,15 @@ mod tests {
             .into_iter()
             .chain([Value::Null])
             .collect();
-        for pool in [ints, strs] {
+        for (ty, pool) in [(ValueType::Int, ints), (ValueType::Str, strs)] {
             let t = TableDef::new(
                 "t",
                 vec![
-                    ColumnDef::new("k", ValueType::Int),
+                    ColumnDef::new("k", ty),
                     ColumnDef::new("id", ValueType::Int),
                 ],
             );
-            let mut heap = Heap::new(2, t.avg_row_width());
+            let mut heap = Heap::new(&t.types(), t.avg_row_width());
             for i in 0..3_000i64 {
                 heap.insert(vec![
                     pool[(i * 7 % pool.len() as i64) as usize].clone(),
@@ -1197,7 +1079,7 @@ mod tests {
     #[test]
     fn duplicate_keys_supported() {
         let t = table();
-        let mut heap = Heap::new(t.columns.len(), t.avg_row_width());
+        let mut heap = Heap::new(&t.types(), t.avg_row_width());
         let def = IndexDef::new("ix_status", TableId(0), vec![ColumnId(2)], vec![]);
         let mut ix = SecondaryIndex::new(def, &t);
         for i in 0..100 {

@@ -874,7 +874,7 @@ mod tests {
 
     fn env_with(geoms: Vec<IndexGeom>) -> TestEnv {
         let t = orders_table();
-        let mut heap = Heap::new(4, t.avg_row_width());
+        let mut heap = Heap::new(&t.types(), t.avg_row_width());
         for i in 0..10_000i64 {
             heap.insert(vec![
                 Value::Int(i),

@@ -94,6 +94,11 @@ impl TableDef {
         &self.columns[id.0 as usize]
     }
 
+    /// Each column's declared type, in order: what its heap stores.
+    pub fn types(&self) -> Vec<ValueType> {
+        self.columns.iter().map(|c| c.ty).collect()
+    }
+
     /// Average row width in bytes (sum of column widths), used for page math.
     pub fn avg_row_width(&self) -> u64 {
         self.columns.iter().map(|c| c.ty.avg_width()).sum::<u64>() + 8 // row header

@@ -59,11 +59,11 @@ impl ColumnStats {
         // Floats that compare equal are interchangeable below (all but the
         // sign of a zero, which nothing reads), so stability buys nothing.
         positions.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        ColumnStats::from_sorted(&positions, nulls, scale)
+        ColumnStats::of_sorted(&positions, nulls, scale)
     }
 
     /// `build` over positions already in rising order.
-    pub fn from_sorted(positions: &[f64], nulls: usize, scale: f64) -> ColumnStats {
+    pub fn of_sorted(positions: &[f64], nulls: usize, scale: f64) -> ColumnStats {
         let n = positions.len();
         if n == 0 {
             return ColumnStats {
@@ -285,10 +285,10 @@ pub fn reservoir_sample<T: Clone>(items: &[T], k: usize, seed: u64) -> Vec<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::Row;
+    use crate::types::{Row, ValueType};
 
-    fn heap_of(width: usize, rows: impl IntoIterator<Item = Row>) -> Heap {
-        let mut heap = Heap::new(width, 8 * width as u64);
+    fn heap_of(types: &[ValueType], rows: impl IntoIterator<Item = Row>) -> Heap {
+        let mut heap = Heap::new(types, 8 * types.len() as u64);
         for row in rows {
             heap.insert(row);
         }
@@ -296,13 +296,16 @@ mod tests {
     }
 
     fn uniform_rows(n: i64) -> Heap {
-        heap_of(2, (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 10)]))
+        heap_of(
+            &[ValueType::Int; 2],
+            (0..n).map(|i| vec![Value::Int(i), Value::Int(i % 10)]),
+        )
     }
 
     /// What `ColumnStats::build` was before its sort went unstable.
     fn stable_build(mut positions: Vec<f64>, nulls: usize, scale: f64) -> ColumnStats {
         positions.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        ColumnStats::from_sorted(&positions, nulls, scale)
+        ColumnStats::of_sorted(&positions, nulls, scale)
     }
 
     /// The only floats that compare equal and are not the same float are
@@ -408,7 +411,7 @@ mod tests {
     #[test]
     fn sampled_stats_equal_a_row_at_a_time_reference() {
         let mut heap = heap_of(
-            3,
+            &[ValueType::Int, ValueType::Float, ValueType::Str],
             (0..20_000i64).map(|i| {
                 let f = if i % 7 == 0 {
                     Value::Null
@@ -458,7 +461,7 @@ mod tests {
     #[test]
     fn nulls_tracked() {
         let rows = heap_of(
-            1,
+            &[ValueType::Int],
             (0..100).map(|i| {
                 vec![if i % 4 == 0 {
                     Value::Null
@@ -476,7 +479,7 @@ mod tests {
 
     #[test]
     fn empty_table_stats() {
-        let s = TableStats::build_full(&Heap::new(2, 16));
+        let s = TableStats::build_full(&Heap::new(&[ValueType::Int; 2], 16));
         assert_eq!(s.row_count, 0);
         assert_eq!(
             s.columns[0].eq_selectivity(&Value::Int(1)),
@@ -497,7 +500,7 @@ mod tests {
     fn skewed_histogram_separates_heavy_value() {
         // 90% of rows have value 0; the rest uniform 1..=100.
         let rows = heap_of(
-            1,
+            &[ValueType::Int],
             (0..1000).map(|i| vec![Value::Int(if i < 900 { 0 } else { i % 100 + 1 })]),
         );
         let s = TableStats::build_full(&rows);

@@ -35,6 +35,19 @@ impl ValueType {
             ValueType::Date => 4,
         }
     }
+
+    /// `v` as a column of this type stores it: NULL and a value of this
+    /// type as they are, an `Int` in a `Float` column as its `f64` (SQL's
+    /// implicit conversion); `Err(v)` for a value of another type, and for
+    /// a NaN, which no column stores.
+    pub fn fit(self, v: Value) -> Result<Value, Value> {
+        match (self, v) {
+            (_, Value::Float(x)) if x.is_nan() => Err(Value::Float(x)),
+            (ValueType::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
+            (_, v) if v.value_type().is_none_or(|t| t == self) => Ok(v),
+            (_, v) => Err(v),
+        }
+    }
 }
 
 impl fmt::Display for ValueType {
@@ -58,12 +71,12 @@ impl fmt::Display for ValueType {
 ///
 /// `Value` is the engine's edge, not its storage: a table and every
 /// B+tree node keep their values by typed column (`crate::column`) —
-/// `i64`, `f64`, `i32`, bits, or a `u32` dictionary code for a string —
-/// and build a `Value` only where one is asked for: a row read or written
-/// through the API, an index entry handed to maintenance, a result row at
-/// `Database::query`'s sink, and the per-value paths of the executor. A
-/// column that receives values of more than one variant (or a NaN) keeps
-/// one `Value` per slot, exactly as written. Strings are
+/// `i64`, `f64`, `i32`, bits, or a `u32` dictionary code for a string,
+/// as the column's declared type says — and build a `Value` only where
+/// one is asked for: a row read or written through the API, an index
+/// entry handed to maintenance, a result row at `Database::query`'s sink,
+/// and the per-value paths of the executor. A value is made to fit its
+/// column once, where it is written ([`ValueType::fit`]). Strings are
 /// reference-counted (`Arc<str>`), so a string value built from a
 /// dictionary is a refcount bump. The typed kernels and the B+tree's
 /// compiled probes reproduce this type's order, equality and hash
@@ -318,6 +331,28 @@ mod tests {
         }
         check(BuildHasherDefault::<DefaultHasher>::default());
         check(WordState::default());
+    }
+
+    /// NULL and a value of the type fit as they are; an `Int` fits a
+    /// `Float` column as its `f64`; another type, or a NaN, does not.
+    #[test]
+    fn fit_converts_ints_for_floats_and_refuses_misfits() {
+        use ValueType as T;
+        let same =
+            |a: Result<Value, Value>, b: Result<Value, Value>| format!("{a:?}") == format!("{b:?}");
+        assert!(same(T::Float.fit(Value::Int(3)), Ok(Value::Float(3.0))));
+        assert!(same(T::Int.fit(Value::Int(3)), Ok(Value::Int(3))));
+        assert!(same(T::Str.fit(Value::Null), Ok(Value::Null)));
+        assert!(same(
+            T::Float.fit(Value::Float(-0.0)),
+            Ok(Value::Float(-0.0))
+        ));
+        assert!(same(T::Int.fit(Value::Float(3.0)), Err(Value::Float(3.0))));
+        assert!(same(
+            T::Date.fit(Value::Str("d".into())),
+            Err(Value::Str("d".into()))
+        ));
+        assert!(T::Float.fit(Value::Float(f64::NAN)).is_err());
     }
 
     #[test]

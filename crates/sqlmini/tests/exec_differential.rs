@@ -7,7 +7,11 @@
 //! Over random schemas, random indexes and random interleavings of the
 //! workload generator's twelve statement shapes, both sides must agree on
 //! every result, and after every write each secondary index must equal
-//! one rebuilt from the heap.
+//! one rebuilt from the heap. Both apply the write rule: a value is made
+//! to fit its column's declared type (an `Int` in a `Float` column is
+//! stored as its `f64`), and a write of any other misfit is refused whole
+//! with `ExecError::TypeMismatch`, leaving every row and index entry as
+//! it was.
 //!
 //! A twin database runs the same DDL and statements in lockstep through
 //! `Database::execute`, which builds no result set. It must record what
@@ -18,7 +22,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sqlmini::clock::{SimClock, Timestamp};
-use sqlmini::engine::{Database, DbConfig};
+use sqlmini::engine::{Database, DbConfig, EngineError};
+use sqlmini::exec::ExecError;
 use sqlmini::index::SecondaryIndex;
 use sqlmini::plan::{Access, AggStrategy, JoinStrategy, Plan, SelectPlan};
 use sqlmini::query::{
@@ -200,15 +205,24 @@ fn sort_positions(q: &SelectQuery) -> Option<Vec<(usize, bool)>> {
     )
 }
 
-/// Apply a write to the reference; returns the rows affected.
-fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
-    let resolve =
-        |values: &[Scalar]| -> Row { values.iter().map(|s| s.resolve(params).clone()).collect() };
+/// Apply a write to the reference, whose table has columns of `types`;
+/// returns the rows affected, or `None` where the write rule refuses the
+/// statement (and nothing is written).
+fn apply_write(
+    tables: &mut Tables,
+    types: &[ValueType],
+    stmt: &Statement,
+    params: &[Value],
+) -> Option<u64> {
+    let fit = |c: usize, s: &Scalar| types[c].fit(s.resolve(params).clone()).ok();
     let hit = |preds: &[Predicate], r: &Row| preds.iter().all(|p| p.matches(r, params));
-    match stmt {
+    let row = |values: &[Scalar]| -> Option<Row> {
+        values.iter().enumerate().map(|(c, s)| fit(c, s)).collect()
+    };
+    Some(match stmt {
         Statement::Select(_) => unreachable!("not a write"),
         Statement::Insert { table, values } => {
-            tables.get_mut(table).unwrap().push(resolve(values));
+            tables.get_mut(table).unwrap().push(row(values)?);
             1
         }
         Statement::BulkInsert {
@@ -216,8 +230,9 @@ fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
             values,
             rows,
         } => {
+            let row = row(values)?;
             let t = tables.get_mut(table).unwrap();
-            t.extend((0..*rows).map(|_| resolve(values)));
+            t.extend((0..*rows).map(|_| row.clone()));
             u64::from(*rows)
         }
         Statement::Update {
@@ -225,12 +240,15 @@ fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
             predicates,
             set,
         } => {
+            let set = (set.iter())
+                .map(|(c, s)| Some((c.0 as usize, fit(c.0 as usize, s)?)))
+                .collect::<Option<Vec<_>>>()?;
             let mut n = 0;
             for row in tables.get_mut(table).unwrap() {
                 if hit(predicates, row) {
                     n += 1;
-                    for (c, s) in set {
-                        row[c.0 as usize] = s.resolve(params).clone();
+                    for (c, v) in &set {
+                        row[*c] = v.clone();
                     }
                 }
             }
@@ -242,7 +260,7 @@ fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
             t.retain(|r| !hit(predicates, r));
             (before - t.len()) as u64
         }
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -250,10 +268,10 @@ fn apply_write(tables: &mut Tables, stmt: &Statement, params: &[Value]) -> u64 {
 // ---------------------------------------------------------------------
 
 /// What a column holds. Domains are small, so predicates hit and groups
-/// merge; `Mixed` puts `Int(k)`, `Float(k.0)` and `Float(k.5)` in one
-/// column, which `Value`'s order treats as numbers (and the heap stores
-/// per value), `Real` only floats, `-0.0` beside `0.0` among them (a
-/// typed float column). Every float is a multiple of 0.5, so sums are
+/// merge; `Mixed` writes `Int(k)`, `Float(k.0)` and `Float(k.5)` to a
+/// float column, which stores the ints as their `f64`s (so a stored
+/// `3.0` must still join an `Int` pk of 3), `Real` only floats, `-0.0`
+/// beside `0.0` among them. Every float is a multiple of 0.5, so sums are
 /// exact in any order of addition.
 #[derive(Debug, Clone, Copy)]
 enum Kind {
@@ -285,12 +303,6 @@ impl Kind {
         }
     }
 
-    /// Whether two columns of this kind join on typed words: the heap
-    /// stores it typed, and not by dictionary code.
-    fn joins_by_word(self) -> bool {
-        !matches!(self, Kind::Mixed | Kind::Text)
-    }
-
     /// A non-NULL value of the column's domain.
     fn param(self, rng: &mut StdRng, rows: i64) -> Value {
         match self {
@@ -314,14 +326,15 @@ impl Kind {
         }
     }
 
-    /// A value of another variant that `Value`'s order still places among
-    /// the column's own (`3` in a float column, `3.0` in an int column, a
-    /// number among strings): written over a typed column, it moves the
-    /// column, in the heap and in every index leaf, to per-value storage.
+    /// A value of another type than the column's (`3.0` in an int
+    /// column, a number among strings, a string among dates), or for a
+    /// float column an `Int` or a NaN: the write rule stores the `Int` as
+    /// its `f64` and refuses every other.
     fn misfit(self, rng: &mut StdRng) -> Value {
         let k = rng.random_range(0..6i64);
         match self {
             Kind::Pk | Kind::Small(_) => Value::Float(k as f64),
+            Kind::Mixed | Kind::Real if rng.random() => Value::Float(f64::NAN),
             Kind::Mixed | Kind::Real | Kind::Text | Kind::Flag => Value::Int(k),
             Kind::Day => Value::Str(format!("d{k}").into()),
         }
@@ -349,6 +362,11 @@ struct Table {
 }
 
 impl Table {
+    /// Each column's declared type.
+    fn types(&self) -> Vec<ValueType> {
+        self.kinds.iter().map(|k| k.value_type()).collect()
+    }
+
     fn col(&self, rng: &mut StdRng, ok: impl Fn(Kind) -> bool) -> Option<ColumnId> {
         let fit: Vec<usize> = (1..self.kinds.len())
             .filter(|&i| ok(self.kinds[i]))
@@ -418,9 +436,15 @@ struct World {
     paths: [u32; 5],
     /// SELECTs executed that were: scalar aggregates, scalar aggregates
     /// that returned no row, two-column GROUP BYs, joins off the inner pk
-    /// on typed words (two columns of one kind that joins by word), and
-    /// on values (any other pair). Read by the coverage test.
+    /// on typed words (two columns of one type other than `Str`), and on
+    /// values (any other pair). Read by the coverage test.
     shapes: [u32; 5],
+    /// Writes the rule refused, and writes that stored an `Int` in a
+    /// float column as its `f64`. Read by the coverage test.
+    misfits: [u32; 2],
+    /// Draws the misfits put into INSERTs: a stream of its own, so that
+    /// they do not move the statement mix the coverage test counts.
+    misfit_rng: StdRng,
     /// SELECTs whose outer access is a covering index, by what its
     /// leaves' runs are asked (see [`Covering`]). Read by the coverage
     /// test.
@@ -429,10 +453,9 @@ struct World {
 
 /// What a covering access's typed leaves are asked, as counted in
 /// [`World::covering`]: GROUP BY in index order (stream) and not (hash),
-/// on one column with words or by value; a hash join keyed by words or by
-/// value; a residual filter on a leaf column of each representation; and
-/// any read through an index one of whose columns fell back to per-value
-/// storage while the index was live.
+/// on one column by words or on several by value; a hash join keyed by
+/// words or by value; and a residual filter on a leaf column of each
+/// type.
 struct Covering;
 
 impl Covering {
@@ -442,11 +465,9 @@ impl Covering {
     const HASH_BY_VALUE: usize = 3;
     const JOIN_BY_WORD: usize = 4;
     const JOIN_BY_VALUE: usize = 5;
-    /// Then one per representation: `Int`, `Float`, `Date`, `Bool`,
-    /// `Str`, per value.
+    /// Then one per type: `Int`, `Float`, `Date`, `Bool`, `Str`.
     const FILTER: usize = 6;
-    const FELL_BACK: usize = 12;
-    const N: usize = 13;
+    const N: usize = 11;
 }
 
 fn build_world(seed: u64) -> (World, StdRng) {
@@ -463,6 +484,8 @@ fn build_world(seed: u64) -> (World, StdRng) {
         n_indexes: 0,
         paths: [0; 5],
         shapes: [0; 5],
+        misfits: [0; 2],
+        misfit_rng: StdRng::seed_from_u64(!seed),
         covering: [0; Covering::N],
     };
     // Mostly small; a big inner side now and then, so that seeking it
@@ -512,7 +535,16 @@ fn build_world(seed: u64) -> (World, StdRng) {
             db.load_rows(id, data.clone());
             db.rebuild_stats(id);
         }
-        world.reference.insert(id, data);
+        // The reference holds what a load stores: `Mixed`'s ints as floats.
+        let types = table.types();
+        let fit = |row: Row| {
+            (row.into_iter().zip(&types))
+                .map(|(v, ty)| ty.fit(v).expect("generated values fit"))
+                .collect()
+        };
+        world
+            .reference
+            .insert(id, data.into_iter().map(fit).collect());
         world.tables.push(table);
     }
     for _ in 0..rng.random_range(1..6) {
@@ -709,11 +741,16 @@ impl World {
                     q.limit = Some(rng.random_range(1..30));
                 }
             }
-            // InsertRow and BulkLoad
+            // InsertRow and BulkLoad; one in twelve with a misfit.
             8 | 11 => {
                 let t = &mut self.tables[side];
                 let values = (0..t.kinds.len() as u16).map(Scalar::Param).collect();
-                let params = t.new_row(rng);
+                let mut params = t.new_row(rng);
+                let odd = &mut self.misfit_rng;
+                if odd.random_range(0..12) == 0 {
+                    let c = t.any_col(odd);
+                    params[c.0 as usize] = t.kind(c).misfit(odd);
+                }
                 let table = t.id;
                 let stmt = if shape == 8 {
                     Statement::Insert { table, values }
@@ -792,6 +829,51 @@ impl World {
     fn step(&mut self, stmt: &Statement, params: &[Value]) -> Result<(), TestCaseError> {
         let tpl = QueryTemplate::new(stmt.clone(), params.len() as u16);
         self.note_path(&tpl, params);
+        // A write's outcome under the write rule, from the reference.
+        let affected = match stmt {
+            Statement::Select(_) => None,
+            _ => {
+                let table = self.tables.iter().find(|t| t.id == stmt.table());
+                let types = table.expect("a generated table").types();
+                let converts = |(c, s): (usize, &Scalar)| {
+                    types[c] == ValueType::Float && matches!(s.resolve(params), Value::Int(_))
+                };
+                let written: Vec<(usize, &Scalar)> = match stmt {
+                    Statement::Insert { values, .. } | Statement::BulkInsert { values, .. } => {
+                        values.iter().enumerate().collect()
+                    }
+                    Statement::Update { set, .. } => {
+                        set.iter().map(|(c, s)| (c.0 as usize, s)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                let n = apply_write(&mut self.reference, &types, stmt, params);
+                self.misfits[0] += u32::from(n.is_none());
+                self.misfits[1] += u32::from(n.is_some() && written.into_iter().any(converts));
+                Some(n)
+            }
+        };
+        if let Some(None) = affected {
+            // Refused on both sides before anything is charged or
+            // written: no CPU, no row, no index entry.
+            let cpu = |db: &Database| db.total_cpu_us.to_bits();
+            let before = (cpu(&self.db), cpu(&self.twin));
+            let outcomes = [
+                self.db.query(&tpl, params).map(drop),
+                self.twin.execute(&tpl, params).map(drop),
+            ];
+            for r in outcomes {
+                prop_assert!(
+                    matches!(r, Err(EngineError::Exec(ExecError::TypeMismatch { .. }))),
+                    "{r:?}: {stmt:?} {params:?}"
+                );
+            }
+            prop_assert!(
+                before == (cpu(&self.db), cpu(&self.twin)),
+                "{stmt:?} charged"
+            );
+            return storage_matches(&self.db, &self.reference, stmt.table());
+        }
         let (out, got) = self
             .db
             .query(&tpl, params)
@@ -812,7 +894,7 @@ impl World {
         );
         prop_assert_eq!(counted.plan_id, out.plan_id);
         let Statement::Select(q) = stmt else {
-            let affected = apply_write(&mut self.reference, stmt, params);
+            let affected = affected.flatten().expect("an accepted write");
             prop_assert!(
                 out.metrics.rows_returned == affected,
                 "{} rows affected, reference {affected}: {stmt:?} {params:?}",
@@ -831,8 +913,9 @@ impl World {
                 self.tables[0].kind(j.outer_col),
                 self.tables[1].kind(j.inner_col),
             );
-            let same = std::mem::discriminant(&o) == std::mem::discriminant(&i);
-            self.shapes[if same && o.joins_by_word() { 3 } else { 4 }] += 1;
+            let ty = o.value_type();
+            let by_word = ty == i.value_type() && ty != ValueType::Str;
+            self.shapes[if by_word { 3 } else { 4 }] += 1;
         }
         let width = self.reference[&q.table].first().map_or(0, Vec::len);
         let want = eval(&reference_plan(q, width), &self.reference, params);
@@ -896,8 +979,7 @@ impl World {
 
 impl World {
     /// Count what a covering access of `p` asks of the leaves' typed runs
-    /// ([`Covering`]), from the plan, the leaf columns' storage and the
-    /// columns' kinds.
+    /// ([`Covering`]), from the plan and the columns' types.
     fn note_covering(&mut self, q: &SelectQuery, p: &SelectPlan) {
         let (Access::IndexScan {
             index,
@@ -911,17 +993,13 @@ impl World {
         else {
             return;
         };
-        let Some(ix) = self.index_named(index.name()) else {
+        if self.index_named(index.name()).is_none() {
             return;
-        };
+        }
         let t = &self.tables[usize::from(q.table != self.tables[0].id)];
-        let slot = |c: ColumnId| ix.def.leaf_columns().position(|l| l == c);
-        // A leaf column that holds words: stored typed, and not by the
-        // dictionary codes of a string column (where it matters).
-        let typed = |c: ColumnId| slot(c).is_some_and(|s| !ix.is_per_value(s));
         let mut counts = [0u32; Covering::N];
         if !q.group_by.is_empty() {
-            let by_word = matches!(q.group_by[..], [g] if typed(g));
+            let by_word = q.group_by.len() == 1;
             counts[match (p.agg, by_word) {
                 (AggStrategy::Stream, true) => Covering::STREAM_BY_WORD,
                 (AggStrategy::Stream, false) => Covering::STREAM_BY_VALUE,
@@ -929,33 +1007,12 @@ impl World {
                 (_, false) => Covering::HASH_BY_VALUE,
             }] += 1;
         }
-        if let (Some(j), Some(JoinStrategy::Hash { inner_access })) =
+        if let (Some(j), Some(JoinStrategy::Hash { .. })) =
             (&q.join, p.join.as_ref().map(|j| &j.strategy))
         {
-            let inner = &self.tables[1];
-            let inner_typed = match &**inner_access {
-                Access::IndexScan {
-                    index,
-                    covering: true,
-                }
-                | Access::IndexSeek {
-                    index,
-                    covering: true,
-                    ..
-                } => self.index_named(index.name()).is_some_and(|ix| {
-                    let at = ix.def.leaf_columns().position(|l| l == j.inner_col);
-                    at.is_some_and(|s| !ix.is_per_value(s))
-                }),
-                _ => {
-                    let heap = self.db.heap(inner.id).expect("inner heap");
-                    !heap.column(j.inner_col.0 as usize).is_per_value()
-                }
-            };
             let ty = t.kind(j.outer_col).value_type();
-            let by_word = typed(j.outer_col)
-                && inner_typed
-                && ty == inner.kind(j.inner_col).value_type()
-                && ty != ValueType::Str;
+            let by_word =
+                ty == self.tables[1].kind(j.inner_col).value_type() && ty != ValueType::Str;
             counts[if by_word {
                 Covering::JOIN_BY_WORD
             } else {
@@ -964,22 +1021,15 @@ impl World {
         }
         for &i in &p.residual {
             let c = q.predicates[i].column;
-            let rep = match t.kind(c).value_type() {
-                _ if !typed(c) => 5,
+            let ty = match t.kind(c).value_type() {
                 ValueType::Int => 0,
                 ValueType::Float => 1,
                 ValueType::Date => 2,
                 ValueType::Bool => 3,
                 ValueType::Str => 4,
             };
-            counts[Covering::FILTER + rep] += 1;
+            counts[Covering::FILTER + ty] += 1;
         }
-        let fell_back = ix
-            .def
-            .leaf_columns()
-            .enumerate()
-            .any(|(s, c)| ix.is_per_value(s) && !matches!(t.kind(c), Kind::Mixed));
-        counts[Covering::FELL_BACK] += u32::from(fell_back);
         for (total, n) in self.covering.iter_mut().zip(counts) {
             *total += n;
         }
@@ -1092,6 +1142,7 @@ fn executor_agrees_with_naive_evaluator() {
 fn interleavings_reach_every_access_path_and_join_strategy() {
     let mut paths = [0u32; 5];
     let mut shapes = [0u32; 5];
+    let mut misfits = [0u32; 2];
     let mut covering = [0u32; Covering::N];
     for seed in 0..16 {
         let world = run_interleaving(seed, 80).unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
@@ -1104,10 +1155,14 @@ fn interleavings_reach_every_access_path_and_join_strategy() {
         for (total, n) in covering.iter_mut().zip(world.covering) {
             *total += n;
         }
+        for (total, n) in misfits.iter_mut().zip(world.misfits) {
+            *total += n;
+        }
     }
     assert!(paths.iter().all(|&n| n >= 10), "{paths:?}");
     assert!(shapes.iter().all(|&n| n >= 10), "{shapes:?}");
     assert!(covering.iter().all(|&n| n >= 5), "{covering:?}");
+    assert!(misfits.iter().all(|&n| n >= 10), "{misfits:?}");
 }
 
 /// UPDATE and DELETE whose access path is the very index they modify, by
@@ -1171,7 +1226,11 @@ fn dml_through_the_index_it_modifies() {
             }
             let out = db.execute(&tpl, &params).unwrap();
             assert_eq!(out.metrics.rows_returned, expect, "{stmt:?} {params:?}");
-            assert_eq!(apply_write(&mut reference, &stmt, &params), expect);
+            let types = [ValueType::Int; 3];
+            assert_eq!(
+                apply_write(&mut reference, &types, &stmt, &params),
+                Some(expect)
+            );
             storage_matches(&db, &reference, t).unwrap_or_else(|e| panic!("{stmt:?}: {e:?}"));
         }
         assert_eq!(reference[&t].len(), 3000 - 180);

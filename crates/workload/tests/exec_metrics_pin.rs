@@ -85,7 +85,7 @@ fn replayed_statement_metrics_are_pinned_bit_for_bit() {
         shape_free, 0xe3da_1e12_e814_d544,
         "rows returned/examined hash {shape_free:#018x}"
     );
-    // Bulk-built trees (`BTree::from_sorted` at `BUILD_FILL`). With every
+    // Bulk-built trees (`BTree::from_columns` at `BUILD_FILL`). With every
     // index inserted row by row, as before: 0x3412112781e8bd75 and
     // (13_322, 1_278, "286989.27", 1_581_056).
     let sums = (

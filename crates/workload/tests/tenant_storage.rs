@@ -42,7 +42,7 @@ fn statistics_are_the_stable_sorts_bit_for_bit() {
                     .collect();
                 let nulls = heap.len() - positions.len();
                 positions.sort_by(|a, b| a.partial_cmp(b).expect("no NaN is generated"));
-                let want = ColumnStats::from_sorted(&positions, nulls, 1.0);
+                let want = ColumnStats::of_sorted(&positions, nulls, 1.0);
                 assert_eq!(
                     format!("{got:?}"),
                     format!("{want:?}"),
@@ -147,42 +147,24 @@ fn benchmark_shapes(seed: u64) -> Vec<TenantConfig> {
     ]
 }
 
-/// The benchmark measures the typed path: a tenant of every shape it
-/// drives, generated and then run for six hours of its own statements,
-/// holds every column by type, in its heap and in every index leaf. A
-/// column falls back to per-value storage only when it receives values
-/// of two variants (or a NaN), so a generator or parameter change that
-/// did that would fail here before it moved the benchmark onto the slow
-/// path.
+/// Generators write only values that fit: a tenant of every shape the
+/// benchmark drives, generated and then run for six hours of its own
+/// statements, has every write accepted. The engine refuses a write whose
+/// value does not fit its column's declared type (`ExecError::TypeMismatch`,
+/// counted in `summary.errors`), and a load of one panics, so a generator
+/// or parameter change that drew a value of the wrong type fails here
+/// before it moves the benchmark.
 #[test]
-fn benchmark_tenants_stay_on_typed_columns() {
-    let mut columns = 0;
+fn benchmark_tenants_write_only_values_that_fit() {
+    let mut statements = 0;
     for seed in [42, 7, 1234] {
         for cfg in benchmark_shapes(seed) {
             let mut tenant = generate_tenant(&cfg);
             let summary =
                 (tenant.runner).run(&mut tenant.db, &tenant.model, Duration::from_hours(6));
-            assert_eq!(summary.errors, 0);
-            for (table, def) in tenant.db.catalog().tables() {
-                let heap = tenant.db.heap(table).expect("a table has a heap");
-                for (c, col) in def.columns.iter().enumerate() {
-                    let name = (&cfg.name, cfg.tier, &def.name, &col.name);
-                    assert!(!heap.column(c).is_per_value(), "{name:?} went per value");
-                    columns += 1;
-                }
-            }
-            for (id, def) in tenant.db.catalog().indexes() {
-                let ix = tenant
-                    .db
-                    .secondary_index(id)
-                    .expect("index is materialized");
-                for j in 0..def.leaf_columns().count() {
-                    let name = (&cfg.name, cfg.tier, &def.name, j);
-                    assert!(!ix.is_per_value(j), "{name:?} went per value");
-                    columns += 1;
-                }
-            }
+            assert_eq!(summary.errors, 0, "{:?} {:?}", cfg.name, cfg.tier);
+            statements += summary.statements;
         }
     }
-    assert!(columns > 100, "{columns} columns");
+    assert!(statements > 1_000, "{statements} statements");
 }

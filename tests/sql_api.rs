@@ -5,10 +5,11 @@ use autoindex::classifier::ImpactClassifier;
 use autoindex::mi::{recommend, MiConfig, MiSnapshotStore};
 use autoindex::RecoAction;
 use sqlmini::clock::{Duration, SimClock};
-use sqlmini::engine::{Database, DbConfig};
+use sqlmini::engine::{Database, DbConfig, EngineError};
+use sqlmini::exec::ExecError;
 use sqlmini::parser::{parse, parse_template};
-use sqlmini::schema::{ColumnDef, TableDef};
-use sqlmini::types::{Value, ValueType};
+use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef};
+use sqlmini::types::{Row, Value, ValueType};
 
 fn shop_db() -> Database {
     let mut db = Database::new("shop", DbConfig::default(), SimClock::new());
@@ -85,6 +86,54 @@ fn select_dml_roundtrip_through_sql() {
     let del = parse_template(db.catalog(), "DELETE FROM orders WHERE customer_id = 7").unwrap();
     let res = db.execute(&del, &[]).unwrap();
     assert_eq!(res.metrics.rows_returned, 50);
+}
+
+/// The write rule through SQL: an `Int` literal written to a `Float`
+/// column is stored as its `f64` and reads back as a `Float`; a string
+/// written to an `Int` column is refused with the typed error, and no row,
+/// no index entry and no CPU is charged to the table.
+#[test]
+fn writes_fit_their_columns_or_are_refused() {
+    let mut db = shop_db();
+    let (orders, _) = db.catalog().table_by_name("orders").unwrap();
+    let def = IndexDef::new("ix_cust", orders, vec![ColumnId(1)], vec![ColumnId(3)]);
+    let (ix, _) = db.create_index(def).unwrap();
+    let sql = |db: &Database, text: &str| parse_template(db.catalog(), text).unwrap();
+
+    db.execute(&sql(&db, "UPDATE orders SET total = 5 WHERE id = 7"), &[])
+        .unwrap();
+    let read = sql(&db, "SELECT total FROM orders WHERE id = 7");
+    let (_, rows) = db.query(&read, &[]).unwrap();
+    assert!(
+        matches!(rows[..], [ref r] if matches!(r[0], Value::Float(x) if x == 5.0)),
+        "{rows:?}"
+    );
+
+    let storage = |db: &Database| {
+        let heap = db.heap(orders).unwrap();
+        let rows: Vec<Row> = heap.live_ids().filter_map(|r| heap.row(r)).collect();
+        let entries = db.secondary_index(ix).unwrap().scan_all().entries;
+        let entries: Vec<_> = (entries.into_iter())
+            .map(|e| format!("{:?}", (e.rid, e.key_vals, e.included_vals)))
+            .collect();
+        (format!("{rows:?}"), entries)
+    };
+    let (before, cpu) = (storage(&db), db.total_cpu_us);
+    let bad = sql(&db, "UPDATE orders SET customer_id = 'x' WHERE id = 7");
+    match db.execute(&bad, &[]) {
+        Err(EngineError::Exec(ExecError::TypeMismatch {
+            table,
+            column,
+            expected,
+            got,
+        })) => {
+            assert_eq!((table.as_str(), column.as_str()), ("orders", "customer_id"));
+            assert_eq!((expected, got), (ValueType::Int, Value::Str("x".into())));
+        }
+        other => panic!("expected a type mismatch, got {other:?}"),
+    }
+    assert!(storage(&db) == before, "a refused UPDATE changed the table");
+    assert_eq!(db.total_cpu_us.to_bits(), cpu.to_bits());
 }
 
 #[test]
