@@ -20,4 +20,4 @@ pub use analysis::{
 pub use binstance::{create_b_instance, divergence_between, BInstance, DivergenceReport};
 pub use design::{run_phased_experiment, ExperimentConfig, ExperimentOutcome};
 pub use user_emulation::select_user_tuning;
-pub use workflow::{FnStep, Step, StepStatus, Workflow, WorkflowRun};
+pub use workflow::{FnStep, StepStatus, Workflow, WorkflowRun};

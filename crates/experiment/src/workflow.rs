@@ -19,19 +19,11 @@ pub enum StepStatus {
     CleanedUp,
 }
 
-/// One workflow step over context `C`.
-pub trait Step<C> {
-    fn name(&self) -> &str;
-    /// Execute the step.
-    fn run(&mut self, ctx: &mut C) -> Result<(), String>;
-    /// Undo side effects (called in reverse order after a later failure).
-    fn cleanup(&mut self, _ctx: &mut C) {}
-}
-
 type RunFn<C> = Box<dyn FnMut(&mut C) -> Result<(), String>>;
 type CleanupFn<C> = Box<dyn FnMut(&mut C)>;
 
-/// A convenience step built from closures.
+/// One workflow step over context `C`, built from closures: what it
+/// does, and what undoes it.
 pub struct FnStep<C> {
     name: String,
     run: RunFn<C>,
@@ -54,16 +46,18 @@ impl<C> FnStep<C> {
         self.cleanup = Some(Box::new(cleanup));
         self
     }
-}
 
-impl<C> Step<C> for FnStep<C> {
-    fn name(&self) -> &str {
+    pub fn name(&self) -> &str {
         &self.name
     }
-    fn run(&mut self, ctx: &mut C) -> Result<(), String> {
+
+    /// Execute the step.
+    pub fn run(&mut self, ctx: &mut C) -> Result<(), String> {
         (self.run)(ctx)
     }
-    fn cleanup(&mut self, ctx: &mut C) {
+
+    /// Undo side effects (called in reverse order after a later failure).
+    pub fn cleanup(&mut self, ctx: &mut C) {
         if let Some(c) = &mut self.cleanup {
             c(ctx);
         }
@@ -96,7 +90,7 @@ impl fmt::Display for WorkflowRun {
 /// A workflow: named steps over a context.
 pub struct Workflow<C> {
     name: String,
-    steps: Vec<Box<dyn Step<C>>>,
+    steps: Vec<FnStep<C>>,
 }
 
 impl<C> Workflow<C> {
@@ -111,8 +105,8 @@ impl<C> Workflow<C> {
         &self.name
     }
 
-    pub fn step(mut self, step: impl Step<C> + 'static) -> Workflow<C> {
-        self.steps.push(Box::new(step));
+    pub fn step(mut self, step: FnStep<C>) -> Workflow<C> {
+        self.steps.push(step);
         self
     }
 

@@ -13,25 +13,31 @@
 //! `key_len` values under `Value`'s order, then the row id, so duplicate
 //! index keys are supported and the included values are cargo.
 //!
-//! A node holds its entries column-major, as a heap holds its rows: one
-//! typed run ([`crate::column`]) per column — `i64`, `f64`, `i32`, packed
-//! bits or `u32` string codes, a null bitmap beside each — and one run of
-//! row ids. A leaf has a run for every column, an internal node one for
-//! each key column of its separators. Each column of the tree has the
-//! type it is made with (an index's: its table columns' declared types),
-//! in every node, and every value inserted must fit it. A string column's
-//! codes index one dictionary for the whole tree, so a code names the
-//! same string in every leaf. A lookup's key — a seek's prefix and
-//! bounds, a maintenance key — is compiled once against the columns'
-//! types into a `Probe`, which orders stored entries exactly as
-//! `Value::cmp` and the row id would, without building a `Value`.
+//! A node holds its entries column-major, in the layout a heap holds its
+//! rows in ([`crate::heap`]): a slice of typed runs ([`crate::column`]),
+//! one per column — `i64`, `f64`, `i32`, packed bits or `u32` string
+//! codes, a null bitmap beside each — and one run of row ids. A leaf has
+//! a run for every column, an internal node one for each key column of
+//! its separators. Each column of the tree has the type it is made with
+//! (an index's: its table columns' declared types), in every node, and
+//! every value inserted must fit it. The tree keeps one dictionary per
+//! column, so a string code names the same string in every leaf, and a
+//! leaf's runs with the tree's dictionaries read as a heap's columns do.
+//! A lookup's key — a seek's prefix and bounds, a maintenance key — is
+//! compiled once against the columns' types into a `Probe`, which orders
+//! stored entries exactly as `Value::cmp` and the row id would, without
+//! building a `Value`.
+//! Entries equal to a value that equals several stored values (a NaN, or
+//! a float past 2^53 against an int column) are in no order in the later
+//! columns, so a search compares a probe's values only up to that one,
+//! and a walk from there checks the later columns entry by entry.
 
 use crate::column::{At, Column, Dict, Operand, Typed};
 use crate::heap::RowId;
 use crate::types::{Value, ValueType};
 use std::cell::Cell;
 use std::cmp::Ordering;
-use std::ops::{Bound, Range};
+use std::ops::{Bound, Range, RangeBounds};
 
 /// Index of a node in the tree's arena.
 type NodeId = usize;
@@ -48,26 +54,33 @@ fn cmp_key(a: Key<'_>, b: Key<'_>) -> Ordering {
     a.0.cmp(b.0).then(a.1.cmp(&b.1))
 }
 
-/// One column of the tree: its type, and the dictionary its string codes
-/// index.
-#[derive(Debug, Clone)]
-struct Col {
-    ty: ValueType,
-    dict: Dict,
-}
-
 /// A key compiled against the tree's key columns ([`BTree::probe`]):
-/// stored entries order against it exactly as their key values and row
-/// id order against its values and row id ([`Key`]).
+/// stored entries order against its first `ordered` values exactly as
+/// their key values and row id order against its values and row id
+/// ([`Key`]).
 pub(crate) struct Probe<'v> {
     ops: Vec<Operand<'v>>,
-    /// Whether `ops` covers every key column; if not, the row id is not
-    /// compared and an entry that matches the prefix orders after it.
+    /// How many of `ops` a search compares: up to and including the first
+    /// that equals several stored values (module doc), or all of them.
+    ordered: usize,
+    /// Whether the search compares every key column, then the row id; if
+    /// not, an entry that matches what it compares orders after it.
     whole: bool,
     rid: RowId,
 }
 
 impl<'v> Probe<'v> {
+    fn new(ops: Vec<Operand<'v>>, key_len: usize, rid: RowId) -> Probe<'v> {
+        debug_assert!(ops.len() <= key_len, "a key longer than the key columns");
+        let several = ops.iter().position(Operand::equals_several);
+        Probe {
+            ordered: several.map_or(ops.len(), |j| j + 1),
+            whole: several.is_none() && ops.len() == key_len,
+            ops,
+            rid,
+        }
+    }
+
     /// Number of key values.
     pub(crate) fn len(&self) -> usize {
         self.ops.len()
@@ -88,11 +101,11 @@ pub(crate) struct Run {
 }
 
 impl Run {
-    /// An empty run of the columns `cols`, with room for `capacity`
+    /// An empty run of columns of `types`, with room for `capacity`
     /// entries.
-    fn new(cols: &[Col], capacity: usize) -> Run {
+    fn new(types: &[ValueType], capacity: usize) -> Run {
         Run {
-            cols: cols.iter().map(|c| Typed::new(c.ty, capacity)).collect(),
+            cols: types.iter().map(|&ty| Typed::new(ty, capacity)).collect(),
             rids: Vec::with_capacity(capacity),
         }
     }
@@ -102,36 +115,17 @@ impl Run {
         self.rids.len()
     }
 
-    /// Number of columns.
-    #[inline]
-    pub(crate) fn width(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Entry `i`'s row id.
-    #[inline]
-    pub(crate) fn rid(&self, i: usize) -> RowId {
-        self.rids[i]
-    }
-
-    /// Column `j`'s run.
-    #[inline]
-    pub(crate) fn col(&self, j: usize) -> &Typed {
-        &self.cols[j]
-    }
-
     /// Entry `i`'s first `n` values.
-    fn values(&self, i: usize, n: usize, cols: &[Col]) -> Vec<Value> {
-        (0..n)
-            .map(|j| self.cols[j].value(i, &cols[j].dict))
-            .collect()
+    fn values(&self, i: usize, n: usize, dicts: &[Dict]) -> Vec<Value> {
+        (0..n).map(|j| self.cols[j].value(i, &dicts[j])).collect()
     }
 
-    /// How entry `i`'s key orders against `probe`.
+    /// How entry `i`'s key orders against what a search compares of
+    /// `probe`.
     #[inline]
-    fn cmp(&self, i: usize, probe: &Probe, cols: &[Col]) -> Ordering {
-        for (j, op) in probe.ops.iter().enumerate() {
-            let o = self.cols[j].cmp_at(i, op, &cols[j].dict);
+    fn cmp(&self, i: usize, probe: &Probe, dicts: &[Dict]) -> Ordering {
+        for (j, op) in probe.ops[..probe.ordered].iter().enumerate() {
+            let o = self.cols[j].cmp_at(i, op, &dicts[j]);
             if o != Ordering::Equal {
                 return o;
             }
@@ -145,11 +139,11 @@ impl Run {
 
     /// `Ok(i)` if entry `i`'s key equals `probe`, else `Err` of where
     /// `probe` would go.
-    fn search(&self, probe: &Probe, cols: &[Col]) -> Result<usize, usize> {
+    fn search(&self, probe: &Probe, dicts: &[Dict]) -> Result<usize, usize> {
         let (mut lo, mut hi) = (0, self.len());
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match self.cmp(mid, probe, cols) {
+            match self.cmp(mid, probe, dicts) {
                 Ordering::Less => lo = mid + 1,
                 Ordering::Greater => hi = mid,
                 Ordering::Equal => return Ok(mid),
@@ -160,8 +154,8 @@ impl Run {
 
     /// Where a descent for `probe` goes: past every separator not
     /// greater than it.
-    fn child_for(&self, probe: &Probe, cols: &[Col]) -> usize {
-        match self.search(probe, cols) {
+    fn child_for(&self, probe: &Probe, dicts: &[Dict]) -> usize {
+        match self.search(probe, dicts) {
             Ok(i) => i + 1,
             Err(i) => i,
         }
@@ -174,10 +168,10 @@ impl Run {
         at: At,
         entry: &dyn Fn(usize) -> &'v Value,
         rid: RowId,
-        cols: &mut [Col],
+        dicts: &mut [Dict],
     ) {
-        for (j, run) in self.cols.iter_mut().enumerate() {
-            run.store(at, entry(j), &mut cols[j].dict);
+        for (j, (run, dict)) in self.cols.iter_mut().zip(dicts).enumerate() {
+            run.store(at, entry(j), dict);
         }
         at.vec(&mut self.rids, rid);
     }
@@ -274,8 +268,11 @@ pub struct BTree {
     len: usize,
     fanout: usize,
     height: usize,
-    /// An entry's columns: the key columns, then the included columns.
-    cols: Vec<Col>,
+    /// An empty run of each of an entry's columns (the key columns, then
+    /// the included columns), of the type every node's run of the column
+    /// has, and the dictionary of each.
+    types: Vec<Typed>,
+    dicts: Vec<Dict>,
     /// How many of an entry's values order it.
     key_len: usize,
     /// Logical node visits by read operations; interior mutability because
@@ -290,20 +287,14 @@ impl BTree {
     /// entries of one value of each of `types`, the first `key_len` of
     /// which order them.
     pub fn new(fanout: usize, types: &[ValueType], key_len: usize) -> BTree {
-        let cols = (types.iter())
-            .map(|&ty| Col {
-                ty,
-                dict: Dict::default(),
-            })
-            .collect();
-        BTree::with_cols(fanout, cols, key_len)
+        BTree::with_cols(fanout, types, vec![Dict::default(); types.len()], key_len)
     }
 
-    fn with_cols(fanout: usize, cols: Vec<Col>, key_len: usize) -> BTree {
+    fn with_cols(fanout: usize, types: &[ValueType], dicts: Vec<Dict>, key_len: usize) -> BTree {
         assert!(fanout >= 4, "fanout must be at least 4");
-        assert!(key_len <= cols.len(), "more key values than values");
+        assert!(key_len <= types.len(), "more key values than values");
         let root = Node::Leaf {
-            entries: Run::new(&cols, 0),
+            entries: Run::new(types, 0),
             next: NO_NODE,
             prev: NO_NODE,
         };
@@ -314,7 +305,8 @@ impl BTree {
             len: 0,
             fanout,
             height: 1,
-            cols,
+            types: types.iter().map(|&ty| Typed::new(ty, 0)).collect(),
+            dicts,
             key_len,
             read_visits: Cell::new(0),
             write_visits: 0,
@@ -350,16 +342,23 @@ impl BTree {
         order: &[u32],
         rid: impl Fn(u32) -> RowId,
     ) -> BTree {
-        let cols = (sources.iter())
-            .map(|c| {
-                let (vals, dict) = c.parts();
-                Col {
-                    ty: vals.ty(),
-                    dict: dict.clone(),
-                }
-            })
-            .collect();
-        let mut t = BTree::with_cols(fanout, cols, key_len);
+        let sources: Vec<_> = sources.iter().map(|c| c.parts()).collect();
+        BTree::from_runs(fanout, fill, key_len, &sources, order, rid)
+    }
+
+    /// [`from_columns`](Self::from_columns) from runs and their
+    /// dictionaries: a heap's columns, as the index build hands them.
+    pub(crate) fn from_runs(
+        fanout: usize,
+        fill: f64,
+        key_len: usize,
+        sources: &[(&Typed, &Dict)],
+        order: &[u32],
+        rid: impl Fn(u32) -> RowId,
+    ) -> BTree {
+        let types: Vec<ValueType> = sources.iter().map(|(run, _)| run.ty()).collect();
+        let dicts = sources.iter().map(|(_, dict)| (*dict).clone()).collect();
+        let mut t = BTree::with_cols(fanout, &types, dicts, key_len);
         let k = key_len;
         let n = order.len();
         if n == 0 {
@@ -378,7 +377,7 @@ impl BTree {
         t.len = n;
         // One level at a time: the smallest key under each node, and the
         // node.
-        let mut firsts = Run::new(&t.cols[..k], 0);
+        let mut firsts = Run::new(&types[..k], 0);
         let mut ids: Vec<NodeId> = Vec::new();
         let mut at = 0;
         for size in spread(n) {
@@ -386,14 +385,14 @@ impl BTree {
             // entries: the maintenance inserts the fill leaves room for
             // then never move it.
             let slots = &order[at..at + size];
-            let mut leaf = Run::new(&t.cols, fanout);
-            for (run, src) in leaf.cols.iter_mut().zip(sources) {
-                run.extend_from(src.parts().0, slots);
+            let mut leaf = Run::new(&types, fanout);
+            for (run, (src, _)) in leaf.cols.iter_mut().zip(sources) {
+                run.extend_from(src, slots);
             }
             leaf.rids.extend(slots.iter().map(|&s| rid(s)));
             debug_assert!(
                 {
-                    let key = |run: &Run, i| (run.values(i, k, &t.cols), run.rids[i]);
+                    let key = |run: &Run, i| (run.values(i, k, &t.dicts), run.rids[i]);
                     let last_before = match t.arena.last() {
                         Some(Node::Leaf { entries, .. }) => Some(key(entries, entries.len() - 1)),
                         _ => None,
@@ -420,11 +419,11 @@ impl BTree {
             *next = NO_NODE;
         }
         while ids.len() > 1 {
-            let mut above = Run::new(&t.cols[..k], 0);
+            let mut above = Run::new(&types[..k], 0);
             let mut above_ids = Vec::new();
             let mut at = 0;
             for size in spread(ids.len()) {
-                let mut keys = Run::new(&t.cols[..k], size - 1);
+                let mut keys = Run::new(&types[..k], size - 1);
                 (at + 1..at + size).for_each(|i| keys.copy(At::End, &firsts, i));
                 above.copy(At::End, &firsts, at);
                 above_ids.push(t.arena.len());
@@ -449,7 +448,7 @@ impl BTree {
 
     /// Values per entry.
     pub fn width(&self) -> usize {
-        self.cols.len()
+        self.dicts.len()
     }
 
     /// How many of an entry's values order it.
@@ -471,14 +470,14 @@ impl BTree {
         self.height
     }
 
-    /// Column `j`'s type.
-    pub(crate) fn ty(&self, j: usize) -> ValueType {
-        self.cols[j].ty
+    /// An empty run of each column, of its type.
+    pub(crate) fn types(&self) -> &[Typed] {
+        &self.types
     }
 
-    /// The dictionary column `j`'s string codes index.
-    pub(crate) fn dict(&self, j: usize) -> &Dict {
-        &self.cols[j].dict
+    /// The dictionary each column's string codes index.
+    pub(crate) fn dicts(&self) -> &[Dict] {
+        &self.dicts
     }
 
     /// Number of live (non-free) nodes — the tree's "page count".
@@ -538,32 +537,28 @@ impl BTree {
         key: impl IntoIterator<Item = &'v Value>,
         rid: RowId,
     ) -> Probe<'v> {
-        let ops: Vec<Operand> = (key.into_iter().zip(&self.cols))
-            .map(|(v, c)| Operand::new(c.ty, &c.dict, v))
+        let ops = (key.into_iter().enumerate())
+            .map(|(j, v)| self.operand(j, v))
             .collect();
-        debug_assert!(
-            ops.len() <= self.key_len,
-            "a key longer than the key columns"
-        );
-        Probe {
-            whole: ops.len() == self.key_len,
-            ops,
-            rid,
-        }
+        Probe::new(ops, self.key_len, rid)
     }
 
     /// `probe` with `v` after its values, as the next key column's.
-    pub(crate) fn probe_then<'v>(&self, mut probe: Probe<'v>, v: &'v Value) -> Probe<'v> {
-        let c = &self.cols[probe.ops.len()];
-        probe.ops.push(Operand::new(c.ty, &c.dict, v));
-        probe.whole = probe.ops.len() == self.key_len;
-        probe
+    pub(crate) fn probe_then<'v>(&self, probe: Probe<'v>, v: &'v Value) -> Probe<'v> {
+        let mut ops = probe.ops;
+        ops.push(self.operand(ops.len(), v));
+        Probe::new(ops, self.key_len, probe.rid)
+    }
+
+    /// `v` compiled against column `j`.
+    pub(crate) fn operand<'v>(&self, j: usize, v: &'v Value) -> Operand<'v> {
+        Operand::new(self.types[j].ty(), &self.dicts[j], v)
     }
 
     /// How entry `i` of `run`, a leaf of this tree, orders against
     /// operand `op` (compiled for key column `j`) in column `j`.
     pub(crate) fn cmp_col(&self, run: &Run, i: usize, j: usize, op: &Operand) -> Ordering {
-        run.cols[j].cmp_at(i, op, &self.cols[j].dict)
+        run.cols[j].cmp_at(i, op, &self.dicts[j])
     }
 
     /// The values of the entry whose key is `key`. Counts one read visit
@@ -575,8 +570,8 @@ impl BTree {
         let probe = self.probe(key, rid);
         let leaf = self.descend_to_leaf(&probe);
         match &self.arena[leaf] {
-            Node::Leaf { entries, .. } => (entries.search(&probe, &self.cols).ok())
-                .map(|i| entries.values(i, self.width(), &self.cols)),
+            Node::Leaf { entries, .. } => (entries.search(&probe, &self.dicts).ok())
+                .map(|i| entries.values(i, self.width(), &self.dicts)),
             _ => unreachable!("descend_to_leaf returned non-leaf"),
         }
     }
@@ -588,7 +583,7 @@ impl BTree {
             match &self.arena[node] {
                 Node::Leaf { .. } => return node,
                 Node::Internal { keys, children } => {
-                    node = children[keys.child_for(probe, &self.cols)];
+                    node = children[keys.child_for(probe, &self.dicts)];
                 }
                 Node::Free { .. } => unreachable!("descended into freed node"),
             }
@@ -638,19 +633,19 @@ impl BTree {
         rid: RowId,
     ) -> InsertResult {
         self.write_visits += 1;
-        let (fanout, cols) = (self.fanout, &mut self.cols);
+        let (fanout, dicts) = (self.fanout, &mut self.dicts);
         match &mut self.arena[node] {
             Node::Leaf { entries, .. } => {
-                match entries.search(probe, cols) {
+                match entries.search(probe, dicts) {
                     Ok(i) => {
                         // The new entry replaces the stored one whole: keys
                         // that compare equal may still differ in what they
                         // carry (an index entry's included values).
-                        let old = entries.values(i, cols.len(), cols);
-                        entries.store(At::Over(i), entry, rid, cols);
+                        let old = entries.values(i, dicts.len(), dicts);
+                        entries.store(At::Over(i), entry, rid, dicts);
                         return InsertResult::Replaced(old);
                     }
-                    Err(i) => entries.store(At::Before(i), entry, rid, cols),
+                    Err(i) => entries.store(At::Before(i), entry, rid, dicts),
                 }
                 if entries.len() >= fanout {
                     let (sep, right) = self.split_leaf(node);
@@ -660,7 +655,7 @@ impl BTree {
                 }
             }
             Node::Internal { keys, children } => {
-                let idx = keys.child_for(probe, cols);
+                let idx = keys.child_for(probe, dicts);
                 let child = children[idx];
                 match self.insert_rec(child, probe, entry, rid) {
                     InsertResult::Split(sep, right) => {
@@ -752,7 +747,7 @@ impl BTree {
     fn remove_rec(&mut self, node: NodeId, probe: &Probe) -> bool {
         self.write_visits += 1;
         match &mut self.arena[node] {
-            Node::Leaf { entries, .. } => match entries.search(probe, &self.cols) {
+            Node::Leaf { entries, .. } => match entries.search(probe, &self.dicts) {
                 Ok(i) => {
                     entries.remove(i);
                     true
@@ -760,7 +755,7 @@ impl BTree {
                 Err(_) => false,
             },
             Node::Internal { keys, children } => {
-                let idx = keys.child_for(probe, &self.cols);
+                let idx = keys.child_for(probe, &self.dicts);
                 let child = children[idx];
                 let removed = self.remove_rec(child, probe);
                 if removed {
@@ -957,7 +952,7 @@ impl BTree {
             Bound::Included(p) | Bound::Excluded(p) => {
                 let leaf = self.descend_to_leaf(p);
                 let pos = match &self.arena[leaf] {
-                    Node::Leaf { entries, .. } => match entries.search(p, &self.cols) {
+                    Node::Leaf { entries, .. } => match entries.search(p, &self.dicts) {
                         Ok(i) if matches!(from, Bound::Excluded(_)) => i + 1,
                         Ok(i) | Err(i) => i,
                     },
@@ -986,20 +981,17 @@ impl BTree {
         lo: Bound<Key<'k>>,
         hi: Bound<Key<'k>>,
     ) -> std::vec::IntoIter<(Vec<Value>, RowId)> {
-        let probe = |(k, rid): Key<'k>| self.probe(k, rid);
-        let (from, to) = (lo.map(probe), hi.map(probe));
+        let from = lo.map(|(k, rid)| self.probe(k, rid));
+        // From where the walk starts, every entry is checked against both
+        // bounds, to the last: when a value of `hi` equals several stored
+        // values (module doc), one beyond `hi` may come before more within.
         let mut out = Vec::new();
         self.walk(from.as_ref(), |run, pos| {
             for i in pos..run.len() {
-                let in_range = match &to {
-                    Bound::Unbounded => true,
-                    Bound::Included(p) => run.cmp(i, p, &self.cols) != Ordering::Greater,
-                    Bound::Excluded(p) => run.cmp(i, p, &self.cols) == Ordering::Less,
-                };
-                if !in_range {
-                    return false;
+                let key = run.values(i, self.key_len, &self.dicts);
+                if (lo, hi).contains(&(&key[..], run.rids[i])) {
+                    out.push((run.values(i, self.width(), &self.dicts), run.rids[i]));
                 }
-                out.push((run.values(i, self.width(), &self.cols), run.rids[i]));
             }
             true
         });
@@ -1062,7 +1054,7 @@ impl BTree {
                 return Err(format!("leaf chain runs past the last leaf to {leaf}"));
             }
             for i in 0..entries.len() {
-                let key = (entries.values(i, k, &self.cols), entries.rids[i]);
+                let key = (entries.values(i, k, &self.dicts), entries.rids[i]);
                 if let Some(l) = &last {
                     if cmp_key((&l.0, l.1), (&key.0, key.1)) != Ordering::Less {
                         return Err(format!("keys out of order at {key:?}"));
@@ -1114,12 +1106,13 @@ impl BTree {
         Ok(())
     }
 
-    /// Whether `run` holds one run per column of `cols`, each of its
-    /// column's type, well formed, a value per entry.
-    fn check_run(run: &Run, cols: &[Col]) -> bool {
-        run.cols.len() == cols.len()
-            && (run.cols.iter().zip(cols))
-                .all(|(t, c)| t.ty() == c.ty && t.len() == run.len() && t.is_well_formed(&c.dict))
+    /// Whether `run` holds a run for each of the first `n` columns, each
+    /// of its column's type, well formed, a value per entry.
+    fn check_run(&self, run: &Run, n: usize) -> bool {
+        let fits = |((t, shape), dict): ((&Typed, &Typed), &Dict)| {
+            t.ty() == shape.ty() && t.len() == run.len() && t.is_well_formed(dict)
+        };
+        run.cols.len() == n && (run.cols.iter().zip(&self.types).zip(&self.dicts)).all(fits)
     }
 
     /// `check_invariants` below one node: every key in `lo ..< hi` (the
@@ -1135,7 +1128,7 @@ impl BTree {
         internals: &mut usize,
     ) -> Result<(), String> {
         let k = self.key_len;
-        let key_of = |run: &Run, i: usize| (run.values(i, k, &self.cols), run.rids[i]);
+        let key_of = |run: &Run, i: usize| (run.values(i, k, &self.dicts), run.rids[i]);
         let cmp =
             |a: &(Vec<Value>, RowId), b: &(Vec<Value>, RowId)| cmp_key((&a.0, a.1), (&b.0, b.1));
         let is_root = node == self.root;
@@ -1149,7 +1142,7 @@ impl BTree {
                     ));
                 }
                 let n = entries.len();
-                if !BTree::check_run(entries, &self.cols) {
+                if !self.check_run(entries, self.width()) {
                     return Err(format!("leaf {node}: columns do not hold {n} entries"));
                 }
                 if n >= self.fanout || (!is_root && n < min) {
@@ -1173,7 +1166,7 @@ impl BTree {
             Some(Node::Internal { keys, children }) => {
                 *internals += 1;
                 let n = children.len();
-                if n != keys.len() + 1 || !BTree::check_run(keys, &self.cols[..k]) {
+                if n != keys.len() + 1 || !self.check_run(keys, k) {
                     return Err(format!("node {node}: {} keys, {n} children", keys.len()));
                 }
                 if n > self.fanout || n < if is_root { 2 } else { min } {
@@ -1232,18 +1225,18 @@ impl<'a> Entries<'a> {
 
     /// The row id of the entry at position `i`.
     pub fn rid(&self, i: usize) -> RowId {
-        self.run.rid(i)
+        self.run.rids[i]
     }
 
     /// Column `j`'s value of the entry at position `i`, as it was
     /// written.
     pub fn value(&self, i: usize, j: usize) -> Value {
-        self.run.cols[j].value(i, self.tree.dict(j))
+        self.run.cols[j].value(i, &self.tree.dicts[j])
     }
 
-    /// The leaf's run.
-    pub(crate) fn run(&self) -> &'a Run {
-        self.run
+    /// The leaf's runs, one per column.
+    pub(crate) fn runs(&self) -> &'a [Typed] {
+        &self.run.cols
     }
 }
 
@@ -1522,7 +1515,7 @@ mod tests {
     /// inserted into has it.
     fn separators_are_first_keys(t: &BTree) -> bool {
         let k = t.key_len;
-        let key = |run: &Run, i: usize| (run.values(i, k, &t.cols), run.rids[i]);
+        let key = |run: &Run, i: usize| (run.values(i, k, &t.dicts), run.rids[i]);
         let first_key = |mut node: NodeId| loop {
             match &t.arena[node] {
                 Node::Leaf { entries, .. } => return key(entries, 0),

@@ -6,10 +6,12 @@
 //! `i32`, `Bool` as packed bits, and `Str` as a `u32` code into a
 //! dictionary of `Arc<str>` kept by the owner (so a string costs four
 //! bytes, and equal strings share a code). Beside the values sits a null
-//! bitmap; a NULL slot holds a zero under its null bit. A heap [`Column`]
-//! is one such run and its dictionary; an index column is one run in
-//! every node of its tree and one dictionary for the tree
-//! ([`crate::btree`]).
+//! bitmap; a NULL slot holds a zero under its null bit. Both storages
+//! keep rows as a slice of runs, one per column, beside one dictionary
+//! per column: a heap its columns ([`crate::heap`]), a B+tree node its
+//! columns with one dictionary per column for the whole tree
+//! ([`crate::btree`]). A [`Column`] is one run and its dictionary, the
+//! unit a load or a bulk build is handed.
 //!
 //! The type is fixed when a run is made, and a value written to it must
 //! already fit: NULL, or a value of that type that is not a NaN. The
@@ -21,7 +23,8 @@
 //! The kernels answer the executor's questions over a run without
 //! building a `Value`: a `Test` evaluates `value op operand` for one
 //! slot or for 64 at a time, exactly as [`CmpOp::eval`] would on the
-//! stored value; an `Operand` orders a slot against a value, exactly as
+//! stored value, and `select` runs tests over a stretch of rows, heap or
+//! leaf alike; an `Operand` orders a slot against a value, exactly as
 //! `Value::cmp` would (the tree's probes); `Typed::word` gives each
 //! value a 64-bit word whose equality is `Value`'s equality within the
 //! column, for grouping and join keys; `Typed::image` gives it an
@@ -35,6 +38,7 @@ use crate::query::CmpOp;
 use crate::types::{str_position, Value, ValueType};
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A vector of bits, 64 to a word; the bits of the last word past the
@@ -169,11 +173,6 @@ impl Bits {
         self.words[w]
     }
 
-    /// Number of words: `len` rounded up to a multiple of 64, over 64.
-    pub(crate) fn n_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Indices of the set bits from `start` on, rising.
     pub(crate) fn ones_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
         let first = start / 64;
@@ -265,6 +264,19 @@ impl Dict {
     /// Number of strings.
     pub(crate) fn len(&self) -> usize {
         self.0.strings.len()
+    }
+
+    /// Each code's rank among the strings in order: the images
+    /// [`Typed::image`] gives a string column's values.
+    pub(crate) fn ranks(&self) -> Vec<u64> {
+        let d = self.strings();
+        let mut order: Vec<u32> = (0..d.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| d[a as usize].cmp(&d[b as usize]));
+        let mut ranks = vec![0; order.len()];
+        for (rank, &code) in order.iter().enumerate() {
+            ranks[code as usize] = rank as u64;
+        }
+        ranks
     }
 }
 
@@ -442,6 +454,42 @@ impl Typed {
         }
     }
 
+    /// Make room for `additional` more values.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.nulls.reserve(additional);
+        match &mut self.data {
+            Data::Int(c) => c.reserve_exact(additional),
+            Data::Float(c) => c.reserve_exact(additional),
+            Data::Date(c) => c.reserve_exact(additional),
+            Data::Bool(c) => c.reserve(additional),
+            Data::Str(c) => c.reserve_exact(additional),
+        }
+    }
+
+    /// The numeric projection (`Value::as_f64`) of each value at `slots`
+    /// that is not NULL, in order, and the number of NULLs among them:
+    /// the input of a column's statistics. `dict` is the run's dictionary.
+    pub(crate) fn positions(&self, slots: &[usize], dict: &Dict) -> (Vec<f64>, usize) {
+        fn of(slots: &[usize], nulls: &Bits, f: impl Fn(usize) -> f64) -> Vec<f64> {
+            let mut out = Vec::with_capacity(slots.len());
+            out.extend(slots.iter().filter(|&&i| !nulls.get(i)).map(|&i| f(i)));
+            out
+        }
+        let nulls = &self.nulls;
+        let out = match &self.data {
+            Data::Int(v) => of(slots, nulls, |i| v[i] as f64),
+            Data::Float(v) => of(slots, nulls, |i| v[i]),
+            Data::Date(v) => of(slots, nulls, |i| f64::from(v[i])),
+            Data::Bool(v) => of(slots, nulls, |i| f64::from(u8::from(v.get(i)))),
+            Data::Str(v) => {
+                let of_code: Vec<f64> = dict.strings().iter().map(|s| str_position(s)).collect();
+                of(slots, nulls, |i| of_code[v[i] as usize])
+            }
+        };
+        let nulls = slots.len() - out.len();
+        (out, nulls)
+    }
+
     /// Remove slot `i`.
     pub(crate) fn remove(&mut self, i: usize) {
         self.nulls.remove(i);
@@ -504,16 +552,9 @@ impl Typed {
         }
     }
 
-    /// What the words of [`word`](Self::word) mean: two runs' words
-    /// compare only under one kind, and a code never equals another
-    /// dictionary's code.
-    pub(crate) fn word_kind(&self, dict: &Dict) -> WordKind {
-        word_kind(self.ty(), dict)
-    }
-
     /// An order-preserving 64-bit image of the value at slot `i` (not
     /// NULL), exact within the run: images compare as the values do under
-    /// `Value`'s order. `ranks` is [`Column::code_ranks`].
+    /// `Value`'s order. `ranks` is [`Dict::ranks`] of the run's dictionary.
     pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> u64 {
         const SIGN: u64 = 1 << 63;
         match &self.data {
@@ -553,17 +594,6 @@ impl Typed {
     }
 }
 
-/// The kind of word a run of type `ty` has ([`Typed::word_kind`]).
-pub(crate) fn word_kind(ty: ValueType, dict: &Dict) -> WordKind {
-    match ty {
-        ValueType::Int => WordKind::Int,
-        ValueType::Float => WordKind::Float,
-        ValueType::Date => WordKind::Date,
-        ValueType::Bool => WordKind::Bool,
-        ValueType::Str => WordKind::Code(dict.len()),
-    }
-}
-
 /// A value to order slots against, compiled for one type
 /// ([`Typed::cmp_at`]): a key column's part of a B+tree probe.
 #[derive(Debug, Clone, Copy)]
@@ -586,6 +616,19 @@ pub(crate) enum Operand<'v> {
 }
 
 impl<'v> Operand<'v> {
+    /// Whether more than one stored value can equal the operand: a NaN
+    /// equals every number, and a float of magnitude 2^53 or more every
+    /// int that rounds to it. Entries equal to such an operand need not
+    /// be in order in the columns after it.
+    pub(crate) fn equals_several(&self) -> bool {
+        const EXACT: f64 = (1u64 << 53) as f64;
+        match *self {
+            Operand::IntAsFloat(y) => y.is_nan() || y.abs() >= EXACT,
+            Operand::Float(y) => y.is_nan(),
+            _ => false,
+        }
+    }
+
     /// `v` compiled for runs of type `ty` whose string codes index `dict`.
     pub(crate) fn new(ty: ValueType, dict: &Dict, v: &'v Value) -> Operand<'v> {
         use Value as V;
@@ -609,8 +652,8 @@ impl<'v> Operand<'v> {
     }
 }
 
-/// One column of a heap: a value per slot, stored by its type (module
-/// doc), and the dictionary of its strings.
+/// One column handed to a load or a bulk build: a value per slot, stored
+/// by its type (module doc), and the dictionary of its strings.
 #[derive(Debug, Clone)]
 pub struct Column {
     vals: Typed,
@@ -645,9 +688,9 @@ impl Column {
         (&self.vals, &self.dict)
     }
 
-    /// Whether slot `i` is NULL.
-    pub(crate) fn is_null(&self, i: usize) -> bool {
-        self.vals.is_null(i)
+    /// The typed values and their dictionary, taken apart.
+    pub(crate) fn into_parts(self) -> (Typed, Dict) {
+        (self.vals, self.dict)
     }
 
     /// The value at slot `i`.
@@ -664,12 +707,6 @@ impl Column {
     #[inline]
     pub fn push(&mut self, v: Value) {
         self.vals.store(At::End, &v, &mut self.dict);
-    }
-
-    /// Write a value over slot `i`; it must fit, as for
-    /// [`push`](Self::push).
-    pub(crate) fn set(&mut self, i: usize, v: Value) {
-        self.vals.store(At::Over(i), &v, &mut self.dict);
     }
 
     /// The code of `s` in a string column's dictionary, added if new.
@@ -694,88 +731,10 @@ impl Column {
         self.vals.nulls.push(false);
     }
 
-    /// Make room for `additional` more values.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.vals.nulls.reserve(additional);
-        match &mut self.vals.data {
-            Data::Int(c) => c.reserve_exact(additional),
-            Data::Float(c) => c.reserve_exact(additional),
-            Data::Date(c) => c.reserve_exact(additional),
-            Data::Bool(c) => c.reserve(additional),
-            Data::Str(c) => c.reserve_exact(additional),
-        }
-    }
-
     /// Every value, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
         (0..self.len()).map(|i| self.value(i))
     }
-
-    /// For a string column, each code's rank among the dictionary's
-    /// strings in order (the images [`image`](Self::image) gives them);
-    /// empty for any other column.
-    pub(crate) fn code_ranks(&self) -> Vec<u64> {
-        if self.ty() != ValueType::Str {
-            return Vec::new();
-        }
-        let d = self.dict.strings();
-        let mut order: Vec<u32> = (0..d.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| d[a as usize].cmp(&d[b as usize]));
-        let mut ranks = vec![0; order.len()];
-        for (rank, &code) in order.iter().enumerate() {
-            ranks[code as usize] = rank as u64;
-        }
-        ranks
-    }
-
-    /// [`Typed::image`] of slot `i`; `ranks` is [`code_ranks`](Self::code_ranks).
-    pub(crate) fn image(&self, i: usize, ranks: &[u64]) -> u64 {
-        self.vals.image(i, ranks)
-    }
-
-    /// The numeric projection (`Value::as_f64`) of each value at `slots`
-    /// that is not NULL, in order, and the number of NULLs among them:
-    /// the input of a column's statistics.
-    pub(crate) fn positions(&self, slots: &[usize]) -> (Vec<f64>, usize) {
-        fn of(slots: &[usize], nulls: &Bits, f: impl Fn(usize) -> f64) -> Vec<f64> {
-            let mut out = Vec::with_capacity(slots.len());
-            out.extend(slots.iter().filter(|&&i| !nulls.get(i)).map(|&i| f(i)));
-            out
-        }
-        let nulls = &self.vals.nulls;
-        let out = match &self.vals.data {
-            Data::Int(v) => of(slots, nulls, |i| v[i] as f64),
-            Data::Float(v) => of(slots, nulls, |i| v[i]),
-            Data::Date(v) => of(slots, nulls, |i| f64::from(v[i])),
-            Data::Bool(v) => of(slots, nulls, |i| f64::from(u8::from(v.get(i)))),
-            Data::Str(v) => {
-                let strings = self.dict.strings();
-                let of_code: Vec<f64> = strings.iter().map(|s| str_position(s)).collect();
-                of(slots, nulls, |i| of_code[v[i] as usize])
-            }
-        };
-        let nulls = slots.len() - out.len();
-        (out, nulls)
-    }
-
-    /// `column op rhs`, compiled against this column's type.
-    pub(crate) fn filter(&self, op: CmpOp, rhs: &Value) -> Filter<'_> {
-        Filter {
-            vals: &self.vals,
-            test: Test::new(self.ty(), &self.dict, op, rhs),
-        }
-    }
-}
-
-/// What the words of a run mean ([`Typed::word_kind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WordKind {
-    Int,
-    Float,
-    Date,
-    Bool,
-    /// Dictionary codes below the given count.
-    Code(usize),
 }
 
 /// `f64` (not NaN) to a `u64` of the same order; `-0.0` equals `0.0`.
@@ -785,25 +744,6 @@ fn float_image(f: f64) -> u64 {
         !bits
     } else {
         bits | 1 << 63
-    }
-}
-
-/// A [`Test`] bound to one heap column ([`Column::filter`]).
-pub(crate) struct Filter<'c> {
-    vals: &'c Typed,
-    test: Test,
-}
-
-impl Filter<'_> {
-    /// Whether the predicate holds on slot `i`.
-    pub(crate) fn test(&self, i: usize) -> bool {
-        self.test.holds(self.vals, i)
-    }
-
-    /// Where the predicate holds among slots `64 w .. 64 w + 64`: bit `i`
-    /// for slot `64 w + i`, zero past the column's end.
-    pub(crate) fn word(&self, w: usize) -> u64 {
-        self.test.word(self.vals, w)
     }
 }
 
@@ -929,6 +869,7 @@ impl Test {
 
     /// Where the predicate holds among slots `64 w .. 64 w + 64` of
     /// `vals`: bit `i` for slot `64 w + i`, zero past the run's end.
+    #[inline]
     pub(crate) fn word(&self, vals: &Typed, w: usize) -> u64 {
         let (lo, hi) = (w * 64, (w * 64 + 64).min(vals.len()));
         let nulls = vals.nulls.word(w);
@@ -957,6 +898,50 @@ impl Test {
         hits & !nulls
     }
 }
+
+/// The positions in `range` on which every test of `tests` holds — a
+/// `(slot, test)` pair tests run `runs[slot]` — and, given a `live` mask,
+/// whose bit is set, rising: the rows of one stretch of a heap or of a
+/// leaf. Each test runs over its typed run 64 positions at a time, the
+/// later ones only on words where some position survives the earlier.
+pub(crate) fn select(
+    runs: &[Typed],
+    tests: &[(usize, Test)],
+    range: Range<usize>,
+    live: Option<&Bits>,
+    mut emit: impl FnMut(usize),
+) {
+    if tests.is_empty() && live.is_none() {
+        return range.for_each(emit);
+    }
+    let (first, end) = (range.start / 64, range.end.div_ceil(64));
+    // The first test outside the slice, so that its dispatch on type and
+    // operator can leave the loop.
+    let (head, rest) = match tests.split_first() {
+        Some(((s, t), rest)) => (Some((&runs[*s], t)), rest),
+        None => (None, tests),
+    };
+    for w in first..end {
+        let mut hits = live.map_or(u64::MAX, |live| live.word(w));
+        if let Some((run, t)) = head {
+            hits &= t.word(run, w);
+        }
+        if w == first {
+            hits &= u64::MAX << (range.start % 64);
+        }
+        if w + 1 == end && !range.end.is_multiple_of(64) {
+            hits &= (1 << (range.end % 64)) - 1;
+        }
+        for (s, t) in rest {
+            if hits == 0 {
+                break;
+            }
+            hits &= t.word(&runs[*s], w);
+        }
+        set_bits(hits).for_each(|b| emit(w * 64 + b));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1042,12 +1027,12 @@ mod tests {
         for (col, vals) in &columns() {
             for rhs in operands() {
                 for op in OPS {
-                    let f = col.filter(op, &rhs);
+                    let t = Test::new(col.ty(), &col.dict, op, &rhs);
                     let want: Vec<bool> = vals.iter().map(|v| op.eval(v, &rhs)).collect();
                     for (i, &w) in want.iter().enumerate() {
-                        assert_eq!(f.test(i), w, "{:?} {op} {rhs:?}", vals[i]);
+                        assert_eq!(t.holds(&col.vals, i), w, "{:?} {op} {rhs:?}", vals[i]);
                     }
-                    for w in 0..col.vals.nulls.n_words() {
+                    for w in 0..vals.len().div_ceil(64) {
                         let bits: u64 = want
                             .iter()
                             .enumerate()
@@ -1056,7 +1041,7 @@ mod tests {
                             .filter(|(_, &hit)| hit)
                             .fold(0, |m, (i, _)| m | 1 << (i % 64));
                         assert_eq!(
-                            f.word(w),
+                            t.word(&col.vals, w),
                             bits,
                             "word {w}: {op} {rhs:?} on {:?}",
                             col.vals.data
@@ -1072,11 +1057,11 @@ mod tests {
     #[test]
     fn words_and_images_follow_value_order() {
         for (col, vals) in columns() {
-            let ranks = col.code_ranks();
+            let ranks = col.dict.ranks();
             for (i, a) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
                 for (j, b) in vals.iter().enumerate().filter(|(_, v)| !v.is_null()) {
                     assert_eq!(col.vals.word(i) == col.vals.word(j), a == b, "{a:?} {b:?}");
-                    let (x, y) = (col.image(i, &ranks), col.image(j, &ranks));
+                    let (x, y) = (col.vals.image(i, &ranks), col.vals.image(j, &ranks));
                     assert_eq!(x.cmp(&y), a.cmp(b), "{a:?} {b:?}");
                 }
             }
@@ -1114,6 +1099,75 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The one selection kernel against a filter that tests each position
+    /// alone: over runs of every type (NULLs among them, and an all-NULL
+    /// run of each), a range that may start and end inside a word or
+    /// cover none, with and without a live mask, and none to three tests
+    /// of any operator and operand, each on any run. Salted with
+    /// `CHAOS_SEED`.
+    #[test]
+    fn select_equals_a_filter_by_position() {
+        use proptest::prelude::*;
+        const LEN: usize = 150;
+        let mut runs = Vec::new();
+        let mut dicts = Vec::new();
+        for ty in TYPES {
+            let fits = |v: &Value| v.value_type() == Some(ty) && ty.fit(v.clone()).is_ok();
+            let mut vals: Vec<Value> = operands().into_iter().filter(fits).collect();
+            vals.push(Value::Null);
+            for all_null in [false, true] {
+                let mut col = Column::of_type(ty, LEN);
+                for i in 0..LEN {
+                    let v = if all_null {
+                        Value::Null
+                    } else {
+                        vals[i * 7 % vals.len()].clone()
+                    };
+                    col.push(v);
+                }
+                let (run, dict) = col.into_parts();
+                runs.push(run);
+                dicts.push(dict);
+            }
+        }
+        let (operands, seed) = (operands(), std::env::var("CHAOS_SEED").unwrap_or_default());
+        proptest::run_prop_test(
+            &format!("select_equals_a_filter_by_position/{seed}"),
+            &ProptestConfig::with_cases(512),
+            (0..=LEN, 0..=LEN, 0usize..4, any::<u64>()),
+            |(a, b, n, salt)| {
+                let mut x = salt | 1;
+                let mut next = move || {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as usize
+                };
+                let range = a.min(b)..a.max(b);
+                let tests: Vec<(usize, Test)> = (0..n)
+                    .map(|_| {
+                        let s = next() % runs.len();
+                        let (op, rhs) = (OPS[next() % 6], &operands[next() % operands.len()]);
+                        (s, Test::new(runs[s].ty(), &dicts[s], op, rhs))
+                    })
+                    .collect();
+                let mut live = Bits::default();
+                (0..LEN).for_each(|_| live.push(next() % 3 > 0));
+                for mask in [None, Some(&live)] {
+                    let mut got = Vec::new();
+                    select(&runs, &tests, range.clone(), mask, |i| got.push(i));
+                    let want: Vec<usize> = (range.clone())
+                        .filter(|&i| mask.is_none_or(|l| l.get(i)))
+                        .filter(|&i| tests.iter().all(|(s, t)| t.holds(&runs[*s], i)))
+                        .collect();
+                    let masked = mask.is_some();
+                    prop_assert!(got == want, "{range:?}, mask {masked}: {got:?} != {want:?}");
+                }
+                Ok(())
+            },
+        );
     }
 
     /// Bit vectors against a `Vec<bool>` model: inserts and removes at

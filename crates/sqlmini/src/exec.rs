@@ -9,44 +9,43 @@
 //! only where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
 //!
-//! # Borrowed rows, typed columns and leaves
+//! # One row layout
 //!
 //! The control plane consumes these counts and never a result set, so the
-//! pipeline copies nothing it does not have to. An access path hands each
-//! qualifying row on as a `RowView`: a heap and a row id, or a covering
-//! index entry as its leaf's run and a position in it. Tables and index
-//! leaves are stored by typed column ([`crate::column`],
-//! [`crate::btree`]), and the hot operators work on those runs, not on
-//! `Value`s:
+//! pipeline copies nothing it does not have to. A heap and a B+tree leaf
+//! keep rows alike ([`crate::heap`], [`crate::btree`]): a slice of typed
+//! runs ([`crate::column`]), one per column, beside one dictionary per
+//! column. An access path hands each qualifying row on as a `RowView`, a
+//! slice of runs and a position — a heap's columns and the row's slot, or
+//! a covering leaf's runs and the entry's place in the leaf — and builds
+//! once, for all its rows, the `Layout` that says which run holds which
+//! column and each run's type and dictionary. No operator asks which
+//! storage a row came from; the hot ones read the runs, not `Value`s:
 //!
-//! - A residual predicate is compiled once per access against its
-//!   column's representation — a heap column's, or a covering index
-//!   column's, which every leaf shares. A sequential scan evaluates its
-//!   first predicate 64 slots at a time over the typed slice, masks the
-//!   result with the live bits, and tests the other predicates only on
-//!   the slots that survive; a covering access does the same over each
-//!   leaf's runs, masked to the stretch the seek handed on.
-//! - The count sink counts distinct GROUP BY keys of one column by their
-//!   words (`Typed::word`), read from the heap column or from each row's
-//!   leaf run: a bit per dictionary code for a string column, a set of
-//!   64-bit words for the others.
+//! - The residual predicates are compiled once per access against the
+//!   layout's runs. One kernel, `column::select`, runs them over a
+//!   stretch of rows 64 at a time — a heap's slots masked with its live
+//!   bits, or the positions of a leaf a seek handed on — testing the
+//!   later predicates only on words where some row survives.
+//! - The count sink counts distinct GROUP BY keys by their words
+//!   (`Typed::word`) read from the group runs: for one column, a bit per
+//!   dictionary code for a string and a set of 64-bit words otherwise;
+//!   for several, a set of rows hashed and compared by their words.
 //! - The hash join keys its build side by words when both key columns
-//!   are of one kind of word, each on a heap or a covering leaf; its
-//!   table chains each key's rows in arrival order, so a key costs no
-//!   allocation of its own.
+//!   are of one type other than a string; its table chains each key's
+//!   rows in arrival order, so a key costs no allocation of its own.
 //!
 //! The kernels reproduce `Value`'s order and equality exactly (`Int`
 //! against `Float` numerically, `-0.0` equal to `0.0`, a NaN operand
-//! equal to every number, variants of different types by rank); what
-//! they do not cover — a GROUP BY of more than one column, join keys of
-//! two kinds or two dictionaries, ORDER BY and the rows sink — goes
-//! through the per-value path, which reads each value as a `Value` built
-//! from its heap column or leaf run.
-//! Storage is only borrowed shared for the whole statement, so a view
-//! stays valid until the sink. The executor's temporary hash tables
-//! (group keys, the join's build side) hash a word at a time with a
-//! multiply, not with SipHash: they live for one statement and nothing
-//! reads them in hash order.
+//! equal to every number, variants of different types by rank); join
+//! keys of two types or two dictionaries, the index nested-loop join's
+//! seek keys, ORDER BY and the rows sink read each value as a `Value`
+//! built from its run and the layout's dictionary. Storage is only
+//! borrowed shared for the whole statement, so a view stays valid until
+//! the sink. The executor's temporary hash tables (group keys, the
+//! join's build side) hash a word at a time with a multiply, not with
+//! SipHash: they live for one statement and nothing reads them in hash
+//! order.
 //!
 //! # The write rule
 //!
@@ -65,9 +64,9 @@
 //!
 //! - The **count sink** (no `out`: every `Database::execute`, so all
 //!   workload and control-plane traffic) keeps the number of rows and,
-//!   under GROUP BY, a set of distinct group keys — borrowed rows,
-//!   hashed and compared by their group values, probed only when a row's
-//!   key differs from the previous row's. It evaluates no aggregate,
+//!   under GROUP BY, a set of distinct group keys — words, or borrowed
+//!   rows hashed and compared by their group words, probed only when a
+//!   row's key differs from the previous row's. It evaluates no aggregate,
 //!   sorts nothing and projects nothing.
 //! - The **rows sink** (`Database::query`, for tests and the SQL API)
 //!   keeps the row views, then aggregates, sorts, applies `LIMIT` and
@@ -87,16 +86,18 @@
 //! aggregation, sort and output from the two numbers each sink knows:
 //! the rows that reached it and the groups they formed.
 
-use crate::btree::{Entries, Run};
+use crate::btree::Entries;
 use crate::catalog::Catalog;
-use crate::column::{set_bits, word_kind, Filter, Test, Typed, WordKind};
+use crate::column::{select, Dict, Test, Typed};
 use crate::heap::{Heap, RowId};
 use crate::index::{ColBound, SecondaryIndex};
 use crate::optimizer::{
     sort_cpu, CPU_PER_HASH_OP, CPU_PER_OUTPUT_ROW, CPU_PER_PAGE, CPU_PER_PRED, CPU_PER_ROW,
     CPU_PER_WRITE_PAGE,
 };
-use crate::plan::{Access, AggStrategy, DmlPlan, JoinStrategy, Plan, RangeBound, SelectPlan};
+use crate::plan::{
+    Access, AggStrategy, DmlPlan, IndexRef, JoinStrategy, Plan, RangeBound, SelectPlan,
+};
 use crate::query::{AggFunc, CmpOp, Predicate, Scalar, SelectQuery, Statement};
 use crate::schema::{ColumnId, IndexId, TableDef, TableId};
 use crate::types::{Row, Value, ValueType};
@@ -194,129 +195,121 @@ pub struct ExecContext<'a> {
 }
 
 /// One input row as the operators see it, borrowed from storage for the
-/// length of the statement (`'c`): a heap row, read from the heap's
-/// columns at its slot, or a covering index entry, read from its leaf's
-/// runs at its position (key columns, then included columns).
+/// length of the statement (`'c`): the typed runs of its layout and its
+/// position in them — a heap's columns and the row's slot, or a covering
+/// index leaf's runs (key columns, then included columns) and the entry's
+/// place in the leaf. Which column is in which run is the [`Layout`] of
+/// the access that produced the row.
 #[derive(Clone, Copy)]
-enum RowView<'c> {
-    Heap {
-        heap: &'c Heap,
-        rid: RowId,
-    },
-    Leaf {
-        ix: &'c SecondaryIndex,
-        run: &'c Run,
-        pos: u32,
-    },
+struct RowView<'c> {
+    runs: &'c [Typed],
+    pos: usize,
 }
 
-impl<'c> RowView<'c> {
-    /// The value of column `c`, its [`slot`] found anew: for the rows
-    /// sink's projection and sort. The per-value paths bind slots once
-    /// per access and read with [`at`](Self::at).
-    fn col(self, c: ColumnId) -> Value {
-        let leaf = match self {
-            RowView::Heap { .. } => None,
-            RowView::Leaf { ix, .. } => Some(ix),
-        };
-        self.at(slot(leaf, c))
-    }
-
-    /// The value at `slot`, built from the heap's column or the leaf's
-    /// run; NULL for a column a leaf lacks.
-    fn at(self, slot: usize) -> Value {
-        match self {
-            RowView::Heap { heap, rid } => heap.value(rid, slot),
-            RowView::Leaf { ix, run, pos } if slot < run.width() => {
-                run.col(slot).value(pos as usize, ix.tree().dict(slot))
-            }
-            RowView::Leaf { .. } => Value::Null,
-        }
-    }
-}
-
-/// Where the rows of one access keep the values of one column that has
-/// words ([`Typed::word`]): the heap's column, found once, or a slot of
-/// the covering leaves, read from each row's run.
-#[derive(Clone, Copy)]
-enum WordAt<'c> {
-    Heap(&'c Typed),
-    Leaf(usize),
-}
-
-impl<'c> WordAt<'c> {
-    /// The column at `slot` of the rows of `table` laid out as `leaf`
-    /// says, and the kind of its words; `None` for a column the leaf
-    /// lacks.
-    fn new(
-        ctx: &'c ExecContext<'_>,
-        table: TableId,
-        leaf: Option<&'c SecondaryIndex>,
-        slot: usize,
-    ) -> Option<(WordAt<'c>, WordKind)> {
-        match leaf {
-            Some(ix) if slot < ix.tree().width() => {
-                let kind = word_kind(ix.tree().ty(slot), ix.tree().dict(slot));
-                Some((WordAt::Leaf(slot), kind))
-            }
-            Some(_) => None,
-            None => {
-                let (vals, dict) = ctx.heaps.get(&table)?.column(slot).parts();
-                Some((WordAt::Heap(vals), vals.word_kind(dict)))
-            }
-        }
-    }
-
-    /// The word of `row`'s value, `None` for NULL. The arms stay apart,
-    /// so that over a heap the column is loop-invariant.
+impl RowView<'_> {
+    /// The word ([`Typed::word`]) of the value in run `s`, `None` for
+    /// NULL.
     #[inline]
-    fn of(self, row: RowView) -> Option<u64> {
-        let word = |vals: &Typed, i: usize| (!vals.is_null(i)).then(|| vals.word(i));
-        match self {
-            WordAt::Heap(vals) => {
-                let RowView::Heap { rid, .. } = row else {
-                    unreachable!("a leaf row of a heap access")
-                };
-                word(vals, rid.0 as usize)
-            }
-            WordAt::Leaf(s) => {
-                let RowView::Leaf { run, pos, .. } = row else {
-                    unreachable!("a heap row of a covering access")
-                };
-                word(run.col(s), pos as usize)
-            }
-        }
+    fn word(self, s: usize) -> Option<u64> {
+        let run = &self.runs[s];
+        (!run.is_null(self.pos)).then(|| run.word(self.pos))
+    }
+
+    /// Whether every test of `tests` (compiled by [`Layout::compile`])
+    /// holds on the row.
+    fn keeps(self, tests: &[(usize, Test)]) -> bool {
+        tests.iter().all(|(s, t)| t.holds(&self.runs[*s], self.pos))
     }
 }
 
-/// Where column `c` sits in a row view: its own column of a heap (`leaf`
-/// is `None`), its position among the key-then-included columns of a
-/// covering leaf. A column the leaf lacks reads as NULL.
-fn slot(leaf: Option<&SecondaryIndex>, c: ColumnId) -> usize {
-    let Some(ix) = leaf else {
-        return c.0 as usize;
-    };
-    ix.def
-        .leaf_columns()
-        .position(|k| k == c)
-        .unwrap_or_else(|| {
-            // The planner marks an access covering only when the leaf
-            // carries every column the plan reads from it.
-            debug_assert!(false, "covering read of {c} not in '{}'", ix.def.name);
-            usize::MAX
-        })
+/// How the rows of one access lay out the table's columns: the run each
+/// column is in, and each run's type and dictionary. A heap keeps column
+/// `c` in run `c`; a covering index, in its place among the leaf's key
+/// columns, then included columns.
+struct Layout<'c> {
+    /// The table's heap, which a non-covering access fetches rows from.
+    heap: &'c Heap,
+    /// Each column's run, by `ColumnId`; `None` for a column the rows
+    /// lack.
+    slots: &'c [Option<usize>],
+    /// A run of each slot's type (the heap's own, or a tree's empty
+    /// ones), read for its type.
+    typed: &'c [Typed],
+    dicts: &'c [Dict],
 }
 
-/// The [`slot`] of each of `cols` in rows laid out as `leaf` says.
-fn slots(leaf: Option<&SecondaryIndex>, cols: &[ColumnId]) -> Vec<usize> {
-    cols.iter().map(|&c| slot(leaf, c)).collect()
+impl<'c> Layout<'c> {
+    /// The layout of `heap`'s rows, or of the entries of `leaf` when the
+    /// access is covering.
+    fn new(heap: &'c Heap, leaf: Option<&'c SecondaryIndex>) -> Layout<'c> {
+        let ((typed, dicts), slots) = match leaf {
+            None => (heap.columns(), &heap.slots[..]),
+            Some(ix) => ((ix.tree().types(), ix.tree().dicts()), &ix.slots[..]),
+        };
+        Layout {
+            heap,
+            slots,
+            typed,
+            dicts,
+        }
+    }
+
+    /// The type of run `s`.
+    fn ty(&self, s: usize) -> ValueType {
+        self.typed[s].ty()
+    }
+
+    /// The run column `c` is in.
+    fn slot(&self, c: ColumnId) -> usize {
+        // The planner marks an access covering only when the leaf carries
+        // every column the plan reads from it.
+        let slot = self.slots.get(c.0 as usize).copied().flatten();
+        slot.unwrap_or_else(|| panic!("a covering read of {c}, which the index lacks"))
+    }
+
+    fn slots(&self, cols: &[ColumnId]) -> Vec<usize> {
+        cols.iter().map(|&c| self.slot(c)).collect()
+    }
+
+    /// The value in run `s` of `row`.
+    fn at(&self, row: RowView, s: usize) -> Value {
+        row.runs[s].value(row.pos, &self.dicts[s])
+    }
+
+    /// The value of column `c` in `row`.
+    fn value(&self, row: RowView, c: ColumnId) -> Value {
+        self.at(row, self.slot(c))
+    }
+
+    /// `preds` under `params`, compiled against the runs they read: each
+    /// test beside its run.
+    fn compile<'q>(
+        &self,
+        preds: impl IntoIterator<Item = &'q Predicate>,
+        params: &'q [Value],
+    ) -> Vec<(usize, Test)> {
+        let test = |p: &Predicate| {
+            let s = self.slot(p.column);
+            let rhs = p.value.resolve(params);
+            (s, Test::new(self.ty(s), &self.dicts[s], p.op, rhs))
+        };
+        preds.into_iter().map(test).collect()
+    }
 }
 
-/// The layout of the rows `access` emits: its index's leaf when the
-/// access is covering, the heap's otherwise (`None`). A missing index
-/// reads as the heap's; `run_access` then fails before any row flows.
-fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c SecondaryIndex> {
-    match access {
+/// The layout of the rows `access` emits from `table` ([`Layout::new`]),
+/// or the error that fails the statement where the table's heap or a
+/// covering access's index is not there.
+fn layout<'c>(
+    ctx: &'c ExecContext<'_>,
+    table: TableId,
+    access: &Access,
+) -> Result<Layout<'c>, ExecError> {
+    let heap = ctx
+        .heaps
+        .get(&table)
+        .ok_or(ExecError::UnknownTable(table))?;
+    let leaf = match access {
         Access::IndexSeek {
             index,
             covering: true,
@@ -325,9 +318,21 @@ fn leaf_of<'c>(ctx: &'c ExecContext<'_>, access: &Access) -> Option<&'c Secondar
         | Access::IndexScan {
             index,
             covering: true,
-        } => ctx.indexes.get(&index.real_id()?),
+        } => Some(find_index(ctx, index)?),
         _ => None,
-    }
+    };
+    Ok(Layout::new(heap, leaf))
+}
+
+/// The materialized index `index` names.
+fn find_index<'c>(
+    ctx: &'c ExecContext<'_>,
+    index: &IndexRef,
+) -> Result<&'c SecondaryIndex, ExecError> {
+    let id = index.real_id().ok_or(ExecError::HypotheticalPlan)?;
+    ctx.indexes
+        .get(&id)
+        .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))
 }
 
 /// The hasher of the executor's temporary hash tables (the count sink's
@@ -403,94 +408,6 @@ fn resolve_bound(b: &Option<RangeBound>, params: &[Value], is_lo: bool) -> ColBo
     }
 }
 
-/// Predicates bound to the rows of one access.
-enum Filters<'c> {
-    /// Compiled against the heap's columns, tested by slot.
-    Heap(Vec<Filter<'c>>),
-    /// Compiled against the runs of a covering index's leaf columns: each
-    /// test and the leaf slot it reads.
-    Leaf(Vec<(usize, Test)>),
-}
-
-/// Bind `preds` under `params` to the rows of `heap` (`leaf` is `None`)
-/// or to the leaves of `leaf` ([`slot`]).
-fn bind<'c, 'q>(
-    preds: impl IntoIterator<Item = &'q Predicate>,
-    params: &'q [Value],
-    leaf: Option<&SecondaryIndex>,
-    heap: &'c Heap,
-) -> Filters<'c> {
-    let preds = preds.into_iter();
-    let Some(ix) = leaf else {
-        return Filters::Heap(compile(preds, params, heap));
-    };
-    let tree = ix.tree();
-    Filters::Leaf(
-        preds
-            .filter_map(|p| {
-                let (s, rhs) = (slot(leaf, p.column), p.value.resolve(params));
-                if s >= tree.width() {
-                    // A column the leaf lacks reads NULL: the predicate
-                    // holds everywhere or nowhere.
-                    return (!p.op.eval(&Value::Null, rhs)).then_some((0, Test::Never));
-                }
-                Some((s, Test::new(tree.ty(s), tree.dict(s), p.op, rhs)))
-            })
-            .collect(),
-    )
-}
-
-/// `preds` under `params`, compiled against the columns of `heap`.
-fn compile<'c, 'q>(
-    preds: impl IntoIterator<Item = &'q Predicate>,
-    params: &'q [Value],
-    heap: &'c Heap,
-) -> Vec<Filter<'c>> {
-    let column = |p: &Predicate| heap.column(p.column.0 as usize);
-    let filter = |p: &'q Predicate| column(p).filter(p.op, p.value.resolve(params));
-    preds.into_iter().map(filter).collect()
-}
-
-impl Filters<'_> {
-    /// Whether `row` satisfies every predicate.
-    fn keeps(&self, row: RowView) -> bool {
-        match (self, row) {
-            (Filters::Heap(f), RowView::Heap { rid, .. }) => {
-                f.iter().all(|f| f.test(rid.0 as usize))
-            }
-            (Filters::Leaf(t), RowView::Leaf { run, pos, .. }) => {
-                (t.iter()).all(|(s, t)| t.holds(run.col(*s), pos as usize))
-            }
-            (Filters::Heap(f), RowView::Leaf { .. }) => f.is_empty(),
-            (Filters::Leaf(t), RowView::Heap { .. }) => t.is_empty(),
-        }
-    }
-}
-
-/// The positions of `found` on which every test of `tests` (compiled
-/// against the leaf's runs) holds, rising: the tests run over a leaf's
-/// typed runs 64 positions at a time, the later ones only on words where
-/// some position survives the earlier.
-fn select_leaf(tests: &[(usize, Test)], found: &Entries, mut emit: impl FnMut(usize)) {
-    let (run, range) = (found.run(), found.positions());
-    if range.is_empty() {
-        return;
-    }
-    for w in range.start / 64..=(range.end - 1) / 64 {
-        let lo = w * 64;
-        let (a, b) = (range.start.max(lo) - lo, range.end.min(lo + 64) - lo);
-        let below_b = if b == 64 { u64::MAX } else { (1 << b) - 1 };
-        let mut hits = below_b & !((1u64 << a) - 1);
-        for (s, t) in tests {
-            if hits == 0 {
-                break;
-            }
-            hits &= t.word(run.col(*s), w);
-        }
-        set_bits(hits).for_each(|b| emit(lo + b));
-    }
-}
-
 /// The residual predicates of one access path — `preds[i]` for each `i`
 /// in `which` — and the parameter binding they are evaluated under.
 #[derive(Clone, Copy)]
@@ -501,12 +418,9 @@ struct Residual<'q> {
 }
 
 impl<'q> Residual<'q> {
-    fn preds(self) -> impl Iterator<Item = &'q Predicate> {
-        self.which.iter().map(move |&i| &self.preds[i])
-    }
-
-    fn bind<'c>(self, leaf: Option<&SecondaryIndex>, heap: &'c Heap) -> Filters<'c> {
-        bind(self.preds(), self.params, leaf, heap)
+    /// The predicates, compiled against the runs of `layout`.
+    fn compile(self, layout: &Layout) -> Vec<(usize, Test)> {
+        layout.compile(self.which.iter().map(|&i| &self.preds[i]), self.params)
     }
 
     /// Charge the evaluation of every residual predicate on `rows` rows.
@@ -518,34 +432,30 @@ impl<'q> Residual<'q> {
 }
 
 /// Run an access path, apply the plan's residual predicates, and hand
-/// every surviving row to `emit` as a view: a heap row (sequential scan,
-/// or bookmark lookup behind a non-covering index) or the index leaf
-/// itself when the access is covering.
+/// every surviving row to `emit` as a view laid out as `layout` says
+/// ([`layout`]): a heap row (sequential scan, or bookmark lookup behind a
+/// non-covering index) or the index leaf itself when the access is
+/// covering. The predicates run over the typed runs a word of rows at a
+/// time ([`select`]).
 fn run_access<'c>(
     ctx: &'c ExecContext<'_>,
-    table: TableId,
     access: &Access,
+    layout: &Layout<'c>,
     residual: Residual,
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) -> Result<(), ExecError> {
-    let heap = ctx
-        .heaps
-        .get(&table)
-        .ok_or(ExecError::UnknownTable(table))?;
+    let heap = layout.heap;
+    let tests = residual.compile(layout);
     let (index, covering) = match access {
         Access::SeqScan => {
             m.add_pages_read(heap.page_count());
             m.add_rows_examined(heap.len() as u64);
             residual.charge(m, heap.len() as u64);
-            // Each predicate runs over its typed column a word of slots
-            // at a time; the others only on words the first leaves some.
-            let filter = compile(residual.preds(), residual.params, heap);
-            let view = |rid| RowView::Heap { heap, rid };
-            match filter.split_first() {
-                None => heap.live_ids().for_each(|rid| emit(rid, view(rid))),
-                Some((first, rest)) => heap.select(first, rest, |rid| emit(rid, view(rid))),
-            }
+            let (runs, live) = (heap.columns().0, heap.live());
+            select(runs, &tests, 0..live.len(), Some(live), |pos| {
+                emit(RowId(pos as u64), RowView { runs, pos })
+            });
             return Ok(());
         }
         Access::IndexSeek {
@@ -553,30 +463,16 @@ fn run_access<'c>(
         }
         | Access::IndexScan { index, covering } => (index, *covering),
     };
-    let id = index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-    let ix = ctx
-        .indexes
-        .get(&id)
-        .ok_or_else(|| ExecError::MissingIndex(index.name().to_string()))?;
-    let filter = if covering {
-        residual.bind(Some(ix), heap)
-    } else {
-        Filters::Leaf(Vec::new())
-    };
+    let ix = find_index(ctx, index)?;
     let mut rids: Vec<RowId> = Vec::new();
     let mut visit = |found: Entries<'c>| {
-        let run = found.run();
-        let view = |i: usize| RowView::Leaf {
-            ix,
-            run,
-            pos: i as u32,
-        };
-        match &filter {
-            _ if !covering => rids.extend(found.positions().map(|i| run.rid(i))),
-            Filters::Leaf(tests) if !tests.is_empty() => {
-                select_leaf(tests, &found, |i| emit(run.rid(i), view(i)))
-            }
-            _ => found.positions().for_each(|i| emit(run.rid(i), view(i))),
+        if covering {
+            let runs = found.runs();
+            select(runs, &tests, found.positions(), None, |pos| {
+                emit(found.rid(pos), RowView { runs, pos })
+            });
+        } else {
+            rids.extend(found.positions().map(|i| found.rid(i)));
         }
     };
     let (n, pages) = match access {
@@ -597,46 +493,53 @@ fn run_access<'c>(
     if covering {
         residual.charge(m, n);
     } else {
-        fetch_and_filter(heap, &rids, residual, m, emit);
+        fetch_and_filter(heap, &rids, &tests, residual, m, emit);
     }
     Ok(())
 }
 
 /// Bookmark-lookup the given row ids (one page each) and emit the rows
-/// that pass the residual predicates.
+/// on which `tests` (compiled against the heap's layout) hold.
 fn fetch_and_filter<'c>(
     heap: &'c Heap,
     rids: &[RowId],
+    tests: &[(usize, Test)],
     residual: Residual,
     m: &mut ActualMetrics,
     mut emit: impl FnMut(RowId, RowView<'c>),
 ) {
-    let filter = compile(residual.preds(), residual.params, heap);
+    let runs = heap.columns().0;
     let mut fetched = 0u64;
     for &rid in rids {
         m.add_pages_read(1);
         if heap.is_live(rid) {
             fetched += 1;
-            if filter.iter().all(|f| f.test(rid.0 as usize)) {
-                emit(rid, RowView::Heap { heap, rid });
+            let row = RowView {
+                runs,
+                pos: rid.0 as usize,
+            };
+            if row.keeps(tests) {
+                emit(rid, row);
             }
         }
     }
     residual.charge(m, fetched);
 }
 
-/// Run a SELECT plan's access path and join, handing every result pair
-/// (outer row, inner row) to `sink` — the inner row is `None` without a
-/// join. Charges the access and the join; what the sink does is charged
-/// by [`charge_output`].
+/// Run a SELECT plan's access path, whose rows are laid out as `outer`
+/// says, and its join, handing every result pair (outer row, inner row)
+/// to `sink` — the inner row is `None` without a join. Charges the access
+/// and the join, and returns the layout of the inner rows, if there were
+/// any; what the sink does is charged by [`charge_output`].
 fn produce<'c>(
     ctx: &'c ExecContext<'_>,
     q: &SelectQuery,
     plan: &SelectPlan,
     params: &[Value],
+    outer: &Layout<'c>,
     m: &mut ActualMetrics,
     mut sink: impl FnMut(RowView<'c>, Option<RowView<'c>>),
-) -> Result<(), ExecError> {
+) -> Result<Option<Layout<'c>>, ExecError> {
     let residual = Residual {
         preds: &q.predicates,
         which: &plan.residual,
@@ -644,112 +547,103 @@ fn produce<'c>(
     };
     let (jspec, jplan) = match (&q.join, &plan.join) {
         (None, _) => {
-            return run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
-                sink(v, None)
-            })
+            run_access(ctx, &plan.access, outer, residual, m, |_, v| sink(v, None))?;
+            return Ok(None);
         }
         (Some(_), None) => return Err(ExecError::PlanShape("join query without a join plan")),
         (Some(jspec), Some(jplan)) => (jspec, jplan),
     };
     let mut outers: Vec<RowView> = Vec::new();
-    run_access(ctx, q.table, &plan.access, residual, m, |_, v| {
-        outers.push(v)
-    })?;
-    let outer_leaf = leaf_of(ctx, &plan.access);
-    let outer_key = slot(outer_leaf, jspec.outer_col);
+    run_access(ctx, &plan.access, outer, residual, m, |_, v| outers.push(v))?;
+    let outer_key = outer.slot(jspec.outer_col);
     match &jplan.strategy {
         JoinStrategy::Hash { inner_access } => {
-            let inner_leaf = leaf_of(ctx, inner_access);
-            let inner_key = slot(inner_leaf, jspec.inner_col);
+            let layout = layout(ctx, jspec.table, inner_access)?;
+            let inner_key = layout.slot(jspec.inner_col);
             let residual = Residual {
                 preds: &jspec.predicates,
                 which: &jplan.residual,
                 params,
             };
             let inner = Inner {
-                table: jspec.table,
                 access: inner_access,
+                layout: &layout,
                 residual,
             };
-            // Typed words when both keys are columns of one kind of word,
-            // on a heap or a covering leaf; a dictionary code means
-            // nothing in another column.
-            let words = (
-                WordAt::new(ctx, q.table, outer_leaf, outer_key),
-                WordAt::new(ctx, jspec.table, inner_leaf, inner_key),
-            );
-            match words {
-                (Some((o, a)), Some((i, b))) if a == b && !matches!(a, WordKind::Code(_)) => {
-                    hash_join(ctx, inner, m, outers, |v| i.of(v), |v| o.of(v), sink)?;
-                }
-                _ => {
-                    let inner_key = |v: RowView| v.at(inner_key);
-                    hash_join(ctx, inner, m, outers, inner_key, |v| v.at(outer_key), sink)?;
-                }
+            // Typed words when both keys are columns of one type, other
+            // than a string: a dictionary code means nothing in another
+            // column.
+            let ty = outer.ty(outer_key);
+            if ty == layout.ty(inner_key) && ty != ValueType::Str {
+                let (i, o) = (
+                    |v: RowView| v.word(inner_key),
+                    |v: RowView| v.word(outer_key),
+                );
+                hash_join(ctx, inner, m, outers, i, o, sink)?;
+            } else {
+                let inner_value = |v| layout.at(v, inner_key);
+                let outer_value = |v| outer.at(v, outer_key);
+                hash_join(ctx, inner, m, outers, inner_value, outer_value, sink)?;
             }
+            Ok(Some(layout))
         }
         JoinStrategy::IndexNestedLoop {
             inner_index,
             covering,
         } => {
             let id = inner_index.real_id().ok_or(ExecError::HypotheticalPlan)?;
-            // A missing index fails the statement at its first outer row,
-            // not before: with no outer row there is nothing to seek.
-            let inner_ix = ctx.indexes.get(&id);
-            let inner_heap = ctx.heaps.get(&jspec.table);
-            let leaf = inner_ix.filter(|_| *covering);
-            let filter = match inner_heap {
-                Some(heap) => bind(&jspec.predicates, params, leaf, heap),
-                None => Filters::Heap(Vec::new()),
-            };
+            if outers.is_empty() {
+                // Nothing to seek: a missing index fails the statement at
+                // its first outer row, not before.
+                return Ok(None);
+            }
+            let ix = (ctx.indexes.get(&id))
+                .ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
+            let heap = (ctx.heaps.get(&jspec.table)).ok_or(ExecError::UnknownTable(jspec.table))?;
+            let layout = Layout::new(heap, covering.then_some(ix));
+            let tests = layout.compile(&jspec.predicates, params);
+            let runs = heap.columns().0;
             let mut rids: Vec<RowId> = Vec::new();
             let mut matched: Vec<RowView> = Vec::new();
-            for outer in outers {
-                let ix =
-                    inner_ix.ok_or_else(|| ExecError::MissingIndex(inner_index.name().into()))?;
-                let key = outer.at(outer_key);
+            for outer_row in outers {
+                let key = outer.at(outer_row, outer_key);
                 let (lo, hi) = (ColBound::Unbounded, ColBound::Unbounded);
                 rids.clear();
                 matched.clear();
                 let (n, pages) = ix.seek_visit([&key], lo, hi, |found| {
-                    let run = found.run();
-                    for i in found.positions() {
-                        if *covering {
-                            let pos = i as u32;
-                            matched.push(RowView::Leaf { ix, run, pos });
-                        } else {
-                            rids.push(run.rid(i));
-                        }
+                    if *covering {
+                        let runs = found.runs();
+                        matched.extend(found.positions().map(|pos| RowView { runs, pos }));
+                    } else {
+                        rids.extend(found.positions().map(|i| found.rid(i)));
                     }
                 });
                 m.add_pages_read(pages);
                 m.add_rows_examined(n);
-                if !*covering {
-                    let heap = inner_heap.ok_or(ExecError::UnknownTable(jspec.table))?;
-                    for &rid in &rids {
-                        m.add_pages_read(1);
-                        if heap.is_live(rid) {
-                            matched.push(RowView::Heap { heap, rid });
-                        }
+                for &rid in &rids {
+                    m.add_pages_read(1);
+                    if heap.is_live(rid) {
+                        let pos = rid.0 as usize;
+                        matched.push(RowView { runs, pos });
                     }
                 }
                 let evals = matched.len() as u64 * jspec.predicates.len() as u64;
                 m.add_pred_evals(evals);
-                for &inner in matched.iter().filter(|&&v| filter.keeps(v)) {
-                    sink(outer, Some(inner));
+                for &inner in matched.iter().filter(|v| v.keeps(&tests)) {
+                    sink(outer_row, Some(inner));
                 }
             }
+            Ok(Some(layout))
         }
     }
-    Ok(())
 }
 
-/// The inner side of a hash join: its table, its access path and the
-/// residual predicates on it.
+/// The inner side of a hash join: its access path, the layout of the
+/// rows it emits and the residual predicates on it.
 #[derive(Clone, Copy)]
-struct Inner<'q> {
-    table: TableId,
+struct Inner<'q, 'c> {
     access: &'q Access,
+    layout: &'q Layout<'c>,
     residual: Residual<'q>,
 }
 
@@ -758,7 +652,7 @@ struct Inner<'q> {
 /// `outer_key`, in the order the inner rows arrived.
 fn hash_join<'c, K: Hash + Eq>(
     ctx: &'c ExecContext<'_>,
-    inner: Inner,
+    inner: Inner<'_, 'c>,
     m: &mut ActualMetrics,
     outers: Vec<RowView<'c>>,
     inner_key: impl Fn(RowView<'c>) -> K,
@@ -766,9 +660,14 @@ fn hash_join<'c, K: Hash + Eq>(
     mut sink: impl FnMut(RowView<'c>, Option<RowView<'c>>),
 ) -> Result<(), ExecError> {
     let mut build = BuildSide::default();
-    run_access(ctx, inner.table, inner.access, inner.residual, m, |_, v| {
-        build.push(inner_key(v), v)
-    })?;
+    run_access(
+        ctx,
+        inner.access,
+        inner.layout,
+        inner.residual,
+        m,
+        |_, v| build.push(inner_key(v), v),
+    )?;
     m.add_hash_ops(build.rows.len() as u64);
     m.add_hash_ops(outers.len() as u64);
     for outer in outers {
@@ -866,26 +765,24 @@ pub fn execute_select(
     out: Option<&mut Vec<Row>>,
 ) -> Result<ActualMetrics, ExecError> {
     let mut m = ActualMetrics::default();
-    let leaf = leaf_of(ctx, &plan.access);
+    let outer = layout(ctx, q.table, &plan.access)?;
     let Some(out) = out else {
-        let group = slots(leaf, &q.group_by);
-        let words = match group[..] {
-            [g] => WordAt::new(ctx, q.table, leaf, g),
-            _ => None,
-        };
-        let mut count = Counter::new(&group, words);
-        produce(ctx, q, plan, params, &mut m, |outer, _| count.push(outer))?;
+        let group = outer.slots(&q.group_by);
+        let mut count = Counter::new(&group, &outer);
+        produce(ctx, q, plan, params, &outer, &mut m, |row, _| {
+            count.push(row)
+        })?;
         charge_output(&mut m, q, plan, count.rows, count.groups());
         return Ok(m);
     };
 
     let mut joined: Vec<(RowView, Option<RowView>)> = Vec::new();
-    produce(ctx, q, plan, params, &mut m, |outer, inner| {
+    let inner = produce(ctx, q, plan, params, &outer, &mut m, |outer, inner| {
         joined.push((outer, inner))
     })?;
     let sorts = plan.needs_sort && !q.order_by.is_empty();
     if is_aggregate(q) {
-        let mut groups = aggregate(q, leaf, &joined);
+        let mut groups = aggregate(q, &outer, &joined);
         let returned = charge_output(&mut m, q, plan, joined.len() as u64, groups.len() as u64);
         if sorts {
             // ORDER BY on a group column sorts by its position in the key.
@@ -902,15 +799,15 @@ pub fn execute_select(
         if sorts {
             // Sort the source rows, *before* projection, so ORDER BY
             // columns need not be projected.
-            let col = |v: RowView, c| Some(Cow::Owned(v.col(c)));
+            let col = |v, c| Some(Cow::Owned(outer.value(v, c)));
             joined.sort_by(|(a, _), (b, _)| order_cmp(&q.order_by, (*a, *b), col));
         }
         // LIMIT first, then project what is left: primary columns, then
         // join columns.
-        out.extend(joined[..returned].iter().map(|(outer, inner)| {
-            let mut row: Row = q.projection.iter().map(|&c| outer.col(c)).collect();
-            if let (Some(jspec), Some(inner)) = (&q.join, inner) {
-                row.extend(jspec.projection.iter().map(|&c| inner.col(c)));
+        out.extend(joined[..returned].iter().map(|&(o, i)| {
+            let mut row: Row = q.projection.iter().map(|&c| outer.value(o, c)).collect();
+            if let (Some(jspec), Some(i), Some(inner)) = (&q.join, i, &inner) {
+                row.extend(jspec.projection.iter().map(|&c| inner.value(i, c)));
             }
             row
         }));
@@ -961,23 +858,24 @@ struct Counter<'c, 'q> {
     keys: Keys<'c, 'q>,
 }
 
-/// The distinct GROUP BY keys a [`Counter`] has seen.
+/// The distinct GROUP BY keys a [`Counter`] has seen. Every row comes from
+/// one access, so a group column's words ([`Typed::word`]) are equal
+/// exactly where its values are.
 enum Keys<'c, 'q> {
     /// No GROUP BY.
     None,
-    /// Rows grouped on one column that has words ([`Typed::word`]):
-    /// where the rows keep it, whether a NULL key came, and the words
-    /// that did.
-    Words {
-        at: WordAt<'c>,
+    /// Rows grouped on one column: its run, whether a NULL key came, and
+    /// the words that did.
+    Word {
+        slot: usize,
         null: bool,
         seen: WordSet,
     },
-    /// Any other grouping, by value. A row's key is probed in the set
+    /// Rows grouped on several columns. A row's key is probed in the set
     /// only when it differs from the previous row's, so a run of equal
     /// keys — input in index order — costs one comparison a row.
-    Values {
-        /// The group columns' slots in the rows that reach the sink.
+    Rows {
+        /// The group columns' runs.
         group: &'q [usize],
         keys: HashSet<GroupKey<'c, 'q>, WordState>,
         last: Option<GroupKey<'c, 'q>>,
@@ -994,8 +892,8 @@ enum WordSet {
     },
 }
 
-/// A row standing for its GROUP BY key: hashed and compared by the values
-/// at the group slots, read through the row, so a key holds no values of
+/// A row standing for its GROUP BY key: hashed and compared by the words
+/// in the group runs, read through the row, so a key holds no values of
 /// its own.
 #[derive(Clone, Copy)]
 struct GroupKey<'c, 'q> {
@@ -1006,7 +904,7 @@ struct GroupKey<'c, 'q> {
 impl Hash for GroupKey<'_, '_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         for &s in self.group {
-            self.row.at(s).hash(state);
+            self.row.word(s).hash(state);
         }
     }
 }
@@ -1014,31 +912,32 @@ impl Hash for GroupKey<'_, '_> {
 impl PartialEq for GroupKey<'_, '_> {
     fn eq(&self, other: &Self) -> bool {
         let (a, b) = (self.row, other.row);
-        self.group.iter().all(|&s| a.at(s) == b.at(s))
+        self.group.iter().all(|&s| a.word(s) == b.word(s))
     }
 }
 
 impl Eq for GroupKey<'_, '_> {}
 
 impl<'c, 'q> Counter<'c, 'q> {
-    /// A sink for rows whose group columns sit at `group`; `words` is
-    /// where the one group column's words are, and their kind, where it
-    /// has them.
-    fn new(group: &'q [usize], words: Option<(WordAt<'c>, WordKind)>) -> Counter<'c, 'q> {
-        let keys = match (group, words) {
-            ([], _) => Keys::None,
-            ([_], Some((at, kind))) => Keys::Words {
-                at,
+    /// A sink for rows laid out as `layout` says, whose group columns are
+    /// in the runs `group`.
+    fn new(group: &'q [usize], layout: &Layout) -> Counter<'c, 'q> {
+        let keys = match *group {
+            [] => Keys::None,
+            [slot] => Keys::Word {
+                slot,
                 null: false,
-                seen: match kind {
-                    WordKind::Code(n) => WordSet::Codes(vec![0; n.div_ceil(64)]),
+                seen: match layout.ty(slot) {
+                    ValueType::Str => {
+                        WordSet::Codes(vec![0; layout.dicts[slot].len().div_ceil(64)])
+                    }
                     _ => WordSet::Hash {
                         set: HashSet::default(),
                         last: None,
                     },
                 },
             },
-            _ => Keys::Values {
+            _ => Keys::Rows {
                 group,
                 keys: HashSet::default(),
                 last: None,
@@ -1051,8 +950,8 @@ impl<'c, 'q> Counter<'c, 'q> {
         self.rows += 1;
         match &mut self.keys {
             Keys::None => {}
-            Keys::Words { at, null, seen } => {
-                let Some(w) = at.of(row) else {
+            Keys::Word { slot, null, seen } => {
+                let Some(w) = row.word(*slot) else {
                     *null = true;
                     return;
                 };
@@ -1066,7 +965,7 @@ impl<'c, 'q> Counter<'c, 'q> {
                     }
                 }
             }
-            Keys::Values { group, keys, last } => {
+            Keys::Rows { group, keys, last } => {
                 let key = GroupKey { row, group };
                 if *last != Some(key) {
                     keys.insert(key);
@@ -1081,34 +980,34 @@ impl<'c, 'q> Counter<'c, 'q> {
     fn groups(&self) -> u64 {
         match &self.keys {
             Keys::None => self.rows.min(1),
-            Keys::Words { null, seen, .. } => {
+            Keys::Word { null, seen, .. } => {
                 let words = match seen {
                     WordSet::Codes(bits) => bits.iter().map(|w| w.count_ones() as usize).sum(),
                     WordSet::Hash { set, .. } => set.len(),
                 };
                 words as u64 + u64::from(*null)
             }
-            Keys::Values { keys, .. } => keys.len() as u64,
+            Keys::Rows { keys, .. } => keys.len() as u64,
         }
     }
 }
 
-/// The rows sink's aggregation over rows laid out as `leaf` says: one row
-/// per group — the key values, then the aggregates — in key order.
+/// The rows sink's aggregation over rows laid out as `layout` says: one
+/// row per group — the key values, then the aggregates — in key order.
 fn aggregate(
     q: &SelectQuery,
-    leaf: Option<&SecondaryIndex>,
+    layout: &Layout,
     joined: &[(RowView<'_>, Option<RowView<'_>>)],
 ) -> Vec<Row> {
-    let group = slots(leaf, &q.group_by);
-    let inputs: Vec<usize> = q.aggregates.iter().map(|&(_, c)| slot(leaf, c)).collect();
+    let group = layout.slots(&q.group_by);
+    let inputs: Vec<usize> = q.aggregates.iter().map(|&(_, c)| layout.slot(c)).collect();
     // One probe per input row; a key is kept only when its group is new.
     let mut index: HashMap<Vec<Value>, usize, WordState> = HashMap::default();
     let mut states: Vec<Vec<AggState>> = Vec::new();
     let mut key: Vec<Value> = Vec::with_capacity(group.len());
-    for (outer, _) in joined {
+    for &(outer, _) in joined {
         key.clear();
-        key.extend(group.iter().map(|&s| outer.at(s)));
+        key.extend(group.iter().map(|&s| layout.at(outer, s)));
         let g = match index.get(key.as_slice()) {
             Some(&g) => g,
             None => {
@@ -1123,7 +1022,7 @@ fn aggregate(
             }
         };
         for (st, &s) in states[g].iter_mut().zip(&inputs) {
-            st.update(outer.at(s));
+            st.update(layout.at(outer, s));
         }
     }
     // `Value`'s order over the keys, first-seen group first on a tie:
@@ -1346,6 +1245,7 @@ fn find_targets(
         which: &dp.residual,
         params,
     };
+    let rows = layout(ctx, table, &dp.access)?;
     let covering = matches!(
         dp.access,
         Access::IndexSeek { covering: true, .. } | Access::IndexScan { covering: true, .. }
@@ -1353,21 +1253,19 @@ fn find_targets(
     if covering {
         // DML needs full rows: re-fetch every leaf entry from the heap and
         // apply the residual to the fetched row, not to the leaf.
-        let heap = ctx
-            .heaps
-            .get(&table)
-            .ok_or(ExecError::UnknownTable(table))?;
+        let heap = rows.heap;
         let unfiltered = Residual {
             which: &[],
             ..residual
         };
         let mut rids: Vec<RowId> = Vec::new();
-        run_access(ctx, table, &dp.access, unfiltered, m, |rid, _| {
+        run_access(ctx, &dp.access, &rows, unfiltered, m, |rid, _| {
             rids.push(rid)
         })?;
-        fetch_and_filter(heap, &rids, residual, m, |rid, _| targets.push(rid));
+        let tests = residual.compile(&Layout::new(heap, None));
+        fetch_and_filter(heap, &rids, &tests, residual, m, |rid, _| targets.push(rid));
     } else {
-        run_access(ctx, table, &dp.access, residual, m, |rid, _| {
+        run_access(ctx, &dp.access, &rows, residual, m, |rid, _| {
             targets.push(rid)
         })?;
     }
@@ -1564,8 +1462,8 @@ mod tests {
     /// type: `Int` (with `i64::MAX`), `Float` (`0.0` beside `-0.0`),
     /// `Date`, `Bool`, `Str` (strings of one to seventeen bytes, with and
     /// without a trailing zero byte), and all NULL; each with NULLs,
-    /// grouped alone (by words) and beside an `Int` column (per value),
-    /// over the heap's columns and over a covering index's leaves.
+    /// grouped alone and beside an `Int` column, over the heap's columns
+    /// and over a covering index's leaves.
     #[test]
     fn count_sink_groups_mixed_keys_as_the_rows_sink_does() {
         let strs = [
@@ -1577,9 +1475,9 @@ mod tests {
             "abcdefghijklmnopr",
         ];
         let strs = strs.map(Value::from);
-        // Each pool, its column's type and kind of word, and how many of
-        // its values fold into another's group.
-        let pools: Vec<(Vec<Value>, ValueType, WordKind, usize)> = vec![
+        // Each pool, its column's type, and how many of its values fold
+        // into another's group.
+        let pools: Vec<(Vec<Value>, ValueType, usize)> = vec![
             (
                 vec![
                     Value::Int(3),
@@ -1588,31 +1486,27 @@ mod tests {
                     Value::Int(i64::MAX),
                 ],
                 ValueType::Int,
-                WordKind::Int,
                 0,
             ),
             (
                 [3.0, 3.5, 0.0, -0.0, -7.25].map(Value::Float).to_vec(),
                 ValueType::Float,
-                WordKind::Float,
                 1,
             ),
             (
                 vec![Value::Date(1), Value::Date(-5), Value::Date(400)],
                 ValueType::Date,
-                WordKind::Date,
                 0,
             ),
             (
                 vec![Value::Bool(true), Value::Bool(false)],
                 ValueType::Bool,
-                WordKind::Bool,
                 0,
             ),
-            (strs.to_vec(), ValueType::Str, WordKind::Code(strs.len()), 0),
-            (vec![], ValueType::Int, WordKind::Int, 0),
+            (strs.to_vec(), ValueType::Str, 0),
+            (vec![], ValueType::Int, 0),
         ];
-        for (n, (mut pool, ty, kind, folded)) in pools.into_iter().enumerate() {
+        for (n, (mut pool, ty, folded)) in pools.into_iter().enumerate() {
             pool.push(Value::Null);
             let mut w = World::new();
             let mt = w
@@ -1631,8 +1525,6 @@ mod tests {
                 };
                 heap.insert(vec![pool[(i * 11) % pool.len()].clone(), j]);
             }
-            let (vals, dict) = heap.column(0).parts();
-            assert_eq!(vals.word_kind(dict), kind, "pool {n}");
             let want = |cols: &[usize]| -> usize {
                 let keys = heap.live_ids().map(|rid| -> Vec<Value> {
                     cols.iter().map(|&c| heap.value(rid, c)).collect()

@@ -1,25 +1,26 @@
-//! Heap table storage, one typed column per column.
+//! Heap table storage, one typed run per column.
 //!
-//! A table's rows live in its columns: column `c` is one [`Column`] of
-//! the table's declared type for `c`, holding every row's `c`-th value at
-//! the row's slot (`i64`, `f64`, `i32`, packed bits, or a dictionary code
-//! for a string, with a null bitmap; see [`crate::column`]), beside one
-//! live bit per slot. A value written must fit its column; the engine
-//! makes it fit before it reaches the heap. A [`RowId`] is a slot number,
-//! stable for the row's lifetime; a deleted slot reads `NULL` in every
-//! column and goes on a LIFO free list for the next insert. A string column's dictionary keeps
-//! every string the column was given, including those only deleted rows
-//! held. A scan therefore walks typed slices a word of slots at a time,
-//! not one allocation per row, and statistics and index builds read the
-//! columns they need and nothing else. `Value` is the edge: rows go in
-//! and come out as values, and [`Heap::value`] builds one on demand.
+//! A table's rows live in its columns: column `c` is one typed run
+//! ([`crate::column`]) of the table's declared type for `c`, holding every
+//! row's `c`-th value at the row's slot, with one dictionary per column
+//! for its strings, beside one live bit per slot. That is the layout a
+//! B+tree leaf keeps its entries in ([`crate::btree`]), so the executor
+//! reads a heap row and a covering index entry alike: a slice of runs and
+//! a position. A value written must fit its column; the engine makes it
+//! fit before it reaches the heap. A [`RowId`] is a slot number, stable
+//! for the row's lifetime; a deleted slot reads `NULL` in every column
+//! and goes on a LIFO free list for the next insert. A dictionary keeps
+//! every string its column was given, including those only deleted rows
+//! held. Scans, statistics and index builds read the typed runs they need
+//! and nothing else; `Value` is the edge: rows go in and come out as
+//! values, and [`Heap::value`] builds one on demand.
 //!
 //! A simple page model (fixed page size, rows-per-page derived from the
 //! average row width) fixes the heap's geometry by slot count; the
 //! executor turns that geometry into the *logical page reads* the paper's
 //! validator reasons about.
 
-use crate::column::{set_bits, Bits, Column, Filter};
+use crate::column::{At, Bits, Column, Dict, Typed};
 use crate::types::{Row, Value, ValueType};
 
 /// Identity of a row within a heap. Stable for the row's lifetime.
@@ -32,8 +33,12 @@ pub const PAGE_SIZE: u64 = 8192;
 /// A heap of rows for one table, stored by column.
 #[derive(Debug, Clone)]
 pub struct Heap {
-    /// `columns[c]`, at a slot: the value of column `c` in the row there.
-    columns: Vec<Column>,
+    /// `runs[c]`, at a slot: the value of column `c` in the row there.
+    runs: Vec<Typed>,
+    /// The dictionary of each column's string codes.
+    dicts: Vec<Dict>,
+    /// The run each column is in, by `ColumnId`: its own.
+    pub(crate) slots: Vec<Option<usize>>,
     /// Whether each slot holds a row.
     live: Bits,
     /// Dead slots, reused last-freed first: every dead slot, once.
@@ -50,7 +55,9 @@ impl Heap {
     /// and the given average width.
     pub fn new(types: &[ValueType], row_width: u64) -> Heap {
         Heap {
-            columns: types.iter().map(|&ty| Column::of_type(ty, 0)).collect(),
+            runs: types.iter().map(|&ty| Typed::new(ty, 0)).collect(),
+            dicts: vec![Dict::default(); types.len()],
+            slots: (0..types.len()).map(Some).collect(),
             live: Bits::default(),
             free: Vec::new(),
             room: 0,
@@ -69,7 +76,7 @@ impl Heap {
 
     /// Number of values in a row.
     pub fn width(&self) -> usize {
-        self.columns.len()
+        self.runs.len()
     }
 
     /// Rows that fit on one page.
@@ -96,6 +103,13 @@ impl Heap {
         RowId(self.free.last().copied().unwrap_or(self.live.len() as u64))
     }
 
+    /// Write `row` where `at` says in every column.
+    fn store(&mut self, at: At, row: Row) {
+        for ((run, dict), v) in self.runs.iter_mut().zip(&mut self.dicts).zip(row) {
+            run.store(at, &v, dict);
+        }
+    }
+
     /// Insert a row, returning its id: the slot freed last, or a new one.
     ///
     /// # Panics
@@ -109,9 +123,7 @@ impl Heap {
         );
         if let Some(slot) = self.free.pop() {
             self.live.set(slot as usize, true);
-            for (col, v) in self.columns.iter_mut().zip(row) {
-                col.set(slot as usize, v);
-            }
+            self.store(At::Over(slot as usize), row);
             RowId(slot)
         } else {
             if self.live.len() == self.room {
@@ -120,9 +132,7 @@ impl Heap {
                 self.reserve((self.live.len() / 8).max(16));
             }
             self.live.push(true);
-            for (col, v) in self.columns.iter_mut().zip(row) {
-                col.push(v);
-            }
+            self.store(At::End, row);
             RowId(self.live.len() as u64 - 1)
         }
     }
@@ -140,7 +150,7 @@ impl Heap {
         debug_assert!(
             columns
                 .iter()
-                .zip(&self.columns)
+                .zip(&self.runs)
                 .all(|(a, b)| a.ty() == b.ty()),
             "columns of the heap's types"
         );
@@ -150,7 +160,7 @@ impl Heap {
             "columns differ in length"
         );
         if self.live.len() == 0 {
-            self.columns = columns;
+            (self.runs, self.dicts) = columns.into_iter().map(Column::into_parts).unzip();
             self.live.extend(n, true);
             self.room = n;
             return (0..n as u64).map(RowId).collect();
@@ -163,8 +173,8 @@ impl Heap {
     /// that knows its row count allocates each column once).
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.live.reserve(additional);
-        for col in &mut self.columns {
-            col.reserve(additional);
+        for run in &mut self.runs {
+            run.reserve(additional);
         }
         self.room = self.live.len() + additional;
     }
@@ -174,14 +184,19 @@ impl Heap {
         (id.0 as usize) < self.live.len() && self.live.get(id.0 as usize)
     }
 
-    /// Column `col`, a value for every slot; a dead slot reads `NULL`.
-    pub fn column(&self, col: usize) -> &Column {
-        &self.columns[col]
+    /// Each column's run (a dead slot reads `NULL`) and dictionary.
+    pub(crate) fn columns(&self) -> (&[Typed], &[Dict]) {
+        (&self.runs, &self.dicts)
+    }
+
+    /// A live bit per slot.
+    pub(crate) fn live(&self) -> &Bits {
+        &self.live
     }
 
     /// The value of column `col` in slot `id` (`NULL` in a dead slot).
     pub fn value(&self, id: RowId, col: usize) -> Value {
-        self.columns[col].value(id.0 as usize)
+        self.runs[col].value(id.0 as usize, &self.dicts[col])
     }
 
     /// Ids of the live rows, rising.
@@ -195,29 +210,10 @@ impl Heap {
         self.live.ones_from(start).map(|s| RowId(s as u64))
     }
 
-    /// The live rows on which `first` and every filter of `rest` hold,
-    /// rising: each filter is evaluated a word of slots at a time, the
-    /// rest only on words where some slot survives `first`.
-    pub(crate) fn select(&self, first: &Filter, rest: &[Filter], mut emit: impl FnMut(RowId)) {
-        for w in 0..self.live.n_words() {
-            let mut hits = first.word(w) & self.live.word(w);
-            for f in rest {
-                if hits == 0 {
-                    break;
-                }
-                hits &= f.word(w);
-            }
-            for b in set_bits(hits) {
-                emit(RowId((w * 64 + b) as u64));
-            }
-        }
-    }
-
     /// An owned copy of a live row.
     pub fn row(&self, id: RowId) -> Option<Row> {
-        let slot = id.0 as usize;
         self.is_live(id)
-            .then(|| self.columns.iter().map(|c| c.value(slot)).collect())
+            .then(|| (0..self.width()).map(|c| self.value(id, c)).collect())
     }
 
     /// Write `v` over column `col` of a live row; `false` if the row is
@@ -229,7 +225,7 @@ impl Heap {
         if !self.is_live(id) {
             return false;
         }
-        self.columns[col].set(id.0 as usize, v);
+        self.runs[col].store(At::Over(id.0 as usize), &v, &mut self.dicts[col]);
         true
     }
 
@@ -241,8 +237,8 @@ impl Heap {
         let slot = id.0 as usize;
         self.live.set(slot, false);
         self.free.push(id.0);
-        for col in &mut self.columns {
-            col.set(slot, Value::Null);
+        for (run, dict) in self.runs.iter_mut().zip(&mut self.dicts) {
+            run.store(At::Over(slot), &Value::Null, dict);
         }
         true
     }
@@ -471,9 +467,9 @@ mod tests {
                         prop_assert_eq!(heap.row(rid).is_some(), slot.is_some());
                         for c in 0..width {
                             let want = slot.as_ref().map_or(&Value::Null, |r| &r[c]);
-                            let (got, col) = (heap.value(rid, c), heap.column(c).value(i));
+                            let got = heap.value(rid, c);
                             prop_assert!(
-                                same(&got, want) && same(&col, want),
+                                same(&got, want),
                                 "value {i}.{c} at step {step}: {got:?} != {want:?}"
                             );
                         }

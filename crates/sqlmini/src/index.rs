@@ -13,7 +13,7 @@
 //! ([`Entries`]), for the executor's kernels to read in place.
 
 use crate::btree::{BTree, Entries};
-use crate::column::{Column, Operand};
+use crate::column::{Dict, Typed};
 use crate::heap::{Heap, RowId, PAGE_SIZE};
 use crate::schema::{ColumnId, IndexDef, TableDef};
 use crate::types::{Row, Value};
@@ -63,6 +63,8 @@ pub struct SecondaryIndex {
     /// then included columns in definition order), ordered by the key
     /// values then the row id.
     tree: BTree,
+    /// Each column's place among the leaf columns, by `ColumnId`.
+    pub(crate) slots: Vec<Option<usize>>,
     /// Bytes per entry, fixing page geometry.
     entry_width: u64,
 }
@@ -81,9 +83,12 @@ impl SecondaryIndex {
         let fanout = entries_per_page(entry_width) as usize;
         let types: Vec<_> = def.leaf_columns().map(|c| table.column(c).ty).collect();
         let tree = BTree::new(fanout, &types, def.key_columns.len());
+        let slot = |c| def.leaf_columns().position(|k| k == ColumnId(c));
+        let slots = (0..table.columns.len() as u32).map(slot).collect();
         SecondaryIndex {
             def,
             tree,
+            slots,
             entry_width,
         }
     }
@@ -94,10 +99,9 @@ impl SecondaryIndex {
     /// scanned (the IO cost of the build's scan phase).
     pub fn build(&mut self, heap: &Heap) -> u64 {
         let k = self.tree.key_len();
-        let columns: Vec<&Column> = self
-            .def
-            .leaf_columns()
-            .map(|c| heap.column(c.0 as usize))
+        let (runs, dicts) = heap.columns();
+        let columns: Vec<(&Typed, &Dict)> = (self.def.leaf_columns())
+            .map(|c| (&runs[c.0 as usize], &dicts[c.0 as usize]))
             .collect();
         // The sort reads the key columns where they lie, one column at a
         // time, and the leaves then copy every column's slots in the
@@ -111,7 +115,7 @@ impl SecondaryIndex {
         let order = build_order(&columns[..k], slots);
         let fanout = self.tree.fanout();
         let rid = |slot: u32| RowId(u64::from(slot));
-        self.tree = BTree::from_columns(fanout, BUILD_FILL, k, &columns, &order, rid);
+        self.tree = BTree::from_runs(fanout, BUILD_FILL, k, &columns, &order, rid);
         heap.page_count()
     }
 
@@ -152,21 +156,10 @@ impl SecondaryIndex {
         self.tree.height()
     }
 
-    /// The heap column of leaf column `j`.
-    fn leaf_column(&self, j: usize) -> ColumnId {
-        let k = self.def.key_columns.len();
-        match self.def.key_columns.get(j) {
-            Some(&c) => c,
-            None => self.def.included_columns[j - k],
-        }
-    }
-
     /// Index maintenance: reflect a newly inserted heap row. Returns pages
     /// written (tree nodes touched).
     pub fn insert_row(&mut self, rid: RowId, row: &Row) -> u64 {
-        let cols: Vec<usize> = (0..self.tree.width())
-            .map(|j| self.leaf_column(j).0 as usize)
-            .collect();
+        let cols: Vec<usize> = self.def.leaf_columns().map(|c| c.0 as usize).collect();
         let before = self.tree.write_visits();
         self.tree.insert(|j| &row[cols[j]], rid);
         self.tree.write_visits() - before
@@ -238,10 +231,6 @@ impl SecondaryIndex {
     /// values and the bounds are compiled once against the key columns'
     /// types; nothing is cloned. Returns `(entries_visited,
     /// pages_visited)`.
-    ///
-    /// This is the executor's hot path — the per-entry `Vec` clones of
-    /// [`seek`](Self::seek) dominated control-pass allocation, and most callers only
-    /// need a subset of the values (or just the row ids).
     pub fn seek_visit<'a, 'v>(
         &'a self,
         eq_prefix: impl IntoIterator<Item = &'v Value>,
@@ -263,7 +252,14 @@ impl SecondaryIndex {
         let has_range = lo_val.is_some() || hi_val.is_some();
         assert!(!has_range || p < key_len, "range column beyond key columns");
         let lo_excluded = matches!(lo, ColBound::Excluded(_));
-        let hi_op = hi_val.map(|v| Operand::new(tree.ty(p), tree.dict(p), v));
+        let hi_op = hi_val.map(|v| tree.operand(p, v));
+        // Entries are in order only up to the first equality value equal
+        // to several stored values (`btree` module doc): a mismatch up to
+        // it ends the seek, one past it or a range end skips the entry.
+        let several = (0..p).find(|&j| from.op(j).equals_several());
+        let ends = several.map_or(p, |j| j + 1);
+        let sorted = several.is_none() || ends == p && !has_range;
+        let check_lo = lo_val.is_some() && (lo_excluded || !sorted);
         // Whether an entry past the bound need not be looked for: every
         // entry from the first on qualifies.
         let open = p == 0 && !lo_excluded && hi_op.is_none();
@@ -284,24 +280,26 @@ impl SecondaryIndex {
             let cmp = |i, j, op| tree.cmp_col(run, i, j, op);
             let mut start = pos;
             for i in pos..run.len() {
-                // Stop once the equality prefix no longer matches.
-                if !(0..p).all(|j| cmp(i, j, from.op(j)).is_eq()) {
+                if !(0..ends).all(|j| cmp(i, j, from.op(j)).is_eq()) {
                     hand_on(run, start..i);
                     return false;
                 }
-                if lo_excluded && cmp(i, p, from.op(p)).is_eq() {
-                    hand_on(run, start..i);
-                    start = i + 1;
-                    continue;
-                }
+                let below_lo = check_lo && {
+                    let o = cmp(i, p, from.op(p));
+                    o.is_lt() || lo_excluded && o.is_eq()
+                };
                 let past = match (&hi, &hi_op) {
                     (ColBound::Included(_), Some(op)) => cmp(i, p, op) == Ordering::Greater,
                     (ColBound::Excluded(_), Some(op)) => cmp(i, p, op) != Ordering::Less,
                     _ => false,
                 };
-                if past {
+                if past && sorted {
                     hand_on(run, start..i);
                     return false;
+                }
+                if below_lo || past || !(ends..p).all(|j| cmp(i, j, from.op(j)).is_eq()) {
+                    hand_on(run, start..i);
+                    start = i + 1;
                 }
             }
             hand_on(run, start..run.len());
@@ -343,18 +341,19 @@ fn entries_per_page(entry_width: u64) -> u64 {
 }
 
 /// The `slots` (rising) in the order a stable sort on their key values
-/// puts them: `keys[j]` holds the `j`-th key value of every slot.
+/// puts them: `keys[j]` (a run and its dictionary) holds the `j`-th key
+/// value of every slot.
 ///
 /// Comparing two keys means reaching into `keys` twice, a cache miss a
 /// comparison; so each key column is sorted on a 64-bit image of its
 /// values, kept beside the slot in the sort buffer, and only ties go on to
 /// the next column (see [`sort_run`]).
-fn build_order(keys: &[&Column], slots: impl Iterator<Item = u32>) -> Vec<u32> {
+fn build_order(keys: &[(&Typed, &Dict)], slots: impl Iterator<Item = u32>) -> Vec<u32> {
     let keys: Vec<Key> = keys
         .iter()
-        .map(|&column| Key {
+        .map(|&(column, dict)| Key {
             column,
-            ranks: column.code_ranks(),
+            ranks: dict.ranks(),
         })
         .collect();
     let mut order: Vec<(u64, u32)> = slots.map(|i| (0, i)).collect();
@@ -362,10 +361,10 @@ fn build_order(keys: &[&Column], slots: impl Iterator<Item = u32>) -> Vec<u32> {
     order.into_iter().map(|(_, i)| i).collect()
 }
 
-/// A key column as the build sorts it: the column, and for a string
-/// column each code's rank ([`Column::code_ranks`]).
+/// A key column as the build sorts it: the run, and for a string column
+/// each code's rank ([`Dict::ranks`]).
 struct Key<'c> {
-    column: &'c Column,
+    column: &'c Typed,
     ranks: Vec<u64>,
 }
 
@@ -373,7 +372,7 @@ struct Key<'c> {
 /// in slot order — by their key values from `col` on, then slot.
 ///
 /// Nulls order first and equal each other, so they move to the front in
-/// slot order. The rest sort on their exact images ([`Column::image`]) and
+/// slot order. The rest sort on their exact images ([`Typed::image`]) and
 /// slot, so a run of one image holds equal values and goes on to the next
 /// column.
 fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
@@ -663,7 +662,7 @@ mod tests {
         let (mut heap, mut ix) = populated();
         let declared = |ix: &SecondaryIndex| {
             let mut leaf = ix.def.leaf_columns().enumerate();
-            leaf.all(|(j, c)| ix.tree().ty(j) == t.column(c).ty)
+            leaf.all(|(j, c)| ix.tree().types()[j].ty() == t.column(c).ty)
         };
         assert!(declared(&ix), "{:?}", ix.def);
         let rid = heap.insert(row(5_000, 7, "held", 2.5));

@@ -237,9 +237,10 @@ impl TableStats {
         } else {
             row_count as f64 / sampled as f64
         };
-        let columns = (0..heap.width())
-            .map(|c| {
-                let (positions, nulls) = heap.column(c).positions(&sample);
+        let (runs, dicts) = heap.columns();
+        let columns = (runs.iter().zip(dicts))
+            .map(|(run, dict)| {
+                let (positions, nulls) = run.positions(&sample, dict);
                 ColumnStats::build(positions, nulls, scale)
             })
             .collect();

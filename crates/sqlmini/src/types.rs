@@ -75,7 +75,7 @@ impl fmt::Display for ValueType {
 /// as the column's declared type says — and build a `Value` only where
 /// one is asked for: a row read or written through the API, an index
 /// entry handed to maintenance, a result row at `Database::query`'s sink,
-/// and the per-value paths of the executor. A value is made to fit its
+/// and the executor's join keys of two types, seek keys and ORDER BY. A value is made to fit its
 /// column once, where it is written ([`ValueType::fit`]). Strings are
 /// reference-counted (`Arc<str>`), so a string value built from a
 /// dictionary is a refcount bump. The typed kernels and the B+tree's

@@ -453,16 +453,15 @@ struct World {
 
 /// What a covering access's typed leaves are asked, as counted in
 /// [`World::covering`]: GROUP BY in index order (stream) and not (hash),
-/// on one column by words or on several by value; a hash join keyed by
-/// words or by value; and a residual filter on a leaf column of each
-/// type.
+/// on one column or on several; a hash join keyed by words or by value;
+/// and a residual filter on a leaf column of each type.
 struct Covering;
 
 impl Covering {
-    const STREAM_BY_WORD: usize = 0;
-    const STREAM_BY_VALUE: usize = 1;
-    const HASH_BY_WORD: usize = 2;
-    const HASH_BY_VALUE: usize = 3;
+    const STREAM_ONE: usize = 0;
+    const STREAM_SEVERAL: usize = 1;
+    const HASH_ONE: usize = 2;
+    const HASH_SEVERAL: usize = 3;
     const JOIN_BY_WORD: usize = 4;
     const JOIN_BY_VALUE: usize = 5;
     /// Then one per type: `Int`, `Float`, `Date`, `Bool`, `Str`.
@@ -578,20 +577,54 @@ impl World {
     fn create_covering_index(&mut self, rng: &mut StdRng) {
         let side = rng.random_range(0..2usize);
         let t = &self.tables[side];
-        let n = t.kinds.len() as u32;
         let mut keys = vec![t.any_col(rng)];
         if rng.random() {
             keys.push(t.any_col(rng));
             keys.dedup();
         }
+        self.create_index_keyed(side, keys);
+    }
+
+    /// An index on `tables[side]` keyed by `keys` and including every
+    /// other column; returns its name.
+    fn create_index_keyed(&mut self, side: usize, keys: Vec<ColumnId>) -> String {
+        let t = &self.tables[side];
+        let n = t.kinds.len() as u32;
         let included = (0..n).map(ColumnId).filter(|c| !keys.contains(c)).collect();
-        let def = IndexDef::new(format!("ix{}", self.n_indexes), t.id, keys, included);
+        let name = format!("ix{}", self.n_indexes);
+        let def = IndexDef::new(name.clone(), t.id, keys, included);
         self.n_indexes += 1;
         self.db.create_index(def.clone()).expect("index builds");
         self.twin.create_index(def).expect("index builds");
         let table = self.tables[side].id;
         storage_matches(&self.db, &self.reference, table)
-            .unwrap_or_else(|e| panic!("after CREATE INDEX ix{}: {e:?}", self.n_indexes - 1));
+            .unwrap_or_else(|e| panic!("after CREATE INDEX {name}: {e:?}"));
+        name
+    }
+
+    /// What the random mix reaches only now and then, on purpose: a
+    /// GROUP BY of two columns streamed from a covering index keyed by
+    /// them (its leaves' runs grouped in key order, several columns at
+    /// once), and an INSERT the write rule refuses (a float in the int
+    /// pk).
+    fn on_purpose(&mut self, rng: &mut StdRng) -> Result<(), TestCaseError> {
+        let side = rng.random_range(0..2usize);
+        let (g, h) = (
+            self.tables[side].any_col(rng),
+            self.tables[side].any_col(rng),
+        );
+        let h = if h == g { ColumnId(0) } else { h };
+        let mut q = SelectQuery::new(self.tables[side].id);
+        q.index_hint = Some(self.create_index_keyed(side, vec![g, h]));
+        q.group_by = vec![g, h];
+        q.aggregates = vec![(AggFunc::Count, ColumnId(0))];
+        self.step(&Statement::Select(q), &[])?;
+        let t = &mut self.tables[rng.random_range(0..2usize)];
+        let values = (0..t.kinds.len() as u16).map(Scalar::Param).collect();
+        let mut params = t.new_row(rng);
+        params[0] = Kind::Pk.misfit(rng);
+        let table = t.id;
+        self.step(&Statement::Insert { table, values }, &params)
     }
 
     /// One random statement of the given workload shape (the twelve
@@ -999,12 +1032,12 @@ impl World {
         let t = &self.tables[usize::from(q.table != self.tables[0].id)];
         let mut counts = [0u32; Covering::N];
         if !q.group_by.is_empty() {
-            let by_word = q.group_by.len() == 1;
-            counts[match (p.agg, by_word) {
-                (AggStrategy::Stream, true) => Covering::STREAM_BY_WORD,
-                (AggStrategy::Stream, false) => Covering::STREAM_BY_VALUE,
-                (_, true) => Covering::HASH_BY_WORD,
-                (_, false) => Covering::HASH_BY_VALUE,
+            let one = q.group_by.len() == 1;
+            counts[match (p.agg, one) {
+                (AggStrategy::Stream, true) => Covering::STREAM_ONE,
+                (AggStrategy::Stream, false) => Covering::STREAM_SEVERAL,
+                (_, true) => Covering::HASH_ONE,
+                (_, false) => Covering::HASH_SEVERAL,
             }] += 1;
         }
         if let (Some(j), Some(JoinStrategy::Hash { .. })) =
@@ -1108,6 +1141,7 @@ fn run_interleaving(seed: u64, steps: usize) -> Result<World, TestCaseError> {
             }
         }
     }
+    world.on_purpose(&mut rng)?;
     let (db, twin) = (&world.db, &world.twin);
     let (from, to) = (Timestamp::EPOCH, Timestamp(u64::MAX));
     for metric in [Metric::CpuTime, Metric::LogicalReads, Metric::Duration] {

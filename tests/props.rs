@@ -588,18 +588,17 @@ fn typed_btree_matches_value_model() {
                     }
                     _ => {
                         // A range between two prefixes of drawn keys, each
-                        // end included, excluded or open. A float past 2^53
-                        // or a NaN equals more than one stored number, so
-                        // the entries order monotonically against it only
-                        // as the last value of a strict prefix: then a tie
-                        // orders the entry after the bound, whatever
-                        // follows it.
+                        // end included, excluded or open. At any place of
+                        // either prefix, a float past 2^53 or a NaN, which
+                        // equals more than one stored number: the entries
+                        // equal to it are in no order in the later columns
+                        // or the row id, so what the range holds is every
+                        // entry within both bounds, wherever it lies.
                         let bound_key = |r: u64| -> (Vec<Value>, RowId) {
                             let n = 1 + (r >> 4) as usize % key_len;
-                            let last = |j: usize| j + 1 == n && n < key_len;
-                            let vals = (0..n).map(|j| match (r >> (20 + j)) % 5 {
-                                0 if last(j) => Value::Float(((1i64 << 53) + 1) as f64),
-                                1 if last(j) => Value::Float(f64::NAN),
+                            let vals = (0..n).map(|j| match (r >> (20 + 3 * j)) % 6 {
+                                0 => Value::Float(((1i64 << 53) + 1) as f64),
+                                1 => Value::Float(f64::NAN),
                                 _ => kinds.value(j, r.rotate_left(7 * j as u32 + 3)),
                             });
                             (vals.collect(), rid_of(r))
@@ -624,7 +623,7 @@ fn typed_btree_matches_value_model() {
                                 Bound::Excluded(b) => cmp(k, b).is_gt(),
                                 Bound::Unbounded => true,
                             })
-                            .take_while(|(k, _)| match hi {
+                            .filter(|(k, _)| match hi {
                                 Bound::Included(b) => cmp(k, b).is_le(),
                                 Bound::Excluded(b) => cmp(k, b).is_lt(),
                                 Bound::Unbounded => true,
@@ -666,9 +665,11 @@ fn typed_btree_matches_value_model() {
 /// every value, and the count of entries visited for the number that
 /// qualify.
 ///
-/// A float past 2^53 or a NaN equals more than one stored number, so it
-/// is drawn only where the entries order monotonically against it: as a
-/// range bound, or as the last equality value with no range after it.
+/// A float past 2^53 or a NaN, which equals more than one stored number,
+/// is drawn as any equality value and as either range bound: under an
+/// equality value equal to several stored values the entries are in no
+/// order in the later columns, and the seek must still find every entry
+/// that qualifies, and nothing else.
 ///
 /// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different cases
 /// per seed.
@@ -746,22 +747,20 @@ fn index_seeks_match_a_filter_over_the_rows() {
                 let r = next();
                 let p = r as usize % (key_len + 1);
                 let ranged = p < key_len && (r >> 8) % 3 != 0;
-                let draw = |j: usize, r: u64, special: bool| match (r >> 4) % 8 {
-                    0 if special => Value::Float(((1i64 << 53) + 1) as f64),
-                    1 if special => Value::Float(f64::NAN),
+                let draw = |j: usize, r: u64| match (r >> 4) % 8 {
+                    0 => Value::Float(((1i64 << 53) + 1) as f64),
+                    1 => Value::Float(f64::NAN),
                     _ => kinds.value(j, r >> 8),
                 };
-                let eq: Vec<Value> = (0..p)
-                    .map(|j| draw(j, next(), j + 1 == p && !ranged))
-                    .collect();
+                let eq: Vec<Value> = (0..p).map(|j| draw(j, next())).collect();
                 let bound = |how: u64, v: Value| match how % 3 {
                     0 => ColBound::Included(v),
                     1 => ColBound::Excluded(v),
                     _ => ColBound::Unbounded,
                 };
                 let (lo, hi) = if ranged {
-                    let lo = bound(next(), draw(p, next(), true));
-                    (lo, bound(next(), draw(p, next(), true)))
+                    let lo = bound(next(), draw(p, next()));
+                    (lo, bound(next(), draw(p, next())))
                 } else {
                     (ColBound::Unbounded, ColBound::Unbounded)
                 };
