@@ -129,14 +129,10 @@ impl SparseFleetSpec {
         }
     }
 
-    /// The per-index hash that decides active-vs-idle (splitmix64
-    /// finalizer — the same mixer the fleet driver's index streams use).
+    /// The per-index hash that decides active-vs-idle: the fleet
+    /// driver's index stream salted with the spec's seed.
     fn index_hash(&self, i: usize) -> u64 {
-        let mut s = self.seed ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        s = (s ^ (s >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        s = (s ^ (s >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        s ^= s >> 31;
-        s
+        controlplane::index_hash_bits(i, self.seed)
     }
 
     /// Is tenant `i` one of the active minority?

@@ -1,9 +1,9 @@
 //! The region coordinator: the top tier of the sharded region driver.
 //!
 //! Decomposes the monolithic fleet loop into
-//! coordinator → [`ShardDriver`] workers → tenants. The coordinator
-//! owns the tenant→shard [`ShardAssignment`], dispatches
-//! [`ShardCommand`]s, and merges the per-shard [`ShardReport`]s into a
+//! coordinator → `ShardDriver` workers → tenants. The coordinator
+//! owns the tenant→shard [`ShardAssignment`], has each shard drive its
+//! members, and merges the per-shard `ShardReport`s into a
 //! [`RegionReport`] whose canonical surfaces — digest, optional
 //! canonical string, merged counters/metrics, dashboards — are
 //! byte-identical to an unsharded
@@ -27,7 +27,7 @@ use crate::hash::{fnv1a64_extend, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::pool;
 use crate::shard::{
-    HydrationGauge, HydrationMode, ShardAssignment, ShardCommand, ShardDriver, ShardReport,
+    HydrationGauge, HydrationMode, ShardAssignment, ShardDriver, ShardReport, HYDRATION_WAVE,
     REGION_RAW_EVENTS,
 };
 use crate::telemetry::Telemetry;
@@ -161,9 +161,7 @@ impl RegionCoordinator {
         let drivers: Vec<ShardDriver> = assignment
             .partition(spec.len())
             .into_iter()
-            .enumerate()
-            .map(|(shard, members)| ShardDriver {
-                shard,
+            .map(|members| ShardDriver {
                 members,
                 driver: FleetDriver::new(cfg.driver.clone()),
                 threads: cfg.threads_per_shard,
@@ -172,13 +170,13 @@ impl RegionCoordinator {
             })
             .collect();
 
-        let command = ShardCommand::Drive { ticks };
         let shard_threads = match cfg.shard_concurrency {
             ShardConcurrency::Sequential => 1,
             ShardConcurrency::Parallel => cfg.shards,
         };
-        let reports: Vec<ShardReport> =
-            pool::map_ordered(drivers, shard_threads, |_, d| d.execute(spec, command));
+        let reports: Vec<ShardReport> = pool::map_ordered(drivers, shard_threads, |_, d| {
+            d.drive(spec, ticks, HYDRATION_WAVE)
+        });
 
         let sim_time = Duration::from_millis(cfg.driver.tick_interval.millis() * ticks as u64);
         self.merge(spec.len(), ticks, sim_time, reports, gauge.peak())

@@ -57,7 +57,7 @@
 
 use crate::dashboard::DashboardSnapshot;
 use crate::faults::{FaultInjector, FaultKind, FaultPoint};
-use crate::hash::{fnv1a64_extend, FNV_OFFSET};
+use crate::hash::{fnv1a64_extend, splitmix64_mix, FNV_OFFSET};
 use crate::metrics::MetricsRegistry;
 use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
@@ -181,11 +181,7 @@ impl Default for FleetDriverConfig {
 /// finalizer. The raw-bits form of [`index_hash01`], shared with the
 /// shard assignment (which needs integer slots, not a float draw).
 pub fn index_hash_bits(index: usize, salt: u64) -> u64 {
-    let mut z = (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    z
+    splitmix64_mix((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
 }
 
 /// Deterministic uniform draw in [0, 1) from a fleet index and a salt —

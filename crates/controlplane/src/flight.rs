@@ -560,8 +560,7 @@ impl FlightDriver {
 
         let make_arm = |policy: PlanePolicy, seed: u64| {
             move |ctx: &mut FlightCtx| {
-                let b = create_b_instance(&ctx.primary, seed);
-                let mut db = b.db;
+                let mut db = create_b_instance(&ctx.primary, seed);
                 // Forks share the primary's clock; each arm owns its
                 // own time stream.
                 db.detach_clock();

@@ -40,10 +40,7 @@ pub use flight::{
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use plane::{ControlPlane, ManagedDb, PlanePolicy, RecommenderPolicy, RetryPolicy};
-pub use shard::{
-    HydrationGauge, HydrationMode, ShardAssignment, ShardCommand, ShardDriver, ShardReport,
-    ASSIGNMENT_SLOTS,
-};
+pub use shard::{HydrationMode, ShardAssignment, ASSIGNMENT_SLOTS};
 pub use stages::{NextDue, Stage, WakeSchedule};
 pub use state::{DbSettings, RecoId, RecoState, ServerSettings, Setting, TrackedReco};
 pub use store::{

@@ -118,24 +118,6 @@ impl Histogram {
         &self.counts
     }
 
-    /// Upper bound of the bucket containing the `q`-quantile observation
-    /// (`u64::MAX` when it falls in the overflow bucket). Coarse by
-    /// construction — dashboards need bucket resolution, not exactness.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return self.bounds.get(i).copied().unwrap_or(u64::MAX);
-            }
-        }
-        u64::MAX
-    }
-
     /// Bucket-wise merge. Panics when bucket bounds disagree — shards of
     /// one fleet always configure a metric identically, so a mismatch is
     /// a programming error, not data.
@@ -337,19 +319,6 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 1_065);
         assert!((h.mean() - 266.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn histogram_quantile_bound_is_bucket_resolution() {
-        let mut h = Histogram::new(vec![10, 100, 1000]);
-        for v in [1, 2, 3, 50, 60, 70, 80, 500, 600, 5000] {
-            h.observe(v);
-        }
-        assert_eq!(h.quantile_bound(0.0), 10);
-        assert_eq!(h.quantile_bound(0.5), 100);
-        assert_eq!(h.quantile_bound(0.9), 1000);
-        assert_eq!(h.quantile_bound(1.0), u64::MAX);
-        assert_eq!(Histogram::new(vec![1]).quantile_bound(0.5), 0);
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! due instead of dense-polling every tenant every simulated hour.
 
 use crate::faults::{FaultInjector, FaultPoint};
+use crate::hash::splitmix64_mix;
 use crate::metrics::MetricsRegistry;
 use crate::stages::{Stage, WakeSchedule};
 use crate::state::{effective, DbSettings, RecoId, RecoState, ServerSettings};
@@ -88,12 +89,8 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Deterministic uniform draw in [0, 1) from (seed, id, attempt).
     fn jitter01(&self, id: RecoId, attempts: u32) -> f64 {
-        let mut z =
-            self.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempts as u64) << 32);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        let z = self.seed ^ id.0.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ ((attempts as u64) << 32);
+        (splitmix64_mix(z) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// How long a recommendation must sit in Retry before attempt

@@ -14,7 +14,7 @@
 //!   count, resharding from `a` to `b = k·a` shards splits each shard
 //!   into exactly `k` successors (`shard_a(i) == shard_b(i) / k`) and
 //!   never shuffles a tenant between unrelated shards.
-//! * [`ShardDriver`] — maps the fleet driver's one kernel
+//! * `ShardDriver` — maps the fleet driver's one kernel
 //!   ([`FleetDriver`]'s `run_tenant`) over one shard's members. Each
 //!   member is driven under its **global** fleet index, so every
 //!   per-tenant random stream (faults, auto-fraction, flight cohorts,
@@ -28,7 +28,7 @@
 //! one wave of `HYDRATION_WAVE` at a time, each tenant is constructed,
 //! driven for *all* its ticks, folded into the shard report, and
 //! dropped — so peak resident tenants is bounded by the worker thread
-//! count, independent of fleet size (the [`HydrationGauge`] proves it).
+//! count, independent of fleet size (the `HydrationGauge` proves it).
 //! The fold keeps only a per-tenant canonical-line digest (plus merged
 //! counters/metrics), which is exactly enough for the region to
 //! reconstruct
@@ -120,7 +120,7 @@ impl ShardAssignment {
 /// shard drivers; `peak()` is the number the million-tenant smoke run
 /// asserts a static bound on.
 #[derive(Debug, Default)]
-pub struct HydrationGauge {
+pub(crate) struct HydrationGauge {
     current: AtomicUsize,
     peak: AtomicUsize,
 }
@@ -139,11 +139,6 @@ impl HydrationGauge {
     /// One tenant finished all its ticks and dropped.
     pub fn exit(&self) {
         self.current.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Tenants resident right now.
-    pub fn current(&self) -> usize {
-        self.current.load(Ordering::SeqCst)
     }
 
     /// High-water mark of simultaneously resident tenants.
@@ -175,13 +170,6 @@ pub enum HydrationMode {
     Lazy,
 }
 
-/// Lifecycle commands the coordinator sends a shard worker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardCommand {
-    /// Drive every member tenant for `ticks` control-plane passes.
-    Drive { ticks: u32 },
-}
-
 /// What one shard hands back to the coordinator: per-tenant canonical
 /// digests keyed by global index (always), full outcomes when retained,
 /// and the shard's folded totals. Merging shard reports in global-index
@@ -190,8 +178,7 @@ pub enum ShardCommand {
 /// down. Doubles as its own streaming accumulator: one tenant's result
 /// folds in and the tenant drops.
 #[derive(Debug)]
-pub struct ShardReport {
-    pub shard: usize,
+pub(crate) struct ShardReport {
     /// `(global index, FNV-1a of the tenant's canonical line)`, one per
     /// member, in ascending index order.
     pub digests: Vec<(usize, u64)>,
@@ -205,9 +192,8 @@ pub struct ShardReport {
 }
 
 impl ShardReport {
-    fn new(shard: usize, retain_outcomes: bool) -> ShardReport {
+    fn new(retain_outcomes: bool) -> ShardReport {
         ShardReport {
-            shard,
             digests: Vec::new(),
             outcomes: retain_outcomes.then(Vec::new),
             totals: FleetTotals::new(),
@@ -229,8 +215,7 @@ impl ShardReport {
 /// driving the shard's members with every tenant keyed by its global
 /// index. Thin by design — all tuning semantics live in the fleet
 /// driver; the shard only decides hydration and accounting.
-pub struct ShardDriver {
-    pub shard: usize,
+pub(crate) struct ShardDriver {
     /// Global fleet indices this shard owns, ascending.
     pub members: Vec<usize>,
     /// The shard's driver (same config as every other shard's).
@@ -244,19 +229,12 @@ pub struct ShardDriver {
 }
 
 impl ShardDriver {
-    /// Execute one coordinator command.
-    pub fn execute(&self, spec: &dyn FleetSpec, command: ShardCommand) -> ShardReport {
-        match command {
-            ShardCommand::Drive { ticks } => self.drive(spec, ticks, HYDRATION_WAVE),
-        }
-    }
-
     /// Tenant-major streaming, `wave` members at a time: hydrate → run
     /// *all* ticks → fold → drop. Tenant-major (not tick-major) is what
     /// bounds residency: a tenant finishes completely before the next
     /// hydrates, so at most `threads` tenants are ever live.
     pub(crate) fn drive(&self, spec: &dyn FleetSpec, ticks: u32, wave: usize) -> ShardReport {
-        let mut report = ShardReport::new(self.shard, self.retain_outcomes);
+        let mut report = ShardReport::new(self.retain_outcomes);
         for members in self.members.chunks(wave) {
             let results = pool::map_ordered(members.to_vec(), self.threads, |_, index| {
                 self.gauge.enter();
@@ -332,16 +310,16 @@ mod tests {
         let g = HydrationGauge::new();
         g.enter();
         g.enter();
-        assert_eq!(g.current(), 2);
+        assert_eq!(g.current.load(Ordering::SeqCst), 2);
         g.exit();
-        assert_eq!(g.current(), 1);
+        assert_eq!(g.current.load(Ordering::SeqCst), 1);
         g.enter();
         g.enter();
         assert_eq!(g.peak(), 3);
         for _ in 0..3 {
             g.exit();
         }
-        assert_eq!(g.current(), 0);
+        assert_eq!(g.current.load(Ordering::SeqCst), 0);
         assert_eq!(g.peak(), 3, "peak is a high-water mark");
     }
 
@@ -361,7 +339,6 @@ mod tests {
         let driver = FleetDriver::new(FleetDriverConfig::default());
         let oracle = driver.run(spec.materialize(), 2, 1);
         let shard = ShardDriver {
-            shard: 0,
             members: (0..5).collect(),
             driver,
             threads: 2,
@@ -383,6 +360,6 @@ mod tests {
             oracle.telemetry.counters()
         );
         assert_eq!(report.totals.metrics, oracle.metrics);
-        assert!(shard.gauge.peak() <= 2 && shard.gauge.current() == 0);
+        assert!(shard.gauge.peak() <= 2 && shard.gauge.current.load(Ordering::SeqCst) == 0);
     }
 }

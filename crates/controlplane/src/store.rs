@@ -298,15 +298,6 @@ impl StateStore {
         self.recos.values().filter(move |r| r.database == database)
     }
 
-    /// Non-terminal recommendations for one database.
-    pub fn open_for_database<'a>(
-        &'a self,
-        database: &'a str,
-    ) -> impl Iterator<Item = &'a TrackedReco> + 'a {
-        self.for_database(database)
-            .filter(|r| !r.state.is_terminal())
-    }
-
     pub fn all(&self) -> impl Iterator<Item = &TrackedReco> {
         self.recos.values()
     }
@@ -430,16 +421,6 @@ impl StateStore {
         self.frames_compacted += cut as u64;
         self.bytes_reclaimed += bytes;
         (cut, bytes)
-    }
-
-    /// Compact iff the policy trigger fires. Returns whether it did.
-    pub fn maybe_compact(&mut self, policy: &CompactionPolicy) -> bool {
-        if self.should_compact(policy) {
-            self.compact();
-            true
-        } else {
-            false
-        }
     }
 
     /// What the most recent recovery replayed, truncated, and re-parked.
@@ -820,7 +801,6 @@ mod tests {
             r.transition(RecoState::Expired, Timestamp(1), "").unwrap()
         });
         assert_eq!(s.for_database("db1").count(), 3);
-        assert_eq!(s.open_for_database("db1").count(), 2);
         assert_eq!(s.for_database("db2").count(), 1);
     }
 
@@ -948,8 +928,8 @@ mod tests {
                 r.transition(RecoState::Expired, Timestamp(i as u64 + 1), "")
                     .unwrap()
             });
-            if let Some(p) = policy {
-                s.maybe_compact(p);
+            if policy.is_some_and(|p| s.should_compact(p)) {
+                s.compact();
             }
         }
     }
@@ -972,8 +952,8 @@ mod tests {
     fn schedule_churn(s: &mut StateStore, n: u64, policy: Option<&CompactionPolicy>) {
         for t in 0..n {
             s.record_schedule("db1", &sched(t));
-            if let Some(p) = policy {
-                s.maybe_compact(p);
+            if policy.is_some_and(|p| s.should_compact(p)) {
+                s.compact();
             }
         }
     }
@@ -1275,7 +1255,8 @@ mod tests {
             s.record_flight(&flight_rec("fl", k));
         }
         let before = s.flights().clone();
-        assert!(s.maybe_compact(&policy), "garbage-heavy journal compacts");
+        assert!(s.should_compact(&policy), "garbage-heavy journal compacts");
+        s.compact();
         assert_eq!(s.flights(), &before, "checkpoint carries flight state");
         s.crash_and_recover();
         assert_eq!(

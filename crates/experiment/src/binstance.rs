@@ -1,26 +1,14 @@
 //! B-instances (§7.1): best-effort clones for experimentation in
 //! production without touching the primary.
 //!
-//! A B-instance starts from a snapshot of the primary (A-instance) and
-//! replays a fork of its traffic. It runs with independent resources and
-//! noise (a different physical server), may drop or reorder operations,
-//! and can therefore diverge — divergence is detected and reported, never
-//! "fixed", because the B-instance is disposable by design.
+//! A B-instance is a fork of the primary (A-instance): a snapshot with
+//! its own noise seed (a different physical server). Its callers replay a
+//! fork of the primary's traffic onto it with `workload::replay`, which
+//! may drop or reorder operations, so the clone can diverge; divergence
+//! is measured by [`divergence_between`] and reported, never "fixed",
+//! because the B-instance is disposable by design.
 
-use sqlmini::clock::Timestamp;
 use sqlmini::engine::Database;
-use workload::runner::{replay, ReplayFidelity, ReplaySummary, Trace};
-use workload::WorkloadModel;
-
-/// A live B-instance.
-#[derive(Debug)]
-pub struct BInstance {
-    pub db: Database,
-    pub created_at: Timestamp,
-    /// Source (A-instance) name.
-    pub source: String,
-    pub replay_stats: ReplaySummary,
-}
 
 /// Per-table divergence between A and B.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,16 +56,9 @@ impl DivergenceReport {
 }
 
 /// Create a B-instance from a primary: snapshot + independent noise seed
-/// (the different physical server).
-pub fn create_b_instance(primary: &Database, seed: u64) -> BInstance {
-    let name = format!("{}::B{seed:04x}", primary.name);
-    let db = primary.fork(name, seed);
-    BInstance {
-        created_at: primary.clock().now(),
-        source: primary.name.clone(),
-        db,
-        replay_stats: ReplaySummary::default(),
-    }
+/// (the different physical server), named `<primary>::B<seed>`.
+pub fn create_b_instance(primary: &Database, seed: u64) -> Database {
+    primary.fork(format!("{}::B{seed:04x}", primary.name), seed)
 }
 
 /// Per-table divergence between two databases sharing a catalog lineage
@@ -94,34 +75,12 @@ pub fn divergence_between(a: &Database, b: &Database) -> DivergenceReport {
     DivergenceReport { tables }
 }
 
-impl BInstance {
-    /// Replay a traffic fork onto this instance (accumulates stats).
-    pub fn replay_fork(
-        &mut self,
-        model: &WorkloadModel,
-        trace: &Trace,
-        fidelity: ReplayFidelity,
-    ) -> &ReplaySummary {
-        let s = replay(&mut self.db, model, trace, fidelity);
-        self.replay_stats.replayed += s.replayed;
-        self.replay_stats.dropped += s.dropped;
-        self.replay_stats.errors += s.errors;
-        self.replay_stats.total_cpu_us += s.total_cpu_us;
-        &self.replay_stats
-    }
-
-    /// Compare storage state against the primary.
-    pub fn divergence(&self, primary: &Database) -> DivergenceReport {
-        divergence_between(primary, &self.db)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sqlmini::clock::Duration;
     use sqlmini::engine::ServiceTier;
-    use workload::{generate_tenant, TenantConfig};
+    use workload::{generate_tenant, replay, ReplayFidelity, TenantConfig};
 
     fn tenant() -> workload::Tenant {
         let mut cfg = TenantConfig::new("prod", 9, ServiceTier::Standard);
@@ -137,10 +96,10 @@ mod tests {
     fn b_instance_starts_identical() {
         let t = tenant();
         let b = create_b_instance(&t.db, 77);
-        let d = b.divergence(&t.db);
+        let d = divergence_between(&t.db, &b);
         assert_eq!(d.max_relative(), 0.0);
         assert!(!d.excessive(0.01));
-        assert_ne!(b.db.name, t.db.name);
+        assert_eq!(b.name, "prod::B004d");
     }
 
     #[test]
@@ -153,9 +112,9 @@ mod tests {
         // B is created *after* the traced run in this test, so replaying
         // the same trace doubles B's writes relative to A — that is
         // exactly the kind of divergence the report must expose.
-        b.replay_fork(&t.model, &trace, ReplayFidelity::default());
-        assert!(b.replay_stats.replayed > 0);
-        let d = b.divergence(&t.db);
+        let s = replay(&mut b, &t.model, &trace, ReplayFidelity::default());
+        assert!(s.replayed > 0);
+        let d = divergence_between(&t.db, &b);
         // Read-heavy workload: divergence from duplicated writes exists
         // but is a small fraction of table sizes.
         assert!(d.max_relative() < 0.6, "{d:?}");
@@ -174,9 +133,9 @@ mod tests {
             vec![sqlmini::schema::ColumnId(1)],
             vec![],
         );
-        b.db.create_index(def).unwrap();
+        b.create_index(def).unwrap();
         assert_eq!(t.db.catalog().n_indexes(), n_before);
-        assert_eq!(b.db.catalog().n_indexes(), n_before + 1);
+        assert_eq!(b.catalog().n_indexes(), n_before + 1);
     }
 
     #[test]
@@ -233,18 +192,11 @@ mod tests {
     }
 
     #[test]
-    fn divergence_between_matches_binstance_divergence() {
-        let t = tenant();
-        let b = create_b_instance(&t.db, 5);
-        assert_eq!(b.divergence(&t.db), divergence_between(&t.db, &b.db));
-    }
-
-    #[test]
     fn excessive_divergence_detected() {
         let t = tenant();
         let mut b = create_b_instance(&t.db, 3);
         // Artificially diverge B: delete most rows of the first table.
-        let (tid, _) = b.db.catalog().tables().next().unwrap();
+        let (tid, _) = b.catalog().tables().next().unwrap();
         let tpl = sqlmini::query::QueryTemplate::new(
             sqlmini::query::Statement::Delete {
                 table: tid,
@@ -252,8 +204,8 @@ mod tests {
             },
             0,
         );
-        b.db.execute(&tpl, &[]).unwrap();
-        let d = b.divergence(&t.db);
+        b.execute(&tpl, &[]).unwrap();
+        let d = divergence_between(&t.db, &b);
         assert!(d.excessive(0.5), "{d:?}");
     }
 }

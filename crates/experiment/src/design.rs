@@ -139,9 +139,8 @@ impl ExpCtx {
 /// Run the full phased experiment for one tenant. The tenant's primary
 /// database is untouched; everything happens on a B-instance.
 pub fn run_phased_experiment(tenant: &Tenant, cfg: &ExperimentConfig) -> ExperimentOutcome {
-    let b = create_b_instance(&tenant.db, cfg.seed ^ 0xB);
     let mut ctx = ExpCtx {
-        b: b.db,
+        b: create_b_instance(&tenant.db, cfg.seed ^ 0xB),
         model: tenant.model.clone(),
         runner: WorkloadRunner::new(cfg.seed ^ 0xE),
         mi_store: MiSnapshotStore::new(),

@@ -498,13 +498,6 @@ impl BTree {
         self.write_visits
     }
 
-    /// Reset both visit counters (used when an executor wants per-statement
-    /// deltas without tracking previous values).
-    pub fn reset_visits(&mut self) {
-        self.read_visits.set(0);
-        self.write_visits = 0;
-    }
-
     fn alloc(&mut self, node: Node) -> NodeId {
         if self.free_head != NO_NODE {
             let id = self.free_head;
@@ -1443,16 +1436,6 @@ mod tests {
         get(&t, 5000);
         let visited = t.read_visits() - before;
         assert_eq!(visited as usize, t.height());
-    }
-
-    #[test]
-    fn visits_reset() {
-        let mut t = build(100, 8);
-        get(&t, 5);
-        assert!(t.read_visits() > 0);
-        t.reset_visits();
-        assert_eq!(t.read_visits(), 0);
-        assert_eq!(t.write_visits(), 0);
     }
 
     #[test]

@@ -173,18 +173,10 @@ impl Bits {
         self.words[w]
     }
 
-    /// Indices of the set bits from `start` on, rising.
-    pub(crate) fn ones_from(&self, start: usize) -> impl Iterator<Item = usize> + '_ {
-        let first = start / 64;
-        let words = self.words.iter().enumerate().skip(first);
-        words.flat_map(move |(w, &word)| {
-            let word = if w == first && !start.is_multiple_of(64) {
-                word & !((1u64 << (start % 64)) - 1)
-            } else {
-                word
-            };
-            set_bits(word).map(move |b| w * 64 + b)
-        })
+    /// Indices of the set bits, rising.
+    pub(crate) fn ones(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(w, &word)| set_bits(word).map(move |b| w * 64 + b))
     }
 
     pub(crate) fn reserve(&mut self, additional: usize) {
@@ -1076,13 +1068,11 @@ mod tests {
         b.push(true);
         b.extend(70, true);
         assert_eq!(b.len(), 204);
-        let ones: Vec<usize> = b.ones_from(0).collect();
+        let ones: Vec<usize> = b.ones().collect();
         assert_eq!(ones.len(), 74);
         assert_eq!(&ones[..4], &[0, 1, 2, 133]);
         assert!((0..204).all(|i| b.get(i) == ones.contains(&i)));
-        assert_eq!(b.ones_from(2).next(), Some(2));
-        assert_eq!(b.ones_from(3).next(), Some(133));
-        assert_eq!(b.ones_from(140).count(), 64);
+        assert_eq!(ones.iter().filter(|&&i| i >= 140).count(), 64);
     }
 
     /// Every compiled operand orders each slot of every type exactly as

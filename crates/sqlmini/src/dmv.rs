@@ -127,12 +127,6 @@ impl IndexUsage {
     pub fn reads(&self) -> u64 {
         self.user_seeks + self.user_scans + self.user_lookups
     }
-
-    /// Write-to-read ratio; large values mark maintenance-heavy,
-    /// little-used indexes (drop candidates).
-    pub fn write_read_ratio(&self) -> f64 {
-        self.user_updates as f64 / (self.reads().max(1)) as f64
-    }
 }
 
 /// The index-usage DMV (persistent across restarts in Azure's long-term
@@ -162,10 +156,6 @@ impl IndexUsageDmv {
 
     pub fn note_lookup(&mut self, ix: IndexId) {
         self.usage.entry(ix).or_default().user_lookups += 1;
-    }
-
-    pub fn note_update(&mut self, ix: IndexId) {
-        self.usage.entry(ix).or_default().user_updates += 1;
     }
 
     /// Record `n` maintenance updates in one map probe (the per-row loop
@@ -249,24 +239,32 @@ mod tests {
         dmv.note_seek(ix, Timestamp(9));
         dmv.note_scan(ix, Timestamp(10));
         dmv.note_lookup(ix);
-        dmv.note_update(ix);
+        dmv.note_updates(ix, 3);
+        dmv.note_updates(ix, 2);
         let u = dmv.usage(ix);
         assert_eq!(u.user_seeks, 2);
         assert_eq!(u.user_scans, 1);
-        assert_eq!(u.reads(), 4);
+        assert_eq!(u.user_lookups, 1);
+        assert_eq!(u.reads(), 4, "updates are not reads");
+        assert_eq!(u.user_updates, 5);
         assert_eq!(u.last_user_seek, Some(Timestamp(9)));
-        assert!((u.write_read_ratio() - 0.25).abs() < 1e-9);
+        assert_eq!(u.last_user_scan, Some(Timestamp(10)));
         dmv.forget(ix);
         assert_eq!(dmv.usage(ix), IndexUsage::default());
     }
 
+    /// The engine reports every write statement's maintenance count, an
+    /// UPDATE that matched no row included: zero leaves no trace.
     #[test]
-    fn unused_index_ratio_dominated_by_updates() {
+    fn zero_updates_leave_the_index_untouched() {
         let mut dmv = IndexUsageDmv::new();
         let ix = IndexId(1);
-        for _ in 0..100 {
-            dmv.note_update(ix);
-        }
-        assert!(dmv.usage(ix).write_read_ratio() >= 100.0);
+        dmv.note_updates(ix, 0);
+        assert_eq!(dmv.usage(ix), IndexUsage::default());
+        assert_eq!(dmv.all().count(), 0);
+        dmv.note_updates(ix, 100);
+        dmv.note_updates(ix, 0);
+        assert_eq!(dmv.usage(ix).user_updates, 100);
+        assert_eq!(dmv.usage(ix).reads(), 0);
     }
 }

@@ -74,9 +74,6 @@ const STATS_SAMPLE_FRAC: f64 = 0.1;
 /// Query Store aggregation interval (hourly, as the service runs it, §6).
 const QUERY_STORE_INTERVAL: Duration = Duration::from_hours(1);
 
-/// How long Query Store keeps an interval.
-const QUERY_STORE_RETENTION: Duration = Duration::from_days(60);
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct DbConfig {
@@ -117,8 +114,6 @@ impl Default for DbConfig {
 pub enum EngineError {
     Catalog(CatalogError),
     Exec(ExecError),
-    /// Index build aborted (resource pressure / injected fault).
-    BuildAborted(String),
 }
 
 impl std::fmt::Display for EngineError {
@@ -126,7 +121,6 @@ impl std::fmt::Display for EngineError {
         match self {
             EngineError::Catalog(e) => write!(f, "catalog: {e}"),
             EngineError::Exec(e) => write!(f, "exec: {e}"),
-            EngineError::BuildAborted(s) => write!(f, "index build aborted: {s}"),
         }
     }
 }
@@ -264,7 +258,7 @@ pub struct Database {
 impl Database {
     pub fn new(name: impl Into<String>, config: DbConfig, clock: SimClock) -> Database {
         let rng = StdRng::seed_from_u64(config.seed);
-        let query_store = QueryStore::new(QUERY_STORE_INTERVAL, QUERY_STORE_RETENTION);
+        let query_store = QueryStore::new(QUERY_STORE_INTERVAL);
         Database {
             name: name.into(),
             config,
@@ -439,18 +433,6 @@ impl Database {
     #[doc(hidden)]
     pub fn debug_freeze_epochs(&mut self, frozen: bool) {
         self.epochs_frozen = frozen;
-    }
-
-    /// Total modifications recorded against a table since its statistics
-    /// were built (used by the resumable-build reconciliation check).
-    pub(crate) fn table_modifications(&self, t: TableId) -> u64 {
-        self.stats.get(&t).map(|s| s.modifications).unwrap_or(0)
-    }
-
-    /// Reset the missing-index DMV (schema-change semantics), exposed for
-    /// DDL paths outside this module.
-    pub(crate) fn reset_mi_dmv(&mut self) {
-        self.mi_dmv.reset();
     }
 
     // ------------------------------------------------------------------

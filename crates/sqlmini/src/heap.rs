@@ -201,13 +201,7 @@ impl Heap {
 
     /// Ids of the live rows, rising.
     pub fn live_ids(&self) -> impl Iterator<Item = RowId> + '_ {
-        self.live_ids_from(RowId(0))
-    }
-
-    /// Ids of the live rows from `start` on, rising.
-    pub(crate) fn live_ids_from(&self, start: RowId) -> impl Iterator<Item = RowId> + '_ {
-        let start = (start.0 as usize).min(self.live.len());
-        self.live.ones_from(start).map(|s| RowId(s as u64))
+        self.live.ones().map(|s| RowId(s as u64))
     }
 
     /// An owned copy of a live row.
@@ -318,9 +312,6 @@ mod tests {
         h.delete(RowId(3));
         let ids: Vec<u64> = h.live_ids().map(|r| r.0).collect();
         assert_eq!(ids, [0, 1, 2, 4, 5, 6, 7, 8, 9]);
-        let from: Vec<u64> = h.live_ids_from(RowId(3)).map(|r| r.0).collect();
-        assert_eq!(from, [4, 5, 6, 7, 8, 9]);
-        assert_eq!(h.live_ids_from(RowId(50)).count(), 0);
     }
 
     #[test]

@@ -63,6 +63,8 @@ pub struct SecondaryIndex {
     /// then included columns in definition order), ordered by the key
     /// values then the row id.
     tree: BTree,
+    /// The leaf columns ([`IndexDef::leaf_columns`]), fixed at creation.
+    leaf: Vec<ColumnId>,
     /// Each column's place among the leaf columns, by `ColumnId`.
     pub(crate) slots: Vec<Option<usize>>,
     /// Bytes per entry, fixing page geometry.
@@ -83,11 +85,13 @@ impl SecondaryIndex {
         let fanout = entries_per_page(entry_width) as usize;
         let types: Vec<_> = def.leaf_columns().map(|c| table.column(c).ty).collect();
         let tree = BTree::new(fanout, &types, def.key_columns.len());
-        let slot = |c| def.leaf_columns().position(|k| k == ColumnId(c));
+        let leaf: Vec<ColumnId> = def.leaf_columns().collect();
+        let slot = |c| leaf.iter().position(|&k| k == ColumnId(c));
         let slots = (0..table.columns.len() as u32).map(slot).collect();
         SecondaryIndex {
             def,
             tree,
+            leaf,
             slots,
             entry_width,
         }
@@ -159,9 +163,8 @@ impl SecondaryIndex {
     /// Index maintenance: reflect a newly inserted heap row. Returns pages
     /// written (tree nodes touched).
     pub fn insert_row(&mut self, rid: RowId, row: &Row) -> u64 {
-        let cols: Vec<usize> = self.def.leaf_columns().map(|c| c.0 as usize).collect();
-        let before = self.tree.write_visits();
-        self.tree.insert(|j| &row[cols[j]], rid);
+        let (leaf, before) = (&self.leaf, self.tree.write_visits());
+        self.tree.insert(|j| &row[leaf[j].0 as usize], rid);
         self.tree.write_visits() - before
     }
 
@@ -184,12 +187,12 @@ impl SecondaryIndex {
     /// written.
     pub(crate) fn update_set(&mut self, rid: RowId, heap: &Heap, set: &[(ColumnId, Value)]) -> u64 {
         let setting = |c: ColumnId| set.iter().rev().find(|(s, _)| *s == c).map(|(_, v)| v);
-        if !self.def.leaf_columns().any(|c| setting(c).is_some()) {
+        let leaf = &self.leaf;
+        if !leaf.iter().any(|&c| setting(c).is_some()) {
             return 0;
         }
-        let cols: Vec<ColumnId> = self.def.leaf_columns().collect();
-        let old: Vec<Value> = cols.iter().map(|c| heap.value(rid, c.0 as usize)).collect();
-        let new = |j: usize| setting(cols[j]).unwrap_or(&old[j]);
+        let old: Vec<Value> = leaf.iter().map(|c| heap.value(rid, c.0 as usize)).collect();
+        let new = |j: usize| setting(leaf[j]).unwrap_or(&old[j]);
         if (0..old.len()).all(|j| old[j] == *new(j)) {
             return 0;
         }

@@ -13,14 +13,12 @@
 //! time flows through [`clock::SimClock`].
 
 pub mod btree;
-pub mod build;
 pub mod catalog;
 pub mod clock;
 pub mod column;
 pub mod dmv;
 pub mod engine;
 pub mod exec;
-pub mod explain;
 pub mod heap;
 pub mod index;
 pub mod lock;

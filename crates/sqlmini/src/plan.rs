@@ -8,7 +8,7 @@
 //! expose estimated-vs-actual discrepancies.
 
 use crate::query::{CmpOp, Scalar};
-use crate::schema::{ColumnId, IndexId};
+use crate::schema::IndexId;
 use std::collections::hash_map::DefaultHasher;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -324,12 +324,6 @@ impl Plan {
     }
 }
 
-/// Columns by which an access path emits rows in sorted order (empty when
-/// unordered). Helper used by the optimizer's sort-avoidance logic.
-pub fn provided_order(key_columns: &[ColumnId], eq_consumed: usize) -> &[ColumnId] {
-    &key_columns[eq_consumed.min(key_columns.len())..]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -410,14 +404,6 @@ mod tests {
         });
         assert!(p.is_hypothetical());
         assert!(!plan(Access::SeqScan).is_hypothetical());
-    }
-
-    #[test]
-    fn provided_order_strips_equality_prefix() {
-        let keys = vec![ColumnId(1), ColumnId(2), ColumnId(3)];
-        assert_eq!(provided_order(&keys, 1), &[ColumnId(2), ColumnId(3)]);
-        assert_eq!(provided_order(&keys, 0), &keys[..]);
-        assert_eq!(provided_order(&keys, 5), &[] as &[ColumnId]);
     }
 
     #[test]

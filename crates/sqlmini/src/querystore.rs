@@ -128,7 +128,6 @@ pub struct IntervalId(pub u64);
 #[derive(Debug, Clone)]
 pub struct QueryStore {
     interval: Duration,
-    retention: Duration,
     /// (interval, query, plan) -> aggregate.
     data: BTreeMap<(IntervalId, QueryId, PlanId), ExecAgg>,
     /// (query, plan) -> the intervals it has a cell in, rising.
@@ -141,10 +140,9 @@ pub struct QueryStore {
 }
 
 impl QueryStore {
-    pub fn new(interval: Duration, retention: Duration) -> QueryStore {
+    pub fn new(interval: Duration) -> QueryStore {
         QueryStore {
             interval,
-            retention,
             data: BTreeMap::new(),
             plan_intervals: BTreeMap::new(),
             queries: BTreeMap::new(),
@@ -354,22 +352,6 @@ impl QueryStore {
         v.truncate(k);
         v
     }
-
-    /// Evict intervals older than the retention horizon.
-    pub fn enforce_retention(&mut self, now: Timestamp) {
-        let horizon = Timestamp(now.millis().saturating_sub(self.retention.millis()));
-        let min_iv = self.interval_of(horizon);
-        self.data.retain(|(iv, _, _), _| *iv >= min_iv);
-        self.plan_intervals.retain(|_, ivs| {
-            ivs.drain(..ivs.partition_point(|&iv| iv < min_iv));
-            !ivs.is_empty()
-        });
-    }
-
-    /// Number of stored (interval, query, plan) cells (observability).
-    pub fn cell_count(&self) -> usize {
-        self.data.len()
-    }
 }
 
 #[cfg(test)]
@@ -394,7 +376,7 @@ mod tests {
     }
 
     fn qs() -> QueryStore {
-        QueryStore::new(Duration::from_hours(1), Duration::from_days(30))
+        QueryStore::new(Duration::from_hours(1))
     }
 
     #[test]
@@ -533,28 +515,6 @@ mod tests {
             (s.total_resources(Metric::LogicalReads, Timestamp(0), Timestamp(1)) - 10.0).abs()
                 < 1e-9
         );
-    }
-
-    #[test]
-    fn retention_evicts_old_intervals() {
-        let mut s = QueryStore::new(Duration::from_hours(1), Duration::from_days(1));
-        let t = tpl(0);
-        s.record(
-            &t,
-            &[],
-            PlanId(1),
-            &[],
-            &metrics(1.0, 1),
-            1.0,
-            Timestamp::EPOCH,
-        );
-        let later = Timestamp::EPOCH + Duration::from_days(3);
-        s.record(&t, &[], PlanId(1), &[], &metrics(1.0, 1), 1.0, later);
-        assert_eq!(s.cell_count(), 2);
-        s.enforce_retention(later);
-        assert_eq!(s.cell_count(), 1);
-        let old = s.plan_stats(t.query_id(), PlanId(1), Timestamp::EPOCH, Timestamp(1));
-        assert_eq!(old.count(), 0);
     }
 
     #[test]
@@ -733,7 +693,7 @@ mod tests {
 
     /// Differential: random record streams — several queries, plans that
     /// switch and switch back, many executions to an interval, clock
-    /// jumps (now and then backwards) and retention — and every read the
+    /// jumps (now and then backwards) — and every read the
     /// store answers from its per-plan interval lists equals, bit for bit,
     /// a scan of every cell. Salted with `CHAOS_SEED`, so CI's chaos
     /// matrix draws different cases per seed.
@@ -753,7 +713,7 @@ mod tests {
                     x
                 };
                 let hour = Duration::from_hours(1).millis();
-                let mut s = QueryStore::new(Duration::from_hours(1), Duration::from_days(1));
+                let mut s = QueryStore::new(Duration::from_hours(1));
                 let mut reference = FullScan::default();
                 let mut current: Vec<u64> = vec![0; queries as usize];
                 let mut now = next() % (100 * hour);
@@ -782,15 +742,8 @@ mod tests {
                     let at = Timestamp(now);
                     s.record(&template, &[], plan, &[], &m, d, at);
                     reference.record(s.interval_of(at), template.query_id(), plan, &m, d);
-                    if next() % 50 == 0 {
-                        s.enforce_retention(at);
-                        let horizon =
-                            Timestamp(now.saturating_sub(Duration::from_days(1).millis()));
-                        let min_iv = s.interval_of(horizon);
-                        reference.cells.retain(|(iv, _, _), _| *iv >= min_iv);
-                    }
                 }
-                prop_assert_eq!(s.cell_count(), reference.cells.len());
+                prop_assert_eq!(s.data.len(), reference.cells.len());
                 let span = now.max(start) + 2 * hour;
                 for _ in 0..24 {
                     let (a, b) = (next() % span, next() % span);

@@ -184,14 +184,6 @@ impl IndexDef {
     pub fn duplicate_of(&self, other: &IndexDef) -> bool {
         self.table == other.table && self.key_columns == other.key_columns
     }
-
-    /// Whether `self`'s keys are a prefix of `other`'s keys (used both by
-    /// index merging and by redundancy analysis).
-    pub fn key_prefix_of(&self, other: &IndexDef) -> bool {
-        self.table == other.table
-            && self.key_columns.len() <= other.key_columns.len()
-            && other.key_columns[..self.key_columns.len()] == self.key_columns[..]
-    }
 }
 
 impl fmt::Display for IndexDef {
@@ -262,15 +254,6 @@ mod tests {
         let c = IndexDef::new("c", TableId(0), vec![ColumnId(2), ColumnId(1)], vec![]);
         assert!(a.duplicate_of(&b));
         assert!(!a.duplicate_of(&c));
-    }
-
-    #[test]
-    fn prefix_detection() {
-        let a = IndexDef::new("a", TableId(0), vec![ColumnId(1)], vec![]);
-        let b = IndexDef::new("b", TableId(0), vec![ColumnId(1), ColumnId(2)], vec![]);
-        assert!(a.key_prefix_of(&b));
-        assert!(!b.key_prefix_of(&a));
-        assert!(a.key_prefix_of(&a));
     }
 
     #[test]

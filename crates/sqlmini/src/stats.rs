@@ -14,7 +14,6 @@
 use crate::heap::Heap;
 use crate::types::Value;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 /// Number of buckets in an equi-depth histogram.
@@ -269,20 +268,6 @@ impl TableStats {
     }
 }
 
-/// Reservoir-sample `k` rows (used by tooling that wants example rows).
-pub fn reservoir_sample<T: Clone>(items: &[T], k: usize, seed: u64) -> Vec<T> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut out: Vec<T> = items.iter().take(k).cloned().collect();
-    for (i, item) in items.iter().enumerate().skip(k) {
-        let j = rng.random_range(0..=i);
-        if j < k {
-            out[j] = item.clone();
-        }
-    }
-    out.shuffle(&mut rng);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,15 +471,6 @@ mod tests {
             s.columns[0].eq_selectivity(&Value::Int(1)),
             defaults::EQ_SELECTIVITY
         );
-    }
-
-    #[test]
-    fn reservoir_sample_sizes() {
-        let items: Vec<u32> = (0..1000).collect();
-        let s = reservoir_sample(&items, 10, 7);
-        assert_eq!(s.len(), 10);
-        let all = reservoir_sample(&items, 2000, 7);
-        assert_eq!(all.len(), 1000);
     }
 
     #[test]

@@ -28,7 +28,7 @@ fn fork_replay_preserves_read_results() {
     // replay only as load (results exercised via divergence bounds).
     let mut b = create_b_instance(&t.db, 99);
     let summary = replay(
-        &mut b.db,
+        &mut b,
         &t.model,
         &trace,
         ReplayFidelity {
