@@ -26,11 +26,9 @@
 //! A lookup's key — a seek's prefix and bounds, a maintenance key — is
 //! compiled once against the columns' types into a `Probe`, which orders
 //! stored entries exactly as `Value::cmp` and the row id would, without
-//! building a `Value`.
-//! Entries equal to a value that equals several stored values (a NaN, or
-//! a float past 2^53 against an int column) are in no order in the later
-//! columns, so a search compares a probe's values only up to that one,
-//! and a walk from there checks the later columns entry by entry.
+//! building a `Value`. `Value`'s order is a total order, so the entries
+//! equal to a prefix are in order in the columns after it, and a walk
+//! over a range ends at the first entry past it.
 
 use crate::column::{At, Column, Dict, Operand, Typed};
 use crate::heap::RowId;
@@ -55,16 +53,13 @@ fn cmp_key(a: Key<'_>, b: Key<'_>) -> Ordering {
 }
 
 /// A key compiled against the tree's key columns ([`BTree::probe`]):
-/// stored entries order against its first `ordered` values exactly as
-/// their key values and row id order against its values and row id
-/// ([`Key`]).
+/// stored entries order against it exactly as their key values and row
+/// id order against its values and row id ([`Key`]).
 pub(crate) struct Probe<'v> {
     ops: Vec<Operand<'v>>,
-    /// How many of `ops` a search compares: up to and including the first
-    /// that equals several stored values (module doc), or all of them.
-    ordered: usize,
-    /// Whether the search compares every key column, then the row id; if
-    /// not, an entry that matches what it compares orders after it.
+    /// Whether the key has a value for every key column, so that the row
+    /// id is compared next; if not, an entry that matches the values it
+    /// has orders after it.
     whole: bool,
     rid: RowId,
 }
@@ -72,10 +67,8 @@ pub(crate) struct Probe<'v> {
 impl<'v> Probe<'v> {
     fn new(ops: Vec<Operand<'v>>, key_len: usize, rid: RowId) -> Probe<'v> {
         debug_assert!(ops.len() <= key_len, "a key longer than the key columns");
-        let several = ops.iter().position(Operand::equals_several);
         Probe {
-            ordered: several.map_or(ops.len(), |j| j + 1),
-            whole: several.is_none() && ops.len() == key_len,
+            whole: ops.len() == key_len,
             ops,
             rid,
         }
@@ -120,11 +113,10 @@ impl Run {
         (0..n).map(|j| self.cols[j].value(i, &dicts[j])).collect()
     }
 
-    /// How entry `i`'s key orders against what a search compares of
-    /// `probe`.
+    /// How entry `i`'s key orders against `probe`.
     #[inline]
     fn cmp(&self, i: usize, probe: &Probe, dicts: &[Dict]) -> Ordering {
-        for (j, op) in probe.ops[..probe.ordered].iter().enumerate() {
+        for (j, op) in probe.ops.iter().enumerate() {
             let o = self.cols[j].cmp_at(i, op, &dicts[j]);
             if o != Ordering::Equal {
                 return o;
@@ -975,16 +967,16 @@ impl BTree {
         hi: Bound<Key<'k>>,
     ) -> std::vec::IntoIter<(Vec<Value>, RowId)> {
         let from = lo.map(|(k, rid)| self.probe(k, rid));
-        // From where the walk starts, every entry is checked against both
-        // bounds, to the last: when a value of `hi` equals several stored
-        // values (module doc), one beyond `hi` may come before more within.
+        // The walk starts at the first entry within `lo`; the first entry
+        // past `hi` ends it.
         let mut out = Vec::new();
         self.walk(from.as_ref(), |run, pos| {
             for i in pos..run.len() {
                 let key = run.values(i, self.key_len, &self.dicts);
-                if (lo, hi).contains(&(&key[..], run.rids[i])) {
-                    out.push((run.values(i, self.width(), &self.dicts), run.rids[i]));
+                if !(Bound::Unbounded, hi).contains(&(&key[..], run.rids[i])) {
+                    return false;
                 }
+                out.push((run.values(i, self.width(), &self.dicts), run.rids[i]));
             }
             true
         });

@@ -28,14 +28,21 @@
 //! `Value::cmp` would (the tree's probes); `Typed::word` gives each
 //! value a 64-bit word whose equality is `Value`'s equality within the
 //! column, for grouping and join keys; `Typed::image` gives it an
-//! order-preserving image for the index build's sort. No column stores a
-//! NaN because neither could then exist: under `Value`'s order a NaN
-//! equals every number, which no word or image can say. An operand may
-//! still be a NaN; the kernels compare against it as `Value` does.
+//! order-preserving image for the index build's sort.
+//!
+//! An `Operand` takes its value into the run's own type first, and a
+//! `Test` is compiled from one, so every kernel compares within one type. A number of the other numeric type
+//! becomes the run's value nearest it and how that value orders against
+//! it (`2.5` against an `Int` run is `2`, just below); no value of the
+//! type lies between the two, so `< 2.5` is `<= 2` and `= 2.5` holds
+//! nowhere. A value that every stored value orders alike against — one
+//! of a type that ranks apart, a NaN, a float past the ends of `i64` —
+//! becomes that one order. No column stores a NaN, so a float run
+//! compares with the machine's own `<` and `==`.
 
 use crate::exec::WordState;
 use crate::query::CmpOp;
-use crate::types::{str_position, Value, ValueType};
+use crate::types::{cmp_int_float, str_position, Value, ValueType};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
@@ -570,13 +577,13 @@ impl Typed {
                 Ordering::Less
             };
         }
-        let unordered = |o: Option<Ordering>| o.unwrap_or(Ordering::Equal);
         match (key, &self.data) {
             (Operand::Null, _) => Ordering::Greater,
             (Operand::Rank(o), _) => *o,
-            (Operand::Int(y), Data::Int(v)) => v[i].cmp(y),
-            (Operand::IntAsFloat(y), Data::Int(v)) => unordered((v[i] as f64).partial_cmp(y)),
-            (Operand::Float(y), Data::Float(v)) => unordered(v[i].partial_cmp(y)),
+            (Operand::Int(y, tie), Data::Int(v)) => v[i].cmp(y).then(*tie),
+            (Operand::Float(y, tie), Data::Float(v)) => {
+                v[i].partial_cmp(y).expect("no NaN").then(*tie)
+            }
             (Operand::Date(y), Data::Date(v)) => v[i].cmp(y),
             (Operand::Bool(y), Data::Bool(v)) => v.get(i).cmp(y),
             (Operand::Str(_, Some(code)), Data::Str(v)) if v[i] == *code => Ordering::Equal,
@@ -586,20 +593,19 @@ impl Typed {
     }
 }
 
-/// A value to order slots against, compiled for one type
-/// ([`Typed::cmp_at`]): a key column's part of a B+tree probe.
+/// A value to order slots against, compiled into one type (module doc,
+/// [`Typed::cmp_at`]): a key column's part of a B+tree probe.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Operand<'v> {
     Null,
-    /// An operand of a type that ranks apart from the run's: every value
-    /// that is not NULL orders thus against it.
+    /// Every value that is not NULL orders thus against the operand.
     Rank(Ordering),
-    Int(i64),
-    /// A `Float` operand against an `Int` run: compared as `f64`, a NaN
-    /// equal to every value, as `Value` compares them.
-    IntAsFloat(f64),
-    /// A number against a `Float` run (an `Int` taken as `f64`).
-    Float(f64),
+    /// A number of the run's type, and how a slot holding it orders
+    /// against the operand: `Equal` when the operand is that number,
+    /// otherwise the operand lies between it and the next value of the
+    /// type the other way (`2.5` against an `Int` run is `Int(2, Less)`).
+    Int(i64, Ordering),
+    Float(f64, Ordering),
     Date(i32),
     Bool(bool),
     /// A string, and its code where the dictionary holds it: a slot of
@@ -608,19 +614,6 @@ pub(crate) enum Operand<'v> {
 }
 
 impl<'v> Operand<'v> {
-    /// Whether more than one stored value can equal the operand: a NaN
-    /// equals every number, and a float of magnitude 2^53 or more every
-    /// int that rounds to it. Entries equal to such an operand need not
-    /// be in order in the columns after it.
-    pub(crate) fn equals_several(&self) -> bool {
-        const EXACT: f64 = (1u64 << 53) as f64;
-        match *self {
-            Operand::IntAsFloat(y) => y.is_nan() || y.abs() >= EXACT,
-            Operand::Float(y) => y.is_nan(),
-            _ => false,
-        }
-    }
-
     /// `v` compiled for runs of type `ty` whose string codes index `dict`.
     pub(crate) fn new(ty: ValueType, dict: &Dict, v: &'v Value) -> Operand<'v> {
         use Value as V;
@@ -628,11 +621,20 @@ impl<'v> Operand<'v> {
         let rank = |sample: Value| Operand::Rank(sample.cmp(v));
         match (ty, v) {
             (_, V::Null) => Operand::Null,
-            (T::Int, V::Int(y)) => Operand::Int(*y),
-            (T::Int, V::Float(y)) => Operand::IntAsFloat(*y),
+            (T::Int, V::Int(y)) => Operand::Int(*y, Ordering::Equal),
+            // The greatest int not above the float, if `i64` has one (not
+            // for a NaN, nor past the ends of `i64`: those rank apart).
+            (T::Int, V::Float(y)) if cmp_int_float(y.floor() as i64, y.floor()).is_eq() => {
+                let x = y.floor() as i64;
+                Operand::Int(x, cmp_int_float(x, *y))
+            }
             (T::Int, _) => rank(V::Int(0)),
-            (T::Float, V::Float(y)) => Operand::Float(*y),
-            (T::Float, V::Int(y)) => Operand::Float(*y as f64),
+            (T::Float, V::Float(y)) if !y.is_nan() => Operand::Float(*y, Ordering::Equal),
+            // The float nearest the int.
+            (T::Float, V::Int(y)) => {
+                let x = *y as f64;
+                Operand::Float(x, cmp_int_float(*y, x).reverse())
+            }
             (T::Float, _) => rank(V::Float(0.0)),
             (T::Date, V::Date(y)) => Operand::Date(*y),
             (T::Date, _) => rank(V::Date(0)),
@@ -750,10 +752,6 @@ pub(crate) enum Test {
     /// Holds on every slot that is not NULL.
     NotNull,
     Int(CmpOp, i64),
-    /// An `Int` run against a `Float` operand: compared as `f64`, a NaN
-    /// operand equal to every value, as `Value` compares them.
-    IntAsFloat(CmpOp, f64),
-    /// A `Float` run against a number (an `Int` taken as `f64`).
     Float(CmpOp, f64),
     Date(CmpOp, i32),
     /// Whether the predicate holds on `false` and on `true`.
@@ -762,19 +760,16 @@ pub(crate) enum Test {
     Codes(Vec<bool>),
 }
 
-/// `op` between `x` and `y` as `Value` orders numbers: a pair that
-/// `partial_cmp` cannot order (a NaN) counts as equal, so `<=` is "not
-/// greater", never `<=` on floats.
+/// `op` between `x` and `y`, two values of one type (never a NaN).
 #[inline(always)]
-#[allow(clippy::neg_cmp_op_on_partial_ord, clippy::double_comparisons)]
 fn holds<T: PartialOrd>(op: CmpOp, x: T, y: T) -> bool {
     match op {
-        CmpOp::Eq => !(x < y) && !(x > y),
-        CmpOp::Ne => x < y || x > y,
+        CmpOp::Eq => x == y,
+        CmpOp::Ne => x != y,
         CmpOp::Lt => x < y,
-        CmpOp::Le => !(x > y),
+        CmpOp::Le => x <= y,
         CmpOp::Gt => x > y,
-        CmpOp::Ge => !(x < y),
+        CmpOp::Ge => x >= y,
     }
 }
 
@@ -788,56 +783,56 @@ fn mask_of<T>(vals: &[T], hit: impl Fn(&T) -> bool) -> u64 {
     m
 }
 
-/// Bit `i` set where `op` holds between `conv(vals[i])` and `y`, with
-/// the operator chosen once for the whole slice.
+/// Bit `i` set where `op` holds between `vals[i]` and `y`, with the
+/// operator chosen once for the whole slice.
 #[inline(always)]
-fn mask<T: Copy, U: PartialOrd + Copy>(vals: &[T], conv: impl Fn(T) -> U, op: CmpOp, y: U) -> u64 {
+fn mask<T: PartialOrd + Copy>(vals: &[T], op: CmpOp, y: T) -> u64 {
     match op {
-        CmpOp::Eq => mask_of(vals, |&x| holds(CmpOp::Eq, conv(x), y)),
-        CmpOp::Ne => mask_of(vals, |&x| holds(CmpOp::Ne, conv(x), y)),
-        CmpOp::Lt => mask_of(vals, |&x| conv(x) < y),
-        CmpOp::Le => mask_of(vals, |&x| holds(CmpOp::Le, conv(x), y)),
-        CmpOp::Gt => mask_of(vals, |&x| conv(x) > y),
-        CmpOp::Ge => mask_of(vals, |&x| holds(CmpOp::Ge, conv(x), y)),
+        CmpOp::Eq => mask_of(vals, |&x| x == y),
+        CmpOp::Ne => mask_of(vals, |&x| x != y),
+        CmpOp::Lt => mask_of(vals, |&x| x < y),
+        CmpOp::Le => mask_of(vals, |&x| x <= y),
+        CmpOp::Gt => mask_of(vals, |&x| x > y),
+        CmpOp::Ge => mask_of(vals, |&x| x >= y),
     }
+}
+
+/// `op` against a value that `x`, of the run's type, orders `tie`
+/// against, no value of the type lying between the two: `test` of the
+/// operator that holds against `x` on the same values.
+fn near(op: CmpOp, tie: Ordering, test: impl FnOnce(CmpOp) -> Test) -> Test {
+    use CmpOp::*;
+    test(match (tie, op) {
+        (Ordering::Equal, op) => op,
+        (_, Eq) => return Test::Never,
+        (_, Ne) => return Test::NotNull,
+        (Ordering::Less, Lt | Le) => Le,
+        (Ordering::Less, Gt | Ge) => Gt,
+        (_, Lt | Le) => Lt,
+        (_, Gt | Ge) => Ge,
+    })
 }
 
 impl Test {
     /// `value op rhs` compiled for runs of type `ty` whose string codes
-    /// index `dict`.
+    /// index `dict`: `op` against `rhs` taken into the run's type.
     pub(crate) fn new(ty: ValueType, dict: &Dict, op: CmpOp, rhs: &Value) -> Test {
-        use Value as V;
-        use ValueType as T;
-        // An operand of a type that ranks apart from the run's orders the
-        // same against every value that is not NULL.
-        let rank = |sample: Value| {
-            if op.holds(sample.cmp(rhs)) {
-                Test::NotNull
-            } else {
-                Test::Never
-            }
-        };
-        match (ty, rhs) {
-            (_, V::Null) if op == CmpOp::Eq => Test::Null,
-            (_, V::Null) => Test::Never,
-            (T::Int, V::Int(y)) => Test::Int(op, *y),
-            (T::Int, V::Float(y)) => Test::IntAsFloat(op, *y),
-            (T::Int, _) => rank(V::Int(0)),
-            (T::Float, V::Float(y)) => Test::Float(op, *y),
-            (T::Float, V::Int(y)) => Test::Float(op, *y as f64),
-            (T::Float, _) => rank(V::Float(0.0)),
-            (T::Date, V::Date(y)) => Test::Date(op, *y),
-            (T::Date, _) => rank(V::Date(0)),
-            (T::Bool, V::Bool(y)) => Test::Bool([false, true].map(|x| op.holds(x.cmp(y)))),
-            (T::Bool, _) => rank(V::Bool(false)),
+        match Operand::new(ty, dict, rhs) {
+            Operand::Null if op == CmpOp::Eq => Test::Null,
+            Operand::Null => Test::Never,
+            Operand::Rank(o) if op.holds(o) => Test::NotNull,
+            Operand::Rank(_) => Test::Never,
+            Operand::Int(x, tie) => near(op, tie, |op| Test::Int(op, x)),
+            Operand::Float(x, tie) => near(op, tie, |op| Test::Float(op, x)),
+            Operand::Date(y) => Test::Date(op, y),
+            Operand::Bool(y) => Test::Bool([false, true].map(|x| op.holds(x.cmp(&y)))),
             // No string written yet: every slot is NULL (and code 0
             // names no string).
-            (T::Str, _) if dict.len() == 0 => Test::Never,
-            (T::Str, V::Str(y)) => {
-                let pass = dict.strings().iter().map(|s| op.holds((**s).cmp(&**y)));
+            Operand::Str(..) if dict.len() == 0 => Test::Never,
+            Operand::Str(y, _) => {
+                let pass = dict.strings().iter().map(|s| op.holds((**s).cmp(y)));
                 Test::Codes(pass.collect())
             }
-            (T::Str, _) => rank(V::Str("".into())),
         }
     }
 
@@ -850,7 +845,6 @@ impl Test {
             _ if vals.nulls.get(i) => false,
             (Test::NotNull, _) => true,
             (Test::Int(op, y), Data::Int(v)) => holds(*op, v[i], *y),
-            (Test::IntAsFloat(op, y), Data::Int(v)) => holds(*op, v[i] as f64, *y),
             (Test::Float(op, y), Data::Float(v)) => holds(*op, v[i], *y),
             (Test::Date(op, y), Data::Date(v)) => holds(*op, v[i], *y),
             (Test::Bool(pass), Data::Bool(v)) => pass[usize::from(v.get(i))],
@@ -874,10 +868,9 @@ impl Test {
             (Test::Never, _) => return 0,
             (Test::Null, _) => return nulls,
             (Test::NotNull, _) => valid,
-            (Test::Int(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x, *op, *y),
-            (Test::IntAsFloat(op, y), Data::Int(v)) => mask(&v[lo..hi], |x| x as f64, *op, *y),
-            (Test::Float(op, y), Data::Float(v)) => mask(&v[lo..hi], |x| x, *op, *y),
-            (Test::Date(op, y), Data::Date(v)) => mask(&v[lo..hi], |x| x, *op, *y),
+            (Test::Int(op, y), Data::Int(v)) => mask(&v[lo..hi], *op, *y),
+            (Test::Float(op, y), Data::Float(v)) => mask(&v[lo..hi], *op, *y),
+            (Test::Date(op, y), Data::Date(v)) => mask(&v[lo..hi], *op, *y),
             (Test::Bool([on_false, on_true]), Data::Bool(v)) => {
                 let b = v.word(w);
                 let t = if *on_true { b } else { 0 };
@@ -939,7 +932,7 @@ mod tests {
     use super::*;
 
     /// Every operand the kernels must agree with `CmpOp::eval` on: each
-    /// variant, `Int` against `Float` (numeric), `-0.0` beside `0.0`, NaN,
+    /// variant, `Int` against `Float` (exact), `-0.0` beside `0.0`, NaN,
     /// the ends of `i64`, and ints past 2^53 beside the floats nearest them.
     fn operands() -> Vec<Value> {
         let big = (1i64 << 53) + 1;

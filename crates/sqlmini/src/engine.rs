@@ -902,7 +902,6 @@ impl Database {
         WhatIfSession {
             db: self,
             added: Vec::new(),
-            removed: Vec::new(),
             base_geoms: std::cell::RefCell::new(BTreeMap::new()),
         }
     }
@@ -954,19 +953,17 @@ impl PlannerEnv for EngineEnv<'_> {
     }
 }
 
-/// A what-if session: plans are costed under (real indexes ∪ added hypo
-/// indexes) ∖ removed, with nothing materialized. Each `cost` call counts
-/// as an optimizer invocation (the overhead DTA budgets, §5.3.1).
+/// A what-if session: plans are costed under the real indexes and the
+/// added hypothetical ones, with nothing materialized. Each `cost` call
+/// counts as an optimizer invocation (the overhead DTA budgets, §5.3.1).
 pub struct WhatIfSession<'a> {
     db: &'a mut Database,
     added: Vec<IndexDef>,
-    removed: Vec<IndexId>,
     /// Per-table *real*-index geometry, resolved lazily on first touch and
     /// shared by every subsequent `cost` in the session — the catalog and
     /// materialized indexes cannot change while the session borrows the
-    /// database, so one resolution walk serves the whole batch. Session
-    /// removals are filtered at use, hypotheticals are layered on top, so
-    /// neither invalidates the memo.
+    /// database, so one resolution walk serves the whole batch.
+    /// Hypotheticals are layered on top, so they do not invalidate it.
     base_geoms: std::cell::RefCell<BTreeMap<TableId, Vec<IndexGeom>>>,
 }
 
@@ -976,14 +973,8 @@ impl WhatIfSession<'_> {
         self.added.push(def);
     }
 
-    /// Hide an existing index from the configuration under test.
-    pub fn remove_real(&mut self, id: IndexId) {
-        self.removed.push(id);
-    }
-
     pub fn clear(&mut self) {
         self.added.clear();
-        self.removed.clear();
     }
 
     /// Stable fingerprint of the configuration under test, **restricted
@@ -991,11 +982,11 @@ impl WhatIfSession<'_> {
     /// [`tables_touched`](crate::query::Statement::tables_touched)).
     ///
     /// The fingerprint hashes, per table in the order given: the identity
-    /// of every visible real index (id + keys + includes), minus the
-    /// session's removals, plus every hypothetical index on that table as
-    /// its *structural* identity `(key_columns, included_columns)` —
-    /// deliberately **not** its name, so salted display names never
-    /// perturb the fingerprint — sorted so insertion order is irrelevant.
+    /// of every real index (id + keys + includes), plus every hypothetical
+    /// index on that table as its *structural* identity
+    /// `(key_columns, included_columns)` — deliberately **not** its name,
+    /// so salted display names never perturb the fingerprint — sorted so
+    /// insertion order is irrelevant.
     ///
     /// Two sessions with the same fingerprint over a statement's touched
     /// tables produce bit-identical `cost()` estimates for it (costing is
@@ -1007,11 +998,8 @@ impl WhatIfSession<'_> {
         let mut h = DefaultHasher::new();
         for t in tables {
             t.hash(&mut h);
-            // Visible real indexes, in catalog (id) order.
+            // Real indexes, in catalog (id) order.
             for (id, def) in self.db.catalog.indexes_on(*t) {
-                if self.removed.contains(&id) {
-                    continue;
-                }
                 id.hash(&mut h);
                 def.key_columns.hash(&mut h);
                 def.included_columns.hash(&mut h);
@@ -1037,7 +1025,6 @@ impl WhatIfSession<'_> {
         let env = WhatIfEnv {
             db: self.db,
             added: &self.added,
-            removed: &self.removed,
             base_geoms: &self.base_geoms,
         };
         let r = optimize(&env, &template.statement, params);
@@ -1049,7 +1036,6 @@ impl WhatIfSession<'_> {
 struct WhatIfEnv<'a> {
     db: &'a Database,
     added: &'a [IndexDef],
-    removed: &'a [IndexId],
     base_geoms: &'a std::cell::RefCell<BTreeMap<TableId, Vec<IndexGeom>>>,
 }
 
@@ -1070,15 +1056,7 @@ impl PlannerEnv for WhatIfEnv<'_> {
     fn indexes_on(&self, t: TableId) -> Vec<IndexGeom> {
         let mut memo = self.base_geoms.borrow_mut();
         let base = memo.entry(t).or_insert_with(|| self.db.index_geoms(t));
-        let mut geoms: Vec<IndexGeom> = base
-            .iter()
-            .filter(|g| {
-                g.rref
-                    .real_id()
-                    .is_none_or(|id| !self.removed.contains(&id))
-            })
-            .cloned()
-            .collect();
+        let mut geoms = base.clone();
         let rows = self
             .db
             .stats
@@ -1358,21 +1336,13 @@ mod tests {
     }
 
     #[test]
-    fn config_fingerprint_sees_real_indexes_and_removals() {
+    fn config_fingerprint_sees_real_indexes() {
         let (mut db, t) = orders_db();
         let before = db.what_if().config_fingerprint(&[t]);
-        let (id, _) = db
-            .create_index(IndexDef::new("real", t, vec![ColumnId(2)], vec![]))
+        db.create_index(IndexDef::new("real", t, vec![ColumnId(2)], vec![]))
             .unwrap();
         let with_real = db.what_if().config_fingerprint(&[t]);
         assert_ne!(before, with_real, "real index is part of the config");
-        let mut session = db.what_if();
-        session.remove_real(id);
-        assert_eq!(
-            before,
-            session.config_fingerprint(&[t]),
-            "hiding the only real index restores the empty-config fingerprint"
-        );
     }
 
     #[test]

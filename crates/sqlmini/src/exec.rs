@@ -35,12 +35,15 @@
 //!   are of one type other than a string; its table chains each key's
 //!   rows in arrival order, so a key costs no allocation of its own.
 //!
-//! The kernels reproduce `Value`'s order and equality exactly (`Int`
-//! against `Float` numerically, `-0.0` equal to `0.0`, a NaN operand
-//! equal to every number, variants of different types by rank); join
-//! keys of two types or two dictionaries, the index nested-loop join's
-//! seek keys, ORDER BY and the rows sink read each value as a `Value`
-//! built from its run and the layout's dictionary. Storage is only
+//! The kernels reproduce `Value`'s order and equality exactly, each
+//! comparing within its column's type: a constant of the other numeric
+//! type is taken into the column's type exactly, `-0.0` equals `0.0`,
+//! and a NaN or a constant of another type is ordered alike against
+//! every value (`crate::column`). Join keys of two types or two
+//! dictionaries, the index nested-loop join's seek keys, ORDER BY and
+//! the rows sink read each value as a `Value` built from its run and the
+//! layout's dictionary; `Value`'s `Eq` and `Hash` agree with its order,
+//! so a hash join and a seek match the same keys. Storage is only
 //! borrowed shared for the whole statement, so a view stays valid until
 //! the sink. The executor's temporary hash tables (group keys, the
 //! join's build side) hash a word at a time with a multiply, not with
@@ -52,9 +55,10 @@
 //! Every column stores its declared type, so DML makes each value it
 //! writes fit its column before anything else happens
 //! ([`ValueType::fit`]): NULL fits every column, an `Int` written to a
-//! `Float` column is stored as its `f64`, and any other misfit or a NaN
-//! refuses the statement with [`ExecError::TypeMismatch`] before it
-//! charges a page or writes a row or an index entry.
+//! `Float` column is stored as its `f64` if that equals it, and any
+//! other misfit or a NaN refuses the statement with
+//! [`ExecError::TypeMismatch`] before it charges a page or writes a row
+//! or an index entry.
 //!
 //! # Two sinks
 //!

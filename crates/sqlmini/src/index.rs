@@ -10,7 +10,11 @@
 //! allocation of its own, and a build sorts on exact 64-bit images of the
 //! key values and copies the heap's typed columns into the leaves without
 //! building a `Value`. Seeks and scans hand their entries on a leaf at a time
-//! ([`Entries`]), for the executor's kernels to read in place.
+//! ([`Entries`]), for the executor's kernels to read in place. A seek reads
+//! from the first entry within its lower bound and ends at the first that
+//! leaves its equality prefix or passes its upper bound: under `Value`'s
+//! total order every entry between the two qualifies, but those equal to
+//! an excluded lower bound.
 
 use crate::btree::{BTree, Entries};
 use crate::column::{Dict, Typed};
@@ -252,17 +256,12 @@ impl SecondaryIndex {
             from = tree.probe_then(from, v);
         }
         assert!(p <= key_len, "equality prefix longer than key");
-        let has_range = lo_val.is_some() || hi_val.is_some();
-        assert!(!has_range || p < key_len, "range column beyond key columns");
+        assert!(
+            p < key_len || lo_val.is_none() && hi_val.is_none(),
+            "range column beyond key columns"
+        );
         let lo_excluded = matches!(lo, ColBound::Excluded(_));
         let hi_op = hi_val.map(|v| tree.operand(p, v));
-        // Entries are in order only up to the first equality value equal
-        // to several stored values (`btree` module doc): a mismatch up to
-        // it ends the seek, one past it or a range end skips the entry.
-        let several = (0..p).find(|&j| from.op(j).equals_several());
-        let ends = several.map_or(p, |j| j + 1);
-        let sorted = several.is_none() || ends == p && !has_range;
-        let check_lo = lo_val.is_some() && (lo_excluded || !sorted);
         // Whether an entry past the bound need not be looked for: every
         // entry from the first on qualifies.
         let open = p == 0 && !lo_excluded && hi_op.is_none();
@@ -280,27 +279,24 @@ impl SecondaryIndex {
                 hand_on(run, pos..run.len());
                 return true;
             }
+            // The entries are in key order from the first within the lower
+            // bound: the first that leaves the equality prefix or passes
+            // the upper bound ends the seek, and only those equal to an
+            // excluded lower bound are skipped.
             let cmp = |i, j, op| tree.cmp_col(run, i, j, op);
             let mut start = pos;
             for i in pos..run.len() {
-                if !(0..ends).all(|j| cmp(i, j, from.op(j)).is_eq()) {
+                let past = !(0..p).all(|j| cmp(i, j, from.op(j)).is_eq())
+                    || match (&hi, &hi_op) {
+                        (ColBound::Included(_), Some(op)) => cmp(i, p, op) == Ordering::Greater,
+                        (ColBound::Excluded(_), Some(op)) => cmp(i, p, op) != Ordering::Less,
+                        _ => false,
+                    };
+                if past {
                     hand_on(run, start..i);
                     return false;
                 }
-                let below_lo = check_lo && {
-                    let o = cmp(i, p, from.op(p));
-                    o.is_lt() || lo_excluded && o.is_eq()
-                };
-                let past = match (&hi, &hi_op) {
-                    (ColBound::Included(_), Some(op)) => cmp(i, p, op) == Ordering::Greater,
-                    (ColBound::Excluded(_), Some(op)) => cmp(i, p, op) != Ordering::Less,
-                    _ => false,
-                };
-                if past && sorted {
-                    hand_on(run, start..i);
-                    return false;
-                }
-                if below_lo || past || !(ends..p).all(|j| cmp(i, j, from.op(j)).is_eq()) {
+                if lo_excluded && cmp(i, p, from.op(p)).is_le() {
                     hand_on(run, start..i);
                     start = i + 1;
                 }
@@ -1015,9 +1011,9 @@ mod tests {
 
     /// An equality seek on one typed key column must find exactly the
     /// entries a filter over the whole index finds, for operands of every
-    /// kind — a float equal to two ints past 2^53, a NaN (equal to every
-    /// number), NULL, a string in the dictionary and one not, and types
-    /// that rank apart.
+    /// kind — a float between two ints past 2^53 (equal to neither), a NaN
+    /// (above every number), NULL, a string in the dictionary and one
+    /// not, and types that rank apart.
     #[test]
     fn single_column_seeks_find_every_equal_entry() {
         let big = 1i64 << 53;

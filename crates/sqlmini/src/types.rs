@@ -38,12 +38,15 @@ impl ValueType {
 
     /// `v` as a column of this type stores it: NULL and a value of this
     /// type as they are, an `Int` in a `Float` column as its `f64` (SQL's
-    /// implicit conversion); `Err(v)` for a value of another type, and for
-    /// a NaN, which no column stores.
+    /// implicit conversion) when that is exact; `Err(v)` for a value of
+    /// another type, an `Int` no `f64` equals, and a NaN, which no column
+    /// stores.
     pub fn fit(self, v: Value) -> Result<Value, Value> {
         match (self, v) {
             (_, Value::Float(x)) if x.is_nan() => Err(Value::Float(x)),
-            (ValueType::Float, Value::Int(i)) => Ok(Value::Float(i as f64)),
+            (ValueType::Float, Value::Int(i)) if cmp_int_float(i, i as f64).is_eq() => {
+                Ok(Value::Float(i as f64))
+            }
             (_, v) if v.value_type().is_none_or(|t| t == self) => Ok(v),
             (_, v) => Err(v),
         }
@@ -65,9 +68,12 @@ impl fmt::Display for ValueType {
 
 /// A runtime scalar value.
 ///
-/// `Value` has a total order (`Null` sorts first, then by type, then by
-/// value) so composite index keys can be compared without panicking even
-/// when schemas are heterogeneous.
+/// `Value` has a total order: `Null` first, then `Bool`, the numbers,
+/// `Date` and `Str`, each by value. An `Int` and a `Float` compare exactly
+/// (`cmp_int_float`: no int is rounded), `-0.0` equals `0.0`, and a NaN
+/// equals only a NaN and ranks above every number, as in PostgreSQL.
+/// `Eq` and `Hash` agree with the order, so a query finds the same rows
+/// whether a hash table, a sort or an index seek matches its keys.
 ///
 /// `Value` is the engine's edge, not its storage: a table and every
 /// B+tree node keep their values by typed column (`crate::column`) —
@@ -79,8 +85,8 @@ impl fmt::Display for ValueType {
 /// column once, where it is written ([`ValueType::fit`]). Strings are
 /// reference-counted (`Arc<str>`), so a string value built from a
 /// dictionary is a refcount bump. The typed kernels and the B+tree's
-/// compiled probes reproduce this type's order, equality and hash
-/// exactly.
+/// compiled probes take each constant into the column's own type and
+/// reproduce this type's order and equality exactly.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
@@ -134,7 +140,7 @@ impl Value {
             Value::Null => 0,
             Value::Bool(_) => 1,
             Value::Int(_) => 2,
-            Value::Float(_) => 2, // ints and floats compare numerically
+            Value::Float(_) => 2, // ints and floats compare by value
             Value::Date(_) => 3,
             Value::Str(_) => 4,
         }
@@ -161,9 +167,11 @@ impl Ord for Value {
         match (self, other) {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Int(a), Float(b)) => (*a as f64).partial_cmp(b).unwrap_or(Ordering::Equal),
-            (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
+            (Float(a), Float(b)) => a
+                .partial_cmp(b)
+                .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan())),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
             (Date(a), Date(b)) => a.cmp(b),
@@ -182,10 +190,12 @@ impl std::hash::Hash for Value {
             }
             Value::Float(f) => {
                 2u8.hash(state);
-                // Hash floats by integer value when integral so Int(3) and
-                // Float(3.0) — which compare equal — hash identically.
-                if f.fract() == 0.0 && f.is_finite() {
+                // As the int it equals, if one does, so that Int(3) and
+                // Float(3.0) hash alike; every NaN as one value.
+                if cmp_int_float(*f as i64, *f).is_eq() {
                     (*f as i64).hash(state);
+                } else if f.is_nan() {
+                    f64::NAN.to_bits().hash(state);
                 } else {
                     f.to_bits().hash(state);
                 }
@@ -245,6 +255,19 @@ impl From<bool> for Value {
     }
 }
 
+/// `Int(i)` against `Float(f)`, exactly: `i` is never rounded, and a NaN
+/// ranks above every number.
+pub(crate) fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    if f.is_nan() {
+        return Ordering::Less;
+    }
+    // `t as i128` is exact where `t` could equal an `i64`, and stays past
+    // the ends of `i64` where it cannot (it saturates only past 2^127);
+    // `t` has `f`'s sign, so `total_cmp` is the numeric order here.
+    let t = f.trunc();
+    i128::from(i).cmp(&(t as i128)).then(t.total_cmp(&f))
+}
+
 /// A string's numeric view ([`Value::as_f64`]): its first 8 bytes as a
 /// float, monotone in lexicographic order, so range selectivity over
 /// strings is meaningful.
@@ -282,6 +305,12 @@ mod tests {
         assert_eq!(Value::Int(3).cmp(&Value::Float(3.0)), Ordering::Equal);
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(4.5) > Value::Int(4));
+        let big = 1i64 << 53;
+        assert!(Value::Int(big + 1) > Value::Float(big as f64));
+        assert!(Value::Int(i64::MAX) < Value::Float(i64::MAX as f64));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+        assert!(Value::Float(f64::NAN) > Value::Float(f64::INFINITY));
+        assert_eq!(Value::Float(f64::NAN), Value::Float(-f64::NAN));
     }
 
     #[test]
@@ -301,15 +330,52 @@ mod tests {
 
     /// Values that compare equal hash equal, under std's default hasher
     /// and under the executor's word hasher; strings that differ in their
-    /// last byte, or in a trailing zero byte, hash apart.
+    /// last byte, or in a trailing zero byte, hash apart. Over a pool of
+    /// numbers at the edges of exactness (the ends of `i64`, ints at and
+    /// past 2^53 beside the float between them, ±2^63, ±0.0, the
+    /// infinities, a NaN) and a value of every other type, the order is
+    /// transitive and antisymmetric and equal values hash alike.
     #[test]
     fn hash_consistent_with_eq_for_int_float() {
         use crate::exec::WordState;
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{BuildHasher, BuildHasherDefault};
 
-        fn check(hasher: impl BuildHasher) {
+        let big = 1i64 << 53;
+        let edge = 2f64.powi(63);
+        let mut pool: Vec<Value> = [i64::MIN, i64::MAX, big, -big, big + 1, -big - 1, 2, 3]
+            .map(Value::Int)
+            .to_vec();
+        pool.extend(
+            [big as f64, edge, -edge, 0.0, -0.0, 2.5, f64::INFINITY]
+                .into_iter()
+                .chain([f64::NEG_INFINITY, f64::NAN])
+                .map(Value::Float),
+        );
+        pool.extend([
+            Value::Null,
+            Value::Bool(true),
+            Value::Date(3),
+            Value::Str("a".into()),
+        ]);
+        for a in &pool {
+            for b in &pool {
+                assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} against {b:?}");
+                for c in &pool {
+                    if a <= b && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
+
+        fn check(hasher: impl BuildHasher, pool: &[Value]) {
             let h = |v: &Value| hasher.hash_one(v);
+            for a in pool {
+                for b in pool.iter().filter(|b| a == *b) {
+                    assert_eq!(h(a), h(b), "{a:?} == {b:?}");
+                }
+            }
             assert_eq!(Value::Int(7), Value::Float(7.0));
             assert_eq!(h(&Value::Int(7)), h(&Value::Float(7.0)));
             assert_eq!(Value::Float(0.0), Value::Float(-0.0));
@@ -329,12 +395,13 @@ mod tests {
                 assert_ne!(h(&a), h(&Value::from(text + "\0")), "{n} bytes and a zero");
             }
         }
-        check(BuildHasherDefault::<DefaultHasher>::default());
-        check(WordState::default());
+        check(BuildHasherDefault::<DefaultHasher>::default(), &pool);
+        check(WordState::default(), &pool);
     }
 
     /// NULL and a value of the type fit as they are; an `Int` fits a
-    /// `Float` column as its `f64`; another type, or a NaN, does not.
+    /// `Float` column as its `f64`, if that is exact; another type, or a
+    /// NaN, does not.
     #[test]
     fn fit_converts_ints_for_floats_and_refuses_misfits() {
         use ValueType as T;
@@ -353,6 +420,8 @@ mod tests {
             Err(Value::Str("d".into()))
         ));
         assert!(T::Float.fit(Value::Float(f64::NAN)).is_err());
+        let past = Value::Int((1 << 53) + 1);
+        assert!(same(T::Float.fit(past.clone()), Err(past)));
     }
 
     #[test]

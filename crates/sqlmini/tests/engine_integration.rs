@@ -4,7 +4,7 @@
 use sqlmini::clock::{Duration, SimClock, Timestamp};
 use sqlmini::engine::{Database, DbConfig, ServiceTier};
 use sqlmini::parser::parse_template;
-use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
+use sqlmini::query::{CmpOp, JoinSpec, Predicate, QueryTemplate, SelectQuery, Statement};
 use sqlmini::querystore::Metric;
 use sqlmini::schema::{ColumnDef, ColumnId, IndexDef, TableDef, TableId};
 use sqlmini::types::{Value, ValueType};
@@ -74,32 +74,75 @@ fn best_index_chosen_among_several() {
     assert_eq!(rows.len(), expected);
 }
 
+/// An `INT = FLOAT` join over keys at and past 2^53, where rounding the
+/// int to `f64` would make `2^53 + 1` equal `2^53`, returns the same rows
+/// as a hash join and as an index nested-loop join: ints and floats
+/// compare exactly, however the plan matches the keys.
 #[test]
-fn what_if_remove_real_restores_scan_cost() {
-    let (mut db, t) = orders_db(20_000);
-    let (id, _) = db
-        .create_index(IndexDef::new(
-            "ix_cust",
-            t,
-            vec![ColumnId(1)],
-            vec![ColumnId(0), ColumnId(3)],
+fn int_float_join_returns_the_same_rows_under_every_plan() {
+    let mut db = Database::new("join", DbConfig::default(), SimClock::new());
+    let a = db
+        .create_table(TableDef::new(
+            "a",
+            vec![ColumnDef::new("id", ValueType::Int)],
         ))
         .unwrap();
-    let mut q = SelectQuery::new(t);
-    q.predicates = vec![Predicate::param(ColumnId(1), CmpOp::Eq, 0)];
-    q.projection = vec![ColumnId(0), ColumnId(3)];
-    let tpl = QueryTemplate::new(Statement::Select(q), 1);
-    let mut session = db.what_if();
-    let (_, with_ix) = session.cost(&tpl, &[Value::Int(5)]);
-    session.remove_real(id);
-    let (plan, without) = session.cost(&tpl, &[Value::Int(5)]);
-    assert!(
-        without.cpu_us > with_ix.cpu_us * 5.0,
-        "hiding the index must restore scan-level cost: {} vs {}",
-        without.cpu_us,
-        with_ix.cpu_us
+    let b = db
+        .create_table(TableDef::new(
+            "b",
+            vec![
+                ColumnDef::new("x", ValueType::Float),
+                ColumnDef::new("n", ValueType::Int),
+            ],
+        ))
+        .unwrap();
+    let big = 1i64 << 53;
+    db.load_rows(
+        a,
+        [big - 1, big, big + 1, big + 2].map(|i| vec![Value::Int(i)]),
     );
-    assert!(plan.referenced_indexes().is_empty());
+    db.load_rows(
+        b,
+        (0..5_000i64).map(|i| {
+            let x = if i == 0 { big as f64 } else { i as f64 };
+            vec![Value::Float(x), Value::Int(i)]
+        }),
+    );
+    db.rebuild_stats(a);
+    db.rebuild_stats(b);
+    let mut q = SelectQuery::new(a);
+    q.projection = vec![ColumnId(0)];
+    q.join = Some(JoinSpec {
+        table: b,
+        outer_col: ColumnId(0),
+        inner_col: ColumnId(0),
+        predicates: vec![],
+        projection: vec![ColumnId(0), ColumnId(1)],
+    });
+    let tpl = QueryTemplate::new(Statement::Select(q), 0);
+    let rows = |db: &mut Database| {
+        let (out, rows) = db.query(&tpl, &[]).unwrap();
+        let mut rows: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
+        rows.sort();
+        (out.referenced_indexes.to_vec(), rows)
+    };
+    let (hashed_refs, hashed) = rows(&mut db);
+    assert!(hashed_refs.is_empty(), "a hash join: {hashed_refs:?}");
+    db.create_index(IndexDef::new(
+        "ix_x",
+        b,
+        vec![ColumnId(0)],
+        vec![ColumnId(1)],
+    ))
+    .unwrap();
+    let (seeked_refs, seeked) = rows(&mut db);
+    assert_eq!(
+        seeked_refs,
+        vec!["ix_x".to_string()],
+        "an index nested-loop join"
+    );
+    assert_eq!(hashed, seeked);
+    assert_eq!(hashed.len(), 1, "only 2^53 itself matches: {hashed:?}");
 }
 
 #[test]

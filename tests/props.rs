@@ -589,11 +589,11 @@ fn typed_btree_matches_value_model() {
                     _ => {
                         // A range between two prefixes of drawn keys, each
                         // end included, excluded or open. At any place of
-                        // either prefix, a float past 2^53 or a NaN, which
-                        // equals more than one stored number: the entries
-                        // equal to it are in no order in the later columns
-                        // or the row id, so what the range holds is every
-                        // entry within both bounds, wherever it lies.
+                        // either prefix, a float past 2^53 (between two
+                        // ints, and equal to a float column's value) or a
+                        // NaN (above every number): the ends of an exact
+                        // order, where a probe must land between the
+                        // stored values it does not equal.
                         let bound_key = |r: u64| -> (Vec<Value>, RowId) {
                             let n = 1 + (r >> 4) as usize % key_len;
                             let vals = (0..n).map(|j| match (r >> (20 + 3 * j)) % 6 {
@@ -665,11 +665,10 @@ fn typed_btree_matches_value_model() {
 /// every value, and the count of entries visited for the number that
 /// qualify.
 ///
-/// A float past 2^53 or a NaN, which equals more than one stored number,
-/// is drawn as any equality value and as either range bound: under an
-/// equality value equal to several stored values the entries are in no
-/// order in the later columns, and the seek must still find every entry
-/// that qualifies, and nothing else.
+/// A float past 2^53 (between two ints, and equal to a float column's
+/// value) or a NaN (above every number) is drawn as any equality value
+/// and as either range bound: at the ends of an exact order, the seek
+/// must find every entry that qualifies, and nothing else.
 ///
 /// Salted with `CHAOS_SEED`, so CI's chaos matrix draws different cases
 /// per seed.
