@@ -22,9 +22,9 @@ use workload::generate_tenant;
 
 fn main() {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 11);
-    let n_dbs = args.get_usize("databases", 8);
-    let hours = args.get_u64("hours", 24);
+    let seed = args.get_or::<u64>("seed", 11);
+    let n_dbs = args.get_or::<usize>("databases", 8);
+    let hours = args.get_or::<u64>("hours", 24);
 
     println!("== Workload coverage sweep (§5.1.2): {n_dbs} databases, {hours}h of history ==\n");
 

@@ -110,9 +110,9 @@ fn run_tier(tier: ServiceTier, databases: usize, seed: u64, phase_hours: u64, ve
 
 fn main() {
     let args = Args::parse();
-    let databases = args.get_usize("databases", 30);
-    let seed = args.get_u64("seed", 42);
-    let phase_hours = args.get_u64("phase-hours", 26);
+    let databases = args.get_or::<usize>("databases", 30);
+    let seed = args.get_or::<u64>("seed", 42);
+    let phase_hours = args.get_or::<u64>("phase-hours", 26);
     let verbose = args.has("verbose");
     let tiers: Vec<ServiceTier> = match args.get_str("tier", "both") {
         "premium" => vec![ServiceTier::Premium],

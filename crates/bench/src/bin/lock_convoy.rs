@@ -15,7 +15,7 @@ use sqlmini::lock::{LockMode, LockPriority, LockRequest};
 
 fn main() {
     let args = Args::parse();
-    let queries = args.get_u64("queries", 200);
+    let queries = args.get_or::<u64>("queries", 200);
 
     println!("== Drop-index lock convoy (§8.3 ablation) ==\n");
     println!(

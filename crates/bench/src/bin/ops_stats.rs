@@ -29,11 +29,11 @@ use workload::fleet::{generate_fleet, TierMix};
 
 fn main() {
     let args = Args::parse();
-    let n_dbs = args.get_usize("databases", 12);
-    let weeks = args.get_u64("weeks", 2);
-    let seed = args.get_u64("seed", 42);
-    let threads = args.get_usize("threads", 4).max(2);
-    let auto_frac = args.get_f64("auto-frac", 0.25);
+    let n_dbs = args.get_or::<usize>("databases", 12);
+    let weeks = args.get_or::<u64>("weeks", 2);
+    let seed = args.get_or::<u64>("seed", 42);
+    let threads = args.get_or::<usize>("threads", 4).max(2);
+    let auto_frac = args.get_or::<f64>("auto-frac", 0.25);
 
     // Scale the drop-analysis observation window to the simulation length
     // (the paper's 60 days of telemetry would never elapse in a short run).

@@ -147,8 +147,8 @@ fn trial(seed: u64, noise: f64, good: bool, policy: RevertPolicy, execs: usize) 
 
 fn main() {
     let args = Args::parse();
-    let trials = args.get_usize("trials", 10);
-    let execs = args.get_usize("execs", 60);
+    let trials = args.get_or::<usize>("trials", 10);
+    let execs = args.get_or::<usize>("execs", 60);
 
     println!(
         "== Validation quality (§6): {trials} trials per cell, {execs} executions per phase ==\n"

@@ -4,6 +4,7 @@
 
 use sqlmini::engine::ServiceTier;
 use std::collections::BTreeMap;
+use std::str::FromStr;
 use workload::fleet::{generate_tenant, FleetSpec, Tenant, UserIndexPolicy};
 use workload::TenantConfig;
 
@@ -18,7 +19,7 @@ impl Args {
     }
 
     #[allow(clippy::should_implement_trait)]
-    pub fn from_iter(iter: impl IntoIterator<Item = String>) -> Args {
+    fn from_iter(iter: impl IntoIterator<Item = String>) -> Args {
         let mut map = BTreeMap::new();
         let argv: Vec<String> = iter.into_iter().collect();
         let mut i = 0;
@@ -38,26 +39,20 @@ impl Args {
         Args { map }
     }
 
-    pub fn get(&self, key: &str) -> Option<&str> {
+    fn get(&self, key: &str) -> Option<&str> {
         self.map.get(key).map(String::as_str)
     }
 
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get(key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value of `--key` parsed as `T`, or `default` when the flag is
+    /// absent. A value that does not parse panics and names the flag: a
+    /// typo must not silently run with the default.
+    pub fn get_or<T: FromStr>(&self, key: &str, default: T) -> T {
+        match self.get(key) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| panic!("--{key}: cannot parse {v:?}")),
+        }
     }
 
     pub fn get_str<'a>(&'a self, key: &str, default: &'a str) -> &'a str {
@@ -115,9 +110,9 @@ pub fn harness_tenant(name: String, seed: u64, tier: ServiceTier) -> TenantConfi
 /// byte-identical tenants to a full materialization.
 #[derive(Debug, Clone)]
 pub struct SparseFleetSpec {
-    pub n: usize,
-    pub active_pct: f64,
-    pub seed: u64,
+    n: usize,
+    active_pct: f64,
+    seed: u64,
 }
 
 impl SparseFleetSpec {
@@ -136,7 +131,7 @@ impl SparseFleetSpec {
     }
 
     /// Is tenant `i` one of the active minority?
-    pub fn is_active(&self, i: usize) -> bool {
+    fn is_active(&self, i: usize) -> bool {
         (self.index_hash(i) % 10_000) as f64 / 10_000.0 < self.active_pct
     }
 }
@@ -205,9 +200,17 @@ mod tests {
                 .map(String::from),
         );
         assert_eq!(a.get_str("tier", "standard"), "premium");
-        assert_eq!(a.get_u64("databases", 10), 30);
+        assert_eq!(a.get_or::<usize>("databases", 10), 30);
+        assert_eq!(a.get_or::<f64>("databases", 1.5), 30.0);
         assert!(a.has("verbose"));
-        assert_eq!(a.get_u64("missing", 7), 7);
+        assert_eq!(a.get_or::<u64>("missing", 7), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "--databases")]
+    fn args_reject_an_unparsable_value() {
+        let a = Args::from_iter(["--databases", "2O"].into_iter().map(String::from));
+        a.get_or::<usize>("databases", 3);
     }
 
     #[test]

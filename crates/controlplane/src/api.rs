@@ -6,7 +6,7 @@
 //! full history of automated actions with before/after execution costs.
 
 use crate::plane::{ControlPlane, ManagedDb};
-use crate::state::{DbSettings, RecoId, RecoState, Setting};
+use crate::state::{RecoId, RecoState, Setting};
 use autoindex::RecoAction;
 use sqlmini::clock::Timestamp;
 use sqlmini::query::QueryId;
@@ -16,57 +16,57 @@ use sqlmini::querystore::Metric;
 /// effective ("current") state after server inheritance.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct SettingsView {
-    pub database: String,
-    pub auto_create_desired: String,
-    pub auto_drop_desired: String,
+    database: String,
+    auto_create_desired: String,
+    auto_drop_desired: String,
     /// Effective values after inheritance (the "Current State" column).
-    pub auto_create_effective: bool,
-    pub auto_drop_effective: bool,
+    auto_create_effective: bool,
+    auto_drop_effective: bool,
 }
 
 /// Figure 2's recommendation-list row.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RecommendationSummary {
     pub id: RecoId,
-    pub action: String,
-    pub source: String,
-    pub state: String,
-    pub estimated_improvement_pct: f64,
-    pub estimated_size_bytes: u64,
-    pub created_at: Timestamp,
+    action: String,
+    source: String,
+    state: String,
+    estimated_improvement_pct: f64,
+    estimated_size_bytes: u64,
+    created_at: Timestamp,
 }
 
 /// Figure 3's detail view: everything in the summary plus the impacted
 /// statements and (for completed actions) measured before/after costs.
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct RecommendationDetails {
-    pub summary: RecommendationSummary,
+    summary: RecommendationSummary,
     /// Statements the recommender expects to improve.
-    pub impacted_statements: Vec<ImpactedStatement>,
+    impacted_statements: Vec<ImpactedStatement>,
     /// State-machine history (time, from, to, note).
-    pub history: Vec<(Timestamp, String, String, String)>,
+    history: Vec<(Timestamp, String, String, String)>,
     /// Measured average CPU per execution before/after implementation
     /// (None until validation ran).
-    pub measured_cpu_before: Option<f64>,
-    pub measured_cpu_after: Option<f64>,
+    measured_cpu_before: Option<f64>,
+    measured_cpu_after: Option<f64>,
 }
 
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
-pub struct ImpactedStatement {
-    pub query_id: String,
+struct ImpactedStatement {
+    query_id: String,
     /// Share of the database's recent CPU the statement represents.
-    pub recent_cpu_share_pct: f64,
+    recent_cpu_share_pct: f64,
 }
 
 /// A history row ("for every action implemented by the system, a history
 /// view shows the state of such actions").
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct HistoryEntry {
-    pub id: RecoId,
-    pub action: String,
-    pub final_state: String,
-    pub implemented_at: Option<Timestamp>,
-    pub note: String,
+    id: RecoId,
+    action: String,
+    final_state: String,
+    implemented_at: Option<Timestamp>,
+    note: String,
 }
 
 /// Read/write API over a control plane + managed database.
@@ -91,15 +91,6 @@ impl ManagementApi {
             auto_create_effective: c,
             auto_drop_effective: d,
         }
-    }
-
-    pub fn set_settings(mdb: &mut ManagedDb, settings: DbSettings) {
-        mdb.settings = settings;
-    }
-
-    pub fn set_server_defaults(mdb: &mut ManagedDb, auto_create: bool, auto_drop: bool) {
-        mdb.server.auto_create = auto_create;
-        mdb.server.auto_drop = auto_drop;
     }
 
     // ------------------------------------------------------------------
@@ -267,14 +258,11 @@ impl ManagementApi {
     }
 }
 
-/// Convenience re-export of the source enum for API consumers.
-pub use autoindex::RecoSource as RecommendationSource;
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plane::PlanePolicy;
-    use crate::state::ServerSettings;
+    use crate::state::{DbSettings, ServerSettings};
     use sqlmini::clock::{Duration, SimClock};
     use sqlmini::engine::{Database, DbConfig};
     use sqlmini::query::{CmpOp, Predicate, QueryTemplate, SelectQuery, Statement};
@@ -335,17 +323,14 @@ mod tests {
         let v = ManagementApi::get_settings(&mdb);
         assert_eq!(v.auto_create_desired, "INHERIT");
         assert!(!v.auto_create_effective, "server default is off");
-        ManagementApi::set_server_defaults(&mut mdb, true, false);
+        (mdb.server.auto_create, mdb.server.auto_drop) = (true, false);
         let v = ManagementApi::get_settings(&mdb);
         assert!(v.auto_create_effective);
         assert!(!v.auto_drop_effective);
-        ManagementApi::set_settings(
-            &mut mdb,
-            DbSettings {
-                auto_create: Setting::Off,
-                auto_drop: Setting::On,
-            },
-        );
+        mdb.settings = DbSettings {
+            auto_create: Setting::Off,
+            auto_drop: Setting::On,
+        };
         let v = ManagementApi::get_settings(&mdb);
         assert!(!v.auto_create_effective, "db-level OFF beats server ON");
         assert!(v.auto_drop_effective);

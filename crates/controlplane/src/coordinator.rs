@@ -62,9 +62,9 @@ pub struct RegionConfig {
     /// Single-valued, and read by nothing: kept only because the frozen
     /// benchmark adapter sets it (see [`HydrationMode`]).
     pub hydration: HydrationMode,
-    /// Retain full per-tenant outcomes (and thus the region canonical
-    /// string). Affordable for test-scale fleets; off at the million
-    /// scale, where the digest is the comparison surface.
+    /// Keep every tenant's outcome until the merge, to build the region
+    /// canonical string. Affordable for test-scale fleets; off at the
+    /// million scale, where the digest is the comparison surface.
     pub retain_outcomes: bool,
 }
 
@@ -87,18 +87,16 @@ pub struct RegionReport {
     pub tenants: usize,
     pub shards: usize,
     pub ticks: u32,
-    pub sim_time: Duration,
+    sim_time: Duration,
     /// Streaming canonical digest — byte-equality surface vs the
     /// unsharded oracle's
     /// [`canonical_digest`](crate::fleet_driver::FleetReport::canonical_digest).
     pub digest: u64,
     /// Full canonical string, present iff `retain_outcomes` was on.
     pub canonical: Option<String>,
-    /// Full outcomes in global fleet order, iff `retain_outcomes`.
-    pub outcomes: Option<Vec<TenantOutcome>>,
     /// All shards' telemetry merged in shard order (counters exact;
     /// events capped).
-    pub telemetry: Telemetry,
+    telemetry: Telemetry,
     /// All shards' canonical metrics merged.
     pub metrics: MetricsRegistry,
     /// Driver bookkeeping merged across shards.
@@ -107,7 +105,6 @@ pub struct RegionReport {
     pub statements: u64,
     pub errors: u64,
     pub poisoned: usize,
-    pub quarantines: u64,
     /// High-water mark of simultaneously hydrated tenants — the number
     /// the million-tenant smoke run bounds with a static cap.
     pub peak_hydrated: usize,
@@ -118,12 +115,6 @@ impl RegionReport {
     /// to the unsharded report's `dashboard()`.
     pub fn dashboard(&self) -> DashboardSnapshot {
         DashboardSnapshot::new(&self.telemetry, &self.metrics, self.sim_time)
-    }
-
-    /// Ops table plus the scheduler / plan-cache / journal blocks, from
-    /// the same driver registry the unsharded report annotates with.
-    pub fn dashboard_with_scheduler(&self) -> DashboardSnapshot {
-        self.dashboard().with_driver(&self.scheduler_metrics)
     }
 
     /// Control-plane passes that actually ran, region-wide.
@@ -140,7 +131,7 @@ impl RegionReport {
 /// The coordinator: owns assignment, dispatches shard commands, merges.
 #[derive(Debug, Clone)]
 pub struct RegionCoordinator {
-    pub config: RegionConfig,
+    config: RegionConfig,
 }
 
 impl RegionCoordinator {
@@ -149,7 +140,7 @@ impl RegionCoordinator {
     }
 
     /// The coordinator's tenant→shard mapping.
-    pub fn assignment(&self) -> ShardAssignment {
+    fn assignment(&self) -> ShardAssignment {
         ShardAssignment::new(self.config.shards)
     }
 
@@ -213,7 +204,7 @@ impl RegionCoordinator {
             statements,
             errors,
             poisoned,
-            quarantines,
+            ..
         } = totals;
 
         // Canonical digest: per-tenant line hashes folded in *global*
@@ -226,19 +217,15 @@ impl RegionCoordinator {
         }
         let digest = fnv1a64_extend(h, counters_line(&telemetry).as_bytes());
 
-        let (canonical, outcomes) = match outcomes {
-            None => (None, None),
-            Some(mut pairs) => {
-                pairs.sort_unstable_by_key(|&(i, _)| i);
-                let ordered: Vec<TenantOutcome> = pairs.into_iter().map(|(_, o)| o).collect();
-                let mut out = String::new();
-                for o in &ordered {
-                    out.push_str(&crate::fleet_driver::canonical_line(o));
-                }
-                out.push_str(&counters_line(&telemetry));
-                (Some(out), Some(ordered))
+        let canonical = outcomes.map(|mut pairs| {
+            pairs.sort_unstable_by_key(|&(i, _)| i);
+            let mut out = String::new();
+            for (_, o) in &pairs {
+                out.push_str(&crate::fleet_driver::canonical_line(o));
             }
-        };
+            out.push_str(&counters_line(&telemetry));
+            out
+        });
 
         RegionReport {
             tenants,
@@ -247,7 +234,6 @@ impl RegionCoordinator {
             sim_time,
             digest,
             canonical,
-            outcomes,
             telemetry,
             metrics,
             scheduler_metrics,
@@ -255,7 +241,6 @@ impl RegionCoordinator {
             statements,
             errors,
             poisoned,
-            quarantines,
             peak_hydrated,
         }
     }
@@ -336,9 +321,7 @@ mod tests {
         .run(&spec, 3);
         assert_eq!(seq.digest, par.digest);
         assert_eq!(seq.canonical, par.canonical);
-        assert_eq!(
-            seq.dashboard_with_scheduler().render(),
-            par.dashboard_with_scheduler().render()
-        );
+        let dashboard = |r: &RegionReport| r.dashboard().with_driver(&r.scheduler_metrics).render();
+        assert_eq!(dashboard(&seq), dashboard(&par));
     }
 }

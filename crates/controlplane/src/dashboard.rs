@@ -28,11 +28,11 @@ pub struct DashboardSnapshot {
     /// Databases with auto-implementation enabled (`fleet.auto_tenants`).
     pub auto_databases: i64,
     /// Simulated time the metrics cover, in milliseconds.
-    pub sim_millis: u64,
+    sim_millis: u64,
     /// Backlog: Active CREATE INDEX recommendations awaiting action.
-    pub outstanding_creates: i64,
+    outstanding_creates: i64,
     /// Backlog: Active DROP INDEX recommendations awaiting action.
-    pub outstanding_drops: i64,
+    outstanding_drops: i64,
     pub implemented_creates: u64,
     pub implemented_drops: u64,
     pub reverts: u64,
@@ -40,61 +40,61 @@ pub struct DashboardSnapshot {
     pub revert_causes: BTreeMap<String, u64>,
     /// Reverts by originating recommender (`revert.source.*`).
     pub reverts_by_source: BTreeMap<String, u64>,
-    pub expired: u64,
+    expired: u64,
     /// Queries measured in both the first and last observation windows.
-    pub queries_measured: u64,
+    queries_measured: u64,
     /// Of those, queries whose mean CPU improved by ≥2× (§8.1).
-    pub queries_improved_2x: u64,
+    queries_improved_2x: u64,
     /// Databases whose fixed-count CPU cost at least halved (§8.1).
-    pub dbs_cpu_halved: u64,
-    pub recoveries: u64,
-    pub quarantines: u64,
-    pub poisoned: u64,
-    pub incidents: u64,
+    dbs_cpu_halved: u64,
+    recoveries: u64,
+    quarantines: u64,
+    poisoned: u64,
+    incidents: u64,
     /// DTA sessions run (`dta.sessions`) / aborted on budget.
     pub dta_sessions: u64,
-    pub dta_sessions_aborted: u64,
+    dta_sessions_aborted: u64,
     /// What-if optimizer calls DTA actually issued (`dta.whatif.issued`).
     pub what_if_issued: u64,
     /// What-if calls answered from the cost cache (`dta.whatif.saved.cache`).
     pub what_if_saved_cache: u64,
     /// What-if calls skipped by relevance pruning (`dta.whatif.saved.pruning`).
-    pub what_if_saved_pruning: u64,
+    what_if_saved_pruning: u64,
     /// Control-plane passes the fleet scheduler ran (this and the eight
     /// fields after it are 0 when the snapshot was built without driver
     /// context — see [`DashboardSnapshot::with_driver`]).
-    pub sched_ticks_executed: u64,
+    sched_ticks_executed: u64,
     /// Control-plane passes the sparse scheduler proved unnecessary.
-    pub sched_ticks_skipped: u64,
+    sched_ticks_skipped: u64,
     /// Plan-selection cache hits across the fleet's tenant engines.
-    pub plan_cache_hits: u64,
+    plan_cache_hits: u64,
     /// Plan-selection cache misses (compilations actually run).
-    pub plan_cache_misses: u64,
+    plan_cache_misses: u64,
     /// Cached plans discarded because the catalog fingerprint moved.
-    pub plan_cache_invalidations: u64,
+    plan_cache_invalidations: u64,
     /// Checkpoint frames written by journal compaction.
-    pub checkpoints_written: u64,
+    checkpoints_written: u64,
     /// Journal frames truncated away by compaction.
-    pub frames_compacted: u64,
+    frames_compacted: u64,
     /// Journal bytes reclaimed by compaction.
-    pub journal_bytes_reclaimed: u64,
+    journal_bytes_reclaimed: u64,
     /// Recoveries that stepped down the checkpoint fallback ladder.
-    pub fallback_recoveries: u64,
+    fallback_recoveries: u64,
     /// Tenants sampled into the policy-flight cohort (0 when the
     /// snapshot was built without flight context — see
     /// [`DashboardSnapshot::with_flight`]).
-    pub flight_cohort: u64,
+    flight_cohort: u64,
     /// Cohort tenants where the candidate policy measurably improved.
-    pub flight_improved: u64,
+    flight_improved: u64,
     /// Cohort tenants where the candidate policy measurably regressed.
-    pub flight_regressed: u64,
+    flight_regressed: u64,
     /// Cohort tenants with no significant difference.
-    pub flight_washed: u64,
+    flight_washed: u64,
     /// Cohort tenants discarded by the divergence guard.
-    pub flight_discarded: u64,
+    flight_discarded: u64,
     /// The region-level flight decision ("ship" / "abort"; empty when no
     /// flight context was attached).
-    pub flight_verdict: String,
+    flight_verdict: String,
 }
 
 impl DashboardSnapshot {
@@ -157,7 +157,7 @@ impl DashboardSnapshot {
     /// compaction policies whose canonical output is identical. Gates
     /// the "fleet scheduler", "plan cache" and "journal / recovery"
     /// render blocks.
-    pub fn with_driver(mut self, driver: &MetricsRegistry) -> DashboardSnapshot {
+    pub(crate) fn with_driver(mut self, driver: &MetricsRegistry) -> DashboardSnapshot {
         self.sched_ticks_executed = driver.counter("scheduler.ticks_executed");
         self.sched_ticks_skipped = driver.counter("scheduler.ticks_skipped");
         self.plan_cache_hits = driver.counter("plan_cache.hits");
@@ -192,7 +192,7 @@ impl DashboardSnapshot {
     }
 
     /// Fraction of statement executions served by a memoized plan.
-    pub fn plan_cache_hit_rate(&self) -> f64 {
+    fn plan_cache_hit_rate(&self) -> f64 {
         let total = self.plan_cache_hits + self.plan_cache_misses;
         if total == 0 {
             return 0.0;
@@ -201,7 +201,7 @@ impl DashboardSnapshot {
     }
 
     /// Fraction of scheduled control passes skipped as provably idle.
-    pub fn sched_skip_fraction(&self) -> f64 {
+    fn sched_skip_fraction(&self) -> f64 {
         let total = self.sched_ticks_executed + self.sched_ticks_skipped;
         if total == 0 {
             return 0.0;
@@ -230,7 +230,7 @@ impl DashboardSnapshot {
 
     /// Fraction of databases with auto-implementation on (§8.1 reports
     /// roughly a quarter of the fleet).
-    pub fn auto_fraction(&self) -> f64 {
+    fn auto_fraction(&self) -> f64 {
         if self.databases <= 0 {
             return 0.0;
         }
@@ -242,7 +242,7 @@ impl DashboardSnapshot {
     }
 
     /// Implemented creates per simulated week.
-    pub fn weekly_creates(&self) -> f64 {
+    fn weekly_creates(&self) -> f64 {
         let w = self.sim_weeks();
         if w <= 0.0 {
             return 0.0;
@@ -251,7 +251,7 @@ impl DashboardSnapshot {
     }
 
     /// Implemented drops per simulated week.
-    pub fn weekly_drops(&self) -> f64 {
+    fn weekly_drops(&self) -> f64 {
         let w = self.sim_weeks();
         if w <= 0.0 {
             return 0.0;
@@ -260,7 +260,7 @@ impl DashboardSnapshot {
     }
 
     /// Reverts ÷ implemented actions (§8.1 reports ~11%).
-    pub fn revert_rate(&self) -> f64 {
+    fn revert_rate(&self) -> f64 {
         let implemented = self.implemented_creates + self.implemented_drops;
         if implemented == 0 {
             return 0.0;
@@ -270,7 +270,7 @@ impl DashboardSnapshot {
 
     /// Outstanding drops per outstanding create (§8.1: drop backlog
     /// dwarfs the create backlog, ~3.4M vs ~250K).
-    pub fn drop_backlog_ratio(&self) -> f64 {
+    fn drop_backlog_ratio(&self) -> f64 {
         if self.outstanding_creates <= 0 {
             return 0.0;
         }

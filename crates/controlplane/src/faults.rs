@@ -111,17 +111,9 @@ impl FaultInjector {
         self.scripted.is_empty()
     }
 
-    /// Scripted faults still pending at `point` (diagnostics).
-    pub fn scripted_remaining(&self, point: FaultPoint) -> u32 {
-        self.scripted
-            .get(&point)
-            .map(|q| q.iter().map(|(n, _)| n).sum())
-            .unwrap_or(0)
-    }
-
     /// Ask whether the current action fails. Consumes scripted faults
     /// first, then draws stochastically.
-    pub fn check(&mut self, point: FaultPoint) -> Option<FaultKind> {
+    pub(crate) fn check(&mut self, point: FaultPoint) -> Option<FaultKind> {
         if let Some(queue) = self.scripted.get_mut(&point) {
             if let Some((n, kind)) = queue.first_mut() {
                 *n -= 1;
@@ -181,7 +173,6 @@ mod tests {
         assert!(!f.scripted_is_empty());
         assert_eq!(f.check(FaultPoint::IndexBuild), Some(FaultKind::Transient));
         assert!(f.scripted_is_empty(), "exhausted entry must be dropped");
-        assert_eq!(f.scripted_remaining(FaultPoint::IndexBuild), 0);
         assert_eq!(f.check(FaultPoint::IndexBuild), None);
     }
 
@@ -190,7 +181,6 @@ mod tests {
         let mut f = FaultInjector::disabled();
         f.script(FaultPoint::IndexBuild, 2, FaultKind::Transient);
         f.script(FaultPoint::IndexBuild, 1, FaultKind::Fatal);
-        assert_eq!(f.scripted_remaining(FaultPoint::IndexBuild), 3);
         assert_eq!(f.check(FaultPoint::IndexBuild), Some(FaultKind::Transient));
         assert_eq!(f.check(FaultPoint::IndexBuild), Some(FaultKind::Transient));
         assert_eq!(f.check(FaultPoint::IndexBuild), Some(FaultKind::Fatal));

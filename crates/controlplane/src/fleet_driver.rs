@@ -178,7 +178,7 @@ impl Default for FleetDriverConfig {
 }
 
 /// Deterministic 64-bit hash of a fleet index and a salt — splitmix64
-/// finalizer. The raw-bits form of [`index_hash01`], shared with the
+/// finalizer. The raw-bits form of `index_hash01`, shared with the
 /// shard assignment (which needs integer slots, not a float draw).
 pub fn index_hash_bits(index: usize, salt: u64) -> u64 {
     splitmix64_mix((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt)
@@ -189,7 +189,7 @@ pub fn index_hash_bits(index: usize, salt: u64) -> u64 {
 /// threading and of any fault seeding. Distinct salts give independent
 /// streams over the same fleet (auto-implement assignment vs flight
 /// cohorts vs shard slots).
-pub fn index_hash01(index: usize, salt: u64) -> f64 {
+pub(crate) fn index_hash01(index: usize, salt: u64) -> f64 {
     (index_hash_bits(index, salt) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
@@ -224,11 +224,11 @@ pub struct TenantOutcome {
     /// Recommendation count per state name.
     pub by_state: BTreeMap<String, usize>,
     /// Validation verdict counters (the `Validation*` event kinds).
-    pub verdicts: BTreeMap<String, u64>,
+    verdicts: BTreeMap<String, u64>,
     /// Fault/failure counters (transient + fatal, aborted DTA sessions,
     /// quarantines, poisonings).
-    pub faults: BTreeMap<String, u64>,
-    pub incidents: usize,
+    faults: BTreeMap<String, u64>,
+    incidents: usize,
     /// Logical journal writes ever made — proxy for state-store write
     /// traffic. Monotonic across compaction and crash-recovery
     /// (checkpoint frames excluded), so compaction-on and compaction-off
@@ -237,8 +237,8 @@ pub struct TenantOutcome {
     /// Final index names on the tenant database, sorted.
     pub indexes: Vec<String>,
     pub statements: u64,
-    pub errors: u64,
-    pub rows_returned: u64,
+    errors: u64,
+    rows_returned: u64,
     /// How the worker finished (panics surface here, not as aborts).
     pub status: TenantStatus,
     /// Circuit-breaker trips for this tenant.
@@ -326,8 +326,6 @@ pub struct FleetReport {
     /// merged from per-tenant shards. Kept out of `metrics` so the
     /// canonical surface stays mode-independent.
     pub scheduler_metrics: MetricsRegistry,
-    /// Which scheduling mode produced this report.
-    pub scheduling: SchedulingMode,
     /// Fleet-wide recommendation count per state name.
     pub by_state: BTreeMap<String, usize>,
     pub statements: u64,
@@ -338,7 +336,7 @@ pub struct FleetReport {
     pub quarantines: u64,
     pub ticks: u32,
     /// Simulated time each tenant was driven (ticks × tick interval).
-    pub sim_time: Duration,
+    sim_time: Duration,
     pub threads: usize,
 }
 
@@ -347,23 +345,23 @@ pub struct FleetReport {
 /// back a `FleetTotals` of its own; shards, regions and the unsharded
 /// report all build theirs with `FleetTotals::absorb`, the one fold.
 #[derive(Debug)]
-pub struct FleetTotals {
+pub(crate) struct FleetTotals {
     /// Telemetry merged in fold order (counters exact; raw events capped
     /// by the fold's retention).
-    pub telemetry: Telemetry,
+    pub(crate) telemetry: Telemetry,
     /// Canonical metrics merged (a commutative monoid).
-    pub metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry,
     /// Driver bookkeeping (scheduler/plan-cache/journal counters), kept
     /// out of `metrics` so the canonical surface stays mode-independent.
-    pub scheduler_metrics: MetricsRegistry,
+    pub(crate) scheduler_metrics: MetricsRegistry,
     /// Recommendation count per state name.
-    pub by_state: BTreeMap<String, usize>,
-    pub statements: u64,
-    pub errors: u64,
+    pub(crate) by_state: BTreeMap<String, usize>,
+    pub(crate) statements: u64,
+    pub(crate) errors: u64,
     /// Tenants whose workers panicked and were isolated.
-    pub poisoned: usize,
+    pub(crate) poisoned: usize,
     /// Circuit-breaker trips.
-    pub quarantines: u64,
+    quarantines: u64,
 }
 
 impl FleetTotals {
@@ -459,11 +457,6 @@ impl FleetReport {
         self.scheduler_metrics.counter("journal.frames_compacted")
     }
 
-    /// Journal bytes reclaimed by compaction, fleet-wide.
-    pub fn journal_bytes_reclaimed(&self) -> u64 {
-        self.scheduler_metrics.counter("journal.bytes_reclaimed")
-    }
-
     /// Recoveries that stepped down the checkpoint fallback ladder.
     pub fn fallback_recoveries(&self) -> u64 {
         self.scheduler_metrics
@@ -520,7 +513,7 @@ impl FleetReport {
 /// newline). Shared by [`FleetReport::canonical_string`] and the sharded
 /// region driver's streaming digest, so both surfaces are byte-defined
 /// by the same formatter.
-pub fn canonical_line(outcome: &TenantOutcome) -> String {
+pub(crate) fn canonical_line(outcome: &TenantOutcome) -> String {
     let mut line = serde_json::to_string(outcome).expect("outcome serializes");
     line.push('\n');
     line
@@ -582,7 +575,7 @@ struct TenantWorker {
 /// determinism story.
 #[derive(Debug, Clone, Default)]
 pub struct FleetDriver {
-    pub config: FleetDriverConfig,
+    config: FleetDriverConfig,
 }
 
 impl FleetDriver {
@@ -623,7 +616,6 @@ impl FleetDriver {
             telemetry,
             metrics,
             scheduler_metrics,
-            scheduling: self.config.scheduling,
             by_state,
             statements,
             errors,

@@ -113,7 +113,7 @@ impl FlightConfig {
 
     /// Is fleet index `index` in this flight's cohort? A pure hash — no
     /// RNG state — so membership replays regardless of threading.
-    pub fn in_cohort(&self, index: usize) -> bool {
+    fn in_cohort(&self, index: usize) -> bool {
         index_hash01(index, self.cohort_salt()) < self.cohort_fraction
     }
 
@@ -137,7 +137,7 @@ impl FlightConfig {
     }
 
     /// Simulated time one tenant's arms are driven.
-    pub fn sim_time(&self) -> Duration {
+    fn sim_time(&self) -> Duration {
         Duration::from_millis(TICK_INTERVAL.millis() * self.total_ticks() as u64)
     }
 }
@@ -168,18 +168,18 @@ pub struct TenantVerdictRecord {
     pub candidate_cost: f64,
     /// One-sided p that the candidate arm is costlier (`None` when the
     /// comparison had no variance or the tenant was discarded).
-    pub p_candidate_greater: Option<f64>,
+    pub(crate) p_candidate_greater: Option<f64>,
     /// Max relative divergence of either arm vs the traffic primary.
-    pub divergence: f64,
+    pub(crate) divergence: f64,
     /// Trace events replayed across both arms.
-    pub replayed: u64,
+    pub(crate) replayed: u64,
     /// Simulated CPU microseconds spent replaying both arms.
-    pub replay_cpu_us: u64,
+    pub(crate) replay_cpu_us: u64,
 }
 
 /// Lifecycle of a flight, as journaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlightState {
+pub(crate) enum FlightState {
     Running,
     Shipped,
     Aborted,
@@ -192,8 +192,8 @@ pub enum FlightState {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecord {
     pub id: String,
-    pub seed: u64,
-    pub state: FlightState,
+    pub(crate) seed: u64,
+    pub(crate) state: FlightState,
     /// Cohort tenant indexes, in fleet order.
     pub cohort: Vec<usize>,
     /// Per-tenant verdicts keyed by fleet index.
@@ -255,7 +255,7 @@ pub fn region_decision<'a>(
 }
 
 /// End-of-flight state: the journaled record, the decision, verdict
-/// tallies, and replay-cost accounting. Everything except `threads` is
+/// tallies, and replay-cost accounting. Everything but the telemetry is
 /// identical across {serial, parallel} × {cache on, off} ×
 /// {fresh, resumed} runs of the same flight.
 #[derive(Debug)]
@@ -269,13 +269,14 @@ pub struct FlightReport {
     /// Trace events replayed across all arms of all cohort tenants.
     pub replayed_events: u64,
     /// Simulated CPU microseconds spent on replay, fleet-wide.
-    pub replay_cpu_us: u64,
+    replay_cpu_us: u64,
     /// Flight telemetry (started / per-verdict / terminal events). Not
     /// canonical: a resumed run re-emits only the remaining verdicts.
-    pub telemetry: Telemetry,
+    /// Only this module's tests read it.
+    #[cfg(test)]
+    telemetry: Telemetry,
     /// Simulated time each tenant's arms were driven.
-    pub sim_time: Duration,
-    pub threads: usize,
+    sim_time: Duration,
 }
 
 impl FlightReport {
@@ -287,12 +288,7 @@ impl FlightReport {
             .count() as u64
     }
 
-    fn from_record(
-        record: FlightRecord,
-        telemetry: Telemetry,
-        sim_time: Duration,
-        threads: usize,
-    ) -> FlightReport {
+    fn from_record(record: FlightRecord, telemetry: Telemetry, sim_time: Duration) -> FlightReport {
         let decision = match record.state {
             FlightState::Shipped => FlightDecision::Ship,
             _ => FlightDecision::Abort,
@@ -303,6 +299,8 @@ impl FlightReport {
         let discarded = FlightReport::tally(&record, TenantVerdict::Discarded);
         let replayed_events = record.verdicts.values().map(|v| v.replayed).sum();
         let replay_cpu_us = record.verdicts.values().map(|v| v.replay_cpu_us).sum();
+        #[cfg(not(test))]
+        drop(telemetry);
         FlightReport {
             record,
             decision,
@@ -312,9 +310,9 @@ impl FlightReport {
             discarded,
             replayed_events,
             replay_cpu_us,
+            #[cfg(test)]
             telemetry,
             sim_time,
-            threads,
         }
     }
 
@@ -351,7 +349,7 @@ impl FlightReport {
     }
 
     /// The verdict as the dashboard renders it.
-    pub fn verdict_label(&self) -> &'static str {
+    fn verdict_label(&self) -> &'static str {
         match self.decision {
             FlightDecision::Ship => "ship",
             FlightDecision::Abort => "abort",
@@ -359,7 +357,7 @@ impl FlightReport {
     }
 
     /// Attach this flight's block to an existing §8.1 dashboard.
-    pub fn annotate(&self, dash: DashboardSnapshot) -> DashboardSnapshot {
+    fn annotate(&self, dash: DashboardSnapshot) -> DashboardSnapshot {
         dash.with_flight(
             self.record.cohort.len() as u64,
             self.improved,
@@ -410,7 +408,7 @@ struct FlightCtx {
 /// two-arm pipeline, journals verdicts, and decides ship/no-ship.
 #[derive(Debug, Clone, Default)]
 pub struct FlightDriver {
-    pub config: FlightConfig,
+    config: FlightConfig,
 }
 
 impl FlightDriver {
@@ -491,7 +489,7 @@ impl FlightDriver {
             };
             telemetry.emit(kind, &cfg.id, label, t_now);
         }
-        FlightReport::from_record(record, telemetry, cfg.sim_time(), threads.max(1))
+        FlightReport::from_record(record, telemetry, cfg.sim_time())
     }
 
     /// Run the per-tenant pipelines for `missing` (fleet indexes) on the
@@ -580,7 +578,7 @@ impl FlightDriver {
         let tolerance = cfg.divergence_tolerance;
         let drop_prob = cfg.replay_drop_prob;
 
-        Workflow::new(format!("{}::tenant{index}", cfg.id))
+        Workflow::default()
             .step(
                 FnStep::new("fork-control", move |ctx: &mut FlightCtx| {
                     ctx.control = Some(fork_control(ctx)?);

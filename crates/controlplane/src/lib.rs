@@ -8,49 +8,46 @@
 //! conditions needing a human. State lives in a journaled store that
 //! survives crashes; health flows through anonymized telemetry.
 
-pub mod api;
-pub mod coordinator;
+mod api;
+mod coordinator;
 pub mod dashboard;
 pub mod faults;
-pub mod fleet_driver;
-pub mod flight;
+mod fleet_driver;
+mod flight;
 mod hash;
 pub mod lock_protocol;
-pub mod metrics;
+mod metrics;
 pub mod plane;
-pub mod scheduler;
-pub mod shard;
-pub mod stages;
+mod scheduler;
+mod shard;
+mod stages;
 pub mod state;
 pub mod store;
 pub mod telemetry;
-pub mod trace;
+mod trace;
 
 pub use api::ManagementApi;
 pub use coordinator::{RegionConfig, RegionCoordinator, RegionReport, ShardConcurrency};
 pub use dashboard::DashboardSnapshot;
 pub use faults::{FaultInjector, FaultKind, FaultPoint};
 pub use fleet_driver::{
-    canonical_line, counters_line, index_hash01, index_hash_bits, FleetDriver, FleetDriverConfig,
-    FleetReport, SchedulingMode, TenantOutcome, TenantScript, TenantStatus,
+    counters_line, index_hash_bits, FleetDriver, FleetDriverConfig, FleetReport, SchedulingMode,
+    TenantScript,
 };
 pub use flight::{
-    region_decision, tenant_verdict, FlightConfig, FlightDecision, FlightDriver, FlightRecord,
-    FlightReport, FlightState, TenantVerdict, TenantVerdictRecord,
+    region_decision, tenant_verdict, FlightConfig, FlightDecision, FlightDriver, TenantVerdict,
 };
 pub use metrics::{Histogram, MetricsRegistry};
 pub use plane::{ControlPlane, ManagedDb, PlanePolicy, RecommenderPolicy, RetryPolicy};
 pub use shard::{HydrationMode, ShardAssignment, ASSIGNMENT_SLOTS};
-pub use stages::{NextDue, Stage, WakeSchedule};
+pub use stages::{NextDue, WakeSchedule};
 pub use state::{DbSettings, RecoId, RecoState, ServerSettings, Setting, TrackedReco};
-pub use store::{
-    CheckpointStats, CompactionPolicy, FrameError, FrameFault, RecoveryReport, StateStore,
-};
+pub use store::{CompactionPolicy, FrameFault, RecoveryReport, StateStore};
 pub use telemetry::{EventKind, Telemetry};
-pub use trace::{Span, Tracer};
+pub use trace::Tracer;
 
 /// The crate's one thread pool.
-pub(crate) mod pool {
+mod pool {
     use std::sync::Mutex;
 
     /// Apply `f(position, item)` to every item on up to `threads` OS

@@ -42,7 +42,7 @@ pub struct DropProtocolOutcome {
     pub succeeded: bool,
     pub attempts: u32,
     /// When the drop lock was finally granted.
-    pub granted_at: Option<Timestamp>,
+    granted_at: Option<Timestamp>,
     /// Convoy damage inflicted on the concurrent workload.
     pub convoy: ConvoySummary,
 }

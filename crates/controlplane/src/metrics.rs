@@ -38,7 +38,7 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    pub fn new(bounds: Vec<u64>) -> Histogram {
+    fn new(bounds: Vec<u64>) -> Histogram {
         let n = bounds.len() + 1;
         Histogram {
             bounds,
@@ -49,7 +49,7 @@ impl Histogram {
     }
 
     /// Default bounds for simulated-time observations: 1s … 1w in ms.
-    pub fn time_bounds() -> Vec<u64> {
+    fn time_bounds() -> Vec<u64> {
         vec![
             1_000,
             10_000,
@@ -70,7 +70,7 @@ impl Histogram {
     }
 
     /// Default bounds for byte-size observations: 1 KiB … 256 MiB.
-    pub fn bytes_bounds() -> Vec<u64> {
+    pub(crate) fn bytes_bounds() -> Vec<u64> {
         vec![
             1_024,
             16_384,
@@ -82,7 +82,7 @@ impl Histogram {
         ]
     }
 
-    pub fn observe(&mut self, value: u64) {
+    fn observe(&mut self, value: u64) {
         let bucket = self
             .bounds
             .iter()
@@ -101,27 +101,16 @@ impl Histogram {
         self.sum
     }
 
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    pub fn bounds(&self) -> &[u64] {
-        &self.bounds
-    }
-
     /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn bucket_counts(&self) -> &[u64] {
+    #[cfg(test)]
+    fn bucket_counts(&self) -> &[u64] {
         &self.counts
     }
 
     /// Bucket-wise merge. Panics when bucket bounds disagree — shards of
     /// one fleet always configure a metric identically, so a mismatch is
     /// a programming error, not data.
-    pub fn merge(&mut self, other: &Histogram) {
+    fn merge(&mut self, other: &Histogram) {
         assert_eq!(
             self.bounds, other.bounds,
             "histogram merge requires identical bucket bounds"
@@ -173,7 +162,7 @@ impl MetricsRegistry {
     /// Set a gauge. Gauges merge by **summation** across shards (each
     /// tenant reports its own level; the fleet value is the total), so a
     /// shard sets its local level and never another shard's.
-    pub fn gauge_set(&mut self, name: &str, value: i64) {
+    pub(crate) fn gauge_set(&mut self, name: &str, value: i64) {
         if let Some(g) = self.gauges.get_mut(name) {
             *g = value;
         } else {
@@ -189,7 +178,7 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn gauge(&self, name: &str) -> i64 {
+    pub(crate) fn gauge(&self, name: &str) -> i64 {
         self.gauges.get(name).copied().unwrap_or(0)
     }
 
@@ -208,7 +197,7 @@ impl MetricsRegistry {
     }
 
     /// Record a simulated-duration observation (default time buckets).
-    pub fn observe_time(&mut self, name: &str, millis: u64) {
+    pub(crate) fn observe_time(&mut self, name: &str, millis: u64) {
         if let Some(h) = self.histograms.get_mut(name) {
             h.observe(millis);
         } else {
@@ -216,10 +205,6 @@ impl MetricsRegistry {
             h.observe(millis);
             self.histograms.insert(name.to_string(), h);
         }
-    }
-
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     pub fn counters(&self) -> &BTreeMap<String, u64> {
@@ -236,15 +221,11 @@ impl MetricsRegistry {
 
     /// Counters matching `prefix`, with the prefix stripped — the
     /// dashboard's breakdown views (`"revert.cause."` → cause → count).
-    pub fn breakdown(&self, prefix: &str) -> BTreeMap<String, u64> {
+    pub(crate) fn breakdown(&self, prefix: &str) -> BTreeMap<String, u64> {
         self.counters
             .iter()
             .filter_map(|(k, v)| k.strip_prefix(prefix).map(|rest| (rest.to_string(), *v)))
             .collect()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
     /// Fold another shard into this one. Counters and gauges add;
@@ -264,22 +245,6 @@ impl MetricsRegistry {
                 self.histograms.insert(k.clone(), h.clone());
             }
         }
-    }
-
-    /// Merge many shard registries — the fleet driver's quiesce step.
-    /// Because `merge` is order-insensitive, any iteration order yields
-    /// the same registry; fleet order is used by convention.
-    pub fn merged<'a>(shards: impl IntoIterator<Item = &'a MetricsRegistry>) -> MetricsRegistry {
-        let mut out = MetricsRegistry::new();
-        for shard in shards {
-            out.merge(shard);
-        }
-        out
-    }
-
-    /// Deterministic JSON export (the dashboard feed).
-    pub fn export_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("registry serializes")
     }
 }
 
@@ -318,7 +283,6 @@ mod tests {
         assert_eq!(h.bucket_counts(), &[2, 1, 1]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 1_065);
-        assert!((h.mean() - 266.25).abs() < 1e-9);
     }
 
     #[test]
@@ -344,8 +308,7 @@ mod tests {
         assert_eq!(a.counter("c"), 3);
         assert_eq!(a.counter("only_b"), 1);
         assert_eq!(a.gauge("g"), 3);
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.bucket_counts(), &[1, 1]);
+        assert_eq!(a.histograms()["h"].bucket_counts(), &[1, 1]);
     }
 
     #[test]
@@ -353,7 +316,8 @@ mod tests {
         let mut a = MetricsRegistry::new();
         a.inc("x");
         let b = MetricsRegistry::new();
-        let folded = MetricsRegistry::merged([&a, &b]);
+        let mut folded = a.clone();
+        folded.merge(&b);
         assert_eq!(folded, a, "empty registry is the merge identity");
     }
 
@@ -375,7 +339,7 @@ mod tests {
         m.add("a.b", 2);
         m.gauge_set("g", -7);
         m.observe_time("t", 5_000);
-        let j = m.export_json();
+        let j = serde_json::to_string_pretty(&m).unwrap();
         let parsed: serde::Value = serde_json::from_str(&j).unwrap();
         assert_eq!(serde_json::to_string_pretty(&parsed).unwrap(), j);
     }

@@ -2,7 +2,7 @@
 //! managed database's auto-indexing lifecycle.
 //!
 //! The four micro-services the paper enumerates run as the six explicit
-//! pipeline stages of [`crate::stages`], looped by [`ControlPlane::tick`]:
+//! pipeline stages of `crate::stages`, looped by [`ControlPlane::tick`]:
 //!
 //! 1. **Analysis** — invoke the recommender (MI or DTA per the tier
 //!    policy) plus the drop analyzer, and register new recommendations;
@@ -17,7 +17,7 @@
 //!    taking automated corrective action where safe.
 //!
 //! Each stage also knows when it next has work
-//! ([`crate::stages::Stage::due`]); `tick` returns the resulting
+//! (`crate::stages::Stage::due`); `tick` returns the resulting
 //! [`WakeSchedule`] so a fleet driver can skip databases with nothing
 //! due instead of dense-polling every tenant every simulated hour.
 
@@ -181,11 +181,11 @@ pub(crate) fn action_kind(action: &RecoAction) -> &'static str {
 pub struct ManagedDb {
     pub db: Database,
     pub settings: DbSettings,
-    pub server: ServerSettings,
+    pub(crate) server: ServerSettings,
     pub mi_store: MiSnapshotStore,
     /// When usage observation began (for the drop analyzer's window).
     pub observed_since: Timestamp,
-    pub last_analysis: Option<Timestamp>,
+    pub(crate) last_analysis: Option<Timestamp>,
 }
 
 impl ManagedDb {

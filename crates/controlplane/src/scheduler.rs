@@ -23,7 +23,7 @@ const LOW_FRACTION: f64 = 0.5;
 const MIN_HISTORY_HOURS: u64 = 12;
 
 /// Hour-of-day activity profile (24 buckets of CPU consumption).
-pub fn activity_profile(db: &Database, now: Timestamp) -> [f64; 24] {
+fn activity_profile(db: &Database, now: Timestamp) -> [f64; 24] {
     let qs = db.query_store();
     let from = Timestamp(now.millis().saturating_sub(LOOKBACK.millis()));
     let mut buckets = [0.0f64; 24];
@@ -41,7 +41,7 @@ pub fn activity_profile(db: &Database, now: Timestamp) -> [f64; 24] {
 }
 
 /// Whether `now` falls in a low-activity hour.
-pub fn is_low_activity(db: &Database, now: Timestamp) -> bool {
+pub(crate) fn is_low_activity(db: &Database, now: Timestamp) -> bool {
     let profile = activity_profile(db, now);
     let peak = profile.iter().cloned().fold(0.0f64, f64::max);
     let with_history = profile.iter().filter(|&&v| v > 0.0).count() as u64;

@@ -76,10 +76,6 @@ impl ShardAssignment {
         ShardAssignment { shards }
     }
 
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// The tenant's slot on the ring — a pure splitmix hash of the
     /// global index, independent of the shard count.
     pub fn slot_of(index: usize) -> usize {
@@ -90,7 +86,7 @@ impl ShardAssignment {
     /// `s·shards / SLOTS`, i.e. shards own contiguous slot ranges. For
     /// shard counts `a | b`, `shard_a(s) == shard_b(s)·a / b` — the
     /// nesting property resharding tests pin down.
-    pub fn shard_of_slot(&self, slot: usize) -> usize {
+    fn shard_of_slot(&self, slot: usize) -> usize {
         slot * self.shards / ASSIGNMENT_SLOTS
     }
 
@@ -126,23 +122,23 @@ pub(crate) struct HydrationGauge {
 }
 
 impl HydrationGauge {
-    pub fn new() -> HydrationGauge {
+    pub(crate) fn new() -> HydrationGauge {
         HydrationGauge::default()
     }
 
     /// One tenant is about to hydrate.
-    pub fn enter(&self) {
+    fn enter(&self) {
         let now = self.current.fetch_add(1, Ordering::SeqCst) + 1;
         self.peak.fetch_max(now, Ordering::SeqCst);
     }
 
     /// One tenant finished all its ticks and dropped.
-    pub fn exit(&self) {
+    fn exit(&self) {
         self.current.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// High-water mark of simultaneously resident tenants.
-    pub fn peak(&self) -> usize {
+    pub(crate) fn peak(&self) -> usize {
         self.peak.load(Ordering::SeqCst)
     }
 }
@@ -181,14 +177,14 @@ pub enum HydrationMode {
 pub(crate) struct ShardReport {
     /// `(global index, FNV-1a of the tenant's canonical line)`, one per
     /// member, in ascending index order.
-    pub digests: Vec<(usize, u64)>,
+    pub(crate) digests: Vec<(usize, u64)>,
     /// Full outcomes, retained only when the coordinator asked (small
     /// fleets / oracle comparisons) — `None` keeps memory O(1) per
     /// tenant at the million scale.
-    pub outcomes: Option<Vec<(usize, TenantOutcome)>>,
+    pub(crate) outcomes: Option<Vec<(usize, TenantOutcome)>>,
     /// Members' sinks and tallies folded in member order (raw events
     /// capped at `REGION_RAW_EVENTS`; counters always exact).
-    pub totals: FleetTotals,
+    pub(crate) totals: FleetTotals,
 }
 
 impl ShardReport {
@@ -217,15 +213,15 @@ impl ShardReport {
 /// driver; the shard only decides hydration and accounting.
 pub(crate) struct ShardDriver {
     /// Global fleet indices this shard owns, ascending.
-    pub members: Vec<usize>,
+    pub(crate) members: Vec<usize>,
     /// The shard's driver (same config as every other shard's).
-    pub driver: FleetDriver,
+    pub(crate) driver: FleetDriver,
     /// Worker threads *within* the shard.
-    pub threads: usize,
+    pub(crate) threads: usize,
     /// Retain full [`TenantOutcome`]s (small fleets only).
-    pub retain_outcomes: bool,
+    pub(crate) retain_outcomes: bool,
     /// Region-shared residency gauge.
-    pub gauge: Arc<HydrationGauge>,
+    pub(crate) gauge: Arc<HydrationGauge>,
 }
 
 impl ShardDriver {

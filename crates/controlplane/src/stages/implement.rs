@@ -130,7 +130,7 @@ pub(crate) fn implement_one(plane: &mut ControlPlane, mdb: &mut ManagedDb, id: R
     }
 }
 
-pub(crate) fn handle_fault(
+fn handle_fault(
     plane: &mut ControlPlane,
     mdb: &ManagedDb,
     id: RecoId,

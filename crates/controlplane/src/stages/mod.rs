@@ -30,20 +30,20 @@
 //! and must no-op); under-waking is the only bug class, which is why
 //! `NextTick` is the conservative fallback.
 
-pub mod expire;
-pub mod health;
-pub mod implement;
-pub mod recommend;
-pub mod retry;
-pub mod revert;
-pub mod validate;
+mod expire;
+mod health;
+pub(crate) mod implement;
+mod recommend;
+mod retry;
+mod revert;
+mod validate;
 
 use crate::plane::{ControlPlane, ManagedDb};
 use sqlmini::clock::{Duration, Timestamp};
 
 /// The six tick phases, in pipeline order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Stage {
+pub(crate) enum Stage {
     Recommend,
     Retry,
     Implement,
@@ -54,7 +54,7 @@ pub enum Stage {
 
 impl Stage {
     /// Pipeline order. Also the span-name order the trace tests pin.
-    pub const ALL: [Stage; 6] = [
+    pub(crate) const ALL: [Stage; 6] = [
         Stage::Recommend,
         Stage::Retry,
         Stage::Implement,
@@ -64,7 +64,7 @@ impl Stage {
     ];
 
     /// Stable span / phase name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::Recommend => "recommend",
             Stage::Retry => "retry",
@@ -76,7 +76,7 @@ impl Stage {
     }
 
     /// Execute this stage once against one managed database.
-    pub fn run(self, plane: &mut ControlPlane, mdb: &mut ManagedDb) {
+    pub(crate) fn run(self, plane: &mut ControlPlane, mdb: &mut ManagedDb) {
         match self {
             Stage::Recommend => recommend::run(plane, mdb),
             Stage::Retry => retry::run(plane, mdb),
@@ -88,7 +88,7 @@ impl Stage {
     }
 
     /// When this stage next has work, judged from current state.
-    pub fn due(self, plane: &ControlPlane, mdb: &ManagedDb) -> NextDue {
+    fn due(self, plane: &ControlPlane, mdb: &ManagedDb) -> NextDue {
         match self {
             Stage::Recommend => recommend::due(plane, mdb),
             Stage::Retry => retry::due(plane, mdb),
@@ -117,7 +117,7 @@ pub enum NextDue {
 
 impl NextDue {
     /// Min-combine: the sooner of two wake requirements.
-    pub fn sooner(self, other: NextDue) -> NextDue {
+    fn sooner(self, other: NextDue) -> NextDue {
         match (self, other) {
             (NextDue::NextTick, _) | (_, NextDue::NextTick) => NextDue::NextTick,
             (NextDue::Idle, o) => o,
@@ -142,7 +142,7 @@ pub struct WakeSchedule {
 }
 
 impl WakeSchedule {
-    pub fn compute(plane: &ControlPlane, mdb: &ManagedDb) -> WakeSchedule {
+    pub(crate) fn compute(plane: &ControlPlane, mdb: &ManagedDb) -> WakeSchedule {
         WakeSchedule {
             recommend: Stage::Recommend.due(plane, mdb),
             retry: Stage::Retry.due(plane, mdb),
@@ -157,7 +157,7 @@ impl WakeSchedule {
     /// tick. Crash recovery journals this over a schedule invalidated by
     /// a re-park — over-waking is harmless (invariant above), while a
     /// stale `At` could sleep through the retry it just created.
-    pub fn immediate() -> WakeSchedule {
+    pub(crate) fn immediate() -> WakeSchedule {
         WakeSchedule {
             recommend: NextDue::NextTick,
             retry: NextDue::NextTick,
@@ -169,7 +169,7 @@ impl WakeSchedule {
     }
 
     /// Stage dues in pipeline order (parallel to [`Stage::ALL`]).
-    pub fn stages(&self) -> [NextDue; 6] {
+    fn stages(&self) -> [NextDue; 6] {
         [
             self.recommend,
             self.retry,
@@ -181,7 +181,7 @@ impl WakeSchedule {
     }
 
     /// The soonest wake requirement across all stages.
-    pub fn soonest(&self) -> NextDue {
+    fn soonest(&self) -> NextDue {
         self.stages()
             .into_iter()
             .fold(NextDue::Idle, NextDue::sooner)
@@ -192,7 +192,7 @@ impl WakeSchedule {
     /// tick `tick`; tick `tick + k` happens at `now + k × tick_interval`.
     /// `None` means no stage can ever become due without an external
     /// state change — the tenant may sleep forever.
-    pub fn next_wake_tick(
+    pub(crate) fn next_wake_tick(
         &self,
         now: Timestamp,
         tick: u64,

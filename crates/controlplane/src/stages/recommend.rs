@@ -75,9 +75,11 @@ pub(crate) fn run(plane: &mut ControlPlane, mdb: &mut ManagedDb) {
     }
 
     // Drop analysis runs for everyone.
-    for p in recommend_drops(&mdb.db, &plane.policy.drops, mdb.observed_since) {
-        new_recos.push(p.recommendation);
-    }
+    new_recos.extend(recommend_drops(
+        &mdb.db,
+        &plane.policy.drops,
+        mdb.observed_since,
+    ));
 
     for reco in new_recos {
         if plane.is_duplicate_reco(&mdb.db.name, &reco) {

@@ -34,36 +34,6 @@ pub enum RecoState {
 }
 
 impl RecoState {
-    /// Every state in lifecycle order — the row order ops dashboards
-    /// use, so fleet tables render identically run to run.
-    pub const ALL: [RecoState; 9] = [
-        RecoState::Active,
-        RecoState::Implementing,
-        RecoState::Validating,
-        RecoState::Retry,
-        RecoState::Success,
-        RecoState::Reverting,
-        RecoState::Reverted,
-        RecoState::Expired,
-        RecoState::Error,
-    ];
-
-    /// Stable display name (matches the `Debug` rendering, which the
-    /// state-count maps key on).
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoState::Active => "Active",
-            RecoState::Expired => "Expired",
-            RecoState::Implementing => "Implementing",
-            RecoState::Validating => "Validating",
-            RecoState::Success => "Success",
-            RecoState::Reverting => "Reverting",
-            RecoState::Reverted => "Reverted",
-            RecoState::Retry => "Retry",
-            RecoState::Error => "Error",
-        }
-    }
-
     /// Terminal states never transition further.
     pub fn is_terminal(self) -> bool {
         matches!(
@@ -156,26 +126,26 @@ pub struct Transition {
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct TrackedReco {
     pub id: RecoId,
-    pub database: String,
+    pub(crate) database: String,
     pub recommendation: Recommendation,
     pub state: RecoState,
     pub substate: RecoSubState,
     pub history: Vec<Transition>,
-    pub created_at: Timestamp,
+    pub(crate) created_at: Timestamp,
     /// Set while validating: the window boundaries being compared.
-    pub implemented_at: Option<Timestamp>,
+    pub(crate) implemented_at: Option<Timestamp>,
     /// The engine index id once implemented (creates only).
-    pub implemented_index: Option<sqlmini::schema::IndexId>,
+    pub(crate) implemented_index: Option<sqlmini::schema::IndexId>,
     /// For drop recommendations: the dropped definition, kept so a
     /// regression-triggered revert can re-create the index (§6).
-    pub dropped_def: Option<sqlmini::schema::IndexDef>,
+    pub(crate) dropped_def: Option<sqlmini::schema::IndexDef>,
 }
 
 /// Error returned on an illegal state transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IllegalTransition {
-    pub from: RecoState,
-    pub to: RecoState,
+    from: RecoState,
+    to: RecoState,
 }
 
 impl std::fmt::Display for IllegalTransition {
@@ -236,7 +206,7 @@ impl TrackedReco {
     }
 
     /// Move into Retry, tracking the failing phase and attempt count.
-    pub fn enter_retry(
+    pub(crate) fn enter_retry(
         &mut self,
         phase: RetryPhase,
         now: Timestamp,
@@ -290,7 +260,7 @@ pub struct ServerSettings {
 }
 
 /// Resolve a database's effective settings against its server.
-pub fn effective(db: DbSettings, server: ServerSettings) -> (bool, bool) {
+pub(crate) fn effective(db: DbSettings, server: ServerSettings) -> (bool, bool) {
     let create = match db.auto_create {
         Setting::On => true,
         Setting::Off => false,
@@ -322,19 +292,6 @@ mod tests {
             impacted_queries: vec![],
             generated_at: Timestamp(0),
         }
-    }
-
-    #[test]
-    fn state_names_match_debug_and_all_is_complete() {
-        assert_eq!(RecoState::ALL.len(), 9);
-        for s in RecoState::ALL {
-            assert_eq!(s.name(), format!("{s:?}"), "name/Debug drift for {s:?}");
-        }
-        // No duplicates: a dashboard iterating ALL renders each row once.
-        let mut names: Vec<&str> = RecoState::ALL.iter().map(|s| s.name()).collect();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), 9);
     }
 
     #[test]

@@ -82,14 +82,14 @@ pub struct CheckpointStats {
     /// Checkpoint frames written by compaction.
     pub checkpoints_written: u64,
     /// Journal frames truncated away by compaction.
-    pub frames_compacted: u64,
+    pub(crate) frames_compacted: u64,
     /// Journal bytes reclaimed by compaction.
-    pub bytes_reclaimed: u64,
+    pub(crate) bytes_reclaimed: u64,
     /// Recoveries that could not use the newest checkpoint and stepped
     /// down the fallback ladder.
-    pub fallback_recoveries: u64,
+    pub(crate) fallback_recoveries: u64,
     /// Mid-journal corrupt frames skipped (as opposed to torn tails).
-    pub corrupt_frames: u64,
+    pub(crate) corrupt_frames: u64,
 }
 
 /// What one [`StateStore::crash_and_recover`] pass did.
@@ -136,7 +136,7 @@ pub struct RecoveryReport {
     /// invalidated it. Journaled (like the re-park itself), so repeated
     /// recoveries — from a checkpoint or from full replay — converge on
     /// the same schedule instead of resurrecting the stale one.
-    pub rescheduled: usize,
+    rescheduled: usize,
 }
 
 /// The state store: in-memory view + append-only journal.
@@ -271,7 +271,7 @@ impl StateStore {
     /// from the last recorded state for the same flight id, so replaying
     /// an already-journaled transition (resume after a crash) does not
     /// grow the journal.
-    pub fn record_flight(&mut self, rec: &FlightRecord) {
+    pub(crate) fn record_flight(&mut self, rec: &FlightRecord) {
         if self.flights.get(&rec.id) == Some(rec) {
             return;
         }
@@ -311,7 +311,7 @@ impl StateStore {
         m
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.recos.len()
     }
 
@@ -343,7 +343,8 @@ impl StateStore {
 
     /// Drop the last `n` journal records — models writes the crashed
     /// process acknowledged in memory but never made durable.
-    pub fn tear_journal_tail(&mut self, n: usize) {
+    #[cfg(test)]
+    fn tear_journal_tail(&mut self, n: usize) {
         let keep = self.journal.len().saturating_sub(n);
         self.journal.truncate(keep);
         self.last_checkpoint = self.journal.iter().rposition(|l| codec::is_checkpoint(l));
@@ -383,7 +384,7 @@ impl StateStore {
 
     /// Does the compaction trigger fire? Deterministic in journaled
     /// state only: serial/parallel/sparse replays agree.
-    pub fn should_compact(&self, policy: &CompactionPolicy) -> bool {
+    pub(crate) fn should_compact(&self, policy: &CompactionPolicy) -> bool {
         if !policy.enabled {
             return false;
         }
@@ -687,7 +688,7 @@ impl StateStore {
 
     /// Recommendations stuck in a non-terminal state since before
     /// `horizon` (health detection input).
-    pub fn stuck_since(&self, horizon: Timestamp) -> Vec<RecoId> {
+    pub(crate) fn stuck_since(&self, horizon: Timestamp) -> Vec<RecoId> {
         self.recos
             .values()
             .filter(|r| {

@@ -825,7 +825,18 @@ mod tests {
     }
 
     fn reco_state() -> impl Strategy<Value = RecoState> {
-        (0..RecoState::ALL.len()).prop_map(|i| RecoState::ALL[i])
+        const ALL: [RecoState; 9] = [
+            RecoState::Active,
+            RecoState::Implementing,
+            RecoState::Validating,
+            RecoState::Retry,
+            RecoState::Success,
+            RecoState::Reverting,
+            RecoState::Reverted,
+            RecoState::Expired,
+            RecoState::Error,
+        ];
+        (0..ALL.len()).prop_map(|i| ALL[i])
     }
 
     fn retry_phase() -> impl Strategy<Value = RetryPhase> {

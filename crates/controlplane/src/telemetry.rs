@@ -65,28 +65,28 @@ pub enum EventKind {
 /// is folded to a stable hash so dashboards can correlate events without
 /// carrying tenant identity.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Event {
-    pub at: Timestamp,
-    pub kind: EventKind,
-    pub db_hash: u64,
+struct Event {
+    at: Timestamp,
+    kind: EventKind,
+    db_hash: u64,
     /// Small cardinality detail (state names, error classes) — never
     /// query text or data.
-    pub detail: String,
+    detail: String,
 }
 
 /// Stable anonymizing hash of a database name — the only tenant
 /// identifier that ever leaves a shard (events, incidents, span attrs).
 /// FNV-1a/64: the same value on every toolchain, unlike std's
 /// `DefaultHasher`.
-pub fn db_hash(name: &str) -> u64 {
+pub(crate) fn db_hash(name: &str) -> u64 {
     fnv1a64_extend(FNV_OFFSET, name.as_bytes())
 }
 
 /// An incident requiring (simulated) on-call attention.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
-    pub at: Timestamp,
-    pub db_hash: u64,
+    at: Timestamp,
+    db_hash: u64,
     pub summary: String,
 }
 
@@ -132,7 +132,7 @@ impl Telemetry {
         }
     }
 
-    pub fn incident(&mut self, db: &str, summary: impl Into<String>, at: Timestamp) {
+    pub(crate) fn incident(&mut self, db: &str, summary: impl Into<String>, at: Timestamp) {
         let summary = summary.into();
         self.emit(EventKind::IncidentRaised, db, summary.clone(), at);
         self.incidents.push(Incident {
@@ -154,7 +154,8 @@ impl Telemetry {
         &self.incidents
     }
 
-    pub fn events(&self) -> &[Event] {
+    #[cfg(test)]
+    fn events(&self) -> &[Event] {
         &self.events
     }
 
@@ -168,7 +169,7 @@ impl Telemetry {
     /// unbounded stream of shards (the million-tenant region driver)
     /// must call [`Telemetry::retain_recent`] between merges to stay
     /// bounded; counters aggregate exactly either way.
-    pub fn merge(&mut self, mut other: Telemetry) {
+    pub(crate) fn merge(&mut self, mut other: Telemetry) {
         for (k, v) in other.counters {
             *self.counters.entry(k).or_default() += v;
         }
@@ -181,7 +182,7 @@ impl Telemetry {
     /// for merge-heavy accumulators whose event memory must stay bounded
     /// no matter how many shards fold in. Counters (the canonical
     /// surface) are never touched.
-    pub fn retain_recent(&mut self, n: usize) {
+    pub(crate) fn retain_recent(&mut self, n: usize) {
         if self.events.len() > n {
             let excess = self.events.len() - n;
             self.events.drain(..excess);

@@ -21,24 +21,14 @@ use sqlmini::clock::Timestamp;
 #[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct Span {
     pub name: String,
-    pub start: Timestamp,
-    pub end: Timestamp,
+    start: Timestamp,
+    end: Timestamp,
     /// Key/value attributes (state names, counts — never query text).
-    pub attrs: Vec<(String, String)>,
+    attrs: Vec<(String, String)>,
     pub children: Vec<Span>,
 }
 
 impl Span {
-    /// Total simulated time covered by the span.
-    pub fn duration_ms(&self) -> u64 {
-        self.end.millis().saturating_sub(self.start.millis())
-    }
-
-    /// Depth-first count of this span plus all descendants.
-    pub fn tree_size(&self) -> usize {
-        1 + self.children.iter().map(Span::tree_size).sum::<usize>()
-    }
-
     /// First attribute value with the given key.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs
@@ -66,7 +56,7 @@ impl Tracer {
         Tracer::default()
     }
 
-    pub fn enabled() -> Tracer {
+    pub(crate) fn enabled() -> Tracer {
         Tracer {
             enabled: true,
             stack: Vec::new(),
@@ -94,7 +84,7 @@ impl Tracer {
     }
 
     /// Attach an attribute to the innermost open span.
-    pub fn attr(&mut self, key: &str, value: impl Into<String>) {
+    pub(crate) fn attr(&mut self, key: &str, value: impl Into<String>) {
         if !self.enabled {
             return;
         }
@@ -152,8 +142,9 @@ mod tests {
         assert_eq!(t.roots().len(), 1);
         let root = &t.roots()[0];
         assert_eq!(root.name, "tick");
-        assert_eq!(root.duration_ms(), 30);
-        assert_eq!(root.tree_size(), 3);
+        assert_eq!((root.start, root.end), (Timestamp(0), Timestamp(30)));
+        assert_eq!(root.children.len(), 2);
+        assert!(root.children.iter().all(|c| c.children.is_empty()));
         assert_eq!(root.children[0].attr("recommendations"), Some("2"));
         assert_eq!(root.children[1].name, "implement");
         assert_eq!(root.children[1].start, Timestamp(10));

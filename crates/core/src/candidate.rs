@@ -38,7 +38,7 @@ impl IndexCandidate {
     /// columns become keys; **one** inequality column is appended to the
     /// key (the storage engine can only seek one range); the remaining
     /// inequality columns and the include columns become INCLUDEs.
-    pub fn from_missing_index_key(key: &MissingIndexKey) -> IndexCandidate {
+    pub(crate) fn from_missing_index_key(key: &MissingIndexKey) -> IndexCandidate {
         let mut key_columns = key.equality_columns.clone();
         let mut included: Vec<ColumnId> = Vec::new();
         let mut ineq = key.inequality_columns.iter();
@@ -68,7 +68,7 @@ impl IndexCandidate {
 
     /// Deterministic, human-recognizable name following the service's
     /// naming scheme for auto-created indexes.
-    pub fn index_name(&self) -> String {
+    fn index_name(&self) -> String {
         let keys: Vec<String> = self
             .key_columns
             .iter()

@@ -52,9 +52,9 @@ pub struct TrainingExample {
 pub struct ImpactClassifier {
     weights: [f64; 6],
     /// Probability threshold below which a candidate is filtered out.
-    pub threshold: f64,
+    threshold: f64,
     /// Examples seen (diagnostics).
-    pub trained_on: u64,
+    trained_on: u64,
 }
 
 impl Default for ImpactClassifier {
@@ -75,14 +75,14 @@ fn sigmoid(x: f64) -> f64 {
 
 impl ImpactClassifier {
     /// Predicted probability that the candidate yields real improvement.
-    pub fn predict(&self, f: &CandidateFeatures) -> f64 {
+    fn predict(&self, f: &CandidateFeatures) -> f64 {
         let x = f.to_vec();
         let z: f64 = self.weights.iter().zip(x.iter()).map(|(w, v)| w * v).sum();
         sigmoid(z)
     }
 
     /// Whether the candidate passes the filter.
-    pub fn accept(&self, f: &CandidateFeatures) -> bool {
+    pub(crate) fn accept(&self, f: &CandidateFeatures) -> bool {
         self.predict(f) >= self.threshold
     }
 
@@ -99,7 +99,8 @@ impl ImpactClassifier {
     }
 
     /// Train over a batch for several epochs.
-    pub fn train(&mut self, examples: &[TrainingExample], epochs: usize, lr: f64) {
+    #[cfg(test)]
+    fn train(&mut self, examples: &[TrainingExample], epochs: usize, lr: f64) {
         for _ in 0..epochs {
             for ex in examples {
                 self.train_one(ex, lr);
@@ -108,7 +109,8 @@ impl ImpactClassifier {
     }
 
     /// Classification accuracy on a labelled set.
-    pub fn accuracy(&self, examples: &[TrainingExample]) -> f64 {
+    #[cfg(test)]
+    fn accuracy(&self, examples: &[TrainingExample]) -> f64 {
         if examples.is_empty() {
             return 0.0;
         }

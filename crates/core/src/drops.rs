@@ -37,20 +37,6 @@ impl Default for DropConfig {
     }
 }
 
-/// Why an index was proposed for dropping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DropReason {
-    Unused,
-    Duplicate { keep: IndexId },
-}
-
-/// A drop proposal with its rationale.
-#[derive(Debug, Clone)]
-pub struct DropProposal {
-    pub recommendation: Recommendation,
-    pub reason: DropReason,
-}
-
 /// Analyze a database for drop candidates.
 ///
 /// `observed_since` is when usage observation began (the analysis refuses
@@ -59,9 +45,9 @@ pub fn recommend_drops(
     db: &Database,
     cfg: &DropConfig,
     observed_since: Timestamp,
-) -> Vec<DropProposal> {
+) -> Vec<Recommendation> {
     let now = db.clock().now();
-    let mut out: Vec<DropProposal> = Vec::new();
+    let mut out: Vec<Recommendation> = Vec::new();
     let window_complete = now.since(observed_since) >= cfg.observation_window;
 
     let indexes: Vec<(IndexId, sqlmini::schema::IndexDef)> = db
@@ -81,20 +67,17 @@ pub fn recommend_drops(
             }
             let usage = db.usage_dmv().usage(*id);
             if usage.reads() == 0 && usage.user_updates >= MIN_UPDATES {
-                out.push(DropProposal {
-                    recommendation: Recommendation {
-                        action: RecoAction::DropIndex {
-                            index: *id,
-                            name: def.name.clone(),
-                        },
-                        source: RecoSource::DropAnalysis,
-                        estimated_benefit: usage.user_updates as f64,
-                        estimated_improvement: 0.0,
-                        estimated_size_bytes: db.index_size_bytes(*id),
-                        impacted_queries: vec![],
-                        generated_at: now,
+                out.push(Recommendation {
+                    action: RecoAction::DropIndex {
+                        index: *id,
+                        name: def.name.clone(),
                     },
-                    reason: DropReason::Unused,
+                    source: RecoSource::DropAnalysis,
+                    estimated_benefit: usage.user_updates as f64,
+                    estimated_improvement: 0.0,
+                    estimated_size_bytes: db.index_size_bytes(*id),
+                    impacted_queries: vec![],
+                    generated_at: now,
                 });
             }
         }
@@ -134,28 +117,23 @@ pub fn recommend_drops(
                 continue;
             }
             // Avoid double-reporting an index already flagged unused.
-            if out.iter().any(|p| match &p.recommendation.action {
+            if out.iter().any(|r| match &r.action {
                 RecoAction::DropIndex { index, .. } => index == id,
                 _ => false,
             }) {
                 continue;
             }
-            out.push(DropProposal {
-                recommendation: Recommendation {
-                    action: RecoAction::DropIndex {
-                        index: *id,
-                        name: def.name.clone(),
-                    },
-                    source: RecoSource::DropAnalysis,
-                    estimated_benefit: db.usage_dmv().usage(*id).user_updates as f64,
-                    estimated_improvement: 0.0,
-                    estimated_size_bytes: db.index_size_bytes(*id),
-                    impacted_queries: vec![],
-                    generated_at: now,
+            out.push(Recommendation {
+                action: RecoAction::DropIndex {
+                    index: *id,
+                    name: def.name.clone(),
                 },
-                reason: DropReason::Duplicate {
-                    keep: indexes[keep].0,
-                },
+                source: RecoSource::DropAnalysis,
+                estimated_benefit: db.usage_dmv().usage(*id).user_updates as f64,
+                estimated_improvement: 0.0,
+                estimated_size_bytes: db.index_size_bytes(*id),
+                impacted_queries: vec![],
+                generated_at: now,
             });
         }
     }
@@ -222,7 +200,7 @@ mod tests {
         advance_past_window(&db);
         let props = recommend_drops(&db, &DropConfig::default(), Timestamp::EPOCH);
         assert_eq!(props.len(), 1, "{props:?}");
-        assert_eq!(props[0].reason, DropReason::Unused);
+        assert!(matches!(&props[0].action, RecoAction::DropIndex { name, .. } if name == "dead"));
     }
 
     #[test]
@@ -271,23 +249,19 @@ mod tests {
     #[test]
     fn duplicates_flagged_keeping_most_covering() {
         let (mut db, t) = db();
-        let (wide, _) = db
-            .create_index(IndexDef::new(
-                "wide",
-                t,
-                vec![ColumnId(1)],
-                vec![ColumnId(0), ColumnId(2)],
-            ))
-            .unwrap();
+        db.create_index(IndexDef::new(
+            "wide",
+            t,
+            vec![ColumnId(1)],
+            vec![ColumnId(0), ColumnId(2)],
+        ))
+        .unwrap();
         db.create_index(IndexDef::new("narrow", t, vec![ColumnId(1)], vec![]))
             .unwrap();
         let props = recommend_drops(&db, &DropConfig::default(), Timestamp::EPOCH);
         assert_eq!(props.len(), 1);
-        match (&props[0].recommendation.action, props[0].reason) {
-            (RecoAction::DropIndex { name, .. }, DropReason::Duplicate { keep }) => {
-                assert_eq!(name, "narrow");
-                assert_eq!(keep, wide);
-            }
+        match &props[0].action {
+            RecoAction::DropIndex { name, .. } => assert_eq!(name, "narrow"),
             other => panic!("{other:?}"),
         }
     }
@@ -323,7 +297,7 @@ mod tests {
         let props = recommend_drops(&db, &DropConfig::default(), Timestamp::EPOCH);
         // Even though plain_dup covers more, the hinted one must be kept.
         assert_eq!(props.len(), 1);
-        match &props[0].recommendation.action {
+        match &props[0].action {
             RecoAction::DropIndex { name, .. } => assert_eq!(name, "plain_dup"),
             other => panic!("{other:?}"),
         }

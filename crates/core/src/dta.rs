@@ -87,8 +87,6 @@ pub enum SkipReason {
 pub struct DtaReport {
     pub analyzed: Vec<QueryId>,
     pub skipped: Vec<(QueryId, SkipReason)>,
-    /// Statements rewritten from BULK INSERT to INSERT for costing.
-    pub rewritten: Vec<QueryId>,
     /// Resource coverage of the analyzed statements.
     pub coverage: f64,
     pub recommendations: Vec<Recommendation>,
@@ -280,7 +278,6 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
         .top_k_queries(Metric::CpuTime, cfg.top_k, from, now);
     let mut work: Vec<WorkItem> = Vec::new();
     let mut skipped: Vec<(QueryId, SkipReason)> = Vec::new();
-    let mut rewritten: Vec<QueryId> = Vec::new();
     for (qid, _) in &top {
         let Some(info) = db.query_store().query_info(*qid) else {
             skipped.push((*qid, SkipReason::NoTemplate));
@@ -295,7 +292,6 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
                 weight: weight.max(1.0),
             });
         } else if let Some((tpl, multiplier)) = rewrite_for_costing(&info.template) {
-            rewritten.push(*qid);
             work.push(WorkItem {
                 qid: *qid,
                 template: tpl,
@@ -406,7 +402,6 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
         return DtaReport {
             analyzed,
             skipped,
-            rewritten,
             coverage,
             recommendations: Vec::new(),
             optimizer_calls: db.optimizer_calls - calls_at_start,
@@ -587,7 +582,6 @@ pub fn tune(db: &mut Database, cfg: &DtaConfig) -> DtaReport {
     DtaReport {
         analyzed,
         skipped,
-        rewritten,
         coverage,
         recommendations,
         optimizer_calls: db.optimizer_calls - calls_at_start,
@@ -1010,12 +1004,13 @@ mod tests {
         }
         db.clock().advance(Duration::from_hours(1));
         let report = tune(&mut db, &DtaConfig::default());
+        // Not costable as written: analyzed only through its rewrite.
+        assert!(!bulk.costable());
         assert!(
-            report.rewritten.contains(&bulk.query_id()),
+            report.analyzed.contains(&bulk.query_id()),
             "bulk insert must be rewritten, not skipped: {:?}",
             report.skipped
         );
-        assert!(report.analyzed.contains(&bulk.query_id()));
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //!   plan-change detection plus Welch t-tests on logical metrics, with
 //!   per-statement or aggregate revert policies.
 //! * [`stats`] — Welch t-test and slope-test machinery.
-//! * [`classifier`], [`merging`], [`candidate`], [`coverage`],
-//!   [`whatif_cache`] — shared building blocks.
+//! * [`classifier`], [`merging`], `candidate`, [`coverage`],
+//!   `whatif_cache` — shared building blocks.
 
-pub mod candidate;
+mod candidate;
 pub mod classifier;
 pub mod coverage;
 pub mod drops;
@@ -30,10 +30,7 @@ pub mod merging;
 pub mod mi;
 pub mod stats;
 pub mod validator;
-pub mod whatif_cache;
+mod whatif_cache;
 
 pub use candidate::{IndexCandidate, RecoAction, RecoSource, Recommendation};
-pub use classifier::{CandidateFeatures, ImpactClassifier, TrainingExample};
-pub use mi::{MiAnalysis, MiConfig, MiSnapshotStore};
-pub use validator::{RevertPolicy, ValidationOutcome, ValidatorConfig, Verdict};
-pub use whatif_cache::{WhatIfCache, WhatIfStats};
+pub use classifier::{CandidateFeatures, ImpactClassifier};

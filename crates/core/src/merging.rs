@@ -15,14 +15,14 @@ const WIDTH_PENALTY_PER_INCLUDE: f64 = 0.02;
 
 /// Whether `a` can merge into `b`: same table, `a`'s keys are a prefix of
 /// `b`'s keys (or equal).
-pub fn can_merge(a: &IndexCandidate, b: &IndexCandidate) -> bool {
+fn can_merge(a: &IndexCandidate, b: &IndexCandidate) -> bool {
     a.table == b.table
         && a.key_columns.len() <= b.key_columns.len()
         && b.key_columns[..a.key_columns.len()] == a.key_columns[..]
 }
 
 /// Merge `a` into `b`, producing the combined candidate.
-pub fn merge(a: &IndexCandidate, b: &IndexCandidate) -> IndexCandidate {
+fn merge(a: &IndexCandidate, b: &IndexCandidate) -> IndexCandidate {
     debug_assert!(can_merge(a, b));
     let mut included = b.included_columns.clone();
     for c in &a.included_columns {

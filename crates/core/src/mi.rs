@@ -7,7 +7,7 @@
 //!    monotone cumulative impact series per candidate.
 //! 2. **Candidate definition**: EQUALITY columns become keys, one
 //!    INEQUALITY column joins the key, the rest become INCLUDEs
-//!    ([`IndexCandidate::from_missing_index_key`]).
+//!    (`IndexCandidate::from_missing_index_key`).
 //! 3. **Ad-hoc filter**: candidates with too few triggering optimizations
 //!    are dropped.
 //! 4. **Slope hypothesis test**: a statistically-robust check that the
@@ -90,7 +90,7 @@ pub struct MiSnapshotStore {
     /// Accumulated base from before DMV resets.
     base: BTreeMap<MissingIndexKey, (f64, u64)>,
     last_reset_count: u64,
-    pub snapshots_taken: u64,
+    snapshots_taken: u64,
 }
 
 impl MiSnapshotStore {
@@ -138,10 +138,10 @@ impl MiSnapshotStore {
 /// Outcome detail for observability: why candidates were kept or filtered.
 #[derive(Debug, Clone, Default)]
 pub struct MiAnalysis {
-    pub considered: usize,
-    pub filtered_few_seeks: usize,
-    pub filtered_slope: usize,
-    pub filtered_existing: usize,
+    considered: usize,
+    filtered_few_seeks: usize,
+    filtered_slope: usize,
+    filtered_existing: usize,
     pub filtered_classifier: usize,
     pub merged_away: usize,
     pub recommendations: Vec<Recommendation>,

@@ -41,7 +41,7 @@ fn ln_gamma(x: f64) -> f64 {
 
 /// Regularized incomplete beta function `I_x(a, b)` via the continued
 /// fraction of Numerical Recipes (`betacf`).
-pub fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
+fn inc_beta(a: f64, b: f64, x: f64) -> f64 {
     if !(0.0..=1.0).contains(&x) {
         return f64::NAN;
     }
@@ -134,8 +134,8 @@ pub fn student_t_cdf(t: f64, df: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sample {
     pub mean: f64,
-    pub variance: f64,
-    pub count: u64,
+    pub(crate) variance: f64,
+    pub(crate) count: u64,
 }
 
 impl Sample {
@@ -168,7 +168,7 @@ pub struct WelchResult {
     /// t statistic for (b - a): positive when `b` has the larger mean.
     pub t: f64,
     /// Welch–Satterthwaite degrees of freedom.
-    pub df: f64,
+    df: f64,
     /// Two-sided p-value for mean(a) ≠ mean(b).
     pub p_two_sided: f64,
     /// One-sided p-value for mean(b) > mean(a).
@@ -206,19 +206,19 @@ pub fn welch_t_test(a: &Sample, b: &Sample) -> Option<WelchResult> {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlopeTest {
     /// Fitted slope (impact units per x unit).
-    pub slope: f64,
+    slope: f64,
     /// Standard error of the slope.
-    pub se: f64,
+    se: f64,
     /// t statistic for H1: slope > threshold.
-    pub t: f64,
+    t: f64,
     /// One-sided p-value for slope > threshold.
-    pub p_greater: f64,
+    pub(crate) p_greater: f64,
 }
 
 /// One-sided t-test on the least-squares slope of `(x, y)` points being
 /// greater than `threshold` (the MI recommender's positive-gradient test,
 /// §5.2). Requires ≥ 3 points; returns `None` otherwise.
-pub fn slope_above_threshold(points: &[(f64, f64)], threshold: f64) -> Option<SlopeTest> {
+pub(crate) fn slope_above_threshold(points: &[(f64, f64)], threshold: f64) -> Option<SlopeTest> {
     let n = points.len();
     if n < 3 {
         return None;

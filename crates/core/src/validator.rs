@@ -43,6 +43,9 @@ pub enum RevertPolicy {
     Aggregate,
 }
 
+/// Relative improvement of the mean that counts as an improvement.
+const IMPROVEMENT_THRESHOLD: f64 = 0.1;
+
 /// Validator configuration.
 #[derive(Debug, Clone)]
 pub struct ValidatorConfig {
@@ -53,8 +56,6 @@ pub struct ValidatorConfig {
     /// Relative worsening of the mean that counts as a regression (e.g.
     /// 0.2 = 20% slower), beyond significance.
     pub regression_threshold: f64,
-    /// Relative improvement of the mean that counts as an improvement.
-    pub improvement_threshold: f64,
     /// Minimum fraction of the database's before-window resources a
     /// statement must represent for its regression to trigger a revert.
     pub min_resource_frac: f64,
@@ -67,7 +68,6 @@ impl Default for ValidatorConfig {
             alpha: 0.05,
             min_executions: 5,
             regression_threshold: 0.2,
-            improvement_threshold: 0.1,
             min_resource_frac: 0.01,
             policy: RevertPolicy::PerStatement,
         }
@@ -96,16 +96,12 @@ pub struct StatementValidation {
     pub cpu_before: Sample,
     pub cpu_after: Sample,
     pub cpu_test: Option<WelchResult>,
-    /// Before/after samples of logical reads.
-    pub reads_before: Sample,
-    pub reads_after: Sample,
-    pub reads_test: Option<WelchResult>,
     /// Relative CPU change: (after - before) / before.
     pub cpu_change: f64,
     /// Statement's share of before-window database CPU.
-    pub resource_frac: f64,
-    pub significant_regression: bool,
-    pub significant_improvement: bool,
+    resource_frac: f64,
+    significant_regression: bool,
+    significant_improvement: bool,
 }
 
 /// Validation result.
@@ -115,8 +111,6 @@ pub struct ValidationOutcome {
     pub statements: Vec<StatementValidation>,
     /// Aggregate weighted CPU change across qualified statements.
     pub aggregate_cpu_change: f64,
-    /// Queries inspected (before qualification).
-    pub inspected: usize,
 }
 
 fn sample_of(agg: &ExecAgg, metric: Metric) -> Sample {
@@ -146,12 +140,10 @@ pub fn validate(
     let after = (qs.align_up(after.0), after.1.max(qs.align_up(after.0)));
     let total_before_cpu = qs.total_resources(Metric::CpuTime, before.0, before.1);
     let mut statements = Vec::new();
-    let mut inspected = 0usize;
     let plan_refs_index =
         |p: &sqlmini::plan::PlanId| qs.plan_index_refs(*p).iter().any(|n| n == index_name);
 
     for (qid, _info) in qs.known_queries() {
-        inspected += 1;
         // Both gating rules below need a plan of this query that
         // references the index; a query none of whose plans ever did
         // cannot qualify, so neither window is read for it.
@@ -236,7 +228,7 @@ pub fn validate(
         };
         let sig_better = |t: &Option<WelchResult>, change: f64| {
             t.as_ref().is_some_and(|r| {
-                (1.0 - r.p_b_greater) < cfg.alpha && change < -cfg.improvement_threshold
+                (1.0 - r.p_b_greater) < cfg.alpha && change < -IMPROVEMENT_THRESHOLD
             })
         };
         let significant_regression =
@@ -249,9 +241,6 @@ pub fn validate(
             cpu_before,
             cpu_after,
             cpu_test,
-            reads_before,
-            reads_after,
-            reads_test,
             cpu_change,
             resource_frac,
             significant_regression,
@@ -294,7 +283,7 @@ pub fn validate(
                     && statements.iter().any(|s| s.significant_regression)
                 {
                     Verdict::Regressed
-                } else if aggregate_cpu_change < -cfg.improvement_threshold
+                } else if aggregate_cpu_change < -IMPROVEMENT_THRESHOLD
                     && statements.iter().any(|s| s.significant_improvement)
                 {
                     Verdict::Improved
@@ -309,7 +298,6 @@ pub fn validate(
         verdict,
         statements,
         aggregate_cpu_change,
-        inspected,
     }
 }
 
@@ -614,9 +602,7 @@ mod tests {
         let after = (qs.align_up(after.0), after.1.max(qs.align_up(after.0)));
         let total_before_cpu = qs.total_resources(Metric::CpuTime, before.0, before.1);
         let mut statements = Vec::new();
-        let mut inspected = 0usize;
         for (qid, _info) in qs.known_queries() {
-            inspected += 1;
             let before_plans = qs.plans_in_window(qid, before.0, before.1);
             let after_plans = qs.plans_in_window(qid, after.0, after.1);
             if before_plans.is_empty() || after_plans.is_empty() {
@@ -670,7 +656,7 @@ mod tests {
             };
             let sig_better = |t: &Option<WelchResult>, change: f64| {
                 t.as_ref().is_some_and(|r| {
-                    (1.0 - r.p_b_greater) < cfg.alpha && change < -cfg.improvement_threshold
+                    (1.0 - r.p_b_greater) < cfg.alpha && change < -IMPROVEMENT_THRESHOLD
                 })
             };
             statements.push(StatementValidation {
@@ -678,9 +664,6 @@ mod tests {
                 cpu_before,
                 cpu_after,
                 cpu_test,
-                reads_before,
-                reads_after,
-                reads_test,
                 cpu_change,
                 resource_frac,
                 significant_regression: sig_worse(&cpu_test, cpu_change)
@@ -720,7 +703,7 @@ mod tests {
                         && statements.iter().any(|s| s.significant_regression)
                     {
                         Verdict::Regressed
-                    } else if aggregate_cpu_change < -cfg.improvement_threshold
+                    } else if aggregate_cpu_change < -IMPROVEMENT_THRESHOLD
                         && statements.iter().any(|s| s.significant_improvement)
                     {
                         Verdict::Improved
@@ -734,16 +717,14 @@ mod tests {
             verdict,
             statements,
             aggregate_cpu_change,
-            inspected,
         }
     }
 
     /// The gate is exact: over a store of many queries whose plans never
     /// touch the validated index (they seek another one) and one that
     /// qualifies, `validate` gives what the ungated loop gives — verdict,
-    /// every statement, the aggregate change to the bit, and the count of
-    /// queries inspected — after a create and after a drop, under both
-    /// revert policies.
+    /// every statement and the aggregate change to the bit — after a
+    /// create and after a drop, under both revert policies.
     #[test]
     fn gate_skips_nothing_that_could_qualify() {
         let (mut db, t) = orders_db();
@@ -812,8 +793,6 @@ mod tests {
                     gated.aggregate_cpu_change.to_bits(),
                     ungated.aggregate_cpu_change.to_bits()
                 );
-                assert_eq!(gated.inspected, ungated.inspected);
-                assert_eq!(gated.inspected, 1 + unrelated.len());
             }
         }
     }

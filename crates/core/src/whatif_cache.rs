@@ -45,7 +45,7 @@ impl WhatIfStats {
 
     /// Fraction of cache lookups that hit (`saved_cache / (saved_cache +
     /// issued)`); every issued call in a cached session is a miss.
-    pub fn cache_hit_rate(&self) -> f64 {
+    pub(crate) fn cache_hit_rate(&self) -> f64 {
         let lookups = self.saved_cache + self.issued;
         if lookups == 0 {
             0.0
@@ -61,31 +61,33 @@ impl WhatIfStats {
 /// The map is only ever probed point-wise, so `HashMap` iteration order
 /// cannot leak into results — the cache is deterministic by construction.
 #[derive(Debug, Clone, Default)]
-pub struct WhatIfCache {
+pub(crate) struct WhatIfCache {
     map: HashMap<(usize, u64), f64>,
 }
 
 impl WhatIfCache {
-    pub fn new() -> WhatIfCache {
+    pub(crate) fn new() -> WhatIfCache {
         WhatIfCache::default()
     }
 
     /// Look up the memoized estimate for a statement under a restricted
     /// configuration fingerprint.
-    pub fn get(&self, stmt: usize, fingerprint: u64) -> Option<f64> {
+    pub(crate) fn get(&self, stmt: usize, fingerprint: u64) -> Option<f64> {
         self.map.get(&(stmt, fingerprint)).copied()
     }
 
     /// Memoize an estimate.
-    pub fn insert(&mut self, stmt: usize, fingerprint: u64, cost: f64) {
+    pub(crate) fn insert(&mut self, stmt: usize, fingerprint: u64, cost: f64) {
         self.map.insert((stmt, fingerprint), cost);
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.map.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
 }

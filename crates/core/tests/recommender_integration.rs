@@ -202,10 +202,7 @@ fn drop_analysis_on_generated_tenant_with_cruft() {
         "duplicates and unused indexes must be flagged"
     );
     // Proposals never exceed the index population and never repeat.
-    let mut ids: Vec<String> = props
-        .iter()
-        .map(|p| format!("{:?}", p.recommendation.action))
-        .collect();
+    let mut ids: Vec<String> = props.iter().map(|r| format!("{:?}", r.action)).collect();
     let before = ids.len();
     ids.sort();
     ids.dedup();

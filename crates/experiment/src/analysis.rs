@@ -104,12 +104,12 @@ pub fn pool_samples(samples: &[CostSample]) -> CostSample {
 /// Welch-style comparison of two workload-cost samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostComparison {
-    pub t: f64,
-    pub df: f64,
+    t: f64,
+    df: f64,
     /// One-sided p-value that `b` is more expensive than `a`.
     pub p_b_greater: f64,
     /// Two-sided p-value.
-    pub p_two_sided: f64,
+    p_two_sided: f64,
 }
 
 pub fn compare_costs(a: &CostSample, b: &CostSample) -> Option<CostComparison> {
@@ -156,7 +156,7 @@ impl std::fmt::Display for Winner {
 /// of the baseline cost (negative when the arm regressed; `0.0` for a
 /// costless baseline). Shared by the winner analysis and the ops
 /// dashboards, so both report the same number for the same samples.
-pub fn improvement_fraction(baseline: &CostSample, arm: &CostSample) -> f64 {
+fn improvement_fraction(baseline: &CostSample, arm: &CostSample) -> f64 {
     if baseline.total > 0.0 {
         (baseline.total - arm.total) / baseline.total
     } else {
@@ -178,7 +178,7 @@ pub struct WinnerAnalysis {
 /// outperformed **both** other alternatives with statistical
 /// significance *and* by a practically meaningful margin (a fraction of
 /// the baseline cost); otherwise the database counts as Comparable.
-pub fn determine_winner(
+pub(crate) fn determine_winner(
     baseline: &CostSample,
     user: &CostSample,
     mi: &CostSample,

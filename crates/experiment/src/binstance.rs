@@ -12,16 +12,16 @@ use sqlmini::engine::Database;
 
 /// Per-table divergence between A and B.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableDivergence {
-    pub table: sqlmini::schema::TableId,
-    pub a_rows: u64,
-    pub b_rows: u64,
+struct TableDivergence {
+    table: sqlmini::schema::TableId,
+    a_rows: u64,
+    b_rows: u64,
 }
 
 /// Divergence report.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DivergenceReport {
-    pub tables: Vec<TableDivergence>,
+    tables: Vec<TableDivergence>,
 }
 
 impl DivergenceReport {
@@ -50,7 +50,8 @@ impl DivergenceReport {
 
     /// Whether divergence exceeds the tolerance (experiments on a
     /// too-diverged clone are discarded).
-    pub fn excessive(&self, tolerance: f64) -> bool {
+    #[cfg(test)]
+    fn excessive(&self, tolerance: f64) -> bool {
         self.max_relative() > tolerance
     }
 }

@@ -21,10 +21,8 @@
 //! triggers reverse cleanup so the B-instance never leaks state into a
 //! subsequent experiment.
 
-use crate::analysis::{
-    determine_winner, workload_cost_fixed_counts, CostSample, Winner, WinnerAnalysis,
-};
-use crate::binstance::create_b_instance;
+use crate::analysis::{determine_winner, workload_cost_fixed_counts, Winner, WinnerAnalysis};
+use crate::binstance::{create_b_instance, divergence_between};
 use crate::user_emulation::select_user_tuning;
 use crate::workflow::{FnStep, Workflow, WorkflowRun};
 use autoindex::classifier::ImpactClassifier;
@@ -79,11 +77,10 @@ pub struct ExperimentOutcome {
     pub run: WorkflowRun,
     /// Phase measurement windows by name.
     pub windows: BTreeMap<String, (Timestamp, Timestamp)>,
-    pub dropped_user_indexes: usize,
+    #[cfg(test)]
+    dropped_user_indexes: usize,
     /// Row-count divergence of the B-instance vs the primary at the end.
     pub divergence: f64,
-    /// Per-phase fixed-count workload costs.
-    pub costs: BTreeMap<String, CostSample>,
 }
 
 impl ExperimentOutcome {
@@ -108,7 +105,6 @@ struct ExpCtx {
     arm_created: Vec<IndexId>,
     windows: BTreeMap<String, (Timestamp, Timestamp)>,
     analysis: Option<WinnerAnalysis>,
-    costs: BTreeMap<String, CostSample>,
 }
 
 impl ExpCtx {
@@ -149,7 +145,6 @@ pub fn run_phased_experiment(tenant: &Tenant, cfg: &ExperimentConfig) -> Experim
         arm_created: Vec::new(),
         windows: BTreeMap::new(),
         analysis: None,
-        costs: BTreeMap::new(),
     };
 
     let n = cfg.n_user_indexes;
@@ -158,7 +153,7 @@ pub fn run_phased_experiment(tenant: &Tenant, cfg: &ExperimentConfig) -> Experim
     let alpha = cfg.alpha;
     let margin = cfg.margin;
 
-    let mut wf: Workflow<ExpCtx> = Workflow::new("fig6-phased")
+    let mut wf: Workflow<ExpCtx> = Workflow::default()
         .step(FnStep::new("drop-user-indexes", move |ctx: &mut ExpCtx| {
             let picked = select_user_tuning(&ctx.b, n, k, seed);
             if picked.is_empty() {
@@ -241,10 +236,6 @@ pub fn run_phased_experiment(tenant: &Tenant, cfg: &ExperimentConfig) -> Experim
             let user = cost(ctx, get(ctx, "user")?);
             let mi = cost(ctx, get(ctx, "mi")?);
             let dta = cost(ctx, get(ctx, "dta")?);
-            ctx.costs.insert("baseline".into(), baseline);
-            ctx.costs.insert("user".into(), user);
-            ctx.costs.insert("mi".into(), mi);
-            ctx.costs.insert("dta".into(), dta);
             ctx.analysis = Some(determine_winner(&baseline, &user, &mi, &dta, alpha, margin));
             Ok(())
         }));
@@ -252,23 +243,15 @@ pub fn run_phased_experiment(tenant: &Tenant, cfg: &ExperimentConfig) -> Experim
     let run = wf.execute(&mut ctx);
 
     // End-of-experiment divergence (writes during phases diverge B).
-    let divergence = {
-        let mut max = 0.0f64;
-        for (t, _) in tenant.db.catalog().tables() {
-            let a = tenant.db.table_rows(t).max(1) as f64;
-            let d = (tenant.db.table_rows(t) as f64 - ctx.b.table_rows(t) as f64).abs() / a;
-            max = max.max(d);
-        }
-        max
-    };
+    let divergence = divergence_between(&tenant.db, &ctx.b).max_relative();
 
     ExperimentOutcome {
         analysis: ctx.analysis,
         run,
         windows: ctx.windows,
+        #[cfg(test)]
         dropped_user_indexes: ctx.dropped.len(),
         divergence,
-        costs: ctx.costs,
     }
 }
 

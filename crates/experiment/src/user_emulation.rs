@@ -16,7 +16,7 @@ use sqlmini::schema::{IndexDef, IndexId, IndexOrigin};
 /// Rank existing user indexes by read benefit and pick `k` of the top `n`
 /// at random. Constraint-enforcing indexes are excluded (the paper's
 /// heuristic only considers indexes without application constraints).
-pub fn select_user_tuning(
+pub(crate) fn select_user_tuning(
     db: &Database,
     n: usize,
     k: usize,

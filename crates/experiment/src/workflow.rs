@@ -47,17 +47,17 @@ impl<C> FnStep<C> {
         self
     }
 
-    pub fn name(&self) -> &str {
+    fn name(&self) -> &str {
         &self.name
     }
 
     /// Execute the step.
-    pub fn run(&mut self, ctx: &mut C) -> Result<(), String> {
+    fn run(&mut self, ctx: &mut C) -> Result<(), String> {
         (self.run)(ctx)
     }
 
     /// Undo side effects (called in reverse order after a later failure).
-    pub fn cleanup(&mut self, ctx: &mut C) {
+    fn cleanup(&mut self, ctx: &mut C) {
         if let Some(c) = &mut self.cleanup {
             c(ctx);
         }
@@ -87,35 +87,21 @@ impl fmt::Display for WorkflowRun {
     }
 }
 
-/// A workflow: named steps over a context.
+/// A workflow: steps over a context.
 pub struct Workflow<C> {
-    name: String,
     steps: Vec<FnStep<C>>,
 }
 
+impl<C> Default for Workflow<C> {
+    fn default() -> Workflow<C> {
+        Workflow { steps: Vec::new() }
+    }
+}
+
 impl<C> Workflow<C> {
-    pub fn new(name: impl Into<String>) -> Workflow<C> {
-        Workflow {
-            name: name.into(),
-            steps: Vec::new(),
-        }
-    }
-
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     pub fn step(mut self, step: FnStep<C>) -> Workflow<C> {
         self.steps.push(step);
         self
-    }
-
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 
     /// Execute all steps; on failure, clean up completed steps in reverse.
@@ -175,7 +161,7 @@ mod tests {
 
     #[test]
     fn happy_path_runs_all_steps() {
-        let mut wf = Workflow::new("exp")
+        let mut wf = Workflow::default()
             .step(step("a", false))
             .step(step("b", false))
             .step(step("c", false));
@@ -188,7 +174,7 @@ mod tests {
 
     #[test]
     fn failure_triggers_reverse_cleanup() {
-        let mut wf = Workflow::new("exp")
+        let mut wf = Workflow::default()
             .step(step("a", false))
             .step(step("b", false))
             .step(step("c", true))
@@ -209,13 +195,13 @@ mod tests {
 
     #[test]
     fn empty_workflow_succeeds() {
-        let mut wf: Workflow<Ctx> = Workflow::new("empty");
+        let mut wf: Workflow<Ctx> = Workflow::default();
         assert!(wf.execute(&mut Ctx::default()).succeeded());
     }
 
     #[test]
     fn context_mutations_visible_across_steps() {
-        let mut wf = Workflow::new("exp")
+        let mut wf = Workflow::default()
             .step(FnStep::new("write", |ctx: &mut Ctx| {
                 ctx.log.push("x".into());
                 Ok(())

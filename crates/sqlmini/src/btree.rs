@@ -45,17 +45,17 @@ const NO_NODE: NodeId = usize::MAX;
 /// An entry's ordering key, or a bound on one, as values: key values and a
 /// row id. The values may be a prefix of the key columns; a prefix orders
 /// before every key that extends it.
-pub type Key<'a> = (&'a [Value], RowId);
+type Key<'a> = (&'a [Value], RowId);
 
 /// `a` against `b` as the tree orders keys.
 fn cmp_key(a: Key<'_>, b: Key<'_>) -> Ordering {
     a.0.cmp(b.0).then(a.1.cmp(&b.1))
 }
 
-/// A key compiled against the tree's key columns ([`BTree::probe`]):
+/// A key compiled against the tree's key columns (`BTree::probe`):
 /// stored entries order against it exactly as their key values and row
-/// id order against its values and row id ([`Key`]).
-pub(crate) struct Probe<'v> {
+/// id order against its values and row id (`Key`).
+pub struct Probe<'v> {
     ops: Vec<Operand<'v>>,
     /// Whether the key has a value for every key column, so that the row
     /// id is compared next; if not, an entry that matches the values it
@@ -88,7 +88,7 @@ impl<'v> Probe<'v> {
 /// Entries stored column-major: one typed run per column (all of a leaf's
 /// columns; an internal node's key columns), one row id per entry.
 #[derive(Debug, Clone)]
-pub(crate) struct Run {
+pub struct Run {
     cols: Vec<Typed>,
     rids: Vec<RowId>,
 }
@@ -434,17 +434,17 @@ impl BTree {
     }
 
     /// Maximum children of an internal node; a leaf holds one entry fewer.
-    pub fn fanout(&self) -> usize {
+    pub(crate) fn fanout(&self) -> usize {
         self.fanout
     }
 
     /// Values per entry.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         self.dicts.len()
     }
 
     /// How many of an entry's values order it.
-    pub fn key_len(&self) -> usize {
+    pub(crate) fn key_len(&self) -> usize {
         self.key_len
     }
 
@@ -458,7 +458,7 @@ impl BTree {
     }
 
     /// Height of the tree (1 for a lone leaf).
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
@@ -473,7 +473,7 @@ impl BTree {
     }
 
     /// Number of live (non-free) nodes — the tree's "page count".
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.arena
             .iter()
             .filter(|n| !matches!(n, Node::Free { .. }))
@@ -481,12 +481,12 @@ impl BTree {
     }
 
     /// Total node visits by read operations since creation.
-    pub fn read_visits(&self) -> u64 {
+    pub(crate) fn read_visits(&self) -> u64 {
         self.read_visits.get()
     }
 
     /// Total node visits by write operations since creation.
-    pub fn write_visits(&self) -> u64 {
+    pub(crate) fn write_visits(&self) -> u64 {
         self.write_visits
     }
 

@@ -65,14 +65,10 @@ impl Catalog {
         self.tables.iter().map(|(id, t)| (*id, t))
     }
 
-    pub fn n_tables(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Register an index, assigning its id. Rejects duplicate names
     /// (mirroring the paper's "index with the same name already exists"
     /// terminal error state).
-    pub fn add_index(&mut self, def: IndexDef) -> Result<IndexId, CatalogError> {
+    pub(crate) fn add_index(&mut self, def: IndexDef) -> Result<IndexId, CatalogError> {
         if !self.tables.contains_key(&def.table) {
             return Err(CatalogError::UnknownTable(def.table));
         }
@@ -85,11 +81,12 @@ impl Catalog {
         Ok(id)
     }
 
-    pub fn index(&self, id: IndexId) -> Result<&IndexDef, CatalogError> {
+    #[cfg(test)]
+    fn index(&self, id: IndexId) -> Result<&IndexDef, CatalogError> {
         self.indexes.get(&id).ok_or(CatalogError::UnknownIndex(id))
     }
 
-    pub fn remove_index(&mut self, id: IndexId) -> Result<IndexDef, CatalogError> {
+    pub(crate) fn remove_index(&mut self, id: IndexId) -> Result<IndexDef, CatalogError> {
         self.indexes
             .remove(&id)
             .ok_or(CatalogError::UnknownIndex(id))
@@ -135,7 +132,7 @@ mod tests {
         assert_ne!(t1, t2);
         assert_eq!(c.table(t1).unwrap().name, "t1");
         assert_eq!(c.table_by_name("t2").unwrap().0, t2);
-        assert_eq!(c.n_tables(), 2);
+        assert_eq!(c.tables().count(), 2);
         assert!(matches!(
             c.add_table(table("t1")),
             Err(CatalogError::DuplicateTable(_))

@@ -85,10 +85,6 @@ impl Duration {
         self.0 as f64 / 3_600_000.0
     }
     #[inline]
-    pub fn saturating_sub(self, other: Duration) -> Duration {
-        Duration(self.0.saturating_sub(other.0))
-    }
-    #[inline]
     pub fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }
@@ -172,7 +168,7 @@ impl SimClock {
     /// Cloning a `SimClock` *shares* time by design (an A/B instance
     /// pair ticks together); detaching is how a replica becomes
     /// temporally independent of its ancestor.
-    pub fn detached(&self) -> SimClock {
+    pub(crate) fn detached(&self) -> SimClock {
         SimClock {
             now: Arc::new(AtomicU64::new(self.now.load(Ordering::Acquire))),
         }

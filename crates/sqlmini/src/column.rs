@@ -57,7 +57,7 @@ pub(crate) struct Bits {
 }
 
 impl Bits {
-    pub(crate) fn with_capacity(bits: usize) -> Bits {
+    fn with_capacity(bits: usize) -> Bits {
         Bits {
             words: Vec::with_capacity(bits.div_ceil(64)),
             len: 0,
@@ -93,7 +93,7 @@ impl Bits {
     }
 
     /// Insert `bit` at `i`, moving the bits from `i` on up by one.
-    pub(crate) fn insert(&mut self, i: usize, bit: bool) {
+    fn insert(&mut self, i: usize, bit: bool) {
         debug_assert!(i <= self.len);
         self.push(false);
         let (w0, b) = (i / 64, i % 64);
@@ -106,7 +106,7 @@ impl Bits {
     }
 
     /// Remove the bit at `i`, moving the bits after it down by one.
-    pub(crate) fn remove(&mut self, i: usize) -> bool {
+    fn remove(&mut self, i: usize) -> bool {
         let bit = self.get(i);
         let (w0, b) = (i / 64, i % 64);
         let low = (1u64 << b) - 1;
@@ -121,7 +121,7 @@ impl Bits {
     }
 
     /// Keep the first `n` bits.
-    pub(crate) fn truncate(&mut self, n: usize) {
+    fn truncate(&mut self, n: usize) {
         debug_assert!(n <= self.len);
         self.len = n;
         self.words.truncate(n.div_ceil(64));
@@ -143,7 +143,7 @@ impl Bits {
     }
 
     /// Bits `at..` moved into new bits with room for `capacity`.
-    pub(crate) fn split_off(&mut self, at: usize, capacity: usize) -> Bits {
+    fn split_off(&mut self, at: usize, capacity: usize) -> Bits {
         let mut right = Bits::with_capacity(capacity);
         let n = self.len - at;
         right
@@ -158,7 +158,7 @@ impl Bits {
     }
 
     /// Append every bit of `other`, leaving it empty.
-    pub(crate) fn append(&mut self, other: &mut Bits) {
+    fn append(&mut self, other: &mut Bits) {
         let b = self.len % 64;
         for &word in &other.words {
             if b == 0 {
@@ -176,7 +176,7 @@ impl Bits {
 
     /// Bits `64 w .. 64 w + 64`, the first in the lowest place.
     #[inline]
-    pub(crate) fn word(&self, w: usize) -> u64 {
+    fn word(&self, w: usize) -> u64 {
         self.words[w]
     }
 
@@ -213,7 +213,7 @@ impl Bits {
 }
 
 /// Positions of the set bits of `word`, rising.
-pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (word != 0).then(|| {
             let b = word.trailing_zeros() as usize;
@@ -664,7 +664,7 @@ impl Column {
     }
 
     /// The column's type.
-    pub fn ty(&self) -> ValueType {
+    pub(crate) fn ty(&self) -> ValueType {
         self.vals.ty()
     }
 
@@ -856,7 +856,7 @@ impl Test {
     /// Where the predicate holds among slots `64 w .. 64 w + 64` of
     /// `vals`: bit `i` for slot `64 w + i`, zero past the run's end.
     #[inline]
-    pub(crate) fn word(&self, vals: &Typed, w: usize) -> u64 {
+    fn word(&self, vals: &Typed, w: usize) -> u64 {
         let (lo, hi) = (w * 64, (w * 64 + 64).min(vals.len()));
         let nulls = vals.nulls.word(w);
         let valid = if hi - lo == 64 {

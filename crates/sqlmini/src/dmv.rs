@@ -31,11 +31,11 @@ pub struct MissingIndexStats {
     /// Number of query optimizations that produced this candidate.
     pub user_seeks: u64,
     /// Running average optimizer cost of the queries that would improve.
-    pub avg_total_cost: f64,
+    avg_total_cost: f64,
     /// Running average estimated improvement percentage.
     pub avg_impact_pct: f64,
-    pub first_seen: Timestamp,
-    pub last_seen: Timestamp,
+    first_seen: Timestamp,
+    last_seen: Timestamp,
 }
 
 impl MissingIndexStats {
@@ -68,11 +68,11 @@ pub struct MissingIndexDmv {
 }
 
 impl MissingIndexDmv {
-    pub fn new() -> MissingIndexDmv {
+    pub(crate) fn new() -> MissingIndexDmv {
         MissingIndexDmv::default()
     }
 
-    pub fn record(&mut self, obs: &MissingIndexObservation, now: Timestamp) {
+    pub(crate) fn record(&mut self, obs: &MissingIndexObservation, now: Timestamp) {
         let key = MissingIndexKey {
             table: obs.table,
             equality_columns: obs.equality_columns.clone(),
@@ -86,16 +86,18 @@ impl MissingIndexDmv {
         self.entries.iter()
     }
 
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
 
     /// Reset, as happens on server restart, failover, or schema change.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.entries.clear();
         self.resets += 1;
     }
@@ -113,13 +115,13 @@ impl MissingIndexDmv {
 /// Per-index usage counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexUsage {
-    pub user_seeks: u64,
-    pub user_scans: u64,
-    pub user_lookups: u64,
+    pub(crate) user_seeks: u64,
+    user_scans: u64,
+    user_lookups: u64,
     /// Maintenance events caused by DML.
     pub user_updates: u64,
-    pub last_user_seek: Option<Timestamp>,
-    pub last_user_scan: Option<Timestamp>,
+    last_user_seek: Option<Timestamp>,
+    last_user_scan: Option<Timestamp>,
 }
 
 impl IndexUsage {
@@ -138,29 +140,29 @@ pub struct IndexUsageDmv {
 }
 
 impl IndexUsageDmv {
-    pub fn new() -> IndexUsageDmv {
+    pub(crate) fn new() -> IndexUsageDmv {
         IndexUsageDmv::default()
     }
 
-    pub fn note_seek(&mut self, ix: IndexId, now: Timestamp) {
+    pub(crate) fn note_seek(&mut self, ix: IndexId, now: Timestamp) {
         let u = self.usage.entry(ix).or_default();
         u.user_seeks += 1;
         u.last_user_seek = Some(now);
     }
 
-    pub fn note_scan(&mut self, ix: IndexId, now: Timestamp) {
+    pub(crate) fn note_scan(&mut self, ix: IndexId, now: Timestamp) {
         let u = self.usage.entry(ix).or_default();
         u.user_scans += 1;
         u.last_user_scan = Some(now);
     }
 
-    pub fn note_lookup(&mut self, ix: IndexId) {
+    pub(crate) fn note_lookup(&mut self, ix: IndexId) {
         self.usage.entry(ix).or_default().user_lookups += 1;
     }
 
     /// Record `n` maintenance updates in one map probe (the per-row loop
     /// was hot on bulk writes).
-    pub fn note_updates(&mut self, ix: IndexId, n: u64) {
+    pub(crate) fn note_updates(&mut self, ix: IndexId, n: u64) {
         if n > 0 {
             self.usage.entry(ix).or_default().user_updates += n;
         }
@@ -175,7 +177,7 @@ impl IndexUsageDmv {
     }
 
     /// Remove counters for a dropped index.
-    pub fn forget(&mut self, ix: IndexId) {
+    pub(crate) fn forget(&mut self, ix: IndexId) {
         self.usage.remove(&ix);
     }
 }

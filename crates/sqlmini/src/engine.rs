@@ -49,7 +49,7 @@ pub enum ServiceTier {
 
 impl ServiceTier {
     /// Effective CPU cores; wall-clock duration = cpu_time / cores.
-    pub fn cores(self) -> f64 {
+    fn cores(self) -> f64 {
         match self {
             ServiceTier::Basic => 0.5,
             ServiceTier::Standard => 2.0,
@@ -58,7 +58,7 @@ impl ServiceTier {
     }
 
     /// Index build rate in bytes of index produced per simulated second.
-    pub fn index_build_rate(self) -> f64 {
+    fn index_build_rate(self) -> f64 {
         match self {
             ServiceTier::Basic => 2.0e6,
             ServiceTier::Standard => 10.0e6,
@@ -156,8 +156,6 @@ pub struct ExecOutcome {
 /// Report of a completed index build.
 #[derive(Debug, Clone)]
 pub struct IndexBuildReport {
-    pub index: IndexId,
-    pub heap_pages_scanned: u64,
     pub index_size_bytes: u64,
     /// Transaction log generated (≈ index size) — the log-pressure
     /// phenomenon of §8.3.
@@ -222,9 +220,9 @@ pub struct Database {
     pub name: String,
     pub config: DbConfig,
     clock: SimClock,
-    pub(crate) catalog: Catalog,
-    pub(crate) heaps: BTreeMap<TableId, Heap>,
-    pub(crate) indexes: BTreeMap<IndexId, SecondaryIndex>,
+    catalog: Catalog,
+    heaps: BTreeMap<TableId, Heap>,
+    indexes: BTreeMap<IndexId, SecondaryIndex>,
     stats: BTreeMap<TableId, TableStats>,
     query_store: QueryStore,
     mi_dmv: MissingIndexDmv,
@@ -378,7 +376,7 @@ impl Database {
 
     /// Bump every table's catalog epoch (coarse invalidation for callers
     /// without table context, e.g. restart).
-    pub(crate) fn bump_config(&mut self) {
+    fn bump_config(&mut self) {
         let tables: Vec<TableId> = self.catalog.tables().map(|(t, _)| t).collect();
         for t in tables {
             self.bump_table(t);
@@ -388,7 +386,7 @@ impl Database {
     /// Bump one table's catalog epoch and refresh its planning-geometry
     /// snapshot. Called on index create/drop, statistics refresh, and
     /// schema change — the three invalidation sources of the plan cache.
-    pub(crate) fn bump_table(&mut self, t: TableId) {
+    fn bump_table(&mut self, t: TableId) {
         let heap_pages = self
             .heaps
             .get(&t)
@@ -409,7 +407,7 @@ impl Database {
     }
 
     /// Current catalog epoch of one table (0 until first bumped).
-    pub fn table_epoch(&self, t: TableId) -> u64 {
+    fn table_epoch(&self, t: TableId) -> u64 {
         self.table_epochs.get(&t).copied().unwrap_or(0)
     }
 
@@ -471,7 +469,8 @@ impl Database {
         self.heaps.get(&t).map(|h| h.len() as u64).unwrap_or(0)
     }
 
-    pub fn table_stats(&self, t: TableId) -> Option<&TableStats> {
+    #[cfg(test)]
+    fn table_stats(&self, t: TableId) -> Option<&TableStats> {
         self.stats.get(&t)
     }
 
@@ -841,7 +840,7 @@ impl Database {
         let id = self.catalog.add_index(def.clone())?;
         let mut ix = SecondaryIndex::new(def, &tdef);
         let heap = self.heaps.get(&table).expect("heap exists");
-        let scanned = ix.build(heap);
+        ix.build(heap);
         let size = ix.size_bytes();
         self.indexes.insert(id, ix);
         // Schema change: the missing-index DMV resets (§5.2), which is why
@@ -850,8 +849,6 @@ impl Database {
         self.bump_config();
         let build_secs = size as f64 / self.config.tier.index_build_rate();
         let report = IndexBuildReport {
-            index: id,
-            heap_pages_scanned: scanned,
             index_size_bytes: size,
             log_bytes: size,
             build_duration: Duration::from_millis((build_secs * 1000.0) as u64),

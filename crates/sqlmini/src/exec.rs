@@ -4,8 +4,8 @@
 //! work it does — rows examined, predicates evaluated, logical pages read
 //! and written, hash operations, sort sizes — then converts those counts
 //! into CPU microseconds with the *same* constants the optimizer charges
-//! its estimates ([`CPU_PER_PAGE`] and its siblings in
-//! [`crate::optimizer`]). Estimated and actual CPU time therefore differ
+//! its estimates (`CPU_PER_PAGE` and its siblings in
+//! `crate::optimizer`). Estimated and actual CPU time therefore differ
 //! only where cardinality estimation erred, which is precisely the gap the
 //! paper's validation machinery (§6) exists to catch.
 //!
@@ -192,10 +192,10 @@ impl std::fmt::Display for ExecError {
 impl std::error::Error for ExecError {}
 
 /// Mutable storage the executor runs against.
-pub struct ExecContext<'a> {
-    pub catalog: &'a Catalog,
-    pub heaps: &'a mut BTreeMap<TableId, Heap>,
-    pub indexes: &'a mut BTreeMap<IndexId, SecondaryIndex>,
+pub(crate) struct ExecContext<'a> {
+    pub(crate) catalog: &'a Catalog,
+    pub(crate) heaps: &'a mut BTreeMap<TableId, Heap>,
+    pub(crate) indexes: &'a mut BTreeMap<IndexId, SecondaryIndex>,
 }
 
 /// One input row as the operators see it, borrowed from storage for the
@@ -345,7 +345,7 @@ fn find_index<'c>(
 /// deterministic; nothing reads these tables in hash order, so the hash
 /// moves no output.
 #[derive(Default, Clone, Copy)]
-pub(crate) struct WordHasher(u64);
+pub struct WordHasher(u64);
 
 /// `BuildHasher` of [`WordHasher`].
 pub(crate) type WordState = BuildHasherDefault<WordHasher>;
@@ -761,7 +761,7 @@ fn order_cmp<'v, R: Copy>(
 /// Execute a SELECT plan. The projected rows are appended to `out` when
 /// the caller passes one (the rows sink); otherwise they are only counted
 /// (the count sink). The metrics are the same either way.
-pub fn execute_select(
+pub(crate) fn execute_select(
     ctx: &ExecContext<'_>,
     q: &SelectQuery,
     plan: &SelectPlan,
@@ -1092,7 +1092,7 @@ impl AggState {
 }
 
 /// Execute a DML statement (or INSERT) under its plan.
-pub fn execute_dml(
+pub(crate) fn execute_dml(
     ctx: &mut ExecContext<'_>,
     stmt: &Statement,
     plan: &Plan,

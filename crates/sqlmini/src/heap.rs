@@ -28,7 +28,7 @@ use crate::types::{Row, Value, ValueType};
 pub struct RowId(pub u64);
 
 /// Logical page size in bytes, matching SQL Server's 8 KiB pages.
-pub const PAGE_SIZE: u64 = 8192;
+pub(crate) const PAGE_SIZE: u64 = 8192;
 
 /// A heap of rows for one table, stored by column.
 #[derive(Debug, Clone)]
@@ -75,25 +75,25 @@ impl Heap {
     }
 
     /// Number of values in a row.
-    pub fn width(&self) -> usize {
+    fn width(&self) -> usize {
         self.runs.len()
     }
 
     /// Rows that fit on one page.
-    pub fn rows_per_page(&self) -> u64 {
+    fn rows_per_page(&self) -> u64 {
         (PAGE_SIZE / self.row_width).max(1)
     }
 
     /// Number of pages the heap occupies (by slot count, since deleted rows
     /// leave holes until reused — like ghost records).
-    pub fn page_count(&self) -> u64 {
+    pub(crate) fn page_count(&self) -> u64 {
         (self.live.len() as u64)
             .div_ceil(self.rows_per_page())
             .max(1)
     }
 
     /// Total size in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         self.page_count() * PAGE_SIZE
     }
 
@@ -171,7 +171,7 @@ impl Heap {
 
     /// Make room for `additional` more slots in every column (a bulk load
     /// that knows its row count allocates each column once).
-    pub(crate) fn reserve(&mut self, additional: usize) {
+    fn reserve(&mut self, additional: usize) {
         self.live.reserve(additional);
         for run in &mut self.runs {
             run.reserve(additional);
@@ -180,7 +180,7 @@ impl Heap {
     }
 
     /// Whether `id` names a live row.
-    pub fn is_live(&self, id: RowId) -> bool {
+    pub(crate) fn is_live(&self, id: RowId) -> bool {
         (id.0 as usize) < self.live.len() && self.live.get(id.0 as usize)
     }
 
@@ -215,7 +215,7 @@ impl Heap {
     ///
     /// # Panics
     /// If `v` does not fit the column ([`Column::push`]).
-    pub fn set(&mut self, id: RowId, col: usize, v: Value) -> bool {
+    pub(crate) fn set(&mut self, id: RowId, col: usize, v: Value) -> bool {
         if !self.is_live(id) {
             return false;
         }
@@ -224,7 +224,7 @@ impl Heap {
     }
 
     /// Delete a row; `false` if it was not live.
-    pub fn delete(&mut self, id: RowId) -> bool {
+    pub(crate) fn delete(&mut self, id: RowId) -> bool {
         if !self.is_live(id) {
             return false;
         }

@@ -29,7 +29,7 @@ use std::ops::Bound;
 /// writes nodes this full and the size estimators assume it, so a new
 /// index has the size the what-if API promised and room for maintenance
 /// inserts before its first split.
-pub const BUILD_FILL: f64 = 0.69;
+pub(crate) const BUILD_FILL: f64 = 0.69;
 
 /// One qualifying index entry returned by a seek or scan.
 #[derive(Debug, Clone)]
@@ -62,7 +62,7 @@ impl ColBound {
 /// A materialized secondary index.
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
-    pub def: IndexDef,
+    def: IndexDef,
     /// Entries of the leaf columns' values (key columns in index order,
     /// then included columns in definition order), ordered by the key
     /// values then the row id.
@@ -75,11 +75,10 @@ pub struct SecondaryIndex {
     entry_width: u64,
 }
 
-/// Result of a seek/scan: qualifying entries plus the logical pages visited.
+/// Result of a seek/scan: the qualifying entries.
 #[derive(Debug, Clone)]
 pub struct SeekResult {
     pub entries: Vec<IndexEntry>,
-    pub pages_visited: u64,
 }
 
 impl SecondaryIndex {
@@ -102,10 +101,9 @@ impl SecondaryIndex {
     }
 
     /// Build the index from an existing heap, replacing whatever it held:
-    /// one sort, and a tree written bottom-up at [`BUILD_FILL`] (no
-    /// root-to-leaf insert per row). Returns the number of heap pages
-    /// scanned (the IO cost of the build's scan phase).
-    pub fn build(&mut self, heap: &Heap) -> u64 {
+    /// one sort, and a tree written bottom-up at `BUILD_FILL` (no
+    /// root-to-leaf insert per row).
+    pub fn build(&mut self, heap: &Heap) {
         let k = self.tree.key_len();
         let (runs, dicts) = heap.columns();
         let columns: Vec<(&Typed, &Dict)> = (self.def.leaf_columns())
@@ -124,7 +122,6 @@ impl SecondaryIndex {
         let fanout = self.tree.fanout();
         let rid = |slot: u32| RowId(u64::from(slot));
         self.tree = BTree::from_runs(fanout, BUILD_FILL, k, &columns, &order, rid);
-        heap.page_count()
     }
 
     /// The tree the entries live in.
@@ -147,7 +144,7 @@ impl SecondaryIndex {
     }
 
     /// Estimated on-disk size in bytes.
-    pub fn size_bytes(&self) -> u64 {
+    pub(crate) fn size_bytes(&self) -> u64 {
         (self.tree.node_count() as u64).max(1) * PAGE_SIZE
     }
 
@@ -213,26 +210,23 @@ impl SecondaryIndex {
     /// This mirrors the storage-engine capability the paper describes: a
     /// B+ tree seek supports multiple equality predicates but only one
     /// inequality (on the column ordered right after the equalities).
-    pub fn seek(&self, eq_prefix: &[Value], lo: ColBound, hi: ColBound) -> SeekResult {
+    fn seek(&self, eq_prefix: &[Value], lo: ColBound, hi: ColBound) -> SeekResult {
         let mut entries = Vec::new();
         let (k, w) = (self.def.key_columns.len(), self.tree.width());
-        let (_, pages_visited) = self.seek_visit(eq_prefix, lo, hi, |found| {
+        self.seek_visit(eq_prefix, lo, hi, |found| {
             entries.extend(found.positions().map(|i| IndexEntry {
                 rid: found.rid(i),
                 key_vals: (0..k).map(|j| found.value(i, j)).collect(),
                 included_vals: (k..w).map(|j| found.value(i, j)).collect(),
             }));
         });
-        SeekResult {
-            entries,
-            pages_visited,
-        }
+        SeekResult { entries }
     }
 
     /// Seek without materializing owned [`IndexEntry`]s: `f` is called
     /// with the qualifying entries a leaf at a time, in key order, as
     /// positions of the leaf's typed runs ([`Entries`]; columns in the
-    /// order of [`IndexDef::leaf_columns`]). The runs borrow from the
+    /// order of `IndexDef::leaf_columns`). The runs borrow from the
     /// index, not from the visit, so a caller may keep them after the seek
     /// returns (the executor's covering row views do). The equality
     /// values and the bounds are compiled once against the key columns'
@@ -321,7 +315,7 @@ impl SecondaryIndex {
     }
 
     /// Leaf pages the index occupies (for scan costing).
-    pub fn leaf_pages(&self) -> u64 {
+    pub(crate) fn leaf_pages(&self) -> u64 {
         (self.tree.len() as u64)
             .div_ceil(entries_per_page(self.entry_width))
             .max(1)
@@ -494,7 +488,6 @@ mod tests {
         for e in &r.entries {
             assert_eq!(e.key_vals[0], Value::Int(7));
         }
-        assert!(r.pages_visited >= ix.height() as u64);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod exec;
 pub mod heap;
 pub mod index;
 pub mod lock;
-pub mod optimizer;
+mod optimizer;
 pub mod parser;
 pub mod plan;
 pub mod query;
@@ -30,8 +30,3 @@ pub mod querystore;
 pub mod schema;
 pub mod stats;
 pub mod types;
-
-pub use clock::{Duration, SimClock, Timestamp};
-pub use engine::{Database, DbConfig, EngineError, ExecOutcome, ServiceTier};
-pub use schema::{ColumnDef, ColumnId, IndexDef, IndexId, IndexOrigin, TableDef, TableId};
-pub use types::{Row, Value, ValueType};

@@ -233,7 +233,7 @@ pub struct ConvoySummary {
     /// Maximum single shared wait.
     pub max_shared_wait: Duration,
     /// Whether the exclusive request(s) eventually succeeded.
-    pub exclusive_succeeded: bool,
+    exclusive_succeeded: bool,
 }
 
 /// Summarize outcomes, classifying by the mode recorded in `requests`.

@@ -41,22 +41,22 @@ use crate::types::Value;
 // comparability.
 
 /// CPU cost of reading one logical page.
-pub const CPU_PER_PAGE: f64 = 2.0;
+pub(crate) const CPU_PER_PAGE: f64 = 2.0;
 /// CPU cost of examining one row.
-pub const CPU_PER_ROW: f64 = 0.10;
+pub(crate) const CPU_PER_ROW: f64 = 0.10;
 /// CPU cost of evaluating one predicate on one row.
-pub const CPU_PER_PRED: f64 = 0.03;
+pub(crate) const CPU_PER_PRED: f64 = 0.03;
 /// CPU cost of producing one output row.
-pub const CPU_PER_OUTPUT_ROW: f64 = 0.05;
+pub(crate) const CPU_PER_OUTPUT_ROW: f64 = 0.05;
 /// CPU cost of one hash-table insert or probe.
-pub const CPU_PER_HASH_OP: f64 = 0.15;
+pub(crate) const CPU_PER_HASH_OP: f64 = 0.15;
 /// CPU cost of one index/heap maintenance page write.
-pub const CPU_PER_WRITE_PAGE: f64 = 4.0;
+pub(crate) const CPU_PER_WRITE_PAGE: f64 = 4.0;
 /// Multiplier on `n log2 n` for sorting.
 const SORT_FACTOR: f64 = 0.05;
 
 /// CPU microseconds for a sort of `n` rows.
-pub fn sort_cpu(n: f64) -> f64 {
+pub(crate) fn sort_cpu(n: f64) -> f64 {
     if n <= 1.0 {
         0.0
     } else {
@@ -66,20 +66,20 @@ pub fn sort_cpu(n: f64) -> f64 {
 
 /// Planner-visible geometry of one index (real or hypothetical).
 #[derive(Debug, Clone)]
-pub struct IndexGeom {
-    pub rref: IndexRef,
-    pub def: IndexDef,
+pub(crate) struct IndexGeom {
+    pub(crate) rref: IndexRef,
+    pub(crate) def: IndexDef,
     /// Tree height (levels touched by a seek descent).
-    pub height: f64,
+    pub(crate) height: f64,
     /// Leaf pages.
-    pub leaf_pages: f64,
+    pub(crate) leaf_pages: f64,
     /// Total entries.
-    pub entries: f64,
+    pub(crate) entries: f64,
 }
 
 impl IndexGeom {
     /// Estimate geometry for a hypothetical index over `rows` rows.
-    pub fn hypothetical(def: IndexDef, table: &TableDef, rows: f64) -> IndexGeom {
+    pub(crate) fn hypothetical(def: IndexDef, table: &TableDef, rows: f64) -> IndexGeom {
         let entry_width: f64 = def
             .key_columns
             .iter()
@@ -109,7 +109,7 @@ impl IndexGeom {
 /// Environment the optimizer plans against. The engine implements this for
 /// the real configuration; a what-if session wraps it with hypothetical
 /// additions/removals.
-pub trait PlannerEnv {
+pub(crate) trait PlannerEnv {
     fn table_def(&self, t: TableId) -> &TableDef;
     fn table_stats(&self, t: TableId) -> &TableStats;
     /// Heap pages (from statistics-time row count, as a real optimizer
@@ -121,26 +121,26 @@ pub trait PlannerEnv {
 /// A missing-index observation produced while optimizing one statement
 /// (the raw material of the MI DMV, §5.2).
 #[derive(Debug, Clone, PartialEq)]
-pub struct MissingIndexObservation {
-    pub table: TableId,
+pub(crate) struct MissingIndexObservation {
+    pub(crate) table: TableId,
     /// Columns appearing in equality predicates.
-    pub equality_columns: Vec<ColumnId>,
+    pub(crate) equality_columns: Vec<ColumnId>,
     /// Columns appearing in inequality/range predicates.
-    pub inequality_columns: Vec<ColumnId>,
+    pub(crate) inequality_columns: Vec<ColumnId>,
     /// Other columns the statement needs (candidates for INCLUDE).
-    pub include_columns: Vec<ColumnId>,
+    pub(crate) include_columns: Vec<ColumnId>,
     /// Optimizer cost of the plan actually chosen.
-    pub current_cost: f64,
+    pub(crate) current_cost: f64,
     /// Estimated % improvement had the ideal index existed (0–100).
-    pub improvement_pct: f64,
+    pub(crate) improvement_pct: f64,
 }
 
 /// Output of one optimization: the chosen plan plus any missing-index
 /// observations.
 #[derive(Debug, Clone)]
-pub struct OptimizeResult {
-    pub plan: Plan,
-    pub missing: Vec<MissingIndexObservation>,
+pub(crate) struct OptimizeResult {
+    pub(crate) plan: Plan,
+    pub(crate) missing: Vec<MissingIndexObservation>,
 }
 
 /// Minimum estimated improvement (percent) for a missing-index observation
@@ -426,7 +426,7 @@ fn estimate_groups(stats: &TableStats, group_by: &[ColumnId], input_rows: f64) -
 
 /// Optimize a statement, returning the chosen plan and missing-index
 /// observations.
-pub fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> OptimizeResult {
+pub(crate) fn optimize(env: &dyn PlannerEnv, stmt: &Statement, params: &[Value]) -> OptimizeResult {
     match stmt {
         Statement::Select(q) => optimize_select(env, q, params),
         Statement::Insert { table, .. } => {

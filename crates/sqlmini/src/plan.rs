@@ -1,6 +1,6 @@
 //! Physical plan representation.
 //!
-//! Plans are produced by [`crate::optimizer`] and interpreted by
+//! Plans are produced by `crate::optimizer` and interpreted by
 //! [`crate::exec`]. A plan records which index (if any) each table access
 //! uses, which predicates are satisfied by the seek versus evaluated as
 //! residuals, the join strategy, and whether sorting/aggregation can ride
@@ -15,7 +15,7 @@ use std::hash::{Hash, Hasher};
 
 /// Stable identifier of a plan's structure (Query Store's plan_id).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct PlanId(pub u64);
+pub struct PlanId(pub(crate) u64);
 
 impl fmt::Display for PlanId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -39,14 +39,15 @@ impl IndexRef {
         }
     }
 
-    pub fn real_id(&self) -> Option<IndexId> {
+    pub(crate) fn real_id(&self) -> Option<IndexId> {
         match self {
             IndexRef::Real { id, .. } => Some(*id),
             IndexRef::Hypothetical { .. } => None,
         }
     }
 
-    pub fn is_hypothetical(&self) -> bool {
+    #[cfg(test)]
+    fn is_hypothetical(&self) -> bool {
         matches!(self, IndexRef::Hypothetical { .. })
     }
 }
@@ -54,8 +55,8 @@ impl IndexRef {
 /// A one-sided bound on the seek's range column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangeBound {
-    pub op: CmpOp,
-    pub value: Scalar,
+    pub(crate) op: CmpOp,
+    pub(crate) value: Scalar,
 }
 
 /// How a table's rows are obtained.
@@ -78,7 +79,7 @@ pub enum Access {
 }
 
 impl Access {
-    pub fn index_ref(&self) -> Option<&IndexRef> {
+    pub(crate) fn index_ref(&self) -> Option<&IndexRef> {
         match self {
             Access::SeqScan => None,
             Access::IndexSeek { index, .. } | Access::IndexScan { index, .. } => Some(index),
@@ -131,7 +132,7 @@ pub enum JoinStrategy {
 pub struct JoinPlan {
     pub strategy: JoinStrategy,
     /// Indices into the join spec's predicate list evaluated as residuals.
-    pub residual: Vec<usize>,
+    pub(crate) residual: Vec<usize>,
 }
 
 /// Aggregation strategy.
@@ -151,9 +152,9 @@ pub struct PlanEstimates {
     /// Estimated rows produced by the plan.
     pub rows_out: f64,
     /// Estimated rows examined at the access path.
-    pub rows_examined: f64,
+    pub(crate) rows_examined: f64,
     /// Estimated logical page reads.
-    pub pages: f64,
+    pub(crate) pages: f64,
     /// Estimated CPU time in microseconds (same cost model the executor's
     /// actual accounting uses — the *estimates* differ, not the units).
     pub cpu_us: f64,
@@ -170,13 +171,13 @@ pub struct SelectPlan {
     pub agg: AggStrategy,
     /// Whether an explicit sort is required for ORDER BY (false when index
     /// order already satisfies it).
-    pub needs_sort: bool,
-    pub est: PlanEstimates,
+    pub(crate) needs_sort: bool,
+    pub(crate) est: PlanEstimates,
 }
 
 impl SelectPlan {
     /// Names of all indexes the plan references.
-    pub fn referenced_indexes(&self) -> Vec<&str> {
+    fn referenced_indexes(&self) -> Vec<&str> {
         let mut out = Vec::new();
         if let Some(ix) = self.access.index_ref() {
             out.push(ix.name());
@@ -195,7 +196,8 @@ impl SelectPlan {
     }
 
     /// Whether the plan references any hypothetical index (not executable).
-    pub fn is_hypothetical(&self) -> bool {
+    #[cfg(test)]
+    fn is_hypothetical(&self) -> bool {
         let hypo_access = |a: &Access| a.index_ref().is_some_and(IndexRef::is_hypothetical);
         hypo_access(&self.access)
             || self.join.as_ref().is_some_and(|j| match &j.strategy {
@@ -205,7 +207,7 @@ impl SelectPlan {
     }
 
     /// Structural fingerprint.
-    pub fn plan_id(&self) -> PlanId {
+    fn plan_id(&self) -> PlanId {
         let mut h = DefaultHasher::new();
         self.access.shape(&mut h);
         self.residual.hash(&mut h);
@@ -240,19 +242,19 @@ impl SelectPlan {
 #[derive(Debug, Clone, PartialEq)]
 pub struct DmlPlan {
     pub access: Access,
-    pub residual: Vec<usize>,
-    pub est: PlanEstimates,
+    pub(crate) residual: Vec<usize>,
+    pub(crate) est: PlanEstimates,
 }
 
 impl DmlPlan {
-    pub fn referenced_indexes(&self) -> Vec<&str> {
+    fn referenced_indexes(&self) -> Vec<&str> {
         self.access
             .index_ref()
             .map(|i| vec![i.name()])
             .unwrap_or_default()
     }
 
-    pub fn plan_id(&self) -> PlanId {
+    fn plan_id(&self) -> PlanId {
         let mut h = DefaultHasher::new();
         "dml".hash(&mut h);
         self.access.shape(&mut h);
@@ -274,7 +276,7 @@ pub enum Plan {
 }
 
 impl Plan {
-    pub fn estimates(&self) -> PlanEstimates {
+    pub(crate) fn estimates(&self) -> PlanEstimates {
         match self {
             Plan::Select(p) => p.est,
             Plan::Insert { est } => *est,
@@ -290,7 +292,7 @@ impl Plan {
         }
     }
 
-    pub fn plan_id(&self) -> PlanId {
+    pub(crate) fn plan_id(&self) -> PlanId {
         match self {
             Plan::Select(p) => p.plan_id(),
             Plan::Insert { .. } => {
@@ -313,7 +315,8 @@ impl Plan {
         }
     }
 
-    pub fn is_hypothetical(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_hypothetical(&self) -> bool {
         match self {
             Plan::Select(p) => p.is_hypothetical(),
             Plan::Insert { .. } => false,

@@ -28,11 +28,6 @@ pub enum CmpOp {
 }
 
 impl CmpOp {
-    /// Whether a B+ tree seek can use this operator (everything but `!=`).
-    pub fn sargable(self) -> bool {
-        !matches!(self, CmpOp::Ne)
-    }
-
     /// Whether this is an equality operator.
     pub fn is_equality(self) -> bool {
         matches!(self, CmpOp::Eq)
@@ -56,7 +51,7 @@ impl CmpOp {
 
     /// Whether the operator holds between two operands that order as
     /// `ord` (left against right).
-    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+    pub(crate) fn holds(self, ord: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::{Equal, Greater, Less};
         match self {
             CmpOp::Eq => ord == Equal,
@@ -114,11 +109,12 @@ impl fmt::Display for Scalar {
 pub struct Predicate {
     pub column: ColumnId,
     pub op: CmpOp,
-    pub value: Scalar,
+    pub(crate) value: Scalar,
 }
 
 impl Predicate {
-    pub fn eq(column: ColumnId, value: impl Into<Value>) -> Predicate {
+    #[cfg(test)]
+    pub(crate) fn eq(column: ColumnId, value: impl Into<Value>) -> Predicate {
         Predicate {
             column,
             op: CmpOp::Eq,
@@ -284,11 +280,11 @@ impl Statement {
         }
     }
 
-    pub fn is_select(&self) -> bool {
+    fn is_select(&self) -> bool {
         matches!(self, Statement::Select(_))
     }
 
-    pub fn is_write(&self) -> bool {
+    pub(crate) fn is_write(&self) -> bool {
         !self.is_select()
     }
 
@@ -568,12 +564,5 @@ mod tests {
             predicates: vec![]
         }
         .is_write());
-    }
-
-    #[test]
-    fn sargability() {
-        assert!(CmpOp::Eq.sargable());
-        assert!(CmpOp::Le.sargable());
-        assert!(!CmpOp::Ne.sargable());
     }
 }

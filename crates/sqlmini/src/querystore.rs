@@ -39,17 +39,17 @@ pub enum Metric {
 pub struct MetricAgg {
     pub count: u64,
     pub sum: f64,
-    pub sum_sq: f64,
+    sum_sq: f64,
 }
 
 impl MetricAgg {
-    pub fn record(&mut self, v: f64) {
+    fn record(&mut self, v: f64) {
         self.count += 1;
         self.sum += v;
         self.sum_sq += v * v;
     }
 
-    pub fn merge(&mut self, other: &MetricAgg) {
+    fn merge(&mut self, other: &MetricAgg) {
         self.count += other.count;
         self.sum += other.sum;
         self.sum_sq += other.sum_sq;
@@ -77,13 +77,13 @@ impl MetricAgg {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecAgg {
     pub cpu: MetricAgg,
-    pub reads: MetricAgg,
-    pub duration: MetricAgg,
-    pub rows: MetricAgg,
+    reads: MetricAgg,
+    duration: MetricAgg,
+    rows: MetricAgg,
 }
 
 impl ExecAgg {
-    pub fn record(&mut self, m: &ActualMetrics, duration_us: f64) {
+    fn record(&mut self, m: &ActualMetrics, duration_us: f64) {
         self.cpu.record(m.cpu_us);
         self.reads.record(m.logical_reads as f64);
         self.duration.record(duration_us);
@@ -116,13 +116,12 @@ impl ExecAgg {
 pub struct QueryInfo {
     pub template: QueryTemplate,
     pub sample_params: Vec<Value>,
-    pub first_seen: Timestamp,
-    pub last_seen: Timestamp,
+    last_seen: Timestamp,
 }
 
 /// Interval index (intervals are fixed-width since epoch).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct IntervalId(pub u64);
+struct IntervalId(pub(crate) u64);
 
 /// The Query Store.
 #[derive(Debug, Clone)]
@@ -140,7 +139,7 @@ pub struct QueryStore {
 }
 
 impl QueryStore {
-    pub fn new(interval: Duration) -> QueryStore {
+    pub(crate) fn new(interval: Duration) -> QueryStore {
         QueryStore {
             interval,
             data: BTreeMap::new(),
@@ -151,13 +150,8 @@ impl QueryStore {
         }
     }
 
-    pub fn interval_of(&self, t: Timestamp) -> IntervalId {
+    fn interval_of(&self, t: Timestamp) -> IntervalId {
         IntervalId(t.millis() / self.interval.millis().max(1))
-    }
-
-    /// Width of one aggregation interval.
-    pub fn interval(&self) -> Duration {
-        self.interval
     }
 
     /// Last interval included by an exclusive upper bound `to`.
@@ -177,11 +171,11 @@ impl QueryStore {
         Timestamp(t.millis().div_ceil(w) * w)
     }
 
-    /// Record one execution. `index_refs` lists the index names the
-    /// executed plan referenced (exposed in SQL Server via the plan XML;
-    /// the validator's plan-change analysis needs it).
+    /// [`record_prehashed`](Self::record_prehashed) deriving the query id
+    /// from the template.
+    #[cfg(test)]
     #[allow(clippy::too_many_arguments)]
-    pub fn record(
+    fn record(
         &mut self,
         template: &QueryTemplate,
         params: &[Value],
@@ -204,11 +198,13 @@ impl QueryStore {
         );
     }
 
-    /// [`record`](Self::record) for callers that already hold the query
-    /// id (the engine's hot path interns it in its plan cache); avoids
-    /// re-deriving it per execution.
+    /// Record one execution of query `qid`. `index_refs` lists the index
+    /// names the executed plan referenced (exposed in SQL Server via the
+    /// plan XML; the validator's plan-change analysis needs it). The
+    /// caller holds the query id (the engine's hot path interns it in its
+    /// plan cache), so it is not re-derived per execution.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_prehashed(
+    pub(crate) fn record_prehashed(
         &mut self,
         qid: QueryId,
         template: &QueryTemplate,
@@ -233,7 +229,6 @@ impl QueryStore {
         let info = self.queries.entry(qid).or_insert_with(|| QueryInfo {
             template: template.clone(),
             sample_params: params.to_vec(),
-            first_seen: now,
             last_seen: now,
         });
         info.last_seen = now;
@@ -269,13 +264,7 @@ impl QueryStore {
     }
 
     /// Aggregate stats for one (query, plan) over `[from, to)`.
-    pub fn plan_stats(
-        &self,
-        qid: QueryId,
-        plan: PlanId,
-        from: Timestamp,
-        to: Timestamp,
-    ) -> ExecAgg {
+    fn plan_stats(&self, qid: QueryId, plan: PlanId, from: Timestamp, to: Timestamp) -> ExecAgg {
         let mut agg = ExecAgg::default();
         let Some(ivs) = self.plan_intervals.get(&(qid, plan)) else {
             return agg;

@@ -35,10 +35,10 @@ impl fmt::Display for IndexId {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnDef {
     pub name: String,
-    pub ty: ValueType,
+    pub(crate) ty: ValueType,
     /// Whether NULLs are permitted. The generators use this; the executor
     /// does not enforce it (we are a simulator, not a validator).
-    pub nullable: bool,
+    nullable: bool,
 }
 
 impl ColumnDef {
@@ -83,14 +83,14 @@ impl TableDef {
     }
 
     /// Look up a column id by name.
-    pub fn column_id(&self, name: &str) -> Option<ColumnId> {
+    pub(crate) fn column_id(&self, name: &str) -> Option<ColumnId> {
         self.columns
             .iter()
             .position(|c| c.name == name)
             .map(|i| ColumnId(i as u32))
     }
 
-    pub fn column(&self, id: ColumnId) -> &ColumnDef {
+    pub(crate) fn column(&self, id: ColumnId) -> &ColumnDef {
         &self.columns[id.0 as usize]
     }
 
@@ -164,7 +164,7 @@ impl IndexDef {
     }
 
     /// All columns available at the leaf (keys then includes).
-    pub fn leaf_columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
+    pub(crate) fn leaf_columns(&self) -> impl Iterator<Item = ColumnId> + '_ {
         self.key_columns
             .iter()
             .chain(self.included_columns.iter())

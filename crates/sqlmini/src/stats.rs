@@ -17,38 +17,38 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Number of buckets in an equi-depth histogram.
-pub const HISTOGRAM_BUCKETS: usize = 32;
+const HISTOGRAM_BUCKETS: usize = 32;
 
 /// Default selectivity guesses when statistics cannot answer (mirroring the
 /// magic constants every commercial optimizer carries).
-pub mod defaults {
-    pub const EQ_SELECTIVITY: f64 = 0.01;
-    pub const RANGE_SELECTIVITY: f64 = 0.30;
-    pub const INEQ_SELECTIVITY: f64 = 0.33;
+pub(crate) mod defaults {
+    pub(crate) const EQ_SELECTIVITY: f64 = 0.01;
+    pub(crate) const RANGE_SELECTIVITY: f64 = 0.30;
+    pub(crate) const INEQ_SELECTIVITY: f64 = 0.33;
 }
 
 /// One histogram bucket over the numeric projection of a column's values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Bucket {
+struct Bucket {
     /// Inclusive upper bound of the bucket (numeric projection).
-    pub hi: f64,
+    hi: f64,
     /// Rows in the bucket (scaled to table size at build).
-    pub rows: f64,
+    rows: f64,
     /// Distinct values estimated within the bucket.
-    pub distinct: f64,
+    distinct: f64,
 }
 
 /// Statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
-    pub min: f64,
-    pub max: f64,
+    min: f64,
+    max: f64,
     /// Estimated number of distinct values.
-    pub ndv: f64,
+    pub(crate) ndv: f64,
     /// Fraction of NULLs.
-    pub null_frac: f64,
+    null_frac: f64,
     /// Equi-depth buckets ordered by `hi`.
-    pub buckets: Vec<Bucket>,
+    buckets: Vec<Bucket>,
 }
 
 impl ColumnStats {
@@ -124,7 +124,7 @@ impl ColumnStats {
     }
 
     /// Total rows the histogram accounts for.
-    pub fn total_rows(&self) -> f64 {
+    fn total_rows(&self) -> f64 {
         self.buckets.iter().map(|b| b.rows).sum()
     }
 
@@ -201,10 +201,11 @@ pub struct TableStats {
     /// Per-column statistics (positional).
     pub columns: Vec<ColumnStats>,
     /// Rows sampled when building (== row_count when full scan).
-    pub sampled_rows: u64,
+    #[cfg(test)]
+    sampled_rows: u64,
     /// Modifications to the table since the statistics were built; when it
     /// grows large relative to `row_count` the stats are stale.
-    pub modifications: u64,
+    modifications: u64,
 }
 
 impl TableStats {
@@ -215,7 +216,7 @@ impl TableStats {
 
     /// Build statistics from a Bernoulli sample of the rows (what DTA's
     /// sampled statistics do, and what keeps tuning cheap on large tables).
-    pub fn build_sampled(heap: &Heap, sample_frac: f64, seed: u64) -> TableStats {
+    pub(crate) fn build_sampled(heap: &Heap, sample_frac: f64, seed: u64) -> TableStats {
         Self::build_impl(heap, Some(sample_frac.clamp(0.001, 1.0)), seed)
     }
 
@@ -246,25 +247,21 @@ impl TableStats {
         TableStats {
             row_count,
             columns,
+            #[cfg(test)]
             sampled_rows: sampled,
             modifications: 0,
         }
     }
 
     /// Record `n` modifications (insert/update/delete of rows).
-    pub fn note_modifications(&mut self, n: u64) {
+    pub(crate) fn note_modifications(&mut self, n: u64) {
         self.modifications += n;
     }
 
     /// SQL Server-style auto-update threshold: stats are stale once
     /// modifications exceed 20% of the rows they describe (plus a floor).
-    pub fn is_stale(&self) -> bool {
+    pub(crate) fn is_stale(&self) -> bool {
         self.modifications > 500 + self.row_count / 5
-    }
-
-    /// Staleness ratio for diagnostics.
-    pub fn staleness(&self) -> f64 {
-        self.modifications as f64 / (self.row_count.max(1)) as f64
     }
 }
 

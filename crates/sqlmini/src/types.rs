@@ -26,7 +26,7 @@ pub enum ValueType {
 
 impl ValueType {
     /// Average in-row storage width in bytes, used by the size estimator.
-    pub fn avg_width(self) -> u64 {
+    pub(crate) fn avg_width(self) -> u64 {
         match self {
             ValueType::Int => 8,
             ValueType::Float => 8,
@@ -99,7 +99,7 @@ pub enum Value {
 
 impl Value {
     /// SQL-style type of this value, or `None` for NULL.
-    pub fn value_type(&self) -> Option<ValueType> {
+    pub(crate) fn value_type(&self) -> Option<ValueType> {
         match self {
             Value::Null => None,
             Value::Int(_) => Some(ValueType::Int),

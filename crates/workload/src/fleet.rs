@@ -6,7 +6,7 @@
 //! and a workload model. A *fleet* is many tenants across service tiers,
 //! the population the paper's experiments sample from.
 
-use crate::gen::{generate_schema, SchemaGenConfig, TableSpec};
+use crate::gen::{generate_schema, SchemaGenConfig};
 use crate::model::{generate_workload, WorkloadGenConfig, WorkloadModel};
 use crate::runner::WorkloadRunner;
 use rand::rngs::StdRng;
@@ -44,7 +44,7 @@ impl Default for UserIndexPolicy {
 #[derive(Debug, Clone)]
 pub struct TenantConfig {
     pub name: String,
-    pub seed: u64,
+    seed: u64,
     pub tier: ServiceTier,
     pub schema: SchemaGenConfig,
     pub workload: WorkloadGenConfig,
@@ -117,7 +117,6 @@ pub struct Tenant {
     pub tier: ServiceTier,
     pub db: Database,
     pub model: WorkloadModel,
-    pub specs: Vec<TableSpec>,
     pub table_ids: Vec<TableId>,
     pub runner: WorkloadRunner,
 }
@@ -146,7 +145,6 @@ pub fn generate_tenant(cfg: &TenantConfig) -> Tenant {
         tier: cfg.tier,
         db,
         model,
-        specs,
         table_ids,
         runner: WorkloadRunner::new(cfg.seed ^ 0xABCD),
     }
@@ -314,10 +312,6 @@ impl MixedFleetSpec {
             .collect();
         MixedFleetSpec { seed, tiers }
     }
-
-    pub fn tier(&self, index: usize) -> ServiceTier {
-        self.tiers[index]
-    }
 }
 
 impl FleetSpec for MixedFleetSpec {
@@ -352,7 +346,8 @@ mod tests {
         let cfg = TenantConfig::new("t0", 7, ServiceTier::Standard);
         let t = generate_tenant(&cfg);
         assert!(!t.table_ids.is_empty());
-        for (&tid, spec) in t.table_ids.iter().zip(&t.specs) {
+        let specs = generate_schema(&cfg.schema, cfg.seed);
+        for (&tid, spec) in t.table_ids.iter().zip(&specs) {
             assert_eq!(t.db.table_rows(tid), spec.rows);
         }
         assert!(t.db.catalog().n_indexes() >= 2, "user indexes created");

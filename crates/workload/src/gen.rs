@@ -15,7 +15,7 @@ use sqlmini::types::{Value, ValueType};
 
 /// How values of one column are distributed.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ColumnDist {
+pub(crate) enum ColumnDist {
     /// Sequential integers 0.. (primary keys).
     Sequential,
     /// Uniform integers in `0..cardinality`.
@@ -35,7 +35,7 @@ pub enum ColumnDist {
 }
 
 impl ColumnDist {
-    pub fn value_type(&self) -> ValueType {
+    fn value_type(&self) -> ValueType {
         match self {
             ColumnDist::Sequential
             | ColumnDist::UniformInt { .. }
@@ -59,7 +59,7 @@ enum ColumnSampler {
 /// Zipf sampler over `0..n` with exponent `s`, using the rejection-free
 /// inverse-CDF approximation (adequate for workload generation).
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     n: u64,
     /// Normalization constant H_{n,s}.
     h: f64,
@@ -69,7 +69,7 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    pub fn new(n: u64, s: f64) -> Zipf {
+    fn new(n: u64, s: f64) -> Zipf {
         let n = n.max(1);
         let mut h = 0.0;
         let mut head_cdf = Vec::with_capacity(n.min(1000) as usize);
@@ -92,7 +92,7 @@ impl Zipf {
     }
 
     /// Sample a rank in `0..n` (0 = most frequent).
-    pub fn sample(&self, rng: &mut StdRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> u64 {
         let target = rng.random::<f64>() * self.h;
         // The head exactly: the first rank whose cumulative weight
         // reaches the target. Tail via approximation.
@@ -109,10 +109,10 @@ impl Zipf {
 /// [`Zipf`] samplers by `(n, s)`, each built on first use: building one
 /// sums up to 10,000 powers, far more than a draw costs.
 #[derive(Debug, Clone, Default)]
-pub struct ZipfCache(std::collections::BTreeMap<(u64, u64), Zipf>);
+pub(crate) struct ZipfCache(std::collections::BTreeMap<(u64, u64), Zipf>);
 
 impl ZipfCache {
-    pub fn get(&mut self, n: u64, s: f64) -> &Zipf {
+    pub(crate) fn get(&mut self, n: u64, s: f64) -> &Zipf {
         self.0
             .entry((n, s.to_bits()))
             .or_insert_with(|| Zipf::new(n, s))
@@ -121,23 +121,23 @@ impl ZipfCache {
 
 /// Specification of one column: name, distribution, nullable fraction.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ColumnSpec {
-    pub name: String,
-    pub dist: ColumnDist,
-    pub null_frac: f64,
+pub(crate) struct ColumnSpec {
+    name: String,
+    pub(crate) dist: ColumnDist,
+    null_frac: f64,
 }
 
 /// Specification of one table: columns + target row count.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableSpec {
-    pub name: String,
-    pub columns: Vec<ColumnSpec>,
-    pub rows: u64,
+pub(crate) struct TableSpec {
+    name: String,
+    pub(crate) columns: Vec<ColumnSpec>,
+    pub(crate) rows: u64,
 }
 
 impl TableSpec {
     /// Convert to an engine [`TableDef`] (column 0 is always the pk).
-    pub fn to_table_def(&self) -> TableDef {
+    pub(crate) fn to_table_def(&self) -> TableDef {
         TableDef::new(
             self.name.clone(),
             self.columns
@@ -159,7 +159,7 @@ impl TableSpec {
     /// stores it (`Database::load_columns`), so no row and no `Value` is
     /// kept on the way and the load takes the columns as they are. Values
     /// are drawn row by row, columns left to right.
-    pub fn generate_columns(&self, rng: &mut StdRng) -> Vec<Column> {
+    pub(crate) fn generate_columns(&self, rng: &mut StdRng) -> Vec<Column> {
         let n = self.rows as usize;
         let mut columns: Vec<Column> = (self.columns.iter())
             .map(|c| Column::of_type(c.dist.value_type(), n))
@@ -247,12 +247,12 @@ const SKEW_PROB: f64 = 0.3;
 pub struct SchemaGenConfig {
     pub min_tables: usize,
     pub max_tables: usize,
-    pub min_columns: usize,
-    pub max_columns: usize,
+    pub(crate) min_columns: usize,
+    pub(crate) max_columns: usize,
     pub min_rows: u64,
     pub max_rows: u64,
     /// Probability a non-pk column is correlated with a previous column.
-    pub correlation_prob: f64,
+    pub(crate) correlation_prob: f64,
 }
 
 impl Default for SchemaGenConfig {
@@ -270,7 +270,7 @@ impl Default for SchemaGenConfig {
 }
 
 /// Generate a random schema: a list of table specs.
-pub fn generate_schema(cfg: &SchemaGenConfig, seed: u64) -> Vec<TableSpec> {
+pub(crate) fn generate_schema(cfg: &SchemaGenConfig, seed: u64) -> Vec<TableSpec> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5343_4845_4d41);
     let n_tables = rng.random_range(cfg.min_tables..=cfg.max_tables);
     let mut tables = Vec::with_capacity(n_tables);

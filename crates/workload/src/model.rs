@@ -53,7 +53,7 @@ impl ParamGen {
     /// statement (for `OffsetFrom`); `fresh_pk` supplies pk counters;
     /// `zipf` keeps the caller's Zipf samplers between draws, so that
     /// `ParamGen` itself stays plain data.
-    pub fn draw(
+    pub(crate) fn draw(
         &self,
         rng: &mut StdRng,
         prev: &[Value],
@@ -122,19 +122,19 @@ impl TemplateKind {
 pub struct TemplateSpec {
     pub template: QueryTemplate,
     pub kind: TemplateKind,
-    pub weight: f64,
-    pub param_gens: Vec<ParamGen>,
+    weight: f64,
+    pub(crate) param_gens: Vec<ParamGen>,
     /// Simulation time at which this template starts appearing (workload
     /// drift: new queries arrive over a database's life).
-    pub active_from: Timestamp,
+    active_from: Timestamp,
     /// Period of the template's own activity (e.g. daily reports): active
     /// only in the first `duty_cycle` fraction of each period. `None` =
     /// always active.
-    pub schedule: Option<(Duration, f64)>,
+    schedule: Option<(Duration, f64)>,
 }
 
 impl TemplateSpec {
-    pub fn always(
+    fn always(
         template: QueryTemplate,
         kind: TemplateKind,
         weight: f64,
@@ -151,7 +151,7 @@ impl TemplateSpec {
     }
 
     /// Whether the template can fire at `t`.
-    pub fn active_at(&self, t: Timestamp) -> bool {
+    fn active_at(&self, t: Timestamp) -> bool {
         if t < self.active_from {
             return false;
         }
@@ -171,22 +171,23 @@ impl TemplateSpec {
 pub struct WorkloadModel {
     pub templates: Vec<TemplateSpec>,
     /// Statements per simulated hour at the diurnal peak.
-    pub base_rate_per_hour: f64,
-    /// 0..1: how deep the nightly trough is (0 = flat).
-    pub diurnal_amplitude: f64,
+    base_rate_per_hour: f64,
 }
+
+/// 0..1: how deep the nightly trough is (0 = flat).
+const DIURNAL_AMPLITUDE: f64 = 0.5;
 
 impl WorkloadModel {
     /// Statement rate at time `t` (diurnal sine with a 24 h period).
-    pub fn rate_at(&self, t: Timestamp) -> f64 {
+    pub(crate) fn rate_at(&self, t: Timestamp) -> f64 {
         let day = Duration::from_hours(24).millis() as f64;
         let phase = (t.millis() as f64 % day) / day * std::f64::consts::TAU;
-        let mod_factor = 1.0 - self.diurnal_amplitude * 0.5 * (1.0 + phase.cos());
+        let mod_factor = 1.0 - DIURNAL_AMPLITUDE * 0.5 * (1.0 + phase.cos());
         self.base_rate_per_hour * mod_factor.max(0.05)
     }
 
     /// Indices and weights of templates active at `t`.
-    pub fn active_weights(&self, t: Timestamp) -> Vec<(usize, f64)> {
+    fn active_weights(&self, t: Timestamp) -> Vec<(usize, f64)> {
         self.templates
             .iter()
             .enumerate()
@@ -196,7 +197,7 @@ impl WorkloadModel {
     }
 
     /// Sample a template index at `t`.
-    pub fn sample_template(&self, t: Timestamp, rng: &mut StdRng) -> Option<usize> {
+    pub(crate) fn sample_template(&self, t: Timestamp, rng: &mut StdRng) -> Option<usize> {
         let w = self.active_weights(t);
         if w.is_empty() {
             return None;
@@ -229,9 +230,8 @@ pub struct WorkloadGenConfig {
     pub incomplete_text_frac: f64,
     /// Statements per hour at peak.
     pub base_rate_per_hour: f64,
-    pub diurnal_amplitude: f64,
     /// Templates that only appear after this long (drift). `None` = none.
-    pub drift_after: Option<Duration>,
+    pub(crate) drift_after: Option<Duration>,
 }
 
 impl Default for WorkloadGenConfig {
@@ -243,7 +243,6 @@ impl Default for WorkloadGenConfig {
             with_report: true,
             incomplete_text_frac: 0.1,
             base_rate_per_hour: 600.0,
-            diurnal_amplitude: 0.5,
             drift_after: None,
         }
     }
@@ -309,7 +308,7 @@ fn projection(spec: &TableSpec, rng: &mut StdRng) -> Vec<ColumnId> {
 
 /// Generate a workload model for a schema that has been created in the
 /// engine with the given table ids (parallel to `specs`).
-pub fn generate_workload(
+pub(crate) fn generate_workload(
     specs: &[TableSpec],
     table_ids: &[TableId],
     cfg: &WorkloadGenConfig,
@@ -674,7 +673,6 @@ pub fn generate_workload(
     WorkloadModel {
         templates,
         base_rate_per_hour: cfg.base_rate_per_hour,
-        diurnal_amplitude: cfg.diurnal_amplitude,
     }
 }
 

@@ -21,7 +21,7 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    pub fn merge(&mut self, other: &RunSummary) {
+    fn merge(&mut self, other: &RunSummary) {
         self.statements += other.statements;
         self.errors += other.errors;
         self.rows_returned += other.rows_returned;
@@ -60,7 +60,7 @@ impl WorkloadRunner {
     }
 
     /// Initialize fresh-pk counters from current table sizes.
-    pub fn sync_pk_counters(&mut self, db: &Database) {
+    fn sync_pk_counters(&mut self, db: &Database) {
         for (t, _) in db.catalog().tables() {
             let n = db.table_rows(t) as i64;
             let e = self.next_pk.entry(t).or_insert(n);

@@ -58,9 +58,9 @@ fn pace(wall: std::time::Duration, tenants: usize, ticks: u32) -> String {
 
 fn main() {
     let args = Args::parse();
-    let ticks = args.get_u64("ticks", 4) as u32;
-    let threads = args.get_usize("threads", 4);
-    let seed = args.get_u64("seed", 7);
+    let ticks = args.get_or::<u64>("ticks", 4) as u32;
+    let threads = args.get_or::<usize>("threads", 4);
+    let seed = args.get_or::<u64>("seed", 7);
     let scheduling = if args.has("sparse") {
         SchedulingMode::Sparse
     } else if args.has("dense") {
@@ -68,13 +68,13 @@ fn main() {
     } else {
         SchedulingMode::default()
     };
-    let crash_every = args.get_u64("crash-every", 0) as u32;
+    let crash_every = args.get_or::<u64>("crash-every", 0) as u32;
 
     // `--tenants`/`--active-pct` select the mostly-idle scheduler fleet;
     // the default remains the original mixed-tier 64-tenant smoke.
     let scheduler_fleet = args.has("tenants") || args.has("active-pct");
-    let tenants = args.get_usize("tenants", 64);
-    let active_pct = args.get_f64("active-pct", 0.05);
+    let tenants = args.get_or::<usize>("tenants", 64);
+    let active_pct = args.get_or::<f64>("active-pct", 0.05);
     let fleet = |s: u64| -> Vec<Tenant> {
         if scheduler_fleet {
             sparse_fleet(tenants, active_pct, s)
@@ -105,7 +105,7 @@ fn main() {
     };
 
     if args.has("shards") {
-        let shards = args.get_usize("shards", 4);
+        let shards = args.get_or::<usize>("shards", 4);
         let spec: Box<dyn FleetSpec> = if scheduler_fleet {
             Box::new(SparseFleetSpec::new(tenants, active_pct, seed))
         } else {
