@@ -37,7 +37,7 @@ use crate::plane::{ControlPlane, ManagedDb, PlanePolicy};
 use crate::pool;
 use crate::state::{DbSettings, ServerSettings};
 use crate::store::StateStore;
-use crate::telemetry::{EventKind, Telemetry};
+use crate::telemetry::Telemetry;
 use experiment::analysis::{compare_costs, workload_cost_fixed_counts, CostSample};
 use experiment::binstance::{create_b_instance, divergence_between};
 use experiment::workflow::{FnStep, Workflow, WorkflowRun};
@@ -270,11 +270,6 @@ pub struct FlightReport {
     pub replayed_events: u64,
     /// Simulated CPU microseconds spent on replay, fleet-wide.
     replay_cpu_us: u64,
-    /// Flight telemetry (started / per-verdict / terminal events). Not
-    /// canonical: a resumed run re-emits only the remaining verdicts.
-    /// Only this module's tests read it.
-    #[cfg(test)]
-    telemetry: Telemetry,
     /// Simulated time each tenant's arms were driven.
     sim_time: Duration,
 }
@@ -288,7 +283,7 @@ impl FlightReport {
             .count() as u64
     }
 
-    fn from_record(record: FlightRecord, telemetry: Telemetry, sim_time: Duration) -> FlightReport {
+    fn from_record(record: FlightRecord, sim_time: Duration) -> FlightReport {
         let decision = match record.state {
             FlightState::Shipped => FlightDecision::Ship,
             _ => FlightDecision::Abort,
@@ -299,8 +294,6 @@ impl FlightReport {
         let discarded = FlightReport::tally(&record, TenantVerdict::Discarded);
         let replayed_events = record.verdicts.values().map(|v| v.replayed).sum();
         let replay_cpu_us = record.verdicts.values().map(|v| v.replay_cpu_us).sum();
-        #[cfg(not(test))]
-        drop(telemetry);
         FlightReport {
             record,
             decision,
@@ -310,8 +303,6 @@ impl FlightReport {
             discarded,
             replayed_events,
             replay_cpu_us,
-            #[cfg(test)]
-            telemetry,
             sim_time,
         }
     }
@@ -435,7 +426,6 @@ impl FlightDriver {
         threads: usize,
     ) -> FlightReport {
         let cfg = &self.config;
-        let mut telemetry = Telemetry::new();
         let mut record = match store.flight(&cfg.id) {
             Some(r) => r.clone(),
             None => FlightRecord {
@@ -448,16 +438,6 @@ impl FlightDriver {
         };
         // A terminal record skips all of this: the journaled verdict stands.
         if record.state == FlightState::Running {
-            let t_now = fleet
-                .first()
-                .map(|t| t.db.clock().now())
-                .unwrap_or(Timestamp(0));
-            telemetry.emit(
-                EventKind::FlightStarted,
-                &cfg.id,
-                format!("cohort {} of {}", record.cohort.len(), fleet.len()),
-                t_now,
-            );
             store.record_flight(&record);
             let missing: Vec<usize> = record
                 .cohort
@@ -466,13 +446,7 @@ impl FlightDriver {
                 .filter(|i| !record.verdicts.contains_key(i))
                 .collect();
             // Journal the verdicts one write each, in cohort order.
-            for (index, name, verdict) in self.flight_tenants(fleet, &missing, threads) {
-                telemetry.emit(
-                    EventKind::FlightTenantVerdict,
-                    &name,
-                    format!("{:?}", verdict.verdict),
-                    t_now,
-                );
+            for (index, verdict) in self.flight_tenants(fleet, &missing, threads) {
                 record.verdicts.insert(index, verdict);
                 store.record_flight(&record);
             }
@@ -483,17 +457,12 @@ impl FlightDriver {
                 FlightDecision::Abort => FlightState::Aborted,
             };
             store.record_flight(&record);
-            let (kind, label) = match decision {
-                FlightDecision::Ship => (EventKind::FlightShipped, "ship"),
-                FlightDecision::Abort => (EventKind::FlightAborted, "abort"),
-            };
-            telemetry.emit(kind, &cfg.id, label, t_now);
         }
-        FlightReport::from_record(record, telemetry, cfg.sim_time())
+        FlightReport::from_record(record, cfg.sim_time())
     }
 
     /// Run the per-tenant pipelines for `missing` (fleet indexes) on the
-    /// pool, returning `(index, name, verdict)` in `missing` order — order of
+    /// pool, returning `(index, verdict)` in `missing` order — order of
     /// completion never matters because each verdict is a pure function
     /// of its own tenant. `Tenant` is Send but not Sync (interior clock
     /// cells), so each pipeline owns a clone; the flight never touches
@@ -503,7 +472,7 @@ impl FlightDriver {
         fleet: &[Tenant],
         missing: &[usize],
         threads: usize,
-    ) -> Vec<(usize, String, TenantVerdictRecord)> {
+    ) -> Vec<(usize, TenantVerdictRecord)> {
         let cohort = missing.iter().map(|&i| (i, fleet[i].clone())).collect();
         pool::map_ordered(cohort, threads, |_, (i, tenant)| {
             self.flight_tenant(i, tenant)
@@ -522,8 +491,8 @@ impl FlightDriver {
     /// traffic, interleave replay with per-arm control passes, check the
     /// divergence guard, measure. A guard trip fails the workflow — the
     /// completed steps clean up in reverse and the tenant is discarded.
-    /// Returns the journal row `(index, tenant name, verdict)`.
-    fn flight_tenant(&self, index: usize, tenant: Tenant) -> (usize, String, TenantVerdictRecord) {
+    /// Returns the journal row `(index, verdict)`.
+    fn flight_tenant(&self, index: usize, tenant: Tenant) -> (usize, TenantVerdictRecord) {
         // The traffic primary: the caller's private copy of the tenant,
         // on its own clock. Its `DbConfig` (plan cache included) is what
         // both arms fork.
@@ -544,7 +513,7 @@ impl FlightDriver {
         };
 
         let run = self.tenant_workflow(index).execute(&mut ctx);
-        (index, tenant.name, self.verdict_from_ctx(&ctx, &run))
+        (index, self.verdict_from_ctx(&ctx, &run))
     }
 
     /// Build the per-tenant workflow. Split out so tests can drive it
@@ -883,7 +852,7 @@ mod tests {
         let report = driver.run(&fleet, 1);
         assert_eq!(report.discarded, 1);
         assert_eq!(report.decision, FlightDecision::Abort);
-        assert!(report.telemetry.count(EventKind::FlightAborted) == 1);
+        assert_eq!(report.record.state, FlightState::Aborted);
     }
 
     #[test]
@@ -934,7 +903,8 @@ mod tests {
         let second = driver.run_with_store(&fleet, &mut store, 1);
         assert_eq!(first.canonical_string(), second.canonical_string());
         assert_eq!(store.journal_writes(), writes_after);
-        assert_eq!(second.telemetry.count(EventKind::FlightStarted), 0);
+        assert_eq!(second.decision, first.decision);
+        assert_eq!(second.record.verdicts.len(), first.record.verdicts.len());
     }
 
     #[test]

@@ -51,14 +51,6 @@ pub enum EventKind {
     /// An invalid frame was found *mid*-journal (an intact frame
     /// follows it) and skipped — bit-rot, not a torn tail.
     JournalFrameCorrupt,
-    /// A policy flight started over a sampled tenant cohort (§7).
-    FlightStarted,
-    /// One cohort tenant's A/B verdict was recorded.
-    FlightTenantVerdict,
-    /// The flight's candidate policy shipped region-wide.
-    FlightShipped,
-    /// The flight was aborted (regression or insufficient evidence).
-    FlightAborted,
 }
 
 /// One anonymized event: kind + database *hash* + time. The database name

@@ -367,7 +367,9 @@ struct Key<'c> {
 /// Nulls order first and equal each other, so they move to the front in
 /// slot order. The rest sort on their exact images ([`Typed::image`]) and
 /// slot, so a run of one image holds equal values and goes on to the next
-/// column.
+/// column. The rest are in slot order, so a stable sort on the image alone
+/// gives that order: a run longer than [`RADIX_CUTOFF`] takes
+/// [`radix_sort`].
 fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
     if run.len() < 2 || col == keys.len() {
         return;
@@ -385,13 +387,63 @@ fn sort_run(run: &mut [(u64, u32)], keys: &[Key], col: usize) {
     for e in rest.iter_mut() {
         e.0 = column.image(e.1 as usize, &keys[col].ranks);
     }
-    rest.sort_unstable();
+    if rest.len() > RADIX_CUTOFF {
+        radix_sort(rest);
+    } else {
+        rest.sort_unstable();
+    }
     let mut start = 0;
     while start < rest.len() {
         let first = rest[start].0;
         let len = rest[start..].iter().take_while(|e| e.0 == first).count();
         sort_run(&mut rest[start..start + len], keys, col + 1);
         start += len;
+    }
+}
+
+/// Runs up to this long sort by comparison: below it a radix sort's 256
+/// counters a byte cost more than the comparisons they save.
+const RADIX_CUTOFF: usize = 128;
+
+/// Sort `run` stably by image: an LSD radix sort a byte at a time, least
+/// significant first, skipping every byte all the images share. A run
+/// already in image order is left as it is.
+fn radix_sort(run: &mut [(u64, u32)]) {
+    let mut prev = run[0].0;
+    let (mut all, mut any, mut sorted) = (prev, prev, true);
+    for e in &run[1..] {
+        sorted &= prev <= e.0;
+        prev = e.0;
+        all &= e.0;
+        any |= e.0;
+    }
+    if sorted {
+        return;
+    }
+    let varying = all ^ any;
+    let mut scratch = vec![(0, 0); run.len()];
+    let (mut from, mut to) = (&mut *run, &mut scratch[..]);
+    let mut in_scratch = false;
+    for shift in (0..64).step_by(8).filter(|s| (varying >> s) & 0xff != 0) {
+        let byte = |e: &(u64, u32)| ((e.0 >> shift) & 0xff) as usize;
+        // Each byte value's first position in `to`, then the next free one.
+        let mut next = [0usize; 256];
+        for e in from.iter() {
+            next[byte(e)] += 1;
+        }
+        let mut start = 0;
+        for slot in next.iter_mut() {
+            (*slot, start) = (start, start + *slot);
+        }
+        for e in from.iter() {
+            to[next[byte(e)]] = *e;
+            next[byte(e)] += 1;
+        }
+        (from, to) = (to, from);
+        in_scratch = !in_scratch;
+    }
+    if in_scratch {
+        run.copy_from_slice(&scratch);
     }
 }
 
@@ -759,30 +811,41 @@ mod tests {
 
     /// The build puts entries in exactly the order of a stable sort on
     /// their key values (the heap hands rows over in row-id order, so
-    /// that is key values, then row id), whatever the key's types and
-    /// however many columns it has.
+    /// that is key values, then row id), whatever the key's types, however
+    /// many columns it has and however many rows, on both sides of
+    /// [`RADIX_CUTOFF`]. Salted with `CHAOS_SEED`, so CI's chaos matrix
+    /// draws different rows per seed.
     #[test]
     fn build_order_is_a_stable_sort_on_the_key_values() {
-        let pools = pools();
-        let columns = (pools.iter().enumerate())
-            .map(|(i, (ty, _))| ColumnDef::new(format!("c{i}"), *ty))
+        let seed = std::env::var("CHAOS_SEED").unwrap_or_default();
+        let salt = (seed.bytes()).fold(0, |h: u64, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        let mut x: u64 = 0x9e37_79b9_7f4a_7c15 ^ salt;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut pools = pools();
+        // 7 and 8: ints and floats whose images differ in every byte
+        // (0 and -1, 1.0 and -1.0), and random ones.
+        let mut wide_ints = vec![Value::Null, Value::Int(0), Value::Int(-1)];
+        wide_ints.extend((0..8).map(|_| Value::Int(next() as i64)));
+        let mut wide_floats = vec![Value::Float(1.0), Value::Float(-1.0)];
+        let floats = std::iter::repeat_with(|| f64::from_bits(next())).filter(|f| !f.is_nan());
+        wide_floats.extend(floats.take(8).map(Value::Float));
+        pools.extend([(ValueType::Int, wide_ints), (ValueType::Float, wide_floats)]);
+        // 9 and 10: a column already in key order and one in reverse, each
+        // value three rows long.
+        let columns = (pools.iter().map(|(ty, _)| *ty))
+            .chain([ValueType::Int, ValueType::Int])
+            .enumerate()
+            .map(|(i, ty)| ColumnDef::new(format!("c{i}"), ty))
             .collect();
         let table = TableDef::new("mixed", columns);
-        let mut heap = Heap::new(&table.types(), table.avg_row_width());
-        let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-        for _ in 0..2_000 {
-            let row = pools
-                .iter()
-                .map(|(_, pool)| {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    pool[(x >> 32) as usize % pool.len()].clone()
-                })
-                .collect();
-            heap.insert(row);
-        }
-        let keys: [&[u32]; 15] = [
+        let keys: [&[u32]; 22] = [
             &[0],
             &[1],
             &[2],
@@ -790,39 +853,56 @@ mod tests {
             &[4],
             &[5],
             &[6],
+            &[7],
+            &[8],
+            &[9],
+            &[10],
             &[0, 1],
             &[1, 0],
             &[6, 4],
             &[3, 2],
             &[5, 0],
+            &[8, 7],
+            &[10, 9],
             &[3, 6, 1],
             &[2, 5, 0],
             &[6, 3, 4],
+            &[6, 10, 7],
         ];
-        for key in keys {
-            let key_columns: Vec<ColumnId> = key.iter().map(|&c| ColumnId(c)).collect();
-            let def = IndexDef::new("ix", TableId(0), key_columns.clone(), vec![ColumnId(6)]);
-            let mut ix = SecondaryIndex::new(def, &table);
-            ix.build(&heap);
-            ix.check_invariants()
-                .unwrap_or_else(|e| panic!("key {key:?}: {e}"));
-            let mut want: Vec<(Vec<Value>, RowId)> = heap
-                .live_ids()
-                .map(|rid| {
-                    let key_vals = key.iter().map(|&c| heap.value(rid, c as usize).clone());
-                    (key_vals.collect(), rid)
-                })
-                .collect();
-            want.sort_by(|a, b| a.0.cmp(&b.0));
-            // `Debug` tells apart what `==` does not: -0.0 and 0.0.
-            let want: Vec<String> = want.iter().map(|e| format!("{e:?}")).collect();
-            let got: Vec<String> = ix
-                .scan_all()
-                .entries
-                .into_iter()
-                .map(|e| format!("{:?}", (e.key_vals, e.rid)))
-                .collect();
-            assert!(got == want, "key {key:?}: build order differs");
+        for rows in [RADIX_CUTOFF - 1, RADIX_CUTOFF, RADIX_CUTOFF + 1, 2_000] {
+            let mut heap = Heap::new(&table.types(), table.avg_row_width());
+            for i in 0..rows as i64 {
+                let row = (pools.iter())
+                    .map(|(_, pool)| pool[(next() >> 32) as usize % pool.len()].clone())
+                    .chain([Value::Int(i / 3), Value::Int((rows as i64 - i) / 3)])
+                    .collect();
+                heap.insert(row);
+            }
+            for key in keys {
+                let key_columns: Vec<ColumnId> = key.iter().map(|&c| ColumnId(c)).collect();
+                let def = IndexDef::new("ix", TableId(0), key_columns.clone(), vec![ColumnId(6)]);
+                let mut ix = SecondaryIndex::new(def, &table);
+                ix.build(&heap);
+                ix.check_invariants()
+                    .unwrap_or_else(|e| panic!("{rows} rows, key {key:?}: {e}"));
+                let mut want: Vec<(Vec<Value>, RowId)> = heap
+                    .live_ids()
+                    .map(|rid| {
+                        let key_vals = key.iter().map(|&c| heap.value(rid, c as usize).clone());
+                        (key_vals.collect(), rid)
+                    })
+                    .collect();
+                want.sort_by(|a, b| a.0.cmp(&b.0));
+                // `Debug` tells apart what `==` does not: -0.0 and 0.0.
+                let want: Vec<String> = want.iter().map(|e| format!("{e:?}")).collect();
+                let got: Vec<String> = ix
+                    .scan_all()
+                    .entries
+                    .into_iter()
+                    .map(|e| format!("{:?}", (e.key_vals, e.rid)))
+                    .collect();
+                assert!(got == want, "{rows} rows, key {key:?}: build order differs");
+            }
         }
     }
 

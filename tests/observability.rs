@@ -619,14 +619,11 @@ mod single_source_pin {
         let mut seen = check("A", fleet_a, &PIN_A);
         seen.extend(check("B", fleet_b, &PIN_B));
         seen.extend(recovery_of_a_hand_damaged_journal());
-        // Every `EventKind` with an emit site reachable without a
-        // `FlightDriver`. Outside the set, with the reason:
-        //   FlightStarted, FlightTenantVerdict, FlightShipped,
-        //   FlightAborted — emitted by `FlightDriver` into its own
-        //   report's telemetry, never by a fleet run (flight.rs tests
-        //   and `flight_equivalence.rs` count them).
-        // A variant that drops out of this set has lost its last emit
-        // site; a new variant belongs here or in the list above.
+        // Every `EventKind`: each has an emit site that the two chaos
+        // fleets or the hand-damaged journal reach. (A flight emits none:
+        // its outcome is its report's decision and journaled record.) A
+        // variant that drops out of this set has lost its last emit site;
+        // a new variant belongs here.
         use EventKind::*;
         let expected = BTreeSet::from([
             AnalysisStarted,
